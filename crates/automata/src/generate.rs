@@ -106,6 +106,39 @@ pub fn random_literal_chain(seed: u64, len: usize, alphabet: &[u8]) -> Nfa {
     Nfa::literal(&word)
 }
 
+/// Every 2-state machine over the one-letter alphabet {a}: each of the 4
+/// ordered state pairs may carry an `a`-edge and/or an ε-edge, and each
+/// state may be final. Start is state 0. That is 2^8 × 4 = 1024 machines,
+/// small enough to test exhaustively rather than by sampling.
+pub fn two_state_unary_machines() -> Vec<Nfa> {
+    let mut out = Vec::new();
+    let pairs = [(0usize, 0usize), (0, 1), (1, 0), (1, 1)];
+    for edge_mask in 0u32..16 {
+        for eps_mask in 0u32..16 {
+            for final_mask in 0u32..4 {
+                let mut m = Nfa::new();
+                let s1 = m.add_state();
+                let ids = [m.start(), s1];
+                for (i, &(f, t)) in pairs.iter().enumerate() {
+                    if edge_mask & (1 << i) != 0 {
+                        m.add_edge(ids[f], ByteClass::singleton(b'a'), ids[t]);
+                    }
+                    if eps_mask & (1 << i) != 0 {
+                        m.add_eps(ids[f], ids[t]);
+                    }
+                }
+                for (i, &id) in ids.iter().enumerate() {
+                    if final_mask & (1 << i) != 0 {
+                        m.add_final(id);
+                    }
+                }
+                out.push(m);
+            }
+        }
+    }
+    out
+}
+
 fn poissonish(rng: &mut StdRng, mean: f64) -> usize {
     // Cheap discrete approximation: floor(mean) plus a Bernoulli for the
     // fractional part; adequate for test-input shaping.

@@ -92,7 +92,6 @@ pub use lang::{
 };
 pub use metrics::{MetricEntry, MetricValue, Metrics, MetricsSnapshot};
 pub use minimize::{
-    canonical_key, canonical_key_counted, minimize, minimize_counted, minimize_dfa,
-    minimize_dfa_hopcroft, CanonicalKey,
+    canonical_key, canonical_key_counted, minimize, minimize_counted, minimize_dfa, CanonicalKey,
 };
 pub use nfa::{Nfa, State, StateId};

@@ -3,103 +3,238 @@
 //! The paper (§4) observes that its prototype tracked large string constants
 //! through every machine transformation and that "applying NFA minimization
 //! techniques might improve performance" on the pathological `secure` case.
-//! This module provides that optimization: determinize, complete, refine the
-//! state partition to the Myhill–Nerode congruence (Moore's algorithm over
-//! the minterm alphabet), and rebuild.
+//! This module provides that optimization: determinize, refine the state
+//! partition to the Myhill–Nerode congruence (Hopcroft's algorithm over the
+//! minterm alphabet), and rebuild the quotient directly in the canonical
+//! numbering that both [`minimize`] and [`canonical_key`] emit.
+//!
+//! Hopcroft's refinement costs O(k·n·log n) for n states and k minterms.
+//! Moore's round-based refinement needs about n rounds on the chain-shaped
+//! machines long string constants compile to, so O(k·n²) there; it survives
+//! only as the test suite's reference oracle.
 
 use crate::byteclass::{minterms, ByteClass};
-use crate::dfa::{determinize, determinize_counted, DeterminizeCost, Dfa};
+use crate::dfa::{determinize_counted, DeterminizeCost, Dfa};
 use crate::nfa::{Nfa, StateId};
 
-/// Minimizes a DFA by partition refinement (Moore's algorithm).
+/// Marks an unassigned slot in the minimizer's index arrays.
+const NONE: u32 = u32::MAX;
+
+/// Minimizes a DFA by Hopcroft's partition refinement.
 ///
-/// The input is completed first so the transition function is total. The
-/// result is the unique (up to isomorphism) minimal complete DFA for the
-/// language, with unreachable states removed.
+/// The result is the minimal DFA for the language with its dead state
+/// dropped, in canonical form: states are numbered in breadth-first order
+/// from the start (state 0), visiting each state's edges in class order, and
+/// each row lists its edges in that order. The minimal DFA is unique up to
+/// isomorphism and this numbering depends only on the language, so
+/// language-equal inputs produce *identical* results. The empty language
+/// yields one non-final state with no edges.
 pub fn minimize_dfa(dfa: &Dfa) -> Dfa {
-    let dfa = dfa.complete();
+    let (class_of, num_classes) = nerode_classes(dfa);
     let n = dfa.num_states();
-    if n == 0 {
-        return dfa;
+    // Every state from which no final state is reachable is equivalent to
+    // the completion sink, so the sink's class is the one dead class.
+    let dead = class_of[n];
+    let mut member = vec![NONE; num_classes];
+    for q in (0..n).rev() {
+        member[class_of[q] as usize] = q as u32;
     }
-    // Global minterm alphabet across all transition classes.
-    let classes: Vec<ByteClass> = (0..n)
+    // Breadth-first over classes: `order` lists them by canonical number.
+    let start = class_of[dfa.start().index()];
+    let mut number = vec![NONE; num_classes];
+    number[start as usize] = 0;
+    let mut order = vec![start];
+    let mut slot = vec![NONE; num_classes];
+    let mut states = Vec::new();
+    let mut finals = Vec::new();
+    let mut i = 0;
+    while i < order.len() {
+        let q = StateId(member[order[i] as usize]);
+        i += 1;
+        // The bytes leading into each live class, merged per class.
+        let mut row: Vec<(ByteClass, u32)> = Vec::new();
+        for &(bytes, t) in dfa.transitions(q) {
+            let c = class_of[t.index()];
+            if c == dead {
+                continue;
+            }
+            match slot[c as usize] {
+                NONE => {
+                    slot[c as usize] = row.len() as u32;
+                    row.push((bytes, c));
+                }
+                j => row[j as usize].0 = row[j as usize].0.union(&bytes),
+            }
+        }
+        for &(_, c) in &row {
+            slot[c as usize] = NONE;
+        }
+        // Merged classes are disjoint and nonempty, hence distinct.
+        row.sort_unstable_by_key(|&(bytes, _)| bytes);
+        let edges = row
+            .into_iter()
+            .map(|(bytes, c)| {
+                if number[c as usize] == NONE {
+                    number[c as usize] = order.len() as u32;
+                    order.push(c);
+                }
+                (bytes, StateId(number[c as usize]))
+            })
+            .collect();
+        states.push(edges);
+        finals.push(dfa.is_final(q));
+    }
+    Dfa::from_parts(states, StateId(0), finals)
+}
+
+/// Refines the states of `dfa`, completed by an explicit non-final sink
+/// numbered `dfa.num_states()`, to the Myhill–Nerode congruence by
+/// Hopcroft's algorithm. Returns each state's class (the sink's last) and
+/// the number of classes.
+///
+/// The transition function is a dense table over the minterms of the row
+/// classes, plus their complement when that is nonempty. The partition
+/// lives in arrays: `elems` lists the states block by block, `loc` inverts
+/// it, and block `b` owns `elems[first[b]..end[b]]`, whose first `marked[b]`
+/// entries are the states the current splitter has marked. A splitter is a
+/// whole block, applied on every symbol in turn.
+fn nerode_classes(dfa: &Dfa) -> (Vec<u32>, usize) {
+    let n = dfa.num_states();
+    let size = n + 1;
+    let sink = n as u32;
+    let mut classes: Vec<ByteClass> = (0..n)
         .flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c))
         .collect();
-    let alphabet = minterms(classes.iter());
+    classes.sort_unstable();
+    classes.dedup();
+    let mut alphabet = minterms(classes.iter());
+    let unused = alphabet
+        .iter()
+        .fold(ByteClass::FULL, |rest, m| rest.difference(m));
+    if !unused.is_empty() {
+        alphabet.push(unused);
+    }
     let symbols: Vec<u8> = alphabet
         .iter()
-        .map(|c| c.min_byte().expect("minterms nonempty"))
+        .map(|m| m.min_byte().expect("minterms are nonempty"))
         .collect();
+    let k = symbols.len();
 
-    // Initial partition: finals vs non-finals.
-    let mut block_of: Vec<usize> = (0..n)
-        .map(|q| usize::from(dfa.is_final(StateId(q as u32))))
-        .collect();
-    let mut num_blocks = 2;
-    loop {
-        // Signature of a state: its block plus the blocks of its successors
-        // on each alphabet symbol.
-        let mut sigs: Vec<(usize, Vec<usize>)> = Vec::with_capacity(n);
-        for q in 0..n {
-            let succ_blocks: Vec<usize> = symbols
-                .iter()
-                .map(|&b| {
-                    let t = dfa.step(StateId(q as u32), b).expect("complete DFA");
-                    block_of[t.index()]
-                })
-                .collect();
-            sigs.push((block_of[q], succ_blocks));
-        }
-        let mut index = std::collections::HashMap::new();
-        let mut new_block_of = vec![0usize; n];
-        let mut new_num = 0usize;
-        for q in 0..n {
-            let id = *index.entry(sigs[q].clone()).or_insert_with(|| {
-                let id = new_num;
-                new_num += 1;
-                id
-            });
-            new_block_of[q] = id;
-        }
-        if new_num == num_blocks {
-            break;
-        }
-        block_of = new_block_of;
-        num_blocks = new_num;
-    }
-
-    // Rebuild: keep only blocks reachable from the start block.
-    let start_block = block_of[dfa.start().index()];
-    // Representative state per block.
-    let mut rep: Vec<Option<usize>> = vec![None; num_blocks];
+    // delta[q * k + s]: the successor of q on symbol s.
+    let mut delta = vec![sink; size * k];
     for q in 0..n {
-        rep[block_of[q]].get_or_insert(q);
-    }
-    let mut states: Vec<Vec<(ByteClass, StateId)>> = vec![Vec::new(); num_blocks];
-    let mut finals = vec![false; num_blocks];
-    for blk in 0..num_blocks {
-        let q = rep[blk].expect("every block has a member");
-        finals[blk] = dfa.is_final(StateId(q as u32));
-        // Merge transitions by target block.
-        let mut by_target: std::collections::HashMap<usize, ByteClass> =
-            std::collections::HashMap::new();
+        let row = &mut delta[q * k..(q + 1) * k];
         for &(c, t) in dfa.transitions(StateId(q as u32)) {
-            let e = by_target
-                .entry(block_of[t.index()])
-                .or_insert(ByteClass::EMPTY);
-            *e = e.union(&c);
+            for (s, &b) in symbols.iter().enumerate() {
+                if c.contains(b) {
+                    row[s] = t.0;
+                }
+            }
         }
-        let mut row: Vec<(ByteClass, StateId)> = by_target
-            .into_iter()
-            .map(|(blk, c)| (c, StateId(blk as u32)))
-            .collect();
-        row.sort_by_key(|&(_, t)| t);
-        states[blk] = row;
     }
-    let min = Dfa::from_parts(states, StateId(start_block as u32), finals);
-    // Drop unreachable blocks (e.g. a now-unreachable sink) via NFA trim.
-    determinize(&min.to_nfa().trim().0)
+    // Per-symbol inverse (CSR): the states entering t on symbol s are
+    // sources[start[s * size + t]..start[s * size + t + 1]].
+    let mut start = vec![0u32; k * size + 1];
+    for (i, &t) in delta.iter().enumerate() {
+        start[(i % k) * size + t as usize] += 1;
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut sources = vec![0u32; size * k];
+    for (i, &t) in delta.iter().enumerate().rev() {
+        let bucket = (i % k) * size + t as usize;
+        start[bucket] -= 1;
+        sources[start[bucket] as usize] = (i / k) as u32;
+    }
+
+    // Initial partition: rejecting states (the sink among them), then
+    // accepting ones when there are any.
+    let accepting = |q: u32| q != sink && dfa.is_final(StateId(q));
+    let mut elems: Vec<u32> = (0..size as u32).filter(|&q| !accepting(q)).collect();
+    let rejecting = elems.len() as u32;
+    elems.extend((0..size as u32).filter(|&q| accepting(q)));
+    let mut loc = vec![0u32; size];
+    for (i, &q) in elems.iter().enumerate() {
+        loc[q as usize] = i as u32;
+    }
+    let mut class_of = vec![0u32; size];
+    let mut first = vec![0u32];
+    let mut end = vec![rejecting];
+    let mut work: Vec<u32> = Vec::new();
+    if rejecting < size as u32 {
+        for &q in &elems[rejecting as usize..] {
+            class_of[q as usize] = 1;
+        }
+        first.push(rejecting);
+        end.push(size as u32);
+        // The whole state set is a trivial splitter, so one half suffices.
+        work.push(u32::from(size as u32 - rejecting <= rejecting));
+    }
+    let mut marked = vec![0u32; first.len()];
+    let mut in_work = vec![false; first.len()];
+    if let Some(&b) = work.first() {
+        in_work[b as usize] = true;
+    }
+
+    let mut splitter: Vec<u32> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    while let Some(b) = work.pop() {
+        in_work[b as usize] = false;
+        // Snapshot: the splitter may itself split on an early symbol, but
+        // must still be applied whole on every later one.
+        splitter.clear();
+        splitter.extend_from_slice(&elems[first[b as usize] as usize..end[b as usize] as usize]);
+        for s in 0..k {
+            // Mark every state entering the splitter on `s` by swapping it
+            // into its block's marked prefix. A DFA state has one successor
+            // per symbol, so no state is marked twice.
+            for &t in &splitter {
+                let bucket = s * size + t as usize;
+                for &q in &sources[start[bucket] as usize..start[bucket + 1] as usize] {
+                    let c = class_of[q as usize] as usize;
+                    let to = first[c] + marked[c];
+                    let from = loc[q as usize];
+                    let other = elems[to as usize];
+                    elems[from as usize] = other;
+                    loc[other as usize] = from;
+                    elems[to as usize] = q;
+                    loc[q as usize] = to;
+                    if marked[c] == 0 {
+                        touched.push(c as u32);
+                    }
+                    marked[c] += 1;
+                }
+            }
+            // Split each partially marked block: the marked prefix becomes
+            // a new block. Hopcroft's rule: a pending block's new half is
+            // queued too; otherwise only the smaller half is.
+            for c in touched.drain(..) {
+                let c = c as usize;
+                let count = std::mem::take(&mut marked[c]);
+                if count == end[c] - first[c] {
+                    continue;
+                }
+                let split = first.len() as u32;
+                first.push(first[c]);
+                end.push(first[c] + count);
+                first[c] += count;
+                marked.push(0);
+                for &q in &elems[first[split as usize] as usize..end[split as usize] as usize] {
+                    class_of[q as usize] = split;
+                }
+                let queued = if in_work[c] || count <= end[c] - first[c] {
+                    split
+                } else {
+                    c as u32
+                };
+                in_work.push(false);
+                in_work[queued as usize] = true;
+                work.push(queued);
+            }
+        }
+    }
+    (class_of, first.len())
 }
 
 /// Minimizes the language of an NFA: determinize, refine, and convert back.
@@ -117,245 +252,32 @@ pub fn minimize(nfa: &Nfa) -> Nfa {
     minimize_counted(nfa).0
 }
 
-/// [`minimize`] plus the cost of the *top-level* subset construction it
-/// performs: how many DFA states the input determinized into and how much
-/// ε-closure work that took. The auxiliary determinizations inside
-/// [`minimize_dfa`]'s rebuild are cheap (they run on the already-minimal
-/// machine) and are not counted.
+/// [`minimize`] plus the cost of the subset construction it performs: how
+/// many DFA states the input determinized into and how much ε-closure work
+/// that took. It is the only determinization: [`minimize_dfa`] builds the
+/// canonical quotient straight from the refined partition.
 pub fn minimize_counted(nfa: &Nfa) -> (Nfa, DeterminizeCost) {
     let (dfa, cost) = determinize_counted(nfa);
-    let min = minimize_dfa(&dfa);
-    let order = bfs_order(&min);
-    let mut rank: Vec<u32> = vec![0; min.num_states()];
-    for (new, &old) in order.iter().enumerate() {
-        rank[old.index()] = new as u32;
-    }
-    let mut out = Nfa::new();
-    for _ in 1..order.len() {
-        out.add_state();
-    }
-    for (new, &old) in order.iter().enumerate() {
-        let mut row: Vec<(ByteClass, StateId)> = min.transitions(old).to_vec();
-        row.sort();
-        for (class, t) in row {
-            out.add_edge(StateId(new as u32), class, StateId(rank[t.index()]));
-        }
-        if min.is_final(old) {
-            out.add_final(StateId(new as u32));
-        }
-    }
-    // Drop the dead sink the completion step introduced, if any. `trim`
-    // keeps the start state first and the survivors in ascending id order,
-    // so the canonical numbering is preserved.
-    (out.trim().0, cost)
-}
-
-/// The BFS state order of a DFA with class-sorted edge traversal, starting
-/// from the start state. For a *minimal complete* DFA this order is
-/// invariant under state renumbering (the minimal DFA is unique up to
-/// isomorphism and byte classes are renaming-independent), which is what
-/// makes [`canonical_key`] — and the canonical rebuild in [`minimize`] —
-/// well defined. Unreachable states are omitted.
-fn bfs_order(dfa: &Dfa) -> Vec<StateId> {
-    let n = dfa.num_states();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut seen: Vec<bool> = vec![false; n];
-    let mut bfs: Vec<StateId> = vec![dfa.start()];
-    seen[dfa.start().index()] = true;
-    let mut i = 0;
-    while i < bfs.len() {
-        let q = bfs[i];
-        i += 1;
-        let mut row: Vec<(ByteClass, StateId)> = dfa.transitions(q).to_vec();
-        row.sort();
-        for (_, t) in row {
-            if !seen[t.index()] {
-                seen[t.index()] = true;
-                bfs.push(t);
-            }
-        }
-    }
-    bfs
-}
-
-/// Hopcroft's worklist minimization: O(k·n·log n) over the minterm
-/// alphabet, versus Moore's O(k·n²) refinement in [`minimize_dfa`]. Both
-/// produce the unique minimal DFA; the `det_min` bench compares them and
-/// the property suite cross-checks their outputs.
-pub fn minimize_dfa_hopcroft(dfa: &Dfa) -> Dfa {
-    let dfa = dfa.complete();
-    let n = dfa.num_states();
-    if n == 0 {
-        return dfa;
-    }
-    let classes: Vec<ByteClass> = (0..n)
-        .flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c))
-        .collect();
-    let alphabet = minterms(classes.iter());
-    let symbols: Vec<u8> = alphabet
-        .iter()
-        .map(|c| c.min_byte().expect("minterms nonempty"))
-        .collect();
-    let k = symbols.len();
-
-    // Reverse transition table per symbol.
-    let mut preimage: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; k];
-    for q in 0..n {
-        for (s, &b) in symbols.iter().enumerate() {
-            let t = dfa.step(StateId(q as u32), b).expect("complete DFA");
-            preimage[s][t.index()].push(q);
-        }
-    }
-
-    // Partition as block lists.
-    let mut block_of: Vec<usize> = (0..n)
-        .map(|q| usize::from(dfa.is_final(StateId(q as u32))))
-        .collect();
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
-    for q in 0..n {
-        blocks[block_of[q]].push(q);
-    }
-    if blocks[1].is_empty() || blocks[0].is_empty() {
-        // Only one nonempty block: all states accept or all reject.
-        let keep = usize::from(blocks[0].is_empty());
-        blocks = vec![std::mem::take(&mut blocks[keep])];
-        for b in block_of.iter_mut() {
-            *b = 0;
-        }
-    }
-
-    use std::collections::BTreeSet;
-    let mut work: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let smaller = (0..blocks.len())
-        .min_by_key(|&b| blocks[b].len())
-        .expect("nonempty");
-    for s in 0..k {
-        work.insert((smaller, s));
-    }
-
-    while let Some(&(splitter, s)) = work.iter().next() {
-        work.remove(&(splitter, s));
-        // X = states with an s-transition into the splitter block.
-        let mut x: Vec<usize> = Vec::new();
-        for &q in &blocks[splitter] {
-            x.extend(preimage[s][q].iter().copied());
-        }
-        if x.is_empty() {
-            continue;
-        }
-        // Group X by current block.
-        let mut touched: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for q in x {
-            touched.entry(block_of[q]).or_default().push(q);
-        }
-        for (b, inside) in touched {
-            if inside.len() == blocks[b].len() {
-                continue; // no split
-            }
-            // Split block b into `inside` and the rest.
-            let inside_set: BTreeSet<usize> = inside.iter().copied().collect();
-            let outside: Vec<usize> = blocks[b]
-                .iter()
-                .copied()
-                .filter(|q| !inside_set.contains(q))
-                .collect();
-            let new_id = blocks.len();
-            blocks[b] = inside;
-            blocks.push(outside);
-            for &q in &blocks[new_id] {
-                block_of[q] = new_id;
-            }
-            // Hopcroft's rule: if (b, t) is pending, split it too;
-            // otherwise enqueue the smaller half.
-            for t in 0..k {
-                if work.remove(&(b, t)) {
-                    work.insert((b, t));
-                    work.insert((new_id, t));
-                } else if blocks[b].len() <= blocks[new_id].len() {
-                    work.insert((b, t));
-                } else {
-                    work.insert((new_id, t));
-                }
-            }
-        }
-    }
-
-    // Rebuild (same as Moore's rebuild).
-    let num_blocks = blocks.len();
-    let start_block = block_of[dfa.start().index()];
-    let mut states: Vec<Vec<(ByteClass, StateId)>> = vec![Vec::new(); num_blocks];
-    let mut finals = vec![false; num_blocks];
-    for (blk, members) in blocks.iter().enumerate() {
-        let q = members[0];
-        finals[blk] = dfa.is_final(StateId(q as u32));
-        let mut by_target: std::collections::HashMap<usize, ByteClass> =
-            std::collections::HashMap::new();
-        for &(c, t) in dfa.transitions(StateId(q as u32)) {
-            let e = by_target
-                .entry(block_of[t.index()])
-                .or_insert(ByteClass::EMPTY);
-            *e = e.union(&c);
-        }
-        let mut row: Vec<(ByteClass, StateId)> = by_target
-            .into_iter()
-            .map(|(blk, c)| (c, StateId(blk as u32)))
-            .collect();
-        row.sort_by_key(|&(_, t)| t);
-        states[blk] = row;
-    }
-    let min = Dfa::from_parts(states, StateId(start_block as u32), finals);
-    determinize(&min.to_nfa().trim().0)
+    (minimize_dfa(&dfa).to_nfa(), cost)
 }
 
 /// A canonical fingerprint of an NFA's *language*: two machines have equal
 /// keys iff they recognize the same language.
 ///
-/// The key serializes the minimal complete DFA under a breadth-first state
-/// numbering with transitions ordered by class, which is unique because the
-/// minimal complete DFA is unique up to isomorphism. Comparing keys turns
-/// the solver's quadratic pile of language-equivalence queries into one
+/// The key serializes the minimal DFA without its dead state, in the
+/// canonical form [`minimize_dfa`] produces, which is unique because the
+/// minimal DFA is unique up to isomorphism. Comparing keys turns the
+/// solver's quadratic pile of language-equivalence queries into one
 /// minimization per machine plus cheap `Vec` comparisons.
 pub fn canonical_key(nfa: &Nfa) -> CanonicalKey {
     canonical_key_counted(nfa).0
 }
 
-/// [`canonical_key`] plus the cost of the top-level subset construction,
-/// under the same accounting as [`minimize_counted`].
+/// [`canonical_key`] plus the cost of the subset construction, under the
+/// same accounting as [`minimize_counted`].
 pub fn canonical_key_counted(nfa: &Nfa) -> (CanonicalKey, DeterminizeCost) {
     let (dfa, cost) = determinize_counted(nfa);
-    let min = minimize_dfa(&dfa);
-    // BFS renumbering with deterministic edge order.
-    let bfs = bfs_order(&min);
-    let mut order: Vec<Option<u32>> = vec![None; min.num_states()];
-    for (new, &old) in bfs.iter().enumerate() {
-        order[old.index()] = Some(new as u32);
-    }
-    // Serialize: per state in BFS order, finality then sorted transitions.
-    let mut words: Vec<u64> = vec![bfs.len() as u64];
-    for &q in &bfs {
-        words.push(u64::from(min.is_final(q)));
-        let mut row: Vec<(ByteClass, StateId)> = min.transitions(q).to_vec();
-        row.sort();
-        words.push(row.len() as u64);
-        for (class, t) in row {
-            words.extend(class_words(&class));
-            words.push(u64::from(
-                order[t.index()].expect("BFS covered all reachable states"),
-            ));
-        }
-    }
-    (CanonicalKey(words), cost)
-}
-
-fn class_words(class: &ByteClass) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for b in class.iter() {
-        out[b as usize / 64] |= 1 << (b % 64);
-    }
-    out
+    (CanonicalKey::of_minimal(&minimize_dfa(&dfa)), cost)
 }
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺
@@ -364,6 +286,23 @@ fn class_words(class: &ByteClass) -> [u64; 4] {
 pub struct CanonicalKey(Vec<u64>);
 
 impl CanonicalKey {
+    /// Serializes a canonical minimal DFA: the state count, then per state
+    /// its finality, its edge count, and per edge the class's four bitmap
+    /// words and the target.
+    fn of_minimal(min: &Dfa) -> CanonicalKey {
+        let mut words: Vec<u64> = vec![min.num_states() as u64];
+        for q in (0..min.num_states() as u32).map(StateId) {
+            let row = min.transitions(q);
+            words.push(u64::from(min.is_final(q)));
+            words.push(row.len() as u64);
+            for (class, t) in row {
+                words.extend(class.words());
+                words.push(u64::from(t.0));
+            }
+        }
+        CanonicalKey(words)
+    }
+
     /// Approximate heap footprint of the key in bytes (its word payload).
     /// Used by the store's memo byte accounting.
     pub fn byte_len(&self) -> usize {
@@ -482,62 +421,275 @@ mod tests {
     }
 }
 
+/// Moore's round-based refinement and the determinize → minimize → BFS
+/// pipeline that once produced every key and minimized machine, kept
+/// verbatim as the reference the Hopcroft path must match exactly.
+#[cfg(test)]
+mod moore {
+    use super::CanonicalKey;
+    use crate::byteclass::{minterms, ByteClass};
+    use crate::dfa::{determinize, Dfa};
+    use crate::nfa::{Nfa, StateId};
+
+    fn minimize_dfa(dfa: &Dfa) -> Dfa {
+        let dfa = dfa.complete();
+        let n = dfa.num_states();
+        if n == 0 {
+            return dfa;
+        }
+        let classes: Vec<ByteClass> = (0..n)
+            .flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c))
+            .collect();
+        let alphabet = minterms(classes.iter());
+        let symbols: Vec<u8> = alphabet
+            .iter()
+            .map(|c| c.min_byte().expect("minterms nonempty"))
+            .collect();
+        let mut block_of: Vec<usize> = (0..n)
+            .map(|q| usize::from(dfa.is_final(StateId(q as u32))))
+            .collect();
+        let mut num_blocks = 2;
+        loop {
+            let mut sigs: Vec<(usize, Vec<usize>)> = Vec::with_capacity(n);
+            for q in 0..n {
+                let succ_blocks: Vec<usize> = symbols
+                    .iter()
+                    .map(|&b| {
+                        let t = dfa.step(StateId(q as u32), b).expect("complete DFA");
+                        block_of[t.index()]
+                    })
+                    .collect();
+                sigs.push((block_of[q], succ_blocks));
+            }
+            let mut index = std::collections::HashMap::new();
+            let mut new_block_of = vec![0usize; n];
+            let mut new_num = 0usize;
+            for q in 0..n {
+                let id = *index.entry(sigs[q].clone()).or_insert_with(|| {
+                    let id = new_num;
+                    new_num += 1;
+                    id
+                });
+                new_block_of[q] = id;
+            }
+            if new_num == num_blocks {
+                break;
+            }
+            block_of = new_block_of;
+            num_blocks = new_num;
+        }
+        let start_block = block_of[dfa.start().index()];
+        let mut rep: Vec<Option<usize>> = vec![None; num_blocks];
+        for q in 0..n {
+            rep[block_of[q]].get_or_insert(q);
+        }
+        let mut states: Vec<Vec<(ByteClass, StateId)>> = vec![Vec::new(); num_blocks];
+        let mut finals = vec![false; num_blocks];
+        for blk in 0..num_blocks {
+            let q = rep[blk].expect("every block has a member");
+            finals[blk] = dfa.is_final(StateId(q as u32));
+            let mut by_target: std::collections::HashMap<usize, ByteClass> =
+                std::collections::HashMap::new();
+            for &(c, t) in dfa.transitions(StateId(q as u32)) {
+                let e = by_target
+                    .entry(block_of[t.index()])
+                    .or_insert(ByteClass::EMPTY);
+                *e = e.union(&c);
+            }
+            let mut row: Vec<(ByteClass, StateId)> = by_target
+                .into_iter()
+                .map(|(blk, c)| (c, StateId(blk as u32)))
+                .collect();
+            row.sort_by_key(|&(_, t)| t);
+            states[blk] = row;
+        }
+        let min = Dfa::from_parts(states, StateId(start_block as u32), finals);
+        determinize(&min.to_nfa().trim().0)
+    }
+
+    fn bfs_order(dfa: &Dfa) -> Vec<StateId> {
+        let mut seen: Vec<bool> = vec![false; dfa.num_states()];
+        let mut bfs: Vec<StateId> = vec![dfa.start()];
+        seen[dfa.start().index()] = true;
+        let mut i = 0;
+        while i < bfs.len() {
+            let q = bfs[i];
+            i += 1;
+            let mut row: Vec<(ByteClass, StateId)> = dfa.transitions(q).to_vec();
+            row.sort();
+            for (_, t) in row {
+                if !seen[t.index()] {
+                    seen[t.index()] = true;
+                    bfs.push(t);
+                }
+            }
+        }
+        bfs
+    }
+
+    pub(super) fn canonical_key(nfa: &Nfa) -> CanonicalKey {
+        let min = minimize_dfa(&determinize(nfa));
+        let bfs = bfs_order(&min);
+        let mut order: Vec<Option<u32>> = vec![None; min.num_states()];
+        for (new, &old) in bfs.iter().enumerate() {
+            order[old.index()] = Some(new as u32);
+        }
+        let mut words: Vec<u64> = vec![bfs.len() as u64];
+        for &q in &bfs {
+            words.push(u64::from(min.is_final(q)));
+            let mut row: Vec<(ByteClass, StateId)> = min.transitions(q).to_vec();
+            row.sort();
+            words.push(row.len() as u64);
+            for (class, t) in row {
+                let mut class_words = [0u64; 4];
+                for b in class.iter() {
+                    class_words[b as usize / 64] |= 1 << (b % 64);
+                }
+                words.extend(class_words);
+                words.push(u64::from(
+                    order[t.index()].expect("BFS covered all reachable states"),
+                ));
+            }
+        }
+        CanonicalKey(words)
+    }
+
+    pub(super) fn minimize(nfa: &Nfa) -> Nfa {
+        let min = minimize_dfa(&determinize(nfa));
+        let order = bfs_order(&min);
+        let mut rank: Vec<u32> = vec![0; min.num_states()];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old.index()] = new as u32;
+        }
+        let mut out = Nfa::new();
+        for _ in 1..order.len() {
+            out.add_state();
+        }
+        for (new, &old) in order.iter().enumerate() {
+            let mut row: Vec<(ByteClass, StateId)> = min.transitions(old).to_vec();
+            row.sort();
+            for (class, t) in row {
+                out.add_edge(StateId(new as u32), class, StateId(rank[t.index()]));
+            }
+            if min.is_final(old) {
+                out.add_final(StateId(new as u32));
+            }
+        }
+        out.trim().0
+    }
+}
+
+/// The production minimizer against the Moore reference: identical keys
+/// and identical minimized machines, not merely equivalent ones.
 #[cfg(test)]
 mod hopcroft_tests {
     use super::*;
-    use crate::dfa::equivalent;
-    use crate::generate::{random_nfa, RandomNfaConfig};
+    use crate::dfa::determinize;
+    use crate::generate::{random_nfa, two_state_unary_machines, RandomNfaConfig};
     use crate::ops;
 
-    fn minimal_hopcroft(nfa: &Nfa) -> Nfa {
-        minimize_dfa_hopcroft(&determinize(nfa)).to_nfa().trim().0
+    fn assert_matches_moore(nfa: &Nfa, what: &str) {
+        assert_eq!(canonical_key(nfa), moore::canonical_key(nfa), "{what}: key");
+        assert_eq!(minimize(nfa), moore::minimize(nfa), "{what}: machine");
     }
 
     #[test]
     fn hopcroft_agrees_with_moore_on_fixtures() {
+        let not_a = ByteClass::singleton(b'a').complement();
         let fixtures = [
-            Nfa::literal(b"abc"),
-            Nfa::epsilon(),
-            Nfa::empty_language(),
-            Nfa::sigma_star(),
-            ops::union(&Nfa::literal(b"a"), &Nfa::literal(b"bb")),
-            ops::star(&ops::union(&Nfa::literal(b"ab"), &Nfa::literal(b"ba"))),
+            ("empty", Nfa::empty_language()),
+            ("epsilon", Nfa::epsilon()),
+            ("sigma*", Nfa::sigma_star()),
+            ("abc", Nfa::literal(b"abc")),
+            (
+                "a|bb",
+                ops::union(&Nfa::literal(b"a"), &Nfa::literal(b"bb")),
+            ),
+            (
+                "(ab|ba)*",
+                ops::star(&ops::union(&Nfa::literal(b"ab"), &Nfa::literal(b"ba"))),
+            ),
+            // Complete DFAs: no completion sink is reachable.
+            ("[^a]*", ops::star(&Nfa::class(not_a))),
+            (
+                "(a|[^a])*a",
+                ops::concat(
+                    &ops::star(&ops::union(&Nfa::literal(b"a"), &Nfa::class(not_a))),
+                    &Nfa::literal(b"a"),
+                )
+                .nfa,
+            ),
         ];
-        for m in &fixtures {
-            let moore = minimize(m);
-            let hopcroft = minimal_hopcroft(m);
-            assert!(equivalent(&moore, &hopcroft));
-            assert_eq!(moore.num_states(), hopcroft.num_states());
+        for (what, m) in &fixtures {
+            assert_matches_moore(m, what);
         }
     }
 
     #[test]
     fn hopcroft_agrees_with_moore_on_random_machines() {
-        let cfg = RandomNfaConfig {
-            states: 7,
-            alphabet: vec![b'a', b'b'],
-            ..Default::default()
-        };
-        for seed in 0..60 {
-            let m = random_nfa(seed, &cfg);
-            let moore = minimize(&m);
-            let hopcroft = minimal_hopcroft(&m);
-            assert!(equivalent(&m, &hopcroft), "seed {seed}: language changed");
-            assert_eq!(
-                moore.num_states(),
-                hopcroft.num_states(),
-                "seed {seed}: non-minimal result"
-            );
+        let configs = [
+            RandomNfaConfig {
+                states: 7,
+                alphabet: vec![b'a', b'b'],
+                ..Default::default()
+            },
+            RandomNfaConfig {
+                states: 12,
+                edges_per_state: 3.0,
+                alphabet: vec![b'a', b'b', b'c', b'x', b'y'],
+                final_probability: 0.3,
+                ..Default::default()
+            },
+        ];
+        for (i, cfg) in configs.iter().enumerate() {
+            for seed in 0..150 {
+                assert_matches_moore(&random_nfa(seed, cfg), &format!("config {i} seed {seed}"));
+            }
         }
     }
 
     #[test]
-    fn hopcroft_single_block_cases() {
-        // All-accepting and all-rejecting machines hit the one-block path.
-        let all = minimal_hopcroft(&Nfa::sigma_star());
-        assert_eq!(all.num_states(), 1);
-        let none = minimal_hopcroft(&Nfa::empty_language());
-        assert!(none.is_empty_language());
+    fn hopcroft_agrees_with_moore_on_all_two_state_machines() {
+        for (i, m) in two_state_unary_machines().iter().enumerate() {
+            assert_matches_moore(m, &format!("machine #{i}"));
+        }
+    }
+
+    #[test]
+    fn long_literals_minimize_to_their_own_chain() {
+        // The chain shape of a SQL-template constant, on which Moore's
+        // refinement needs one round per byte. A literal's chain machine is
+        // already its canonical minimal form, which gives an exact oracle
+        // at 2000 bytes; Moore itself checks a prefix short enough for its
+        // quadratic rounds in an unoptimized test build.
+        let alphabet: Vec<u8> = (b'0'..=b'9').chain(b'a'..=b'z').chain(*b" '=_").collect();
+        assert_eq!(alphabet.len(), 40);
+        let word: Vec<u8> = (0..2000).map(|i| alphabet[(i * 7 + i / 40) % 40]).collect();
+        let literal = Nfa::literal(&word);
+        assert_eq!(minimize(&literal), literal);
+        let mut key = vec![word.len() as u64 + 1];
+        for (i, &b) in word.iter().enumerate() {
+            key.extend([0, 1]);
+            key.extend(ByteClass::singleton(b).words());
+            key.push(i as u64 + 1);
+        }
+        key.extend([1, 0]);
+        assert_eq!(canonical_key(&literal), CanonicalKey(key));
+        assert_matches_moore(&Nfa::literal(&word[..250]), "250-byte literal");
+    }
+
+    #[test]
+    fn minimal_dfa_is_canonical_and_sink_free() {
+        let m = ops::union(&Nfa::literal(b"ab"), &Nfa::literal(b"b"));
+        let min = minimize_dfa(&determinize(&m));
+        assert_eq!(min.start(), StateId(0));
+        assert_eq!(min.to_nfa(), minimize(&m));
+        // ab|b: start, after-a and accept, with no dead state.
+        assert_eq!(min.num_states(), 3);
+        let none = minimize_dfa(&determinize(&Nfa::empty_language()));
+        assert_eq!(none.num_states(), 1);
+        assert!(none.transitions(StateId(0)).is_empty());
+        assert!(!none.is_final(StateId(0)));
     }
 }
 

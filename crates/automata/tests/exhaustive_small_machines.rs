@@ -4,49 +4,17 @@
 //! complementation, or the language predicates on small machines is caught
 //! unconditionally.
 
+use dprle_automata::generate::two_state_unary_machines;
 use dprle_automata::{
-    canonical_key, complement, determinize, equivalent, is_subset, minimize, ops, ByteClass, Nfa,
-    StateId,
+    canonical_key, complement, determinize, equivalent, is_subset, minimize, ops, Nfa, StateId,
 };
-
-/// Builds every 2-state machine over {a}: each of the 4 ordered state
-/// pairs may carry an `a`-edge and/or an ε-edge, and each state may be
-/// final. Start is state 0. That is 2^8 × 4 = 1024 machines.
-fn all_two_state_machines() -> Vec<Nfa> {
-    let mut out = Vec::new();
-    let pairs = [(0u32, 0u32), (0, 1), (1, 0), (1, 1)];
-    for edge_mask in 0u32..16 {
-        for eps_mask in 0u32..16 {
-            for final_mask in 0u32..4 {
-                let mut m = Nfa::new();
-                let s1 = m.add_state();
-                let ids = [m.start(), s1];
-                for (i, &(f, t)) in pairs.iter().enumerate() {
-                    if edge_mask & (1 << i) != 0 {
-                        m.add_edge(ids[f as usize], ByteClass::singleton(b'a'), ids[t as usize]);
-                    }
-                    if eps_mask & (1 << i) != 0 {
-                        m.add_eps(ids[f as usize], ids[t as usize]);
-                    }
-                }
-                for (i, &id) in ids.iter().enumerate() {
-                    if final_mask & (1 << i) != 0 {
-                        m.add_final(id);
-                    }
-                }
-                out.push(m);
-            }
-        }
-    }
-    out
-}
 
 const A: &[u8] = b"a";
 const DEPTH: usize = 6;
 
 #[test]
 fn determinize_minimize_complement_agree_on_all_small_machines() {
-    for (i, m) in all_two_state_machines().iter().enumerate() {
+    for (i, m) in two_state_unary_machines().iter().enumerate() {
         let reference = m.enumerate_upto(A, DEPTH);
         // Determinization preserves the language.
         let d = determinize(m).to_nfa();
@@ -77,7 +45,7 @@ fn deep_empty(m: &Nfa) -> bool {
 
 #[test]
 fn canonical_keys_partition_all_small_machines() {
-    let machines = all_two_state_machines();
+    let machines = two_state_unary_machines();
     // Group by canonical key; within a group all must be equivalent, and
     // spot-check across groups for inequivalence.
     use std::collections::HashMap;
@@ -114,7 +82,7 @@ fn canonical_keys_partition_all_small_machines() {
 
 #[test]
 fn union_and_intersection_algebra_on_sampled_pairs() {
-    let machines = all_two_state_machines();
+    let machines = two_state_unary_machines();
     // Sample a deterministic spread of pairs (full cross product is 1M).
     for i in (0..machines.len()).step_by(97) {
         for j in (0..machines.len()).step_by(131) {
@@ -146,7 +114,7 @@ fn union_and_intersection_algebra_on_sampled_pairs() {
 
 #[test]
 fn inclusion_is_a_partial_order_on_sampled_machines() {
-    let machines = all_two_state_machines();
+    let machines = two_state_unary_machines();
     let sample: Vec<&Nfa> = machines.iter().step_by(53).collect();
     for a in &sample {
         assert!(is_subset(a, a), "reflexive");
@@ -172,7 +140,7 @@ fn inclusion_is_a_partial_order_on_sampled_machines() {
 
 #[test]
 fn trim_never_changes_language_on_all_small_machines() {
-    for (i, m) in all_two_state_machines().iter().enumerate() {
+    for (i, m) in two_state_unary_machines().iter().enumerate() {
         let (t, _) = m.trim();
         assert_eq!(
             t.enumerate_upto(A, DEPTH),
@@ -189,7 +157,7 @@ fn induce_slices_relate_to_paths() {
     // induce_from_start(q) ⊆ L whenever q is reachable and co-reachable —
     // the waypoint property the CI proof leans on (any accepted word
     // passing through q splits there).
-    for (i, m) in all_two_state_machines().iter().enumerate().step_by(7) {
+    for (i, m) in two_state_unary_machines().iter().enumerate().step_by(7) {
         for q in [StateId(0), StateId(1)] {
             let to_q = m.induce_from_final(q);
             let from_q = m.induce_from_start(q);

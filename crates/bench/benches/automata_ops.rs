@@ -4,10 +4,9 @@
 //! byte-class ablation (class-labelled edges vs byte-expanded edges).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dprle_automata::generate::{random_nonempty_nfa, RandomNfaConfig};
+use dprle_automata::generate::{random_literal_chain, random_nonempty_nfa, RandomNfaConfig};
 use dprle_automata::{
-    complement, determinize, is_subset, minimize, minimize_dfa, minimize_dfa_hopcroft, ops,
-    ByteClass, Nfa,
+    complement, determinize, is_subset, minimize, minimize_dfa, ops, ByteClass, Nfa,
 };
 
 fn machines(states: usize) -> (Nfa, Nfa) {
@@ -44,16 +43,21 @@ fn bench_determinize_minimize(criterion: &mut Criterion) {
             b.iter(|| std::hint::black_box(minimize(&a)))
         });
         let dfa = determinize(&a);
-        group.bench_with_input(BenchmarkId::new("moore", states), &states, |b, _| {
+        group.bench_with_input(BenchmarkId::new("minimize_dfa", states), &states, |b, _| {
             b.iter(|| std::hint::black_box(minimize_dfa(&dfa)))
-        });
-        group.bench_with_input(BenchmarkId::new("hopcroft", states), &states, |b, _| {
-            b.iter(|| std::hint::black_box(minimize_dfa_hopcroft(&dfa)))
         });
         group.bench_with_input(BenchmarkId::new("complement", states), &states, |b, _| {
             b.iter(|| std::hint::black_box(complement(&a)))
         });
     }
+    // The chain shape of a long SQL-template constant: one state per byte
+    // over ~40 distinct bytes, the input on which round-based refinement
+    // goes quadratic.
+    let alphabet: Vec<u8> = (b'0'..=b'9').chain(b'a'..=b'z').chain(*b" '=_").collect();
+    let chain = determinize(&random_literal_chain(7, 2000, &alphabet));
+    group.bench_function("minimize_dfa/literal_2000", |b| {
+        b.iter(|| std::hint::black_box(minimize_dfa(&chain)))
+    });
     group.finish();
 }
 

@@ -2,12 +2,12 @@
 //! evaluation row, what each design choice buys.
 //!
 //! ```text
-//! fig12_ablate [--include-heavy]
+//! fig12_ablate
 //! ```
 //!
 //! Columns: default options; no intermediate minimization (the paper
-//! prototype's behavior — expect the heavy row to blow up, which is why it
-//! is excluded unless `--include-heavy` is passed); quotient
+//! prototype's behavior: intermediate machines grow under repeated
+//! products, so long constraint chains are the slowest rows); quotient
 //! constant-stripping (the extension mode).
 
 use dprle_bench::run_fig12_row;
@@ -15,32 +15,20 @@ use dprle_core::SolveOptions;
 use dprle_corpus::FIG12_ROWS;
 
 fn main() {
-    let include_heavy = std::env::args().any(|a| a == "--include-heavy");
     println!("Figure 12 rows under ablated solver configurations (seconds)");
     println!(
         "{:<10} {:>6} {:>12} {:>14} {:>12}",
         "Vuln", "|C|", "default", "no-minimize", "quotient"
     );
-    // Without intermediate minimization, constraint chains grow
-    // multiplicatively: rows beyond this |C| threshold take minutes-to-
-    // unbounded time in prototype mode (that blow-up IS the ablation
-    // result; see EXPERIMENTS.md). Skip them so the table terminates.
-    const NO_MINIMIZE_C_LIMIT: usize = 70;
-    for spec in FIG12_ROWS.iter().filter(|s| include_heavy || !s.heavy) {
+    for spec in FIG12_ROWS.iter() {
         let default = run_fig12_row(spec, &SolveOptions::default());
-        let no_minimize = if spec.c <= NO_MINIMIZE_C_LIMIT && !spec.heavy {
-            let row = run_fig12_row(
-                spec,
-                &SolveOptions {
-                    minimize_intermediate: false,
-                    ..Default::default()
-                },
-            );
-            assert!(row.exploitable);
-            format!("{:>14.3}", row.seconds)
-        } else {
-            format!("{:>14}", "(diverges)")
-        };
+        let no_minimize = run_fig12_row(
+            spec,
+            &SolveOptions {
+                minimize_intermediate: false,
+                ..Default::default()
+            },
+        );
         let quotient = run_fig12_row(
             spec,
             &SolveOptions {
@@ -48,13 +36,11 @@ fn main() {
                 ..Default::default()
             },
         );
-        assert!(default.exploitable && quotient.exploitable);
+        assert!(default.exploitable && no_minimize.exploitable && quotient.exploitable);
         println!(
-            "{:<10} {:>6} {:>12.3} {} {:>12.3}",
-            spec.name, spec.c, default.seconds, no_minimize, quotient.seconds
+            "{:<10} {:>6} {:>12.3} {:>14.3} {:>12.3}",
+            spec.name, spec.c, default.seconds, no_minimize.seconds, quotient.seconds
         );
     }
-    println!("\nAll configurations found every exploit; `(diverges)` rows exceed");
-    println!("practical time without intermediate minimization (the paper's");
-    println!("`secure` mechanism at smaller scale).");
+    println!("\nAll configurations found every exploit.");
 }

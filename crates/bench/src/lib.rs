@@ -12,7 +12,8 @@
 //! * `cargo run -p dprle-bench --bin fig12 --release` — the results table
 //!   (Figure 12): per vulnerability, `|FG|`, `|C|`, and constraint-solving
 //!   time, measured next to the published numbers, with the shape checks
-//!   the paper highlights (16 of 17 under a second; `secure` the outlier).
+//!   the paper highlights (every row exploitable, the published `|C|`),
+//!   and whether `secure` is still the paper's order-of-magnitude outlier.
 //! * `cargo run -p dprle-bench --bin complexity_table --release` — machine
 //!   sizes and solution counts for the CI sweep validating the §3.5
 //!   bounds.
@@ -25,11 +26,11 @@
 use dprle_automata::LangStore;
 use dprle_core::{
     solve_traced, CollectLedger, CollectSink, EngineKind, Ledger, PhaseRow, Solution, SolveOptions,
-    SolveStats, TraceReport, Tracer,
+    SolveStats, System, TraceReport, Tracer,
 };
 use dprle_corpus::{vulnerable_program, VulnSpec, FIG12_ROWS};
 use dprle_lang::symex::SymexOptions;
-use dprle_lang::{explore, to_system, Cfg, Policy};
+use dprle_lang::{explore, to_system, Cfg, Policy, SinkReach};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,8 +49,15 @@ pub struct Fig12Row {
     pub c: usize,
     /// Published constraint count.
     pub c_paper: usize,
-    /// Measured constraint-solving time in seconds (`T_S`), tracer disabled.
+    /// Measured constraint-solving time in seconds (`T_S`), tracer
+    /// disabled: the fastest of [`TS_ROUNDS`] passes.
     pub seconds: f64,
+    /// `T_S` in units of a host-speed reference: the median, over the
+    /// [`TS_ROUNDS`] passes, of each pass's time over the time of a fixed
+    /// piece of work that calls nothing in dprle, run just before it. A
+    /// host that runs slower slows both, so the ratio moves with the
+    /// solver alone; `bench_smoke` gates on it.
+    pub reference_ratio: f64,
     /// The same workload with a live tracer draining into a null sink —
     /// recorded next to `seconds` so the disabled-tracer path's zero-cost
     /// claim is checked on every regeneration of the table.
@@ -107,11 +115,98 @@ pub struct Fig12Row {
     pub ledger: String,
 }
 
+/// Rounds of untraced solving that measure `T_S`. Each round solves every
+/// row once, and a row's `T_S` is its fastest round: spreading a row's
+/// passes over the whole run and keeping the fastest removes the
+/// pass-to-pass noise of ~2 ms solves. A host that is slower for the whole
+/// run still moves every pass; [`Fig12Row::reference_ratio`] does not.
+pub const TS_ROUNDS: usize = 10;
+
+/// Subset-construction states one run of [`HostReference`] builds.
+const REFERENCE_STATES: usize = 8000;
+
+/// A host-speed reference run before every `T_S` pass: the first
+/// [`REFERENCE_STATES`] states of the subset construction over a fixed
+/// pseudo-random 60-state NFA, state sets interned in a `HashSet`. It calls
+/// nothing in dprle, so a change to dprle cannot move it, while it
+/// allocates and hashes as the solver does, so a host that runs slower
+/// slows it much as it slows the solver.
+struct HostReference {
+    /// Successor set per state and letter.
+    delta: [[u64; 4]; 60],
+}
+
+impl HostReference {
+    fn new() -> Self {
+        // xorshift64 from a fixed seed.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut delta = [[0u64; 4]; 60];
+        for targets in delta.iter_mut().flatten() {
+            for _ in 0..2 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *targets |= 1 << (x % 60);
+            }
+        }
+        HostReference { delta }
+    }
+
+    /// Times one run, in seconds.
+    fn time(&self) -> f64 {
+        let start = Instant::now();
+        let mut seen = std::collections::HashSet::from([1u64]);
+        let mut queue = vec![1u64];
+        let mut head = 0;
+        while head < queue.len() && queue.len() < REFERENCE_STATES {
+            let set = queue[head];
+            head += 1;
+            for letter in 0..4 {
+                let mut succ = 0;
+                let mut states = set;
+                while states != 0 {
+                    succ |= self.delta[states.trailing_zeros() as usize][letter];
+                    states &= states - 1;
+                }
+                if seen.insert(succ) {
+                    queue.push(succ);
+                }
+            }
+        }
+        std::hint::black_box(queue.len());
+        start.elapsed().as_secs_f64()
+    }
+}
+
+/// What a row's `T_S` rounds measured.
+struct TsRounds {
+    /// Fastest pass, in seconds.
+    seconds: f64,
+    /// Each pass's time over the [`HostReference`] run just before it.
+    reference_ratios: Vec<f64>,
+    /// Whether the first pass found an exploit.
+    exploitable: bool,
+    /// The first pass's counters (every pass does the same work).
+    stats: SolveStats,
+}
+
+/// The median of `values` (the upper of the middle two for an even
+/// count).
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// Runs one Figure 12 row: generates the program, runs symbolic execution,
 /// and times *constraint solving only* (the paper's `T_S` column measures
-/// "the total time spent solving constraints"). The solving pass runs
-/// twice — tracer disabled (the `T_S` measurement) and tracer enabled into
-/// a null sink — so the table carries the tracing overhead alongside.
+/// "the total time spent solving constraints"). The solving passes run
+/// tracer disabled ([`TS_ROUNDS`] of them, the `T_S` measurement) and once
+/// with the tracer enabled into a null sink, so the table carries the
+/// tracing overhead alongside.
 pub fn run_fig12_row(spec: &VulnSpec, options: &SolveOptions) -> Fig12Row {
     run_fig12_row_jobs(spec, options, 1)
 }
@@ -121,39 +216,108 @@ pub fn run_fig12_row(spec: &VulnSpec, options: &SolveOptions) -> Fig12Row {
 /// produces byte-identical solutions and statistics — only wall time may
 /// differ — so the row's `speedup` isolates the scheduling win.
 pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) -> Fig12Row {
-    let program = vulnerable_program(spec);
-    let fg = Cfg::build(&program).num_blocks();
-    let reaches = explore(&program, &SymexOptions::default())
-        .unwrap_or_else(|e| panic!("{}: symbolic execution failed: {e}", spec.name));
-    let policy = Policy::sql_quote();
-    let systems: Vec<dprle_core::System> = reaches
+    run_fig12_rows(std::slice::from_ref(spec), options, jobs).remove(0)
+}
+
+/// Runs `specs`: the [`TS_ROUNDS`] `T_S` rounds over all of them first,
+/// then each row's traced, parallel, engine-comparison and ledgered passes.
+fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions, jobs: usize) -> Vec<Fig12Row> {
+    let inputs: Vec<RowInput> = specs.iter().map(RowInput::new).collect();
+    let reference = HostReference::new();
+    let mut rounds: Vec<TsRounds> = Vec::with_capacity(inputs.len());
+    for round in 0..TS_ROUNDS {
+        for (i, input) in inputs.iter().enumerate() {
+            let reference_seconds = reference.time();
+            let (seconds, exploitable, stats) = input.solve(options);
+            if round == 0 {
+                rounds.push(TsRounds {
+                    seconds,
+                    reference_ratios: vec![seconds / reference_seconds],
+                    exploitable,
+                    stats,
+                });
+            } else {
+                let row = &mut rounds[i];
+                row.seconds = row.seconds.min(seconds);
+                row.reference_ratios.push(seconds / reference_seconds);
+            }
+        }
+    }
+    inputs
         .iter()
-        .map(|reach| to_system(reach, &policy).0)
-        .collect();
-    let c = systems
+        .zip(rounds)
+        .map(|(input, ts)| measure_row(input, options, jobs, ts))
+        .collect()
+}
+
+/// One Figure 12 row's program, explored once.
+struct RowInput<'a> {
+    spec: &'a VulnSpec,
+    fg: usize,
+    reaches: Vec<SinkReach>,
+}
+
+impl<'a> RowInput<'a> {
+    fn new(spec: &'a VulnSpec) -> Self {
+        let program = vulnerable_program(spec);
+        let fg = Cfg::build(&program).num_blocks();
+        let reaches = explore(&program, &SymexOptions::default())
+            .unwrap_or_else(|e| panic!("{}: symbolic execution failed: {e}", spec.name));
+        RowInput { spec, fg, reaches }
+    }
+
+    /// Freshly built systems, one per sink reach. Every pass solves its
+    /// own: `Lang` handles cache their canonical fingerprint, so a pass
+    /// reusing the systems an earlier pass solved would be credited with
+    /// that pass's cache warmth.
+    fn systems(&self) -> Vec<System> {
+        let policy = Policy::sql_quote();
+        self.reaches
+            .iter()
+            .map(|reach| to_system(reach, &policy).0)
+            .collect()
+    }
+
+    /// One untraced pass: its wall time, whether it found an exploit (the
+    /// vulnerable path is the one that reaches the final sink), and its
+    /// counters.
+    fn solve(&self, options: &SolveOptions) -> (f64, bool, SolveStats) {
+        let systems = self.systems();
+        let mut exploitable = false;
+        let mut stats = SolveStats::default();
+        let start = Instant::now();
+        for sys in &systems {
+            let store = LangStore::interning(options.interning);
+            let (solution, run_stats) = solve_traced(sys, options, &store, &Tracer::disabled());
+            exploitable |= matches!(solution, Solution::Assignments(_));
+            stats.absorb(&run_stats);
+        }
+        (start.elapsed().as_secs_f64(), exploitable, stats)
+    }
+}
+
+/// Runs a row's passes after `T_S` and assembles the row.
+fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRounds) -> Fig12Row {
+    let spec = input.spec;
+    let TsRounds {
+        seconds,
+        reference_ratios,
+        exploitable,
+        stats,
+    } = ts;
+    let c = input
+        .systems()
         .iter()
         .map(|s| s.num_constraints())
         .max()
         .unwrap_or(0);
-    // The vulnerable path is the one that reaches the final sink.
-    let mut exploitable = false;
-    let mut stats = SolveStats::default();
-    let start = Instant::now();
-    for sys in &systems {
-        let store = LangStore::interning(options.interning);
-        let (solution, run_stats) = solve_traced(sys, options, &store, &Tracer::disabled());
-        if let Solution::Assignments(_) = solution {
-            exploitable = true;
-        }
-        stats.absorb(&run_stats);
-    }
-    let seconds = start.elapsed().as_secs_f64();
     // Same workload, tracer live: events are collected in memory (the
     // realistic enabled-tracer cost) and aggregated into per-phase time.
+    let traced_systems = input.systems();
     let sink = Arc::new(CollectSink::new());
     let live_tracer = Tracer::new(sink.clone());
     let start = Instant::now();
-    for sys in &systems {
+    for sys in &traced_systems {
         let store = LangStore::interning(options.interning);
         let _ = solve_traced(sys, options, &store, &live_tracer);
     }
@@ -162,15 +326,8 @@ pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) 
         .map(|r| r.phases)
         .unwrap_or_default();
     // Third pass: the same untraced workload on the parallel worklist.
-    // The systems are rebuilt from scratch first: `Lang` handles cache
-    // their canonical fingerprint, so reusing the warmed systems from the
-    // passes above would credit cache warmth to the thread count. Cold
-    // sequential vs cold parallel is the honest comparison.
     let (jobs, par_seconds) = if jobs > 1 {
-        let par_systems: Vec<dprle_core::System> = reaches
-            .iter()
-            .map(|reach| to_system(reach, &policy).0)
-            .collect();
+        let par_systems = input.systems();
         let par_options = SolveOptions {
             jobs,
             ..options.clone()
@@ -184,16 +341,13 @@ pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) 
     } else {
         (1, seconds)
     };
-    // Engine-comparison passes: the identical workload once per inclusion
-    // engine, cold-rebuilt and untraced like the `T_S` pass, so the two
-    // columns isolate the engine's cost. Both passes produce the same
-    // solutions — the engines provably agree — so only time and
-    // macrostates are kept.
+    // Engine-comparison passes: the identical workload once per
+    // inclusion engine, untraced like the `T_S` passes, so the columns
+    // isolate the engine's cost. The passes produce the same solutions
+    // — the engines provably agree — so only time and macrostates are
+    // kept.
     let engine_pass = |kind: EngineKind| {
-        let systems: Vec<dprle_core::System> = reaches
-            .iter()
-            .map(|reach| to_system(reach, &policy).0)
-            .collect();
+        let systems = input.systems();
         let engine_options = SolveOptions {
             inclusion_engine: kind,
             ..options.clone()
@@ -210,13 +364,10 @@ pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) 
     let (eager_seconds, eager_macrostates) = engine_pass(EngineKind::Eager);
     let (antichain_seconds, antichain_macrostates) = engine_pass(EngineKind::Antichain);
     let (derivative_seconds, derivative_macrostates) = engine_pass(EngineKind::Derivative);
-    // Ledgered pass: the same workload once more, cold-rebuilt like the
-    // other passes, with the query cost ledger live. Kept separate from
-    // the `T_S` pass so the timing columns stay ledger-free.
-    let ledger_systems: Vec<dprle_core::System> = reaches
-        .iter()
-        .map(|reach| to_system(reach, &policy).0)
-        .collect();
+    // Ledgered pass: the same workload once more with the query cost
+    // ledger live, kept separate from the `T_S` passes so the timing
+    // columns stay ledger-free.
+    let ledger_systems = input.systems();
     let ledger_sink = Arc::new(CollectLedger::new());
     let ledger_options = SolveOptions {
         ledger: Ledger::new(ledger_sink.clone()),
@@ -236,11 +387,12 @@ pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) 
     Fig12Row {
         app: spec.app.to_owned(),
         name: spec.name.to_owned(),
-        fg,
+        fg: input.fg,
         fg_paper: spec.fg,
         c,
         c_paper: spec.c,
         seconds,
+        reference_ratio: median(reference_ratios),
         traced_seconds,
         paper_seconds: spec.paper_seconds,
         jobs,
@@ -275,19 +427,14 @@ pub fn fig12_ledger_jsonl(rows: &[Fig12Row]) -> String {
     rows.iter().map(|r| r.ledger.as_str()).collect()
 }
 
-/// Runs all 17 rows. `include_heavy: false` skips the deliberately
-/// expensive `secure` row (useful in quick checks and Criterion loops).
-pub fn run_fig12(options: &SolveOptions, include_heavy: bool) -> Vec<Fig12Row> {
-    run_fig12_jobs(options, include_heavy, 1)
+/// Runs all 17 rows.
+pub fn run_fig12(options: &SolveOptions) -> Vec<Fig12Row> {
+    run_fig12_jobs(options, 1)
 }
 
 /// Like [`run_fig12`] with a parallel pass at `jobs` workers per row.
-pub fn run_fig12_jobs(options: &SolveOptions, include_heavy: bool, jobs: usize) -> Vec<Fig12Row> {
-    FIG12_ROWS
-        .iter()
-        .filter(|s| include_heavy || !s.heavy)
-        .map(|s| run_fig12_row_jobs(s, options, jobs))
-        .collect()
+pub fn run_fig12_jobs(options: &SolveOptions, jobs: usize) -> Vec<Fig12Row> {
+    run_fig12_rows(&FIG12_ROWS, options, jobs)
 }
 
 /// Escapes `s` as a JSON string literal (including the quotes).
@@ -327,6 +474,7 @@ pub fn fig12_rows_json(rows: &[Fig12Row]) -> String {
             ("c", r.c.to_string()),
             ("c_paper", r.c_paper.to_string()),
             ("seconds", format!("{:.6}", r.seconds)),
+            ("reference_ratio", format!("{:.4}", r.reference_ratio)),
             ("traced_seconds", format!("{:.6}", r.traced_seconds)),
             ("paper_seconds", format!("{:.3}", r.paper_seconds)),
             ("jobs", r.jobs.to_string()),
@@ -384,35 +532,79 @@ pub fn fig12_rows_json(rows: &[Fig12Row]) -> String {
     out
 }
 
-/// Parses `(name, seconds)` pairs back out of a checked-in
-/// `BENCH_fig12.json`.
+/// One row read back from a checked-in `BENCH_fig12.json`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BaselineRow {
+    /// Vulnerability name.
+    pub name: String,
+    /// Untraced sequential solve time in seconds (`NaN` when absent).
+    pub seconds: f64,
+    /// `T_S` in host-speed reference units (`NaN` when absent).
+    pub reference_ratio: f64,
+    /// The row's `stats` counters, in file order.
+    pub stats: Vec<(String, u64)>,
+}
+
+impl BaselineRow {
+    /// The value of the `stats` counter `name`, if the row carries it.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.stats.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
+}
+
+/// Parses the rows of a checked-in `BENCH_fig12.json`: each row's name,
+/// untraced `seconds`, `reference_ratio` and `stats` counters.
 ///
 /// Line-oriented on purpose: the file is always produced by
 /// [`fig12_rows_json`], whose one-field-per-line layout this relies on —
-/// it is not a general JSON parser. `"seconds"` is matched exactly, so
+/// it is not a general JSON parser. Field names are matched exactly, so
 /// `traced_seconds`/`par_seconds`/`paper_seconds` never collide.
-pub fn parse_fig12_baseline(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
+pub fn parse_fig12_baseline(json: &str) -> Vec<BaselineRow> {
+    let unquote = |s: &str| {
+        s.trim()
+            .strip_prefix('"')
+            .and_then(|s| s.strip_suffix('"'))
+            .map(str::to_owned)
+    };
+    let mut out: Vec<BaselineRow> = Vec::new();
+    let mut in_stats = false;
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
-        if let Some(rest) = line.strip_prefix("\"name\": ") {
-            name = rest
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_owned);
-        } else if let Some(rest) = line.strip_prefix("\"seconds\": ") {
-            if let (Some(n), Ok(v)) = (name.take(), rest.trim().parse::<f64>()) {
-                out.push((n, v));
+        if in_stats {
+            if line == "}" {
+                in_stats = false;
+            } else if let (Some(row), Some((k, v))) = (out.last_mut(), line.split_once(": ")) {
+                if let (Some(k), Ok(v)) = (unquote(k), v.trim().parse::<u64>()) {
+                    row.stats.push((k, v));
+                }
             }
+        } else if let Some(name) = line.strip_prefix("\"name\": ").and_then(unquote) {
+            out.push(BaselineRow {
+                name,
+                seconds: f64::NAN,
+                reference_ratio: f64::NAN,
+                stats: Vec::new(),
+            });
+        } else if let Some(rest) = line.strip_prefix("\"seconds\": ") {
+            if let (Some(row), Ok(v)) = (out.last_mut(), rest.trim().parse::<f64>()) {
+                row.seconds = v;
+            }
+        } else if let Some(rest) = line.strip_prefix("\"reference_ratio\": ") {
+            if let (Some(row), Ok(v)) = (out.last_mut(), rest.trim().parse::<f64>()) {
+                row.reference_ratio = v;
+            }
+        } else if line == "\"stats\": {" {
+            in_stats = true;
         }
     }
     out
 }
 
-/// Shape checks the paper's prose highlights for Figure 12. Returns a list
-/// of violations (empty = the reproduction has the published shape).
+/// Shape checks the paper's prose highlights for Figure 12: every row
+/// yields an exploit and measures the published `|C|` and at least the
+/// published `|FG|`. Returns a list of violations (empty = the
+/// reproduction has the published shape). The timing outlier is judged
+/// separately, by [`secure_outlier_shortfall`].
 pub fn fig12_shape_violations(rows: &[Fig12Row]) -> Vec<String> {
     let mut out = Vec::new();
     for r in rows {
@@ -432,20 +624,29 @@ pub fn fig12_shape_violations(rows: &[Fig12Row]) -> Vec<String> {
             ));
         }
     }
-    if let Some(heavy) = rows.iter().find(|r| r.name == "secure") {
-        let max_fast = rows
-            .iter()
-            .filter(|r| r.name != "secure")
-            .map(|r| r.seconds)
-            .fold(0.0f64, f64::max);
-        if heavy.seconds < 10.0 * max_fast {
-            out.push(format!(
-                "secure ({:.3}s) is not an order-of-magnitude outlier over the others (max {:.3}s)",
-                heavy.seconds, max_fast
-            ));
-        }
-    }
     out
+}
+
+/// The paper's timing outlier: `secure` (577 s) takes at least ten times
+/// as long as the slowest other row (0.65 s). Returns why `rows` fall
+/// short of it, or `None` when it holds or there is no `secure` row.
+///
+/// Kept apart from [`fig12_shape_violations`] because the solver no longer
+/// reproduces it: with Hopcroft minimization `secure` is still the slowest
+/// row, but by less than ten times (see EXPERIMENTS.md, Figure 12).
+pub fn secure_outlier_shortfall(rows: &[Fig12Row]) -> Option<String> {
+    let heavy = rows.iter().find(|r| r.name == "secure")?;
+    let max_fast = rows
+        .iter()
+        .filter(|r| r.name != "secure")
+        .map(|r| r.seconds)
+        .fold(0.0f64, f64::max);
+    (heavy.seconds < 10.0 * max_fast).then(|| {
+        format!(
+            "secure ({:.3}s) is not an order-of-magnitude outlier over the others (max {:.3}s)",
+            heavy.seconds, max_fast
+        )
+    })
 }
 
 /// One measured point of the §3.5 complexity sweep.
@@ -580,6 +781,7 @@ mod tests {
             c: 5,
             c_paper: 5,
             seconds: 0.01,
+            reference_ratio: 20.0,
             traced_seconds: 0.012,
             paper_seconds: 0.01,
             jobs: 1,
@@ -601,6 +803,23 @@ mod tests {
             ledger: String::new(),
         };
         assert!(fig12_shape_violations(std::slice::from_ref(&good)).is_empty());
+        // The outlier is judged against the slowest other row, not a
+        // typical one: 0.07 s beside a 0.009 s row is not an outlier.
+        let timed = |name: &str, seconds: f64| Fig12Row {
+            name: name.into(),
+            seconds,
+            ..good.clone()
+        };
+        let fast = [timed("a", 0.002), timed("b", 0.002), timed("c", 0.009)];
+        let with_secure = |seconds: f64| {
+            let mut rows = fast.to_vec();
+            rows.push(timed("secure", seconds));
+            rows
+        };
+        assert!(secure_outlier_shortfall(&with_secure(0.07)).is_some());
+        assert!(secure_outlier_shortfall(&with_secure(0.09)).is_none());
+        assert!(secure_outlier_shortfall(&fast).is_none());
+        assert!(fig12_shape_violations(&with_secure(0.07)).is_empty());
         let mut bad = good;
         bad.exploitable = false;
         bad.c = 4;
@@ -618,6 +837,7 @@ mod tests {
             c: 5,
             c_paper: 5,
             seconds: 0.01,
+            reference_ratio: 20.0,
             traced_seconds: 0.012,
             paper_seconds: 0.01,
             jobs: 1,
@@ -672,6 +892,7 @@ mod tests {
             c: 1,
             c_paper: 1,
             seconds,
+            reference_ratio: seconds * 8.0,
             traced_seconds: seconds * 2.0,
             paper_seconds: 9.0,
             jobs: 4,
@@ -692,14 +913,29 @@ mod tests {
             query_memo_hits: 0,
             ledger: String::new(),
         };
-        let rows = [mk("edit", 0.125), mk("secure", 3.5)];
+        let mut rows = [mk("edit", 0.125), mk("secure", 3.5)];
+        rows[1].stats.product_states = 10914;
         let parsed = parse_fig12_baseline(&fig12_rows_json(&rows));
-        // Only the untraced sequential `seconds` field is extracted — the
-        // traced/par/paper variants must not collide with it.
-        assert_eq!(
-            parsed,
-            vec![("edit".to_owned(), 0.125), ("secure".to_owned(), 3.5)]
-        );
+        // Only the untraced sequential `seconds` and `reference_ratio`
+        // fields are extracted — the traced/par/paper variants must not
+        // collide with them.
+        let seconds: Vec<(&str, f64, f64)> = parsed
+            .iter()
+            .map(|r| (r.name.as_str(), r.seconds, r.reference_ratio))
+            .collect();
+        assert_eq!(seconds, vec![("edit", 0.125, 1.0), ("secure", 3.5, 28.0)]);
+        // Every counter comes back, in `counter_fields` order.
+        for (parsed, row) in parsed.iter().zip(&rows) {
+            let expected: Vec<(String, u64)> = row
+                .stats
+                .counter_fields()
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v))
+                .collect();
+            assert_eq!(parsed.stats, expected);
+        }
+        assert_eq!(parsed[1].counter("product-states"), Some(10914));
+        assert_eq!(parsed[0].counter("no-such-counter"), None);
     }
 
     #[test]
