@@ -9,6 +9,7 @@
 //! than 256.
 
 use crate::byteclass::{minterms, ByteClass};
+use crate::inclusion::{self, InclusionLimits};
 use crate::nfa::{Nfa, StateId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -158,22 +159,7 @@ pub struct DeterminizeCost {
 /// Like [`determinize`], additionally reporting the subset-construction
 /// cost (output states and ε-closure work).
 pub fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
-    try_determinize_counted(nfa, usize::MAX).expect("unlimited determinization cannot exceed cap")
-}
-
-/// Like [`determinize_counted`], but aborts — returning `None` — as soon
-/// as the subset construction would materialize more than `max_states`
-/// DFA states.
-///
-/// This is the eager inclusion engine's budget enforcement point: the BFS
-/// stops *before* exceeding the cap, so at most `max_states` subset-states
-/// (and their rows) ever exist, and the bound depends only on the input
-/// machine — budgeted judgments stay deterministic.
-pub fn try_determinize_counted(nfa: &Nfa, max_states: usize) -> Option<(Dfa, DeterminizeCost)> {
     let mut cost = DeterminizeCost::default();
-    if max_states == 0 {
-        return None;
-    }
     let classes: Vec<ByteClass> = nfa.edges().map(|(_, c, _)| c).collect();
     let alphabet = minterms(classes.iter());
     let start_set = nfa.eps_closure(&BTreeSet::from([nfa.start()]));
@@ -198,9 +184,6 @@ pub fn try_determinize_counted(nfa: &Nfa, max_states: usize) -> Option<(Dfa, Det
             let t = match index.get(&next) {
                 Some(&t) => t,
                 None => {
-                    if sets.len() >= max_states {
-                        return None;
-                    }
                     let t = StateId(sets.len() as u32);
                     index.insert(next.clone(), t);
                     finals.push(next.iter().any(|q| nfa.is_final(*q)));
@@ -225,14 +208,14 @@ pub fn try_determinize_counted(nfa: &Nfa, max_states: usize) -> Option<(Dfa, Det
         *row = new_row;
     }
     cost.dfa_states = states.len();
-    Some((
+    (
         Dfa {
             states,
             start: StateId(0),
             finals,
         },
         cost,
-    ))
+    )
 }
 
 /// The NFA for the complement language Σ* \ L(nfa).
@@ -240,27 +223,30 @@ pub fn complement(nfa: &Nfa) -> Nfa {
     determinize(nfa).complement().to_nfa().trim().0
 }
 
-/// Language inclusion: is `L(a) ⊆ L(b)`?
-///
-/// Dispatches to the default [`crate::inclusion`] engine (antichain-based
-/// lazy subset construction). Callers that need a specific decision
-/// strategy or budget enforcement use [`crate::inclusion::engine`]
+/// Language inclusion: is `L(a) ⊆ L(b)`? Unlimited
+/// [`inclusion::try_subset`]; callers that enforce a budget call that
 /// directly.
 pub fn is_subset(a: &Nfa, b: &Nfa) -> bool {
-    crate::inclusion::default_engine().is_subset(a, b)
+    inclusion::try_subset(a, b, &InclusionLimits::UNLIMITED)
+        .expect("unlimited queries cannot abort")
+        .0
 }
 
-/// Language equivalence: is `L(a) = L(b)`? Decided by the default
-/// [`crate::inclusion`] engine.
+/// Language equivalence: is `L(a) = L(b)`? Unlimited
+/// [`inclusion::try_equivalent`].
 pub fn equivalent(a: &Nfa, b: &Nfa) -> bool {
-    crate::inclusion::default_engine().equivalent(a, b)
+    inclusion::try_equivalent(a, b, &InclusionLimits::UNLIMITED)
+        .expect("unlimited queries cannot abort")
+        .0
 }
 
 /// A shortest counterexample to `L(a) ⊆ L(b)`, i.e. a shortest member of
-/// `L(a) \ L(b)`, or `None` when the inclusion holds. Decided by the
-/// default [`crate::inclusion`] engine.
+/// `L(a) \ L(b)`, or `None` when the inclusion holds. Unlimited
+/// [`inclusion::try_counterexample`].
 pub fn inclusion_counterexample(a: &Nfa, b: &Nfa) -> Option<Vec<u8>> {
-    crate::inclusion::default_engine().counterexample(a, b)
+    inclusion::try_counterexample(a, b, &InclusionLimits::UNLIMITED)
+        .expect("unlimited queries cannot abort")
+        .0
 }
 
 #[cfg(test)]
@@ -377,17 +363,6 @@ mod tests {
         assert!(cost.closure_visited > 0);
         // The counted path is the path: plain determinize is identical.
         assert_eq!(determinize(&n), d);
-    }
-
-    #[test]
-    fn capped_determinization_aborts_before_exceeding() {
-        let n = ops::union(&Nfa::literal(b"ab"), &ops::star(&Nfa::literal(b"a")));
-        let (full, cost) = determinize_counted(&n);
-        assert!(cost.dfa_states >= 2);
-        assert!(try_determinize_counted(&n, cost.dfa_states - 1).is_none());
-        assert!(try_determinize_counted(&n, 0).is_none());
-        let (capped, _) = try_determinize_counted(&n, cost.dfa_states).expect("exact cap suffices");
-        assert_eq!(capped, full);
     }
 
     #[test]

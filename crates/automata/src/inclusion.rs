@@ -1,115 +1,38 @@
-//! Pluggable language-inclusion engines.
+//! Language inclusion by antichains: the one decision procedure behind
+//! every `⊆` judgment — subset, equivalence, counterexample extraction,
+//! and intersection emptiness.
 //!
-//! Every `⊆` judgment in the decision procedure — subset, equivalence,
-//! counterexample extraction, intersection emptiness — goes through one of
-//! the [`InclusionEngine`] implementations defined here:
+//! The search is lazy inclusion checking in the style of
+//! De Wulf–Doyen–Henzinger–Raskin: it interleaves an on-the-fly subset
+//! construction of the right-hand side with product exploration over
+//! *macrostates* `(q, S)` (one LHS state, one ε-closed RHS subset), and
+//! prunes any new macrostate subsumed by an already-visited `(q, S')` with
+//! `S' ⊆ S`. Only the reachable, non-subsumed part of the subset
+//! construction is ever built.
 //!
-//! * [`EagerEngine`] — the textbook path: determinize and complement the
-//!   right-hand side, build the full reachable product with the left-hand
-//!   side, and test emptiness. Exponential in the RHS in the worst case
-//!   (inherent to the problem), and it pays that worst case up front even
-//!   when a counterexample or an early subsumption would settle the query.
-//! * [`AntichainEngine`] — lazy inclusion checking in the style of
-//!   De Wulf–Doyen–Henzinger–Raskin: interleave an on-the-fly subset
-//!   construction of the RHS with product exploration over *macrostates*
-//!   `(q, S)` (one LHS state, one ε-closed RHS subset), pruning any new
-//!   macrostate subsumed by an already-visited `(q, S')` with `S' ⊆ S`.
-//!   Only the reachable, non-subsumed part of the subset construction is
-//!   ever built, which is what makes budgeted inclusion on determinization
-//!   blowups decidable where the eager path can only abort.
-//! * [`crate::derivative::DerivativeEngine`] — Brzozowski/Antimirov-style
-//!   derivative pairs with similarity-based memoization: both operands
-//!   stay symbolic (no product, no up-front subset construction), with
-//!   pruning on *both* sides of the query instead of only the RHS.
-//! * [`AutoEngine`] — not a decision procedure but a dispatcher: resolves
-//!   each query to one of the concrete engines above via the checked-in
-//!   [`crate::costmodel`] fitted on the fig12 ledger corpus.
+//! Every search checks a macrostate cap and a wall-clock deadline inside
+//! its frontier loop, so a breach surfaces as a typed [`InclusionAbort`]
+//! carrying the partial [`InclusionCost`] instead of an unbounded blowup.
+//! That check is why this is the procedure the solver uses: the textbook
+//! determinize/complement/product construction must finish the whole RHS
+//! subset construction before it can look at a deadline (DESIGN.md §8).
 //!
-//! All engines share the same cheap structural pre-checks (an empty LHS is
-//! included in everything) and the same budget hooks: a macrostate cap and
-//! a wall-clock deadline, both checked inside the frontier loop, so a
-//! breach surfaces as a typed [`InclusionAbort`] carrying the partial
-//! [`InclusionCost`] instead of an unbounded blowup.
-//!
-//! Engine choice never changes an answer — the differential test suite and
-//! the `differential-inclusion` CI job hold every implementation to
-//! bit-identical verdicts — so memo tables keyed on canonical language
-//! fingerprints remain engine-invariant.
+//! The searches are pure — same operands in, same verdict and cost out,
+//! no shared mutable state — which keeps memoized results and parallel
+//! solves deterministic.
 
 use crate::byteclass::{minterms, ByteClass};
-use crate::dfa;
 use crate::nfa::{Nfa, StateId};
-use crate::ops;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Which [`InclusionEngine`] implementation answers language queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EngineKind {
-    /// Determinize/complement/product: materializes the full RHS subset
-    /// construction before exploring the product.
-    Eager,
-    /// Lazy on-the-fly subset construction with antichain subsumption
-    /// pruning (the default).
-    #[default]
-    Antichain,
-    /// Derivative-pair search with similarity-based memoization
-    /// ([`crate::derivative::DerivativeEngine`]): product-free on both
-    /// sides of the query.
-    Derivative,
-    /// Per-query cost-predicted selection among the concrete engines,
-    /// driven by the checked-in [`crate::costmodel`] fitted on the fig12
-    /// ledger corpus.
-    Auto,
-}
-
-impl EngineKind {
-    /// Every selectable engine, in CLI listing order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Eager,
-        EngineKind::Antichain,
-        EngineKind::Derivative,
-        EngineKind::Auto,
-    ];
-
-    /// The engines that run their own search (everything but `auto`,
-    /// which delegates to one of these per query).
-    pub const CONCRETE: [EngineKind; 3] = [
-        EngineKind::Eager,
-        EngineKind::Antichain,
-        EngineKind::Derivative,
-    ];
-
-    /// The CLI-facing name (`--inclusion=<name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Eager => "eager",
-            EngineKind::Antichain => "antichain",
-            EngineKind::Derivative => "derivative",
-            EngineKind::Auto => "auto",
-        }
-    }
-
-    /// Parses a CLI-facing name back into a kind.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Resource limits enforced inside an engine's work loop.
+/// Resource limits enforced inside the search loop.
 ///
-/// `max_macrostates` caps the states an engine may *explore* (subset-states
-/// plus product pairs for the eager engine, frontier macrostates for the
-/// antichain engine) — the same per-op semantics as
-/// [`ops::try_intersect`]'s state cap. `deadline` is an absolute wall-clock
-/// cutoff. The default is unlimited.
+/// `max_macrostates` caps the frontier macrostates a query may *explore*
+/// — the same per-op semantics as [`crate::ops::try_intersect`]'s state
+/// cap. `deadline` is an absolute wall-clock cutoff. The default is
+/// unlimited.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InclusionLimits {
     /// Abort once this many macrostates were explored.
@@ -136,14 +59,10 @@ impl InclusionLimits {
     }
 }
 
-/// Cost report of one inclusion query, whatever the engine.
-///
-/// `macrostates` is the engine-agnostic work measure: subset-states built
-/// plus product pairs explored (eager), or frontier macrostates popped
-/// (antichain). The antichain-only fields are zero for the eager engine.
+/// Cost report of one inclusion query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InclusionCost {
-    /// Macrostates explored.
+    /// Frontier macrostates popped.
     pub macrostates: u64,
     /// Final antichain size (maximal frontier knowledge retained).
     pub antichain_size: u64,
@@ -160,7 +79,7 @@ impl InclusionCost {
     }
 }
 
-/// A budget breach inside an engine's frontier loop.
+/// A budget breach inside the search's frontier loop.
 ///
 /// Carries the partial [`InclusionCost`] at the moment of the breach so
 /// callers can fold the wasted work into their metrics snapshot before
@@ -191,9 +110,9 @@ impl InclusionAbort {
     }
 }
 
-/// Cheap structural pre-checks shared by every engine: answers that need
-/// no subset construction at all. (The `Lang`-level fingerprint equality
-/// check lives in `LangStore::is_subset`, before the engine is consulted.)
+/// Cheap structural pre-checks: answers that need no subset construction
+/// at all. (The `Lang`-level fingerprint equality check lives in
+/// `LangStore::is_subset`, before the search is consulted.)
 pub fn subset_precheck(a: &Nfa, b: &Nfa) -> Option<bool> {
     if a.is_empty_language() {
         // ∅ ⊆ L(b) for every b.
@@ -204,105 +123,6 @@ pub fn subset_precheck(a: &Nfa, b: &Nfa) -> Option<bool> {
         return Some(false);
     }
     None
-}
-
-/// A pluggable decision procedure for the language queries the solver
-/// issues: inclusion, equivalence, counterexample extraction, and
-/// intersection emptiness.
-///
-/// The `try_*` entry points enforce [`InclusionLimits`] inside their work
-/// loops and report the work done via [`InclusionCost`]; the plain
-/// conveniences run unlimited. Implementations must be pure: same operands
-/// in, same verdict and cost out, no shared mutable state — that is what
-/// keeps memoized results engine-invariant and parallel solves
-/// deterministic.
-pub trait InclusionEngine: Send + Sync {
-    /// Which implementation this is.
-    fn kind(&self) -> EngineKind;
-
-    /// The kind that will actually run `a`-vs-`b` queries: concrete
-    /// engines answer themselves, while [`AutoEngine`] resolves to the
-    /// concrete kind its cost model picks for these operands. Callers
-    /// that attribute work per engine (the ledger, metrics) should
-    /// resolve first so `auto` queries are charged to their winner.
-    fn resolve(&self, _a: &Nfa, _b: &Nfa) -> EngineKind {
-        self.kind()
-    }
-
-    /// Is `L(a) ⊆ L(b)`? Budgeted.
-    fn try_subset(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort>;
-
-    /// A shortest member of `L(a) \ L(b)`, or `None` when `L(a) ⊆ L(b)`.
-    /// Budgeted.
-    fn try_counterexample(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort>;
-
-    /// Is `L(a) = L(b)`? Budgeted; the two directions share the budget.
-    fn try_equivalent(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let (forward, mut cost) = self.try_subset(a, b, limits)?;
-        if !forward {
-            return Ok((false, cost));
-        }
-        let (backward, back_cost) = self
-            .try_subset(b, a, &limits.minus(cost.macrostates))
-            .map_err(|abort| absorb_abort(abort, cost))?;
-        cost.absorb(back_cost);
-        Ok((backward, cost))
-    }
-
-    /// Is `L(a) ∩ L(b) = ∅`? Budgeted.
-    fn try_intersection_empty(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort>;
-
-    /// Unlimited [`InclusionEngine::try_subset`].
-    fn is_subset(&self, a: &Nfa, b: &Nfa) -> bool {
-        self.is_subset_costed(a, b).0
-    }
-
-    /// Unlimited [`InclusionEngine::try_subset`], keeping the cost report.
-    fn is_subset_costed(&self, a: &Nfa, b: &Nfa) -> (bool, InclusionCost) {
-        self.try_subset(a, b, &InclusionLimits::UNLIMITED)
-            .expect("unlimited queries cannot abort")
-    }
-
-    /// Unlimited [`InclusionEngine::try_equivalent`].
-    fn equivalent(&self, a: &Nfa, b: &Nfa) -> bool {
-        self.try_equivalent(a, b, &InclusionLimits::UNLIMITED)
-            .expect("unlimited queries cannot abort")
-            .0
-    }
-
-    /// Unlimited [`InclusionEngine::try_counterexample`].
-    fn counterexample(&self, a: &Nfa, b: &Nfa) -> Option<Vec<u8>> {
-        self.try_counterexample(a, b, &InclusionLimits::UNLIMITED)
-            .expect("unlimited queries cannot abort")
-            .0
-    }
-
-    /// Unlimited [`InclusionEngine::try_intersection_empty`].
-    fn intersection_empty(&self, a: &Nfa, b: &Nfa) -> bool {
-        self.try_intersection_empty(a, b, &InclusionLimits::UNLIMITED)
-            .expect("unlimited queries cannot abort")
-            .0
-    }
 }
 
 /// Re-bases an abort from a later pass onto the cost of earlier passes in
@@ -321,206 +141,6 @@ fn absorb_abort(abort: InclusionAbort, mut earlier: InclusionCost) -> InclusionA
 fn deadline_passed(limits: &InclusionLimits) -> bool {
     limits.deadline.is_some_and(|d| Instant::now() >= d)
 }
-
-/// The static engine for `kind`. Engines are stateless, so one shared
-/// instance per kind serves every caller.
-pub fn engine(kind: EngineKind) -> &'static dyn InclusionEngine {
-    static EAGER: EagerEngine = EagerEngine;
-    static ANTICHAIN: AntichainEngine = AntichainEngine;
-    static DERIVATIVE: crate::derivative::DerivativeEngine = crate::derivative::DerivativeEngine;
-    static AUTO: AutoEngine = AutoEngine;
-    match kind {
-        EngineKind::Eager => &EAGER,
-        EngineKind::Antichain => &ANTICHAIN,
-        EngineKind::Derivative => &DERIVATIVE,
-        EngineKind::Auto => &AUTO,
-    }
-}
-
-/// The engine free functions like [`crate::is_subset`] dispatch to.
-pub fn default_engine() -> &'static dyn InclusionEngine {
-    engine(EngineKind::default())
-}
-
-// ---------------------------------------------------------------------------
-// Eager engine
-// ---------------------------------------------------------------------------
-
-/// The determinize/complement/product decision path (the pre-engine
-/// `dfa::is_subset` behavior), with budget checks threaded through the
-/// subset construction and the product BFS.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EagerEngine;
-
-impl EagerEngine {
-    /// Determinizes `m` under the remaining budget and returns its
-    /// complement as an NFA, charging the subset-states built.
-    fn complement_budgeted(
-        &self,
-        m: &Nfa,
-        limits: &InclusionLimits,
-        cost: &mut InclusionCost,
-    ) -> Result<Nfa, InclusionAbort> {
-        let (d, _) = self.determinize_budgeted(m, limits, cost)?;
-        Ok(d.complement().to_nfa().trim().0)
-    }
-
-    /// Budgeted subset construction, charging produced DFA states as
-    /// macrostates.
-    fn determinize_budgeted(
-        &self,
-        m: &Nfa,
-        limits: &InclusionLimits,
-        cost: &mut InclusionCost,
-    ) -> Result<(dfa::Dfa, dfa::DeterminizeCost), InclusionAbort> {
-        if deadline_passed(limits) {
-            return Err(InclusionAbort::Deadline { cost: *cost });
-        }
-        let remaining = remaining_cap(limits, cost.macrostates);
-        match dfa::try_determinize_counted(m, remaining) {
-            Some((d, det_cost)) => {
-                cost.macrostates += det_cost.dfa_states as u64;
-                Ok((d, det_cost))
-            }
-            None => {
-                cost.macrostates += remaining as u64;
-                Err(InclusionAbort::MacrostateCap {
-                    limit: limits.max_macrostates.unwrap_or(u64::MAX),
-                    cost: *cost,
-                })
-            }
-        }
-    }
-
-    /// Budgeted reachable-product construction, charging explored pairs.
-    fn product_budgeted(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-        cost: &mut InclusionCost,
-    ) -> Result<ops::Product, InclusionAbort> {
-        if deadline_passed(limits) {
-            return Err(InclusionAbort::Deadline { cost: *cost });
-        }
-        let remaining = remaining_cap(limits, cost.macrostates);
-        match ops::try_intersect(a, b, remaining) {
-            Some(product) => {
-                cost.macrostates += product.pairs.len() as u64;
-                Ok(product)
-            }
-            None => {
-                cost.macrostates += remaining as u64;
-                Err(InclusionAbort::MacrostateCap {
-                    limit: limits.max_macrostates.unwrap_or(u64::MAX),
-                    cost: *cost,
-                })
-            }
-        }
-    }
-}
-
-/// The macrostate budget left after `spent`, as a usize cap for the
-/// state-counted constructions.
-fn remaining_cap(limits: &InclusionLimits, spent: u64) -> usize {
-    match limits.max_macrostates {
-        Some(max) => usize::try_from(max.saturating_sub(spent)).unwrap_or(usize::MAX),
-        None => usize::MAX,
-    }
-}
-
-impl InclusionEngine for EagerEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Eager
-    }
-
-    fn try_subset(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        if let Some(answer) = subset_precheck(a, b) {
-            return Ok((answer, cost));
-        }
-        let not_b = self.complement_budgeted(b, limits, &mut cost)?;
-        let product = self.product_budgeted(a, &not_b, limits, &mut cost)?;
-        Ok((product.nfa.is_empty_language(), cost))
-    }
-
-    fn try_counterexample(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        if subset_precheck(a, b) == Some(true) {
-            return Ok((None, cost));
-        }
-        let not_b = self.complement_budgeted(b, limits, &mut cost)?;
-        let product = self.product_budgeted(a, &not_b, limits, &mut cost)?;
-        Ok((product.nfa.shortest_member(), cost))
-    }
-
-    /// Each side is determinized at most once: `a ⊆ b` runs against the
-    /// complement of `det(b)` with `a` as-is, and only if that direction
-    /// holds is `det(a)` built for the reverse check. (The pre-engine code
-    /// re-determinized a side per direction.)
-    fn try_equivalent(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        match (a.is_empty_language(), b.is_empty_language()) {
-            (true, true) => return Ok((true, cost)),
-            (true, false) | (false, true) => return Ok((false, cost)),
-            (false, false) => {}
-        }
-        let not_b = self.complement_budgeted(b, limits, &mut cost)?;
-        let forward = self.product_budgeted(a, &not_b, limits, &mut cost)?;
-        if !forward.nfa.is_empty_language() {
-            return Ok((false, cost));
-        }
-        let not_a = self.complement_budgeted(a, limits, &mut cost)?;
-        let backward = self.product_budgeted(b, &not_a, limits, &mut cost)?;
-        Ok((backward.nfa.is_empty_language(), cost))
-    }
-
-    fn try_intersection_empty(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        let product = self.product_budgeted(a, b, limits, &mut cost)?;
-        Ok((product.nfa.is_empty_language(), cost))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Antichain engine
-// ---------------------------------------------------------------------------
-
-/// Lazy inclusion: on-the-fly subset construction of the RHS interleaved
-/// with LHS exploration, pruned by antichain subsumption.
-///
-/// The frontier holds macrostates `(q, S)` — `q` an ε-closed-reachable LHS
-/// state, `S` the ε-closed set of RHS states reachable on the same input.
-/// A counterexample exists iff some reachable macrostate has `q` final and
-/// `S` free of finals. A new macrostate is *subsumed* (and dropped) when a
-/// visited `(q, S')` with `S' ⊆ S` exists: every word rejected from `S` is
-/// rejected from `S'` too, so the smaller set finds every counterexample
-/// the larger one would, no later. Conversely, inserting a new minimal `S`
-/// evicts visited supersets from the pruning store — they stay queued (BFS
-/// order, and thus shortest-counterexample extraction, is preserved) but
-/// no longer block future inserts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AntichainEngine;
 
 /// The per-LHS-state antichain of minimal visited RHS subsets.
 struct Antichain {
@@ -554,359 +174,290 @@ impl Antichain {
     }
 }
 
-impl AntichainEngine {
-    /// The shared frontier search: returns a shortest counterexample to
-    /// `L(a) ⊆ L(b)`, or `None` when the inclusion holds.
-    fn counterexample_budgeted(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        if subset_precheck(a, b) == Some(true) {
-            return Ok((None, cost));
-        }
-        // Minterms of *both* machines' classes: within a block, every byte
-        // induces the same successor macrostate, so one representative
-        // byte per block explores the whole alphabet.
-        let classes: Vec<ByteClass> = a
-            .edges()
-            .map(|(_, c, _)| c)
-            .chain(b.edges().map(|(_, c, _)| c))
-            .collect();
-        let alphabet = minterms(classes.iter());
-        let rejecting = |s: &BTreeSet<StateId>| !s.iter().any(|q| b.is_final(*q));
+/// Is `L(a) ⊆ L(b)`? Budgeted.
+pub fn try_subset(
+    a: &Nfa,
+    b: &Nfa,
+    limits: &InclusionLimits,
+) -> Result<(bool, InclusionCost), InclusionAbort> {
+    let (cex, cost) = try_counterexample(a, b, limits)?;
+    Ok((cex.is_none(), cost))
+}
 
-        let s0 = Rc::new(b.eps_closure(&BTreeSet::from([b.start()])));
-        let a0 = a.eps_closure(&BTreeSet::from([a.start()]));
-        let mut antichain = Antichain::new();
-        let mut queue: VecDeque<(StateId, Rc<BTreeSet<StateId>>, Vec<u8>)> = VecDeque::new();
-        let s0_rejecting = rejecting(&s0);
-        for &q in &a0 {
-            if a.is_final(q) && s0_rejecting {
-                // ε ∈ L(a) \ L(b).
+/// A shortest member of `L(a) \ L(b)`, or `None` when `L(a) ⊆ L(b)`.
+/// Budgeted.
+///
+/// The frontier holds macrostates `(q, S)` — `q` an ε-closed-reachable LHS
+/// state, `S` the ε-closed set of RHS states reachable on the same input.
+/// A counterexample exists iff some reachable macrostate has `q` final and
+/// `S` free of finals. A new macrostate is *subsumed* (and dropped) when a
+/// visited `(q, S')` with `S' ⊆ S` exists: every word rejected from `S` is
+/// rejected from `S'` too, so the smaller set finds every counterexample
+/// the larger one would, no later. Conversely, inserting a new minimal `S`
+/// evicts visited supersets from the pruning store — they stay queued (BFS
+/// order, and thus shortest-counterexample extraction, is preserved) but
+/// no longer block future inserts.
+pub fn try_counterexample(
+    a: &Nfa,
+    b: &Nfa,
+    limits: &InclusionLimits,
+) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
+    let mut cost = InclusionCost::default();
+    if subset_precheck(a, b) == Some(true) {
+        return Ok((None, cost));
+    }
+    // Minterms of *both* machines' classes: within a block, every byte
+    // induces the same successor macrostate, so one representative
+    // byte per block explores the whole alphabet.
+    let classes: Vec<ByteClass> = a
+        .edges()
+        .map(|(_, c, _)| c)
+        .chain(b.edges().map(|(_, c, _)| c))
+        .collect();
+    let alphabet = minterms(classes.iter());
+    let rejecting = |s: &BTreeSet<StateId>| !s.iter().any(|q| b.is_final(*q));
+
+    let s0 = Rc::new(b.eps_closure(&BTreeSet::from([b.start()])));
+    let a0 = a.eps_closure(&BTreeSet::from([a.start()]));
+    let mut antichain = Antichain::new();
+    let mut queue: VecDeque<(StateId, Rc<BTreeSet<StateId>>, Vec<u8>)> = VecDeque::new();
+    let s0_rejecting = rejecting(&s0);
+    for &q in &a0 {
+        if a.is_final(q) && s0_rejecting {
+            // ε ∈ L(a) \ L(b).
+            cost.antichain_size = antichain.size();
+            return Ok((Some(Vec::new()), cost));
+        }
+        if antichain.insert(q, &s0, &mut cost) {
+            queue.push_back((q, s0.clone(), Vec::new()));
+        }
+    }
+
+    while let Some((q, s, word)) = queue.pop_front() {
+        if let Some(cap) = limits.max_macrostates {
+            if cost.macrostates >= cap {
                 cost.antichain_size = antichain.size();
-                return Ok((Some(Vec::new()), cost));
-            }
-            if antichain.insert(q, &s0, &mut cost) {
-                queue.push_back((q, s0.clone(), Vec::new()));
+                return Err(InclusionAbort::MacrostateCap { limit: cap, cost });
             }
         }
-
-        while let Some((q, s, word)) = queue.pop_front() {
-            if let Some(cap) = limits.max_macrostates {
-                if cost.macrostates >= cap {
+        if deadline_passed(limits) {
+            cost.antichain_size = antichain.size();
+            return Err(InclusionAbort::Deadline { cost });
+        }
+        cost.macrostates += 1;
+        let q_set = BTreeSet::from([q]);
+        for block in &alphabet {
+            let byte = block.min_byte().expect("minterm blocks are nonempty");
+            let a_next = a.eps_closure(&a.step(&q_set, byte));
+            if a_next.is_empty() {
+                continue;
+            }
+            let s_next = Rc::new(b.eps_closure(&b.step(&s, byte)));
+            let s_next_rejecting = rejecting(&s_next);
+            for &qn in &a_next {
+                if a.is_final(qn) && s_next_rejecting {
+                    // First counterexample discovered is shortest: the
+                    // BFS pops macrostates in word-length order and
+                    // subsumption never removes queued entries.
+                    let mut witness = word.clone();
+                    witness.push(byte);
                     cost.antichain_size = antichain.size();
-                    return Err(InclusionAbort::MacrostateCap { limit: cap, cost });
+                    return Ok((Some(witness), cost));
                 }
-            }
-            if deadline_passed(limits) {
-                cost.antichain_size = antichain.size();
-                return Err(InclusionAbort::Deadline { cost });
-            }
-            cost.macrostates += 1;
-            let q_set = BTreeSet::from([q]);
-            for block in &alphabet {
-                let byte = block.min_byte().expect("minterm blocks are nonempty");
-                let a_next = a.eps_closure(&a.step(&q_set, byte));
-                if a_next.is_empty() {
-                    continue;
-                }
-                let s_next = Rc::new(b.eps_closure(&b.step(&s, byte)));
-                let s_next_rejecting = rejecting(&s_next);
-                for &qn in &a_next {
-                    if a.is_final(qn) && s_next_rejecting {
-                        // First counterexample discovered is shortest: the
-                        // BFS pops macrostates in word-length order and
-                        // subsumption never removes queued entries.
-                        let mut witness = word.clone();
-                        witness.push(byte);
-                        cost.antichain_size = antichain.size();
-                        return Ok((Some(witness), cost));
-                    }
-                    if antichain.insert(qn, &s_next, &mut cost) {
-                        let mut w = word.clone();
-                        w.push(byte);
-                        queue.push_back((qn, s_next.clone(), w));
-                    }
+                if antichain.insert(qn, &s_next, &mut cost) {
+                    let mut w = word.clone();
+                    w.push(byte);
+                    queue.push_back((qn, s_next.clone(), w));
                 }
             }
         }
-        cost.antichain_size = antichain.size();
-        Ok((None, cost))
     }
+    cost.antichain_size = antichain.size();
+    Ok((None, cost))
 }
 
-impl InclusionEngine for AntichainEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Antichain
+/// Is `L(a) = L(b)`? Budgeted; the two directions share the budget.
+pub fn try_equivalent(
+    a: &Nfa,
+    b: &Nfa,
+    limits: &InclusionLimits,
+) -> Result<(bool, InclusionCost), InclusionAbort> {
+    let (forward, mut cost) = try_subset(a, b, limits)?;
+    if !forward {
+        return Ok((false, cost));
     }
+    let (backward, back_cost) = try_subset(b, a, &limits.minus(cost.macrostates))
+        .map_err(|abort| absorb_abort(abort, cost))?;
+    cost.absorb(back_cost);
+    Ok((backward, cost))
+}
 
-    fn try_subset(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let (cex, cost) = self.counterexample_budgeted(a, b, limits)?;
-        Ok((cex.is_none(), cost))
-    }
-
-    fn try_counterexample(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
-        self.counterexample_budgeted(a, b, limits)
-    }
-
-    /// Lazy intersection emptiness: the pair-BFS of [`ops::try_intersect`]
-    /// without materializing the product, early-exiting at the first
-    /// accepting pair.
-    fn try_intersection_empty(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        let mut cost = InclusionCost::default();
-        let start = (a.start(), b.start());
-        let mut seen: BTreeSet<(StateId, StateId)> = BTreeSet::from([start]);
-        let mut queue: VecDeque<(StateId, StateId)> = VecDeque::from([start]);
-        while let Some((p, q)) = queue.pop_front() {
-            if let Some(cap) = limits.max_macrostates {
-                if cost.macrostates >= cap {
-                    return Err(InclusionAbort::MacrostateCap { limit: cap, cost });
-                }
+/// Is `L(a) ∩ L(b) = ∅`? Budgeted. The pair-BFS of
+/// [`crate::ops::try_intersect`] without materializing the product,
+/// early-exiting at the first accepting pair.
+pub fn try_intersection_empty(
+    a: &Nfa,
+    b: &Nfa,
+    limits: &InclusionLimits,
+) -> Result<(bool, InclusionCost), InclusionAbort> {
+    let mut cost = InclusionCost::default();
+    let start = (a.start(), b.start());
+    let mut seen: BTreeSet<(StateId, StateId)> = BTreeSet::from([start]);
+    let mut queue: VecDeque<(StateId, StateId)> = VecDeque::from([start]);
+    while let Some((p, q)) = queue.pop_front() {
+        if let Some(cap) = limits.max_macrostates {
+            if cost.macrostates >= cap {
+                return Err(InclusionAbort::MacrostateCap { limit: cap, cost });
             }
-            if deadline_passed(limits) {
-                return Err(InclusionAbort::Deadline { cost });
-            }
-            cost.macrostates += 1;
-            if a.is_final(p) && b.is_final(q) {
-                return Ok((false, cost));
-            }
-            for &(ca, t1) in &a.state(p).edges {
-                for &(cb, t2) in &b.state(q).edges {
-                    if !ca.intersect(&cb).is_empty() && seen.insert((t1, t2)) {
-                        queue.push_back((t1, t2));
-                    }
-                }
-            }
-            for &t1 in &a.state(p).eps {
-                if seen.insert((t1, q)) {
-                    queue.push_back((t1, q));
-                }
-            }
-            for &t2 in &b.state(q).eps {
-                if seen.insert((p, t2)) {
-                    queue.push_back((p, t2));
+        }
+        if deadline_passed(limits) {
+            return Err(InclusionAbort::Deadline { cost });
+        }
+        cost.macrostates += 1;
+        if a.is_final(p) && b.is_final(q) {
+            return Ok((false, cost));
+        }
+        for &(ca, t1) in &a.state(p).edges {
+            for &(cb, t2) in &b.state(q).edges {
+                if !ca.intersect(&cb).is_empty() && seen.insert((t1, t2)) {
+                    queue.push_back((t1, t2));
                 }
             }
         }
-        Ok((true, cost))
+        for &t1 in &a.state(p).eps {
+            if seen.insert((t1, q)) {
+                queue.push_back((t1, q));
+            }
+        }
+        for &t2 in &b.state(q).eps {
+            if seen.insert((p, t2)) {
+                queue.push_back((p, t2));
+            }
+        }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Auto engine
-// ---------------------------------------------------------------------------
-
-/// Cost-predicted per-query selection: every call resolves the operands'
-/// features through [`crate::costmodel::select`] and delegates to the
-/// winning concrete engine. Selection is pure integer arithmetic over the
-/// operands, so the engine inherits the purity contract — the same
-/// operands always resolve to the same worker, keeping verdicts, costs,
-/// ledgers, and journals deterministic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AutoEngine;
-
-impl InclusionEngine for AutoEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Auto
-    }
-
-    fn resolve(&self, a: &Nfa, b: &Nfa) -> EngineKind {
-        crate::costmodel::select(&crate::costmodel::features(a, b))
-    }
-
-    fn try_subset(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        engine(self.resolve(a, b)).try_subset(a, b, limits)
-    }
-
-    fn try_counterexample(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
-        engine(self.resolve(a, b)).try_counterexample(a, b, limits)
-    }
-
-    /// Resolves once for the query and lets the winner run both
-    /// directions, so the shared budget stays within one engine's cost
-    /// accounting.
-    fn try_equivalent(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        engine(self.resolve(a, b)).try_equivalent(a, b, limits)
-    }
-
-    fn try_intersection_empty(
-        &self,
-        a: &Nfa,
-        b: &Nfa,
-        limits: &InclusionLimits,
-    ) -> Result<(bool, InclusionCost), InclusionAbort> {
-        engine(self.resolve(a, b)).try_intersection_empty(a, b, limits)
-    }
+    Ok((true, cost))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfa;
     use crate::generate::{random_nonempty_nfa, RandomNfaConfig};
     use crate::ops;
+    use std::time::Duration;
 
-    fn engines() -> [&'static dyn InclusionEngine; 2] {
-        [engine(EngineKind::Eager), engine(EngineKind::Antichain)]
+    /// The textbook construction the search replaces, kept as the unit
+    /// tests' reference: `L(a) \ L(b)` as the product of `a` with the
+    /// complement of `det(b)`.
+    fn reference_difference(a: &Nfa, b: &Nfa) -> Nfa {
+        ops::intersect(a, &dfa::complement(b)).nfa
+    }
+
+    fn subset(a: &Nfa, b: &Nfa) -> bool {
+        try_subset(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0
+    }
+
+    fn subset_costed(a: &Nfa, b: &Nfa) -> (bool, InclusionCost) {
+        try_subset(a, b, &InclusionLimits::UNLIMITED).expect("unlimited")
+    }
+
+    fn equivalent(a: &Nfa, b: &Nfa) -> bool {
+        try_equivalent(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0
+    }
+
+    fn counterexample(a: &Nfa, b: &Nfa) -> Option<Vec<u8>> {
+        try_counterexample(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0
+    }
+
+    fn intersection_empty(a: &Nfa, b: &Nfa) -> bool {
+        try_intersection_empty(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0
     }
 
     #[test]
-    fn kinds_round_trip_through_names() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(EngineKind::parse("bogus"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Antichain);
-        assert!(
-            EngineKind::CONCRETE.iter().all(|k| *k != EngineKind::Auto),
-            "auto delegates; it is not a concrete engine"
-        );
-        for kind in EngineKind::CONCRETE {
-            assert!(EngineKind::ALL.contains(&kind));
-        }
-    }
-
-    #[test]
-    fn auto_engine_resolves_to_a_concrete_worker_and_agrees() {
-        let auto = engine(EngineKind::Auto);
+    fn decides_basic_judgments() {
         let aa = Nfa::literal(b"aa");
         let astar = ops::star(&Nfa::literal(b"a"));
-        let resolved = auto.resolve(&aa, &astar);
-        assert_ne!(resolved, EngineKind::Auto);
-        assert!(EngineKind::CONCRETE.contains(&resolved));
-        // Resolution is pure: the same operands pick the same worker.
-        assert_eq!(auto.resolve(&aa, &astar), resolved);
-        // And concrete engines resolve to themselves.
-        for kind in EngineKind::CONCRETE {
-            assert_eq!(engine(kind).resolve(&aa, &astar), kind);
-        }
-        assert!(auto.is_subset(&aa, &astar));
-        assert!(!auto.is_subset(&astar, &aa));
-        assert!(!auto.equivalent(&aa, &astar));
-        assert!(auto.intersection_empty(&Nfa::literal(b"ab"), &Nfa::literal(b"ba")));
-        let cex = auto.counterexample(&astar, &aa).expect("inclusion fails");
+        assert!(subset(&aa, &astar));
+        assert!(!subset(&astar, &aa));
+        assert!(subset(&Nfa::empty_language(), &aa));
+        assert!(subset(&aa, &Nfa::sigma_star()));
+        assert!(!equivalent(&aa, &astar));
+        assert!(!equivalent(&astar, &ops::star(&aa)));
+    }
+
+    #[test]
+    fn finds_shortest_counterexamples() {
+        let astar = ops::star(&Nfa::literal(b"a"));
+        let aa = Nfa::literal(b"aa");
+        let cex = counterexample(&astar, &aa).expect("inclusion fails");
         assert!(astar.contains(&cex));
         assert!(!aa.contains(&cex));
+        assert!(cex.len() <= 1, "ε or 'a', got {cex:?}");
+        assert_eq!(counterexample(&aa, &astar), None);
     }
 
     #[test]
-    fn both_engines_agree_on_basic_judgments() {
-        let aa = Nfa::literal(b"aa");
-        let astar = ops::star(&Nfa::literal(b"a"));
-        for e in engines() {
-            assert!(e.is_subset(&aa, &astar), "{}", e.kind());
-            assert!(!e.is_subset(&astar, &aa), "{}", e.kind());
-            assert!(e.is_subset(&Nfa::empty_language(), &aa), "{}", e.kind());
-            assert!(e.is_subset(&aa, &Nfa::sigma_star()), "{}", e.kind());
-            assert!(!e.equivalent(&aa, &astar), "{}", e.kind());
-            assert!(!e.equivalent(&astar, &ops::star(&aa)), "{}", e.kind());
-        }
-    }
-
-    #[test]
-    fn both_engines_find_shortest_counterexamples() {
-        let astar = ops::star(&Nfa::literal(b"a"));
-        let aa = Nfa::literal(b"aa");
-        for e in engines() {
-            let cex = e.counterexample(&astar, &aa).expect("inclusion fails");
-            assert!(astar.contains(&cex), "{}", e.kind());
-            assert!(!aa.contains(&cex), "{}", e.kind());
-            assert!(cex.len() <= 1, "{}: ε or 'a', got {cex:?}", e.kind());
-            assert_eq!(e.counterexample(&aa, &astar), None, "{}", e.kind());
-        }
-    }
-
-    #[test]
-    fn both_engines_agree_on_intersection_emptiness() {
+    fn decides_intersection_emptiness() {
         let a = Nfa::literal(b"ab");
         let b = Nfa::literal(b"ba");
         let pre = ops::concat(&Nfa::literal(b"ab"), &Nfa::sigma_star()).nfa;
-        for e in engines() {
-            assert!(e.intersection_empty(&a, &b), "{}", e.kind());
-            assert!(!e.intersection_empty(&a, &pre), "{}", e.kind());
-            assert!(
-                e.intersection_empty(&Nfa::empty_language(), &Nfa::sigma_star()),
-                "{}",
-                e.kind()
-            );
-        }
+        assert!(intersection_empty(&a, &b));
+        assert!(!intersection_empty(&a, &pre));
+        assert!(intersection_empty(
+            &Nfa::empty_language(),
+            &Nfa::sigma_star()
+        ));
     }
 
     #[test]
-    fn antichain_matches_eager_on_random_pairs() {
+    fn antichain_matches_reference_on_random_pairs() {
         let config = RandomNfaConfig {
             states: 6,
             alphabet: vec![b'a', b'b'],
             ..Default::default()
         };
-        let eager = engine(EngineKind::Eager);
-        let antichain = engine(EngineKind::Antichain);
         for seed in 0..120u64 {
             let a = random_nonempty_nfa(seed, &config);
             let b = random_nonempty_nfa(seed.wrapping_add(1_000_003), &config);
+            let a_minus_b = reference_difference(&a, &b);
+            let b_minus_a = reference_difference(&b, &a);
             assert_eq!(
-                eager.is_subset(&a, &b),
-                antichain.is_subset(&a, &b),
+                subset(&a, &b),
+                a_minus_b.is_empty_language(),
                 "seed {seed} a⊆b"
             );
             assert_eq!(
-                eager.is_subset(&b, &a),
-                antichain.is_subset(&b, &a),
+                subset(&b, &a),
+                b_minus_a.is_empty_language(),
                 "seed {seed} b⊆a"
             );
             assert_eq!(
-                eager.equivalent(&a, &b),
-                antichain.equivalent(&a, &b),
+                equivalent(&a, &b),
+                a_minus_b.is_empty_language() && b_minus_a.is_empty_language(),
                 "seed {seed} a≡b"
             );
             assert_eq!(
-                eager.intersection_empty(&a, &b),
-                antichain.intersection_empty(&a, &b),
+                intersection_empty(&a, &b),
+                ops::intersect(&a, &b).nfa.is_empty_language(),
                 "seed {seed} a∩b=∅"
             );
             // Counterexamples agree on existence and are valid witnesses of
             // equal (shortest) length.
-            let ce = eager.counterexample(&a, &b);
-            let ca = antichain.counterexample(&a, &b);
-            assert_eq!(ce.is_some(), ca.is_some(), "seed {seed}");
-            if let (Some(ce), Some(ca)) = (ce, ca) {
-                assert_eq!(ce.len(), ca.len(), "seed {seed}: both are shortest");
-                for w in [&ce, &ca] {
-                    assert!(a.contains(w), "seed {seed}");
-                    assert!(!b.contains(w), "seed {seed}");
-                }
+            let reference = a_minus_b.shortest_member();
+            let found = counterexample(&a, &b);
+            assert_eq!(reference.is_some(), found.is_some(), "seed {seed}");
+            if let (Some(reference), Some(found)) = (reference, found) {
+                assert_eq!(reference.len(), found.len(), "seed {seed}: shortest");
+                assert!(a.contains(&found), "seed {seed}");
+                assert!(!b.contains(&found), "seed {seed}");
             }
         }
     }
@@ -923,8 +474,7 @@ mod tests {
         )
         .nfa;
         let b = ops::union(&b1, &b2);
-        let engine = AntichainEngine;
-        let (holds, cost) = engine.is_subset_costed(&a, &b);
+        let (holds, cost) = subset_costed(&a, &b);
         assert!(holds);
         assert!(cost.macrostates > 0);
         assert!(cost.antichain_size > 0);
@@ -941,9 +491,7 @@ mod tests {
             max_macrostates: Some(1),
             deadline: None,
         };
-        let err = AntichainEngine
-            .try_subset(&a, &b, &limits)
-            .expect_err("cap of 1 must trip");
+        let err = try_subset(&a, &b, &limits).expect_err("cap of 1 must trip");
         match err {
             InclusionAbort::MacrostateCap { limit, cost } => {
                 assert_eq!(limit, 1);
@@ -952,8 +500,16 @@ mod tests {
             other => panic!("expected macrostate cap, got {other:?}"),
         }
         // The same query decides fine above its true cost.
-        let unlimited = AntichainEngine.is_subset_costed(&a, &b);
-        assert!(!unlimited.0, "Σ* ⊄ (ab)*");
+        assert!(!subset_costed(&a, &b).0, "Σ* ⊄ (ab)*");
+    }
+
+    /// `(a|b)*a(a|b)^n`: its RHS subset construction has 2^(n+1) states,
+    /// which a determinize-first procedure must build before it can look
+    /// at a deadline.
+    fn nth_from_last_is_a(n: usize) -> Nfa {
+        let ab = ByteClass::from_bytes([b'a', b'b']);
+        let tail = ops::concat(&Nfa::literal(b"a"), &Nfa::class_repeat(ab, n, n)).nfa;
+        ops::concat(&ops::star(&Nfa::class(ab)), &tail).nfa
     }
 
     #[test]
@@ -962,38 +518,36 @@ mod tests {
         let b = ops::star(&Nfa::literal(b"ab"));
         let limits = InclusionLimits {
             max_macrostates: None,
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
         };
-        let err = AntichainEngine
-            .try_subset(&a, &b, &limits)
-            .expect_err("expired deadline must trip");
+        let err = try_subset(&a, &b, &limits).expect_err("expired deadline must trip");
         assert!(matches!(err, InclusionAbort::Deadline { .. }));
-    }
 
-    #[test]
-    fn eager_engine_aborts_under_the_same_budget() {
-        let a = Nfa::sigma_star();
-        let b = ops::star(&Nfa::literal(b"ab"));
+        // A live deadline inside a determinization blowup: the language
+        // against itself, built separately, with 10 ms to decide. The
+        // determinize/complement/product construction noticed the deadline
+        // only after 5.5 s on this query (release build, 2-vCPU VM); the
+        // frontier loop must stop close to it.
+        let (lhs, rhs) = (nth_from_last_is_a(18), nth_from_last_is_a(18));
+        let started = Instant::now();
         let limits = InclusionLimits {
-            max_macrostates: Some(1),
-            deadline: None,
+            max_macrostates: None,
+            deadline: Some(started + Duration::from_millis(10)),
         };
-        let err = EagerEngine
-            .try_subset(&a, &b, &limits)
-            .expect_err("cap of 1 must trip the eager path too");
-        assert!(matches!(
-            err,
-            InclusionAbort::MacrostateCap { limit: 1, .. }
-        ));
+        let err = try_subset(&lhs, &rhs, &limits).expect_err("10 ms cannot decide the blowup");
+        assert!(matches!(err, InclusionAbort::Deadline { .. }), "{err:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "deadline overrun: {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
     fn equivalence_budget_spans_both_directions() {
         let lhs = ops::star(&Nfa::literal(b"ab"));
         let rhs = ops::star(&Nfa::literal(b"ab"));
-        let unlimited = AntichainEngine
-            .try_equivalent(&lhs, &rhs, &InclusionLimits::UNLIMITED)
-            .expect("unlimited");
+        let unlimited = try_equivalent(&lhs, &rhs, &InclusionLimits::UNLIMITED).expect("unlimited");
         assert!(unlimited.0);
         let need = unlimited.1.macrostates;
         assert!(need >= 2, "two directions do real work");
@@ -1001,8 +555,7 @@ mod tests {
             max_macrostates: Some(need - 1),
             deadline: None,
         };
-        let err = AntichainEngine
-            .try_equivalent(&lhs, &rhs, &limits)
+        let err = try_equivalent(&lhs, &rhs, &limits)
             .expect_err("shared budget below the two-direction cost must trip");
         assert!(err.cost().macrostates <= need);
     }

@@ -7,16 +7,16 @@
 //! are compared for language equality. [`Lang`] makes a language a
 //! cheap-to-clone handle (`Arc` internally) with interior-cached, lazily
 //! computed properties — the canonical minimal-DFA fingerprint
-//! ([`canonical_key`]), emptiness, ε-freeness, and edge counts — so each of
-//! those is paid at most once per underlying machine no matter how many
-//! branches share it. [`LangStore`] layers hash-consing (one representative
-//! handle per distinct language) and memoization of the binary operations
-//! the solver runs repeatedly (intersection, inclusion) keyed by operand
-//! fingerprints, with counters that the solver surfaces as cache
-//! observability stats.
+//! ([`canonical_key`](crate::minimize::canonical_key)), emptiness,
+//! ε-freeness, and edge counts — so each of those is paid at most once per
+//! underlying machine no matter how many branches share it. [`LangStore`]
+//! layers hash-consing (one representative handle per distinct language)
+//! and memoization of the binary operations the solver runs repeatedly
+//! (intersection, inclusion) keyed by operand fingerprints, with counters
+//! that the solver surfaces as cache observability stats.
 
 use crate::dfa::DeterminizeCost;
-use crate::inclusion::{self, EngineKind, InclusionAbort, InclusionCost, InclusionLimits};
+use crate::inclusion::{self, InclusionAbort, InclusionCost, InclusionLimits};
 use crate::metrics::{id, Metrics};
 use crate::minimize::{canonical_key_counted, minimize_counted, CanonicalKey};
 use crate::nfa::Nfa;
@@ -331,9 +331,6 @@ impl std::hash::Hash for MemoIdentity {
 /// Structural pre-checks (pointer equality, empty LHS, equal fingerprints)
 /// answer before a query exists and are not reported.
 pub struct InclusionQuery<'a> {
-    /// The engine configured to answer the query (it ran only when
-    /// `engine_ran`).
-    pub engine: EngineKind,
     /// Left-hand operand.
     pub lhs: &'a Nfa,
     /// Right-hand operand.
@@ -347,12 +344,12 @@ pub struct InclusionQuery<'a> {
     pub identity: Option<MemoIdentity>,
     /// Whether the memo (or a lost insert race) answered the query.
     pub memo_hit: bool,
-    /// Whether the engine actually ran. `memo_hit && engine_ran` marks a
-    /// lost insert race: the engine ran but another thread's result won.
+    /// Whether the search actually ran. `memo_hit && engine_ran` marks a
+    /// lost insert race: the search ran but another thread's result won.
     pub engine_ran: bool,
     /// The verdict; `None` when the budget was exhausted mid-query.
     pub outcome: Option<bool>,
-    /// Engine work for this query (zero when the engine did not run).
+    /// Search work for this query (zero when the search did not run).
     pub cost: InclusionCost,
     /// Wall-clock microseconds spent answering the query.
     pub wall_us: u64,
@@ -386,7 +383,7 @@ pub trait StoreObserver: Send + Sync {
     }
 
     /// Called once per [`LangStore::try_is_subset`] query that reaches the
-    /// memo table or an engine, with operands, verdict, and cost. Only
+    /// memo table or the search, with operands, verdict, and cost. Only
     /// invoked when [`StoreObserver::wants_queries`] returns `true`.
     fn inclusion_query(&self, query: &InclusionQuery<'_>) {
         let _ = query;
@@ -425,10 +422,9 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Approximate bytes reclaimed by size-bounded LRU eviction.
     pub evicted_bytes: u64,
-    /// Macrostates explored by store-computed inclusion queries (engine
-    /// work; see [`crate::inclusion::InclusionCost`]). Incremented only by
-    /// the memo insert winner, so the total is deterministic across thread
-    /// counts — but it does depend on the selected engine.
+    /// Macrostates explored by store-computed inclusion queries (see
+    /// [`crate::inclusion::InclusionCost`]). Incremented only by the memo
+    /// insert winner, so the total is deterministic across thread counts.
     pub inclusion_macrostates: u64,
 }
 
@@ -685,10 +681,6 @@ pub struct LangStore {
     /// outside `inner` so observers are notified after the store lock is
     /// released and may themselves use the store.
     observer: RwLock<Option<Arc<dyn StoreObserver>>>,
-    /// Which [`crate::inclusion`] engine answers inclusion queries. Kept
-    /// outside `inner` so the (potentially long) engine run never holds
-    /// the store lock.
-    engine: RwLock<EngineKind>,
     enabled: bool,
 }
 
@@ -710,7 +702,6 @@ impl LangStore {
         LangStore {
             inner: Mutex::new(StoreInner::default()),
             observer: RwLock::new(None),
-            engine: RwLock::new(EngineKind::default()),
             enabled,
         }
     }
@@ -738,20 +729,6 @@ impl LangStore {
     /// The installed LRU byte cap, if any.
     pub fn max_bytes(&self) -> Option<u64> {
         self.inner.lock().expect("store lock").max_bytes
-    }
-
-    /// Selects the [`crate::inclusion`] engine behind
-    /// [`LangStore::is_subset`] / [`LangStore::try_is_subset`]. Engine
-    /// choice never changes an answer (the engines are differentially
-    /// tested to agree), so the inclusion memo is engine-invariant and
-    /// survives switches.
-    pub fn set_inclusion_engine(&self, kind: EngineKind) {
-        *self.engine.write().expect("engine lock") = kind;
-    }
-
-    /// The currently selected inclusion engine kind.
-    pub fn inclusion_engine(&self) -> EngineKind {
-        *self.engine.read().expect("engine lock")
     }
 
     /// Whether the caching layer is active.
@@ -953,8 +930,8 @@ impl LangStore {
     }
 
     /// Memoized language inclusion (`a ⊆ b`), keyed by the ordered
-    /// fingerprint pair and decided by the selected [`crate::inclusion`]
-    /// engine. Unlimited: see [`LangStore::try_is_subset`] for the
+    /// fingerprint pair and decided by [`crate::inclusion::try_subset`].
+    /// Unlimited: see [`LangStore::try_is_subset`] for the
     /// budget-enforcing variant.
     pub fn is_subset(&self, a: &Lang, b: &Lang) -> bool {
         self.try_is_subset(a, b, &InclusionLimits::UNLIMITED)
@@ -962,7 +939,7 @@ impl LangStore {
     }
 
     /// Budgeted [`LangStore::is_subset`]: structural pre-checks and memo
-    /// hits answer for free; an actual engine run observes `limits` inside
+    /// hits answer for free; an actual search observes `limits` inside
     /// its frontier loop. A breach memoizes nothing (a later unbudgeted
     /// retry recomputes), but the partial work is still recorded into the
     /// metrics registry so an exhaustion snapshot reflects it.
@@ -975,18 +952,12 @@ impl LangStore {
         if Lang::ptr_eq(a, b) {
             return Ok(true);
         }
-        // Structural pre-check shared by both engines: ∅ ⊆ L(b). The
-        // emptiness bit is cached on the handle, so this is O(1) after
-        // first touch and deterministic across thread counts.
+        // Structural pre-check: ∅ ⊆ L(b). The emptiness bit is cached on
+        // the handle, so this is O(1) after first touch and deterministic
+        // across thread counts.
         if a.is_empty_language() {
             return Ok(true);
         }
-        // Resolve `auto` to its per-query winner up front: the worker's
-        // kind (not the `auto` alias) is what the ledger and the metrics
-        // attribute the cost to. Resolution is pure arithmetic over the
-        // operands, so it is identical across threads and runs.
-        let engine_kind = inclusion::engine(self.inclusion_engine()).resolve(a.nfa(), b.nfa());
-        let engine = inclusion::engine(engine_kind);
         // Per-query reporting (the cost ledger) is opt-in: a disabled
         // ledger costs one observer read here and no clock reads at all.
         let reporter = self.query_observer();
@@ -999,7 +970,6 @@ impl LangStore {
                       cost: InclusionCost| {
             if let Some(observer) = &reporter {
                 observer.inclusion_query(&InclusionQuery {
-                    engine: engine_kind,
                     lhs: a.nfa(),
                     rhs: b.nfa(),
                     lhs_key: keys.map(|(k, _)| &**k),
@@ -1014,10 +984,10 @@ impl LangStore {
             }
         };
         if !self.enabled {
-            let (result, cost) = match engine.try_subset(a.nfa(), b.nfa(), limits) {
+            let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
                 Ok(computed) => computed,
                 Err(abort) => {
-                    self.record_partial_inclusion(engine_kind, abort.cost());
+                    self.record_partial_inclusion(abort.cost());
                     report(None, None, false, true, None, abort.cost());
                     return Err(abort);
                 }
@@ -1029,7 +999,7 @@ impl LangStore {
                     s.op_misses.fetch_add(1, Ordering::Relaxed);
                 });
                 inner.note_miss();
-                record_inclusion_cost(&mut inner, engine_kind, &cost);
+                record_inclusion_cost(&mut inner, &cost);
             }
             report(None, None, false, true, Some(result), cost);
             self.notify(StoreOp::Inclusion, None, false);
@@ -1037,8 +1007,8 @@ impl LangStore {
         }
         let key = (self.key_of(a), self.key_of(b));
         if key.0 == key.1 {
-            // Second shared pre-check: equal fingerprints mean equal
-            // languages, so the inclusion holds without engine work.
+            // Second pre-check: equal fingerprints mean equal languages,
+            // so the inclusion holds without a search.
             return Ok(true);
         }
         let identity = || MemoIdentity::Inclusion(key.0.clone(), key.1.clone());
@@ -1068,10 +1038,10 @@ impl LangStore {
                 return Ok(hit);
             }
         }
-        let (result, cost) = match engine.try_subset(a.nfa(), b.nfa(), limits) {
+        let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
             Ok(computed) => computed,
             Err(abort) => {
-                self.record_partial_inclusion(engine_kind, abort.cost());
+                self.record_partial_inclusion(abort.cost());
                 report(
                     Some((&key.0, &key.1)),
                     Some(identity()),
@@ -1086,7 +1056,7 @@ impl LangStore {
         let hit = {
             let mut inner = self.inner.lock().expect("store lock");
             // Same race re-check as `intersect`: first writer wins the
-            // entry, and only the winner records the engine cost, so the
+            // entry, and only the winner records the search cost, so the
             // totals stay deterministic across thread counts.
             if inner.inclusion_memo.contains_key(&key) {
                 inner.stats.op_hits += 1;
@@ -1101,7 +1071,7 @@ impl LangStore {
                     s.op_misses.fetch_add(1, Ordering::Relaxed);
                 });
                 inner.note_miss();
-                record_inclusion_cost(&mut inner, engine_kind, &cost);
+                record_inclusion_cost(&mut inner, &cost);
                 inner.inclusion_memo.insert(key.clone(), result);
                 inner.charge_insert(
                     SlotKey::Inclusion(key.0.clone(), key.1.clone()),
@@ -1125,9 +1095,9 @@ impl LangStore {
     /// Folds an aborted inclusion run's partial cost into the metrics (but
     /// never into the memo): the exhaustion snapshot carries the wasted
     /// frontier work.
-    fn record_partial_inclusion(&self, kind: EngineKind, cost: InclusionCost) {
+    fn record_partial_inclusion(&self, cost: InclusionCost) {
         let mut inner = self.inner.lock().expect("store lock");
-        record_inclusion_cost(&mut inner, kind, &cost);
+        record_inclusion_cost(&mut inner, &cost);
     }
 
     /// Memoized language-preserving minimization, keyed by fingerprint.
@@ -1222,13 +1192,10 @@ impl LangStore {
     }
 }
 
-/// Records one computed inclusion query's engine cost: macrostates
-/// explored, the final antichain size (zero for the eager engine), and
-/// subsumption prunes. Called winner-only on the success path and once on
-/// the abort path. The derivative engine's work additionally mirrors into
-/// the `automata.inclusion.derivative.*` series, keyed by the *resolved*
-/// kind so `auto` queries are charged to the engine that actually ran.
-fn record_inclusion_cost(inner: &mut StoreInner, kind: EngineKind, cost: &InclusionCost) {
+/// Records one computed inclusion query's cost: macrostates explored, the
+/// final antichain size, and subsumption prunes. Called winner-only on the
+/// success path and once on the abort path.
+fn record_inclusion_cost(inner: &mut StoreInner, cost: &InclusionCost) {
     inner.stats.inclusion_macrostates += cost.macrostates;
     scope_bump(|s| {
         s.inclusion_macrostates
@@ -1241,17 +1208,6 @@ fn record_inclusion_cost(inner: &mut StoreInner, kind: EngineKind, cost: &Inclus
         .metrics
         .observe(id::INCLUSION_ANTICHAIN_SIZE, cost.antichain_size);
     inner.metrics.add(id::INCLUSION_PRUNES, cost.prunes);
-    if kind == EngineKind::Derivative {
-        inner
-            .metrics
-            .add(id::INCLUSION_DERIVATIVE_PAIRS, cost.macrostates);
-        inner
-            .metrics
-            .observe(id::INCLUSION_DERIVATIVE_MEMO, cost.antichain_size);
-        inner
-            .metrics
-            .add(id::INCLUSION_DERIVATIVE_PRUNES, cost.prunes);
-    }
 }
 
 /// Records one computed intersection's cost: product states explored vs.
@@ -1516,21 +1472,16 @@ mod tests {
     }
 
     #[test]
-    fn inclusion_engine_is_selectable_and_answers_agree() {
-        for kind in EngineKind::ALL {
-            let store = LangStore::new();
-            store.set_inclusion_engine(kind);
-            assert_eq!(store.inclusion_engine(), kind);
-            let small = Lang::new(Nfa::literal(b"ab"));
-            let big = Lang::new(ab_star());
-            assert!(store.is_subset(&small, &big), "{kind}");
-            assert!(!store.is_subset(&big, &small), "{kind}");
-            let stats = store.stats();
-            assert!(
-                stats.inclusion_macrostates > 0,
-                "{kind}: engine work must be counted"
-            );
-        }
+    fn inclusion_answers_and_counts_search_work() {
+        let store = LangStore::new();
+        let small = Lang::new(Nfa::literal(b"ab"));
+        let big = Lang::new(ab_star());
+        assert!(store.is_subset(&small, &big));
+        assert!(!store.is_subset(&big, &small));
+        assert!(
+            store.stats().inclusion_macrostates > 0,
+            "search work must be counted"
+        );
     }
 
     #[test]
@@ -1543,7 +1494,7 @@ mod tests {
         assert!(store.is_subset(&big, &big), "ptr-equal handles");
         assert!(store.is_subset(&big, &same), "equal fingerprints");
         let stats = store.stats();
-        assert_eq!(stats.inclusion_macrostates, 0, "no engine ran");
+        assert_eq!(stats.inclusion_macrostates, 0, "no search ran");
         assert_eq!(stats.op_misses, 0, "no memo entry was needed");
     }
 

@@ -16,12 +16,10 @@
 //!   state).
 //! * [`dfa`] — subset construction, complement, language inclusion and
 //!   equivalence (the `⊆` judgments of the constraint language).
-//! * [`inclusion`] — pluggable engines behind every `⊆` judgment: the
-//!   eager determinize/complement/product path and the antichain-based
-//!   lazy subset construction the stack defaults to, both with budget
-//!   hooks inside their frontier loops.
-//! * [`minimize`] — DFA minimization (the optimization the paper suggests
-//!   for its Figure 12 `secure` outlier).
+//! * [`inclusion`] — the antichain-based lazy subset construction behind
+//!   every `⊆` judgment, with budget hooks inside its frontier loop.
+//! * [`minimize`](mod@minimize) — DFA minimization (the optimization the
+//!   paper suggests for its Figure 12 `secure` outlier).
 //! * [`lang`] — cheap-to-clone interned language handles ([`Lang`]) with
 //!   cached canonical fingerprints, and the hash-consing / memoizing
 //!   [`LangStore`] the solver shares across worklist branches.
@@ -59,8 +57,6 @@
 
 pub mod analysis;
 pub mod byteclass;
-pub mod costmodel;
-pub mod derivative;
 pub mod dfa;
 pub mod dot;
 pub mod generate;
@@ -75,17 +71,12 @@ pub mod quotient;
 
 pub use analysis::{is_finite, language_size, members, LanguageSize};
 pub use byteclass::ByteClass;
-pub use costmodel::QueryFeatures;
-pub use derivative::DerivativeEngine;
 pub use dfa::{
     complement, determinize, determinize_counted, equivalent, inclusion_counterexample, is_subset,
-    try_determinize_counted, DeterminizeCost, Dfa,
+    DeterminizeCost, Dfa,
 };
 pub use homomorphism::ByteMap;
-pub use inclusion::{
-    engine as inclusion_engine, AntichainEngine, AutoEngine, EagerEngine, EngineKind,
-    InclusionAbort, InclusionCost, InclusionEngine, InclusionLimits,
-};
+pub use inclusion::{InclusionAbort, InclusionCost, InclusionLimits};
 pub use lang::{
     current_stats_scope, install_stats_scope, FingerprintCost, InclusionQuery, Lang, LangStore,
     MemoIdentity, ScopedStoreStats, StatsScopeGuard, StoreObserver, StoreOp, StoreStats,

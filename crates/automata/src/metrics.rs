@@ -2,7 +2,7 @@
 //!
 //! Mirrors the tracer's zero-cost-when-disabled design: a [`Metrics`]
 //! handle is either disabled (`inner == None`, every recording method is
-//! an inlined no-op) or holds an `Arc` to a fixed-shape [`Registry`] of
+//! an inlined no-op) or holds an `Arc` to a fixed-shape `Registry` of
 //! named counters, gauges, and log2-bucketed histograms. The metric set
 //! is a closed table ([`METRIC_DEFS`], indexed by the constants in
 //! [`id`]) so snapshots always have the same shape and ordering — the
@@ -88,7 +88,7 @@ pub mod id {
     pub const SOLVE_PRODUCT_STATES: usize = 13;
     /// Cumulative states built by group solving.
     pub const SOLVE_STATES_BUILT: usize = 14;
-    /// Macrostates explored by inclusion engines.
+    /// Macrostates explored by inclusion queries.
     pub const INCLUSION_MACROSTATES: usize = 15;
     /// Histogram of final antichain size per lazy inclusion query.
     pub const INCLUSION_ANTICHAIN_SIZE: usize = 16;
@@ -120,12 +120,6 @@ pub mod id {
     pub const SERVE_RESOURCE_EXHAUSTED: usize = 29;
     /// Requests answered `parse-error` by `dprle serve`.
     pub const SERVE_PARSE_ERROR: usize = 30;
-    /// Derivative pairs explored by the derivative inclusion engine.
-    pub const INCLUSION_DERIVATIVE_PAIRS: usize = 31;
-    /// Histogram of similarity-memo pairs retained per derivative query.
-    pub const INCLUSION_DERIVATIVE_MEMO: usize = 32;
-    /// Derivative pairs dropped by similarity memoization.
-    pub const INCLUSION_DERIVATIVE_PRUNES: usize = 33;
 }
 
 /// The closed metric table. Index = metric id; snapshot order = table
@@ -208,12 +202,12 @@ pub const METRIC_DEFS: &[MetricDef] = &[
     },
     MetricDef {
         name: "automata.inclusion.macrostates",
-        help: "Macrostates explored by inclusion engines (subset-states plus product pairs)",
+        help: "Frontier macrostates explored by inclusion queries",
         kind: MetricKind::Counter,
     },
     MetricDef {
         name: "automata.inclusion.antichain_size",
-        help: "Final antichain size per inclusion query (zero for the eager engine)",
+        help: "Final antichain size per inclusion query",
         kind: MetricKind::Histogram,
     },
     MetricDef {
@@ -284,21 +278,6 @@ pub const METRIC_DEFS: &[MetricDef] = &[
     MetricDef {
         name: "serve.requests.parse_error",
         help: "Serve requests rejected as parse errors (malformed JSON, schema violation, or solver error)",
-        kind: MetricKind::Counter,
-    },
-    MetricDef {
-        name: "automata.inclusion.derivative.pairs",
-        help: "Derivative pairs explored by the derivative inclusion engine",
-        kind: MetricKind::Counter,
-    },
-    MetricDef {
-        name: "automata.inclusion.derivative.memo_pairs",
-        help: "Similarity-memo pairs retained per derivative inclusion query",
-        kind: MetricKind::Histogram,
-    },
-    MetricDef {
-        name: "automata.inclusion.derivative.similarity_prunes",
-        help: "Derivative pairs dropped by similarity memoization",
         kind: MetricKind::Counter,
     },
 ];

@@ -4,13 +4,13 @@
 //! Concatenation and intersection return *provenance* alongside the machine:
 //! the decision procedure (paper Figure 3 and §3.4.3) must later locate the
 //! epsilon transition introduced by a concatenation inside derived product
-//! machines, so [`concat`] reports where operand states landed and
+//! machines, so [`concat()`] reports where operand states landed and
 //! [`intersect`] reports which operand pair each product state represents.
 
 use crate::nfa::{Nfa, StateId};
 use std::collections::{HashMap, VecDeque};
 
-/// Result of [`concat`]: the machine for `L(a)·L(b)` plus provenance.
+/// Result of [`concat()`]: the machine for `L(a)·L(b)` plus provenance.
 #[derive(Clone, Debug)]
 pub struct Concatenation {
     /// The concatenation machine, in normalized shape.

@@ -10,16 +10,14 @@
 //! the slowest row by less than that.
 //!
 //! Usage: `cargo run -p dprle-bench --bin fig12 --release
-//! [--json] [--jobs N] [--inclusion eager|antichain|derivative|auto]
-//! [--ledger-out FILE]`
+//! [--json] [--jobs N] [--ledger-out FILE]`
 //!
 //! `--jobs N` adds a third, untraced solving pass per row with `N`
 //! worklist workers (the branch-parallel solver, whose output is
 //! byte-identical to sequential) and reports the per-row speedup.
-//! `--inclusion` selects the engine for every pass, and `--ledger-out`
-//! writes the ledgered pass's per-query cost records as JSONL — feed two
-//! of those (one per engine) to `dprle profile diff` for a per-query
-//! engine comparison.
+//! `--ledger-out` writes the ledgered pass's per-query cost records as
+//! JSONL — feed two of those to `dprle profile diff` for a per-query
+//! comparison.
 //!
 //! Always writes the machine-readable results (per-row `|FG|`, `|C|`, solve
 //! time, parallel jobs/speedup, and interning cache counters) to
@@ -30,7 +28,7 @@ use dprle_bench::{
     fig12_ledger_jsonl, fig12_rows_json, fig12_shape_violations, run_fig12_jobs,
     secure_outlier_shortfall,
 };
-use dprle_core::{EngineKind, SolveOptions};
+use dprle_core::SolveOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,16 +44,6 @@ fn main() {
             }),
         None => 1,
     };
-    let inclusion = match args.iter().position(|a| a == "--inclusion") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|n| EngineKind::parse(n))
-            .unwrap_or_else(|| {
-                eprintln!("--inclusion needs eager, antichain, derivative, or auto");
-                std::process::exit(2);
-            }),
-        None => EngineKind::default(),
-    };
     let ledger_out = args.iter().position(|a| a == "--ledger-out").map(|i| {
         args.get(i + 1).cloned().unwrap_or_else(|| {
             eprintln!("--ledger-out needs a file");
@@ -63,11 +51,7 @@ fn main() {
         })
     });
 
-    let options = SolveOptions {
-        inclusion_engine: inclusion,
-        ..SolveOptions::default()
-    };
-    let rows = run_fig12_jobs(&options, jobs);
+    let rows = run_fig12_jobs(&SolveOptions::default(), jobs);
 
     if let Some(path) = &ledger_out {
         match std::fs::write(path, fig12_ledger_jsonl(&rows)) {
@@ -158,26 +142,6 @@ fn main() {
         speedups.sort_by(|a, b| a.total_cmp(b));
         let median = speedups[speedups.len() / 2];
         println!("\nMedian speedup at --jobs {jobs}: {median:.2}x (hardware dependent)");
-    }
-
-    // Inclusion-engine comparison: the same workload once per engine.
-    println!("\nInclusion engines (eager vs antichain vs derivative, untraced passes):");
-    println!(
-        "{:<8} {:<10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "App", "Vuln", "eager (s)", "macro", "antich (s)", "macro", "deriv (s)", "pairs"
-    );
-    for r in &rows {
-        println!(
-            "{:<8} {:<10} {:>12.3} {:>12} {:>12.3} {:>12} {:>12.3} {:>12}",
-            r.app,
-            r.name,
-            r.eager_seconds,
-            r.eager_macrostates,
-            r.antichain_seconds,
-            r.antichain_macrostates,
-            r.derivative_seconds,
-            r.derivative_macrostates
-        );
     }
 
     // Per-phase wall time aggregated over all rows' traced passes

@@ -25,8 +25,8 @@
 
 use dprle_automata::LangStore;
 use dprle_core::{
-    solve_traced, CollectLedger, CollectSink, EngineKind, Ledger, PhaseRow, Solution, SolveOptions,
-    SolveStats, System, TraceReport, Tracer,
+    solve_traced, CollectLedger, CollectSink, Ledger, PhaseRow, Solution, SolveOptions, SolveStats,
+    System, TraceReport, Tracer,
 };
 use dprle_corpus::{vulnerable_program, VulnSpec, FIG12_ROWS};
 use dprle_lang::symex::SymexOptions;
@@ -81,24 +81,6 @@ pub struct Fig12Row {
     pub product_states: u64,
     /// Peak interning-memo bytes of any single solve in the row.
     pub peak_bytes: u64,
-    /// Wall time of the engine-comparison pass under the eager
-    /// determinize/complement/product inclusion engine.
-    pub eager_seconds: f64,
-    /// Inclusion macrostates explored by the eager pass (for the eager
-    /// engine: determinization subset-states plus complement-product
-    /// pairs).
-    pub eager_macrostates: u64,
-    /// Wall time of the engine-comparison pass under the antichain lazy
-    /// inclusion engine (the default).
-    pub antichain_seconds: f64,
-    /// Inclusion macrostates explored by the antichain pass.
-    pub antichain_macrostates: u64,
-    /// Wall time of the engine-comparison pass under the derivative-pair
-    /// inclusion engine.
-    pub derivative_seconds: f64,
-    /// Inclusion work explored by the derivative pass (derivative pairs
-    /// popped, the engine's macrostate analogue).
-    pub derivative_macrostates: u64,
     /// Solver counters aggregated over the row's runs (see
     /// `SolveStats::absorb`).
     pub stats: SolveStats,
@@ -220,7 +202,7 @@ pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) 
 }
 
 /// Runs `specs`: the [`TS_ROUNDS`] `T_S` rounds over all of them first,
-/// then each row's traced, parallel, engine-comparison and ledgered passes.
+/// then each row's traced, parallel and ledgered passes.
 fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions, jobs: usize) -> Vec<Fig12Row> {
     let inputs: Vec<RowInput> = specs.iter().map(RowInput::new).collect();
     let reference = HostReference::new();
@@ -341,29 +323,6 @@ fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRoun
     } else {
         (1, seconds)
     };
-    // Engine-comparison passes: the identical workload once per
-    // inclusion engine, untraced like the `T_S` passes, so the columns
-    // isolate the engine's cost. The passes produce the same solutions
-    // — the engines provably agree — so only time and macrostates are
-    // kept.
-    let engine_pass = |kind: EngineKind| {
-        let systems = input.systems();
-        let engine_options = SolveOptions {
-            inclusion_engine: kind,
-            ..options.clone()
-        };
-        let mut macrostates = 0u64;
-        let start = Instant::now();
-        for sys in &systems {
-            let store = LangStore::interning(engine_options.interning);
-            let (_, run_stats) = solve_traced(sys, &engine_options, &store, &Tracer::disabled());
-            macrostates += run_stats.inclusion_macrostates;
-        }
-        (start.elapsed().as_secs_f64(), macrostates)
-    };
-    let (eager_seconds, eager_macrostates) = engine_pass(EngineKind::Eager);
-    let (antichain_seconds, antichain_macrostates) = engine_pass(EngineKind::Antichain);
-    let (derivative_seconds, derivative_macrostates) = engine_pass(EngineKind::Derivative);
     // Ledgered pass: the same workload once more with the query cost
     // ledger live, kept separate from the `T_S` passes so the timing
     // columns stay ledger-free.
@@ -405,12 +364,6 @@ fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRoun
         exploitable,
         product_states: stats.product_states,
         peak_bytes: stats.peak_bytes,
-        eager_seconds,
-        eager_macrostates,
-        antichain_seconds,
-        antichain_macrostates,
-        derivative_seconds,
-        derivative_macrostates,
         stats,
         phases,
         queries,
@@ -483,15 +436,6 @@ pub fn fig12_rows_json(rows: &[Fig12Row]) -> String {
             ("exploitable", r.exploitable.to_string()),
             ("product_states", r.product_states.to_string()),
             ("peak_bytes", r.peak_bytes.to_string()),
-            ("eager_seconds", format!("{:.6}", r.eager_seconds)),
-            ("eager_macrostates", r.eager_macrostates.to_string()),
-            ("antichain_seconds", format!("{:.6}", r.antichain_seconds)),
-            ("antichain_macrostates", r.antichain_macrostates.to_string()),
-            ("derivative_seconds", format!("{:.6}", r.derivative_seconds)),
-            (
-                "derivative_macrostates",
-                r.derivative_macrostates.to_string(),
-            ),
             ("queries", r.queries.to_string()),
             ("query_memo_hits", r.query_memo_hits.to_string()),
         ];
@@ -790,12 +734,6 @@ mod tests {
             exploitable: true,
             product_states: 0,
             peak_bytes: 0,
-            eager_seconds: 0.02,
-            eager_macrostates: 10,
-            antichain_seconds: 0.01,
-            antichain_macrostates: 5,
-            derivative_seconds: 0.015,
-            derivative_macrostates: 5,
             stats: SolveStats::default(),
             phases: Vec::new(),
             queries: 0,
@@ -846,12 +784,6 @@ mod tests {
             exploitable: true,
             product_states: 42,
             peak_bytes: 4096,
-            eager_seconds: 0.02,
-            eager_macrostates: 10,
-            antichain_seconds: 0.01,
-            antichain_macrostates: 5,
-            derivative_seconds: 0.015,
-            derivative_macrostates: 5,
             stats: SolveStats {
                 groups: 2,
                 fingerprint_hits: 7,
@@ -901,12 +833,6 @@ mod tests {
             exploitable: true,
             product_states: 0,
             peak_bytes: 0,
-            eager_seconds: seconds * 3.0,
-            eager_macrostates: 10,
-            antichain_seconds: seconds,
-            antichain_macrostates: 5,
-            derivative_seconds: 0.015,
-            derivative_macrostates: 5,
             stats: SolveStats::default(),
             phases: Vec::new(),
             queries: 0,

@@ -6,7 +6,7 @@
 //! dprle watch [--interval-ms N] [--count N] HOST:PORT
 //! dprle trace-report [--check-schema SCHEMA] TRACE.jsonl
 //! dprle metrics-report [--check-schema] [--top K] METRICS.jsonl
-//! dprle profile top|model|diff|check ...
+//! dprle profile top|diff|check ...
 //!
 //! `FILE` may be in the native constraint format (see `dprle_cli` docs) or
 //! an SMT-LIB 2.6 strings script (`.smt2` extension — see
@@ -32,10 +32,6 @@
 //!   --max-product-states N  abort once N product states were explored
 //!   --max-live-states N     abort once N solution-machine states are live
 //!   --deadline-ms N    abort the solve after N milliseconds
-//!   --inclusion E      inclusion engine: `antichain` (default, lazy
-//!                      subset construction with antichain pruning) or
-//!                      `eager` (determinize/complement/product); both
-//!                      agree on every answer, costs differ
 //!   --no-interning     disable language interning/memoization (ablation)
 //!   --jobs N           worklist worker threads (default 1; deterministic)
 //!   --store-max-bytes N  LRU byte cap on the language store's memo
@@ -50,7 +46,7 @@
 //!                      (prints `listening HOST:PORT` on stdout; use
 //!                      `--listen 127.0.0.1:0` for an ephemeral port)
 //!   --store-max-bytes N  shared-store LRU byte cap
-//!   --jobs/--inclusion/--max-product-states/--max-live-states/
+//!   --jobs/--max-product-states/--max-live-states/
 //!   --deadline-ms/--no-interning  per-request defaults (requests may
 //!                      override all but interning)
 //!   --metrics-out/--metrics-format/--ledger-out  flushed at shutdown
@@ -77,10 +73,10 @@
 //! a `--metrics-out` JSON snapshot and prints the top-K most expensive
 //! operations (optionally validating it against the bundled
 //! `docs/metrics.schema.json` first). The `profile` subcommand inspects
-//! `--ledger-out` cost ledgers: `top` ranks the hottest queries, `model`
-//! dumps the features→cost table as JSON, `diff` compares two ledgers
-//! per-query (with an optional `--fail-above PCT` CI gate), and `check`
-//! validates a ledger against `docs/ledger.schema.json`.
+//! `--ledger-out` cost ledgers: `top` ranks the hottest queries, `diff`
+//! compares two ledgers per-query (with an optional `--fail-above PCT` CI
+//! gate), and `check` validates a ledger against
+//! `docs/ledger.schema.json`.
 //!
 //! Exit codes: 0 = sat (or report success), 1 = unsat (or schema
 //! violation), 2 = usage/input error, 3 = resource budget exhausted.
@@ -91,8 +87,8 @@ mod watch;
 use dprle_cli::parse_file;
 use dprle_core::{
     parse_snapshot, provenance_dot, render_report, solver_graph, try_solve_traced, validate_jsonl,
-    validate_metrics_jsonl, Budget, CollectLedger, CollectSink, EngineKind, JsonlSink, Ledger,
-    Metrics, Solution, SolveOptions, SolveStats, System, TeeSink, TraceReport, TraceSink, Tracer,
+    validate_metrics_jsonl, Budget, CollectLedger, CollectSink, JsonlSink, Ledger, Metrics,
+    Solution, SolveOptions, SolveStats, System, TeeSink, TraceReport, TraceSink, Tracer,
 };
 use std::fs::File;
 use std::io::BufWriter;
@@ -100,12 +96,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--inclusion eager|antichain|derivative|auto] [--no-interning] [--jobs N] [--store-max-bytes N] FILE
-       dprle serve [--sessions N] [--listen ADDR] [--store-max-bytes N] [--jobs N] [--inclusion E] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--admin ADDR] [--trace-out FILE] [--slow-log FILE] [--slow-ms N]
+const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--jobs N] [--store-max-bytes N] FILE
+       dprle serve [--sessions N] [--listen ADDR] [--store-max-bytes N] [--jobs N] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--admin ADDR] [--trace-out FILE] [--slow-log FILE] [--slow-ms N]
        dprle watch [--interval-ms N] [--count N] HOST:PORT
        dprle trace-report [--check-schema SCHEMA] TRACE.jsonl
        dprle metrics-report [--check-schema] [--top K] METRICS.jsonl
-       dprle profile top|model|diff|check ... (see `dprle profile --help`)
+       dprle profile top|diff|check ... (see `dprle profile --help`)
   solves a system of subset constraints over regular languages
   (see the dprle-cli crate docs for the input format)";
 
@@ -140,7 +136,6 @@ struct Args {
     max_product_states: Option<u64>,
     max_live_states: Option<u64>,
     deadline_ms: Option<u64>,
-    inclusion: EngineKind,
     store_max_bytes: Option<u64>,
 }
 
@@ -166,14 +161,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         max_product_states: None,
         max_live_states: None,
         deadline_ms: None,
-        inclusion: EngineKind::default(),
         store_max_bytes: None,
     };
-    fn engine_arg(name: &str) -> Result<EngineKind, String> {
-        EngineKind::parse(name).ok_or_else(|| {
-            format!("--inclusion must be eager, antichain, derivative, or auto, got `{name}`")
-        })
-    }
     fn budget_arg(argv: &[String], i: usize, flag: &str) -> Result<u64, String> {
         let n = argv.get(i).ok_or_else(|| format!("{flag} needs a count"))?;
         n.parse::<u64>()
@@ -246,14 +235,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.store_max_bytes = Some(n.parse::<u64>().map_err(|_| {
                     format!("--store-max-bytes needs a nonnegative integer, got `{n}`")
                 })?);
-            }
-            "--inclusion" => {
-                i += 1;
-                let name = argv.get(i).ok_or("--inclusion needs an engine name")?;
-                args.inclusion = engine_arg(name)?;
-            }
-            value if value.starts_with("--inclusion=") => {
-                args.inclusion = engine_arg(&value["--inclusion=".len()..])?;
             }
             "--no-interning" => args.interning = false,
             "--jobs" => {
@@ -619,17 +600,6 @@ fn serve_main(argv: &[String]) -> ExitCode {
                 }
                 Err(e) => break Err(e),
             },
-            "--inclusion" => {
-                i += 1;
-                match argv.get(i).and_then(|n| EngineKind::parse(n)) {
-                    Some(engine) => config.inclusion = engine,
-                    None => {
-                        break Err(
-                            "--inclusion must be eager, antichain, derivative, or auto".to_owned()
-                        )
-                    }
-                }
-            }
             "--max-product-states" => match count_arg(argv, i + 1, "--max-product-states") {
                 Ok(n) => {
                     config.max_product_states = Some(n);
@@ -867,7 +837,6 @@ fn empty_args() -> Args {
         max_product_states: None,
         max_live_states: None,
         deadline_ms: None,
-        inclusion: EngineKind::default(),
         store_max_bytes: None,
     }
 }
@@ -936,7 +905,6 @@ fn main() -> ExitCode {
             max_live_states: args.max_live_states,
             deadline: args.deadline_ms.map(Duration::from_millis),
         },
-        inclusion_engine: args.inclusion,
         ledger,
         ..Default::default()
     };

@@ -3,9 +3,6 @@
 //!
 //! * `top` — the hottest queries by total wall time, with an optional
 //!   flame-style per-span rollup from a `--trace-out` journal.
-//! * `model` — the features→cost table as JSON (one row per distinct
-//!   feature vector), the training set for cost-predicted engine
-//!   selection.
 //! * `diff` — per-query cost deltas between two ledgers, matched by
 //!   fingerprint pair and ranked by regression, with an optional
 //!   `--fail-above PCT` gate (exit 1 on breach) for CI.
@@ -16,14 +13,13 @@
 //! schema violation, 2 = usage/input error.
 
 use dprle_core::{
-    parse_ledger, render_diff, render_model, render_top, render_top_by_request,
-    validate_ledger_jsonl, DiffOptions, LedgerRecord, LEDGER_SCHEMA,
+    parse_ledger, render_diff, render_top, render_top_by_request, validate_ledger_jsonl,
+    DiffOptions, LedgerRecord, LEDGER_SCHEMA,
 };
 use std::process::ExitCode;
 
 const PROFILE_USAGE: &str =
     "usage: dprle profile top [--trace TRACE.jsonl] [--limit N] [--by-request] LEDGER.jsonl
-       dprle profile model LEDGER.jsonl
        dprle profile diff [--limit N] [--fail-above PCT] OLD.jsonl NEW.jsonl
        dprle profile check [--schema FILE] LEDGER.jsonl
   inspects query cost ledgers written by `dprle --ledger-out`";
@@ -49,7 +45,6 @@ fn read_ledger(path: &str) -> Result<Vec<LedgerRecord>, String> {
 pub fn profile_main(argv: &[String]) -> ExitCode {
     match argv.first().map(String::as_str) {
         Some("top") => top_main(&argv[1..]),
-        Some("model") => model_main(&argv[1..]),
         Some("diff") => diff_main(&argv[1..]),
         Some("check") => check_main(&argv[1..]),
         Some("-h" | "--help") | None => usage_error("profile needs a view"),
@@ -124,22 +119,6 @@ fn top_main(argv: &[String]) -> ExitCode {
     match render_top(&records, trace_jsonl.as_deref(), limit) {
         Ok(out) => {
             print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("dprle: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn model_main(argv: &[String]) -> ExitCode {
-    let [ledger_path] = argv else {
-        return usage_error("model needs exactly one ledger file");
-    };
-    match read_ledger(ledger_path) {
-        Ok(records) => {
-            print!("{}", render_model(&records));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -5,11 +5,11 @@
 //! either over stdin/stdout (the default) or over a TCP socket
 //! (`--listen ADDR`). Each request names a program in the native
 //! constraint format or an SMT-LIB strings script, plus optional
-//! per-request overrides for `jobs`, the inclusion engine, and the
-//! resource budget. Every request produces exactly one typed response
-//! (`sat` / `unsat` / `resource-exhausted` / `parse-error`) — malformed
-//! input, budget breaches, and even solver panics are mapped to schema-
-//! compliant JSON rather than crashing the process. The wire schema is
+//! per-request overrides for `jobs` and the resource budget. Every
+//! request produces exactly one typed response (`sat` / `unsat` /
+//! `resource-exhausted` / `parse-error`) — malformed input, budget
+//! breaches, and even solver panics are mapped to schema-compliant JSON
+//! rather than crashing the process. The wire schema is
 //! pinned in `docs/serve.schema.json` and documented in DESIGN.md §10.
 //!
 //! ## Request fields
@@ -20,7 +20,6 @@
 //! | `input` | string, required | the program text |
 //! | `language` | `"dprle"` \| `"smtlib"` | input syntax (default `dprle`) |
 //! | `jobs` | integer ≥ 1 | worklist worker threads for this request |
-//! | `inclusion` | `"eager"` \| `"antichain"` \| `"derivative"` \| `"auto"` | inclusion engine override |
 //! | `max_product_states` | integer ≥ 1 | budget override |
 //! | `max_live_states` | integer ≥ 1 | budget override |
 //! | `deadline_ms` | integer ≥ 1 | budget override |
@@ -76,8 +75,8 @@ use crate::smtlib;
 use dprle_automata::LangStore;
 use dprle_core::metrics::id;
 use dprle_core::{
-    json_string, lookup, try_solve_traced, Budget, CollectLedger, EngineKind, Json, Ledger,
-    Metrics, ResourceExhausted, Solution, SolveOptions, SolveStats, System, TraceSink, Tracer,
+    json_string, lookup, try_solve_traced, Budget, CollectLedger, Json, Ledger, Metrics,
+    ResourceExhausted, Solution, SolveOptions, SolveStats, System, TraceSink, Tracer,
 };
 use std::cell::Cell;
 use std::io::{BufRead, Read, Write};
@@ -121,8 +120,6 @@ pub struct ServeConfig {
     pub interning: bool,
     /// Default worklist worker threads per request.
     pub jobs: usize,
-    /// Default inclusion engine.
-    pub inclusion: EngineKind,
     /// Default `Budget::max_product_states`.
     pub max_product_states: Option<u64>,
     /// Default `Budget::max_live_states`.
@@ -142,7 +139,6 @@ impl Default for ServeConfig {
             store_max_bytes: None,
             interning: true,
             jobs: 1,
-            inclusion: EngineKind::default(),
             max_product_states: None,
             max_live_states: None,
             deadline_ms: None,
@@ -393,7 +389,6 @@ impl SolverService {
                     .or(self.config.deadline_ms)
                     .map(Duration::from_millis),
             },
-            inclusion_engine: request.inclusion.unwrap_or(self.config.inclusion),
             // Tagged with the request id so multi-tenant ledgers (the
             // server-wide `--ledger-out` accumulation) stay joinable.
             ledger: ledger_sink.as_ref().map_or_else(Ledger::disabled, |sink| {
@@ -519,7 +514,6 @@ struct Request {
     input: String,
     smtlib: bool,
     jobs: Option<usize>,
-    inclusion: Option<EngineKind>,
     max_product_states: Option<u64>,
     max_live_states: Option<u64>,
     deadline_ms: Option<u64>,
@@ -542,7 +536,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
     let mut input = None;
     let mut smtlib = false;
     let mut jobs = None;
-    let mut inclusion = None;
     let mut max_product_states = None;
     let mut max_live_states = None;
     let mut deadline_ms = None;
@@ -581,15 +574,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
                 }
             },
             "jobs" => jobs = Some(positive(value, key).map_err(&fail)? as usize),
-            "inclusion" => match value.as_str().and_then(EngineKind::parse) {
-                Some(engine) => inclusion = Some(engine),
-                None => {
-                    return Err(fail(
-                        "field `inclusion` must be \"eager\", \"antichain\", \"derivative\", or \"auto\""
-                            .to_owned(),
-                    ))
-                }
-            },
             "max_product_states" => max_product_states = Some(positive(value, key).map_err(&fail)?),
             "max_live_states" => max_live_states = Some(positive(value, key).map_err(&fail)?),
             "deadline_ms" => deadline_ms = Some(positive(value, key).map_err(&fail)?),
@@ -610,7 +594,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
         input,
         smtlib,
         jobs,
-        inclusion,
         max_product_states,
         max_live_states,
         deadline_ms,
@@ -1280,11 +1263,22 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected_but_keep_the_id() {
-        let line = request("\"id\":\"q3\",\"input\":\"var v;\",\"bogus\":1");
-        let json = Json::parse(&service().handle_line(&line)).expect("valid JSON");
-        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
-        assert_eq!(field(&json, "id").as_str(), Some("q3"));
-        assert!(field(&json, "error").as_str().unwrap().contains("bogus"));
+        // `inclusion` once selected an inclusion engine; it must not be
+        // silently ignored now that there is only one.
+        for (extra, name) in [
+            ("\"bogus\":1", "bogus"),
+            ("\"inclusion\":\"eager\"", "inclusion"),
+        ] {
+            let line = request(&format!("\"id\":\"q3\",\"input\":\"var v;\",{extra}"));
+            let json = Json::parse(&service().handle_line(&line)).expect("valid JSON");
+            assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+            assert_eq!(field(&json, "id").as_str(), Some("q3"));
+            let error = field(&json, "error").as_str().unwrap();
+            assert!(
+                error.contains(&format!("unknown field `{name}`")),
+                "{error}"
+            );
+        }
     }
 
     #[test]

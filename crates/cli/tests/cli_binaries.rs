@@ -70,6 +70,12 @@ fn solver_rejects_bad_files_with_exit_code_two() {
     assert_eq!(missing.status.code(), Some(2));
     let no_args = dprle(&[]);
     assert_eq!(no_args.status.code(), Some(2));
+    // The removed inclusion-engine flag is rejected, not ignored.
+    let good = temp_file("good.dprle", MOTIVATING);
+    let out = dprle(&["--inclusion", "eager", good.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--inclusion`"), "{stderr}");
 }
 
 #[test]
@@ -472,11 +478,6 @@ fn ledger_out_is_schema_valid_and_profile_views_render() {
     assert!(stdout.contains("Inclusion"), "{stdout}");
     assert!(stdout.contains("Product"), "{stdout}");
 
-    let out = dprle(&["profile", "model", ledger.to_str().expect("utf8")]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"lhs_states\""), "{stdout}");
-
     // One-shot ledgers are untagged; the per-request rollup groups them
     // all under the placeholder bucket.
     let out = dprle(&[
@@ -587,11 +588,7 @@ fn profile_diff_names_the_seeded_regression_first_and_gates() {
 #[test]
 fn profile_errors_on_empty_or_missing_ledgers() {
     let empty = temp_file("empty_ledger.jsonl", "");
-    for view in [
-        vec!["profile", "top"],
-        vec!["profile", "model"],
-        vec!["profile", "check"],
-    ] {
+    for view in [vec!["profile", "top"], vec!["profile", "check"]] {
         let mut argv = view.clone();
         argv.push(empty.to_str().expect("utf8"));
         let out = dprle(&argv);
@@ -615,37 +612,25 @@ fn profile_errors_on_empty_or_missing_ledgers() {
 }
 
 #[test]
-fn budgeted_blowup_exits_3_under_every_inclusion_engine() {
-    // Mirrors the CI budgeted-blowup step, once per inclusion engine
-    // kind: a binding product budget must exit 3 (graceful
-    // ResourceExhausted) — never a panic — and still write a metrics
-    // snapshot that registers the engine's own work counter.
-    let file = temp_file("budgeted_engines.dprle", MOTIVATING);
-    for engine in ["antichain", "eager", "derivative", "auto"] {
-        let metrics = std::env::temp_dir().join(format!("dprle_cli_test_exhausted_{engine}.jsonl"));
-        let out = dprle(&[
-            "--max-product-states",
-            "2",
-            &format!("--inclusion={engine}"),
-            "--metrics-out",
-            metrics.to_str().expect("utf8 path"),
-            file.to_str().expect("utf8 path"),
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(3),
-            "--inclusion={engine} stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("resource budget exhausted"),
-            "--inclusion={engine}: {stderr}"
-        );
-        let snapshot = std::fs::read_to_string(&metrics).expect("exhaustion snapshot written");
-        assert!(
-            snapshot.contains("\"name\":\"automata.inclusion.macrostates\""),
-            "--inclusion={engine}: snapshot missing the engine work counter"
-        );
-    }
+fn budgeted_blowup_exits_3() {
+    // Mirrors the CI budgeted-blowup step: a binding product budget must
+    // exit 3 (graceful ResourceExhausted) — never a panic — and still
+    // write a metrics snapshot that registers the inclusion work counter.
+    let file = temp_file("budgeted_blowup.dprle", MOTIVATING);
+    let metrics = std::env::temp_dir().join("dprle_cli_test_exhausted.jsonl");
+    let out = dprle(&[
+        "--max-product-states",
+        "2",
+        "--metrics-out",
+        metrics.to_str().expect("utf8 path"),
+        file.to_str().expect("utf8 path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("resource budget exhausted"), "{stderr}");
+    let snapshot = std::fs::read_to_string(&metrics).expect("exhaustion snapshot written");
+    assert!(
+        snapshot.contains("\"name\":\"automata.inclusion.macrostates\""),
+        "snapshot missing the inclusion work counter"
+    );
 }

@@ -1,7 +1,7 @@
 //! A bounded-string baseline solver.
 //!
 //! The paper positions DPRLE against *bounded* approaches (§5: its
-//! concurrent HAMPI work "show[s] that bounded context-free language
+//! concurrent HAMPI work "show\[s\] that bounded context-free language
 //! constraints can be solved efficiently by direct conversion to SAT.
 //! Both approaches deal with individual string assignments. The algorithm
 //! presented here, in contrast, deals with languages rather than
@@ -49,7 +49,7 @@ impl Default for BoundedOptions {
 pub type BoundedSolution = BTreeMap<VarId, Vec<u8>>;
 
 /// Finds one bounded concrete solution, or `None` if none exists within
-/// the bounds. (Unlike [`crate::solve`], a `None` here proves nothing:
+/// the bounds. (Unlike [`crate::solve()`], a `None` here proves nothing:
 /// longer strings might work — that incompleteness is the point of the
 /// comparison.)
 pub fn solve_bounded(system: &System, options: &BoundedOptions) -> Option<BoundedSolution> {

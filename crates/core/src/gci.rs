@@ -79,12 +79,12 @@ pub struct GciOptions {
     /// this many pairs aborts with [`ProductCapHit`] *before* exceeding it.
     /// The same cap bounds the macrostates of each budgeted inclusion check
     /// (constant-leaf filtering, subsumption pruning) — the inclusion
-    /// engines' frontier loops are the other place the paper's exponential
+    /// search's frontier loop is the other place the paper's exponential
     /// can hide. Deterministic at every `--jobs N`: the check depends only
     /// on the operand machines.
     pub max_product_states: Option<u64>,
     /// Wall-clock deadline for budgeted inclusion checks, forwarded into
-    /// the engines' frontier loops. Set by the solver's normalization from
+    /// the inclusion search's frontier loop. Set by the solver's normalization from
     /// [`crate::metrics::Budget::deadline`]; inherently nondeterministic,
     /// like the worklist-level deadline check.
     pub deadline: Option<Instant>,
@@ -164,7 +164,8 @@ pub struct ProductCapHit {
     pub cost: GroupCost,
 }
 
-/// Maps an engine-level abort to the group-level error the driver handles.
+/// Maps an inclusion-search abort to the group-level error
+/// ([`ProductCapHit`]) the worklist handles.
 fn abort_to_cap_hit(abort: &InclusionAbort, cost: GroupCost) -> ProductCapHit {
     match abort {
         InclusionAbort::MacrostateCap { limit, .. } => ProductCapHit {
@@ -350,7 +351,7 @@ fn solve_group_inner(
 
     // Reject combinations that narrow a constant leaf: constants are not
     // assignable, so their induced language must be their full language.
-    // Each check is a budgeted inclusion query: the engine's frontier loop
+    // Each check is a budgeted inclusion query: the search's frontier loop
     // honors the same per-operation cap (and deadline) as the product
     // builds, so a blowup hiding in the subset judgment aborts the group
     // instead of running away.

@@ -4,11 +4,11 @@
 //! PR 2's trace journal and PR 4's metrics registry made the solver
 //! observable in aggregate; the ledger records *which* query cost what.
 //! Every [`LangStore`](dprle_automata::LangStore) inclusion query (plus
-//! the engine-bypassing const-check and verify sites in `solve`) and
-//! every `gci::intersect_build` product emits one [`LedgerRecord`]: query
-//! kind, engine, input features (state/transition counts, byte-class
-//! width, language fingerprints), outcome, and cost (wall µs plus the
-//! engine's own work counters). Records serialize as schema-pinned JSONL
+//! the memo-bypassing const-check and verify sites in `solve`) and every
+//! `gci::intersect_build` product emits one [`LedgerRecord`]: query kind,
+//! input features (state/transition counts, byte-class width, language
+//! fingerprints), outcome, and cost (wall µs plus the search's own work
+//! counters). Records serialize as schema-pinned JSONL
 //! (`docs/ledger.schema.json`, embedded as [`LEDGER_SCHEMA`]).
 //!
 //! Like [`Tracer`](crate::trace::Tracer), a [`Ledger`] is
@@ -20,20 +20,19 @@
 //! **Determinism.** `ts_us` (wall time) is the only nondeterministic
 //! field. Everything else — including `seq` and the memo hit/miss split —
 //! is byte-identical across `--jobs 1/4/8`: workers buffer drafts in a
-//! thread-local slot ([`LedgerSlotGuard`]), and `core::parallel` replays
+//! thread-local slot (`LedgerSlotGuard`), and `core::parallel` replays
 //! them in sequential order, rewriting each memo outcome exactly like the
 //! trace replay does (first touch of a level-computed slot in replay
-//! order is the miss, carrying the slot's engine cost; later touches are
+//! order is the miss, carrying the slot's search cost; later touches are
 //! free hits). This leans on the same value-determinism contract as the
-//! winner-only metrics recording: equal memo slots imply equal engine
+//! winner-only metrics recording: equal memo slots imply equal search
 //! cost.
 //!
 //! The module also carries the aggregation behind `dprle profile`:
 //! [`render_top`] (hottest queries, plus a flame-style span rollup from a
-//! trace journal), [`render_model`] (features→cost table, the training
-//! set for cost-predicted engine selection), and [`render_diff`]
-//! (per-query deltas between two ledgers, matched by fingerprint pair,
-//! with an optional regression gate).
+//! trace journal) and [`render_diff`] (per-query deltas between two
+//! ledgers, matched by fingerprint pair, with an optional regression
+//! gate).
 
 // `HashMap<MemoIdentity, _>` trips clippy's `mutable_key_type`: a
 // `MemoIdentity` holds a `Lang`, whose interior fingerprint cache is a
@@ -45,9 +44,9 @@
 
 use crate::schema::{self, get_opt_str, get_str, get_u64, json_string, Json};
 use crate::trace::{parse_jsonl, TraceEventKind};
-use dprle_automata::{EngineKind, InclusionCost, InclusionQuery, MemoIdentity, Nfa};
+use dprle_automata::{ByteClass, InclusionCost, InclusionQuery, MemoIdentity, Nfa};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -104,10 +103,10 @@ impl QueryKind {
 pub enum MemoStatus {
     /// The memo (or a lost insert race) answered.
     Hit,
-    /// The engine ran and the result was memoized.
+    /// The search ran and the result was memoized.
     Miss,
-    /// The query never consulted a memo table (pass-through store, or an
-    /// engine-bypassing site).
+    /// The query never consulted a memo table (pass-through store, or a
+    /// memo-bypassing site).
     Bypass,
 }
 
@@ -185,9 +184,6 @@ pub struct LedgerRecord {
     pub ts_us: u64,
     /// Query family.
     pub kind: QueryKind,
-    /// Engine configured for the query (`None` for products, which are
-    /// always eager builds today).
-    pub engine: Option<EngineKind>,
     /// Which call site issued the query (one of the `SITE_*` constants).
     pub site: &'static str,
     /// Memo participation (`None` for products — they are not memoized).
@@ -203,7 +199,7 @@ pub struct LedgerRecord {
     /// RHS operand: transition count.
     pub rhs_transitions: u64,
     /// Distinct byte-class edge labels across both operands (alphabet
-    /// width as the engines see it).
+    /// width as the search sees it).
     pub classes: u64,
     /// Stable 64-bit fingerprint of the LHS language (canonical-key
     /// digest when available, structural digest otherwise).
@@ -235,9 +231,6 @@ impl LedgerRecord {
             self.seq,
             self.ts_us
         );
-        if let Some(engine) = self.engine {
-            let _ = write!(out, ",\"engine\":{}", json_string(engine.name()));
-        }
         let _ = write!(out, ",\"site\":{}", json_string(self.site));
         if let Some(memo) = self.memo {
             let _ = write!(out, ",\"memo\":{}", json_string(memo.name()));
@@ -288,11 +281,8 @@ impl LedgerRecord {
             let hex = get_str(obj, key)?;
             u64::from_str_radix(hex, 16).map_err(|_| format!("field `{key}` is not a hex digest"))
         };
-        let (engine, memo, cost_main, cost_aux, cost_prunes, outcome) = match kind {
+        let (memo, cost_main, cost_aux, cost_prunes, outcome) = match kind {
             QueryKind::Inclusion => {
-                let engine_name = get_str(obj, "engine")?;
-                let engine = EngineKind::parse(engine_name)
-                    .ok_or_else(|| format!("unknown engine {engine_name:?}"))?;
                 let memo_name = get_str(obj, "memo")?;
                 let memo = MemoStatus::parse(memo_name)
                     .ok_or_else(|| format!("unknown memo status {memo_name:?}"))?;
@@ -306,7 +296,6 @@ impl LedgerRecord {
                     _ => return Err(format!("bad inclusion outcome {outcome_name:?}")),
                 };
                 (
-                    Some(engine),
                     Some(memo),
                     get_u64(obj, "macrostates")?,
                     get_u64(obj, "antichain")?,
@@ -324,7 +313,6 @@ impl LedgerRecord {
                 };
                 (
                     None,
-                    None,
                     get_u64(obj, "explored")?,
                     get_u64(obj, "states")?,
                     0,
@@ -336,7 +324,6 @@ impl LedgerRecord {
             seq: get_u64(obj, "seq")?,
             ts_us: get_u64(obj, "ts_us")?,
             kind,
-            engine,
             site,
             memo,
             outcome,
@@ -429,7 +416,7 @@ impl LedgerSink for CollectLedger {
 
 /// A draft record buffered on a worker thread: the serialized fields plus
 /// the replay metadata (`identity` names the memo slot, `engine_cost` is
-/// `Some` exactly when the engine ran for this query).
+/// `Some` exactly when the search ran for this query).
 pub(crate) struct LedgerDraft {
     pub(crate) record: LedgerRecord,
     pub(crate) identity: Option<MemoIdentity>,
@@ -663,15 +650,12 @@ pub(crate) fn nfa_hash64(nfa: &Nfa) -> u64 {
 }
 
 fn features(record: &mut LedgerRecord, lhs: &Nfa, rhs: &Nfa) {
-    // Delegate to the cost model's extractor: the serialized features and
-    // the `auto` engine's selection features must never drift apart (the
-    // differential harness replays the model against ledger rows).
-    let f = dprle_automata::costmodel::features(lhs, rhs);
-    record.lhs_states = f.lhs_states;
-    record.lhs_transitions = f.lhs_transitions;
-    record.rhs_states = f.rhs_states;
-    record.rhs_transitions = f.rhs_transitions;
-    record.classes = f.classes;
+    record.lhs_states = lhs.num_states() as u64;
+    record.lhs_transitions = lhs.num_transitions() as u64;
+    record.rhs_states = rhs.num_states() as u64;
+    record.rhs_transitions = rhs.num_transitions() as u64;
+    let classes: BTreeSet<ByteClass> = lhs.edges().chain(rhs.edges()).map(|(_, c, _)| c).collect();
+    record.classes = classes.len() as u64;
 }
 
 /// Builds a draft from a store-reported inclusion query.
@@ -685,9 +669,9 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
     } else {
         MemoStatus::Bypass
     };
-    // A memo hit serializes zero engine cost even when this thread lost
-    // an insert race and ran the engine anyway — the sequential run's hit
-    // does no engine work. The raw cost still rides along in the draft so
+    // A memo hit serializes zero search cost even when this thread lost
+    // an insert race and ran the search anyway — the sequential run's hit
+    // does no search work. The raw cost still rides along in the draft so
     // the parallel replay can charge it to the replay-order first touch.
     let serialized_cost = if query.memo_hit {
         InclusionCost::default()
@@ -698,7 +682,6 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
         seq: 0,
         ts_us: query.wall_us,
         kind: QueryKind::Inclusion,
-        engine: Some(query.engine),
         site: SITE_STORE,
         memo: Some(memo),
         outcome: match query.outcome {
@@ -730,10 +713,9 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
     }
 }
 
-/// Builds a draft for an engine-bypassing inclusion site (`const-check`,
+/// Builds a draft for a memo-bypassing inclusion site (`const-check`,
 /// `verify`): no memo, no slot identity, deterministic per entry.
 pub(crate) fn bypass_inclusion_draft(
-    engine: EngineKind,
     site: &'static str,
     lhs: &Nfa,
     rhs: &Nfa,
@@ -745,7 +727,6 @@ pub(crate) fn bypass_inclusion_draft(
         seq: 0,
         ts_us: wall_us,
         kind: QueryKind::Inclusion,
-        engine: Some(engine),
         site,
         memo: Some(MemoStatus::Bypass),
         outcome: match outcome {
@@ -786,7 +767,6 @@ pub(crate) fn product_draft(
         seq: 0,
         ts_us: wall_us,
         kind: QueryKind::Product,
-        engine: None,
         site: SITE_GCI,
         memo: None,
         outcome,
@@ -815,8 +795,7 @@ pub(crate) fn product_draft(
 // ---------------------------------------------------------------------
 
 /// A query aggregation key: same-language queries from the same site
-/// collapse into one row, across engines (so two ledgers recorded under
-/// different engines still match in `diff`).
+/// collapse into one row.
 type QueryKey = (QueryKind, &'static str, u64, u64);
 
 #[derive(Default, Clone, Copy)]
@@ -1021,62 +1000,6 @@ fn span_rollup(jsonl: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders the `model` view: a features→cost table as a JSON array, one
-/// row per distinct feature vector. This is the training set for
-/// cost-predicted engine selection (ROADMAP item 4): `work` is the
-/// engine's own deterministic work measure, `wall_us` its wall time.
-pub fn render_model(records: &[LedgerRecord]) -> String {
-    type FeatureKey = (
-        QueryKind,
-        Option<EngineKind>,
-        Option<MemoStatus>,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-    );
-    let mut map: BTreeMap<FeatureKey, QueryAgg> = BTreeMap::new();
-    for r in records {
-        let agg = map
-            .entry((
-                r.kind,
-                r.engine,
-                r.memo,
-                r.lhs_states,
-                r.lhs_transitions,
-                r.rhs_states,
-                r.rhs_transitions,
-                r.classes,
-            ))
-            .or_default();
-        agg.count += 1;
-        agg.wall_us += r.ts_us;
-        agg.work += r.cost_main;
-    }
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for (key, agg) in &map {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let (kind, engine, memo, ls, lt, rs, rt, classes) = key;
-        let _ = write!(
-            out,
-            "  {{\"kind\":{},\"engine\":{},\"memo\":{},\"lhs_states\":{ls},\"lhs_transitions\":{lt},\"rhs_states\":{rs},\"rhs_transitions\":{rt},\"classes\":{classes},\"count\":{},\"work\":{},\"wall_us\":{}}}",
-            json_string(kind.name()),
-            engine.map_or("null".to_owned(), |e| json_string(e.name())),
-            memo.map_or("null".to_owned(), |m| json_string(m.name())),
-            agg.count,
-            agg.work,
-            agg.wall_us
-        );
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 /// Options for [`render_diff`].
 #[derive(Clone, Copy, Debug)]
 pub struct DiffOptions {
@@ -1109,9 +1032,8 @@ pub struct DiffReport {
 }
 
 /// Diffs two ledgers: aggregates each by query key (kind, site,
-/// fingerprint pair — engine-agnostic, so eager and antichain ledgers
-/// match), ranks by absolute wall-time delta (regressions first), and
-/// applies the optional gate.
+/// fingerprint pair), ranks by absolute wall-time delta (regressions
+/// first), and applies the optional gate.
 pub fn render_diff(
     old: &[LedgerRecord],
     new: &[LedgerRecord],
@@ -1225,7 +1147,6 @@ mod tests {
             seq: 7,
             ts_us: 123,
             kind,
-            engine: (kind == QueryKind::Inclusion).then_some(EngineKind::Antichain),
             site: if kind == QueryKind::Inclusion {
                 SITE_STORE
             } else {
@@ -1384,21 +1305,6 @@ mod tests {
             },
         );
         assert!(!calm.gate_breached, "{}", calm.text);
-    }
-
-    #[test]
-    fn model_view_emits_one_row_per_feature_vector() {
-        let records = vec![
-            sample_record(QueryKind::Inclusion),
-            sample_record(QueryKind::Inclusion),
-            sample_record(QueryKind::Product),
-        ];
-        let json = render_model(&records);
-        let parsed = Json::parse(&json).expect("model output is JSON");
-        let rows = parsed.as_array().expect("array");
-        assert_eq!(rows.len(), 2, "{json}");
-        let first = rows[0].as_object().expect("object");
-        assert_eq!(get_u64(first, "count"), Ok(2));
     }
 
     #[test]

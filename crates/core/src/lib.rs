@@ -18,7 +18,7 @@
 //! | §3.1 / Fig. 2 — constraint language, RMA | [`spec`], [`solution`] |
 //! | §3.2 / Fig. 3 — Concatenation–Intersection | [`ci`] |
 //! | §3.4.1 / Fig. 5 — dependency graphs | [`graph`] |
-//! | §3.4.2 / Fig. 7 — worklist solver | [`solve`] |
+//! | §3.4.2 / Fig. 7 — worklist solver | [`solve()`] |
 //! | §3.4.3 / Fig. 8 — generalized concat-intersect | [`gci`] |
 //!
 //! ## Example: the paper's SQL-injection query
@@ -71,9 +71,9 @@ pub use gci::{GciOptions, GroupCost, GroupOutcome, ProductCapHit};
 pub use graph::{DependencyGraph, NodeId, NodeKind};
 pub use incremental::Solver;
 pub use ledger::{
-    parse_ledger, render_diff, render_model, render_top, render_top_by_request,
-    validate_ledger_jsonl, CollectLedger, DiffOptions, DiffReport, Ledger, LedgerRecord,
-    LedgerSink, MemoStatus, QueryKind, QueryOutcome, LEDGER_SCHEMA,
+    parse_ledger, render_diff, render_top, render_top_by_request, validate_ledger_jsonl,
+    CollectLedger, DiffOptions, DiffReport, Ledger, LedgerRecord, LedgerSink, MemoStatus,
+    QueryKind, QueryOutcome, LEDGER_SCHEMA,
 };
 pub use metrics::{
     parse_snapshot, render_report, validate_metrics_jsonl, Budget, BudgetKind, MetricEntry,
@@ -83,12 +83,9 @@ pub use parallel::ParallelSolver;
 pub use schema::{json_string, lookup, schema_kinds, validate_jsonl, Json};
 pub use solution::{Assignment, Solution};
 pub use solve::{
-    satisfies_system, satisfies_with, solve, solve_first, solve_traced, solve_with_stats,
-    solve_with_store, solver_graph, try_solve_traced, SolveOptions, SolveStats,
+    satisfies_system, solve, solve_first, solve_traced, solve_with_stats, solve_with_store,
+    solver_graph, try_solve_traced, SolveOptions, SolveStats,
 };
-// Re-exported so downstream crates (CLI, bench) can select an inclusion
-// engine without depending on dprle-automata directly.
-pub use dprle_automata::EngineKind;
 pub use spec::{ConstId, Constraint, Expr, System, VarId};
 pub use trace::{
     check_well_nested, parse_jsonl, provenance_dot, CollectSink, JsonlSink, NullSink, PhaseRow,

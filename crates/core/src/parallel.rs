@@ -9,7 +9,7 @@
 //! [`LangStore`] memo layer, which is internally synchronized and
 //! *value-deterministic*: every memo slot's representative is the same value
 //! no matter which thread computes it first (minimization is canonical per
-//! language, see [`dprle_automata::minimize`], and products of deterministic
+//! language, see [`dprle_automata::minimize()`], and products of deterministic
 //! operands are deterministic).
 //!
 //! This module exploits that: each level's entries are distributed to a

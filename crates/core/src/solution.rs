@@ -1,6 +1,6 @@
 //! Satisfying assignments: the output of the decision procedure.
 //!
-//! An [`Assignment`] maps each variable of a [`System`](crate::System) to a
+//! An [`Assignment`] maps each variable of a [`System`] to a
 //! regular language (an NFA). The RMA problem (paper §3.1) may admit several
 //! inherently disjunctive assignments; [`Solution`] carries all of them, or
 //! records that none exists.

@@ -36,8 +36,8 @@ use crate::solution::{Assignment, Solution};
 use crate::spec::{Constraint, Expr, System, VarId};
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
-    current_stats_scope, inclusion_engine, install_stats_scope, ops, EngineKind, InclusionLimits,
-    Lang, LangStore, Nfa, ScopedStoreStats,
+    current_stats_scope, inclusion, install_stats_scope, ops, InclusionLimits, Lang, LangStore,
+    Nfa, ScopedStoreStats,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -107,19 +107,8 @@ pub struct SolveOptions {
     /// entry points panic with a descriptive message instead of silently
     /// blowing up memory. Unlimited by default.
     pub budget: Budget,
-    /// Which inclusion engine decides the run's `⊆` judgments (constant
-    /// filtering, subsumption pruning, verification). The engines provably
-    /// agree on every judgment, so solutions and unsat answers are
-    /// engine-invariant; costs differ — the default antichain engine
-    /// explores macrostates lazily and can decide inclusions whose eager
-    /// determinize/complement/product construction blows up, the
-    /// derivative engine prunes both sides of the query, and `auto`
-    /// resolves each query to the cheapest predicted concrete engine.
-    /// Selected on the CLI with
-    /// `--inclusion=eager|antichain|derivative|auto`.
-    pub inclusion_engine: EngineKind,
     /// Query cost ledger for the run (see [`ledger`](crate::ledger)):
-    /// every store inclusion query, every engine-bypassing `⊆` judgment
+    /// every store inclusion query, every memo-bypassing `⊆` judgment
     /// (constant pre-check, verification), and every gci product emits
     /// one attributed cost record. Disabled — a no-op handle — by
     /// default; the entry points copy this handle into [`GciOptions`] and
@@ -144,7 +133,6 @@ impl Default for SolveOptions {
             jobs: 1,
             metrics: Metrics::disabled(),
             budget: Budget::default(),
-            inclusion_engine: EngineKind::default(),
             ledger: Ledger::disabled(),
         }
     }
@@ -187,12 +175,10 @@ pub struct SolveStats {
     /// is available with metrics disabled and identical at every
     /// [`SolveOptions::jobs`] count.
     pub product_states: u64,
-    /// Macrostates explored by the run's winning inclusion checks
-    /// (subset-construction states plus product pairs — see the
-    /// [`inclusion`](dprle_automata::inclusion) module). Captured by a
+    /// Macrostates explored by the run's winning inclusion checks (see the
+    /// [`inclusion`] module). Captured by a
     /// request-scoped counter scope ([`dprle_automata::ScopedStoreStats`]),
-    /// identical at every [`SolveOptions::jobs`] count but
-    /// *engine-dependent*: differential engine comparisons must exclude it.
+    /// identical at every [`SolveOptions::jobs`] count.
     pub inclusion_macrostates: u64,
     /// Growth of the store's memo byte footprint over this run (interned
     /// machines and memo table entries — see `StoreStats::memo_bytes`):
@@ -361,10 +347,8 @@ pub fn try_solve_traced(
     // Normalize: group solving records into the same registry and inherits
     // the per-operation product cap from the budget (an explicitly set
     // `gci.max_product_states` wins). The wall-clock deadline is turned
-    // into an absolute instant here so the inclusion engines' frontier
-    // loops measure the same clock as the worklist-level check, and the
-    // selected inclusion engine is installed on the store so every memoized
-    // `⊆` judgment of this run dispatches through it.
+    // into an absolute instant here so the inclusion search's frontier
+    // loop measures the same clock as the worklist-level check.
     let mut options = options.clone();
     options.gci.metrics = options.metrics.clone();
     options.gci.ledger = options.ledger.clone();
@@ -375,7 +359,6 @@ pub fn try_solve_traced(
         options.gci.deadline = options.budget.deadline.map(|d| Instant::now() + d);
     }
     store.set_metrics(options.metrics.clone());
-    store.set_inclusion_engine(options.inclusion_engine);
     let options = &options;
 
     let observing = tracer.is_enabled() || options.ledger.is_enabled();
@@ -513,7 +496,7 @@ pub(crate) fn check_deadline(options: &SolveOptions, track: &BudgetTrack) -> Res
 /// Turns a group-level [`ProductCapHit`] into the driver's breach tuple.
 /// Product-state hits report the configured cap as both limit and observed
 /// (the operation aborted *before* exceeding it); deadline hits — possible
-/// only from an inclusion engine's frontier loop — recompute the
+/// only from the inclusion search's frontier loop — recompute the
 /// elapsed/limit micros against the run's own clock, matching
 /// [`check_deadline`]'s reporting.
 pub(crate) fn cap_hit_breach(
@@ -946,13 +929,7 @@ pub(crate) fn finish_branch(
     }
     if options.verify {
         let _verify_span = tracer.span("verify", None, None);
-        if !satisfies_ledgered(
-            options.inclusion_engine,
-            &options.ledger,
-            original,
-            verify_constraints,
-            &assignment,
-        ) {
+        if !satisfies_ledgered(&options.ledger, original, verify_constraints, &assignment) {
             tracer.emit(|| TraceEventKind::WorklistPrune {
                 group: group_index,
                 reason: "verify-failed".to_owned(),
@@ -1022,13 +999,11 @@ fn strip_constant_operands(system: &System) -> (System, Vec<Constraint>) {
     (out, rewritten)
 }
 
-/// Checks a variable-free constraint by direct machine evaluation, through
-/// the selected inclusion engine; recorded into the ledger under the
-/// `const-check` site.
+/// Checks a variable-free constraint by direct machine evaluation;
+/// recorded into the ledger under the `const-check` site.
 fn constant_constraint_holds_with(options: &SolveOptions, system: &System, c: &Constraint) -> bool {
     let lhs = eval_expr(system, &c.lhs, &Assignment::new());
     ledgered_subset(
-        options.inclusion_engine,
         &options.ledger,
         SITE_CONST_CHECK,
         &lhs,
@@ -1036,30 +1011,17 @@ fn constant_constraint_holds_with(options: &SolveOptions, system: &System, c: &C
     )
 }
 
-/// A `⊆` judgment through the selected engine, recorded into the ledger
-/// as an engine-bypassing query (no store, no memo). Reads the clock only
-/// when the ledger is enabled.
-fn ledgered_subset(
-    kind: EngineKind,
-    ledger: &Ledger,
-    site: &'static str,
-    lhs: &Nfa,
-    rhs: &Nfa,
-) -> bool {
-    // Resolve `auto` to its per-query winner so the ledger's engine
-    // column names the worker that actually ran (and so the engine
-    // dispatch below is concrete).
-    let kind = inclusion_engine(kind).resolve(lhs, rhs);
-    let engine = inclusion_engine(kind);
+/// A `⊆` judgment recorded into the ledger as a memo-bypassing query (no
+/// store, no memo). Reads the clock only when the ledger is enabled.
+fn ledgered_subset(ledger: &Ledger, site: &'static str, lhs: &Nfa, rhs: &Nfa) -> bool {
     if !ledger.is_enabled() {
-        return engine.is_subset(lhs, rhs);
+        return dprle_automata::is_subset(lhs, rhs);
     }
     let started = Instant::now();
-    let (result, cost) = engine
-        .try_subset(lhs, rhs, &InclusionLimits::UNLIMITED)
+    let (result, cost) = inclusion::try_subset(lhs, rhs, &InclusionLimits::UNLIMITED)
         .expect("an unlimited inclusion check cannot abort");
     let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    ledger.record(|| bypass_inclusion_draft(kind, site, lhs, rhs, Some(result), cost, wall));
+    ledger.record(|| bypass_inclusion_draft(site, lhs, rhs, Some(result), cost, wall));
     result
 }
 
@@ -1087,27 +1049,14 @@ pub fn eval_expr(system: &System, e: &Expr, assignment: &Assignment) -> Nfa {
 }
 
 /// The *Satisfying* judgment (paper §3.1): every constraint holds under the
-/// assignment, with constants at full strength. Decided by the default
-/// (antichain) inclusion engine; the solver's verification filter uses
-/// [`satisfies_with`] to honor [`SolveOptions::inclusion_engine`].
+/// assignment, with constants at full strength.
 pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assignment) -> bool {
-    satisfies_with(EngineKind::default(), system, constraints, assignment)
+    satisfies_ledgered(&Ledger::disabled(), system, constraints, assignment)
 }
 
-/// [`satisfies`] through an explicitly selected inclusion engine.
-pub fn satisfies_with(
-    kind: EngineKind,
-    system: &System,
-    constraints: &[Constraint],
-    assignment: &Assignment,
-) -> bool {
-    satisfies_ledgered(kind, &Ledger::disabled(), system, constraints, assignment)
-}
-
-/// [`satisfies_with`], recording each per-constraint `⊆` judgment into the
+/// [`satisfies`], recording each per-constraint `⊆` judgment into the
 /// ledger under the `verify` site (the solver's verification filter).
 pub(crate) fn satisfies_ledgered(
-    kind: EngineKind,
     ledger: &Ledger,
     system: &System,
     constraints: &[Constraint],
@@ -1115,7 +1064,7 @@ pub(crate) fn satisfies_ledgered(
 ) -> bool {
     constraints.iter().all(|c| {
         let lhs = eval_expr(system, &c.lhs, assignment);
-        ledgered_subset(kind, ledger, SITE_VERIFY, &lhs, system.const_machine(c.rhs))
+        ledgered_subset(ledger, SITE_VERIFY, &lhs, system.const_machine(c.rhs))
     })
 }
 

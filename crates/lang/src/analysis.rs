@@ -356,8 +356,8 @@ pub fn analyze(
 }
 
 /// Like [`analyze`], restricted to sinks of one kind (e.g.
-/// [`SinkKind::Echo`] for XSS policies). `None` analyzes every recorded
-/// sink.
+/// [`SinkKind::Echo`](crate::symex::SinkKind::Echo) for XSS policies).
+/// `None` analyzes every recorded sink.
 pub fn analyze_sinks(
     program: &crate::ast::Program,
     policy: &Policy,

@@ -1,57 +1,27 @@
-//! Shared counterexample-witness oracle for the inclusion differential
-//! tests.
-//!
-//! Integration-test binaries cannot link against each other, so both
-//! `inclusion_differential.rs` and `inclusion_differential_3way.rs`
-//! include this file textually via `#[path = "common/inclusion_oracle.rs"]`.
+//! The reference inclusion construction for the differential tests: the
+//! textbook determinize/complement/product path that the antichain search
+//! replaced. `L(a) \ L(b)` is the product of `a` with the complement of
+//! `det(b)`, so `L(a) ⊆ L(b)` holds iff it is empty, and its shortest
+//! member is a shortest counterexample.
 
-use dprle::automata::{InclusionEngine, Nfa};
+use dprle::automata::{dfa, ops, Nfa};
+
+/// `L(a) \ L(b)` as an NFA.
+pub fn difference(a: &Nfa, b: &Nfa) -> Nfa {
+    ops::intersect(a, &dfa::complement(b)).nfa
+}
 
 /// Asserts `witness` is a genuine separator for `a ⊄ b`: accepted by the
-/// LHS NFA and rejected by the RHS NFA. Every counterexample any engine
-/// emits must pass this — a verdict-only diff would miss an engine that
-/// says "not subset" for the right reason but fabricates the witness.
-pub fn assert_valid_witness(a: &Nfa, b: &Nfa, witness: &[u8], engine: &str) {
+/// LHS NFA and rejected by the RHS NFA. A verdict-only diff would miss a
+/// search that says "not subset" for the right reason but fabricates the
+/// witness.
+pub fn assert_valid_witness(a: &Nfa, b: &Nfa, witness: &[u8], source: &str) {
     assert!(
         a.contains(witness),
-        "{engine}: witness {witness:?} not in L(a)"
+        "{source}: witness {witness:?} not in L(a)"
     );
     assert!(
         !b.contains(witness),
-        "{engine}: witness {witness:?} in L(b)"
+        "{source}: witness {witness:?} in L(b)"
     );
-}
-
-/// Asserts the engines agree on counterexample *presence* for `(a, b)`,
-/// and that every produced witness is valid and shortest (witnesses need
-/// not be byte-equal across engines, but no engine may miss a shorter
-/// separator another engine found).
-pub fn assert_counterexamples_consistent(
-    a: &Nfa,
-    b: &Nfa,
-    engines: &[&'static dyn InclusionEngine],
-) {
-    let witnesses: Vec<(&str, Option<Vec<u8>>)> = engines
-        .iter()
-        .map(|e| (e.kind().name(), e.counterexample(a, b)))
-        .collect();
-    let (first_name, first) = &witnesses[0];
-    for (name, w) in &witnesses[1..] {
-        assert_eq!(
-            first.is_some(),
-            w.is_some(),
-            "counterexample presence diverges between {first_name} and {name}"
-        );
-    }
-    for (name, w) in &witnesses {
-        if let Some(w) = w {
-            assert_valid_witness(a, b, w, name);
-            let shortest = witnesses
-                .iter()
-                .filter_map(|(_, o)| o.as_ref().map(Vec::len))
-                .min()
-                .expect("at least this witness exists");
-            assert_eq!(w.len(), shortest, "{name} missed a shorter witness");
-        }
-    }
 }

@@ -1,21 +1,24 @@
-//! Differential tests for the pluggable inclusion engines: the antichain
-//! lazy engine and the eager determinize/complement/product engine must be
-//! observationally identical on every query the solver can issue — random
-//! NFA pairs, every `corpus::scaling` generator, and whole solve runs —
-//! while the antichain engine must *decide* blowup inclusions the eager
-//! engine can only abort on under the same macrostate budget.
+//! Differential tests for the antichain inclusion search.
+//!
+//! 1. **Agreement**: on random NFA pairs and every `corpus::scaling`
+//!    generator, the search agrees with the reference
+//!    determinize/complement/product construction
+//!    (`common/inclusion_oracle.rs`) on subset, equivalence and
+//!    intersection-emptiness verdicts, counterexample presence, witness
+//!    validity, and shortest witness length.
+//! 2. **Golden journal**: solving Figure 9/10 emits the committed trace.
+//!
+//! Budgeted aborts, the metamorphic laws, and verdict agreement with a
+//! third decider (canonical minimal-DFA keys) are in
+//! `inclusion_differential_3way.rs`.
 
 use dprle::automata::generate::{random_nfa, RandomNfaConfig};
-use dprle::automata::{
-    inclusion_engine, EngineKind, InclusionAbort, InclusionLimits, LangStore, Nfa,
+use dprle::automata::inclusion::{
+    try_counterexample, try_equivalent, try_intersection_empty, try_subset,
 };
-use dprle::core::{
-    solve_traced, unsat_core, CollectSink, Expr, Solution, SolveOptions, SolveStats, System, Tracer,
-};
-use dprle::corpus::scaling::{
-    ci_instance, ci_instance_dense, ci_instance_modular, multi_group_system, nested_system,
-    random_system, RandomSystemConfig,
-};
+use dprle::automata::{ops, InclusionLimits, LangStore, Nfa};
+use dprle::core::{solve_traced, CollectSink, Expr, SolveOptions, System, Tracer};
+use dprle::corpus::scaling::{ci_instance, ci_instance_dense, ci_instance_modular};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -36,98 +39,56 @@ fn m(seed: u64) -> Nfa {
     random_nfa(seed, &cfg())
 }
 
-/// The two original engines; the full three-engine matrix (plus `auto`)
-/// lives in `inclusion_differential_3way.rs`.
-fn engines() -> [&'static dyn dprle::automata::InclusionEngine; 2] {
-    [
-        inclusion_engine(EngineKind::Eager),
-        inclusion_engine(EngineKind::Antichain),
-    ]
-}
-
-/// Asserts all four trait queries agree between the engines on `(a, b)`.
+/// Asserts every query on `(a, b)` agrees with the reference construction.
 fn assert_queries_agree(a: &Nfa, b: &Nfa) {
-    let [eager, antichain] = engines();
+    let a_minus_b = oracle::difference(a, b);
+    let b_minus_a = oracle::difference(b, a);
     assert_eq!(
-        eager.is_subset(a, b),
-        antichain.is_subset(a, b),
+        try_subset(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0,
+        a_minus_b.is_empty_language(),
         "subset verdicts diverge"
     );
     assert_eq!(
-        eager.equivalent(a, b),
-        antichain.equivalent(a, b),
+        try_equivalent(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0,
+        a_minus_b.is_empty_language() && b_minus_a.is_empty_language(),
         "equivalence verdicts diverge"
     );
     assert_eq!(
-        eager.intersection_empty(a, b),
-        antichain.intersection_empty(a, b),
+        try_intersection_empty(a, b, &InclusionLimits::UNLIMITED)
+            .expect("unlimited")
+            .0,
+        ops::intersect(a, b).nfa.is_empty_language(),
         "intersection-emptiness verdicts diverge"
     );
-    oracle::assert_counterexamples_consistent(a, b, &[eager, antichain]);
-}
-
-/// Solves `system` under `kind` and renders the comparable facets: one
-/// fingerprint line per assignment (or `UNSAT`), the unsat core, and the
-/// stats with the engine's own work counter zeroed.
-fn solve_facets(
-    system: &System,
-    kind: EngineKind,
-) -> (Vec<String>, Option<Vec<usize>>, SolveStats) {
-    let options = SolveOptions {
-        inclusion_engine: kind,
-        ..SolveOptions::default()
-    };
-    let store = LangStore::interning(options.interning);
-    let (solution, mut stats) = solve_traced(system, &options, &store, &Tracer::disabled());
-    let (lines, core) = match &solution {
-        Solution::Unsat => (
-            vec!["UNSAT".to_owned()],
-            unsat_core(system, &options).map(|c| c.indices),
-        ),
-        Solution::Assignments(list) => (
-            list.iter()
-                .map(|a| {
-                    system
-                        .var_ids()
-                        .map(|v| {
-                            a.get(v)
-                                .map(|l| format!("{:?}", l.fingerprint()))
-                                .unwrap_or_else(|| "<unassigned>".to_owned())
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect(),
-            None,
-        ),
-    };
-    stats.inclusion_macrostates = 0;
-    (lines, core, stats)
-}
-
-/// Asserts a whole solve run agrees between the engines: solutions, unsat
-/// core, and every stats counter except `inclusion-macrostates`.
-///
-/// Takes a *builder* rather than a system: `Lang` handles cache their
-/// fingerprints, so a system shared across runs would answer the second
-/// engine's lookups from caches the first engine warmed, skewing the
-/// hit/miss counters with no actual divergence.
-fn assert_solves_agree(build: impl Fn() -> System, label: &str) {
-    let eager = solve_facets(&build(), EngineKind::Eager);
-    let antichain = solve_facets(&build(), EngineKind::Antichain);
-    assert_eq!(eager.0, antichain.0, "{label}: solutions diverge");
-    assert_eq!(eager.1, antichain.1, "{label}: unsat cores diverge");
+    let found = try_counterexample(a, b, &InclusionLimits::UNLIMITED)
+        .expect("unlimited")
+        .0;
+    let reference = a_minus_b.shortest_member();
     assert_eq!(
-        eager.2, antichain.2,
-        "{label}: stats diverge (inclusion-macrostates excluded)"
+        found.is_some(),
+        reference.is_some(),
+        "counterexample presence diverges"
     );
+    if let (Some(found), Some(reference)) = (found, reference) {
+        oracle::assert_valid_witness(a, b, &found, "antichain");
+        oracle::assert_valid_witness(a, b, &reference, "reference");
+        assert_eq!(
+            found.len(),
+            reference.len(),
+            "antichain missed a shorter witness"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// All four queries agree on random NFA pairs, including same-seed
-    /// (equal-language) pairs.
+    /// Every query agrees with the reference on random NFA pairs,
+    /// including same-seed (equal-language) pairs.
     #[test]
     fn engines_agree_on_random_nfa_pairs(s in any::<u64>()) {
         let (a, b) = (m(s), m(s.wrapping_add(1)));
@@ -141,54 +102,14 @@ proptest! {
     #[test]
     fn engines_agree_on_scaling_nfa_generators(s in any::<u64>()) {
         let q = 3 + (s % 5) as usize;
-        for (name, (c1, c2, c3)) in [
-            ("ci_instance", ci_instance(q)),
-            ("ci_instance_dense", ci_instance_dense(q)),
-            ("ci_instance_modular", ci_instance_modular(q)),
-        ] {
+        for (c1, c2, c3) in [ci_instance(q), ci_instance_dense(q), ci_instance_modular(q)] {
             let machines = [&c1, &c2, &c3];
             for a in machines {
                 for b in machines {
-                    let _ = name;
                     assert_queries_agree(a, b);
                 }
             }
         }
-    }
-
-    /// Whole solve runs over every system-level scaling generator agree on
-    /// solutions, unsat cores, and all engine-independent counters.
-    #[test]
-    fn engines_agree_on_scaling_system_generators(s in any::<u64>()) {
-        let q = 2 + (s % 3) as usize;
-        assert_solves_agree(|| nested_system(2, q), "nested_system");
-        assert_solves_agree(|| multi_group_system(2, q), "multi_group_system");
-        assert_solves_agree(
-            || random_system(s, &RandomSystemConfig::default()),
-            "random_system",
-        );
-    }
-}
-
-/// The §3.5 blowup family (`v₁·v₂ ⊆ c₃` over the modular instances), as a
-/// plain system the solver runs both engines over.
-#[test]
-fn engines_agree_on_modular_blowup_systems() {
-    for q in [3usize, 5, 7] {
-        let build = || {
-            let (c1, c2, c3) = ci_instance_modular(q);
-            let mut sys = System::new();
-            let v1 = sys.var("v1");
-            let v2 = sys.var("v2");
-            let k1 = sys.constant("c1", c1);
-            let k2 = sys.constant("c2", c2);
-            let k3 = sys.constant("c3", c3);
-            sys.require(Expr::Var(v1), k1);
-            sys.require(Expr::Var(v2), k2);
-            sys.require(Expr::Var(v1).concat(Expr::Var(v2)), k3);
-            sys
-        };
-        assert_solves_agree(build, "modular blowup");
     }
 }
 
@@ -218,34 +139,9 @@ fn figure_9_10_system() -> System {
     sys
 }
 
-/// One traced sequential run over a fresh Figure 9/10 system under
-/// `kind`, returning the timestamp-zeroed JSONL journal.
-fn figure_9_10_journal(kind: EngineKind) -> String {
-    let sys = figure_9_10_system();
-    let options = SolveOptions {
-        inclusion_engine: kind,
-        trace: true,
-        ..SolveOptions::default()
-    };
-    let sink = Arc::new(CollectSink::new());
-    let tracer = Tracer::new(sink.clone());
-    let store = LangStore::interning(options.interning);
-    let (solution, _) = solve_traced(&sys, &options, &store, &tracer);
-    assert!(solution.is_sat(), "Figure 10's system is satisfiable");
-    sink.take()
-        .into_iter()
-        .map(|mut e| {
-            e.ts_us = 0;
-            e.to_json() + "\n"
-        })
-        .collect()
-}
-
-/// Golden run: solving Figure 9/10 under `--inclusion=antichain` (the
-/// default) emits a journal byte-identical — modulo the zeroed `ts_us` —
-/// to the committed `testdata/golden/figure_9_10.antichain.jsonl`, and
-/// the eager engine replays the *same* journal (memoized inclusion
-/// answers are engine-invariant, so the trace is too).
+/// Golden run: solving Figure 9/10 emits a journal byte-identical —
+/// modulo the zeroed `ts_us` — to the committed
+/// `testdata/golden/figure_9_10.antichain.jsonl`.
 ///
 /// Regenerate after an intentional trace change with
 /// `DPRLE_BLESS=1 cargo test --test inclusion_differential`.
@@ -255,78 +151,30 @@ fn figure_9_10_antichain_journal_matches_committed_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/testdata/golden/figure_9_10.antichain.jsonl"
     );
-    let antichain = figure_9_10_journal(EngineKind::Antichain);
+    let options = SolveOptions {
+        trace: true,
+        ..SolveOptions::default()
+    };
+    let sink = Arc::new(CollectSink::new());
+    let tracer = Tracer::new(sink.clone());
+    let store = LangStore::interning(options.interning);
+    let (solution, _) = solve_traced(&figure_9_10_system(), &options, &store, &tracer);
+    assert!(solution.is_sat(), "Figure 10's system is satisfiable");
+    let journal: String = sink
+        .take()
+        .into_iter()
+        .map(|mut e| {
+            e.ts_us = 0;
+            e.to_json() + "\n"
+        })
+        .collect();
     if std::env::var_os("DPRLE_BLESS").is_some() {
-        std::fs::write(golden_path, &antichain).expect("bless writes golden");
+        std::fs::write(golden_path, &journal).expect("bless writes golden");
     }
     let committed = std::fs::read_to_string(golden_path).expect("committed golden readable");
     assert_eq!(
-        committed, antichain,
-        "antichain journal drifted from the committed golden \
+        committed, journal,
+        "journal drifted from the committed golden \
          (DPRLE_BLESS=1 to regenerate after an intentional change)"
-    );
-    assert_eq!(
-        figure_9_10_journal(EngineKind::Eager),
-        antichain,
-        "the eager engine must replay the identical journal"
-    );
-}
-
-/// The tentpole's payoff, as an executable claim: on scaling blowups there
-/// are inclusions the antichain engine decides outright under a macrostate
-/// budget that forces the eager engine to abort — lazy subset construction
-/// plus subsumption pruning visits strictly fewer macrostates than eager
-/// determinization on at least one generator pair.
-#[test]
-fn antichain_decides_where_eager_aborts_under_same_budget() {
-    let [eager, antichain] = engines();
-    let mut separations = 0usize;
-    for q in 4..=9usize {
-        let mut candidates = vec![ci_instance(q), ci_instance_dense(q), ci_instance_modular(q)];
-        candidates.push((m(q as u64), m(q as u64 + 100), m(q as u64 + 200)));
-        for (c1, c2, c3) in candidates {
-            let machines = [&c1, &c2, &c3];
-            for a in machines {
-                for b in machines {
-                    let (verdict_e, cost_e) = eager.is_subset_costed(a, b);
-                    let (verdict_a, cost_a) = antichain.is_subset_costed(a, b);
-                    assert_eq!(verdict_e, verdict_a, "engines diverge at q={q}");
-                    if cost_a.macrostates >= cost_e.macrostates {
-                        continue;
-                    }
-                    // A budget the antichain engine fits in but the eager
-                    // engine provably cannot.
-                    let limits = InclusionLimits {
-                        max_macrostates: Some(cost_a.macrostates),
-                        deadline: None,
-                    };
-                    let decided = antichain
-                        .try_subset(a, b, &limits)
-                        .expect("antichain fits its own measured budget");
-                    assert_eq!(decided.0, verdict_a);
-                    let abort = eager
-                        .try_subset(a, b, &limits)
-                        .expect_err("eager must abort below its measured cost");
-                    match abort {
-                        InclusionAbort::MacrostateCap { limit, cost } => {
-                            assert_eq!(limit, cost_a.macrostates);
-                            // The partial-work report never exceeds the cap
-                            // (and is zero only if the cap tripped before the
-                            // first macrostate).
-                            assert!(cost.macrostates <= limit);
-                        }
-                        InclusionAbort::Deadline { .. } => {
-                            panic!("no deadline was set")
-                        }
-                    }
-                    separations += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        separations > 0,
-        "no scaling inclusion separated the engines; the lazy engine is \
-         not pruning"
     );
 }

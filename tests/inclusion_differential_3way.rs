@@ -1,41 +1,39 @@
-//! Three-way differential oracle: the eager, antichain, and derivative
-//! inclusion engines — plus the cost-predicted `auto` selector that
-//! routes among them — must be observationally identical on every query
-//! the solver can issue, and must obey the algebraic laws of language
-//! inclusion no matter which engine answers.
+//! Three-way differential oracle: three independent inclusion deciders
+//! must give the same verdict on every query the solver can issue, and
+//! each must obey the algebraic laws of language inclusion.
 //!
-//! This file extends `inclusion_differential.rs` (the original two-engine
-//! harness) along three axes:
+//! The deciders:
 //!
-//! 1. **Agreement**: all concrete engines and `auto` agree on subset /
-//!    equivalence / intersection-emptiness verdicts, counterexample
-//!    presence, and witness length, on random NFA pairs and every
-//!    `corpus::scaling` generator; whole solve runs agree on solutions,
-//!    unsat cores, and engine-independent stats.
-//! 2. **Budgeted aborts**: under any macrostate cap, an engine either
-//!    decides with the unbudgeted verdict or aborts with a well-formed
-//!    partial-cost report — no engine trades correctness for budget
-//!    (the paths the CLI surfaces as exit code 3).
+//! - **antichain**: the search in `automata::inclusion`, the one the
+//!   solver runs;
+//! - **reference**: the determinize/complement/product construction
+//!   (`common/inclusion_oracle.rs`), where `L(a) ⊆ L(b)` iff
+//!   `L(a) \ L(b)` is empty;
+//! - **canonical**: minimal-DFA keys, where `L(a) ⊆ L(b)` iff `a ∪ b`
+//!   and `b` minimize to the same canonical machine.
+//!
+//! `inclusion_differential.rs` holds the search to the reference on
+//! counterexamples too; this file checks verdicts along three axes:
+//!
+//! 1. **Agreement**: subset, equivalence and intersection-emptiness
+//!    verdicts agree on random NFA pairs and every `corpus::scaling` NFA
+//!    generator.
+//! 2. **Budgeted aborts**: under any macrostate cap the antichain search
+//!    either decides with the reference verdict or aborts with a
+//!    well-formed partial-cost report (the paths the CLI surfaces as exit
+//!    code 3).
 //! 3. **Metamorphic laws**: transitivity, intersection lower bounds,
-//!    reversal, and complement identities hold per engine — an oracle
-//!    that needs no reference implementation at all.
+//!    reversal, and the complement identity hold per decider — checks
+//!    that need no second decider at all.
 
 use dprle::automata::generate::{random_nfa, RandomNfaConfig};
-use dprle::automata::{
-    dfa, inclusion_engine, ops, EngineKind, InclusionAbort, InclusionEngine, InclusionLimits,
-    LangStore, Nfa,
-};
-use dprle::core::{
-    solve_traced, try_solve_traced, unsat_core, Budget, BudgetKind, Expr, Solution, SolveOptions,
-    SolveStats, System, Tracer,
-};
-use dprle::corpus::scaling::{
-    ci_instance, ci_instance_dense, ci_instance_modular, multi_group_system, nested_system,
-    random_system, RandomSystemConfig,
-};
+use dprle::automata::inclusion::{try_equivalent, try_intersection_empty, try_subset};
+use dprle::automata::{canonical_key, dfa, ops, InclusionAbort, InclusionLimits, Nfa};
+use dprle::corpus::scaling::{ci_instance, ci_instance_dense, ci_instance_modular};
 use proptest::prelude::*;
 
 #[path = "common/inclusion_oracle.rs"]
+#[allow(dead_code)] // verdicts only: the witness check is the two-way suite's
 mod oracle;
 
 fn cfg() -> RandomNfaConfig {
@@ -52,161 +50,127 @@ fn m(seed: u64) -> Nfa {
     random_nfa(seed, &cfg())
 }
 
-/// The concrete engines plus the `auto` selector — `auto` must agree not
-/// because it computes anything itself, but because whichever engine the
-/// cost model routes to is itself correct; running it through the same
-/// oracle pins the routing seam.
-fn all_engines() -> [&'static dyn InclusionEngine; 4] {
-    [
-        inclusion_engine(EngineKind::Eager),
-        inclusion_engine(EngineKind::Antichain),
-        inclusion_engine(EngineKind::Derivative),
-        inclusion_engine(EngineKind::Auto),
-    ]
+/// One inclusion decider: its three verdict queries.
+struct Decider {
+    name: &'static str,
+    subset: fn(&Nfa, &Nfa) -> bool,
+    equivalent: fn(&Nfa, &Nfa) -> bool,
+    intersection_empty: fn(&Nfa, &Nfa) -> bool,
 }
 
-/// Asserts all trait queries agree across all four engines on `(a, b)`.
+const DECIDERS: [Decider; 3] = [
+    Decider {
+        name: "antichain",
+        subset: |a, b| {
+            try_subset(a, b, &InclusionLimits::UNLIMITED)
+                .expect("unlimited")
+                .0
+        },
+        equivalent: |a, b| {
+            try_equivalent(a, b, &InclusionLimits::UNLIMITED)
+                .expect("unlimited")
+                .0
+        },
+        intersection_empty: |a, b| {
+            try_intersection_empty(a, b, &InclusionLimits::UNLIMITED)
+                .expect("unlimited")
+                .0
+        },
+    },
+    Decider {
+        name: "reference",
+        subset: |a, b| oracle::difference(a, b).is_empty_language(),
+        equivalent: |a, b| {
+            oracle::difference(a, b).is_empty_language()
+                && oracle::difference(b, a).is_empty_language()
+        },
+        intersection_empty: |a, b| ops::intersect(a, b).nfa.is_empty_language(),
+    },
+    Decider {
+        name: "canonical",
+        subset: |a, b| canonical_key(&ops::union(a, b)) == canonical_key(b),
+        equivalent: |a, b| canonical_key(a) == canonical_key(b),
+        intersection_empty: |a, b| {
+            canonical_key(&ops::intersect_lang(a, b)) == canonical_key(&Nfa::empty_language())
+        },
+    },
+];
+
+/// Asserts every verdict query on `(a, b)` agrees across all deciders.
 fn assert_queries_agree(a: &Nfa, b: &Nfa) {
-    let engines = all_engines();
-    let reference = engines[0];
-    for e in &engines[1..] {
+    let [first, rest @ ..] = &DECIDERS;
+    for d in rest {
         assert_eq!(
-            reference.is_subset(a, b),
-            e.is_subset(a, b),
-            "subset verdicts diverge ({})",
-            e.kind()
+            (first.subset)(a, b),
+            (d.subset)(a, b),
+            "subset verdicts diverge ({} vs {})",
+            first.name,
+            d.name
         );
         assert_eq!(
-            reference.equivalent(a, b),
-            e.equivalent(a, b),
-            "equivalence verdicts diverge ({})",
-            e.kind()
+            (first.equivalent)(a, b),
+            (d.equivalent)(a, b),
+            "equivalence verdicts diverge ({} vs {})",
+            first.name,
+            d.name
         );
         assert_eq!(
-            reference.intersection_empty(a, b),
-            e.intersection_empty(a, b),
-            "intersection-emptiness verdicts diverge ({})",
-            e.kind()
+            (first.intersection_empty)(a, b),
+            (d.intersection_empty)(a, b),
+            "intersection-emptiness verdicts diverge ({} vs {})",
+            first.name,
+            d.name
         );
     }
-    oracle::assert_counterexamples_consistent(a, b, &engines);
 }
 
-/// Budgeted-abort agreement: under any macrostate cap an engine either
-/// *decides* — in which case its verdict must equal the unbudgeted one —
-/// or aborts with a partial-cost report that respects the cap. Caps are
-/// swept from 1 up through each engine's own measured cost (which, per
-/// the `try_*` contract, always suffices to decide).
+/// Under any macrostate cap the antichain search either *decides* — in
+/// which case its verdict must equal the reference verdict — or aborts
+/// with a partial-cost report that respects the cap. Caps are swept from
+/// 1 up through the search's own measured cost, which always suffices.
 fn assert_budgeted_aborts_agree(a: &Nfa, b: &Nfa) {
-    for e in all_engines() {
-        let (truth, full_cost) = e.is_subset_costed(a, b);
-        let caps = [1, full_cost.macrostates / 2, full_cost.macrostates];
-        for cap in caps.into_iter().filter(|c| *c > 0) {
-            let limits = InclusionLimits {
-                max_macrostates: Some(cap),
-                deadline: None,
-            };
-            match e.try_subset(a, b, &limits) {
-                Ok((verdict, cost)) => {
-                    assert_eq!(
-                        verdict,
-                        truth,
-                        "{}: budget cap {cap} changed the verdict",
-                        e.kind()
-                    );
-                    assert!(
-                        cost.macrostates <= full_cost.macrostates,
-                        "{}: budgeted run did more work than unbudgeted",
-                        e.kind()
-                    );
-                }
-                Err(InclusionAbort::MacrostateCap { limit, cost }) => {
-                    assert_eq!(limit, cap, "{}: abort reports foreign cap", e.kind());
-                    assert!(
-                        cost.macrostates <= cap,
-                        "{}: partial work exceeds the cap it tripped",
-                        e.kind()
-                    );
-                }
-                Err(InclusionAbort::Deadline { .. }) => {
-                    panic!("{}: no deadline was set", e.kind())
-                }
-            }
-        }
-        // An engine always fits its own measured budget.
+    let truth = oracle::difference(a, b).is_empty_language();
+    let (unbudgeted, full_cost) = try_subset(a, b, &InclusionLimits::UNLIMITED).expect("unlimited");
+    assert_eq!(
+        unbudgeted, truth,
+        "unbudgeted verdict diverges from the reference"
+    );
+    let caps = [1, full_cost.macrostates / 2, full_cost.macrostates];
+    for cap in caps.into_iter().filter(|c| *c > 0) {
         let limits = InclusionLimits {
-            max_macrostates: Some(full_cost.macrostates.max(1)),
+            max_macrostates: Some(cap),
             deadline: None,
         };
-        let (verdict, _) = e
-            .try_subset(a, b, &limits)
-            .unwrap_or_else(|_| panic!("{}: must fit its own measured cost", e.kind()));
-        assert_eq!(verdict, truth);
+        match try_subset(a, b, &limits) {
+            Ok((verdict, cost)) => {
+                assert_eq!(verdict, truth, "budget cap {cap} changed the verdict");
+                assert!(
+                    cost.macrostates <= full_cost.macrostates,
+                    "budgeted run did more work than unbudgeted"
+                );
+            }
+            Err(InclusionAbort::MacrostateCap { limit, cost }) => {
+                assert_eq!(limit, cap, "abort reports a foreign cap");
+                assert!(
+                    cost.macrostates <= cap,
+                    "partial work exceeds the cap it tripped"
+                );
+            }
+            Err(InclusionAbort::Deadline { .. }) => panic!("no deadline was set"),
+        }
     }
-}
-
-/// Solves `system` under `kind` and renders the comparable facets (same
-/// shape as `inclusion_differential.rs`): one fingerprint line per
-/// assignment (or `UNSAT`), the unsat core, and the stats with the
-/// engine's own work counter zeroed.
-fn solve_facets(
-    system: &System,
-    kind: EngineKind,
-) -> (Vec<String>, Option<Vec<usize>>, SolveStats) {
-    let options = SolveOptions {
-        inclusion_engine: kind,
-        ..SolveOptions::default()
+    let limits = InclusionLimits {
+        max_macrostates: Some(full_cost.macrostates.max(1)),
+        deadline: None,
     };
-    let store = LangStore::interning(options.interning);
-    let (solution, mut stats) = solve_traced(system, &options, &store, &Tracer::disabled());
-    let (lines, core) = match &solution {
-        Solution::Unsat => (
-            vec!["UNSAT".to_owned()],
-            unsat_core(system, &options).map(|c| c.indices),
-        ),
-        Solution::Assignments(list) => (
-            list.iter()
-                .map(|a| {
-                    system
-                        .var_ids()
-                        .map(|v| {
-                            a.get(v)
-                                .map(|l| format!("{:?}", l.fingerprint()))
-                                .unwrap_or_else(|| "<unassigned>".to_owned())
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect(),
-            None,
-        ),
-    };
-    stats.inclusion_macrostates = 0;
-    (lines, core, stats)
-}
-
-/// Asserts whole solve runs agree between the default engine and the two
-/// kinds this file introduces (the eager×antichain leg is
-/// `inclusion_differential.rs`'s job). Each run rebuilds the system so
-/// one engine's warmed fingerprint caches cannot serve another's lookups
-/// (see `inclusion_differential.rs`).
-fn assert_solves_agree(build: impl Fn() -> System, label: &str) {
-    let reference = solve_facets(&build(), EngineKind::default());
-    for kind in [EngineKind::Derivative, EngineKind::Auto] {
-        let run = solve_facets(&build(), kind);
-        assert_eq!(reference.0, run.0, "{label}/{kind}: solutions diverge");
-        assert_eq!(reference.1, run.1, "{label}/{kind}: unsat cores diverge");
-        assert_eq!(
-            reference.2, run.2,
-            "{label}/{kind}: stats diverge (inclusion-macrostates excluded)"
-        );
-    }
+    let (verdict, _) = try_subset(a, b, &limits).expect("fits its own measured cost");
+    assert_eq!(verdict, truth);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All four queries agree across all four engines on random NFA
+    /// All three queries agree across all three deciders on random NFA
     /// pairs, including same-seed (equal-language) pairs.
     #[test]
     fn engines_agree_on_random_nfa_pairs(s in any::<u64>()) {
@@ -231,7 +195,7 @@ proptest! {
         }
     }
 
-    /// No engine trades correctness for budget on random pairs.
+    /// No budget trades correctness on random pairs.
     #[test]
     fn budgeted_aborts_agree_on_random_nfa_pairs(s in any::<u64>()) {
         let (a, b) = (m(s), m(s.wrapping_add(1)));
@@ -251,7 +215,7 @@ proptest! {
     }
 
     // ---- Metamorphic inclusion algebra: laws that hold for *any*
-    // correct engine, with no reference implementation in sight. ----
+    // correct decider, with no second decider in sight. ----
 
     /// Transitivity: L ⊆ M ∧ M ⊆ N ⇒ L ⊆ N. Checked both on whatever
     /// random premises happen to hold and on a constructed union chain
@@ -262,31 +226,31 @@ proptest! {
         let (l, mm, n) = (m(s), m(s.wrapping_add(1)), m(s.wrapping_add(2)));
         let lm = ops::union(&l, &mm);
         let lmn = ops::union(&lm, &n);
-        for e in all_engines() {
-            if e.is_subset(&l, &mm) && e.is_subset(&mm, &n) {
-                assert!(e.is_subset(&l, &n), "{}: transitivity violated", e.kind());
+        for d in &DECIDERS {
+            if (d.subset)(&l, &mm) && (d.subset)(&mm, &n) {
+                assert!((d.subset)(&l, &n), "{}: transitivity violated", d.name);
             }
-            assert!(e.is_subset(&l, &lm), "{}: L ⊄ L∪M", e.kind());
-            assert!(e.is_subset(&lm, &lmn), "{}: L∪M ⊄ L∪M∪N", e.kind());
-            assert!(e.is_subset(&l, &lmn), "{}: transitivity violated on union chain", e.kind());
+            assert!((d.subset)(&l, &lm), "{}: L ⊄ L∪M", d.name);
+            assert!((d.subset)(&lm, &lmn), "{}: L∪M ⊄ L∪M∪N", d.name);
+            assert!((d.subset)(&l, &lmn), "{}: transitivity violated on union chain", d.name);
         }
     }
 
     /// Intersection is a lower bound: L∩M ⊆ L and L∩M ⊆ M; moreover the
-    /// product construction and the engine's own joint emptiness search
-    /// must agree on whether L∩M is empty.
+    /// materialized product and the decider's own emptiness query must
+    /// agree on whether L∩M is empty.
     #[test]
     fn intersection_is_a_lower_bound_per_engine(s in any::<u64>()) {
         let (l, mm) = (m(s), m(s.wrapping_add(1)));
         let both = ops::intersect_lang(&l, &mm);
-        for e in all_engines() {
-            assert!(e.is_subset(&both, &l), "{}: L∩M ⊄ L", e.kind());
-            assert!(e.is_subset(&both, &mm), "{}: L∩M ⊄ M", e.kind());
+        for d in &DECIDERS {
+            assert!((d.subset)(&both, &l), "{}: L∩M ⊄ L", d.name);
+            assert!((d.subset)(&both, &mm), "{}: L∩M ⊄ M", d.name);
             assert_eq!(
-                e.intersection_empty(&l, &mm),
-                e.is_subset(&both, &Nfa::empty_language()),
+                (d.intersection_empty)(&l, &mm),
+                (d.subset)(&both, &Nfa::empty_language()),
                 "{}: joint emptiness disagrees with the materialized product",
-                e.kind()
+                d.name
             );
         }
     }
@@ -296,12 +260,12 @@ proptest! {
     fn reversal_preserves_inclusion_per_engine(s in any::<u64>()) {
         let (a, b) = (m(s), m(s.wrapping_add(1)));
         let (ra, rb) = (a.reverse(), b.reverse());
-        for e in all_engines() {
+        for d in &DECIDERS {
             assert_eq!(
-                e.is_subset(&a, &b),
-                e.is_subset(&ra, &rb),
+                (d.subset)(&a, &b),
+                (d.subset)(&ra, &rb),
                 "{}: reversal flipped a subset verdict",
-                e.kind()
+                d.name
             );
         }
     }
@@ -311,126 +275,13 @@ proptest! {
     fn complement_reduces_inclusion_to_emptiness_per_engine(s in any::<u64>()) {
         let (a, b) = (m(s), m(s.wrapping_add(1)));
         let not_b = dfa::complement(&b);
-        for e in all_engines() {
+        for d in &DECIDERS {
             assert_eq!(
-                e.is_subset(&a, &b),
-                e.intersection_empty(&a, &not_b),
+                (d.subset)(&a, &b),
+                (d.intersection_empty)(&a, &not_b),
                 "{}: complement identity violated",
-                e.kind()
+                d.name
             );
         }
     }
-}
-
-proptest! {
-    // Whole solve runs are expensive (three engines x three builders per
-    // case, each rebuilding its system from scratch), so this block runs
-    // fewer cases than the query-level oracles above.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Whole solve runs over every system-level scaling generator agree
-    /// on solutions, unsat cores, and all engine-independent counters.
-    #[test]
-    fn engines_agree_on_scaling_system_generators(s in any::<u64>()) {
-        let q = 2 + (s % 3) as usize;
-        assert_solves_agree(|| nested_system(2, q), "nested_system");
-        assert_solves_agree(|| multi_group_system(2, q), "multi_group_system");
-        assert_solves_agree(
-            || random_system(s, &RandomSystemConfig::default()),
-            "random_system",
-        );
-    }
-}
-
-/// Solver-level budget aborts (the CLI's exit-3 path) are engine-invariant
-/// when the breach precedes any inclusion query: a one-product-state cap
-/// trips during the product build under every engine, each error carries
-/// the same breach kind, and lifting the budget restores byte-identical
-/// facets across all engines.
-#[test]
-fn solver_budget_aborts_agree_across_engines() {
-    let build = || {
-        let (c1, c2, c3) = ci_instance_modular(4);
-        let mut sys = System::new();
-        let v1 = sys.var("v1");
-        let v2 = sys.var("v2");
-        let k1 = sys.constant("c1", c1);
-        let k2 = sys.constant("c2", c2);
-        let k3 = sys.constant("c3", c3);
-        sys.require(Expr::Var(v1), k1);
-        sys.require(Expr::Var(v2), k2);
-        sys.require(Expr::Var(v1).concat(Expr::Var(v2)), k3);
-        sys
-    };
-    for kind in EngineKind::ALL {
-        let options = SolveOptions {
-            inclusion_engine: kind,
-            budget: Budget {
-                max_product_states: Some(1),
-                ..Budget::default()
-            },
-            ..SolveOptions::default()
-        };
-        let err = try_solve_traced(&build(), &options, &LangStore::new(), &Tracer::disabled())
-            .expect_err("a one-product-state cap must trip on the blowup system");
-        assert_eq!(
-            err.kind,
-            BudgetKind::ProductStates,
-            "{kind}: breach kind diverged"
-        );
-    }
-    assert_solves_agree(build, "modular blowup after lifting the budget");
-}
-
-/// The tentpole's second payoff, as an executable claim: the derivative
-/// engine's pair frontier covers a whole LHS ε-closure per pop (one pair),
-/// where the antichain frontier spends one macrostate per LHS state — so
-/// there are inclusions the derivative engine decides under a macrostate
-/// budget that forces the antichain engine to abort.
-#[test]
-fn derivative_decides_where_antichain_aborts_under_same_budget() {
-    let antichain = inclusion_engine(EngineKind::Antichain);
-    let derivative = inclusion_engine(EngineKind::Derivative);
-    let mut separations = 0usize;
-    for q in 4..=9usize {
-        let mut candidates = vec![ci_instance(q), ci_instance_dense(q), ci_instance_modular(q)];
-        candidates.push((m(q as u64), m(q as u64 + 100), m(q as u64 + 200)));
-        for (c1, c2, c3) in candidates {
-            let machines = [&c1, &c2, &c3];
-            for a in machines {
-                for b in machines {
-                    let (verdict_a, cost_a) = antichain.is_subset_costed(a, b);
-                    let (verdict_d, cost_d) = derivative.is_subset_costed(a, b);
-                    assert_eq!(verdict_a, verdict_d, "engines diverge at q={q}");
-                    if cost_d.macrostates >= cost_a.macrostates {
-                        continue;
-                    }
-                    let limits = InclusionLimits {
-                        max_macrostates: Some(cost_d.macrostates),
-                        deadline: None,
-                    };
-                    let decided = derivative
-                        .try_subset(a, b, &limits)
-                        .expect("derivative fits its own measured budget");
-                    assert_eq!(decided.0, verdict_d);
-                    let abort = antichain
-                        .try_subset(a, b, &limits)
-                        .expect_err("antichain must abort below its measured cost");
-                    match abort {
-                        InclusionAbort::MacrostateCap { limit, cost } => {
-                            assert_eq!(limit, cost_d.macrostates);
-                            assert!(cost.macrostates <= limit);
-                        }
-                        InclusionAbort::Deadline { .. } => panic!("no deadline was set"),
-                    }
-                    separations += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        separations > 0,
-        "no scaling inclusion separated the engines; the derivative \
-         frontier is not coarser than the antichain frontier"
-    );
 }

@@ -7,7 +7,7 @@
 use dprle::automata::generate::{random_nfa, RandomNfaConfig};
 use dprle::automata::LangStore;
 use dprle::core::{
-    try_solve_traced, Budget, BudgetKind, EngineKind, Expr, Metrics, SolveOptions, System, Tracer,
+    try_solve_traced, Budget, BudgetKind, Expr, Metrics, SolveOptions, System, Tracer,
 };
 use dprle::corpus::scaling::ci_instance_modular;
 use proptest::prelude::*;
@@ -109,7 +109,7 @@ fn dense(seed: u64, states: usize) -> dprle::automata::Nfa {
     )
 }
 
-/// A workload whose solve does substantial *inclusion-engine* work after
+/// A workload whose solve does substantial *inclusion* work after
 /// the product builds: the shared `v1` forces disjunct merging, the
 /// constant leaf `c2` forces narrowing checks, and the dense machines
 /// make both non-trivial.
@@ -126,81 +126,74 @@ fn inclusion_heavy_system() -> System {
 }
 
 /// A `ResourceExhausted` raised while the solver is doing inclusion work
-/// carries the engine's partial frontier cost in its metrics snapshot:
+/// carries the search's partial frontier cost in its metrics snapshot:
 /// `automata.inclusion.macrostates` is positive even though the run never
-/// completed. (The engine records nothing into the inclusion memo on an
-/// abort — only into the metrics registry — so the exhaustion snapshot is
-/// the one place the wasted work is visible.)
+/// completed. (An aborted search records nothing into the inclusion memo
+/// — only into the metrics registry — so the exhaustion snapshot is the
+/// one place the wasted work is visible.)
 #[test]
 fn exhaustion_snapshot_carries_partial_inclusion_work() {
-    for kind in EngineKind::ALL {
-        let (_, stats) = try_solve_traced(
-            &inclusion_heavy_system(),
-            &SolveOptions {
-                inclusion_engine: kind,
-                metrics: Metrics::enabled(),
-                ..SolveOptions::default()
+    let (_, stats) = try_solve_traced(
+        &inclusion_heavy_system(),
+        &SolveOptions {
+            metrics: Metrics::enabled(),
+            ..SolveOptions::default()
+        },
+        &LangStore::new(),
+        &Tracer::disabled(),
+    )
+    .expect("no budget set");
+    assert!(
+        stats.inclusion_macrostates > 0,
+        "workload must do real inclusion work"
+    );
+
+    // Walk the cap downward until an abort lands during or after the
+    // inclusion phase: its snapshot must carry positive macrostates.
+    // (Higher caps may instead trip a product build that precedes any
+    // inclusion query; those snapshots legitimately report zero.)
+    let mut witnessed = false;
+    for limit in (1..stats.product_states).rev() {
+        let options = SolveOptions {
+            metrics: Metrics::enabled(),
+            budget: Budget {
+                max_product_states: Some(limit),
+                ..Budget::default()
             },
+            ..SolveOptions::default()
+        };
+        let Err(err) = try_solve_traced(
+            &inclusion_heavy_system(),
+            &options,
             &LangStore::new(),
             &Tracer::disabled(),
-        )
-        .expect("no budget set");
-        assert!(
-            stats.inclusion_macrostates > 0,
-            "{kind:?}: workload must do real inclusion work"
-        );
-
-        // Walk the cap downward until an abort lands during or after the
-        // inclusion phase: its snapshot must carry positive macrostates.
-        // (Higher caps may instead trip a product build that precedes any
-        // inclusion query; those snapshots legitimately report zero.)
-        let mut witnessed = false;
-        for limit in (1..stats.product_states).rev() {
-            let options = SolveOptions {
-                inclusion_engine: kind,
-                metrics: Metrics::enabled(),
-                budget: Budget {
-                    max_product_states: Some(limit),
-                    ..Budget::default()
-                },
-                ..SolveOptions::default()
-            };
-            let Err(err) = try_solve_traced(
-                &inclusion_heavy_system(),
-                &options,
-                &LangStore::new(),
-                &Tracer::disabled(),
-            ) else {
-                continue;
-            };
-            assert_eq!(err.kind, BudgetKind::ProductStates);
-            let snapshot = err.snapshot.as_ref().expect("metrics were enabled");
-            let entry = snapshot
-                .get("automata.inclusion.macrostates")
-                .expect("snapshot always registers the inclusion counter");
-            if let dprle::core::MetricValue::Counter { value } = entry.value {
-                if value > 0 {
-                    witnessed = true;
-                    break;
-                }
+        ) else {
+            continue;
+        };
+        assert_eq!(err.kind, BudgetKind::ProductStates);
+        let snapshot = err.snapshot.as_ref().expect("metrics were enabled");
+        let entry = snapshot
+            .get("automata.inclusion.macrostates")
+            .expect("snapshot always registers the inclusion counter");
+        if let dprle::core::MetricValue::Counter { value } = entry.value {
+            if value > 0 {
+                witnessed = true;
+                break;
             }
         }
-        assert!(
-            witnessed,
-            "{kind:?}: no budgeted abort carried partial inclusion work"
-        );
-
-        // And the identical system still solves once the budget is lifted.
-        let (solution, _) = try_solve_traced(
-            &inclusion_heavy_system(),
-            &SolveOptions {
-                inclusion_engine: kind,
-                ..SolveOptions::default()
-            },
-            &LangStore::new(),
-            &Tracer::disabled(),
-        )
-        .expect("lifted budget");
-        assert!(solution.is_sat());
     }
+    assert!(
+        witnessed,
+        "no budgeted abort carried partial inclusion work"
+    );
+
+    // And the identical system still solves once the budget is lifted.
+    let (solution, _) = try_solve_traced(
+        &inclusion_heavy_system(),
+        &SolveOptions::default(),
+        &LangStore::new(),
+        &Tracer::disabled(),
+    )
+    .expect("lifted budget");
+    assert!(solution.is_sat());
 }
