@@ -30,7 +30,7 @@ impl fmt::Display for StateId {
 }
 
 /// A single NFA state: its labelled out-edges and epsilon out-edges.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct State {
     /// Byte-class-labelled transitions out of this state.
     pub edges: Vec<(ByteClass, StateId)>,
@@ -49,7 +49,12 @@ pub struct State {
 /// assert!(m.contains(b"nid_"));
 /// assert!(!m.contains(b"nid"));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Equality and hashing are *structural*: two machines compare equal only
+/// when their states, edges (in order), start and final states coincide.
+/// Equal languages built differently are different machines; language
+/// equality is [`Lang::fingerprint`](crate::Lang::fingerprint)'s job.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Nfa {
     states: Vec<State>,
     start: StateId,

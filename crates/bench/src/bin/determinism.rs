@@ -212,6 +212,7 @@ fn corpus() -> Vec<Entry> {
     let mut entries = vec![
         dprle_entry("motivating.dprle"),
         dprle_entry("unsat.dprle"),
+        dprle_entry("duplicates.dprle"),
         smt2_entry("motivating.smt2"),
     ];
     entries.extend(php_entries("figure1.php", Policy::sql_quote, None));

@@ -2,12 +2,12 @@
 //!
 //! Prints, for each of the 17 vulnerabilities: measured `|FG|`, measured
 //! `|C|`, and measured constraint-solving time `T_S`, next to the published
-//! values, then verifies the published *shape*: every row yields an
-//! exploit and measures the published `|C|`. It also reports whether the
-//! `secure` row is still the paper's outlier, at least ten times the
-//! slowest other row (577 s vs sub-second), without failing on it: with
-//! Hopcroft minimization `secure` solves in well under a second and is
-//! the slowest row by less than that.
+//! values, plus the distinct constraints the solver decides once repeats
+//! are dropped. Then it verifies the published *shape*: every row yields
+//! an exploit and measures the published `|C|`. It also reports whether
+//! the `secure` row is the paper's outlier, at least ten times the slowest
+//! other row (577 s vs sub-second), without failing on it: the verdict
+//! rests on wall times of a few milliseconds.
 //!
 //! Usage: `cargo run -p dprle-bench --bin fig12 --release
 //! [--json] [--jobs N] [--ledger-out FILE]`
@@ -19,10 +19,11 @@
 //! JSONL — feed two of those to `dprle profile diff` for a per-query
 //! comparison.
 //!
-//! Always writes the machine-readable results (per-row `|FG|`, `|C|`, solve
-//! time, parallel jobs/speedup, and interning cache counters) to
-//! `BENCH_fig12.json` in the current directory; `--json` additionally
-//! prints that JSON to stdout instead of the human-readable table.
+//! Always writes the machine-readable results (per-row `|FG|`, `|C|`,
+//! distinct `|C|`, solve time, parallel jobs/speedup, and interning cache
+//! counters) to `BENCH_fig12.json` in the current directory; `--json`
+//! additionally prints that JSON to stdout instead of the human-readable
+//! table.
 
 use dprle_bench::{
     fig12_ledger_jsonl, fig12_rows_json, fig12_shape_violations, run_fig12_jobs,
@@ -77,13 +78,14 @@ fn main() {
     println!("Figure 12: experimental results (measured vs published)");
     if jobs > 1 {
         println!(
-            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>5} {:>10} {:>8}",
+            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10} {:>10} {:>5} {:>10} {:>8}",
             "App",
             "Vuln",
             "|FG|",
             "(pub)",
             "|C|",
             "(pub)",
+            "distinct",
             "T_S (s)",
             "(pub s)",
             "jobs",
@@ -92,13 +94,14 @@ fn main() {
         );
     } else {
         println!(
-            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>9} {:>9}",
+            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10} {:>10} {:>9} {:>9}",
             "App",
             "Vuln",
             "|FG|",
             "(pub)",
             "|C|",
             "(pub)",
+            "distinct",
             "T_S (s)",
             "(pub s)",
             "products",
@@ -108,13 +111,14 @@ fn main() {
     for r in &rows {
         if jobs > 1 {
             println!(
-                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>10.3} {:>10.3} {:>5} {:>10.3} {:>7.2}x",
+                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>5} {:>10.3} {:>7.2}x",
                 r.app,
                 r.name,
                 r.fg,
                 r.fg_paper,
                 r.c,
                 r.c_paper,
+                r.c_distinct,
                 r.seconds,
                 r.paper_seconds,
                 r.jobs,
@@ -123,13 +127,14 @@ fn main() {
             );
         } else {
             println!(
-                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>10.3} {:>10.3} {:>9} {:>9}",
+                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>9} {:>9}",
                 r.app,
                 r.name,
                 r.fg,
                 r.fg_paper,
                 r.c,
                 r.c_paper,
+                r.c_distinct,
                 r.seconds,
                 r.paper_seconds,
                 r.product_states,

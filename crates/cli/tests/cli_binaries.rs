@@ -308,6 +308,49 @@ fn trace_dot_writes_provenance_graph() {
     assert!(dot.contains("visit(s)"), "{dot}");
 }
 
+/// Per-vertex visit counts of a `--trace-dot` provenance graph, by label
+/// name.
+fn dot_visits(dot: &str) -> std::collections::BTreeMap<String, u64> {
+    dot.lines()
+        .filter_map(|line| {
+            let label = line.split_once("[label=\"")?.1;
+            let (name, rest) = label.split_once("\\n")?;
+            let visits = rest.split_once(" visit(s)")?.0.parse().ok()?;
+            Some((name.to_owned(), visits))
+        })
+        .collect()
+}
+
+#[test]
+fn trace_dot_attributes_a_duplicated_system_like_its_distinct_constraints() {
+    // Every constant of duplicates.dprle is declared twice and every
+    // constraint repeated. The solver decides the distinct constraints,
+    // and the provenance graph is built from the same normalized system,
+    // so every event's node id lands on the vertex it names: the visits
+    // match motivating.dprle's, and the second copies are never visited.
+    let testdata = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata");
+    let visits = |file: &str| {
+        let dot_path = std::env::temp_dir().join(format!("dprle_cli_test_{file}.dot"));
+        let out = dprle(&[
+            "--trace-dot",
+            dot_path.to_str().expect("utf8"),
+            &format!("{testdata}/{file}"),
+        ]);
+        assert!(out.status.success(), "{file}");
+        dot_visits(&std::fs::read_to_string(&dot_path).expect("dot written"))
+    };
+    let distinct = visits("motivating.dprle");
+    let duplicated = visits("duplicates.dprle");
+    assert!(distinct.values().sum::<u64>() > 0);
+    for (name, count) in &duplicated {
+        match name.strip_suffix("_again") {
+            Some(_) => assert_eq!(*count, 0, "{name}"),
+            None => assert_eq!(distinct.get(name), Some(count), "{name}"),
+        }
+    }
+    assert_eq!(duplicated.len(), distinct.len() + 3, "{duplicated:?}");
+}
+
 #[test]
 fn stats_are_printed_even_when_unsat() {
     let file = temp_file(

@@ -57,7 +57,8 @@ pub struct SolveOptions {
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
     /// the constant-leaf filtering (see `gci` module docs). Cost: one
-    /// inclusion check per constraint per assignment.
+    /// inclusion check per distinct constraint per assignment (see
+    /// [`System::normalized`]).
     pub verify: bool,
     /// Stop after this many satisfying assignments (e.g. `Some(1)` for a
     /// "first solution" query — the paper notes the first solution can be
@@ -333,6 +334,12 @@ pub fn solve_traced(
 /// [`ResourceExhausted`] when [`SolveOptions::budget`] is breached, instead
 /// of panicking. With the default (unlimited) budget it never errs.
 ///
+/// Every entry point ends here, and the first step is
+/// [`System::normalized`]: the run decides each distinct constraint once,
+/// over constants hash-consed by machine structure. Returned assignments
+/// are indexed by `system`'s own variable ids and satisfy every one of its
+/// constraints, repeats included.
+///
 /// The error carries the [`SolveStats`] accumulated up to the breach and —
 /// when [`SolveOptions::metrics`] is enabled — a full registry snapshot.
 /// At `jobs > 1` an error-path snapshot may additionally include the
@@ -344,8 +351,13 @@ pub fn try_solve_traced(
     store: &LangStore,
     tracer: &Tracer,
 ) -> Result<(Solution, SolveStats), Box<ResourceExhausted>> {
-    // Normalize: group solving records into the same registry and inherits
-    // the per-operation product cap from the budget (an explicitly set
+    // Decide each distinct constraint once. A dropped constraint is
+    // structurally identical to a kept one, so solving and verifying the
+    // kept ones covers it.
+    let normalized = system.normalized();
+    let system = &*normalized;
+    // Group solving records into the same registry and inherits the
+    // per-operation product cap from the budget (an explicitly set
     // `gci.max_product_states` wins). The wall-clock deadline is turned
     // into an absolute instant here so the inclusion search's frontier
     // loop measures the same clock as the worklist-level check.
@@ -873,17 +885,18 @@ fn emit_metrics_snapshot(
 }
 
 /// The dependency graph the (non-rewriting) solver actually uses for
-/// `system`: its union-free constraints with the variable-free ones
-/// removed (those are decided directly and never enter the graph). Trace
-/// events' `node` ids refer to this graph — pair it with a recorded event
-/// stream for the provenance DOT export.
+/// `system`: the union-free constraints of [`System::normalized`] with the
+/// variable-free ones removed (those are decided directly and never enter
+/// the graph). Trace events' `node` ids refer to this graph — pair it with
+/// a recorded event stream for the provenance DOT export.
 pub fn solver_graph(system: &System) -> DependencyGraph {
+    let system = system.normalized();
     let constraints: Vec<Constraint> = system
         .union_free_constraints()
         .into_iter()
         .filter(|c| !c.lhs.variables().is_empty())
         .collect();
-    DependencyGraph::from_constraints(system, &constraints)
+    DependencyGraph::from_constraints(&system, &constraints)
 }
 
 /// Convenience wrapper: the first satisfying assignment, if any.
@@ -1084,8 +1097,11 @@ pub fn satisfies_system(system: &System, assignment: &Assignment) -> bool {
 /// admissible language for `v` (others fixed) is the universal quotient
 /// `{w | ∀u ∈ [α], ∀u′ ∈ [β] : u·w·u′ ∈ c}`; `v` is extendable iff its
 /// assigned language is a proper subset of the intersection of these.
+/// Intersecting a bound twice changes nothing, so the check iterates the
+/// distinct constraints of [`System::normalized`].
 pub fn extendable_vars(system: &System, assignment: &Assignment) -> Vec<VarId> {
     use dprle_automata::quotient::{left_quotient_universal, right_quotient_universal};
+    let system = &*system.normalized();
     let constraints = system.union_free_constraints();
     let mut out = Vec::new();
     'vars: for v in system.var_ids() {
@@ -1417,6 +1433,90 @@ mod tests {
         let solution = solve(&sys, &opts);
         let asg = solution.first().expect("sat");
         assert!(equivalent(asg.get(v).expect("assigned"), &exact("x(ab)*")));
+    }
+
+    /// The motivating system with every constant declared once per name
+    /// suffix in `copies` and every constraint stated once per copy.
+    fn motivating_copies(copies: &[&str]) -> System {
+        let mut sys = System::new();
+        let v1 = sys.var("v1");
+        for copy in copies {
+            let c1 = sys
+                .constant_regex(&format!("c1{copy}"), "[\\d]+$")
+                .expect("filter");
+            let c2 = sys.constant(&format!("c2{copy}"), Nfa::literal(b"nid_"));
+            let c3 = sys
+                .constant_regex(&format!("c3{copy}"), "'")
+                .expect("quote");
+            sys.require(Expr::Var(v1), c1);
+            sys.require(Expr::Const(c2).concat(Expr::Var(v1)), c3);
+        }
+        sys
+    }
+
+    #[test]
+    fn duplicated_system_solves_like_its_distinct_constraints() {
+        let sys = motivating_copies(&["", "_again"]);
+        assert_eq!(sys.num_constraints(), 4);
+        assert_eq!(sys.normalized().num_constraints(), 2);
+        let (solution, stats) = solve_with_stats(&sys, &SolveOptions::default());
+        let asg = solution.first().expect("the code is vulnerable");
+        assert!(satisfies_system(&sys, asg), "every input constraint holds");
+        assert!(extendable_vars(&sys, asg).is_empty());
+        let (expected, expected_stats) =
+            solve_with_stats(&motivating_copies(&[""]), &SolveOptions::default());
+        let v1 = sys.var_id("v1").expect("declared");
+        assert_eq!(
+            asg.get(v1).expect("assigned").fingerprint(),
+            expected
+                .first()
+                .expect("sat")
+                .get(v1)
+                .expect("assigned")
+                .fingerprint()
+        );
+        // The repeats cost nothing: no extra canonicalization, product or
+        // inclusion work.
+        assert_eq!(stats, expected_stats);
+    }
+
+    #[test]
+    fn trace_node_ids_resolve_in_the_solver_graph_of_a_duplicated_system() {
+        use crate::trace::CollectSink;
+        let sys = motivating_copies(&["", "_again"]);
+        let sink = Arc::new(CollectSink::new());
+        let (solution, _) = solve_traced(
+            &sys,
+            &SolveOptions::default(),
+            &LangStore::new(),
+            &Tracer::new(sink.clone()),
+        );
+        assert!(solution.is_sat());
+        let graph = solver_graph(&sys);
+        let groups = graph.ci_groups();
+        let resolves = |node: u32| (node as usize) < graph.num_nodes();
+        let (mut reduce_steps, mut group_starts) = (0, 0);
+        for event in sink.take() {
+            match event.kind {
+                TraceEventKind::SolveStart { constraints, .. } => assert_eq!(constraints, 2),
+                TraceEventKind::ReduceStep { node, var, .. } => {
+                    assert!(resolves(node), "reduce node {node}");
+                    let v = sys.var_id(&var).expect("declared variable");
+                    assert_eq!(graph.kind(NodeId(node)), NodeKind::Var(v));
+                    reduce_steps += 1;
+                }
+                TraceEventKind::CiGroupStart { group, nodes, .. } => {
+                    let expected: Vec<u32> = groups[group].nodes.iter().map(|n| n.0).collect();
+                    assert_eq!(nodes, expected, "group {group}");
+                    group_starts += 1;
+                }
+                TraceEventKind::SpanStart {
+                    node: Some(node), ..
+                } => assert!(resolves(node), "span node {node}"),
+                _ => {}
+            }
+        }
+        assert_eq!((reduce_steps, group_starts), (1, 1));
     }
 
     #[test]

@@ -14,12 +14,27 @@
 //! exactly: `(e₁ ∪ e₂) ⊆ c ⟺ e₁ ⊆ c ∧ e₂ ⊆ c`, distributing over
 //! concatenation).
 //!
-//! A [`System`] interns variables by name and constants by name+machine and
-//! owns the list of constraints. It is the input to the dependency-graph
-//! construction and the solver.
+//! A [`System`] owns the list of constraints and interns their operands in
+//! two layers:
+//!
+//! 1. *By name*, as the system is built: [`System::var`] and
+//!    [`System::constant`] return the existing id for a name seen before.
+//!    A front end that names one constant per path condition therefore
+//!    registers the same machine under many names.
+//! 2. *By machine structure*, when the solver starts:
+//!    [`System::normalized`] maps every constant to the first constant
+//!    with a structurally identical machine, rewrites the constraints to
+//!    use those representatives, and drops repeated constraints. The paper
+//!    defines an instance as a *set* of constraints (§3.1), so a repeat
+//!    adds nothing, and the solver decides each distinct constraint once.
+//!
+//! The system is the input to the dependency-graph construction and the
+//! solver.
 
 use dprle_automata::{Lang, Nfa};
 use dprle_regex::Regex;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of an interned language variable.
@@ -32,7 +47,7 @@ pub struct ConstId(pub u32);
 
 /// The left-hand side of a subset constraint: concatenations and unions of
 /// variables and constants.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A language variable.
     Var(VarId),
@@ -71,6 +86,16 @@ impl Expr {
                 a.collect_vars(out);
                 b.collect_vars(out);
             }
+        }
+    }
+
+    /// The expression with every constant `c` replaced by `f(c)`.
+    fn map_consts(&self, f: &impl Fn(ConstId) -> ConstId) -> Expr {
+        match self {
+            Expr::Var(v) => Expr::Var(*v),
+            Expr::Const(c) => Expr::Const(f(*c)),
+            Expr::Concat(a, b) => a.map_consts(f).concat(b.map_consts(f)),
+            Expr::Union(a, b) => a.map_consts(f).union(b.map_consts(f)),
         }
     }
 
@@ -121,7 +146,7 @@ impl From<ConstId> for Expr {
 }
 
 /// A single subset constraint `lhs ⊆ rhs` where `rhs` is a constant.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Constraint {
     /// The left-hand expression.
     pub lhs: Expr,
@@ -313,6 +338,69 @@ impl System {
         out
     }
 
+    /// The system the solver decides: constants hash-consed by machine
+    /// structure and every repeated union-free constraint dropped.
+    ///
+    /// Each constant is represented by the first constant whose machine is
+    /// structurally equal to its own (`Nfa`'s derived `Hash` and `==`;
+    /// constants with equal languages but different machines stay apart).
+    /// The representative keeps its name and its [`Lang`] handle, so a
+    /// machine shared by many constants is fingerprinted once. The
+    /// constraints are desugared ([`System::union_free_constraints`]),
+    /// rewritten to use representatives, and kept at their first
+    /// occurrence. Variables and the constant table are unchanged, so every
+    /// [`VarId`] and [`ConstId`] of `self` means the same in the result.
+    ///
+    /// Returns `self` itself, without a copy, when no constraint refers to
+    /// a merged constant and none repeats.
+    pub fn normalized(&self) -> Cow<'_, System> {
+        let flat = self.union_free_constraints();
+        let (canonical, firsts) = self.canonical_constraints(&flat);
+        if firsts.len() == flat.len() && canonical == flat {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(System {
+            vars: self.vars.clone(),
+            consts: self.consts.clone(),
+            constraints: firsts.iter().map(|&i| canonical[i].clone()).collect(),
+        })
+    }
+
+    /// Indices into [`System::constraints`] of the first occurrence of each
+    /// distinct constraint, ascending. Two constraints are the same when
+    /// they are equal once every constant is replaced by its
+    /// representative (see [`System::normalized`]).
+    pub fn distinct_constraints(&self) -> Vec<usize> {
+        self.canonical_constraints(&self.constraints).1
+    }
+
+    /// `constraints` with every constant replaced by its representative,
+    /// plus the positions of each distinct result's first occurrence.
+    fn canonical_constraints(&self, constraints: &[Constraint]) -> (Vec<Constraint>, Vec<usize>) {
+        let mut first: HashMap<&Nfa, ConstId> = HashMap::with_capacity(self.consts.len());
+        let reps: Vec<ConstId> = self
+            .consts
+            .iter()
+            .enumerate()
+            .map(|(i, (_, lang))| *first.entry(lang.nfa()).or_insert(ConstId(i as u32)))
+            .collect();
+        let rep = |c: ConstId| reps[c.0 as usize];
+        let canonical: Vec<Constraint> = constraints
+            .iter()
+            .map(|c| Constraint {
+                lhs: c.lhs.map_consts(&rep),
+                rhs: rep(c.rhs),
+            })
+            .collect();
+        let firsts = {
+            let mut seen = HashSet::with_capacity(canonical.len());
+            (0..canonical.len())
+                .filter(|&i| seen.insert(&canonical[i]))
+                .collect()
+        };
+        (canonical, firsts)
+    }
+
     /// Renders an expression using interned names.
     pub fn expr_to_string(&self, e: &Expr) -> String {
         match e {
@@ -418,6 +506,86 @@ mod tests {
         assert!(sys.const_machine(c).contains(b"ab"));
         assert!(!sys.const_machine(c).contains(b""));
         assert!(!sys.const_machine(c).contains(b"abcd"));
+    }
+
+    #[test]
+    fn normalizing_merges_identical_machines_and_drops_repeats() {
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let w = sys.var("w");
+        let a = sys.constant("a", Nfa::literal(b"x"));
+        let b = sys.constant("b", Nfa::sigma_star());
+        let a2 = sys.constant("a2", Nfa::literal(b"x"));
+        sys.require(Expr::Var(v), b);
+        sys.require(Expr::Var(v).concat(Expr::Const(a2)), b);
+        sys.require(Expr::Var(v), b);
+        sys.require(Expr::Var(w).union(Expr::Var(v)), b);
+        sys.require(Expr::Var(v).concat(Expr::Const(a)), b);
+        assert_eq!(sys.distinct_constraints(), vec![0, 1, 3]);
+
+        let normalized = sys.normalized();
+        let Cow::Owned(norm) = &normalized else {
+            panic!("a system with repeats is copied");
+        };
+        // `w | v <= b` desugars to `w <= b, v <= b`; the second repeats
+        // constraint 0. Constraint 4 repeats 1 once `a2` maps to `a`.
+        let expected = vec![
+            Constraint {
+                lhs: Expr::Var(v),
+                rhs: b,
+            },
+            Constraint {
+                lhs: Expr::Var(v).concat(Expr::Const(a)),
+                rhs: b,
+            },
+            Constraint {
+                lhs: Expr::Var(w),
+                rhs: b,
+            },
+        ];
+        assert_eq!(norm.constraints(), expected.as_slice());
+        // Ids keep their meaning: the tables are unchanged.
+        assert_eq!(norm.num_consts(), 3);
+        assert_eq!(norm.const_name(a2), "a2");
+        assert_eq!(norm.var_name(w), "w");
+        assert!(Lang::ptr_eq(norm.const_lang(a), sys.const_lang(a)));
+    }
+
+    #[test]
+    fn equal_languages_with_different_machines_stay_apart() {
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let lit = sys.constant("lit", Nfa::literal(b"a"));
+        let re = sys
+            .constant_regex_exact("re", "a|a")
+            .expect("pattern compiles");
+        assert_ne!(sys.const_machine(lit), sys.const_machine(re));
+        assert!(dprle_automata::equivalent(
+            sys.const_machine(lit),
+            sys.const_machine(re)
+        ));
+        sys.require(Expr::Var(v), lit);
+        sys.require(Expr::Var(v), re);
+        assert_eq!(sys.distinct_constraints(), vec![0, 1]);
+        assert!(matches!(sys.normalized(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn duplicate_free_systems_normalize_without_a_copy() {
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let w = sys.var("w");
+        let c = sys.constant("c", Nfa::sigma_star());
+        let d = sys.constant("d", Nfa::literal(b"x"));
+        // An unreferenced copy of `d`'s machine changes no constraint.
+        sys.constant("d2", Nfa::literal(b"x"));
+        sys.require(Expr::Var(v).union(Expr::Var(w)), c);
+        sys.require(Expr::Const(d).concat(Expr::Var(v)), c);
+        let normalized = sys.normalized();
+        match normalized {
+            Cow::Borrowed(same) => assert!(std::ptr::eq(same, &sys)),
+            Cow::Owned(_) => panic!("nothing repeats, so nothing is copied"),
+        }
     }
 
     #[test]

@@ -62,7 +62,10 @@ use std::time::Instant;
 pub enum TraceEventKind {
     /// A solver run began (`solve`, Fig. 7 line 1).
     SolveStart {
-        /// Union-free constraints in the (possibly rewritten) system.
+        /// Union-free constraints the run decides: the distinct ones of
+        /// [`System::normalized`](crate::System::normalized), after the
+        /// quotient rewrite when that is on. Repeated input constraints
+        /// count once.
         constraints: usize,
         /// Declared variables.
         vars: usize,

@@ -9,7 +9,10 @@
 //! The implementation is deletion-based minimization: drop one constraint
 //! at a time and re-solve; a constraint is kept in the core iff its removal
 //! makes the system satisfiable. The result is a *minimal* core (every
-//! member is necessary), though not necessarily a *minimum* one.
+//! member is necessary), though not necessarily a *minimum* one. Repeated
+//! constraints are tried once, as one constraint (see
+//! [`System::distinct_constraints`]): dropping one copy of a repeat cannot
+//! change the answer.
 
 use crate::solve::{solve_traced, SolveOptions};
 use crate::spec::{Constraint, System};
@@ -19,7 +22,8 @@ use dprle_automata::LangStore;
 /// A minimal unsatisfiable core: indices into [`System::constraints`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnsatCore {
-    /// Indices of the core constraints, ascending.
+    /// Indices of the core constraints, ascending. A constraint that occurs
+    /// several times is named by its first occurrence.
     pub indices: Vec<usize>,
 }
 
@@ -45,12 +49,13 @@ impl UnsatCore {
 /// Computes a minimal unsat core of `system`, or `None` if the system is
 /// satisfiable.
 ///
-/// Cost: one solver call per constraint (deletion loop) plus the initial
-/// check — acceptable for the constraint counts the front end produces
-/// (the paper's largest |C| is 387). Every re-solve shares one
-/// [`LangStore`]: the trials differ only in which constraints are present,
-/// so the constant machines (shared handles across the cloned systems) and
-/// the repeated leaf intersections hit the caches of earlier trials.
+/// Cost: one solver call per distinct constraint (deletion loop) plus the
+/// initial check. The front end repeats constraints heavily: the paper's
+/// largest |C|, 387 for `xw_mn`, holds 26 distinct constraints. Every
+/// re-solve shares one [`LangStore`]: the trials differ only in which
+/// constraints are present, so the constant machines (shared handles
+/// across the cloned systems) and the repeated leaf intersections hit the
+/// caches of earlier trials.
 pub fn unsat_core(system: &System, options: &SolveOptions) -> Option<UnsatCore> {
     unsat_core_traced(system, options, &Tracer::disabled())
 }
@@ -69,7 +74,7 @@ pub fn unsat_core_traced(
     }
     let all: Vec<Constraint> = system.constraints().to_vec();
     // Work on a copy of the system with no constraints; re-add per trial.
-    let mut keep: Vec<usize> = (0..all.len()).collect();
+    let mut keep = system.distinct_constraints();
     let mut i = 0;
     while i < keep.len() {
         // Try removing keep[i].
@@ -208,6 +213,40 @@ mod tests {
         assert!(trials.contains(&(0, true)), "{trials:?}");
         assert!(trials.contains(&(1, false)), "{trials:?}");
         assert!(trials.contains(&(2, false)), "{trials:?}");
+    }
+
+    #[test]
+    fn repeated_constraints_are_tried_once_and_named_by_first_occurrence() {
+        use crate::trace::{CollectSink, TraceEventKind, Tracer};
+        use std::sync::Arc;
+
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let a = sys.constant("a", exact("a+"));
+        let a_again = sys.constant("a_again", exact("a+"));
+        let b = sys.constant("b", exact("b+"));
+        sys.require(Expr::Var(v), a); // conflict half 1
+        sys.require(Expr::Var(v), a_again); // same machine as `a`
+        sys.require(Expr::Var(v), b); // conflict half 2
+        sys.require(Expr::Var(v), b); // verbatim repeat
+        let sink = Arc::new(CollectSink::new());
+        let tracer = Tracer::new(sink.clone());
+        let core = unsat_core_traced(&sys, &SolveOptions::default(), &tracer).expect("unsat");
+        assert_eq!(core.indices, vec![0, 2]);
+        let trials: Vec<(usize, bool)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::UnsatCoreTrial {
+                    dropped,
+                    still_unsat,
+                } => Some((dropped, still_unsat)),
+                _ => None,
+            })
+            .collect();
+        // One trial per distinct constraint: dropping a whole set of
+        // duplicates makes the system satisfiable.
+        assert_eq!(trials, vec![(0, false), (2, false)]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! End-to-end integration tests spanning every crate: regex front end →
 //! automata substrate → decision procedure → program analysis → corpus.
 
+use dprle::core::solve::extendable_vars;
 use dprle::core::{solve, solve_first, Expr, SolveOptions, System};
 use dprle::corpus::{vulnerable_program, FIG12_ROWS};
 use dprle::lang::symex::SymexOptions;
-use dprle::lang::{analyze, Policy, Program};
+use dprle::lang::{analyze, explore, to_system, Policy, Program};
 use dprle::regex::Regex;
 
 #[test]
@@ -71,6 +72,38 @@ fn exploits_pass_their_own_filters_for_every_fig12_row() {
             spec.name
         );
     }
+}
+
+#[test]
+fn every_fig12_assignment_is_maximal() {
+    // The Maximal half of the paper's RMA definition (§3.1): no variable of
+    // a returned assignment can take a larger language with the others
+    // fixed. `extendable_vars` checks each single-occurrence variable
+    // against the intersection of its universal quotients. All 17 rows,
+    // `secure` included.
+    let mut assignments = 0;
+    for spec in FIG12_ROWS.iter() {
+        let program = vulnerable_program(spec);
+        let reaches = explore(&program, &SymexOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        for reach in &reaches {
+            let (system, _) = to_system(reach, &Policy::sql_quote());
+            for a in solve(&system, &SolveOptions::default()).assignments() {
+                let grows = extendable_vars(&system, a);
+                assert!(
+                    grows.is_empty(),
+                    "{}: {:?} can grow",
+                    spec.name,
+                    grows
+                        .iter()
+                        .map(|&v| system.var_name(v))
+                        .collect::<Vec<_>>()
+                );
+                assignments += 1;
+            }
+        }
+    }
+    assert!(assignments >= FIG12_ROWS.len(), "every row is satisfiable");
 }
 
 #[test]
