@@ -29,6 +29,14 @@ const SEED_SALT: u64 = 0x5eed_0001;
 
 /// Generates the vulnerable program for one Figure 12 row.
 pub fn vulnerable_program(spec: &VulnSpec) -> Program {
+    let mut p = unpadded_program(spec);
+    pad_to_blocks(&mut p, spec.fg);
+    p
+}
+
+/// The vulnerable program for one row before padding: the defect, the
+/// auxiliary guards and the query sink.
+fn unpadded_program(spec: &VulnSpec) -> Program {
     let mut rng = StdRng::seed_from_u64(SEED_SALT ^ hash_name(spec.name));
     let mut p = Program::new(spec.name);
     let main_input = format!("posted_{}", spec.name);
@@ -81,8 +89,6 @@ pub fn vulnerable_program(spec: &VulnSpec) -> Program {
             .concat(StringExpr::lit(" ORDER BY 1"));
     }
     p.stmts.push(Stmt::Query { expr: query });
-
-    pad_to_blocks(&mut p, spec.fg);
     p
 }
 
@@ -140,20 +146,53 @@ fn sql_template(name: &str, len: usize, rng: &mut StdRng) -> Vec<u8> {
     out
 }
 
-/// Appends concretely pruned guard blocks until the CFG reaches at least
-/// `target` basic blocks. Each guard brands a constant, tests it with an
-/// always-true concrete match, and exits on the (infeasible) failure arm —
-/// adding CFG blocks without adding symbolic paths.
+/// Inserts concretely pruned guards before the sink until the CFG reaches
+/// at least `target` basic blocks.
+///
+/// The block count never falls as guards are added, so the fewest guards
+/// that reach `target` are found by doubling, then bisection: O(log n) CFG
+/// builds rather than one per guard.
 fn pad_to_blocks(p: &mut Program, target: usize) {
-    let mut i = 0usize;
-    while Cfg::build(p).num_blocks() < target {
-        let var = format!("__pad{i}");
-        let sink = p.stmts.pop().expect("program has a sink statement");
-        p.stmts.push(Stmt::Assign {
+    let sink = p.stmts.pop().expect("program has a sink statement");
+    let unpadded = p.stmts.len();
+    // Pads `p` with `guards` guards and returns its block count.
+    let mut pad = |guards: usize| {
+        p.stmts.truncate(unpadded);
+        p.stmts.extend((0..guards).flat_map(pad_guard));
+        p.stmts.push(sink.clone());
+        Cfg::build(p).num_blocks()
+    };
+    if pad(0) >= target {
+        return;
+    }
+    // Invariant: `short` guards fall short of `target`, `enough` reach it.
+    let (mut short, mut enough) = (0, 1);
+    while pad(enough) < target {
+        short = enough;
+        enough *= 2;
+    }
+    while enough - short > 1 {
+        let mid = short + (enough - short) / 2;
+        if pad(mid) < target {
+            short = mid;
+        } else {
+            enough = mid;
+        }
+    }
+    pad(enough);
+}
+
+/// The `i`th padding guard: it brands a constant, tests it with an
+/// always-true concrete match, and exits on the (infeasible) failure arm,
+/// adding CFG blocks without adding symbolic paths.
+fn pad_guard(i: usize) -> [Stmt; 2] {
+    let var = format!("__pad{i}");
+    [
+        Stmt::Assign {
             var: var.clone(),
             value: StringExpr::lit("ok"),
-        });
-        p.stmts.push(Stmt::If {
+        },
+        Stmt::If {
             cond: Cond::PregMatch {
                 pattern: "^ok$".to_owned(),
                 subject: StringExpr::Var(var),
@@ -166,10 +205,8 @@ fn pad_to_blocks(p: &mut Program, target: usize) {
                 Stmt::Exit,
             ],
             els: vec![],
-        });
-        p.stmts.push(sink);
-        i += 1;
-    }
+        },
+    ]
 }
 
 /// A benign filler file: correctly anchored filtering before its query, so
@@ -407,6 +444,70 @@ mod tests {
     use dprle_core::SolveOptions;
     use dprle_lang::symex::SymexOptions;
     use dprle_lang::{analyze, Policy};
+    use std::collections::HashMap;
+
+    /// The padding loop `pad_to_blocks` replaced, kept to hold it to the
+    /// same programs: it appends one guard at a time and rebuilds the CFG
+    /// after each.
+    fn pad_one_guard_at_a_time(p: &mut Program, target: usize) {
+        let mut i = 0usize;
+        while Cfg::build(p).num_blocks() < target {
+            let var = format!("__pad{i}");
+            let sink = p.stmts.pop().expect("program has a sink statement");
+            p.stmts.push(Stmt::Assign {
+                var: var.clone(),
+                value: StringExpr::lit("ok"),
+            });
+            p.stmts.push(Stmt::If {
+                cond: Cond::PregMatch {
+                    pattern: "^ok$".to_owned(),
+                    subject: StringExpr::Var(var),
+                }
+                .negate(),
+                then: vec![
+                    Stmt::Echo {
+                        expr: StringExpr::lit("unreachable"),
+                    },
+                    Stmt::Exit,
+                ],
+                els: vec![],
+            });
+            p.stmts.push(sink);
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn padding_matches_the_one_guard_at_a_time_loop() {
+        let reference: HashMap<&str, Program> = FIG12_ROWS
+            .iter()
+            .map(|spec| {
+                let mut p = unpadded_program(spec);
+                pad_one_guard_at_a_time(&mut p, spec.fg);
+                (spec.name, p)
+            })
+            .collect();
+        for spec in FIG12_ROWS.iter() {
+            assert_eq!(
+                vulnerable_program(spec),
+                reference[spec.name],
+                "{}",
+                spec.name
+            );
+        }
+        // The Figure 11 apps hold the same programs, and size their filler
+        // files from them.
+        let mut vulnerable = 0;
+        for app in generate_corpus() {
+            for file in &app.files {
+                if let Some(want) = reference.get(file.name.as_str()) {
+                    assert_eq!(file, want, "{}", file.name);
+                    vulnerable += 1;
+                }
+            }
+        }
+        assert_eq!(vulnerable, FIG12_ROWS.len());
+    }
 
     #[test]
     fn fg_targets_are_met() {

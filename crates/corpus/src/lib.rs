@@ -27,3 +27,7 @@ pub use generate::{
     vulnerable_program, GeneratedApp, RandomProgramConfig,
 };
 pub use spec::{rows_for_app, AppSpec, VulnSpec, FIG11_APPS, FIG12_ROWS};
+
+/// The front end the generated programs are built with, so a caller can
+/// name their types and print them with the same `dprle_lang` build.
+pub use dprle_lang;

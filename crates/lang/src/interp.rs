@@ -10,6 +10,7 @@
 use crate::ast::{Cond, Program, Stmt, StringExpr};
 use dprle_automata::ByteMap;
 use dprle_regex::Regex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -93,6 +94,7 @@ pub fn run_with_oracle(
         env: HashMap::new(),
         result: RunResult::default(),
         oracle,
+        regexes: HashMap::new(),
     };
     interp.block(&program.stmts)?;
     Ok(interp.result)
@@ -103,6 +105,8 @@ struct Interp<'a> {
     env: HashMap<String, Vec<u8>>,
     result: RunResult,
     oracle: &'a mut dyn FnMut(&str) -> Option<bool>,
+    /// Each pattern evaluated so far, compiled on its first evaluation.
+    regexes: HashMap<&'a str, Regex>,
 }
 
 enum Flow {
@@ -110,8 +114,8 @@ enum Flow {
     Exit,
 }
 
-impl Interp<'_> {
-    fn block(&mut self, stmts: &[Stmt]) -> Result<Flow, InterpError> {
+impl<'a> Interp<'a> {
+    fn block(&mut self, stmts: &'a [Stmt]) -> Result<Flow, InterpError> {
         for stmt in stmts {
             match stmt {
                 Stmt::Assign { var, value } => {
@@ -153,15 +157,21 @@ impl Interp<'_> {
         Ok(Flow::Continue)
     }
 
-    fn cond(&mut self, cond: &Cond) -> Result<bool, InterpError> {
+    fn cond(&mut self, cond: &'a Cond) -> Result<bool, InterpError> {
         match cond {
             Cond::Not(inner) => Ok(!self.cond(inner)?),
             Cond::PregMatch { pattern, subject } => {
                 let subject = self.eval(subject);
-                let re = Regex::new(pattern).map_err(|error| InterpError::BadPattern {
-                    pattern: pattern.clone(),
-                    error,
-                })?;
+                let re = match self.regexes.entry(pattern) {
+                    Entry::Occupied(compiled) => compiled.into_mut(),
+                    Entry::Vacant(slot) => {
+                        let re = Regex::new(pattern).map_err(|error| InterpError::BadPattern {
+                            pattern: pattern.clone(),
+                            error,
+                        })?;
+                        slot.insert(re)
+                    }
+                };
                 Ok(re.is_match(&subject))
             }
             Cond::EqualsLiteral { subject, literal } => Ok(self.eval(subject) == *literal),
@@ -303,5 +313,72 @@ mod tests {
         assert_eq!(admin.queries[0], b"admin query".to_vec());
         let user = run(&p, &inputs(&[("mode", b"guest")])).expect("runs");
         assert_eq!(user.queries[0], b"user query".to_vec());
+    }
+
+    #[test]
+    fn bad_pattern_is_reported_when_first_evaluated() {
+        use crate::ast::{Cond, Stmt};
+        let mut p = Program::new("bad");
+        p.stmts.push(Stmt::If {
+            cond: Cond::EqualsLiteral {
+                subject: StringExpr::input("mode"),
+                literal: b"check".to_vec(),
+            },
+            then: vec![Stmt::If {
+                cond: Cond::PregMatch {
+                    pattern: "(".into(),
+                    subject: StringExpr::input("x"),
+                },
+                then: vec![],
+                els: vec![],
+            }],
+            els: vec![],
+        });
+        p.stmts.push(Stmt::Query {
+            expr: StringExpr::input("x"),
+        });
+        // Not evaluated: the run completes.
+        let skipped = run(&p, &inputs(&[("mode", b"skip")])).expect("runs");
+        assert_eq!(skipped.queries.len(), 1);
+        assert!(matches!(
+            run(&p, &inputs(&[("mode", b"check")])),
+            Err(InterpError::BadPattern { .. })
+        ));
+    }
+
+    #[test]
+    fn a_compiled_pattern_matches_each_new_subject() {
+        use crate::ast::{Cond, Stmt};
+        // A loop that strips one `a` per iteration until none is left.
+        let mut p = Program::new("strip");
+        p.stmts.push(Stmt::Assign {
+            var: "s".into(),
+            value: StringExpr::input("x"),
+        });
+        p.stmts.push(Stmt::While {
+            cond: Cond::PregMatch {
+                pattern: "a".into(),
+                subject: StringExpr::var("s"),
+            },
+            body: vec![Stmt::If {
+                cond: Cond::EqualsLiteral {
+                    subject: StringExpr::var("s"),
+                    literal: b"aa".to_vec(),
+                },
+                then: vec![Stmt::Assign {
+                    var: "s".into(),
+                    value: StringExpr::lit("a"),
+                }],
+                els: vec![Stmt::Assign {
+                    var: "s".into(),
+                    value: StringExpr::lit("b"),
+                }],
+            }],
+        });
+        p.stmts.push(Stmt::Query {
+            expr: StringExpr::var("s"),
+        });
+        let result = run(&p, &inputs(&[("x", b"aa")])).expect("runs");
+        assert_eq!(result.queries, vec![b"b".to_vec()]);
     }
 }
