@@ -7,10 +7,10 @@
 //! two solution languages. These run on the determinized machine so no
 //! word is double-counted.
 
+use crate::byteclass::ByteClass;
 use crate::dfa::{complement, determinize, Dfa};
 use crate::nfa::{Nfa, StateId};
 use crate::ops;
-use std::collections::VecDeque;
 
 /// The cardinality of a regular language.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,49 +119,123 @@ pub fn count_words_of_length(nfa: &Nfa, n: usize) -> u128 {
 /// let first: Vec<Vec<u8>> = members(&m).take(3).collect();
 /// assert_eq!(first, vec![b"".to_vec(), b"ab".to_vec(), b"abab".to_vec()]);
 /// ```
+///
+/// Each length is enumerated by a depth-first walk in byte order that
+/// enters only states from which a final state is reachable in exactly the
+/// remaining number of steps, so every step leads to a member. Pending
+/// work is one frame per letter of the current word plus one reachability
+/// row per length — O(length × states) — where a breadth-first frontier
+/// would hold every live word of the length below.
 pub fn members(nfa: &Nfa) -> Members {
     let (dfa, live) = trimmed_dfa(nfa);
-    let mut queue = VecDeque::new();
-    if live.get(dfa.start().index()).copied().unwrap_or(false) {
-        queue.push_back((dfa.start(), Vec::new()));
+    // A finite language's live states form an acyclic graph, so each
+    // member visits distinct live states and is shorter than their count.
+    let max_len = (!has_cycle(&dfa, &live)).then(|| live.iter().filter(|&&l| l).count());
+    let finals: Vec<bool> = (0..dfa.num_states())
+        .map(|q| dfa.is_final(StateId(q as u32)))
+        .collect();
+    let stack = if finals[dfa.start().index()] {
+        vec![(dfa.start(), 0)]
+    } else {
+        Vec::new()
+    };
+    Members {
+        dfa,
+        reach: vec![finals],
+        max_len,
+        len: 0,
+        stack,
+        word: Vec::new(),
     }
-    Members { dfa, live, queue }
 }
 
 /// Iterator returned by [`members`].
 #[derive(Debug)]
 pub struct Members {
     dfa: Dfa,
-    live: Vec<bool>,
-    queue: VecDeque<(StateId, Vec<u8>)>,
+    /// `reach[k][q]`: a final state is reachable from `q` in exactly `k`
+    /// steps. Rows are computed as lengths are reached.
+    reach: Vec<Vec<bool>>,
+    /// For a finite language, a bound every member is shorter than;
+    /// `None` for an infinite one.
+    max_len: Option<usize>,
+    /// The length being enumerated.
+    len: usize,
+    /// The walk over words of length `len`: each frame is a state and the
+    /// least byte not yet tried from it. `word` spells the path to the top
+    /// frame, so it is one letter shorter than the stack.
+    stack: Vec<(StateId, u16)>,
+    word: Vec<u8>,
+}
+
+impl Members {
+    /// Computes the reachability rows up to `reach[k]`.
+    fn extend_reach(&mut self, k: usize) {
+        while self.reach.len() <= k {
+            let prev = &self.reach[self.reach.len() - 1];
+            let row = (0..self.dfa.num_states())
+                .map(|q| {
+                    self.dfa
+                        .transitions(StateId(q as u32))
+                        .iter()
+                        .any(|(class, t)| !class.is_empty() && prev[t.index()])
+                })
+                .collect();
+            self.reach.push(row);
+        }
+    }
 }
 
 impl Iterator for Members {
     type Item = Vec<u8>;
 
     fn next(&mut self) -> Option<Vec<u8>> {
-        while let Some((q, word)) = self.queue.pop_front() {
-            // Enqueue successors in byte order for lexicographic output.
-            let mut steps: Vec<(u8, StateId)> = Vec::new();
-            for &(class, t) in self.dfa.transitions(q) {
-                if !self.live[t.index()] {
-                    continue;
+        loop {
+            let Some(&(q, from)) = self.stack.last() else {
+                // Start the next length, or end a finite language.
+                self.len += 1;
+                if self.max_len.is_some_and(|max| self.len >= max) {
+                    return None;
                 }
-                for b in class.iter() {
-                    steps.push((b, t));
+                self.extend_reach(self.len);
+                if self.reach[self.len][self.dfa.start().index()] {
+                    self.stack.push((self.dfa.start(), 0));
                 }
-            }
-            steps.sort();
-            for (b, t) in steps {
-                let mut w = word.clone();
-                w.push(b);
-                self.queue.push_back((t, w));
-            }
-            if self.dfa.is_final(q) {
+                continue;
+            };
+            let remaining = self.len - self.word.len();
+            if remaining == 0 {
+                // Only states that can finish in the remaining steps are
+                // entered, so this one is final.
+                let word = self.word.clone();
+                self.stack.pop();
+                self.word.pop();
                 return Some(word);
             }
+            // The least untried byte whose target can still finish in time
+            // (DFA classes are disjoint, so each byte has one target).
+            let row = &self.reach[remaining - 1];
+            let step = u8::try_from(from).ok().and_then(|from| {
+                let untried = ByteClass::range(from, u8::MAX);
+                self.dfa
+                    .transitions(q)
+                    .iter()
+                    .filter(|(_, t)| row[t.index()])
+                    .filter_map(|(class, t)| Some((class.intersect(&untried).min_byte()?, *t)))
+                    .min_by_key(|&(b, _)| b)
+            });
+            match step {
+                Some((b, t)) => {
+                    self.stack.last_mut().expect("top frame").1 = u16::from(b) + 1;
+                    self.word.push(b);
+                    self.stack.push((t, 0));
+                }
+                None => {
+                    self.stack.pop();
+                    self.word.pop();
+                }
+            }
         }
-        None
     }
 }
 
@@ -258,7 +332,6 @@ fn has_cycle(dfa: &Dfa, live: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::byteclass::ByteClass;
     use crate::dfa::equivalent;
 
     #[test]
@@ -331,6 +404,68 @@ mod tests {
         for w in &from_iter {
             assert!(reference.contains(w));
         }
+    }
+
+    #[test]
+    fn members_match_brute_force_shortlex_order() {
+        let abc = |w: &[u8]| Nfa::literal(w);
+        let ab_star = ops::star(&Nfa::class(ByteClass::from_bytes([b'a', b'b'])));
+        let machines = [
+            ab_star.clone(),
+            ops::concat(&ab_star, &abc(b"c")).nfa,
+            ops::union(&ops::star(&abc(b"aa")), &abc(b"bcb")),
+            ops::concat(&ops::star(&abc(b"ba")), &ops::star(&abc(b"c"))).nfa,
+            ops::union(&abc(b"cab"), &ops::union(&abc(b""), &abc(b"ca"))),
+            Nfa::empty_language(),
+        ];
+        for (i, m) in machines.iter().enumerate() {
+            // Every word over {a, b, c} up to length 5, in shortlex order.
+            let mut words: Vec<Vec<u8>> = vec![Vec::new()];
+            let mut frontier = vec![Vec::new()];
+            for _ in 0..5 {
+                frontier = frontier
+                    .iter()
+                    .flat_map(|w: &Vec<u8>| {
+                        [b'a', b'b', b'c'].map(|b| {
+                            let mut next = w.clone();
+                            next.push(b);
+                            next
+                        })
+                    })
+                    .collect();
+                words.extend(frontier.iter().cloned());
+            }
+            let expected: Vec<Vec<u8>> = words.into_iter().filter(|w| m.contains(w)).collect();
+            let got: Vec<Vec<u8>> = members(m).take_while(|w| w.len() <= 5).collect();
+            assert_eq!(got, expected, "machine {i}");
+        }
+    }
+
+    #[test]
+    fn finite_languages_end() {
+        assert_eq!(members(&Nfa::literal(b"abc")).count(), 1);
+        let m = Nfa::class_repeat(ByteClass::range(b'0', b'9'), 0, 2);
+        assert_eq!(members(&m).count(), 111);
+        assert_eq!(
+            members(&Nfa::epsilon()).collect::<Vec<_>>(),
+            vec![Vec::new()]
+        );
+    }
+
+    #[test]
+    fn members_past_a_wide_prefix_need_no_frontier() {
+        // Σ^6·x: a breadth-first enumeration holds 256^6 words before it
+        // reaches length 7.
+        let m = ops::concat(
+            &Nfa::class_repeat(ByteClass::FULL, 6, 6),
+            &Nfa::literal(b"x"),
+        )
+        .nfa;
+        let first: Vec<Vec<u8>> = members(&m).take(2).collect();
+        assert_eq!(
+            first,
+            vec![b"\0\0\0\0\0\0x".to_vec(), b"\0\0\0\0\0\x01x".to_vec()]
+        );
     }
 
     #[test]

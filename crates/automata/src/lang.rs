@@ -24,8 +24,7 @@ use crate::ops;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Approximate per-state heap footprint of an [`Nfa`] in bytes, used by the
 /// store's memo byte accounting. Shape-derived (never allocator-derived) so
@@ -263,7 +262,7 @@ impl StoreOp {
 }
 
 /// The identity of one memo-cache slot, as reported to
-/// [`StoreObserver::memo_event_keyed`]. Two events with equal identities
+/// [`StoreObserver::memo_event`]. Two events with equal identities
 /// landed on the same cache slot, which is what lets a deterministic
 /// replay of a parallel run reassign hit/miss outcomes in a canonical
 /// order: the first touch of a slot in replay order is the miss,
@@ -355,24 +354,18 @@ pub struct InclusionQuery<'a> {
     pub wall_us: u64,
 }
 
-/// A hook notified of every memoized-operation outcome, in addition to the
-/// store's own [`StoreStats`] counters. Installed with
-/// [`LangStore::set_observer`]; the solver's tracing layer uses this to
-/// emit per-operation `MemoHit`/`MemoMiss` events without the automata
-/// crate knowing about the trace format.
+/// A hook notified of every memoized-operation outcome a [`StoreScope`]
+/// counts. The scope carries it (see [`StoreScope::new`]), so each
+/// request's observer hears exactly the request's own operations; the
+/// solver's tracing layer uses this to emit per-operation
+/// `MemoHit`/`MemoMiss` events and cost-ledger records without the
+/// automata crate knowing about either format.
 pub trait StoreObserver: Send + Sync {
-    /// Called once per memoized operation with its hit/miss outcome.
-    fn memo_event(&self, op: StoreOp, hit: bool);
-
-    /// Like [`StoreObserver::memo_event`], additionally carrying the cache
-    /// slot's identity when the store can name one (`None` for pass-through
-    /// stores, which have no slots — every operation is a deterministic
-    /// miss). The default forwards to `memo_event`, so observers that do
-    /// not care about identities need not change.
-    fn memo_event_keyed(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
-        let _ = identity;
-        self.memo_event(op, hit);
-    }
+    /// Called once per memoized operation with its hit/miss outcome and
+    /// the cache slot's identity, when the store can name one (`None` for
+    /// pass-through stores, which have no slots: every operation is a
+    /// deterministic miss).
+    fn memo_event(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool);
 
     /// Whether this observer wants per-query [`InclusionQuery`] reports.
     /// When `false` (the default) the store skips the wall-clock reads and
@@ -390,7 +383,9 @@ pub trait StoreObserver: Send + Sync {
     }
 }
 
-/// Counters for the interning layer, surfaced through `SolveStats`.
+/// Counters for the interning layer. One set, two instances: a store's
+/// running totals ([`LangStore::stats`]) and a request's share of them
+/// ([`StoreScope::stats`]), which the solver surfaces as `SolveStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Fingerprint requests answered from a handle's cache.
@@ -407,15 +402,20 @@ pub struct StoreStats {
     pub interned: u64,
     /// States of machines materialized by store-computed operations.
     pub states_materialized: u64,
-    /// Approximate bytes currently retained by the memo tables and
-    /// interner (shape-derived estimates; see [`Lang::approx_bytes`]).
-    /// Charged only by the insert winner and released by eviction, so on
-    /// an unbounded store the total is deterministic across thread counts;
-    /// with a byte cap installed ([`LangStore::set_max_bytes`]) eviction
-    /// order — and therefore this value — may vary with scheduling, but
-    /// never answers. Fingerprint keys are not memo entries (they live on
-    /// the handles) and are accounted separately under
-    /// `automata.fingerprint.bytes`.
+    /// Approximate bytes charged by memo-table and interner inserts
+    /// (shape-derived estimates; see [`Lang::approx_bytes`]). Only the
+    /// insert winner charges, so on an unbounded store the total is
+    /// deterministic across thread counts. Fingerprint keys are not memo
+    /// entries (they live on the handles) and are accounted separately
+    /// under `automata.fingerprint.bytes`.
+    pub charged_bytes: u64,
+    /// `charged_bytes` minus `evicted_bytes`, floored at zero. On a store
+    /// these are the bytes its memo tables retain; with a byte cap
+    /// installed ([`LangStore::set_max_bytes`]) eviction order — and
+    /// therefore this value — may vary with scheduling, but never answers.
+    /// In a request scope it is the request's net memo growth: eviction
+    /// there may reclaim entries other requests charged, which is why the
+    /// floor applies to the totals, never step by step.
     pub memo_bytes: u64,
     /// Memo entries dropped by size-bounded LRU eviction. Zero unless a
     /// byte cap is installed.
@@ -434,105 +434,123 @@ impl StoreStats {
     pub fn minimizations(&self) -> u64 {
         self.fingerprint_misses
     }
-}
 
-/// Request-scoped mirror of the store counters.
-///
-/// A shared [`LangStore`] accumulates work from every concurrent session,
-/// so before/after diffs of [`LangStore::stats`] attribute neighbors' work
-/// to whichever request happened to be diffing. Installing a scope with
-/// [`install_stats_scope`] makes every counter bump on the *installing
-/// thread* also land here, giving the request an accurate private view
-/// without touching the global totals. Atomic so one scope can be shared
-/// across the worker threads of a parallel solve (`--jobs N`): adds
-/// commute, so scoped totals are as deterministic as the global ones.
-///
-/// Byte accounting is recorded as gross flows (`bytes_charged` /
-/// `bytes_evicted`) rather than a net figure because eviction triggered by
-/// this scope's inserts may reclaim entries charged by *other* requests;
-/// [`ScopedStoreStats::net_bytes`] reproduces the store-level
-/// `memo_bytes` delta exactly in a single-request window and stays
-/// request-attributable under concurrency.
-#[derive(Debug, Default)]
-pub struct ScopedStoreStats {
-    /// Fingerprint requests answered from a handle's cache.
-    pub fingerprint_hits: AtomicU64,
-    /// Fingerprint requests that ran determinize+minimize.
-    pub fingerprint_misses: AtomicU64,
-    /// Binary operations answered from the memo tables.
-    pub op_hits: AtomicU64,
-    /// Binary operations computed directly.
-    pub op_misses: AtomicU64,
-    /// States of machines materialized through the store.
-    pub states_materialized: AtomicU64,
-    /// Macrostates explored by inclusion queries in this scope.
-    pub inclusion_macrostates: AtomicU64,
-    /// Memo entries evicted while this scope was active.
-    pub evictions: AtomicU64,
-    /// Bytes charged for memo inserts won by this scope.
-    pub bytes_charged: AtomicU64,
-    /// Bytes reclaimed by evictions while this scope was active.
-    pub bytes_evicted: AtomicU64,
-}
-
-impl ScopedStoreStats {
-    /// Net memo-table growth observed by this scope: bytes charged minus
-    /// bytes evicted, floored at zero. In a single-request window this is
-    /// byte-identical to the `memo_bytes` before/after delta it replaces.
-    pub fn net_bytes(&self) -> u64 {
-        self.bytes_charged
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.bytes_evicted.load(Ordering::Relaxed))
+    /// Adds one outcome to the counters.
+    fn count(&mut self, tally: Tally) {
+        match tally {
+            Tally::Memo {
+                op: StoreOp::Fingerprint,
+                hit: true,
+            } => self.fingerprint_hits += 1,
+            Tally::Memo {
+                op: StoreOp::Fingerprint,
+                hit: false,
+            } => self.fingerprint_misses += 1,
+            Tally::Memo { hit: true, .. } => self.op_hits += 1,
+            Tally::Memo { hit: false, .. } => self.op_misses += 1,
+            Tally::Materialized(states) => self.states_materialized += states,
+            Tally::Inclusion(cost) => self.inclusion_macrostates += cost.macrostates,
+            Tally::Interned => self.interned += 1,
+            Tally::Charge(bytes) => self.charged_bytes += bytes,
+            Tally::Evict(bytes) => {
+                self.evictions += 1;
+                self.evicted_bytes += bytes;
+            }
+        }
+        self.memo_bytes = self.charged_bytes.saturating_sub(self.evicted_bytes);
     }
 }
 
-thread_local! {
-    /// The ambient stats scope of this thread, if any. An `Arc` (not a
-    /// borrow) so parallel solve workers can install their spawner's scope.
-    static STATS_SCOPE: RefCell<Option<Arc<ScopedStoreStats>>> = const { RefCell::new(None) };
+/// One outcome a store operation counts (see `StoreInner::count`).
+#[derive(Clone, Copy)]
+enum Tally {
+    /// A memoized operation, fingerprint lookups included, answered from
+    /// a cache (`hit`) or computed fresh.
+    Memo { op: StoreOp, hit: bool },
+    /// States of a machine the store materialized.
+    Materialized(u64),
+    /// The work of one inclusion search (complete or aborted).
+    Inclusion(InclusionCost),
+    /// A language was hash-consed into the interner.
+    Interned,
+    /// A memo entry of this many bytes was inserted.
+    Charge(u64),
+    /// A memo entry of this many bytes was evicted.
+    Evict(u64),
 }
 
-/// RAII guard returned by [`install_stats_scope`]; restores the previous
-/// scope (if any) on drop, so scopes nest — an unsat-core re-solve inside a
-/// request keeps charging the request's scope.
-pub struct StatsScopeGuard {
-    prev: Option<Arc<ScopedStoreStats>>,
+/// The request a store operation runs for: its share of the store's
+/// counters and, when the request is traced or ledgered, the observer its
+/// memo outcomes go to.
+///
+/// A shared [`LangStore`] accumulates work from every concurrent session,
+/// so neither a before/after diff of [`LangStore::stats`] nor an observer
+/// installed on the store can tell one request's work from a neighbor's.
+/// A scope is installed per thread instead ([`StoreScope::install`]):
+/// every operation *that thread* runs while the guard lives is counted in
+/// the scope as well as in the store, and reported to the scope's
+/// observer. Parallel drivers capture [`StoreScope::current`] before
+/// spawning workers and install it on each, so one scope follows a
+/// request across threads; its counts are adds that commute, so they are
+/// as deterministic as the store's own.
+pub struct StoreScope {
+    stats: Mutex<StoreStats>,
+    observer: Option<Arc<dyn StoreObserver>>,
+}
+
+thread_local! {
+    /// The scope installed on this thread, if any. An `Arc` (not a
+    /// borrow) so parallel solve workers can install their spawner's.
+    static SCOPE: RefCell<Option<Arc<StoreScope>>> = const { RefCell::new(None) };
+}
+
+impl StoreScope {
+    /// A scope with zeroed counters whose memo outcomes go to `observer`.
+    pub fn new(observer: Option<Arc<dyn StoreObserver>>) -> Arc<StoreScope> {
+        Arc::new(StoreScope {
+            stats: Mutex::new(StoreStats::default()),
+            observer,
+        })
+    }
+
+    /// The store work counted in this scope so far.
+    pub fn stats(&self) -> StoreStats {
+        *self.stats.lock().expect("scope stats")
+    }
+
+    /// Installs `scope` on the calling thread until the returned guard
+    /// drops.
+    pub fn install(scope: Arc<StoreScope>) -> StoreScopeGuard {
+        let prev = SCOPE.with(|slot| slot.borrow_mut().replace(scope));
+        StoreScopeGuard {
+            prev,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    /// The scope installed on the calling thread, if any.
+    pub fn current() -> Option<Arc<StoreScope>> {
+        SCOPE.with(|slot| slot.borrow().clone())
+    }
+
+    /// The current scope's observer, if it has one.
+    fn current_observer() -> Option<Arc<dyn StoreObserver>> {
+        SCOPE.with(|slot| slot.borrow().as_ref()?.observer.clone())
+    }
+}
+
+/// RAII guard returned by [`StoreScope::install`]; restores the previous
+/// scope (if any) on drop, so scopes nest.
+pub struct StoreScopeGuard {
+    prev: Option<Arc<StoreScope>>,
     /// Guards are thread-affine (thread-local state), not Send.
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-impl Drop for StatsScopeGuard {
+impl Drop for StoreScopeGuard {
     fn drop(&mut self) {
-        STATS_SCOPE.with(|slot| *slot.borrow_mut() = self.prev.take());
+        SCOPE.with(|slot| *slot.borrow_mut() = self.prev.take());
     }
-}
-
-/// Installs `scope` as this thread's ambient stats scope until the returned
-/// guard drops. Every store counter bump performed *by this thread* while
-/// the guard lives is mirrored into `scope`.
-pub fn install_stats_scope(scope: Arc<ScopedStoreStats>) -> StatsScopeGuard {
-    let prev = STATS_SCOPE.with(|slot| slot.borrow_mut().replace(scope));
-    StatsScopeGuard {
-        prev,
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-/// The calling thread's ambient stats scope, if one is installed. Parallel
-/// drivers capture this before spawning workers and re-install it on each
-/// worker so scoped accounting survives the thread hop.
-pub fn current_stats_scope() -> Option<Arc<ScopedStoreStats>> {
-    STATS_SCOPE.with(|slot| slot.borrow().clone())
-}
-
-/// Runs `bump` against the ambient scope, if any. Free when no scope is
-/// installed (one TLS read); called at every `StoreStats` increment site.
-fn scope_bump(bump: impl FnOnce(&ScopedStoreStats)) {
-    STATS_SCOPE.with(|slot| {
-        if let Some(scope) = slot.borrow().as_deref() {
-            bump(scope);
-        }
-    });
 }
 
 /// The identity of one retained memo entry — the currency of the store's
@@ -576,8 +594,36 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    /// Counts one outcome in the store totals, in the current scope's
+    /// share (if a scope is installed on this thread), and in the metrics
+    /// registry. Every store counter moves here and nowhere else.
+    fn count(&mut self, tally: Tally) {
+        self.stats.count(tally);
+        SCOPE.with(|slot| {
+            if let Some(scope) = slot.borrow().as_deref() {
+                scope.stats.lock().expect("scope stats").count(tally);
+            }
+        });
+        let metrics = &self.metrics;
+        match tally {
+            Tally::Memo { hit: true, .. } => metrics.add(id::STORE_MEMO_HITS, 1),
+            Tally::Memo { hit: false, .. } => metrics.add(id::STORE_MEMO_MISSES, 1),
+            Tally::Materialized(states) => metrics.add(id::STORE_MATERIALIZED, states),
+            Tally::Inclusion(cost) => {
+                metrics.add(id::INCLUSION_MACROSTATES, cost.macrostates);
+                metrics.observe(id::INCLUSION_ANTICHAIN_SIZE, cost.antichain_size);
+                metrics.add(id::INCLUSION_PRUNES, cost.prunes);
+            }
+            Tally::Interned | Tally::Charge(_) => {}
+            Tally::Evict(bytes) => {
+                metrics.add(id::STORE_EVICTIONS, 1);
+                metrics.add(id::STORE_EVICTED_BYTES, bytes);
+            }
+        }
+    }
+
     /// Publishes the current retained-bytes figure to the metrics gauge.
-    /// Called after every mutation of `stats.memo_bytes` so the gauge (and
+    /// Called after every change of `stats.memo_bytes` so the gauge (and
     /// its tracked peak) is continuously accurate, not a snapshot-time read.
     fn publish_memo_gauge(&mut self) {
         self.metrics
@@ -606,10 +652,7 @@ impl StoreInner {
     /// published only after eviction settles, so observers never see an
     /// over-cap figure.
     fn charge_insert(&mut self, slot: SlotKey, bytes: u64) {
-        self.stats.memo_bytes += bytes;
-        scope_bump(|s| {
-            s.bytes_charged.fetch_add(bytes, Ordering::Relaxed);
-        });
+        self.count(Tally::Charge(bytes));
         self.tick += 1;
         let tick = self.tick;
         debug_assert!(!self.charges.contains_key(&slot), "double charge");
@@ -620,8 +663,7 @@ impl StoreInner {
     }
 
     /// Drops LRU entries while retained bytes exceed the cap. Each victim
-    /// is removed from its owning table, its charge released, and the
-    /// eviction counted in both [`StoreStats`] and the metrics registry.
+    /// is removed from its owning table and its eviction counted.
     fn evict_over_cap(&mut self) {
         let Some(cap) = self.max_bytes else { return };
         while self.stats.memo_bytes > cap {
@@ -643,44 +685,20 @@ impl StoreInner {
                     self.minimize_memo.remove(k);
                 }
             }
-            self.stats.memo_bytes = self.stats.memo_bytes.saturating_sub(bytes);
-            self.stats.evictions += 1;
-            self.stats.evicted_bytes += bytes;
-            scope_bump(|s| {
-                s.evictions.fetch_add(1, Ordering::Relaxed);
-                s.bytes_evicted.fetch_add(bytes, Ordering::Relaxed);
-            });
-            self.metrics.add(id::STORE_EVICTIONS, 1);
-            self.metrics.add(id::STORE_EVICTED_BYTES, bytes);
+            self.count(Tally::Evict(bytes));
         }
-    }
-
-    /// Mirrors one cache hit into the metrics registry and refreshes the
-    /// slot's recency.
-    fn note_hit(&mut self, slot: SlotKey) {
-        self.metrics.add(id::STORE_MEMO_HITS, 1);
-        self.touch(slot);
-    }
-
-    /// Mirrors one cache miss (a fresh computation) into the registry.
-    fn note_miss(&mut self) {
-        self.metrics.add(id::STORE_MEMO_MISSES, 1);
     }
 }
 
 /// Hash-consing interner and binary-operation memo table for [`Lang`].
 ///
 /// All methods take `&self`; the store is internally synchronized, so one
-/// store can be shared across incremental solver checks (and, later,
-/// parallel branch exploration). With `interning(false)` the store becomes
-/// a pass-through that computes every operation directly — the
-/// `ablation_interning` benchmark compares the two modes.
+/// store can be shared across solves, serve sessions and parallel branch
+/// exploration. With `interning(false)` the store becomes a pass-through
+/// that computes every operation directly — the `ablation_interning`
+/// benchmark compares the two modes.
 pub struct LangStore {
     inner: Mutex<StoreInner>,
-    /// Optional per-operation hook (hit/miss events for tracing). Kept
-    /// outside `inner` so observers are notified after the store lock is
-    /// released and may themselves use the store.
-    observer: RwLock<Option<Arc<dyn StoreObserver>>>,
     enabled: bool,
 }
 
@@ -701,7 +719,6 @@ impl LangStore {
     pub fn interning(enabled: bool) -> Self {
         LangStore {
             inner: Mutex::new(StoreInner::default()),
-            observer: RwLock::new(None),
             enabled,
         }
     }
@@ -717,10 +734,14 @@ impl LangStore {
         store
     }
 
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("store lock")
+    }
+
     /// Installs (or, with `None`, removes) the LRU byte cap, evicting
     /// immediately if the store is already over the new cap.
     pub fn set_max_bytes(&self, max_bytes: Option<u64>) {
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.lock();
         inner.max_bytes = max_bytes;
         inner.evict_over_cap();
         inner.publish_memo_gauge();
@@ -728,7 +749,7 @@ impl LangStore {
 
     /// The installed LRU byte cap, if any.
     pub fn max_bytes(&self) -> Option<u64> {
-        self.inner.lock().expect("store lock").max_bytes
+        self.lock().max_bytes
     }
 
     /// Whether the caching layer is active.
@@ -736,43 +757,33 @@ impl LangStore {
         self.enabled
     }
 
-    /// Installs `observer`, replacing any previous one. Every subsequent
-    /// memoized operation reports its hit/miss outcome to it (in addition
-    /// to the [`StoreStats`] counters, which always accumulate).
-    pub fn set_observer(&self, observer: Arc<dyn StoreObserver>) {
-        *self.observer.write().expect("observer lock") = Some(observer);
-    }
-
-    /// Removes the installed observer, if any.
-    pub fn clear_observer(&self) {
-        *self.observer.write().expect("observer lock") = None;
-    }
-
     /// Installs the metrics registry handle the store records operation
     /// costs into (replacing any previous one). A [`Metrics::disabled`]
     /// handle — the default — makes every recording a no-op.
     pub fn set_metrics(&self, metrics: Metrics) {
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.lock();
         inner.metrics = metrics;
         // Seed the gauge so a registry installed after the store warmed up
         // still reports the current retained bytes.
         inner.publish_memo_gauge();
     }
 
-    fn notify(&self, op: StoreOp, identity: Option<MemoIdentity>, hit: bool) {
-        // Clone the Arc out of the read guard so the observer runs without
-        // any store lock held.
-        let observer = self.observer.read().expect("observer lock").clone();
-        if let Some(observer) = observer {
-            observer.memo_event_keyed(op, identity.as_ref(), hit);
+    /// Counts one memo outcome, then releases the store lock and reports
+    /// the outcome, with its slot identity, to the current scope's
+    /// observer. The observer runs without the lock held, so it may use
+    /// the store itself.
+    fn settle(
+        &self,
+        mut inner: MutexGuard<'_, StoreInner>,
+        op: StoreOp,
+        hit: bool,
+        identity: impl FnOnce() -> Option<MemoIdentity>,
+    ) {
+        inner.count(Tally::Memo { op, hit });
+        drop(inner);
+        if let Some(observer) = StoreScope::current_observer() {
+            observer.memo_event(op, identity().as_ref(), hit);
         }
-    }
-
-    /// The installed observer when it opted into per-query reports, else
-    /// `None` (the cheap common case: one lock-free-ish read, no clock).
-    fn query_observer(&self) -> Option<Arc<dyn StoreObserver>> {
-        let observer = self.observer.read().expect("observer lock").clone()?;
-        observer.wants_queries().then_some(observer)
     }
 
     /// The language's fingerprint, with hit/miss accounting. The hit/miss
@@ -783,42 +794,13 @@ impl LangStore {
     /// scheduling.
     pub fn key_of(&self, lang: &Lang) -> Arc<CanonicalKey> {
         let (key, cost) = lang.fingerprint_tracked_costed();
-        let computed = cost.is_some();
-        {
-            let mut inner = self.inner.lock().expect("store lock");
-            if let Some(cost) = cost {
-                inner.stats.fingerprint_misses += 1;
-                scope_bump(|s| {
-                    s.fingerprint_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                // Key bytes live on the handle, not in the memo tables, so
-                // they are charged to `automata.fingerprint.bytes` only —
-                // the memo gauge tracks evictable entries exclusively.
-                inner.metrics.add(id::FINGERPRINT_BYTES, cost.key_bytes);
-                inner.metrics.add(
-                    id::EPS_CLOSURE_VISITED,
-                    cost.determinize.closure_visited as u64,
-                );
-                inner
-                    .metrics
-                    .observe(id::DETERMINIZE_IN, lang.num_states() as u64);
-                inner
-                    .metrics
-                    .observe(id::DETERMINIZE_OUT, cost.determinize.dfa_states as u64);
-            } else {
-                inner.stats.fingerprint_hits += 1;
-                scope_bump(|s| {
-                    s.fingerprint_hits.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.metrics.add(id::STORE_MEMO_HITS, 1);
-            }
+        let inner = self.lock();
+        if let Some(cost) = &cost {
+            record_fingerprint_cost(&inner.metrics, lang, cost);
         }
-        self.notify(
-            StoreOp::Fingerprint,
-            Some(MemoIdentity::Fingerprint(lang.clone())),
-            !computed,
-        );
+        self.settle(inner, StoreOp::Fingerprint, cost.is_none(), || {
+            Some(MemoIdentity::Fingerprint(lang.clone()))
+        });
         key
     }
 
@@ -831,13 +813,13 @@ impl LangStore {
             return lang;
         }
         let key = self.key_of(&lang);
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.lock();
         if let Some(existing) = inner.interned.get(&key) {
             let existing = existing.clone();
             inner.touch(SlotKey::Interned(key));
             return existing;
         }
-        inner.stats.interned += 1;
+        inner.count(Tally::Interned);
         inner.interned.insert(key.clone(), lang.clone());
         inner.charge_insert(SlotKey::Interned(key), lang.approx_bytes());
         lang
@@ -850,83 +832,45 @@ impl LangStore {
         if !self.enabled {
             let (nfa, cost) = ops::intersect_lang_counted(a.nfa(), b.nfa());
             let result = Lang::new(nfa);
-            {
-                let mut inner = self.inner.lock().expect("store lock");
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                inner.stats.states_materialized += result.num_states() as u64;
-                scope_bump(|s| {
-                    s.states_materialized
-                        .fetch_add(result.num_states() as u64, Ordering::Relaxed);
-                });
-                record_intersect_cost(&inner.metrics, &cost, &result);
-            }
-            self.notify(StoreOp::Intersect, None, false);
+            let mut inner = self.lock();
+            record_intersect_cost(&inner.metrics, &cost);
+            inner.count(Tally::Materialized(result.num_states() as u64));
+            self.settle(inner, StoreOp::Intersect, false, || None);
             return result;
         }
         let (ka, kb) = (self.key_of(a), self.key_of(b));
         let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
-        let identity = || MemoIdentity::Intersect(key.0.clone(), key.1.clone());
-        if let Some(hit) = self.lookup_intersect(&key) {
-            self.notify(StoreOp::Intersect, Some(identity()), true);
-            return hit;
+        let slot = || SlotKey::Intersect(key.0.clone(), key.1.clone());
+        let identity = || Some(MemoIdentity::Intersect(key.0.clone(), key.1.clone()));
+        {
+            let mut inner = self.lock();
+            if let Some(hit) = inner.intersect_memo.get(&key).cloned() {
+                inner.touch(slot());
+                self.settle(inner, StoreOp::Intersect, true, identity);
+                return hit;
+            }
         }
         let (nfa, cost) = ops::intersect_lang_counted(a.nfa(), b.nfa());
         let result = Lang::new(nfa);
-        let (result, hit) = {
-            let mut inner = self.inner.lock().expect("store lock");
-            // Re-check under the insert lock: a concurrent caller may have
-            // computed the same operation since our lookup missed. Keep the
-            // first representative so every equal-language handle is shared,
-            // and count the race as a hit, not a second miss. Cost metrics
-            // follow the same rule: only the insert winner records, so the
-            // recorded totals match the deterministic memo contents rather
-            // than the scheduling-dependent set of racers.
-            if let Some(existing) = inner.intersect_memo.get(&key).cloned() {
-                inner.stats.op_hits += 1;
-                scope_bump(|s| {
-                    s.op_hits.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_hit(SlotKey::Intersect(key.0.clone(), key.1.clone()));
-                (existing, true)
-            } else {
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                inner.stats.states_materialized += result.num_states() as u64;
-                scope_bump(|s| {
-                    s.states_materialized
-                        .fetch_add(result.num_states() as u64, Ordering::Relaxed);
-                });
-                record_intersect_cost(&inner.metrics, &cost, &result);
-                inner.intersect_memo.insert(key.clone(), result.clone());
-                inner.charge_insert(
-                    SlotKey::Intersect(key.0.clone(), key.1.clone()),
-                    result.approx_bytes(),
-                );
-                (result, false)
-            }
-        };
-        self.notify(StoreOp::Intersect, Some(identity()), hit);
-        result
-    }
-
-    fn lookup_intersect(&self, key: &(Arc<CanonicalKey>, Arc<CanonicalKey>)) -> Option<Lang> {
-        let mut inner = self.inner.lock().expect("store lock");
-        let hit = inner.intersect_memo.get(key).cloned();
-        if hit.is_some() {
-            inner.stats.op_hits += 1;
-            scope_bump(|s| {
-                s.op_hits.fetch_add(1, Ordering::Relaxed);
-            });
-            inner.note_hit(SlotKey::Intersect(key.0.clone(), key.1.clone()));
+        let mut inner = self.lock();
+        // Re-check under the insert lock: a concurrent caller may have
+        // computed the same operation since our lookup missed. Keep the
+        // first representative so every equal-language handle is shared,
+        // and count the race as a hit, not a second miss. Cost metrics
+        // follow the same rule: only the insert winner records, so the
+        // recorded totals match the deterministic memo contents rather
+        // than the scheduling-dependent set of racers.
+        if let Some(existing) = inner.intersect_memo.get(&key).cloned() {
+            inner.touch(slot());
+            self.settle(inner, StoreOp::Intersect, true, identity);
+            return existing;
         }
-        hit
+        record_intersect_cost(&inner.metrics, &cost);
+        inner.count(Tally::Materialized(result.num_states() as u64));
+        inner.intersect_memo.insert(key.clone(), result.clone());
+        inner.charge_insert(slot(), result.approx_bytes());
+        self.settle(inner, StoreOp::Intersect, false, identity);
+        result
     }
 
     /// Memoized language inclusion (`a ⊆ b`), keyed by the ordered
@@ -941,8 +885,8 @@ impl LangStore {
     /// Budgeted [`LangStore::is_subset`]: structural pre-checks and memo
     /// hits answer for free; an actual search observes `limits` inside
     /// its frontier loop. A breach memoizes nothing (a later unbudgeted
-    /// retry recomputes), but the partial work is still recorded into the
-    /// metrics registry so an exhaustion snapshot reflects it.
+    /// retry recomputes), but the partial work is still counted so an
+    /// exhaustion snapshot reflects it.
     pub fn try_is_subset(
         &self,
         a: &Lang,
@@ -958,9 +902,9 @@ impl LangStore {
         if a.is_empty_language() {
             return Ok(true);
         }
-        // Per-query reporting (the cost ledger) is opt-in: a disabled
-        // ledger costs one observer read here and no clock reads at all.
-        let reporter = self.query_observer();
+        // Per-query reporting (the cost ledger) is opt-in: without a
+        // scope observer that wants queries, no clock is read at all.
+        let reporter = StoreScope::current_observer().filter(|o| o.wants_queries());
         let started = reporter.as_ref().map(|_| std::time::Instant::now());
         let report = |keys: Option<(&Arc<CanonicalKey>, &Arc<CanonicalKey>)>,
                       identity: Option<MemoIdentity>,
@@ -987,22 +931,15 @@ impl LangStore {
             let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
                 Ok(computed) => computed,
                 Err(abort) => {
-                    self.record_partial_inclusion(abort.cost());
+                    self.lock().count(Tally::Inclusion(abort.cost()));
                     report(None, None, false, true, None, abort.cost());
                     return Err(abort);
                 }
             };
-            {
-                let mut inner = self.inner.lock().expect("store lock");
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                record_inclusion_cost(&mut inner, &cost);
-            }
+            let mut inner = self.lock();
+            inner.count(Tally::Inclusion(cost));
+            self.settle(inner, StoreOp::Inclusion, false, || None);
             report(None, None, false, true, Some(result), cost);
-            self.notify(StoreOp::Inclusion, None, false);
             return Ok(result);
         }
         let key = (self.key_of(a), self.key_of(b));
@@ -1011,93 +948,48 @@ impl LangStore {
             // so the inclusion holds without a search.
             return Ok(true);
         }
-        let identity = || MemoIdentity::Inclusion(key.0.clone(), key.1.clone());
+        let keys = Some((&key.0, &key.1));
+        let slot = || SlotKey::Inclusion(key.0.clone(), key.1.clone());
+        let identity = || Some(MemoIdentity::Inclusion(key.0.clone(), key.1.clone()));
         {
-            let hit = {
-                let mut inner = self.inner.lock().expect("store lock");
-                let hit = inner.inclusion_memo.get(&key).copied();
-                if hit.is_some() {
-                    inner.stats.op_hits += 1;
-                    scope_bump(|s| {
-                        s.op_hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                    inner.note_hit(SlotKey::Inclusion(key.0.clone(), key.1.clone()));
-                }
-                hit
-            };
-            if let Some(hit) = hit {
+            let mut inner = self.lock();
+            if let Some(hit) = inner.inclusion_memo.get(&key).copied() {
+                inner.touch(slot());
+                self.settle(inner, StoreOp::Inclusion, true, identity);
                 report(
-                    Some((&key.0, &key.1)),
-                    Some(identity()),
+                    keys,
+                    identity(),
                     true,
                     false,
                     Some(hit),
                     InclusionCost::default(),
                 );
-                self.notify(StoreOp::Inclusion, Some(identity()), true);
                 return Ok(hit);
             }
         }
         let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
             Ok(computed) => computed,
             Err(abort) => {
-                self.record_partial_inclusion(abort.cost());
-                report(
-                    Some((&key.0, &key.1)),
-                    Some(identity()),
-                    false,
-                    true,
-                    None,
-                    abort.cost(),
-                );
+                self.lock().count(Tally::Inclusion(abort.cost()));
+                report(keys, identity(), false, true, None, abort.cost());
                 return Err(abort);
             }
         };
-        let hit = {
-            let mut inner = self.inner.lock().expect("store lock");
-            // Same race re-check as `intersect`: first writer wins the
-            // entry, and only the winner records the search cost, so the
-            // totals stay deterministic across thread counts.
-            if inner.inclusion_memo.contains_key(&key) {
-                inner.stats.op_hits += 1;
-                scope_bump(|s| {
-                    s.op_hits.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_hit(SlotKey::Inclusion(key.0.clone(), key.1.clone()));
-                true
-            } else {
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                record_inclusion_cost(&mut inner, &cost);
-                inner.inclusion_memo.insert(key.clone(), result);
-                inner.charge_insert(
-                    SlotKey::Inclusion(key.0.clone(), key.1.clone()),
-                    INCLUSION_ENTRY_BYTES,
-                );
-                false
-            }
-        };
-        report(
-            Some((&key.0, &key.1)),
-            Some(identity()),
-            hit,
-            true,
-            Some(result),
-            cost,
-        );
-        self.notify(StoreOp::Inclusion, Some(identity()), hit);
+        let mut inner = self.lock();
+        // Same race re-check as `intersect`: first writer wins the entry,
+        // and only the winner counts the search work, so the totals stay
+        // deterministic across thread counts.
+        let hit = inner.inclusion_memo.contains_key(&key);
+        if hit {
+            inner.touch(slot());
+        } else {
+            inner.count(Tally::Inclusion(cost));
+            inner.inclusion_memo.insert(key.clone(), result);
+            inner.charge_insert(slot(), INCLUSION_ENTRY_BYTES);
+        }
+        self.settle(inner, StoreOp::Inclusion, hit, identity);
+        report(keys, identity(), hit, true, Some(result), cost);
         Ok(result)
-    }
-
-    /// Folds an aborted inclusion run's partial cost into the metrics (but
-    /// never into the memo): the exhaustion snapshot carries the wasted
-    /// frontier work.
-    fn record_partial_inclusion(&self, cost: InclusionCost) {
-        let mut inner = self.inner.lock().expect("store lock");
-        record_inclusion_cost(&mut inner, &cost);
     }
 
     /// Memoized language-preserving minimization, keyed by fingerprint.
@@ -1105,128 +997,80 @@ impl LangStore {
         if !self.enabled {
             let (nfa, det) = minimize_counted(a.nfa());
             let result = Lang::new(nfa);
-            {
-                let mut inner = self.inner.lock().expect("store lock");
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                inner.stats.states_materialized += result.num_states() as u64;
-                scope_bump(|s| {
-                    s.states_materialized
-                        .fetch_add(result.num_states() as u64, Ordering::Relaxed);
-                });
-                record_minimize_cost(&inner.metrics, a, &det, &result);
-            }
-            self.notify(StoreOp::Minimize, None, false);
+            let mut inner = self.lock();
+            record_minimize_cost(&inner.metrics, a, &det);
+            inner.count(Tally::Materialized(result.num_states() as u64));
+            self.settle(inner, StoreOp::Minimize, false, || None);
             return result;
         }
         let key = self.key_of(a);
+        let identity = || Some(MemoIdentity::Minimize(key.clone()));
         {
-            let hit = {
-                let mut inner = self.inner.lock().expect("store lock");
-                let hit = inner.minimize_memo.get(&key).cloned();
-                if hit.is_some() {
-                    inner.stats.op_hits += 1;
-                    scope_bump(|s| {
-                        s.op_hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                    inner.note_hit(SlotKey::Minimize(key.clone()));
-                }
-                hit
-            };
-            if let Some(hit) = hit {
-                self.notify(StoreOp::Minimize, Some(MemoIdentity::Minimize(key)), true);
+            let mut inner = self.lock();
+            if let Some(hit) = inner.minimize_memo.get(&key).cloned() {
+                inner.touch(SlotKey::Minimize(key.clone()));
+                self.settle(inner, StoreOp::Minimize, true, identity);
                 return hit;
             }
         }
         let (nfa, det) = minimize_counted(a.nfa());
         let result = Lang::new(nfa);
-        let (result, hit) = {
-            let mut inner = self.inner.lock().expect("store lock");
-            // Same race re-check as `intersect`: first writer wins the entry.
-            if let Some(existing) = inner.minimize_memo.get(&key).cloned() {
-                inner.stats.op_hits += 1;
-                scope_bump(|s| {
-                    s.op_hits.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_hit(SlotKey::Minimize(key.clone()));
-                (existing, true)
-            } else {
-                inner.stats.op_misses += 1;
-                scope_bump(|s| {
-                    s.op_misses.fetch_add(1, Ordering::Relaxed);
-                });
-                inner.note_miss();
-                inner.stats.states_materialized += result.num_states() as u64;
-                scope_bump(|s| {
-                    s.states_materialized
-                        .fetch_add(result.num_states() as u64, Ordering::Relaxed);
-                });
-                record_minimize_cost(&inner.metrics, a, &det, &result);
-                inner.minimize_memo.insert(key.clone(), result.clone());
-                inner.charge_insert(SlotKey::Minimize(key.clone()), result.approx_bytes());
-                (result, false)
-            }
-        };
-        self.notify(StoreOp::Minimize, Some(MemoIdentity::Minimize(key)), hit);
+        let mut inner = self.lock();
+        // Same race re-check as `intersect`: first writer wins the entry.
+        if let Some(existing) = inner.minimize_memo.get(&key).cloned() {
+            inner.touch(SlotKey::Minimize(key.clone()));
+            self.settle(inner, StoreOp::Minimize, true, identity);
+            return existing;
+        }
+        record_minimize_cost(&inner.metrics, a, &det);
+        inner.count(Tally::Materialized(result.num_states() as u64));
+        inner.minimize_memo.insert(key.clone(), result.clone());
+        inner.charge_insert(SlotKey::Minimize(key.clone()), result.approx_bytes());
+        self.settle(inner, StoreOp::Minimize, false, identity);
         result
     }
 
-    /// Snapshot of the counters.
+    /// Snapshot of the store's running totals.
     pub fn stats(&self) -> StoreStats {
-        self.inner.lock().expect("store lock").stats
+        self.lock().stats
     }
 
     /// Adds `states` to the materialization counter (for machines built by
     /// the solver outside the store's own operations).
     pub fn note_materialized(&self, states: usize) {
-        let mut inner = self.inner.lock().expect("store lock");
-        inner.stats.states_materialized += states as u64;
-        scope_bump(|s| {
-            s.states_materialized
-                .fetch_add(states as u64, Ordering::Relaxed);
-        });
-        inner.metrics.add(id::STORE_MATERIALIZED, states as u64);
+        self.lock().count(Tally::Materialized(states as u64));
     }
 }
 
-/// Records one computed inclusion query's cost: macrostates explored, the
-/// final antichain size, and subsumption prunes. Called winner-only on the
-/// success path and once on the abort path.
-fn record_inclusion_cost(inner: &mut StoreInner, cost: &InclusionCost) {
-    inner.stats.inclusion_macrostates += cost.macrostates;
-    scope_bump(|s| {
-        s.inclusion_macrostates
-            .fetch_add(cost.macrostates, Ordering::Relaxed);
-    });
-    inner
-        .metrics
-        .add(id::INCLUSION_MACROSTATES, cost.macrostates);
-    inner
-        .metrics
-        .observe(id::INCLUSION_ANTICHAIN_SIZE, cost.antichain_size);
-    inner.metrics.add(id::INCLUSION_PRUNES, cost.prunes);
+/// Records one fingerprint computation's cost: the serialized key bytes,
+/// ε-closure work, and the determinization blowup. Key bytes live on the
+/// handle, not in the memo tables, so they are charged to
+/// `automata.fingerprint.bytes` only — the memo gauge tracks evictable
+/// entries exclusively.
+fn record_fingerprint_cost(metrics: &Metrics, input: &Lang, cost: &FingerprintCost) {
+    metrics.add(id::FINGERPRINT_BYTES, cost.key_bytes);
+    metrics.add(
+        id::EPS_CLOSURE_VISITED,
+        cost.determinize.closure_visited as u64,
+    );
+    metrics.observe(id::DETERMINIZE_IN, input.num_states() as u64);
+    metrics.observe(id::DETERMINIZE_OUT, cost.determinize.dfa_states as u64);
 }
 
 /// Records one computed intersection's cost: product states explored vs.
-/// reachable after trimming, plus the materialized result.
-fn record_intersect_cost(metrics: &Metrics, cost: &ops::IntersectCost, result: &Lang) {
+/// reachable after trimming.
+fn record_intersect_cost(metrics: &Metrics, cost: &ops::IntersectCost) {
     metrics.add(id::INTERSECT_PRODUCTS, cost.explored as u64);
     metrics.observe(id::INTERSECT_EXPLORED, cost.explored as u64);
     metrics.observe(id::INTERSECT_REACHABLE, cost.reachable as u64);
-    metrics.add(id::STORE_MATERIALIZED, result.num_states() as u64);
 }
 
 /// Records one computed minimization's cost: the determinization blowup
-/// (input NFA states → subset-construction states), ε-closure work, and the
-/// materialized result.
-fn record_minimize_cost(metrics: &Metrics, input: &Lang, det: &DeterminizeCost, result: &Lang) {
+/// (input NFA states → subset-construction states) and ε-closure work.
+fn record_minimize_cost(metrics: &Metrics, input: &Lang, det: &DeterminizeCost) {
     metrics.observe(id::DETERMINIZE_IN, input.num_states() as u64);
     metrics.observe(id::DETERMINIZE_OUT, det.dfa_states as u64);
     metrics.add(id::EPS_CLOSURE_VISITED, det.closure_visited as u64);
-    metrics.add(id::STORE_MATERIALIZED, result.num_states() as u64);
 }
 
 impl fmt::Debug for LangStore {
@@ -1317,7 +1161,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_memoized_operation() {
+    fn scope_observer_sees_every_memoized_operation() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         #[derive(Default)]
         struct Counting {
@@ -1325,7 +1169,7 @@ mod tests {
             misses: AtomicUsize,
         }
         impl StoreObserver for Counting {
-            fn memo_event(&self, _op: StoreOp, hit: bool) {
+            fn memo_event(&self, _op: StoreOp, _identity: Option<&MemoIdentity>, hit: bool) {
                 if hit {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -1335,13 +1179,17 @@ mod tests {
         }
         let store = LangStore::new();
         let observer = Arc::new(Counting::default());
-        store.set_observer(observer.clone());
+        let scope = StoreScope::new(Some(observer.clone()));
         let a = Lang::new(ab_star());
         let b = Lang::new(Nfa::length_between(0, 4));
-        store.intersect(&a, &b);
-        store.intersect(&a, &b);
+        {
+            let _guard = StoreScope::install(scope.clone());
+            store.intersect(&a, &b);
+            store.intersect(&a, &b);
+        }
         let stats = store.stats();
-        // Observer totals match the store's own counters exactly.
+        // Observer totals match the store's own counters exactly, and so
+        // do the scope's: one window, one request.
         assert_eq!(
             observer.hits.load(Ordering::Relaxed) as u64,
             stats.op_hits + stats.fingerprint_hits
@@ -1350,13 +1198,101 @@ mod tests {
             observer.misses.load(Ordering::Relaxed) as u64,
             stats.op_misses + stats.fingerprint_misses
         );
-        // After clearing, operations stop reporting.
-        store.clear_observer();
+        assert_eq!(
+            scope.stats(),
+            StoreStats {
+                interned: 0,
+                ..stats
+            }
+        );
+        // Outside the scope, operations reach neither its counters nor
+        // its observer.
         let before =
             observer.hits.load(Ordering::Relaxed) + observer.misses.load(Ordering::Relaxed);
         store.minimized(&a);
         let after = observer.hits.load(Ordering::Relaxed) + observer.misses.load(Ordering::Relaxed);
         assert_eq!(before, after);
+        assert_eq!(
+            scope.stats(),
+            StoreStats {
+                interned: 0,
+                ..stats
+            }
+        );
+        assert_ne!(store.stats(), stats);
+    }
+
+    #[test]
+    fn scopes_on_other_threads_see_only_their_own_work() {
+        let store = LangStore::new();
+        let a = Lang::new(ab_star());
+        let b = Lang::new(Nfa::length_between(0, 4));
+        let c = Lang::new(Nfa::length_between(0, 2));
+        let mine = StoreScope::new(None);
+        let theirs = StoreScope::new(None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = StoreScope::install(theirs.clone());
+                store.intersect(&b, &c);
+                store.is_subset(&c, &b);
+            });
+            let _guard = StoreScope::install(mine.clone());
+            store.intersect(&a, &b);
+        });
+        let (mine, theirs) = (mine.stats(), theirs.stats());
+        // `b`'s fingerprint is computed once, by whichever thread got
+        // there first, and that thread's scope counts the miss.
+        assert_eq!(
+            mine.fingerprint_misses + theirs.fingerprint_misses,
+            store.stats().fingerprint_misses
+        );
+        assert_eq!((mine.op_hits, mine.op_misses), (0, 1), "one intersection");
+        assert_eq!(
+            (theirs.op_hits, theirs.op_misses),
+            (0, 2),
+            "one intersection, one inclusion"
+        );
+        assert_eq!(mine.inclusion_macrostates, 0);
+        assert_eq!(
+            theirs.inclusion_macrostates,
+            store.stats().inclusion_macrostates
+        );
+        assert_eq!(
+            mine.charged_bytes + theirs.charged_bytes,
+            store.stats().charged_bytes
+        );
+    }
+
+    #[test]
+    fn scope_memo_bytes_floor_the_totals_not_each_step() {
+        let a = Lang::new(ab_star());
+        let b = Lang::new(Nfa::length_between(0, 4));
+        let c = Lang::new(Nfa::length_between(0, 2));
+        let store = LangStore::new();
+        let before = StoreScope::new(None);
+        {
+            let _guard = StoreScope::install(before.clone());
+            store.intersect(&a, &b);
+            store.intersect(&a, &c);
+        }
+        let retained = store.stats().memo_bytes;
+        let scope = StoreScope::new(None);
+        let _guard = StoreScope::install(scope.clone());
+        // Evicting the other scope's entries drives this scope's net
+        // growth below zero; the next insert must not start from a floor.
+        store.set_max_bytes(Some(0));
+        store.set_max_bytes(None);
+        let stats = scope.stats();
+        assert_eq!(stats.evicted_bytes, retained);
+        assert_eq!(stats.memo_bytes, 0, "net growth floors at zero");
+        store.is_subset(&c, &a);
+        let stats = scope.stats();
+        assert_eq!(stats.charged_bytes, INCLUSION_ENTRY_BYTES);
+        assert_eq!(
+            stats.memo_bytes,
+            INCLUSION_ENTRY_BYTES.saturating_sub(retained),
+            "charged minus evicted, floored once"
+        );
     }
 
     #[test]
@@ -1422,14 +1358,13 @@ mod tests {
     }
 
     #[test]
-    fn keyed_observer_receives_slot_identities() {
+    fn observer_receives_slot_identities() {
         #[derive(Default)]
         struct Recording {
             identities: Mutex<Vec<(StoreOp, Option<MemoIdentity>, bool)>>,
         }
         impl StoreObserver for Recording {
-            fn memo_event(&self, _op: StoreOp, _hit: bool) {}
-            fn memo_event_keyed(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
+            fn memo_event(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
                 self.identities
                     .lock()
                     .expect("recording")
@@ -1438,7 +1373,7 @@ mod tests {
         }
         let store = LangStore::new();
         let observer = Arc::new(Recording::default());
-        store.set_observer(observer.clone());
+        let _guard = StoreScope::install(StoreScope::new(Some(observer.clone())));
         let a = Lang::new(ab_star());
         let b = Lang::new(Nfa::length_between(0, 4));
         store.intersect(&a, &b);
@@ -1459,7 +1394,6 @@ mod tests {
         assert!(intersects[1].2, "second touch hits");
         // A pass-through store reports no identities.
         let plain = LangStore::interning(false);
-        plain.set_observer(observer.clone());
         plain.intersect(&a, &b);
         let last = observer
             .identities

@@ -78,8 +78,8 @@ pub use dfa::{
 pub use homomorphism::ByteMap;
 pub use inclusion::{InclusionAbort, InclusionCost, InclusionLimits};
 pub use lang::{
-    current_stats_scope, install_stats_scope, FingerprintCost, InclusionQuery, Lang, LangStore,
-    MemoIdentity, ScopedStoreStats, StatsScopeGuard, StoreObserver, StoreOp, StoreStats,
+    FingerprintCost, InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp,
+    StoreScope, StoreScopeGuard, StoreStats,
 };
 pub use metrics::{MetricEntry, MetricValue, Metrics, MetricsSnapshot};
 pub use minimize::{

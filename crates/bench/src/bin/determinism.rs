@@ -58,7 +58,6 @@ struct RunResult {
 fn traced_options(jobs: usize) -> SolveOptions {
     SolveOptions {
         jobs,
-        trace: true,
         metrics: Metrics::enabled(),
         ..SolveOptions::default()
     }

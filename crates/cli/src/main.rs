@@ -20,7 +20,8 @@
 //!   --dot-var NAME     print the solved machine for NAME in DOT
 //!   --no-verify        skip re-verification of produced assignments
 //!   --core             on unsat, print a minimal unsatisfiable core
-//!   --trace            print the solver's event trace to stderr
+//!   --trace            write the structured event journal to stderr
+//!                      as JSONL (the `--trace-out` lines)
 //!   --trace=summary    print a per-phase time table after solving
 //!   --trace-out FILE   write the structured event journal as JSONL
 //!   --trace-dot FILE   write the provenance-annotated dependency graph
@@ -273,7 +274,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// The tracer plus handles to its sinks: the collector backs `--trace=summary`
 /// and `--trace-dot` (both need the events after the solve), the JSONL sink
 /// backs `--trace-out` and is kept typed so deferred write errors surface at
-/// the final flush.
+/// the final flush. `--trace` streams the same JSONL lines to stderr.
 struct TraceSetup {
     tracer: Tracer,
     collect: Option<Arc<CollectSink>>,
@@ -300,6 +301,9 @@ impl TraceSetup {
             }
             None => None,
         };
+        if args.trace {
+            sinks.push(Arc::new(JsonlSink::new(std::io::stderr())));
+        }
         let tracer = match sinks.len() {
             0 => Tracer::disabled(),
             1 => Tracer::new(sinks.pop().expect("one sink")),
@@ -896,7 +900,6 @@ fn main() -> ExitCode {
     let options = SolveOptions {
         max_assignments: if args.first { Some(1) } else { None },
         verify: args.verify,
-        trace: args.trace,
         interning: args.interning,
         jobs: args.jobs,
         metrics: metrics.clone(),
@@ -934,9 +937,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        for event in &run.stats.events {
-            eprintln!("trace: {event}");
-        }
         if args.stats {
             print_stats(&run.stats);
         }
@@ -975,9 +975,6 @@ fn main() -> ExitCode {
     let (solution, stats) = match try_solve_traced(&system, &options, &store, &setup.tracer) {
         Ok(run) => run,
         Err(exhausted) => {
-            for event in &exhausted.stats.events {
-                eprintln!("trace: {event}");
-            }
             if args.stats {
                 print_stats(&exhausted.stats);
             }
@@ -994,9 +991,6 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_EXHAUSTED);
         }
     };
-    for event in &stats.events {
-        eprintln!("trace: {event}");
-    }
     // Stats are printed on every exit path — sat, unsat, and early-unsat —
     // before the solution is inspected, so `--stats` never goes silent.
     if args.stats {

@@ -24,7 +24,7 @@
 //! | `max_live_states` | integer ≥ 1 | budget override |
 //! | `deadline_ms` | integer ≥ 1 | budget override |
 //! | `witness` | bool | include one shortest witness per variable |
-//! | `trace` | bool | include human-readable trace events |
+//! | `trace` | bool | embed this request's trace-journal events |
 //! | `ledger` | bool | embed this request's cost-ledger records |
 //!
 //! Unknown fields are rejected (fail-closed), mirroring the repo's other
@@ -37,11 +37,13 @@
 //! store-sharing-invariant (PR 1's contract: memoization changes costs,
 //! never answers), so a request's `solutions`/`witnesses`/`outputs` are
 //! byte-identical whether it runs alone or next to neighbors. Per-request
-//! `stats` are request-scoped: a thread-local counter scope
-//! ([`dprle_automata::ScopedStoreStats`]) captures exactly this request's
-//! store work, so the reported counters never include a concurrent
-//! neighbor's work. Hit rates still depend on arrival order (that is the
-//! point of sharing); the counted events are the request's own.
+//! telemetry is request-scoped: each solve installs a thread-local
+//! [`StoreScope`](dprle_automata::StoreScope) that counts exactly this
+//! request's store work and reports it to this request's tracer and
+//! ledger, so neither the `stats`, nor the journal's memo events, nor the
+//! ledger's store-site records ever include a concurrent neighbor's work.
+//! Hit rates still depend on arrival order (that is the point of
+//! sharing); the counted events are the request's own.
 //!
 //! ## Observability
 //!
@@ -51,8 +53,9 @@
 //! `parse-us`, `solve-us`, `serialize-us`, and `wall-us` (arrival to
 //! rendered response; always ≥ the sum of the other four). The same
 //! request id is stamped on the request's trace-journal events
-//! (`--trace-out`) and cost-ledger records, so a shared journal or
-//! multi-tenant ledger joins back against responses. Lifecycle phases
+//! (`--trace-out`, and the events a `trace` request embeds) and
+//! cost-ledger records, so a shared journal or multi-tenant ledger joins
+//! back against responses. Lifecycle phases
 //! feed the `serve.request.*` histograms and `serve.requests.*`
 //! per-outcome counters in the metrics registry, and the N slowest
 //! requests are kept in a ring served by the admin plane's `/slow`
@@ -75,8 +78,9 @@ use crate::smtlib;
 use dprle_automata::LangStore;
 use dprle_core::metrics::id;
 use dprle_core::{
-    json_string, lookup, try_solve_traced, Budget, CollectLedger, Json, Ledger, Metrics,
-    ResourceExhausted, Solution, SolveOptions, SolveStats, System, TraceSink, Tracer,
+    json_string, lookup, try_solve_traced, Budget, CollectLedger, CollectSink, Json, Ledger,
+    Metrics, ResourceExhausted, Solution, SolveOptions, SolveStats, System, TeeSink, TraceEvent,
+    TraceSink, Tracer,
 };
 use std::cell::Cell;
 use std::io::{BufRead, Read, Write};
@@ -377,7 +381,6 @@ impl SolverService {
         let options = SolveOptions {
             interning: self.config.interning,
             jobs: request.jobs.unwrap_or(self.config.jobs),
-            trace: request.trace,
             metrics: self.metrics.clone(),
             budget: Budget {
                 max_product_states: request
@@ -396,14 +399,22 @@ impl SolverService {
             }),
             ..SolveOptions::default()
         };
-        // The shared journal gets a per-request tagged tracer; with no
-        // `--trace-out` the tracer is disabled and records nothing.
-        let journal = self.trace_sink.lock().expect("trace-sink lock").clone();
-        let tracer = match &journal {
-            Some(sink) => Tracer::new_tagged(Arc::clone(sink), request_id),
-            None => Tracer::disabled(),
+        // One tracer per request, tagged with its id, recording into the
+        // shared journal (`--trace-out`) and, for a `trace` request, into
+        // the collector its response embeds. With neither it is disabled
+        // and records nothing.
+        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
+        sinks.extend(self.trace_sink.lock().expect("trace-sink lock").clone());
+        let trace_sink = request.trace.then(|| Arc::new(CollectSink::new()));
+        if let Some(sink) = &trace_sink {
+            sinks.push(sink.clone());
+        }
+        let tracer = match sinks.len() {
+            0 => Tracer::disabled(),
+            1 => Tracer::new_tagged(sinks.pop().expect("one sink"), request_id),
+            _ => Tracer::new_tagged(Arc::new(TeeSink(sinks)), request_id),
         };
-        let response = if request.smtlib {
+        let mut response = if request.smtlib {
             self.solve_smtlib(request, &options, started, &tracer, solve_us)
         } else {
             self.solve_dprle(request, &options, started, &tracer, solve_us)
@@ -416,8 +427,15 @@ impl SolverService {
                     .push_str(&sink.to_jsonl());
             }
         }
+        if let Some(sink) = &trace_sink {
+            let events: Vec<String> = sink.take().iter().map(TraceEvent::to_json).collect();
+            response = embed_array(&response, "trace", &events);
+        }
         match (&ledger_sink, request.ledger) {
-            (Some(sink), true) => embed_ledger(&response, sink),
+            (Some(sink), true) => {
+                let records: Vec<String> = sink.take().iter().map(|r| r.to_json()).collect();
+                embed_array(&response, "ledger", &records)
+            }
             _ => response,
         }
     }
@@ -451,12 +469,12 @@ impl SolverService {
                         &solutions_json(&system, &assignments, Rendering::Witness),
                     );
                 }
-                out.finish(&stats, started, request.trace)
+                out.finish(&stats, started)
             }
             Ok((Solution::Unsat, stats)) => {
-                ResponseBuilder::new("unsat", &request.id).finish(&stats, started, request.trace)
+                ResponseBuilder::new("unsat", &request.id).finish(&stats, started)
             }
-            Err(exhausted) => exhausted_response(&request.id, &exhausted, started, request.trace),
+            Err(exhausted) => exhausted_response(&request.id, &exhausted, started),
         }
     }
 
@@ -477,7 +495,7 @@ impl SolverService {
             Ok(run) => run,
             Err(e) => {
                 if let Some(exhausted) = e.exhausted {
-                    return exhausted_response(&request.id, &exhausted, started, request.trace);
+                    return exhausted_response(&request.id, &exhausted, started);
                 }
                 return parse_error_response(Some(&request.id), &e.to_string());
             }
@@ -501,7 +519,7 @@ impl SolverService {
             .map(|o| json_string(&o.to_string()))
             .collect();
         out.raw("outputs", &format!("[{}]", outputs.join(",")));
-        out.finish(&run.stats, started, request.trace)
+        out.finish(&run.stats, started)
     }
 }
 
@@ -608,8 +626,8 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
 // ---------------------------------------------------------------------
 
 /// Incremental JSON-object writer for responses. Field order is pinned
-/// (kind, id, payload…, stats, trace) so responses are byte-stable for a
-/// given outcome — the concurrency tests compare them directly.
+/// (kind, id, payload…, stats) so responses are byte-stable for a given
+/// outcome — the concurrency tests compare them directly.
 struct ResponseBuilder {
     out: String,
 }
@@ -639,12 +657,8 @@ impl ResponseBuilder {
         self.out.push_str(rendered);
     }
 
-    fn finish(mut self, stats: &SolveStats, started: Instant, trace: bool) -> String {
+    fn finish(mut self, stats: &SolveStats, started: Instant) -> String {
         self.raw("stats", &stats_json(stats, started));
-        if trace {
-            let events: Vec<String> = stats.events.iter().map(|e| json_string(e)).collect();
-            self.raw("trace", &format!("[{}]", events.join(",")));
-        }
         self.out.push('}');
         self.out
     }
@@ -723,17 +737,12 @@ fn solutions_json(
     out
 }
 
-fn exhausted_response(
-    id: &str,
-    exhausted: &ResourceExhausted,
-    started: Instant,
-    trace: bool,
-) -> String {
+fn exhausted_response(id: &str, exhausted: &ResourceExhausted, started: Instant) -> String {
     let mut out = ResponseBuilder::new("resource-exhausted", id);
     out.str("budget", exhausted.kind.name());
     out.num("limit", exhausted.limit);
     out.num("observed", exhausted.observed);
-    out.finish(&exhausted.stats, started, trace)
+    out.finish(&exhausted.stats, started)
 }
 
 fn parse_error_response(id: Option<&str>, message: &str) -> String {
@@ -748,19 +757,24 @@ fn parse_error_response(id: Option<&str>, message: &str) -> String {
     out
 }
 
-/// Splices this request's cost-ledger records into an already-rendered
-/// response as a `"ledger": [...]` field (each record line is itself a
-/// valid JSON object, so they embed raw). Appending to the rendered
-/// object keeps the happy path allocation-free when no embed was asked.
-fn embed_ledger(response: &str, sink: &CollectLedger) -> String {
-    let jsonl = sink.to_jsonl();
-    let records: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
+/// Splices rendered JSON objects — this request's journal events or
+/// cost-ledger records — into an already-rendered response as a
+/// `"key": [...]` field. Appending to the rendered object keeps the happy
+/// path allocation-free when no embed was asked. A `parse-error` response
+/// solved nothing, so its schema has no such field and it is returned
+/// unchanged.
+fn embed_array(response: &str, key: &str, items: &[String]) -> String {
+    if response_kind(response) == "parse-error" {
+        return response.to_owned();
+    }
     let mut out = response
         .strip_suffix('}')
         .expect("responses are JSON objects")
         .to_owned();
-    out.push_str(",\"ledger\":[");
-    out.push_str(&records.join(","));
+    out.push(',');
+    out.push_str(&json_string(key));
+    out.push_str(":[");
+    out.push_str(&items.join(","));
     out.push_str("]}");
     out
 }
@@ -799,7 +813,7 @@ fn response_kind(response: &str) -> &'static str {
 
 /// Splices the request id and lifecycle breakdown onto an
 /// already-rendered response, after every other field (same pattern as
-/// [`embed_ledger`], so existing consumers that cut at `,\"stats\":`
+/// [`embed_array`], so existing consumers that cut at `,\"stats\":`
 /// keep working).
 fn splice_observability(response: &str, request_id: &str, breakdown: &Breakdown) -> String {
     let mut out = response
@@ -1184,6 +1198,7 @@ mod tests {
     const SAT_PROGRAM: &str =
         "var v1; c1 := match(/[\\d]+$/); c2 := \"nid_\"; c3 := match(/'/); v1 <= c1; c2 . v1 <= c3;";
     const UNSAT_PROGRAM: &str = "var v; a := \"x\"; b := \"y\"; v <= a; v <= b;";
+    const SERVE_SCHEMA: &str = include_str!("../../../docs/serve.schema.json");
 
     fn service() -> Arc<SolverService> {
         Arc::new(SolverService::new(
@@ -1359,14 +1374,66 @@ mod tests {
     }
 
     #[test]
-    fn trace_requests_embed_events() {
+    fn trace_requests_embed_their_journal_events() {
+        let service = service();
+        let journal = Arc::new(dprle_core::CollectSink::new());
+        service.set_trace_sink(journal.clone());
         let line = request(&format!(
             "\"id\":\"t\",\"input\":{},\"trace\":true",
             json_string(SAT_PROGRAM)
         ));
-        let json = Json::parse(&service().handle_line(&line)).expect("valid JSON");
+        let response = service.handle_line(&line);
+        let json = Json::parse(&response).expect("valid JSON");
         let events = field(&json, "trace").as_array().expect("trace array");
         assert!(!events.is_empty(), "tracing produces events");
+        // The embedded events are the very events the shared journal
+        // received: schema-valid trace objects, stamped with the request.
+        let journaled = journal.take();
+        let jsonl: String = journaled.iter().map(|e| e.to_json() + "\n").collect();
+        dprle_core::validate_jsonl(dprle_core::TRACE_SCHEMA, &jsonl).expect("schema-valid");
+        let expected: Vec<Json> = journaled
+            .iter()
+            .map(|e| Json::parse(&e.to_json()).expect("event JSON"))
+            .collect();
+        assert_eq!(events, expected.as_slice());
+        assert!(jsonl.contains("\"kind\":\"MemoMiss\""), "{jsonl}");
+        assert!(
+            journaled
+                .iter()
+                .all(|e| e.request_id.as_deref() == Some("r0")),
+            "{jsonl}"
+        );
+    }
+
+    #[test]
+    fn parse_errors_embed_no_trace_or_ledger() {
+        let line = request("\"id\":\"q\",\"input\":\"nope nope;\",\"trace\":true,\"ledger\":true");
+        let response = service().handle_line(&line);
+        dprle_core::validate_jsonl(SERVE_SCHEMA, &response).expect("schema-valid parse error");
+        let json = Json::parse(&response).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_a_parse_error_and_the_next_is_answered() {
+        let service = service();
+        let depth = 300_000;
+        let deep = format!(
+            "{{\"id\":\"b\",\"input\":{}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let json = Json::parse(&service.handle_line(&deep)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+        let error = field(&json, "error").as_str().expect("error message");
+        assert!(error.contains("nesting deeper than"), "{error}");
+        let line = request(&format!(
+            "\"id\":\"c\",\"input\":{}",
+            json_string(SAT_PROGRAM)
+        ));
+        let json = Json::parse(&service.handle_line(&line)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("sat"));
+        assert_eq!(field(&json, "id").as_str(), Some("c"));
     }
 
     #[test]

@@ -161,6 +161,39 @@ fn analyzer_prints_alternatives() {
 }
 
 #[test]
+fn analyzer_enumerates_stacked_alternatives_in_bounded_memory() {
+    // Enumerating a second exploit under the stacked policy once queued
+    // every live byte successor of every word breadth-first and ran out
+    // of memory. The address-space cap keeps a regression from taking
+    // the machine down with it.
+    let file = temp_file("figure1_stacked_alt.php", FIGURE1_PHP);
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -v 1500000 2>/dev/null; exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_dprle-analyze"),
+            "--policy",
+            "stacked",
+            "--alternatives",
+            "2",
+            file.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Exit status 1 is the analyzer's verdict for a vulnerable file.
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("VULNERABLE"), "{stdout}");
+    assert!(stdout.contains("posted_newsid = \"';0\""), "{stdout}");
+    assert!(stdout.contains("alternative 1: \"';1\""), "{stdout}");
+}
+
+#[test]
 fn analyzer_rejects_unparseable_php() {
     let file = temp_file("bad.php", "<?php for(;;) {}");
     let out = dprle_analyze(&[file.to_str().expect("utf8")]);
@@ -291,6 +324,36 @@ fn trace_summary_prints_phase_table_to_stderr() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("trace: per-phase wall time"), "{stderr}");
     assert!(stderr.contains("memo cache:"), "{stderr}");
+}
+
+#[test]
+fn trace_streams_the_journal_to_stderr() {
+    let file = temp_file("trace_stderr.dprle", MOTIVATING);
+    let journal = std::env::temp_dir().join("dprle_cli_test_trace_stderr.jsonl");
+    let out = dprle(&[
+        "--trace",
+        "--stats",
+        "--trace-out",
+        journal.to_str().expect("utf8"),
+        file.to_str().expect("utf8 path"),
+    ]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let zeroed = |line: &str| {
+        let mut event = dprle_core::TraceEvent::from_json(line).expect("trace event");
+        event.ts_us = 0;
+        event.to_json()
+    };
+    // The journal lines, then the `stats:` lines printed after the solve.
+    let streamed: Vec<String> = stderr
+        .lines()
+        .take_while(|l| !l.starts_with("stats: "))
+        .map(zeroed)
+        .collect();
+    let written = std::fs::read_to_string(&journal).expect("journal written");
+    dprle_core::validate_jsonl(dprle_core::TRACE_SCHEMA, &written).expect("schema-valid");
+    assert_eq!(streamed, written.lines().map(zeroed).collect::<Vec<_>>());
+    assert!(stderr.contains("stats: groups: 1"), "{stderr}");
 }
 
 #[test]

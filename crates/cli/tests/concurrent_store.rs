@@ -16,9 +16,13 @@
 //!    cover exactly its own store work, even while another session is
 //!    mutating the same store — a request's stats equal those of a solo
 //!    twin on a private store (minus wall time).
+//! 5. So do a request's embedded ledger and its journal events: each
+//!    session's records and `MemoHit`/`MemoMiss` events are its own,
+//!    however many sessions share the store.
 
 use dprle_cli::serve::{ServeConfig, SolverService};
-use dprle_core::{json_string, lookup, Json, MetricValue, Metrics};
+use dprle_core::{json_string, lookup, CollectSink, Json, MetricValue, Metrics, TraceEventKind};
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 /// A deterministic corpus of distinct programs: sat and unsat, single-
@@ -63,9 +67,10 @@ fn request(id: &str, program: &str) -> String {
 /// The deterministic part of a response, structurally: everything except
 /// the fields that legitimately vary run to run — `stats` (hit rates and
 /// wall time differ between solo and shared-store runs; that is the
-/// point of sharing), the service-assigned `request_id`, and the
-/// lifecycle `breakdown` timings. Kind, id, assignment count, solutions,
-/// and witnesses must be identical.
+/// point of sharing), the service-assigned `request_id`, the lifecycle
+/// `breakdown` timings, and an embedded `ledger` (whose records carry wall
+/// times; see [`ledger_without_timing`]). Kind, id, assignment count,
+/// solutions, and witnesses must be identical.
 fn answer(response: &str) -> Json {
     let Json::Obj(fields) = Json::parse(response).expect("response parses as JSON") else {
         panic!("response is not an object: {response}");
@@ -73,7 +78,12 @@ fn answer(response: &str) -> Json {
     Json::Obj(
         fields
             .into_iter()
-            .filter(|(key, _)| !matches!(key.as_str(), "stats" | "request_id" | "breakdown"))
+            .filter(|(key, _)| {
+                !matches!(
+                    key.as_str(),
+                    "stats" | "request_id" | "breakdown" | "ledger"
+                )
+            })
             .collect(),
     )
 }
@@ -208,6 +218,141 @@ fn concurrent_sessions_report_disjoint_request_scoped_stats() {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 5, "round {round}: request ids collided: {ids:?}");
+    }
+}
+
+/// `n` programs of the motivating example's shape that share no literal
+/// and no regex, so no request can warm another's memo slots: each one's
+/// store work is the same alone or next to the others.
+fn disjoint_programs(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            format!(
+                "var v1; c1 := match(/[\\d]+x{i}$/); c2 := \"nid{i}_\"; c3 := match(/'z{i}/); \
+                 v1 <= c1; c2 . v1 <= c3;"
+            )
+        })
+        .collect()
+}
+
+/// A response's embedded `ledger` records with the fields that
+/// legitimately differ from a solo twin removed: the `ts_us` wall time and
+/// the service-assigned `request_id`.
+fn ledger_without_timing(response: &str) -> Vec<Json> {
+    let Json::Obj(fields) = Json::parse(response).expect("response parses as JSON") else {
+        panic!("response is not an object: {response}");
+    };
+    let Some(Json::Arr(records)) = lookup(&fields, "ledger").cloned() else {
+        panic!("response embeds no ledger: {response}");
+    };
+    records
+        .into_iter()
+        .map(|record| match record {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(key, _)| key != "ts_us" && key != "request_id")
+                    .collect(),
+            ),
+            other => panic!("ledger record is not an object: {other:?}"),
+        })
+        .collect()
+}
+
+/// Memo lookups a response's `stats` count: fingerprint and memo-op hits
+/// and misses, each of which the journal records as one `MemoHit` or
+/// `MemoMiss` event.
+fn memo_lookups(response: &str) -> u64 {
+    stats_without_wall(response)
+        .iter()
+        .filter(|(key, _)| {
+            matches!(
+                key.as_str(),
+                "fingerprint-hits" | "fingerprint-misses" | "memo-op-hits" | "memo-op-misses"
+            )
+        })
+        .map(|(_, value)| value.as_u64().expect("counter"))
+        .sum()
+}
+
+#[test]
+fn concurrent_sessions_keep_their_own_ledger_and_journal() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 4;
+    let programs = disjoint_programs(THREADS * PER_THREAD);
+    let ledgered = |id: &str, program: &str| {
+        format!(
+            "{{\"id\":{},\"input\":{},\"ledger\":true}}",
+            json_string(id),
+            json_string(program)
+        )
+    };
+    let solo: Vec<String> = programs
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            service(None, Metrics::disabled()).handle_line(&ledgered(&format!("q{i}"), p))
+        })
+        .collect();
+    for (i, response) in solo.iter().enumerate() {
+        assert!(
+            !ledger_without_timing(response).is_empty() && memo_lookups(response) > 0,
+            "program {i} must reach the ledger and the memo: {response}"
+        );
+    }
+
+    for round in 0..4 {
+        let shared = service(None, Metrics::disabled());
+        let journal = Arc::new(CollectSink::new());
+        shared.set_trace_sink(journal.clone());
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let shared = Arc::clone(&shared);
+                let barrier = Arc::clone(&barrier);
+                let programs = programs.clone();
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    (t * PER_THREAD..(t + 1) * PER_THREAD)
+                        .map(|i| {
+                            (
+                                i,
+                                shared.handle_line(&ledgered(&format!("q{i}"), &programs[i])),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let responses: Vec<(usize, String)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("session thread"))
+            .collect();
+        let mut memo_events: HashMap<String, u64> = HashMap::new();
+        for event in journal.take() {
+            if let TraceEventKind::MemoHit { .. } | TraceEventKind::MemoMiss { .. } = event.kind {
+                let id = event.request_id.expect("serve journals stamp every event");
+                *memo_events.entry(id.to_string()).or_default() += 1;
+            }
+        }
+        for (i, response) in &responses {
+            assert_eq!(
+                answer(response),
+                answer(&solo[*i]),
+                "round {round}: program {i}'s answer diverged"
+            );
+            assert_eq!(
+                ledger_without_timing(response),
+                ledger_without_timing(&solo[*i]),
+                "round {round}: program {i}'s ledger lost records or absorbed a neighbor's"
+            );
+            let id = request_id(response);
+            assert_eq!(
+                memo_events.get(&id).copied().unwrap_or(0),
+                memo_lookups(response),
+                "round {round}: program {i} ({id}) has journal memo events that disagree with its stats"
+            );
+        }
     }
 }
 

@@ -52,7 +52,6 @@ pub mod bounded;
 pub mod ci;
 pub mod gci;
 pub mod graph;
-pub mod incremental;
 pub mod ledger;
 pub mod metrics;
 pub mod parallel;
@@ -69,7 +68,6 @@ pub use ci::{
 };
 pub use gci::{GciOptions, GroupCost, GroupOutcome, ProductCapHit};
 pub use graph::{DependencyGraph, NodeId, NodeKind};
-pub use incremental::Solver;
 pub use ledger::{
     parse_ledger, render_diff, render_top, render_top_by_request, validate_ledger_jsonl,
     CollectLedger, DiffOptions, DiffReport, Ledger, LedgerRecord, LedgerSink, MemoStatus,
@@ -89,7 +87,6 @@ pub use solve::{
 pub use spec::{ConstId, Constraint, Expr, System, VarId};
 pub use trace::{
     check_well_nested, parse_jsonl, provenance_dot, CollectSink, JsonlSink, NullSink, PhaseRow,
-    SpanGuard, TeeSink, TraceEvent, TraceEventKind, TraceReport, TraceSink, Tracer,
-    TracerStoreObserver, TRACE_SCHEMA,
+    SpanGuard, TeeSink, TraceEvent, TraceEventKind, TraceReport, TraceSink, Tracer, TRACE_SCHEMA,
 };
 pub use unsat_core::{unsat_core, unsat_core_traced, UnsatCore};

@@ -62,7 +62,9 @@ use crate::solve::{
 };
 use crate::spec::{Constraint, System};
 use crate::trace::{TraceEvent, TraceEventKind, Tracer};
-use dprle_automata::{InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp};
+use dprle_automata::{
+    InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp, StoreScope,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -168,11 +170,10 @@ thread_local! {
     static WORKER_SLOT: RefCell<Option<(Tracer, IdBuffer)>> = const { RefCell::new(None) };
 }
 
-/// A [`StoreObserver`] that emits `MemoHit`/`MemoMiss` to the thread's
-/// active worker buffer when one is installed, and to the main tracer
-/// otherwise. With no worker slots in play (sequential runs, the reduce
-/// phase) this behaves exactly like
-/// [`TracerStoreObserver`](crate::trace::TracerStoreObserver).
+/// The [`StoreObserver`] of a traced or ledgered solve's [`StoreScope`]:
+/// it emits `MemoHit`/`MemoMiss` to the thread's active worker buffer when
+/// one is installed, and to the main tracer otherwise (sequential runs,
+/// the reduce phase).
 ///
 /// When the run carries an enabled [`Ledger`], the observer additionally
 /// reports every answered inclusion query into it; the ledger does its own
@@ -188,30 +189,22 @@ impl RoutedStoreObserver {
     }
 }
 
-fn memo_kind(op: StoreOp, hit: bool) -> TraceEventKind {
+fn memo_kind(op: String, hit: bool) -> TraceEventKind {
     if hit {
-        TraceEventKind::MemoHit {
-            op: op.name().to_owned(),
-        }
+        TraceEventKind::MemoHit { op }
     } else {
-        TraceEventKind::MemoMiss {
-            op: op.name().to_owned(),
-        }
+        TraceEventKind::MemoMiss { op }
     }
 }
 
 impl StoreObserver for RoutedStoreObserver {
-    fn memo_event(&self, op: StoreOp, hit: bool) {
-        self.memo_event_keyed(op, None, hit);
-    }
-
-    fn memo_event_keyed(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
+    fn memo_event(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
         WORKER_SLOT.with(|slot| match &*slot.borrow() {
             Some((tracer, ids)) => {
                 ids.borrow_mut().push(identity.cloned());
-                tracer.emit(|| memo_kind(op, hit));
+                tracer.emit(|| memo_kind(op.name().to_owned(), hit));
             }
-            None => self.main.emit(|| memo_kind(op, hit)),
+            None => self.main.emit(|| memo_kind(op.name().to_owned(), hit)),
         });
     }
 
@@ -270,15 +263,16 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // The spawner's request-scoped stats scope is thread-local, so it does
-    // not propagate into the pool on its own: capture it here and install
-    // it once per worker. Scoped counters are atomic and adds commute, so
-    // totals stay byte-identical at every jobs count.
-    let stats_scope = dprle_automata::current_stats_scope();
+    // The spawner's store scope is thread-local, so it does not propagate
+    // into the pool on its own: capture it here and install it once per
+    // worker, so the workers' store work is counted in it and reported to
+    // its observer. Counts are adds that commute, so totals stay
+    // byte-identical at every jobs count.
+    let store_scope = StoreScope::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let _stats_guard = stats_scope.clone().map(dprle_automata::install_stats_scope);
+                let _scope_guard = store_scope.clone().map(StoreScope::install);
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -420,19 +414,11 @@ fn replay_entry_events(
         if let Some(Some(id)) = ids.get(k) {
             let hit = seen.contains(id) || !computed.contains(id);
             seen.insert(id.clone());
-            event.kind = memo_kind_named(op, hit);
+            event.kind = memo_kind(op, hit);
         }
         k += 1;
     }
     parent.absorb_events(events);
-}
-
-fn memo_kind_named(op: String, hit: bool) -> TraceEventKind {
-    if hit {
-        TraceEventKind::MemoHit { op }
-    } else {
-        TraceEventKind::MemoMiss { op }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -508,13 +494,6 @@ pub(crate) fn drive_worklist(
             };
             charge_entry_cost(&outcome.cost, ctx.options, stats, track)?;
             let disjuncts = outcome.solutions;
-            if ctx.options.trace {
-                stats.events.push(format!(
-                    "group {} produced {} disjunctive solution(s)",
-                    gi,
-                    disjuncts.len()
-                ));
-            }
             stats.group_disjuncts += disjuncts.len();
             if disjuncts.is_empty() {
                 ctx.tracer.emit(|| TraceEventKind::WorklistPrune {

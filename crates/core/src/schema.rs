@@ -191,6 +191,13 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, and so does dropping the value it builds, so
+/// without a bound a single hostile line (say, a `dprle serve` request of
+/// 300 000 `[`s) overflows the stack and aborts the process. Every
+/// document the tooling reads nests a handful of levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// First value under `key` in an object's field list, if present.
 pub fn lookup<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -201,11 +208,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte-offset description of the first syntax problem.
+    /// Returns a byte-offset description of the first syntax problem, or
+    /// of the first array or object nested deeper than
+    /// [`MAX_JSON_DEPTH`].
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = Json::parse_value(bytes, &mut pos)?;
+        let value = Json::parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -213,10 +222,15 @@ impl Json {
         Ok(value)
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    /// Parses the value at `pos`, which sits inside `depth` open arrays
+    /// and objects.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             None => Err("unexpected end of input".to_owned()),
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+            )),
             Some(b'{') => {
                 *pos += 1;
                 let mut fields = Vec::new();
@@ -233,7 +247,7 @@ impl Json {
                         return Err(format!("expected ':' at byte {pos}"));
                     }
                     *pos += 1;
-                    let value = Json::parse_value(bytes, pos)?;
+                    let value = Json::parse_value(bytes, pos, depth + 1)?;
                     fields.push((key, value));
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
@@ -255,7 +269,7 @@ impl Json {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(Json::parse_value(bytes, pos)?);
+                    items.push(Json::parse_value(bytes, pos, depth + 1)?);
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -561,5 +575,31 @@ mod tests {
         assert_eq!(get_str(obj, "c"), Ok("x"));
         assert!(get_bool(obj, "a").is_err());
         assert_eq!(lookup(obj, "b").and_then(Json::as_array).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_naming_the_offset() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {MAX_JSON_DEPTH}")
+        );
+        // Objects count too, mixed with arrays.
+        let mixed = "{\"a\":[".repeat(MAX_JSON_DEPTH) + "1";
+        let err = Json::parse(&mixed).expect_err("too deep");
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // A request line nested 300 000 deep is rejected after 128 levels,
+        // on a 1 MiB stack: far less than the recursion it would otherwise need.
+        let hostile = format!("{{\"id\":\"b\",\"input\":{}}}", nested(300_000));
+        let err = std::thread::Builder::new()
+            .stack_size(1024 * 1024)
+            .spawn(move || Json::parse(&hostile))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+            .expect_err("too deep");
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 }

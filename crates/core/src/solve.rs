@@ -36,8 +36,7 @@ use crate::solution::{Assignment, Solution};
 use crate::spec::{Constraint, Expr, System, VarId};
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
-    current_stats_scope, inclusion, install_stats_scope, ops, InclusionLimits, Lang, LangStore,
-    Nfa, ScopedStoreStats,
+    inclusion, ops, InclusionLimits, Lang, LangStore, Nfa, StoreObserver, StoreScope,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -71,10 +70,6 @@ pub struct SolveOptions {
     /// NFA minimization techniques) might improve performance", §4).
     /// Disable to reproduce the prototype's behavior for ablations.
     pub minimize_intermediate: bool,
-    /// Record a human-readable event trace of the run in
-    /// [`SolveStats::events`] (group discovery, disjunct counts, branch
-    /// outcomes). Off by default; the trace allocates strings.
-    pub trace: bool,
     /// Rewrite constraints whose concatenation spine begins or ends with a
     /// *constant* by taking the universal quotient of the right-hand side:
     /// `C·e ⊆ c ⟺ e ⊆ {w | ∀u ∈ C, u·w ∈ c}` (and symmetrically on the
@@ -128,7 +123,6 @@ impl Default for SolveOptions {
             verify: true,
             max_assignments: None,
             minimize_intermediate: true,
-            trace: false,
             strip_constant_operands: false,
             interning: true,
             jobs: 1,
@@ -177,25 +171,21 @@ pub struct SolveStats {
     /// [`SolveOptions::jobs`] count.
     pub product_states: u64,
     /// Macrostates explored by the run's winning inclusion checks (see the
-    /// [`inclusion`] module). Captured by a
-    /// request-scoped counter scope ([`dprle_automata::ScopedStoreStats`]),
+    /// [`inclusion`] module). Counted in the run's [`StoreScope`],
     /// identical at every [`SolveOptions::jobs`] count.
     pub inclusion_macrostates: u64,
     /// Growth of the store's memo byte footprint over this run (interned
-    /// machines and memo table entries — see `StoreStats::memo_bytes`):
-    /// bytes this run's memo inserts charged minus bytes evicted during the
-    /// run, so shared-store callers get this run's contribution only even
-    /// under concurrent sessions; under a store byte cap eviction can
-    /// outpace charging, in which case this saturates at zero rather than
-    /// underflowing.
+    /// machines and memo table entries): the run's [`StoreScope`]
+    /// `memo_bytes`, i.e. bytes this run's memo inserts charged minus
+    /// bytes evicted during the run, so shared-store callers get this
+    /// run's contribution only even under concurrent sessions; under a
+    /// store byte cap eviction can outpace charging, in which case this
+    /// saturates at zero rather than underflowing.
     pub peak_bytes: u64,
     /// Memo entries dropped by store LRU eviction during this run. Zero
     /// unless a `--store-max-bytes` cap is installed; nonzero values mean
     /// hit rates — never answers — were affected by cache pressure.
     pub store_evictions: u64,
-    /// Human-readable trace events (populated when
-    /// [`SolveOptions::trace`] is set).
-    pub events: Vec<String>,
 }
 
 impl SolveStats {
@@ -230,7 +220,7 @@ impl SolveStats {
     }
 
     /// Accumulates another run's counters into this one (summing totals,
-    /// taking the max of the high-water marks, appending events) — for
+    /// taking the max of the high-water marks) — for
     /// aggregating across the check-sats of one SMT script or the repeats
     /// of one benchmark row.
     pub fn absorb(&mut self, other: &SolveStats) {
@@ -249,7 +239,6 @@ impl SolveStats {
         self.inclusion_macrostates += other.inclusion_macrostates;
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
         self.store_evictions += other.store_evictions;
-        self.events.extend(other.events.iter().cloned());
     }
 }
 
@@ -299,8 +288,9 @@ pub fn solve_with_stats(system: &System, options: &SolveOptions) -> (Solution, S
 
 /// Like [`solve_with_stats`], but sharing a caller-supplied [`LangStore`]:
 /// interned languages and memoized operations survive across calls, which
-/// is what makes re-solving related systems (incremental push/pop, unsat
-/// core shrinking) cheap. The returned counters are deltas for this call.
+/// is what makes re-solving related systems (unsat-core shrinking, the
+/// check-sats of one SMT-LIB script, `dprle serve` sessions) cheap. The
+/// returned counters are this call's own work.
 pub fn solve_with_store(
     system: &System,
     options: &SolveOptions,
@@ -311,10 +301,10 @@ pub fn solve_with_store(
 
 /// Like [`solve_with_store`], additionally recording a structured event
 /// trace of the run (phase spans, reduce steps, CI-group disjuncts,
-/// worklist decisions — see the [`trace`](crate::trace) module). While the
-/// run lasts, the tracer is installed as the store's observer so memo-cache
-/// outcomes appear as `MemoHit`/`MemoMiss` events. A disabled tracer makes
-/// this identical to [`solve_with_store`]: no event is ever constructed.
+/// worklist decisions — see the [`trace`](crate::trace) module). The run's
+/// [`StoreScope`] reports its memo-cache outcomes to the tracer as
+/// `MemoHit`/`MemoMiss` events. A disabled tracer makes this identical to
+/// [`solve_with_store`]: no event is ever constructed.
 pub fn solve_traced(
     system: &System,
     options: &SolveOptions,
@@ -373,27 +363,25 @@ pub fn try_solve_traced(
     store.set_metrics(options.metrics.clone());
     let options = &options;
 
-    let observing = tracer.is_enabled() || options.ledger.is_enabled();
-    if observing {
-        // The routed observer behaves exactly like `TracerStoreObserver`
-        // on the main thread; on parallel workers it redirects memo events
-        // into the worker's per-entry buffer for the deterministic replay.
-        // With the ledger enabled it additionally reports every answered
-        // inclusion query.
-        store.set_observer(Arc::new(RoutedStoreObserver::new(
-            tracer.clone(),
-            options.ledger.clone(),
-        )));
-    }
-    // Request-scoped counter capture: a thread-local scope mirrors every
-    // store counter bump made by this solve (parallel workers re-install it,
-    // see `parallel::map_level`), so the reported stats cover exactly this
-    // run's work — accurate even when the store is shared with concurrent
-    // sessions, and byte-identical to the old global before/after diffs
-    // when it is not.
-    let scope = Arc::new(ScopedStoreStats::default());
+    // The run's store scope: every store operation this solve runs, on
+    // this thread or on a parallel worker (which re-installs the scope, see
+    // `parallel::map_level`), is counted in it and reported to its
+    // observer. So the returned stats, the journal's memo events and the
+    // ledger's store-site records cover exactly this run, even when the
+    // store is shared with concurrent sessions. The routed observer sends
+    // memo events to the tracer (on a parallel worker, to the entry's
+    // buffer for the deterministic replay) and, with the ledger enabled,
+    // reports every answered inclusion query.
+    let observer: Option<Arc<dyn StoreObserver>> =
+        (tracer.is_enabled() || options.ledger.is_enabled()).then(|| {
+            Arc::new(RoutedStoreObserver::new(
+                tracer.clone(),
+                options.ledger.clone(),
+            )) as _
+        });
+    let scope = StoreScope::new(observer);
     let result = {
-        let _scope_guard = install_stats_scope(Arc::clone(&scope));
+        let _scope_guard = StoreScope::install(Arc::clone(&scope));
         if options.strip_constant_operands {
             let (stripped, constraints) = strip_constant_operands(system);
             solve_prepared(&stripped, &constraints, options, system, store, tracer)
@@ -402,20 +390,16 @@ pub fn try_solve_traced(
             solve_prepared(system, &constraints, options, system, store, tracer)
         }
     };
-    if observing {
-        store.clear_observer();
-    }
     let finalize = |stats: &mut SolveStats| {
-        let load = |counter: &std::sync::atomic::AtomicU64| {
-            counter.load(std::sync::atomic::Ordering::Relaxed)
-        };
-        stats.fingerprint_hits = load(&scope.fingerprint_hits) as usize;
-        stats.fingerprint_misses = load(&scope.fingerprint_misses) as usize;
-        stats.memo_op_hits = load(&scope.op_hits) as usize;
-        stats.memo_op_misses = load(&scope.op_misses) as usize;
-        stats.states_materialized = load(&scope.states_materialized) as usize;
-        stats.inclusion_macrostates = load(&scope.inclusion_macrostates);
-        stats.store_evictions = load(&scope.evictions);
+        let counted = scope.stats();
+        stats.fingerprint_hits = counted.fingerprint_hits as usize;
+        stats.fingerprint_misses = counted.fingerprint_misses as usize;
+        stats.memo_op_hits = counted.op_hits as usize;
+        stats.memo_op_misses = counted.op_misses as usize;
+        stats.states_materialized = counted.states_materialized as usize;
+        stats.inclusion_macrostates = counted.inclusion_macrostates;
+        stats.peak_bytes = counted.memo_bytes;
+        stats.store_evictions = counted.evictions;
     };
     match result {
         Ok((solution, mut stats)) => {
@@ -561,29 +545,12 @@ fn solve_prepared(
 ) -> Result<(Solution, SolveStats), Box<ResourceExhausted>> {
     let mut stats = SolveStats::default();
     let mut track = BudgetTrack::new(&options.budget);
-    // Net memo growth observed by the ambient stats scope installed in
-    // `try_solve_traced`; reproduces the old `memo_bytes` before/after diff
-    // exactly in a single-request window and stays request-attributable
-    // when the store is shared (see `ScopedStoreStats::net_bytes`).
-    let scoped_net_bytes = || current_stats_scope().map_or(0, |s| s.net_bytes());
-    macro_rules! trace {
-        ($($arg:tt)*) => {
-            if options.trace {
-                stats.events.push(format!($($arg)*));
-            }
-        };
-    }
     let constraints = constraints.to_vec();
     tracer.emit(|| TraceEventKind::SolveStart {
         constraints: constraints.len(),
         vars: system.num_vars(),
     });
     let _solve_span = tracer.span("solve", None, None);
-    trace!(
-        "{} union-free constraints over {} variables",
-        constraints.len(),
-        system.num_vars()
-    );
     // Verification always runs against the *original* system so a buggy
     // rewrite cannot vouch for itself.
     let verify_constraints = original.union_free_constraints();
@@ -607,20 +574,9 @@ fn solve_prepared(
     let graph = DependencyGraph::from_constraints(system, &graph_constraints);
     let groups = graph.ci_groups();
     stats.groups = groups.len();
-    trace!(
-        "dependency graph: {} nodes, {} CI-group(s)",
-        graph.num_nodes(),
-        groups.len()
-    );
 
     for c in &constant_constraints {
         if !constant_constraint_holds_with(options, system, c) {
-            trace!(
-                "variable-free constraint `{} <= {}` fails: unsat",
-                system.expr_to_string(&c.lhs),
-                system.const_name(c.rhs)
-            );
-            stats.peak_bytes = scoped_net_bytes();
             emit_metrics_snapshot(tracer, options, &stats, &track);
             tracer.emit(|| TraceEventKind::SolveEnd {
                 sat: false,
@@ -664,14 +620,8 @@ fn solve_prepared(
             states_built: m.num_states() as u64,
         };
         if let Err(breach) = charge_entry_cost(&leaf_cost, options, &mut stats, &mut track) {
-            stats.peak_bytes = scoped_net_bytes();
             return Err(budget_error(breach, options, &stats));
         }
-        trace!(
-            "reduced {} to a {}-state machine",
-            system.var_name(v),
-            m.num_states()
-        );
         tracer.emit(|| TraceEventKind::ReduceStep {
             node: node.index() as u32,
             var: system.var_name(v).to_owned(),
@@ -706,23 +656,13 @@ fn solve_prepared(
         };
         let produced = match drive_worklist(&ctx, options.jobs, &mut stats, &mut track) {
             Ok(produced) => produced,
-            Err(breach) => {
-                stats.peak_bytes = scoped_net_bytes();
-                return Err(budget_error(breach, options, &stats));
-            }
+            Err(breach) => return Err(budget_error(breach, options, &stats)),
         };
-        trace!(
-            "{} branch(es) completed, {} filtered, {} assignment(s) returned",
-            stats.branches_completed,
-            stats.branches_filtered,
-            stats.branches_completed - stats.branches_filtered
-        );
         let solution = if produced.is_empty() {
             Solution::Unsat
         } else {
             Solution::Assignments(produced)
         };
-        stats.peak_bytes = scoped_net_bytes();
         emit_metrics_snapshot(tracer, options, &stats, &track);
         tracer.emit(|| TraceEventKind::SolveEnd {
             sat: solution.is_sat(),
@@ -744,7 +684,6 @@ fn solve_prepared(
             .metrics
             .gauge_set(id::WORKLIST_DEPTH, queue.len() as u64);
         if let Err(breach) = check_deadline(options, &track) {
-            stats.peak_bytes = scoped_net_bytes();
             return Err(budget_error(breach, options, &stats));
         }
         if gi == groups.len() {
@@ -796,7 +735,6 @@ fn solve_prepared(
                 options
                     .metrics
                     .add(id::SOLVE_PRODUCT_STATES, hit.cost.product_states);
-                stats.peak_bytes = scoped_net_bytes();
                 return Err(budget_error(
                     cap_hit_breach(&hit, options, &track),
                     options,
@@ -805,15 +743,9 @@ fn solve_prepared(
             }
         };
         if let Err(breach) = charge_entry_cost(&outcome.cost, options, &mut stats, &mut track) {
-            stats.peak_bytes = scoped_net_bytes();
             return Err(budget_error(breach, options, &stats));
         }
         let disjuncts = outcome.solutions;
-        trace!(
-            "group {} produced {} disjunctive solution(s)",
-            gi,
-            disjuncts.len()
-        );
         stats.group_disjuncts += disjuncts.len();
         // An unsatisfiable group kills this branch (and, since groups share
         // no vertices, every branch — but the queue drains naturally).
@@ -842,18 +774,11 @@ fn solve_prepared(
         }
     }
 
-    trace!(
-        "{} branch(es) completed, {} filtered, {} assignment(s) returned",
-        stats.branches_completed,
-        stats.branches_filtered,
-        stats.branches_completed - stats.branches_filtered
-    );
     let solution = if produced.is_empty() {
         Solution::Unsat
     } else {
         Solution::Assignments(produced)
     };
-    stats.peak_bytes = scoped_net_bytes();
     emit_metrics_snapshot(tracer, options, &stats, &track);
     tracer.emit(|| TraceEventKind::SolveEnd {
         sat: solution.is_sat(),
@@ -863,7 +788,9 @@ fn solve_prepared(
 }
 
 /// Emits the `MetricsSnapshot` trace event — the registry's headline
-/// aggregates — just before `SolveEnd`, when metrics are enabled.
+/// aggregates — just before `SolveEnd`, when metrics are enabled. Its
+/// `peak_bytes` is the run's net memo growth so far, the figure
+/// `try_solve_traced` reports as [`SolveStats::peak_bytes`].
 fn emit_metrics_snapshot(
     tracer: &Tracer,
     options: &SolveOptions,
@@ -873,7 +800,7 @@ fn emit_metrics_snapshot(
     if let Some(snapshot) = options.metrics.snapshot() {
         let product_states = stats.product_states;
         let states_built = track.states_built;
-        let peak_bytes = stats.peak_bytes;
+        let peak_bytes = StoreScope::current().map_or(0, |scope| scope.stats().memo_bytes);
         let entries = snapshot.len() as u64;
         tracer.emit(|| TraceEventKind::MetricsSnapshot {
             product_states,
@@ -1520,26 +1447,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_events() {
-        let mut sys = System::new();
-        let v = sys.var("v");
-        let a = sys.constant("a", exact("ab*"));
-        sys.require(Expr::Var(v), a);
-        let options = SolveOptions {
-            trace: true,
-            ..Default::default()
-        };
-        let (_, stats) = solve_with_stats(&sys, &options);
-        assert!(!stats.events.is_empty());
-        let text = stats.events.join("\n");
-        assert!(text.contains("union-free"), "{text}");
-        assert!(text.contains("reduced v"), "{text}");
-        // Default runs carry no trace.
-        let (_, quiet) = solve_with_stats(&sys, &SolveOptions::default());
-        assert!(quiet.events.is_empty());
-    }
-
-    #[test]
     fn stats_reflect_the_run() {
         let mut sys = System::new();
         let v1 = sys.var("v1");
@@ -1811,10 +1718,7 @@ mod tests {
         // Each run gets a *fresh* system: fingerprint hit/miss counters
         // depend on the handles' interior caches, which a previous run over
         // the same `System` would have warmed.
-        let sequential = SolveOptions {
-            trace: true,
-            ..SolveOptions::default()
-        };
+        let sequential = SolveOptions::default();
         let (seq, seq_stats) = solve_with_stats(&two_group_disjunctive_system(), &sequential);
         for jobs in [2, 4, 8] {
             let sys = two_group_disjunctive_system();

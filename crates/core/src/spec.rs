@@ -316,8 +316,9 @@ impl System {
         &self.constraints
     }
 
-    /// Keeps only the first `len` constraints (used by the incremental
-    /// solver's scope retraction).
+    /// Keeps only the first `len` constraints (interned variables and
+    /// constants stay: they are harmless, and their compiled machines stay
+    /// reusable).
     pub(crate) fn retain_constraints(&mut self, len: usize) {
         self.constraints.truncate(len);
     }

@@ -1,8 +1,8 @@
 //! Structured solver tracing: typed events, hierarchical spans, and sinks.
 //!
 //! The aggregate [`SolveStats`](crate::SolveStats) counters say *how much*
-//! a run cost; this module says *where*. The solver (and the gci,
-//! incremental, and unsat-core layers) is threaded with a [`Tracer`] handle
+//! a run cost; this module says *where*. The solver (and the gci and
+//! unsat-core layers) is threaded with a [`Tracer`] handle
 //! that, when enabled, emits a stream of typed [`TraceEvent`]s — reduce
 //! steps, CI-group discovery, per-disjunct `gci` branching (the paper's
 //! Figure 8 `all_combinations`), worklist branch/prune decisions, and
@@ -24,8 +24,9 @@
 //!
 //! **Sinks.** Three consumers ship with the CLI:
 //!
-//! * [`JsonlSink`] — one JSON object per line (`--trace-out trace.jsonl`),
-//!   schema-checked against `docs/trace.schema.json` ([`validate_jsonl`]);
+//! * [`JsonlSink`] — one JSON object per line (`--trace-out trace.jsonl`,
+//!   or stderr with `--trace`), schema-checked against
+//!   `docs/trace.schema.json` ([`validate_jsonl`]);
 //! * [`TraceReport`] — in-memory aggregation behind `--trace=summary` and
 //!   the `dprle trace-report` subcommand (per-phase wall-time table, top-5
 //!   hottest CI-groups);
@@ -44,7 +45,6 @@
 
 use crate::graph::{DependencyGraph, NodeKind};
 use crate::spec::System;
-use dprle_automata::{StoreObserver, StoreOp};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,21 +168,6 @@ pub enum TraceEventKind {
         /// Operation: `fingerprint`, `intersect`, `inclusion`, `minimize`.
         op: String,
     },
-    /// An incremental-solver scope was opened.
-    IncrementalPush {
-        /// Scope depth after the push.
-        depth: usize,
-    },
-    /// An incremental-solver scope was closed.
-    IncrementalPop {
-        /// Scope depth after the pop.
-        depth: usize,
-    },
-    /// An incremental `check` started.
-    IncrementalCheck {
-        /// Constraints on the assertion stack.
-        assertions: usize,
-    },
     /// One deletion trial of the unsat-core minimizer.
     UnsatCoreTrial {
         /// Constraint index the trial dropped.
@@ -227,9 +212,6 @@ impl TraceEventKind {
         "WorklistPrune",
         "MemoHit",
         "MemoMiss",
-        "IncrementalPush",
-        "IncrementalPop",
-        "IncrementalCheck",
         "UnsatCoreTrial",
         "MetricsSnapshot",
     ];
@@ -249,9 +231,6 @@ impl TraceEventKind {
             TraceEventKind::WorklistPrune { .. } => "WorklistPrune",
             TraceEventKind::MemoHit { .. } => "MemoHit",
             TraceEventKind::MemoMiss { .. } => "MemoMiss",
-            TraceEventKind::IncrementalPush { .. } => "IncrementalPush",
-            TraceEventKind::IncrementalPop { .. } => "IncrementalPop",
-            TraceEventKind::IncrementalCheck { .. } => "IncrementalCheck",
             TraceEventKind::UnsatCoreTrial { .. } => "UnsatCoreTrial",
             TraceEventKind::MetricsSnapshot { .. } => "MetricsSnapshot",
         }
@@ -367,13 +346,6 @@ impl TraceEvent {
             TraceEventKind::MemoHit { op } | TraceEventKind::MemoMiss { op } => {
                 let _ = write!(out, ",\"op\":{}", json_string(op));
             }
-            TraceEventKind::IncrementalPush { depth }
-            | TraceEventKind::IncrementalPop { depth } => {
-                let _ = write!(out, ",\"depth\":{depth}");
-            }
-            TraceEventKind::IncrementalCheck { assertions } => {
-                let _ = write!(out, ",\"assertions\":{assertions}");
-            }
             TraceEventKind::UnsatCoreTrial {
                 dropped,
                 still_unsat,
@@ -469,15 +441,6 @@ impl TraceEvent {
             },
             "MemoMiss" => TraceEventKind::MemoMiss {
                 op: get_str(obj, "op")?.to_owned(),
-            },
-            "IncrementalPush" => TraceEventKind::IncrementalPush {
-                depth: get_usize(obj, "depth")?,
-            },
-            "IncrementalPop" => TraceEventKind::IncrementalPop {
-                depth: get_usize(obj, "depth")?,
-            },
-            "IncrementalCheck" => TraceEventKind::IncrementalCheck {
-                assertions: get_usize(obj, "assertions")?,
             },
             "UnsatCoreTrial" => TraceEventKind::UnsatCoreTrial {
                 dropped: get_usize(obj, "dropped")?,
@@ -836,27 +799,6 @@ impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
         // I/O errors are not allowed to abort a solve; the CLI flushes and
         // surfaces failures when closing the sink.
         let _ = writeln!(out, "{}", event.to_json());
-    }
-}
-
-/// Adapter installing a [`Tracer`] as a
-/// [`LangStore`](dprle_automata::LangStore) observer: memo-cache outcomes
-/// become `MemoHit`/`MemoMiss` events.
-pub struct TracerStoreObserver(pub Tracer);
-
-impl StoreObserver for TracerStoreObserver {
-    fn memo_event(&self, op: StoreOp, hit: bool) {
-        self.0.emit(|| {
-            if hit {
-                TraceEventKind::MemoHit {
-                    op: op.name().to_owned(),
-                }
-            } else {
-                TraceEventKind::MemoMiss {
-                    op: op.name().to_owned(),
-                }
-            }
-        });
     }
 }
 

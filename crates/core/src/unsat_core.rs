@@ -99,7 +99,7 @@ pub fn unsat_core_traced(
 
 fn with_constraints(system: &System, all: &[Constraint], indices: &[usize]) -> System {
     let mut out = system.clone();
-    out.truncate_constraints(0);
+    out.retain_constraints(0);
     for &i in indices {
         out.require(all[i].lhs.clone(), all[i].rhs);
     }

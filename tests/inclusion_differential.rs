@@ -152,7 +152,6 @@ fn figure_9_10_antichain_journal_matches_committed_golden() {
         "/testdata/golden/figure_9_10.antichain.jsonl"
     );
     let options = SolveOptions {
-        trace: true,
         ..SolveOptions::default()
     };
     let sink = Arc::new(CollectSink::new());

@@ -110,7 +110,6 @@ fn traced_journal(jobs: usize) -> (String, Vec<String>) {
     let sys = figure_9_10_system();
     let options = SolveOptions {
         jobs,
-        trace: true,
         ..SolveOptions::default()
     };
     let sink = Arc::new(CollectSink::new());
