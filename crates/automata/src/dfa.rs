@@ -8,10 +8,14 @@
 //! alphabet size is proportional to the number of distinct classes rather
 //! than 256.
 
-use crate::byteclass::{minterms, ByteClass};
+use crate::byteclass::ByteClass;
 use crate::inclusion::{self, InclusionLimits};
 use crate::nfa::{Nfa, StateId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::subset::{self, Subsets};
+use std::collections::HashMap;
+
+/// Marks an empty slot in [`determinize_counted`]'s row-merge table.
+const NONE: u32 = u32::MAX;
 
 /// A deterministic finite automaton over byte classes.
 ///
@@ -158,54 +162,69 @@ pub struct DeterminizeCost {
 
 /// Like [`determinize`], additionally reporting the subset-construction
 /// cost (output states and ε-closure work).
+///
+/// Runs on the crate's subset kernel: macrostates are sorted state slices,
+/// interned once, and numbered in breadth-first discovery order; each row
+/// merges the minterm blocks that lead to one target and lists its edges
+/// by target.
 pub fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
+    let alphabet = subset::alphabet(nfa.edges().map(|(_, c, _)| c));
+    let symbols = subset::representatives(&alphabet);
+    let mut kernel = Subsets::new(nfa);
     let mut cost = DeterminizeCost::default();
-    let classes: Vec<ByteClass> = nfa.edges().map(|(_, c, _)| c).collect();
-    let alphabet = minterms(classes.iter());
-    let start_set = nfa.eps_closure(&BTreeSet::from([nfa.start()]));
-    cost.closure_visited += start_set.len();
-    let mut index: HashMap<BTreeSet<StateId>, StateId> = HashMap::new();
-    let mut sets: Vec<BTreeSet<StateId>> = vec![start_set.clone()];
-    index.insert(start_set, StateId(0));
-    let mut states: Vec<Vec<(ByteClass, StateId)>> = vec![Vec::new()];
-    let mut finals: Vec<bool> = Vec::new();
-    let mut work: VecDeque<usize> = VecDeque::from([0]);
-    finals.push(sets[0].iter().any(|q| nfa.is_final(*q)));
-    while let Some(i) = work.pop_front() {
-        let cur = sets[i].clone();
-        for block in &alphabet {
-            // All minterm members behave identically, so step on any one.
-            let b = block.min_byte().expect("minterm blocks are nonempty");
-            let next = nfa.eps_closure(&nfa.step(&cur, b));
+    let mut next: Vec<u32> = Vec::new();
+    kernel.start(&mut next);
+    cost.closure_visited += next.len();
+    // Macrostate `i` is `pool[spans[i].0..spans[i].1]`; `index` interns them.
+    let mut index: HashMap<Box<[u32]>, StateId> = HashMap::new();
+    index.insert(next.as_slice().into(), StateId(0));
+    let mut pool: Vec<u32> = next.clone();
+    let mut spans: Vec<(usize, usize)> = vec![(0, next.len())];
+    let mut finals: Vec<bool> = vec![kernel.any_final(&next)];
+    let mut states: Vec<Vec<(ByteClass, StateId)>> = Vec::new();
+    let mut cur: Vec<u32> = Vec::new();
+    // `slot[t]`: where target `t` sits in the row being built, or NONE.
+    let mut slot: Vec<u32> = Vec::new();
+    // Work is processed in creation order, so the queue is an index.
+    while states.len() < spans.len() {
+        let (from, to) = spans[states.len()];
+        cur.clear();
+        cur.extend_from_slice(&pool[from..to]);
+        let mut row: Vec<(ByteClass, StateId)> = Vec::new();
+        for (block, &b) in alphabet.iter().zip(&symbols) {
+            kernel.step(&cur, b, &mut next);
             cost.closure_visited += next.len();
             if next.is_empty() {
                 continue;
             }
-            let t = match index.get(&next) {
+            let t = match index.get(next.as_slice()) {
                 Some(&t) => t,
                 None => {
-                    let t = StateId(sets.len() as u32);
-                    index.insert(next.clone(), t);
-                    finals.push(next.iter().any(|q| nfa.is_final(*q)));
-                    sets.push(next);
-                    states.push(Vec::new());
-                    work.push_back(t.index());
+                    let t = StateId(spans.len() as u32);
+                    index.insert(next.as_slice().into(), t);
+                    finals.push(kernel.any_final(&next));
+                    spans.push((pool.len(), pool.len() + next.len()));
+                    pool.extend_from_slice(&next);
                     t
                 }
             };
-            states[i].push((*block, t));
+            if slot.len() <= t.index() {
+                slot.resize(spans.len(), NONE);
+            }
+            match slot[t.index()] {
+                NONE => {
+                    slot[t.index()] = row.len() as u32;
+                    row.push((*block, t));
+                }
+                j => row[j as usize].0 = row[j as usize].0.union(block),
+            }
         }
-        // Merge parallel edges to the same target into one class.
-        let row = &mut states[i];
-        let mut merged: HashMap<StateId, ByteClass> = HashMap::new();
-        for &(c, t) in row.iter() {
-            let e = merged.entry(t).or_insert(ByteClass::EMPTY);
-            *e = e.union(&c);
+        for &(_, t) in &row {
+            slot[t.index()] = NONE;
         }
-        let mut new_row: Vec<(ByteClass, StateId)> =
-            merged.into_iter().map(|(t, c)| (c, t)).collect();
-        new_row.sort_by_key(|&(_, t)| t);
-        *row = new_row;
+        // Merged targets are distinct.
+        row.sort_unstable_by_key(|&(_, t)| t);
+        states.push(row);
     }
     cost.dfa_states = states.len();
     (
@@ -370,5 +389,76 @@ mod tests {
         let n = ops::union(&Nfa::literal(b"x"), &Nfa::literal(b"yz"));
         let back = determinize(&n).to_nfa();
         assert!(equivalent(&n, &back));
+    }
+}
+
+/// The `BTreeSet` subset construction that [`determinize_counted`]
+/// replaced, kept verbatim as the reference the kernel must match exactly:
+/// the same `Dfa`, numbering included, and the same cost.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{DeterminizeCost, Dfa};
+    use crate::byteclass::{minterms, ByteClass};
+    use crate::nfa::{Nfa, StateId};
+    use std::collections::{BTreeSet, HashMap, VecDeque};
+
+    pub(crate) fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
+        let mut cost = DeterminizeCost::default();
+        let classes: Vec<ByteClass> = nfa.edges().map(|(_, c, _)| c).collect();
+        let alphabet = minterms(classes.iter());
+        let start_set = nfa.eps_closure(&BTreeSet::from([nfa.start()]));
+        cost.closure_visited += start_set.len();
+        let mut index: HashMap<BTreeSet<StateId>, StateId> = HashMap::new();
+        let mut sets: Vec<BTreeSet<StateId>> = vec![start_set.clone()];
+        index.insert(start_set, StateId(0));
+        let mut states: Vec<Vec<(ByteClass, StateId)>> = vec![Vec::new()];
+        let mut finals: Vec<bool> = Vec::new();
+        let mut work: VecDeque<usize> = VecDeque::from([0]);
+        finals.push(sets[0].iter().any(|q| nfa.is_final(*q)));
+        while let Some(i) = work.pop_front() {
+            let cur = sets[i].clone();
+            for block in &alphabet {
+                // All minterm members behave identically, so step on any one.
+                let b = block.min_byte().expect("minterm blocks are nonempty");
+                let next = nfa.eps_closure(&nfa.step(&cur, b));
+                cost.closure_visited += next.len();
+                if next.is_empty() {
+                    continue;
+                }
+                let t = match index.get(&next) {
+                    Some(&t) => t,
+                    None => {
+                        let t = StateId(sets.len() as u32);
+                        index.insert(next.clone(), t);
+                        finals.push(next.iter().any(|q| nfa.is_final(*q)));
+                        sets.push(next);
+                        states.push(Vec::new());
+                        work.push_back(t.index());
+                        t
+                    }
+                };
+                states[i].push((*block, t));
+            }
+            // Merge parallel edges to the same target into one class.
+            let row = &mut states[i];
+            let mut merged: HashMap<StateId, ByteClass> = HashMap::new();
+            for &(c, t) in row.iter() {
+                let e = merged.entry(t).or_insert(ByteClass::EMPTY);
+                *e = e.union(&c);
+            }
+            let mut new_row: Vec<(ByteClass, StateId)> =
+                merged.into_iter().map(|(t, c)| (c, t)).collect();
+            new_row.sort_by_key(|&(_, t)| t);
+            *row = new_row;
+        }
+        cost.dfa_states = states.len();
+        (
+            Dfa {
+                states,
+                start: StateId(0),
+                finals,
+            },
+            cost,
+        )
     }
 }

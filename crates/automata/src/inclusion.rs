@@ -21,9 +21,9 @@
 //! no shared mutable state — which keeps memoized results and parallel
 //! solves deterministic.
 
-use crate::byteclass::{minterms, ByteClass};
 use crate::nfa::{Nfa, StateId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::subset::{self, is_sorted_subset, Subsets};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -144,33 +144,69 @@ fn deadline_passed(limits: &InclusionLimits) -> bool {
 
 /// The per-LHS-state antichain of minimal visited RHS subsets.
 struct Antichain {
-    sets: HashMap<StateId, Vec<Rc<BTreeSet<StateId>>>>,
+    sets: Vec<Vec<Rc<[u32]>>>,
 }
 
 impl Antichain {
-    fn new() -> Antichain {
+    fn new(lhs_states: usize) -> Antichain {
         Antichain {
-            sets: HashMap::new(),
+            sets: vec![Vec::new(); lhs_states],
         }
     }
 
-    /// Inserts `(q, s)` unless a visited `(q, s')` with `s' ⊆ s` subsumes
-    /// it. Returns whether the macrostate is new (and must be queued).
-    fn insert(&mut self, q: StateId, s: &Rc<BTreeSet<StateId>>, cost: &mut InclusionCost) -> bool {
-        let entry = self.sets.entry(q).or_default();
-        if entry.iter().any(|t| t.is_subset(s)) {
+    /// Whether `(q, s)` is new: no visited `(q, s')` with `s' ⊆ s`
+    /// subsumes it. A new `s` is a new minimal element, so visited strict
+    /// supersets are dropped (they could never prune anything `s` would
+    /// not); the caller then [`Antichain::push`]es it.
+    fn admit(&mut self, q: u32, s: &[u32], cost: &mut InclusionCost) -> bool {
+        let entry = &mut self.sets[q as usize];
+        if entry.iter().any(|t| is_sorted_subset(t, s)) {
             cost.prunes += 1;
             return false;
         }
-        // `s` is a new minimal element: visited strict supersets can never
-        // prune anything `s` would not, so drop them from the store.
-        entry.retain(|t| !s.is_subset(t));
-        entry.push(s.clone());
+        entry.retain(|t| !is_sorted_subset(s, t));
         true
     }
 
+    fn push(&mut self, q: u32, s: Rc<[u32]>) {
+        self.sets[q as usize].push(s);
+    }
+
     fn size(&self) -> u64 {
-        self.sets.values().map(|v| v.len() as u64).sum()
+        self.sets.iter().map(|v| v.len() as u64).sum()
+    }
+}
+
+/// The words of queued macrostates as a parent-pointer tree: node 0 is ε,
+/// and node `i > 0` is its parent's word followed by one byte. Only a
+/// counterexample is ever spelled out.
+struct Words {
+    nodes: Vec<(u32, u8)>,
+}
+
+impl Words {
+    const EMPTY: u32 = 0;
+
+    fn new() -> Words {
+        Words {
+            nodes: vec![(0, 0)],
+        }
+    }
+
+    fn extend(&mut self, parent: u32, byte: u8) -> u32 {
+        self.nodes.push((parent, byte));
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn spell(&self, mut node: u32) -> Vec<u8> {
+        let mut word = Vec::new();
+        while node != Words::EMPTY {
+            let (parent, byte) = self.nodes[node as usize];
+            word.push(byte);
+            node = parent;
+        }
+        word.reverse();
+        word
     }
 }
 
@@ -209,27 +245,31 @@ pub fn try_counterexample(
     // Minterms of *both* machines' classes: within a block, every byte
     // induces the same successor macrostate, so one representative
     // byte per block explores the whole alphabet.
-    let classes: Vec<ByteClass> = a
-        .edges()
-        .map(|(_, c, _)| c)
-        .chain(b.edges().map(|(_, c, _)| c))
-        .collect();
-    let alphabet = minterms(classes.iter());
-    let rejecting = |s: &BTreeSet<StateId>| !s.iter().any(|q| b.is_final(*q));
+    let alphabet = subset::alphabet(
+        a.edges()
+            .map(|(_, c, _)| c)
+            .chain(b.edges().map(|(_, c, _)| c)),
+    );
+    let symbols = subset::representatives(&alphabet);
+    let (mut lhs, mut rhs) = (Subsets::new(a), Subsets::new(b));
+    let (mut a_next, mut s_next) = (Vec::new(), Vec::new());
 
-    let s0 = Rc::new(b.eps_closure(&BTreeSet::from([b.start()])));
-    let a0 = a.eps_closure(&BTreeSet::from([a.start()]));
-    let mut antichain = Antichain::new();
-    let mut queue: VecDeque<(StateId, Rc<BTreeSet<StateId>>, Vec<u8>)> = VecDeque::new();
-    let s0_rejecting = rejecting(&s0);
-    for &q in &a0 {
-        if a.is_final(q) && s0_rejecting {
+    rhs.start(&mut s_next);
+    let s0: Rc<[u32]> = Rc::from(s_next.as_slice());
+    lhs.start(&mut a_next);
+    let mut antichain = Antichain::new(a.num_states());
+    let mut words = Words::new();
+    let mut queue: VecDeque<(u32, Rc<[u32]>, u32)> = VecDeque::new();
+    let s0_rejecting = !rhs.any_final(&s0);
+    for &q in &a_next {
+        if lhs.is_final(q) && s0_rejecting {
             // ε ∈ L(a) \ L(b).
             cost.antichain_size = antichain.size();
             return Ok((Some(Vec::new()), cost));
         }
-        if antichain.insert(q, &s0, &mut cost) {
-            queue.push_back((q, s0.clone(), Vec::new()));
+        if antichain.admit(q, &s0, &mut cost) {
+            antichain.push(q, s0.clone());
+            queue.push_back((q, s0.clone(), Words::EMPTY));
         }
     }
 
@@ -245,29 +285,31 @@ pub fn try_counterexample(
             return Err(InclusionAbort::Deadline { cost });
         }
         cost.macrostates += 1;
-        let q_set = BTreeSet::from([q]);
-        for block in &alphabet {
-            let byte = block.min_byte().expect("minterm blocks are nonempty");
-            let a_next = a.eps_closure(&a.step(&q_set, byte));
+        for &byte in &symbols {
+            lhs.step(&[q], byte, &mut a_next);
             if a_next.is_empty() {
                 continue;
             }
-            let s_next = Rc::new(b.eps_closure(&b.step(&s, byte)));
-            let s_next_rejecting = rejecting(&s_next);
+            rhs.step(&s, byte, &mut s_next);
+            let s_next_rejecting = !rhs.any_final(&s_next);
+            // Shared by every successor queued on this byte.
+            let mut shared: Option<(Rc<[u32]>, u32)> = None;
             for &qn in &a_next {
-                if a.is_final(qn) && s_next_rejecting {
+                if lhs.is_final(qn) && s_next_rejecting {
                     // First counterexample discovered is shortest: the
                     // BFS pops macrostates in word-length order and
                     // subsumption never removes queued entries.
-                    let mut witness = word.clone();
+                    let mut witness = words.spell(word);
                     witness.push(byte);
                     cost.antichain_size = antichain.size();
                     return Ok((Some(witness), cost));
                 }
-                if antichain.insert(qn, &s_next, &mut cost) {
-                    let mut w = word.clone();
-                    w.push(byte);
-                    queue.push_back((qn, s_next.clone(), w));
+                if antichain.admit(qn, &s_next, &mut cost) {
+                    let (set, node) = shared.get_or_insert_with(|| {
+                        (Rc::from(s_next.as_slice()), words.extend(word, byte))
+                    });
+                    antichain.push(qn, set.clone());
+                    queue.push_back((qn, set.clone(), *node));
                 }
             }
         }
@@ -341,6 +383,7 @@ pub fn try_intersection_empty(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byteclass::ByteClass;
     use crate::dfa;
     use crate::generate::{random_nonempty_nfa, RandomNfaConfig};
     use crate::ops;
@@ -558,5 +601,146 @@ mod tests {
         let err = try_equivalent(&lhs, &rhs, &limits)
             .expect_err("shared budget below the two-direction cost must trip");
         assert!(err.cost().macrostates <= need);
+    }
+}
+
+/// The `BTreeSet` antichain search that [`try_counterexample`] replaced,
+/// kept verbatim as the reference the kernel must match exactly: the same
+/// verdict, the same witness and the same [`InclusionCost`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{deadline_passed, subset_precheck, InclusionAbort, InclusionCost, InclusionLimits};
+    use crate::byteclass::{minterms, ByteClass};
+    use crate::nfa::{Nfa, StateId};
+    use std::collections::{BTreeSet, HashMap, VecDeque};
+    use std::rc::Rc;
+
+    /// The per-LHS-state antichain of minimal visited RHS subsets.
+    struct Antichain {
+        sets: HashMap<StateId, Vec<Rc<BTreeSet<StateId>>>>,
+    }
+
+    impl Antichain {
+        fn new() -> Antichain {
+            Antichain {
+                sets: HashMap::new(),
+            }
+        }
+
+        /// Inserts `(q, s)` unless a visited `(q, s')` with `s' ⊆ s` subsumes
+        /// it. Returns whether the macrostate is new (and must be queued).
+        fn insert(
+            &mut self,
+            q: StateId,
+            s: &Rc<BTreeSet<StateId>>,
+            cost: &mut InclusionCost,
+        ) -> bool {
+            let entry = self.sets.entry(q).or_default();
+            if entry.iter().any(|t| t.is_subset(s)) {
+                cost.prunes += 1;
+                return false;
+            }
+            // `s` is a new minimal element: visited strict supersets can never
+            // prune anything `s` would not, so drop them from the store.
+            entry.retain(|t| !s.is_subset(t));
+            entry.push(s.clone());
+            true
+        }
+
+        fn size(&self) -> u64 {
+            self.sets.values().map(|v| v.len() as u64).sum()
+        }
+    }
+
+    /// A shortest member of `L(a) \ L(b)`, or `None` when `L(a) ⊆ L(b)`.
+    /// Budgeted.
+    ///
+    /// The frontier holds macrostates `(q, S)` — `q` an ε-closed-reachable LHS
+    /// state, `S` the ε-closed set of RHS states reachable on the same input.
+    /// A counterexample exists iff some reachable macrostate has `q` final and
+    /// `S` free of finals. A new macrostate is *subsumed* (and dropped) when a
+    /// visited `(q, S')` with `S' ⊆ S` exists: every word rejected from `S` is
+    /// rejected from `S'` too, so the smaller set finds every counterexample
+    /// the larger one would, no later. Conversely, inserting a new minimal `S`
+    /// evicts visited supersets from the pruning store — they stay queued (BFS
+    /// order, and thus shortest-counterexample extraction, is preserved) but
+    /// no longer block future inserts.
+    pub(crate) fn try_counterexample(
+        a: &Nfa,
+        b: &Nfa,
+        limits: &InclusionLimits,
+    ) -> Result<(Option<Vec<u8>>, InclusionCost), InclusionAbort> {
+        let mut cost = InclusionCost::default();
+        if subset_precheck(a, b) == Some(true) {
+            return Ok((None, cost));
+        }
+        // Minterms of *both* machines' classes: within a block, every byte
+        // induces the same successor macrostate, so one representative
+        // byte per block explores the whole alphabet.
+        let classes: Vec<ByteClass> = a
+            .edges()
+            .map(|(_, c, _)| c)
+            .chain(b.edges().map(|(_, c, _)| c))
+            .collect();
+        let alphabet = minterms(classes.iter());
+        let rejecting = |s: &BTreeSet<StateId>| !s.iter().any(|q| b.is_final(*q));
+
+        let s0 = Rc::new(b.eps_closure(&BTreeSet::from([b.start()])));
+        let a0 = a.eps_closure(&BTreeSet::from([a.start()]));
+        let mut antichain = Antichain::new();
+        let mut queue: VecDeque<(StateId, Rc<BTreeSet<StateId>>, Vec<u8>)> = VecDeque::new();
+        let s0_rejecting = rejecting(&s0);
+        for &q in &a0 {
+            if a.is_final(q) && s0_rejecting {
+                // ε ∈ L(a) \ L(b).
+                cost.antichain_size = antichain.size();
+                return Ok((Some(Vec::new()), cost));
+            }
+            if antichain.insert(q, &s0, &mut cost) {
+                queue.push_back((q, s0.clone(), Vec::new()));
+            }
+        }
+
+        while let Some((q, s, word)) = queue.pop_front() {
+            if let Some(cap) = limits.max_macrostates {
+                if cost.macrostates >= cap {
+                    cost.antichain_size = antichain.size();
+                    return Err(InclusionAbort::MacrostateCap { limit: cap, cost });
+                }
+            }
+            if deadline_passed(limits) {
+                cost.antichain_size = antichain.size();
+                return Err(InclusionAbort::Deadline { cost });
+            }
+            cost.macrostates += 1;
+            let q_set = BTreeSet::from([q]);
+            for block in &alphabet {
+                let byte = block.min_byte().expect("minterm blocks are nonempty");
+                let a_next = a.eps_closure(&a.step(&q_set, byte));
+                if a_next.is_empty() {
+                    continue;
+                }
+                let s_next = Rc::new(b.eps_closure(&b.step(&s, byte)));
+                let s_next_rejecting = rejecting(&s_next);
+                for &qn in &a_next {
+                    if a.is_final(qn) && s_next_rejecting {
+                        // First counterexample discovered is shortest: the
+                        // BFS pops macrostates in word-length order and
+                        // subsumption never removes queued entries.
+                        let mut witness = word.clone();
+                        witness.push(byte);
+                        cost.antichain_size = antichain.size();
+                        return Ok((Some(witness), cost));
+                    }
+                    if antichain.insert(qn, &s_next, &mut cost) {
+                        let mut w = word.clone();
+                        w.push(byte);
+                        queue.push_back((qn, s_next.clone(), w));
+                    }
+                }
+            }
+        }
+        cost.antichain_size = antichain.size();
+        Ok((None, cost))
     }
 }

@@ -15,10 +15,10 @@
 //! (intersection, inclusion) keyed by operand fingerprints, with counters
 //! that the solver surfaces as cache observability stats.
 
-use crate::dfa::DeterminizeCost;
+use crate::dfa::{DeterminizeCost, Dfa};
 use crate::inclusion::{self, InclusionAbort, InclusionCost, InclusionLimits};
 use crate::metrics::{id, Metrics};
-use crate::minimize::{canonical_key_counted, minimize_counted, CanonicalKey};
+use crate::minimize::{canonical_minimal_counted, minimize_counted, CanonicalKey};
 use crate::nfa::Nfa;
 use crate::ops;
 use std::cell::RefCell;
@@ -120,20 +120,29 @@ impl Lang {
     /// metrics registry charge each canonicalization exactly once no matter
     /// how many threads race on the handle.
     pub fn fingerprint_tracked_costed(&self) -> (Arc<CanonicalKey>, Option<FingerprintCost>) {
-        let cost = std::cell::Cell::new(None);
+        let (key, computed) = self.fingerprint_with_minimal();
+        (key, computed.map(|(cost, _)| cost))
+    }
+
+    /// Like [`Lang::fingerprint_tracked_costed`]; the call that computes the
+    /// key also returns the minimal DFA it serialized, so a caller that
+    /// needs the minimized machine next need not determinize again.
+    fn fingerprint_with_minimal(&self) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Dfa)>) {
+        let mut computed = None;
         let key = self
             .inner
             .fingerprint
             .get_or_init(|| {
-                let (key, determinize) = canonical_key_counted(&self.inner.nfa);
-                cost.set(Some(FingerprintCost {
+                let (key, minimal, determinize) = canonical_minimal_counted(&self.inner.nfa);
+                let cost = FingerprintCost {
                     determinize,
                     key_bytes: key.byte_len() as u64,
-                }));
+                };
+                computed = Some((cost, minimal));
                 Arc::new(key)
             })
             .clone();
-        (key, cost.get())
+        (key, computed)
     }
 
     /// Rough heap footprint of the wrapped machine in bytes, derived only
@@ -793,15 +802,21 @@ impl LangStore {
     /// equal the number of distinct handles canonicalized, independent of
     /// scheduling.
     pub fn key_of(&self, lang: &Lang) -> Arc<CanonicalKey> {
-        let (key, cost) = lang.fingerprint_tracked_costed();
+        self.key_and_minimal(lang).0
+    }
+
+    /// [`LangStore::key_of`], plus the computation's cost and the minimal
+    /// DFA when this call computed the key.
+    fn key_and_minimal(&self, lang: &Lang) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Dfa)>) {
+        let (key, computed) = lang.fingerprint_with_minimal();
         let inner = self.lock();
-        if let Some(cost) = &cost {
+        if let Some((cost, _)) = &computed {
             record_fingerprint_cost(&inner.metrics, lang, cost);
         }
-        self.settle(inner, StoreOp::Fingerprint, cost.is_none(), || {
+        self.settle(inner, StoreOp::Fingerprint, computed.is_none(), || {
             Some(MemoIdentity::Fingerprint(lang.clone()))
         });
-        key
+        (key, computed)
     }
 
     /// Hash-conses `lang`: returns the store's representative handle for
@@ -1003,7 +1018,9 @@ impl LangStore {
             self.settle(inner, StoreOp::Minimize, false, || None);
             return result;
         }
-        let key = self.key_of(a);
+        // A fingerprint computed here comes with the minimal DFA, which is
+        // exactly what a memo miss would determinize and refine again.
+        let (key, minimal) = self.key_and_minimal(a);
         let identity = || Some(MemoIdentity::Minimize(key.clone()));
         {
             let mut inner = self.lock();
@@ -1013,7 +1030,10 @@ impl LangStore {
                 return hit;
             }
         }
-        let (nfa, det) = minimize_counted(a.nfa());
+        let (nfa, det) = match minimal {
+            Some((cost, minimal)) => (minimal.to_nfa(), cost.determinize),
+            None => minimize_counted(a.nfa()),
+        };
         let result = Lang::new(nfa);
         let mut inner = self.lock();
         // Same race re-check as `intersect`: first writer wins the entry.

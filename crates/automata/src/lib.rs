@@ -68,6 +68,7 @@ pub mod minimize;
 pub mod nfa;
 pub mod ops;
 pub mod quotient;
+mod subset;
 
 pub use analysis::{is_finite, language_size, members, LanguageSize};
 pub use byteclass::ByteClass;

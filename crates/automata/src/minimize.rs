@@ -276,8 +276,17 @@ pub fn canonical_key(nfa: &Nfa) -> CanonicalKey {
 /// [`canonical_key`] plus the cost of the subset construction, under the
 /// same accounting as [`minimize_counted`].
 pub fn canonical_key_counted(nfa: &Nfa) -> (CanonicalKey, DeterminizeCost) {
+    let (key, _, cost) = canonical_minimal_counted(nfa);
+    (key, cost)
+}
+
+/// [`canonical_key_counted`] plus the minimal DFA the key serializes: one
+/// determinize + refine pass yields both the fingerprint and what
+/// [`minimize_counted`] would rebuild (`minimal.to_nfa()`).
+pub(crate) fn canonical_minimal_counted(nfa: &Nfa) -> (CanonicalKey, Dfa, DeterminizeCost) {
     let (dfa, cost) = determinize_counted(nfa);
-    (CanonicalKey::of_minimal(&minimize_dfa(&dfa)), cost)
+    let minimal = minimize_dfa(&dfa);
+    (CanonicalKey::of_minimal(&minimal), minimal, cost)
 }
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺

@@ -657,11 +657,122 @@ impl Nfa {
     /// final state, trimmed. This extracts one *segment* of a concatenation
     /// machine; the generalized concat-intersect procedure uses it to slice
     /// shared solution machines.
+    ///
+    /// A forward search from `start`, then a backward one from `final_`
+    /// over the states reached, finds exactly the states [`Nfa::trim`]
+    /// would keep; they are copied under its numbering (`start` first, then
+    /// the others in index order), and nothing else of `self` is.
     pub fn induce_segment(&self, start: StateId, final_: StateId) -> Nfa {
-        let mut m = self.clone();
-        m.set_start(start);
-        m.set_single_final(final_);
-        m.trim().0
+        assert!(start.index() < self.states.len(), "start out of range");
+        assert!(final_.index() < self.states.len(), "final out of range");
+        let n = self.states.len();
+        // Forward: `reached` lists the states reachable from `start`.
+        let mut forward = vec![false; n];
+        let mut reached = vec![start];
+        forward[start.index()] = true;
+        let mut i = 0;
+        while i < reached.len() {
+            let q = reached[i];
+            i += 1;
+            for t in self.successors(q) {
+                if !forward[t.index()] {
+                    forward[t.index()] = true;
+                    reached.push(t);
+                }
+            }
+        }
+        if !forward[final_.index()] {
+            // Nothing reached can reach `final_`: the trimmed empty language.
+            return Nfa::new();
+        }
+        // Backward over the reached part, through a reverse adjacency in
+        // compressed rows: the predecessors of `t` are
+        // `preds[first[t]..first[t + 1]]`.
+        let mut first = vec![0u32; n + 1];
+        for &p in &reached {
+            for t in self.successors(p) {
+                first[t.index() + 1] += 1;
+            }
+        }
+        for k in 1..=n {
+            first[k] += first[k - 1];
+        }
+        let mut fill = first.clone();
+        let mut preds = vec![StateId(0); first[n] as usize];
+        for &p in &reached {
+            for t in self.successors(p) {
+                preds[fill[t.index()] as usize] = p;
+                fill[t.index()] += 1;
+            }
+        }
+        let mut live = vec![false; n];
+        live[final_.index()] = true;
+        let mut work = vec![final_];
+        while let Some(q) = work.pop() {
+            for &p in &preds[first[q.index()] as usize..first[q.index() + 1] as usize] {
+                if !live[p.index()] {
+                    live[p.index()] = true;
+                    work.push(p);
+                }
+            }
+        }
+        // `trim`'s numbering: the start, then the live states in order.
+        let mut new_of_old: Vec<Option<StateId>> = vec![None; n];
+        let mut old_of_new = vec![start];
+        new_of_old[start.index()] = Some(StateId(0));
+        for q in self.state_ids() {
+            if q != start && live[q.index()] {
+                new_of_old[q.index()] = Some(StateId(old_of_new.len() as u32));
+                old_of_new.push(q);
+            }
+        }
+        let mut out = Nfa {
+            states: vec![State::default(); old_of_new.len()],
+            start: StateId(0),
+            finals: BTreeSet::from([new_of_old[final_.index()].expect("final is live")]),
+        };
+        for (new_idx, &old) in old_of_new.iter().enumerate() {
+            let st = &self.states[old.index()];
+            let out_st = &mut out.states[new_idx];
+            for &(c, t) in &st.edges {
+                if let (false, Some(nt)) = (c.is_empty(), new_of_old[t.index()]) {
+                    out_st.edges.push((c, nt));
+                }
+            }
+            out_st
+                .eps
+                .extend(st.eps.iter().filter_map(|t| new_of_old[t.index()]));
+        }
+        out
+    }
+
+    /// The targets of `q`'s ε-edges and of its edges with a nonempty class:
+    /// the steps [`Nfa::trim`]'s reachability follows.
+    fn successors(&self, q: StateId) -> impl Iterator<Item = StateId> + '_ {
+        let st = &self.states[q.index()];
+        let live_edges = st.edges.iter().filter(|(c, _)| !c.is_empty());
+        live_edges.map(|&(_, t)| t).chain(st.eps.iter().copied())
+    }
+
+    /// Whether `to` is reachable from `from` along ε-edges and edges with a
+    /// nonempty class: exactly when `induce_segment(from, to)` is a
+    /// nonempty language, without building it.
+    pub fn reaches(&self, from: StateId, to: StateId) -> bool {
+        let mut seen = vec![false; self.states.len()];
+        seen[from.index()] = true;
+        let mut work = vec![from];
+        while let Some(q) = work.pop() {
+            if q == to {
+                return true;
+            }
+            for t in self.successors(q) {
+                if !seen[t.index()] {
+                    seen[t.index()] = true;
+                    work.push(t);
+                }
+            }
+        }
+        false
     }
 
     /// Whether the machine is in *normalized* shape: exactly one final state,
@@ -1012,5 +1123,19 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("2 states"), "got {s}");
         assert!(s.contains("start=q0"), "got {s}");
+    }
+}
+
+/// The clone-then-trim segment extraction that [`Nfa::induce_segment`]
+/// replaced, kept verbatim as the reference it must match exactly.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Nfa, StateId};
+
+    pub(crate) fn induce_segment(nfa: &Nfa, start: StateId, final_: StateId) -> Nfa {
+        let mut m = nfa.clone();
+        m.set_start(start);
+        m.set_single_final(final_);
+        m.trim().0
     }
 }

@@ -996,6 +996,18 @@ fn main() -> ExitCode {
     if args.stats {
         print_stats(&stats);
     }
+    // The core search re-solves constraint subsets with the run's metrics,
+    // ledger and tracer, so it runs before their files are written. A
+    // budget tuned for the full system would spuriously abort those
+    // probes, so it runs unlimited.
+    let core = match solution {
+        Solution::Unsat if args.core => {
+            let mut core_options = options.clone();
+            core_options.budget = Budget::default();
+            dprle_core::unsat_core_traced(&system, &core_options, &setup.tracer)
+        }
+        _ => None,
+    };
     if let Err(msg) = write_metrics(&args, &metrics) {
         eprintln!("{msg}");
         return ExitCode::from(2);
@@ -1011,17 +1023,10 @@ fn main() -> ExitCode {
     match solution {
         Solution::Unsat => {
             println!("unsat: no satisfying assignments");
-            if args.core {
-                // The core search re-solves constraint subsets; a budget
-                // tuned for the full system would spuriously abort those
-                // probes, so it runs unlimited.
-                let mut core_options = options.clone();
-                core_options.budget = Budget::default();
-                if let Some(core) = dprle_core::unsat_core(&system, &core_options) {
-                    println!("unsat core ({} constraints):", core.indices.len());
-                    for line in core.display(&system).lines() {
-                        println!("  {line}");
-                    }
+            if let Some(core) = core {
+                println!("unsat core ({} constraints):", core.indices.len());
+                for line in core.display(&system).lines() {
+                    println!("  {line}");
                 }
             }
             ExitCode::from(1)

@@ -1277,6 +1277,23 @@ mod tests {
     }
 
     #[test]
+    fn escaped_surrogate_pairs_are_one_character() {
+        // What Python's `json.dumps` sends for a constant "x😀".
+        let line = r#"{"id":"u1","input":"var v; c := \"x\ud83d\ude00\"; v <= c;"}"#;
+        let service = service();
+        let json = Json::parse(&service.handle_line(line)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("sat"), "{json:?}");
+        // A lone half is a parse error, and the service goes on.
+        let lone = r#"{"id":"u2","input":"var v; c := \"x\ud83d\"; v <= c;"}"#;
+        let json = Json::parse(&service.handle_line(lone)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+        let error = field(&json, "error").as_str().expect("error");
+        assert!(error.contains("lone surrogate \\ud83d at byte"), "{error}");
+        let json = Json::parse(&service.handle_line(line)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("sat"));
+    }
+
+    #[test]
     fn unknown_fields_are_rejected_but_keep_the_id() {
         // `inclusion` once selected an inclusion engine; it must not be
         // silently ignored now that there is only one.
@@ -1434,6 +1451,28 @@ mod tests {
         let json = Json::parse(&service.handle_line(&line)).expect("valid JSON");
         assert_eq!(field(&json, "kind").as_str(), Some("sat"));
         assert_eq!(field(&json, "id").as_str(), Some("c"));
+    }
+
+    #[test]
+    fn a_deeply_nested_regex_is_a_parse_error_and_the_next_is_answered() {
+        let service = service();
+        let depth = 100_000;
+        let program = format!(
+            "var v; c := match(/{}a{}/); v <= c;",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let line = request(&format!("\"id\":\"r\",\"input\":{}", json_string(&program)));
+        let json = Json::parse(&service.handle_line(&line)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+        let error = field(&json, "error").as_str().expect("error message");
+        assert!(error.contains("nested too deeply"), "{error}");
+        let line = request(&format!(
+            "\"id\":\"c\",\"input\":{}",
+            json_string(SAT_PROGRAM)
+        ));
+        let json = Json::parse(&service.handle_line(&line)).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("sat"));
     }
 
     #[test]

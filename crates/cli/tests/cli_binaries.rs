@@ -740,3 +740,103 @@ fn budgeted_blowup_exits_3() {
         "snapshot missing the inclusion work counter"
     );
 }
+
+#[test]
+fn core_search_reaches_the_ledger_metrics_and_journal() {
+    let input = concat!(env!("CARGO_MANIFEST_DIR"), "/../../testdata/unsat.dprle");
+    let dir = std::env::temp_dir();
+    let run = |tag: &str, core: bool| {
+        let ledger = dir.join(format!("dprle_cli_test_core_{tag}_ledger.jsonl"));
+        let journal = dir.join(format!("dprle_cli_test_core_{tag}_trace.jsonl"));
+        let metrics = dir.join(format!("dprle_cli_test_core_{tag}_metrics.jsonl"));
+        let mut args = vec![
+            "--ledger-out",
+            ledger.to_str().expect("utf8"),
+            "--trace-out",
+            journal.to_str().expect("utf8"),
+            "--metrics-out",
+            metrics.to_str().expect("utf8"),
+        ];
+        if core {
+            args.push("--core");
+        }
+        args.push(input);
+        let out = dprle(&args);
+        assert_eq!(out.status.code(), Some(1), "unsat");
+        let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("written");
+        (read(&ledger), read(&journal), read(&metrics))
+    };
+    let (plain_ledger, plain_journal, plain_metrics) = run("plain", false);
+    let (core_ledger, core_journal, core_metrics) = run("core", true);
+    assert_eq!(plain_ledger.lines().count(), 1, "{plain_ledger}");
+    assert!(
+        core_ledger.lines().count() > plain_ledger.lines().count(),
+        "the trials' records are in the ledger: {core_ledger}"
+    );
+    let trials = |journal: &str| journal.matches("\"UnsatCoreTrial\"").count();
+    assert_eq!(trials(&plain_journal), 0);
+    // `unsat.dprle` has three distinct constraints, each tried once.
+    assert_eq!(trials(&core_journal), 3, "{core_journal}");
+    let product_states = |metrics: &str| -> u64 {
+        let line = metrics
+            .lines()
+            .find(|l| l.contains("\"core.solve.product_states\""))
+            .expect("counter present");
+        let value = line.rsplit("\"value\":").next().expect("value");
+        value.trim_end_matches('}').parse().expect("integer")
+    };
+    assert!(
+        product_states(&core_metrics) > product_states(&plain_metrics),
+        "the trials' products are counted"
+    );
+}
+
+#[test]
+fn a_deeply_nested_regex_is_rejected_by_the_cli_and_by_serve() {
+    let depth = 100_000;
+    let program = format!(
+        "var v;\nc := match(/{}a{}/);\nv <= c;\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let file = temp_file("deep_regex.dprle", &program);
+    let out = dprle(&[file.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(2), "a parse error, not an abort");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nested too deeply"), "{stderr}");
+
+    // `dprle serve` answers the line with one parse-error, then goes on.
+    let escaped = program.replace('\n', " ");
+    let input = format!(
+        "{{\"id\":\"deep\",\"input\":\"{escaped}\"}}\n{{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}}\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dprle"))
+        .arg("serve")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(input.as_bytes())
+        .expect("write requests");
+    let out = child
+        .wait_with_output()
+        .expect("serve exits at end of input");
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    // Responses are written as they complete, so find each by its id.
+    let response = |id: &str| {
+        let tag = format!("\"id\":\"{id}\"");
+        stdout.lines().find(|l| l.contains(&tag)).expect("answered")
+    };
+    assert!(
+        response("deep").contains("\"kind\":\"parse-error\""),
+        "{stdout}"
+    );
+    assert!(response("deep").contains("nested too deeply"), "{stdout}");
+    assert!(response("next").contains("\"kind\":\"sat\""), "{stdout}");
+}

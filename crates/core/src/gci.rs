@@ -259,6 +259,52 @@ pub fn solve_group(
     result
 }
 
+/// The root machine of every CI-group of `system`, as the solver's first
+/// pass builds it before minimization: a variable leaf is the intersection
+/// of its inbound subset constants (Σ* without one), a constant leaf is the
+/// constant's machine. A group with an empty root contributes nothing.
+///
+/// These are the machines enumeration slices with
+/// [`Nfa::induce_segment`]; the automata crate's kernel tests run their
+/// reference constructions on them.
+pub fn root_machines(system: &System) -> Vec<Nfa> {
+    let graph = DependencyGraph::from_system(system);
+    let mut out = Vec::new();
+    for group in graph.ci_groups() {
+        let mut leaves = BTreeMap::new();
+        for &node in &group.nodes {
+            let machine = match graph.kind(node) {
+                NodeKind::Var(_) => graph
+                    .inbound_subset_sources(node)
+                    .into_iter()
+                    .filter_map(|source| match graph.kind(source) {
+                        NodeKind::Const(c) => Some(system.const_lang(c).clone()),
+                        _ => None,
+                    })
+                    .reduce(|m, c| Lang::new(ops::intersect_lang(&m, &c)))
+                    .unwrap_or_else(|| Lang::new(Nfa::sigma_star())),
+                NodeKind::Const(c) => system.const_lang(c).clone(),
+                NodeKind::Temp(_) => continue,
+            };
+            leaves.insert(node, machine);
+        }
+        let builder = GroupBuilder {
+            graph: &graph,
+            group: &group,
+            system,
+            leaf_machines: &leaves,
+            metrics: &Metrics::disabled(),
+            ledger: &Ledger::disabled(),
+            cap: usize::MAX,
+            product_states: Cell::new(0),
+        };
+        if let Ok(Some(roots)) = builder.build_roots() {
+            out.extend(roots.into_iter().map(|root| root.nfa));
+        }
+    }
+    out
+}
+
 fn solve_group_inner(
     graph: &DependencyGraph,
     group: &CiGroup,
@@ -908,11 +954,7 @@ fn enumerate_rec(
         } else {
             chosen[k - 1].1
         };
-        if root
-            .nfa
-            .induce_segment(seg_start, edge.0)
-            .is_empty_language()
-        {
+        if !root.nfa.reaches(seg_start, edge.0) {
             continue;
         }
         chosen.push(edge);

@@ -413,16 +413,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push(0x08),
                     Some(b'f') => out.push(0x0c),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_owned())?;
-                        let ch = char::from_u32(code).ok_or("bad \\u code point")?;
+                        let ch = parse_unicode_escape(bytes, pos)?;
                         let mut buf = [0u8; 4];
                         out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
                     }
                     _ => return Err("bad escape".to_owned()),
                 }
@@ -434,6 +427,41 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// Decodes the `\uXXXX` escape whose `u` is at `*pos`, leaving `*pos` on
+/// its last hex digit. A high surrogate must be followed by an escaped low
+/// surrogate, and the pair is one code point (how UTF-16-minded encoders
+/// such as Python's `json.dumps` write characters outside the BMP); a lone
+/// or reversed surrogate is an error naming the escape's byte offset.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos - 1;
+    let hex4 = |from: usize| -> Option<u32> {
+        bytes
+            .get(from..from + 4)?
+            .iter()
+            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+    };
+    let code = hex4(*pos + 1).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    *pos += 4;
+    let code = match code {
+        0xd800..=0xdbff => {
+            let low = match bytes.get(*pos + 1..*pos + 3) {
+                Some(b"\\u") => hex4(*pos + 3),
+                _ => None,
+            };
+            match low {
+                Some(low @ 0xdc00..=0xdfff) => {
+                    *pos += 6;
+                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                }
+                _ => return Err(format!("lone surrogate \\u{code:04x} at byte {at}")),
+            }
+        }
+        0xdc00..=0xdfff => return Err(format!("lone surrogate \\u{code:04x} at byte {at}")),
+        code => code,
+    };
+    Ok(char::from_u32(code).expect("surrogates are excluded"))
 }
 
 /// Escapes `s` as a JSON string literal (including quotes).
@@ -575,6 +603,39 @@ mod tests {
         assert_eq!(get_str(obj, "c"), Ok("x"));
         assert!(get_bool(obj, "a").is_err());
         assert_eq!(lookup(obj, "b").and_then(Json::as_array).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        let decode = |text: &str| Json::parse(text).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(decode("\"\\u0041\\u00e9\""), Ok(Some("A\u{e9}".to_owned())));
+        // U+1F600 as an escaped UTF-16 pair, as `json.dumps` writes it.
+        assert_eq!(
+            decode("\"x\\ud83d\\ude00y\""),
+            Ok(Some("x\u{1f600}y".to_owned()))
+        );
+        assert_eq!(
+            decode("\"\\uDBFF\\uDFFF\""),
+            Ok(Some("\u{10ffff}".to_owned()))
+        );
+    }
+
+    #[test]
+    fn bad_unicode_escapes_are_errors_naming_the_offset() {
+        for (text, error) in [
+            ("\"\\ud83d\"", "lone surrogate \\ud83d at byte 1"),
+            ("\"ab\\ud83dx\"", "lone surrogate \\ud83d at byte 3"),
+            ("\"\\ud83d\\u0041\"", "lone surrogate \\ud83d at byte 1"),
+            // Reversed pair: the low half first.
+            ("\"\\ude00\\ud83d\"", "lone surrogate \\ude00 at byte 1"),
+            // Exactly four hex digits: no sign, no short or non-hex forms.
+            ("\"\\u+041\"", "bad \\u escape at byte 1"),
+            ("\"\\u-041\"", "bad \\u escape at byte 1"),
+            ("\"\\u04g1\"", "bad \\u escape at byte 1"),
+            ("\"\\u04\"", "bad \\u escape at byte 1"),
+        ] {
+            assert_eq!(Json::parse(text), Err(error.to_owned()), "{text}");
+        }
     }
 
     #[test]

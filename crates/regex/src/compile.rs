@@ -135,6 +135,30 @@ mod tests {
     }
 
     #[test]
+    fn the_deepest_parsable_patterns_compile_and_drop_on_a_small_stack() {
+        use crate::parser::MAX_NESTING;
+        let k = MAX_NESTING as usize;
+        // Each group adds an alternation and a concatenation node, so this
+        // AST is about twice as deep as the nesting limit. 2 MiB is a
+        // spawned thread's default stack (a `dprle serve` session's).
+        let alternations = "(a|b".repeat(k) + "c" + &")".repeat(k);
+        let quantifiers = "a".to_owned() + &"*".repeat(k);
+        for pattern in [alternations, quantifiers] {
+            std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let ast = parse(&pattern).expect("within the limit");
+                    let m = compile_exact(&ast).expect("compile");
+                    assert!(!m.is_empty_language());
+                    drop(ast);
+                })
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow");
+        }
+    }
+
+    #[test]
     fn exact_literal() {
         let m = exact("abc");
         assert!(m.contains(b"abc"));

@@ -27,6 +27,9 @@ pub enum RegexErrorKind {
     /// An anchor (`^`/`$`) in a position the compiler cannot interpret
     /// (e.g. under a star).
     MisplacedAnchor,
+    /// Groups and stacked quantifiers nest deeper than
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING) levels.
+    NestingTooDeep,
 }
 
 impl fmt::Display for RegexErrorKind {
@@ -42,6 +45,7 @@ impl fmt::Display for RegexErrorKind {
             RegexErrorKind::UnsupportedBackreference => "backreferences are not supported",
             RegexErrorKind::MalformedEscape => "malformed escape sequence",
             RegexErrorKind::MisplacedAnchor => "anchor in an uninterpretable position",
+            RegexErrorKind::NestingTooDeep => "groups and quantifiers nested too deeply",
         };
         f.write_str(msg)
     }

@@ -13,10 +13,22 @@
 //! are rejected with a positioned error rather than silently misparsed.
 //! Lazy quantifiers parse as nested `?` and recognize the same language as
 //! their greedy counterparts.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: each group and each quantifier
+//! stacked on an atom is one level. That bounds the parser's recursion
+//! and the depth of every [`Ast`] it returns, which in turn bounds the
+//! recursion of compiling and dropping it, so hostile input gets a
+//! [`RegexErrorKind::NestingTooDeep`] error, not a stack overflow.
 
 use crate::ast::{Anchor, Ast};
 use crate::error::{ParseRegexError, RegexErrorKind};
 use dprle_automata::ByteClass;
+
+/// The deepest nesting [`parse`] accepts, counting each enclosing group and
+/// each stacked quantifier (`((a)*)+` nests 4 levels deep). A parsed
+/// [`Ast`] is at most about twice as deep: a group may add an alternation
+/// and a concatenation node.
+pub const MAX_NESTING: u32 = 256;
 
 /// Parses a pattern into an [`Ast`].
 ///
@@ -28,17 +40,25 @@ pub fn parse(pattern: &str) -> Result<Ast, ParseRegexError> {
     let mut p = Parser {
         input: pattern.as_bytes(),
         pos: 0,
+        open_groups: 0,
     };
-    let ast = p.alt()?;
+    let (ast, _) = p.alt()?;
     if p.pos != p.input.len() {
         return Err(p.error(RegexErrorKind::UnbalancedParen));
     }
     Ok(ast)
 }
 
+/// Each parse step returns its `Ast` with its nesting: the most levels
+/// (groups and quantifiers) on any path from it down to an atom.
+type Parsed = Result<(Ast, u32), ParseRegexError>;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`: the parser's recursion depth, checked before
+    /// recursing into one more.
+    open_groups: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -70,42 +90,60 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn alt(&mut self) -> Result<Ast, ParseRegexError> {
-        let mut parts = vec![self.concat()?];
+    fn alt(&mut self) -> Parsed {
+        let (first, mut nesting) = self.concat()?;
+        let mut parts = vec![first];
         while self.eat(b'|') {
-            parts.push(self.concat()?);
+            let (part, n) = self.concat()?;
+            parts.push(part);
+            nesting = nesting.max(n);
         }
-        Ok(if parts.len() == 1 {
+        let ast = if parts.len() == 1 {
             parts.pop().expect("one part")
         } else {
             Ast::Alt(parts)
-        })
+        };
+        Ok((ast, nesting))
     }
 
-    fn concat(&mut self) -> Result<Ast, ParseRegexError> {
+    fn concat(&mut self) -> Parsed {
         let mut parts = Vec::new();
+        let mut nesting = 0;
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' {
                 break;
             }
-            parts.push(self.repeat()?);
+            let (part, n) = self.repeat()?;
+            parts.push(part);
+            nesting = nesting.max(n);
         }
-        Ok(match parts.len() {
+        let ast = match parts.len() {
             0 => Ast::Empty,
             1 => parts.pop().expect("one part"),
             _ => Ast::Concat(parts),
-        })
+        };
+        Ok((ast, nesting))
     }
 
-    fn repeat(&mut self) -> Result<Ast, ParseRegexError> {
-        let mut ast = self.atom()?;
+    /// One more level over `nesting`, or an error at `pos` past the limit.
+    fn nest(&self, nesting: u32) -> Result<u32, ParseRegexError> {
+        if nesting >= MAX_NESTING {
+            return Err(self.error(RegexErrorKind::NestingTooDeep));
+        }
+        Ok(nesting + 1)
+    }
+
+    fn repeat(&mut self) -> Parsed {
+        let (mut ast, mut nesting) = self.atom()?;
         loop {
             match self.peek() {
                 Some(b'*') => {
+                    nesting = self.nest(nesting)?;
                     self.pos += 1;
                     ast = Ast::Star(Box::new(ast));
                 }
                 Some(b'+') => {
+                    nesting = self.nest(nesting)?;
                     self.pos += 1;
                     ast = Ast::Plus(Box::new(ast));
                 }
@@ -113,6 +151,7 @@ impl<'a> Parser<'a> {
                     // Note: a lazy quantifier such as `a*?` parses as
                     // `(a*)?`, which recognizes the same language as PCRE's
                     // lazy `a*?` — laziness affects match positions only.
+                    nesting = self.nest(nesting)?;
                     self.pos += 1;
                     ast = Ast::Optional(Box::new(ast));
                 }
@@ -121,6 +160,7 @@ impl<'a> Parser<'a> {
                     // comma; otherwise it is a literal brace (PCRE behavior).
                     match self.input.get(self.pos + 1) {
                         Some(c) if c.is_ascii_digit() || *c == b',' => {
+                            nesting = self.nest(nesting)?;
                             self.pos += 1;
                             let (min, max) = self.bounds()?;
                             ast = Ast::Repeat {
@@ -135,7 +175,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        Ok(ast)
+        Ok((ast, nesting))
     }
 
     fn bounds(&mut self) -> Result<(u32, Option<u32>), ParseRegexError> {
@@ -173,36 +213,41 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.error(RegexErrorKind::MalformedBound))
     }
 
-    fn atom(&mut self) -> Result<Ast, ParseRegexError> {
-        match self.bump() {
+    fn atom(&mut self) -> Parsed {
+        let ast = match self.bump() {
             Some(b'(') => {
                 if self.peek() == Some(b'?') {
                     return Err(self.error(RegexErrorKind::UnsupportedGroup));
                 }
-                let inner = self.alt()?;
+                // Checked before recursing: the group's own nesting is at
+                // least the number of groups open inside it.
+                if self.open_groups >= MAX_NESTING {
+                    return Err(ParseRegexError {
+                        pos: self.pos - 1,
+                        kind: RegexErrorKind::NestingTooDeep,
+                    });
+                }
+                self.open_groups += 1;
+                let (inner, nesting) = self.alt()?;
                 if !self.eat(b')') {
                     return Err(self.error(RegexErrorKind::UnbalancedParen));
                 }
-                Ok(inner)
+                self.open_groups -= 1;
+                return Ok((inner, self.nest(nesting)?));
             }
-            Some(b'[') => self.class(),
-            Some(b'.') => Ok(Ast::Class(
-                ByteClass::FULL.difference(&ByteClass::singleton(b'\n')),
-            )),
-            Some(b'^') => Ok(Ast::Anchor(Anchor::Start)),
-            Some(b'$') => Ok(Ast::Anchor(Anchor::End)),
-            Some(b'\\') => {
-                let class = self.escape()?;
-                Ok(Ast::Class(class))
-            }
-            Some(b @ (b'*' | b'+' | b'?')) => {
+            Some(b'[') => self.class()?,
+            Some(b'.') => Ast::Class(ByteClass::FULL.difference(&ByteClass::singleton(b'\n'))),
+            Some(b'^') => Ast::Anchor(Anchor::Start),
+            Some(b'$') => Ast::Anchor(Anchor::End),
+            Some(b'\\') => Ast::Class(self.escape()?),
+            Some(b'*' | b'+' | b'?') => {
                 self.pos -= 1;
-                let _ = b;
-                Err(self.error(RegexErrorKind::DanglingQuantifier))
+                return Err(self.error(RegexErrorKind::DanglingQuantifier));
             }
-            Some(b) => Ok(Ast::byte(b)),
-            None => Err(self.error(RegexErrorKind::UnexpectedEnd)),
-        }
+            Some(b) => Ast::byte(b),
+            None => return Err(self.error(RegexErrorKind::UnexpectedEnd)),
+        };
+        Ok((ast, 0))
     }
 
     /// Parses the body of a `[...]` class (the `[` has been consumed).
@@ -531,6 +576,50 @@ mod tests {
     fn error_positions_point_at_offence() {
         let err = parse("ab(?=x)").expect_err("lookahead unsupported");
         assert_eq!(err.pos, 3);
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let groups = |depth: usize| "(".repeat(depth) + "a" + &")".repeat(depth);
+        let limit = MAX_NESTING as usize;
+        assert_eq!(p(&groups(limit)), Ast::byte(b'a'));
+        let err = parse(&groups(limit + 1)).expect_err("one group too deep");
+        assert_eq!(err.kind, RegexErrorKind::NestingTooDeep);
+        assert_eq!(err.pos, limit, "the first group past the limit");
+        // Stacked quantifiers count as levels too, and so do both together.
+        assert!(parse(&("a".to_owned() + &"*".repeat(limit))).is_ok());
+        let err = parse(&("a".to_owned() + &"?".repeat(limit + 1))).expect_err("too deep");
+        assert_eq!(
+            (err.kind, err.pos),
+            (RegexErrorKind::NestingTooDeep, limit + 1)
+        );
+        // `(a*)+` is 3 levels deep.
+        let mixed = "(a*)+".to_owned() + &"{1,2}".repeat(limit - 3);
+        assert!(parse(&mixed).is_ok(), "{mixed}");
+        let err = parse(&(mixed + "*")).expect_err("too deep");
+        assert_eq!(err.kind, RegexErrorKind::NestingTooDeep);
+        // A literal brace is not a quantifier.
+        assert!(parse(&("a".to_owned() + &"*".repeat(limit) + "{x")).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100 000 levels of either kind, parsed on a 1 MiB stack.
+        for pattern in [
+            "(".repeat(100_000) + "a" + &")".repeat(100_000),
+            "a".to_owned() + &"*".repeat(100_000),
+            "(a*)".repeat(50_000),
+        ] {
+            let result = std::thread::Builder::new()
+                .stack_size(1024 * 1024)
+                .spawn(move || parse(&pattern).map(|_| ()))
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow");
+            if let Err(err) = result {
+                assert_eq!(err.kind, RegexErrorKind::NestingTooDeep);
+            }
+        }
     }
 
     #[test]
