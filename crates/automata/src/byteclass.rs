@@ -330,30 +330,43 @@ impl fmt::Debug for ByteClass {
 /// Classes that are empty are ignored. The returned blocks are pairwise
 /// disjoint, nonempty, and their union equals the union of the inputs.
 pub fn minterms<'a, I: IntoIterator<Item = &'a ByteClass>>(classes: I) -> Vec<ByteClass> {
-    let mut blocks: Vec<ByteClass> = Vec::new();
+    let (mut blocks, mut spare) = (Vec::new(), Vec::new());
     for class in classes {
-        if class.is_empty() {
-            continue;
-        }
-        let mut rest = *class;
-        let mut next_blocks = Vec::with_capacity(blocks.len() + 1);
-        for block in blocks.drain(..) {
-            let inside = block.intersect(&rest);
-            let outside = block.difference(&rest);
-            if !inside.is_empty() {
-                next_blocks.push(inside);
-            }
-            if !outside.is_empty() {
-                next_blocks.push(outside);
-            }
-            rest = rest.difference(&block);
-        }
-        if !rest.is_empty() {
-            next_blocks.push(rest);
-        }
-        blocks = next_blocks;
+        refine_minterms(&mut blocks, &mut spare, class);
     }
     blocks
+}
+
+/// One step of [`minterms`]: splits every block of `blocks` into its parts
+/// inside and outside `class` (inside first, empty parts dropped), then
+/// appends what `class` covers beyond them. The refined partition is built
+/// in `spare` and the two buffers swap, so refining a whole sequence of
+/// classes reuses two allocations.
+pub(crate) fn refine_minterms(
+    blocks: &mut Vec<ByteClass>,
+    spare: &mut Vec<ByteClass>,
+    class: &ByteClass,
+) {
+    if class.is_empty() {
+        return;
+    }
+    let mut rest = *class;
+    spare.clear();
+    for block in blocks.iter() {
+        let inside = block.intersect(&rest);
+        let outside = block.difference(&rest);
+        if !inside.is_empty() {
+            spare.push(inside);
+        }
+        if !outside.is_empty() {
+            spare.push(outside);
+        }
+        rest = rest.difference(block);
+    }
+    if !rest.is_empty() {
+        spare.push(rest);
+    }
+    std::mem::swap(blocks, spare);
 }
 
 #[cfg(test)]

@@ -11,11 +11,7 @@
 use crate::byteclass::ByteClass;
 use crate::inclusion::{self, InclusionLimits};
 use crate::nfa::{Nfa, StateId};
-use crate::subset::{self, Subsets};
-use std::collections::HashMap;
-
-/// Marks an empty slot in [`determinize_counted`]'s row-merge table.
-const NONE: u32 = u32::MAX;
+use crate::subset;
 
 /// A deterministic finite automaton over byte classes.
 ///
@@ -163,78 +159,27 @@ pub struct DeterminizeCost {
 /// Like [`determinize`], additionally reporting the subset-construction
 /// cost (output states and ε-closure work).
 ///
-/// Runs on the crate's subset kernel: macrostates are sorted state slices,
-/// interned once, and numbered in breadth-first discovery order; each row
-/// merges the minterm blocks that lead to one target and lists its edges
-/// by target.
+/// Reads the crate's subset table (`subset::with_table`): states are
+/// numbered in breadth-first discovery order, and each row merges the
+/// minterm blocks that lead to one target and lists its edges by target.
 pub fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
-    let alphabet = subset::alphabet(nfa.edges().map(|(_, c, _)| c));
-    let symbols = subset::representatives(&alphabet);
-    let mut kernel = Subsets::new(nfa);
-    let mut cost = DeterminizeCost::default();
-    let mut next: Vec<u32> = Vec::new();
-    kernel.start(&mut next);
-    cost.closure_visited += next.len();
-    // Macrostate `i` is `pool[spans[i].0..spans[i].1]`; `index` interns them.
-    let mut index: HashMap<Box<[u32]>, StateId> = HashMap::new();
-    index.insert(next.as_slice().into(), StateId(0));
-    let mut pool: Vec<u32> = next.clone();
-    let mut spans: Vec<(usize, usize)> = vec![(0, next.len())];
-    let mut finals: Vec<bool> = vec![kernel.any_final(&next)];
-    let mut states: Vec<Vec<(ByteClass, StateId)>> = Vec::new();
-    let mut cur: Vec<u32> = Vec::new();
-    // `slot[t]`: where target `t` sits in the row being built, or NONE.
-    let mut slot: Vec<u32> = Vec::new();
-    // Work is processed in creation order, so the queue is an index.
-    while states.len() < spans.len() {
-        let (from, to) = spans[states.len()];
-        cur.clear();
-        cur.extend_from_slice(&pool[from..to]);
-        let mut row: Vec<(ByteClass, StateId)> = Vec::new();
-        for (block, &b) in alphabet.iter().zip(&symbols) {
-            kernel.step(&cur, b, &mut next);
-            cost.closure_visited += next.len();
-            if next.is_empty() {
-                continue;
-            }
-            let t = match index.get(next.as_slice()) {
-                Some(&t) => t,
-                None => {
-                    let t = StateId(spans.len() as u32);
-                    index.insert(next.as_slice().into(), t);
-                    finals.push(kernel.any_final(&next));
-                    spans.push((pool.len(), pool.len() + next.len()));
-                    pool.extend_from_slice(&next);
-                    t
-                }
-            };
-            if slot.len() <= t.index() {
-                slot.resize(spans.len(), NONE);
-            }
-            match slot[t.index()] {
-                NONE => {
-                    slot[t.index()] = row.len() as u32;
-                    row.push((*block, t));
-                }
-                j => row[j as usize].0 = row[j as usize].0.union(block),
-            }
-        }
-        for &(_, t) in &row {
-            slot[t.index()] = NONE;
-        }
-        // Merged targets are distinct.
-        row.sort_unstable_by_key(|&(_, t)| t);
-        states.push(row);
-    }
-    cost.dfa_states = states.len();
-    (
-        Dfa {
+    subset::with_table(nfa, |table| {
+        let mut row = Vec::new();
+        let states = (0..table.num_states())
+            .map(|q| {
+                table.merged_row(q, &mut row);
+                // Merged targets are distinct.
+                row.sort_unstable_by_key(|&(_, t)| t);
+                row.clone()
+            })
+            .collect();
+        let dfa = Dfa {
             states,
             start: StateId(0),
-            finals,
-        },
-        cost,
-    )
+            finals: table.finals.clone(),
+        };
+        (dfa, table.cost)
+    })
 }
 
 /// The NFA for the complement language Σ* \ L(nfa).
@@ -392,17 +337,100 @@ mod tests {
     }
 }
 
-/// The `BTreeSet` subset construction that [`determinize_counted`]
-/// replaced, kept verbatim as the reference the kernel must match exactly:
-/// the same `Dfa`, numbering included, and the same cost.
+/// The constructions [`determinize_counted`] replaced, kept verbatim as
+/// the references it must match exactly: the same `Dfa`, numbering
+/// included, and the same cost. `determinize_counted` is the first subset
+/// kernel's (sets interned in a `HashMap`, rows merged per target);
+/// `btree_determinize_counted` the `BTreeSet` construction before it.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{DeterminizeCost, Dfa};
     use crate::byteclass::{minterms, ByteClass};
     use crate::nfa::{Nfa, StateId};
+    use crate::subset::{self, Subsets};
     use std::collections::{BTreeSet, HashMap, VecDeque};
 
+    /// Marks an empty slot in [`determinize_counted`]'s row-merge table.
+    const NONE: u32 = u32::MAX;
+
+    /// Like [`determinize`](super::determinize), additionally reporting the
+    /// subset-construction cost (output states and ε-closure work).
+    ///
+    /// Runs on the crate's subset kernel: macrostates are sorted state slices,
+    /// interned once, and numbered in breadth-first discovery order; each row
+    /// merges the minterm blocks that lead to one target and lists its edges
+    /// by target.
     pub(crate) fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
+        let alphabet = subset::alphabet(nfa.edges().map(|(_, c, _)| c));
+        let symbols = subset::representatives(&alphabet);
+        let mut kernel = Subsets::new(nfa);
+        let mut cost = DeterminizeCost::default();
+        let mut next: Vec<u32> = Vec::new();
+        kernel.start(&mut next);
+        cost.closure_visited += next.len();
+        // Macrostate `i` is `pool[spans[i].0..spans[i].1]`; `index` interns them.
+        let mut index: HashMap<Box<[u32]>, StateId> = HashMap::new();
+        index.insert(next.as_slice().into(), StateId(0));
+        let mut pool: Vec<u32> = next.clone();
+        let mut spans: Vec<(usize, usize)> = vec![(0, next.len())];
+        let mut finals: Vec<bool> = vec![kernel.any_final(&next)];
+        let mut states: Vec<Vec<(ByteClass, StateId)>> = Vec::new();
+        let mut cur: Vec<u32> = Vec::new();
+        // `slot[t]`: where target `t` sits in the row being built, or NONE.
+        let mut slot: Vec<u32> = Vec::new();
+        // Work is processed in creation order, so the queue is an index.
+        while states.len() < spans.len() {
+            let (from, to) = spans[states.len()];
+            cur.clear();
+            cur.extend_from_slice(&pool[from..to]);
+            let mut row: Vec<(ByteClass, StateId)> = Vec::new();
+            for (block, &b) in alphabet.iter().zip(&symbols) {
+                kernel.step(&cur, b, &mut next);
+                cost.closure_visited += next.len();
+                if next.is_empty() {
+                    continue;
+                }
+                let t = match index.get(next.as_slice()) {
+                    Some(&t) => t,
+                    None => {
+                        let t = StateId(spans.len() as u32);
+                        index.insert(next.as_slice().into(), t);
+                        finals.push(kernel.any_final(&next));
+                        spans.push((pool.len(), pool.len() + next.len()));
+                        pool.extend_from_slice(&next);
+                        t
+                    }
+                };
+                if slot.len() <= t.index() {
+                    slot.resize(spans.len(), NONE);
+                }
+                match slot[t.index()] {
+                    NONE => {
+                        slot[t.index()] = row.len() as u32;
+                        row.push((*block, t));
+                    }
+                    j => row[j as usize].0 = row[j as usize].0.union(block),
+                }
+            }
+            for &(_, t) in &row {
+                slot[t.index()] = NONE;
+            }
+            // Merged targets are distinct.
+            row.sort_unstable_by_key(|&(_, t)| t);
+            states.push(row);
+        }
+        cost.dfa_states = states.len();
+        (
+            Dfa {
+                states,
+                start: StateId(0),
+                finals,
+            },
+            cost,
+        )
+    }
+
+    pub(crate) fn btree_determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
         let mut cost = DeterminizeCost::default();
         let classes: Vec<ByteClass> = nfa.edges().map(|(_, c, _)| c).collect();
         let alphabet = minterms(classes.iter());

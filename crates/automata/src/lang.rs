@@ -18,7 +18,9 @@
 use crate::dfa::{DeterminizeCost, Dfa};
 use crate::inclusion::{self, InclusionAbort, InclusionCost, InclusionLimits};
 use crate::metrics::{id, Metrics};
-use crate::minimize::{canonical_minimal_counted, minimize_counted, CanonicalKey};
+use crate::minimize::{
+    canonical_key_counted, canonical_minimal_counted, minimize_counted, CanonicalKey,
+};
 use crate::nfa::Nfa;
 use crate::ops;
 use std::cell::RefCell;
@@ -59,10 +61,16 @@ struct LangInner {
 impl Lang {
     /// Wraps a machine in a shareable handle.
     pub fn new(nfa: Nfa) -> Self {
+        Lang::with_fingerprint(nfa, OnceLock::new())
+    }
+
+    /// Wraps a machine with its fingerprint slot, which holds the key
+    /// already when the caller knows it.
+    fn with_fingerprint(nfa: Nfa, fingerprint: OnceLock<Arc<CanonicalKey>>) -> Self {
         Lang {
             inner: Arc::new(LangInner {
                 nfa,
-                fingerprint: OnceLock::new(),
+                fingerprint,
                 empty: OnceLock::new(),
                 eps_free: OnceLock::new(),
                 edge_count: OnceLock::new(),
@@ -120,20 +128,31 @@ impl Lang {
     /// metrics registry charge each canonicalization exactly once no matter
     /// how many threads race on the handle.
     pub fn fingerprint_tracked_costed(&self) -> (Arc<CanonicalKey>, Option<FingerprintCost>) {
-        let (key, computed) = self.fingerprint_with_minimal();
+        let (key, computed) = self.fingerprint_with_minimal(false);
         (key, computed.map(|(cost, _)| cost))
     }
 
-    /// Like [`Lang::fingerprint_tracked_costed`]; the call that computes the
-    /// key also returns the minimal DFA it serialized, so a caller that
-    /// needs the minimized machine next need not determinize again.
-    fn fingerprint_with_minimal(&self) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Dfa)>) {
+    /// Like [`Lang::fingerprint_tracked_costed`]; with `want_minimal`, the
+    /// call that computes the key also returns the minimal DFA it
+    /// serialized, so a caller that needs the minimized machine next need
+    /// not canonicalize again.
+    fn fingerprint_with_minimal(
+        &self,
+        want_minimal: bool,
+    ) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Option<Dfa>)>) {
         let mut computed = None;
         let key = self
             .inner
             .fingerprint
             .get_or_init(|| {
-                let (key, minimal, determinize) = canonical_minimal_counted(&self.inner.nfa);
+                let nfa = &self.inner.nfa;
+                let (key, minimal, determinize) = if want_minimal {
+                    let (key, minimal, cost) = canonical_minimal_counted(nfa);
+                    (key, Some(minimal), cost)
+                } else {
+                    let (key, cost) = canonical_key_counted(nfa);
+                    (key, None, cost)
+                };
                 let cost = FingerprintCost {
                     determinize,
                     key_bytes: key.byte_len() as u64,
@@ -802,13 +821,17 @@ impl LangStore {
     /// equal the number of distinct handles canonicalized, independent of
     /// scheduling.
     pub fn key_of(&self, lang: &Lang) -> Arc<CanonicalKey> {
-        self.key_and_minimal(lang).0
+        self.key_and_minimal(lang, false).0
     }
 
-    /// [`LangStore::key_of`], plus the computation's cost and the minimal
-    /// DFA when this call computed the key.
-    fn key_and_minimal(&self, lang: &Lang) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Dfa)>) {
-        let (key, computed) = lang.fingerprint_with_minimal();
+    /// [`LangStore::key_of`], plus the computation's cost and, with
+    /// `want_minimal`, the minimal DFA when this call computed the key.
+    fn key_and_minimal(
+        &self,
+        lang: &Lang,
+        want_minimal: bool,
+    ) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Option<Dfa>)>) {
+        let (key, computed) = lang.fingerprint_with_minimal(want_minimal);
         let inner = self.lock();
         if let Some((cost, _)) = &computed {
             record_fingerprint_cost(&inner.metrics, lang, cost);
@@ -1020,7 +1043,7 @@ impl LangStore {
         }
         // A fingerprint computed here comes with the minimal DFA, which is
         // exactly what a memo miss would determinize and refine again.
-        let (key, minimal) = self.key_and_minimal(a);
+        let (key, minimal) = self.key_and_minimal(a, true);
         let identity = || Some(MemoIdentity::Minimize(key.clone()));
         {
             let mut inner = self.lock();
@@ -1031,10 +1054,12 @@ impl LangStore {
             }
         }
         let (nfa, det) = match minimal {
-            Some((cost, minimal)) => (minimal.to_nfa(), cost.determinize),
-            None => minimize_counted(a.nfa()),
+            Some((cost, Some(minimal))) => (minimal.to_nfa(), cost.determinize),
+            _ => minimize_counted(a.nfa()),
         };
-        let result = Lang::new(nfa);
+        // The result has `a`'s language, hence `a`'s key: the handle is born
+        // with it, so no minimal machine is ever canonicalized again.
+        let result = Lang::with_fingerprint(nfa, OnceLock::from(key.clone()));
         let mut inner = self.lock();
         // Same race re-check as `intersect`: first writer wins the entry.
         if let Some(existing) = inner.minimize_memo.get(&key).cloned() {

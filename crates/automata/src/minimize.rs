@@ -3,22 +3,22 @@
 //! The paper (§4) observes that its prototype tracked large string constants
 //! through every machine transformation and that "applying NFA minimization
 //! techniques might improve performance" on the pathological `secure` case.
-//! This module provides that optimization: determinize, refine the state
-//! partition to the Myhill–Nerode congruence (Hopcroft's algorithm over the
-//! minterm alphabet), and rebuild the quotient directly in the canonical
-//! numbering that both [`minimize`] and [`canonical_key`] emit.
+//! This module provides that optimization: refine the states of the
+//! machine's subset table (`subset::Table`) to the Myhill–Nerode
+//! congruence (Hopcroft's algorithm over the minterm alphabet), and emit
+//! the quotient straight from the classes, in the canonical numbering that
+//! both [`minimize`] and [`canonical_key`] produce.
 //!
 //! Hopcroft's refinement costs O(k·n·log n) for n states and k minterms.
 //! Moore's round-based refinement needs about n rounds on the chain-shaped
 //! machines long string constants compile to, so O(k·n²) there; it survives
 //! only as the test suite's reference oracle.
 
-use crate::byteclass::{minterms, ByteClass};
-use crate::dfa::{determinize_counted, DeterminizeCost, Dfa};
+use crate::byteclass::ByteClass;
+use crate::dfa::{DeterminizeCost, Dfa};
 use crate::nfa::{Nfa, StateId};
-
-/// Marks an unassigned slot in the minimizer's index arrays.
-const NONE: u32 = u32::MAX;
+use crate::subset::{self, footprint, NONE, RETAINED_BYTES};
+use std::cell::Cell;
 
 /// Minimizes a DFA by Hopcroft's partition refinement.
 ///
@@ -30,211 +30,368 @@ const NONE: u32 = u32::MAX;
 /// language-equal inputs produce *identical* results. The empty language
 /// yields one non-final state with no edges.
 pub fn minimize_dfa(dfa: &Dfa) -> Dfa {
-    let (class_of, num_classes) = nerode_classes(dfa);
+    // The DFA as a successor table over the minterms of its row classes.
     let n = dfa.num_states();
-    // Every state from which no final state is reachable is equivalent to
-    // the completion sink, so the sink's class is the one dead class.
-    let dead = class_of[n];
-    let mut member = vec![NONE; num_classes];
-    for q in (0..n).rev() {
-        member[class_of[q] as usize] = q as u32;
-    }
-    // Breadth-first over classes: `order` lists them by canonical number.
-    let start = class_of[dfa.start().index()];
-    let mut number = vec![NONE; num_classes];
-    number[start as usize] = 0;
-    let mut order = vec![start];
-    let mut slot = vec![NONE; num_classes];
-    let mut states = Vec::new();
-    let mut finals = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let q = StateId(member[order[i] as usize]);
-        i += 1;
-        // The bytes leading into each live class, merged per class.
-        let mut row: Vec<(ByteClass, u32)> = Vec::new();
-        for &(bytes, t) in dfa.transitions(q) {
-            let c = class_of[t.index()];
-            if c == dead {
-                continue;
-            }
-            match slot[c as usize] {
-                NONE => {
-                    slot[c as usize] = row.len() as u32;
-                    row.push((bytes, c));
-                }
-                j => row[j as usize].0 = row[j as usize].0.union(&bytes),
-            }
-        }
-        for &(_, c) in &row {
-            slot[c as usize] = NONE;
-        }
-        // Merged classes are disjoint and nonempty, hence distinct.
-        row.sort_unstable_by_key(|&(bytes, _)| bytes);
-        let edges = row
-            .into_iter()
-            .map(|(bytes, c)| {
-                if number[c as usize] == NONE {
-                    number[c as usize] = order.len() as u32;
-                    order.push(c);
-                }
-                (bytes, StateId(number[c as usize]))
-            })
-            .collect();
-        states.push(edges);
-        finals.push(dfa.is_final(q));
-    }
-    Dfa::from_parts(states, StateId(0), finals)
-}
-
-/// Refines the states of `dfa`, completed by an explicit non-final sink
-/// numbered `dfa.num_states()`, to the Myhill–Nerode congruence by
-/// Hopcroft's algorithm. Returns each state's class (the sink's last) and
-/// the number of classes.
-///
-/// The transition function is a dense table over the minterms of the row
-/// classes, plus their complement when that is nonempty. The partition
-/// lives in arrays: `elems` lists the states block by block, `loc` inverts
-/// it, and block `b` owns `elems[first[b]..end[b]]`, whose first `marked[b]`
-/// entries are the states the current splitter has marked. A splitter is a
-/// whole block, applied on every symbol in turn.
-fn nerode_classes(dfa: &Dfa) -> (Vec<u32>, usize) {
-    let n = dfa.num_states();
-    let size = n + 1;
-    let sink = n as u32;
-    let mut classes: Vec<ByteClass> = (0..n)
-        .flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c))
-        .collect();
-    classes.sort_unstable();
-    classes.dedup();
-    let mut alphabet = minterms(classes.iter());
-    let unused = alphabet
-        .iter()
-        .fold(ByteClass::FULL, |rest, m| rest.difference(m));
-    if !unused.is_empty() {
-        alphabet.push(unused);
-    }
-    let symbols: Vec<u8> = alphabet
-        .iter()
-        .map(|m| m.min_byte().expect("minterms are nonempty"))
-        .collect();
+    let alphabet = subset::alphabet(
+        (0..n).flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c)),
+    );
+    let symbols = subset::representatives(&alphabet);
     let k = symbols.len();
-
-    // delta[q * k + s]: the successor of q on symbol s.
-    let mut delta = vec![sink; size * k];
+    let mut delta = vec![NONE; n * k];
     for q in 0..n {
-        let row = &mut delta[q * k..(q + 1) * k];
         for &(c, t) in dfa.transitions(StateId(q as u32)) {
             for (s, &b) in symbols.iter().enumerate() {
                 if c.contains(b) {
-                    row[s] = t.0;
+                    delta[q * k + s] = t.0;
                 }
             }
         }
     }
-    // Per-symbol inverse (CSR): the states entering t on symbol s are
-    // sources[start[s * size + t]..start[s * size + t + 1]].
-    let mut start = vec![0u32; k * size + 1];
-    for (i, &t) in delta.iter().enumerate() {
-        start[(i % k) * size + t as usize] += 1;
-    }
-    for i in 1..start.len() {
-        start[i] += start[i - 1];
-    }
-    let mut sources = vec![0u32; size * k];
-    for (i, &t) in delta.iter().enumerate().rev() {
-        let bucket = (i % k) * size + t as usize;
-        start[bucket] -= 1;
-        sources[start[bucket] as usize] = (i / k) as u32;
-    }
+    let finals: Vec<bool> = (0..n).map(|q| dfa.is_final(StateId(q as u32))).collect();
+    with_refiner(|r| {
+        r.refine(k, &delta, &finals);
+        let (_, minimal) = r.emit(&alphabet, &delta, &finals, dfa.start().0, Emit::Machine);
+        minimal.expect("asked for the machine")
+    })
+}
 
-    // Initial partition: rejecting states (the sink among them), then
-    // accepting ones when there are any.
-    let accepting = |q: u32| q != sink && dfa.is_final(StateId(q));
-    let mut elems: Vec<u32> = (0..size as u32).filter(|&q| !accepting(q)).collect();
-    let rejecting = elems.len() as u32;
-    elems.extend((0..size as u32).filter(|&q| accepting(q)));
-    let mut loc = vec![0u32; size];
-    for (i, &q) in elems.iter().enumerate() {
-        loc[q as usize] = i as u32;
+/// What [`Refiner::emit`] writes: the canonical key, the canonical
+/// minimal DFA, or both.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    Key,
+    Machine,
+    Both,
+}
+
+/// Partition-refinement scratch, reused from one refinement to the next.
+#[derive(Default)]
+struct Refiner {
+    /// Per-symbol inverse of the table (CSR): the states entering `t` on
+    /// symbol `s` are `sources[start[s * size + t]..start[s * size + t + 1]]`.
+    start: Vec<u32>,
+    sources: Vec<u32>,
+    /// The partition: `elems` lists the states block by block, `loc`
+    /// inverts it, and block `b` owns `elems[first[b]..end[b]]`, whose first
+    /// `marked[b]` entries are the states the current splitter has marked.
+    elems: Vec<u32>,
+    loc: Vec<u32>,
+    class_of: Vec<u32>,
+    first: Vec<u32>,
+    end: Vec<u32>,
+    marked: Vec<u32>,
+    in_work: Vec<bool>,
+    work: Vec<u32>,
+    splitter: Vec<u32>,
+    touched: Vec<u32>,
+    /// What [`Refiner::emit`] numbers the classes with.
+    member: Vec<u32>,
+    number: Vec<u32>,
+    order: Vec<u32>,
+    slot: Vec<u32>,
+    row: Vec<(ByteClass, u32)>,
+}
+
+thread_local! {
+    /// This thread's refinement scratch.
+    static REFINER: Cell<Refiner> = Cell::new(Refiner::default());
+}
+
+/// Runs `f` with this thread's refinement scratch, keeping it afterwards
+/// unless it grew past [`RETAINED_BYTES`].
+fn with_refiner<R>(f: impl FnOnce(&mut Refiner) -> R) -> R {
+    let mut refiner = REFINER.with(Cell::take);
+    let result = f(&mut refiner);
+    if refiner.footprint() <= RETAINED_BYTES {
+        REFINER.with(|cell| cell.set(refiner));
     }
-    let mut class_of = vec![0u32; size];
-    let mut first = vec![0u32];
-    let mut end = vec![rejecting];
-    let mut work: Vec<u32> = Vec::new();
-    if rejecting < size as u32 {
-        for &q in &elems[rejecting as usize..] {
-            class_of[q as usize] = 1;
+    result
+}
+
+impl Refiner {
+    /// Refines the states of a successor table (`delta`, `k` symbols per
+    /// row, [`NONE`] for no successor), completed by an explicit non-final
+    /// sink numbered `finals.len()`, to the Myhill–Nerode congruence by
+    /// Hopcroft's algorithm. Leaves each state's class in `class_of` (the
+    /// sink's last).
+    ///
+    /// Bytes outside the table's alphabet lead every state to the sink, so
+    /// they separate no two states and need no symbol of their own. A
+    /// splitter is a whole block, applied on every symbol in turn.
+    fn refine(&mut self, k: usize, delta: &[u32], finals: &[bool]) {
+        let n = finals.len();
+        let size = n + 1;
+        let sink = n as u32;
+        let succ = |i: usize| match delta.get(i) {
+            Some(&t) if t != NONE => t,
+            _ => sink,
+        };
+        let Refiner {
+            start,
+            sources,
+            elems,
+            loc,
+            class_of,
+            first,
+            end,
+            marked,
+            in_work,
+            work,
+            splitter,
+            touched,
+            ..
+        } = self;
+        start.clear();
+        start.resize(k * size + 1, 0);
+        for i in 0..size * k {
+            start[(i % k) * size + succ(i) as usize] += 1;
         }
-        first.push(rejecting);
-        end.push(size as u32);
-        // The whole state set is a trivial splitter, so one half suffices.
-        work.push(u32::from(size as u32 - rejecting <= rejecting));
-    }
-    let mut marked = vec![0u32; first.len()];
-    let mut in_work = vec![false; first.len()];
-    if let Some(&b) = work.first() {
-        in_work[b as usize] = true;
-    }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        sources.clear();
+        sources.resize(size * k, 0);
+        for i in (0..size * k).rev() {
+            let bucket = (i % k) * size + succ(i) as usize;
+            start[bucket] -= 1;
+            sources[start[bucket] as usize] = (i / k) as u32;
+        }
 
-    let mut splitter: Vec<u32> = Vec::new();
-    let mut touched: Vec<u32> = Vec::new();
-    while let Some(b) = work.pop() {
-        in_work[b as usize] = false;
-        // Snapshot: the splitter may itself split on an early symbol, but
-        // must still be applied whole on every later one.
-        splitter.clear();
-        splitter.extend_from_slice(&elems[first[b as usize] as usize..end[b as usize] as usize]);
-        for s in 0..k {
-            // Mark every state entering the splitter on `s` by swapping it
-            // into its block's marked prefix. A DFA state has one successor
-            // per symbol, so no state is marked twice.
-            for &t in &splitter {
-                let bucket = s * size + t as usize;
-                for &q in &sources[start[bucket] as usize..start[bucket + 1] as usize] {
-                    let c = class_of[q as usize] as usize;
-                    let to = first[c] + marked[c];
-                    let from = loc[q as usize];
-                    let other = elems[to as usize];
-                    elems[from as usize] = other;
-                    loc[other as usize] = from;
-                    elems[to as usize] = q;
-                    loc[q as usize] = to;
-                    if marked[c] == 0 {
-                        touched.push(c as u32);
+        // Initial partition: rejecting states (the sink among them), then
+        // accepting ones when there are any.
+        let accepting = |q: u32| q != sink && finals[q as usize];
+        elems.clear();
+        elems.extend((0..size as u32).filter(|&q| !accepting(q)));
+        let rejecting = elems.len() as u32;
+        elems.extend((0..size as u32).filter(|&q| accepting(q)));
+        loc.clear();
+        loc.resize(size, 0);
+        for (i, &q) in elems.iter().enumerate() {
+            loc[q as usize] = i as u32;
+        }
+        class_of.clear();
+        class_of.resize(size, 0);
+        first.clear();
+        first.push(0);
+        end.clear();
+        end.push(rejecting);
+        work.clear();
+        if rejecting < size as u32 {
+            for &q in &elems[rejecting as usize..] {
+                class_of[q as usize] = 1;
+            }
+            first.push(rejecting);
+            end.push(size as u32);
+            // The whole state set is a trivial splitter, so one half suffices.
+            work.push(u32::from(size as u32 - rejecting <= rejecting));
+        }
+        marked.clear();
+        marked.resize(first.len(), 0);
+        in_work.clear();
+        in_work.resize(first.len(), false);
+        if let Some(&b) = work.first() {
+            in_work[b as usize] = true;
+        }
+
+        touched.clear();
+        while let Some(b) = work.pop() {
+            in_work[b as usize] = false;
+            // Snapshot: the splitter may itself split on an early symbol, but
+            // must still be applied whole on every later one.
+            splitter.clear();
+            splitter
+                .extend_from_slice(&elems[first[b as usize] as usize..end[b as usize] as usize]);
+            for s in 0..k {
+                // Mark every state entering the splitter on `s` by swapping it
+                // into its block's marked prefix. A DFA state has one successor
+                // per symbol, so no state is marked twice.
+                for &t in splitter.iter() {
+                    let bucket = s * size + t as usize;
+                    for &q in &sources[start[bucket] as usize..start[bucket + 1] as usize] {
+                        let c = class_of[q as usize] as usize;
+                        let to = first[c] + marked[c];
+                        let from = loc[q as usize];
+                        let other = elems[to as usize];
+                        elems[from as usize] = other;
+                        loc[other as usize] = from;
+                        elems[to as usize] = q;
+                        loc[q as usize] = to;
+                        if marked[c] == 0 {
+                            touched.push(c as u32);
+                        }
+                        marked[c] += 1;
                     }
-                    marked[c] += 1;
+                }
+                // Split each partially marked block: the marked prefix becomes
+                // a new block. Hopcroft's rule: a pending block's new half is
+                // queued too; otherwise only the smaller half is.
+                for c in touched.drain(..) {
+                    let c = c as usize;
+                    let count = std::mem::take(&mut marked[c]);
+                    if count == end[c] - first[c] {
+                        continue;
+                    }
+                    let split = first.len() as u32;
+                    first.push(first[c]);
+                    end.push(first[c] + count);
+                    first[c] += count;
+                    marked.push(0);
+                    for &q in &elems[first[split as usize] as usize..end[split as usize] as usize] {
+                        class_of[q as usize] = split;
+                    }
+                    let queued = if in_work[c] || count <= end[c] - first[c] {
+                        split
+                    } else {
+                        c as u32
+                    };
+                    in_work.push(false);
+                    in_work[queued as usize] = true;
+                    work.push(queued);
                 }
             }
-            // Split each partially marked block: the marked prefix becomes
-            // a new block. Hopcroft's rule: a pending block's new half is
-            // queued too; otherwise only the smaller half is.
-            for c in touched.drain(..) {
-                let c = c as usize;
-                let count = std::mem::take(&mut marked[c]);
-                if count == end[c] - first[c] {
+        }
+    }
+
+    /// Emits the quotient of the table [`Refiner::refine`] just refined,
+    /// from `start`'s class, straight in canonical form: classes numbered
+    /// breadth-first, each row's edges merged per target class and listed
+    /// in class order, the dead class (the sink's, which holds every state
+    /// that reaches no final one) dropped. Returns the key serializing it
+    /// and the machine itself, as `what` asks.
+    fn emit(
+        &mut self,
+        alphabet: &[ByteClass],
+        delta: &[u32],
+        finals: &[bool],
+        start: u32,
+        what: Emit,
+    ) -> (Option<CanonicalKey>, Option<Dfa>) {
+        let (key, machine) = (what != Emit::Machine, what != Emit::Key);
+        let k = alphabet.len();
+        let n = finals.len();
+        let Refiner {
+            class_of,
+            first,
+            member,
+            number,
+            order,
+            slot,
+            row,
+            ..
+        } = self;
+        let num_classes = first.len();
+        let dead = class_of[n];
+        member.clear();
+        member.resize(num_classes, NONE);
+        for q in (0..n).rev() {
+            member[class_of[q] as usize] = q as u32;
+        }
+        let start = class_of[start as usize];
+        number.clear();
+        number.resize(num_classes, NONE);
+        number[start as usize] = 0;
+        order.clear();
+        order.push(start);
+        slot.clear();
+        slot.resize(num_classes, NONE);
+        let mut words: Vec<u64> = Vec::new();
+        if key {
+            // The state count, written once it is known.
+            words.push(0);
+        }
+        let mut states = Vec::new();
+        let mut minimal_finals = Vec::new();
+        let mut i = 0;
+        while i < order.len() {
+            let q = member[order[i] as usize] as usize;
+            i += 1;
+            // The bytes leading into each live class, merged per class.
+            row.clear();
+            for (block, &t) in alphabet.iter().zip(&delta[q * k..(q + 1) * k]) {
+                if t == NONE {
                     continue;
                 }
-                let split = first.len() as u32;
-                first.push(first[c]);
-                end.push(first[c] + count);
-                first[c] += count;
-                marked.push(0);
-                for &q in &elems[first[split as usize] as usize..end[split as usize] as usize] {
-                    class_of[q as usize] = split;
+                let c = class_of[t as usize];
+                if c == dead {
+                    continue;
                 }
-                let queued = if in_work[c] || count <= end[c] - first[c] {
-                    split
-                } else {
-                    c as u32
-                };
-                in_work.push(false);
-                in_work[queued as usize] = true;
-                work.push(queued);
+                match slot[c as usize] {
+                    NONE => {
+                        slot[c as usize] = row.len() as u32;
+                        row.push((*block, c));
+                    }
+                    j => row[j as usize].0 = row[j as usize].0.union(block),
+                }
+            }
+            for &(_, c) in row.iter() {
+                slot[c as usize] = NONE;
+            }
+            // Merged classes are disjoint and nonempty, hence distinct.
+            row.sort_unstable_by_key(|&(bytes, _)| bytes);
+            for (_, c) in row.iter_mut() {
+                if number[*c as usize] == NONE {
+                    number[*c as usize] = order.len() as u32;
+                    order.push(*c);
+                }
+                *c = number[*c as usize];
+            }
+            if key {
+                words.push(u64::from(finals[q]));
+                words.push(row.len() as u64);
+                for &(bytes, t) in row.iter() {
+                    words.extend(bytes.words());
+                    words.push(u64::from(t));
+                }
+            }
+            if machine {
+                states.push(row.iter().map(|&(bytes, t)| (bytes, StateId(t))).collect());
+                minimal_finals.push(finals[q]);
             }
         }
+        let key = key.then(|| {
+            words[0] = order.len() as u64;
+            CanonicalKey(words)
+        });
+        let machine = machine.then(|| Dfa::from_parts(states, StateId(0), minimal_finals));
+        (key, machine)
     }
-    (class_of, first.len())
+
+    fn footprint(&self) -> usize {
+        [
+            &self.start,
+            &self.sources,
+            &self.elems,
+            &self.loc,
+            &self.class_of,
+            &self.first,
+            &self.end,
+            &self.marked,
+            &self.work,
+            &self.splitter,
+            &self.touched,
+            &self.member,
+            &self.number,
+            &self.order,
+            &self.slot,
+        ]
+        .into_iter()
+        .map(footprint)
+        .sum::<usize>()
+            + footprint(&self.in_work)
+            + footprint(&self.row)
+    }
+}
+
+/// The one canonicalization pass: the subset table of `nfa`, refined and
+/// emitted as `what` asks (see [`Refiner::emit`]), with the table's cost.
+fn canonicalize(nfa: &Nfa, what: Emit) -> (Option<CanonicalKey>, Option<Dfa>, DeterminizeCost) {
+    subset::with_table(nfa, |table| {
+        let (key, machine) = with_refiner(|r| {
+            r.refine(table.alphabet.len(), &table.delta, &table.finals);
+            r.emit(&table.alphabet, &table.delta, &table.finals, 0, what)
+        });
+        (key, machine, table.cost)
+    })
 }
 
 /// Minimizes the language of an NFA: determinize, refine, and convert back.
@@ -254,11 +411,11 @@ pub fn minimize(nfa: &Nfa) -> Nfa {
 
 /// [`minimize`] plus the cost of the subset construction it performs: how
 /// many DFA states the input determinized into and how much ε-closure work
-/// that took. It is the only determinization: [`minimize_dfa`] builds the
-/// canonical quotient straight from the refined partition.
+/// that took. The canonical quotient is emitted straight from the refined
+/// partition of the input's subset table.
 pub fn minimize_counted(nfa: &Nfa) -> (Nfa, DeterminizeCost) {
-    let (dfa, cost) = determinize_counted(nfa);
-    (minimize_dfa(&dfa).to_nfa(), cost)
+    let (_, minimal, cost) = canonicalize(nfa, Emit::Machine);
+    (minimal.expect("asked for the machine").to_nfa(), cost)
 }
 
 /// A canonical fingerprint of an NFA's *language*: two machines have equal
@@ -276,17 +433,20 @@ pub fn canonical_key(nfa: &Nfa) -> CanonicalKey {
 /// [`canonical_key`] plus the cost of the subset construction, under the
 /// same accounting as [`minimize_counted`].
 pub fn canonical_key_counted(nfa: &Nfa) -> (CanonicalKey, DeterminizeCost) {
-    let (key, _, cost) = canonical_minimal_counted(nfa);
-    (key, cost)
+    let (key, _, cost) = canonicalize(nfa, Emit::Key);
+    (key.expect("asked for the key"), cost)
 }
 
 /// [`canonical_key_counted`] plus the minimal DFA the key serializes: one
-/// determinize + refine pass yields both the fingerprint and what
-/// [`minimize_counted`] would rebuild (`minimal.to_nfa()`).
+/// pass yields both the fingerprint and what [`minimize_counted`] would
+/// rebuild (`minimal.to_nfa()`).
 pub(crate) fn canonical_minimal_counted(nfa: &Nfa) -> (CanonicalKey, Dfa, DeterminizeCost) {
-    let (dfa, cost) = determinize_counted(nfa);
-    let minimal = minimize_dfa(&dfa);
-    (CanonicalKey::of_minimal(&minimal), minimal, cost)
+    let (key, minimal, cost) = canonicalize(nfa, Emit::Both);
+    (
+        key.expect("asked for the key"),
+        minimal.expect("asked for the machine"),
+        cost,
+    )
 }
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺
@@ -297,7 +457,9 @@ pub struct CanonicalKey(Vec<u64>);
 impl CanonicalKey {
     /// Serializes a canonical minimal DFA: the state count, then per state
     /// its finality, its edge count, and per edge the class's four bitmap
-    /// words and the target.
+    /// words and the target. [`Refiner::emit`] writes the same words as it
+    /// numbers the classes.
+    #[cfg(test)]
     fn of_minimal(min: &Dfa) -> CanonicalKey {
         let mut words: Vec<u64> = vec![min.num_states() as u64];
         for q in (0..min.num_states() as u32).map(StateId) {
@@ -427,6 +589,247 @@ mod tests {
         );
         assert!(equivalent(&a, &b));
         assert_eq!(minimize(&a).num_states(), minimize(&b).num_states());
+    }
+}
+
+/// The minimizer the table refinement replaced, kept verbatim as the
+/// reference it must match exactly: `minimize_dfa` over a determinized
+/// `Dfa`, refined by `nerode_classes` over the minterms of its merged rows.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::CanonicalKey;
+    use crate::byteclass::{minterms, ByteClass};
+    use crate::dfa::reference::determinize_counted;
+    use crate::dfa::{DeterminizeCost, Dfa};
+    use crate::nfa::{Nfa, StateId};
+
+    /// Marks an unassigned slot in the minimizer's index arrays.
+    const NONE: u32 = u32::MAX;
+
+    /// The key, minimal DFA and cost the replaced pipeline produced:
+    /// determinize, refine, serialize.
+    pub(crate) fn canonical_minimal_counted(nfa: &Nfa) -> (CanonicalKey, Dfa, DeterminizeCost) {
+        let (dfa, cost) = determinize_counted(nfa);
+        let minimal = minimize_dfa(&dfa);
+        (CanonicalKey::of_minimal(&minimal), minimal, cost)
+    }
+
+    /// Minimizes a DFA by Hopcroft's partition refinement.
+    ///
+    /// The result is the minimal DFA for the language with its dead state
+    /// dropped, in canonical form: states are numbered in breadth-first order
+    /// from the start (state 0), visiting each state's edges in class order, and
+    /// each row lists its edges in that order. The minimal DFA is unique up to
+    /// isomorphism and this numbering depends only on the language, so
+    /// language-equal inputs produce *identical* results. The empty language
+    /// yields one non-final state with no edges.
+    pub(crate) fn minimize_dfa(dfa: &Dfa) -> Dfa {
+        let (class_of, num_classes) = nerode_classes(dfa);
+        let n = dfa.num_states();
+        // Every state from which no final state is reachable is equivalent to
+        // the completion sink, so the sink's class is the one dead class.
+        let dead = class_of[n];
+        let mut member = vec![NONE; num_classes];
+        for q in (0..n).rev() {
+            member[class_of[q] as usize] = q as u32;
+        }
+        // Breadth-first over classes: `order` lists them by canonical number.
+        let start = class_of[dfa.start().index()];
+        let mut number = vec![NONE; num_classes];
+        number[start as usize] = 0;
+        let mut order = vec![start];
+        let mut slot = vec![NONE; num_classes];
+        let mut states = Vec::new();
+        let mut finals = Vec::new();
+        let mut i = 0;
+        while i < order.len() {
+            let q = StateId(member[order[i] as usize]);
+            i += 1;
+            // The bytes leading into each live class, merged per class.
+            let mut row: Vec<(ByteClass, u32)> = Vec::new();
+            for &(bytes, t) in dfa.transitions(q) {
+                let c = class_of[t.index()];
+                if c == dead {
+                    continue;
+                }
+                match slot[c as usize] {
+                    NONE => {
+                        slot[c as usize] = row.len() as u32;
+                        row.push((bytes, c));
+                    }
+                    j => row[j as usize].0 = row[j as usize].0.union(&bytes),
+                }
+            }
+            for &(_, c) in &row {
+                slot[c as usize] = NONE;
+            }
+            // Merged classes are disjoint and nonempty, hence distinct.
+            row.sort_unstable_by_key(|&(bytes, _)| bytes);
+            let edges = row
+                .into_iter()
+                .map(|(bytes, c)| {
+                    if number[c as usize] == NONE {
+                        number[c as usize] = order.len() as u32;
+                        order.push(c);
+                    }
+                    (bytes, StateId(number[c as usize]))
+                })
+                .collect();
+            states.push(edges);
+            finals.push(dfa.is_final(q));
+        }
+        Dfa::from_parts(states, StateId(0), finals)
+    }
+
+    /// Refines the states of `dfa`, completed by an explicit non-final sink
+    /// numbered `dfa.num_states()`, to the Myhill–Nerode congruence by
+    /// Hopcroft's algorithm. Returns each state's class (the sink's last) and
+    /// the number of classes.
+    ///
+    /// The transition function is a dense table over the minterms of the row
+    /// classes, plus their complement when that is nonempty. The partition
+    /// lives in arrays: `elems` lists the states block by block, `loc` inverts
+    /// it, and block `b` owns `elems[first[b]..end[b]]`, whose first `marked[b]`
+    /// entries are the states the current splitter has marked. A splitter is a
+    /// whole block, applied on every symbol in turn.
+    fn nerode_classes(dfa: &Dfa) -> (Vec<u32>, usize) {
+        let n = dfa.num_states();
+        let size = n + 1;
+        let sink = n as u32;
+        let mut classes: Vec<ByteClass> = (0..n)
+            .flat_map(|q| dfa.transitions(StateId(q as u32)).iter().map(|&(c, _)| c))
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        let mut alphabet = minterms(classes.iter());
+        let unused = alphabet
+            .iter()
+            .fold(ByteClass::FULL, |rest, m| rest.difference(m));
+        if !unused.is_empty() {
+            alphabet.push(unused);
+        }
+        let symbols: Vec<u8> = alphabet
+            .iter()
+            .map(|m| m.min_byte().expect("minterms are nonempty"))
+            .collect();
+        let k = symbols.len();
+
+        // delta[q * k + s]: the successor of q on symbol s.
+        let mut delta = vec![sink; size * k];
+        for q in 0..n {
+            let row = &mut delta[q * k..(q + 1) * k];
+            for &(c, t) in dfa.transitions(StateId(q as u32)) {
+                for (s, &b) in symbols.iter().enumerate() {
+                    if c.contains(b) {
+                        row[s] = t.0;
+                    }
+                }
+            }
+        }
+        // Per-symbol inverse (CSR): the states entering t on symbol s are
+        // sources[start[s * size + t]..start[s * size + t + 1]].
+        let mut start = vec![0u32; k * size + 1];
+        for (i, &t) in delta.iter().enumerate() {
+            start[(i % k) * size + t as usize] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut sources = vec![0u32; size * k];
+        for (i, &t) in delta.iter().enumerate().rev() {
+            let bucket = (i % k) * size + t as usize;
+            start[bucket] -= 1;
+            sources[start[bucket] as usize] = (i / k) as u32;
+        }
+
+        // Initial partition: rejecting states (the sink among them), then
+        // accepting ones when there are any.
+        let accepting = |q: u32| q != sink && dfa.is_final(StateId(q));
+        let mut elems: Vec<u32> = (0..size as u32).filter(|&q| !accepting(q)).collect();
+        let rejecting = elems.len() as u32;
+        elems.extend((0..size as u32).filter(|&q| accepting(q)));
+        let mut loc = vec![0u32; size];
+        for (i, &q) in elems.iter().enumerate() {
+            loc[q as usize] = i as u32;
+        }
+        let mut class_of = vec![0u32; size];
+        let mut first = vec![0u32];
+        let mut end = vec![rejecting];
+        let mut work: Vec<u32> = Vec::new();
+        if rejecting < size as u32 {
+            for &q in &elems[rejecting as usize..] {
+                class_of[q as usize] = 1;
+            }
+            first.push(rejecting);
+            end.push(size as u32);
+            // The whole state set is a trivial splitter, so one half suffices.
+            work.push(u32::from(size as u32 - rejecting <= rejecting));
+        }
+        let mut marked = vec![0u32; first.len()];
+        let mut in_work = vec![false; first.len()];
+        if let Some(&b) = work.first() {
+            in_work[b as usize] = true;
+        }
+
+        let mut splitter: Vec<u32> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
+        while let Some(b) = work.pop() {
+            in_work[b as usize] = false;
+            // Snapshot: the splitter may itself split on an early symbol, but
+            // must still be applied whole on every later one.
+            splitter.clear();
+            splitter
+                .extend_from_slice(&elems[first[b as usize] as usize..end[b as usize] as usize]);
+            for s in 0..k {
+                // Mark every state entering the splitter on `s` by swapping it
+                // into its block's marked prefix. A DFA state has one successor
+                // per symbol, so no state is marked twice.
+                for &t in &splitter {
+                    let bucket = s * size + t as usize;
+                    for &q in &sources[start[bucket] as usize..start[bucket + 1] as usize] {
+                        let c = class_of[q as usize] as usize;
+                        let to = first[c] + marked[c];
+                        let from = loc[q as usize];
+                        let other = elems[to as usize];
+                        elems[from as usize] = other;
+                        loc[other as usize] = from;
+                        elems[to as usize] = q;
+                        loc[q as usize] = to;
+                        if marked[c] == 0 {
+                            touched.push(c as u32);
+                        }
+                        marked[c] += 1;
+                    }
+                }
+                // Split each partially marked block: the marked prefix becomes
+                // a new block. Hopcroft's rule: a pending block's new half is
+                // queued too; otherwise only the smaller half is.
+                for c in touched.drain(..) {
+                    let c = c as usize;
+                    let count = std::mem::take(&mut marked[c]);
+                    if count == end[c] - first[c] {
+                        continue;
+                    }
+                    let split = first.len() as u32;
+                    first.push(first[c]);
+                    end.push(first[c] + count);
+                    first[c] += count;
+                    marked.push(0);
+                    for &q in &elems[first[split as usize] as usize..end[split as usize] as usize] {
+                        class_of[q as usize] = split;
+                    }
+                    let queued = if in_work[c] || count <= end[c] - first[c] {
+                        split
+                    } else {
+                        c as u32
+                    };
+                    in_work.push(false);
+                    in_work[queued as usize] = true;
+                    work.push(queued);
+                }
+            }
+        }
+        (class_of, first.len())
     }
 }
 

@@ -252,10 +252,8 @@ pub fn try_intersect(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Product> {
             Some(id)
         };
         // Synchronized byte moves.
-        let pa = a.state(p).edges.clone();
-        let qb = b.state(q).edges.clone();
-        for &(ca, t1) in &pa {
-            for &(cb, t2) in &qb {
+        for &(ca, t1) in &a.state(p).edges {
+            for &(cb, t2) in &b.state(q).edges {
                 let c = ca.intersect(&cb);
                 if c.is_empty() {
                     continue;
@@ -267,13 +265,13 @@ pub fn try_intersect(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Product> {
             }
         }
         // Asynchronous epsilon moves.
-        for &t1 in &a.state(p).eps.clone() {
+        for &t1 in &a.state(p).eps {
             match intern((t1, q), &mut out, &mut pairs, &mut work) {
                 Some(t) => out.add_eps(pq, t),
                 None => exhausted = true,
             }
         }
-        for &t2 in &b.state(q).eps.clone() {
+        for &t2 in &b.state(q).eps {
             match intern((p, t2), &mut out, &mut pairs, &mut work) {
                 Some(t) => out.add_eps(pq, t),
                 None => exhausted = true,
@@ -336,6 +334,83 @@ pub fn intersect_all<'a, I: IntoIterator<Item = &'a Nfa>>(machines: I) -> Nfa {
 /// Convenience wrapper: the concatenation machine without provenance.
 pub fn concat_lang(a: &Nfa, b: &Nfa) -> Nfa {
     concat(a, b).nfa
+}
+
+/// The product construction [`try_intersect`] replaced, kept verbatim as
+/// the reference it must match exactly: the same machine and the same
+/// `pairs`, in the same order.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::Product;
+    use crate::nfa::{Nfa, StateId};
+    use std::collections::{HashMap, VecDeque};
+
+    pub(crate) fn try_intersect(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Product> {
+        let mut out = Nfa::new();
+        let mut pairs: Vec<(StateId, StateId)> = vec![(a.start(), b.start())];
+        if max_states == 0 {
+            return None;
+        }
+        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
+        index.insert((a.start(), b.start()), out.start());
+        let mut work: VecDeque<StateId> = VecDeque::from([out.start()]);
+        let mut exhausted = false;
+        while let Some(pq) = work.pop_front() {
+            let (p, q) = pairs[pq.index()];
+            let mut intern = |pair: (StateId, StateId),
+                              out: &mut Nfa,
+                              pairs: &mut Vec<(StateId, StateId)>,
+                              work: &mut VecDeque<StateId>|
+             -> Option<StateId> {
+                if let Some(&id) = index.get(&pair) {
+                    return Some(id);
+                }
+                if pairs.len() >= max_states {
+                    return None;
+                }
+                let id = out.add_state();
+                index.insert(pair, id);
+                pairs.push(pair);
+                work.push_back(id);
+                Some(id)
+            };
+            // Synchronized byte moves.
+            let pa = a.state(p).edges.clone();
+            let qb = b.state(q).edges.clone();
+            for &(ca, t1) in &pa {
+                for &(cb, t2) in &qb {
+                    let c = ca.intersect(&cb);
+                    if c.is_empty() {
+                        continue;
+                    }
+                    match intern((t1, t2), &mut out, &mut pairs, &mut work) {
+                        Some(t) => out.add_edge(pq, c, t),
+                        None => exhausted = true,
+                    }
+                }
+            }
+            // Asynchronous epsilon moves.
+            for &t1 in &a.state(p).eps.clone() {
+                match intern((t1, q), &mut out, &mut pairs, &mut work) {
+                    Some(t) => out.add_eps(pq, t),
+                    None => exhausted = true,
+                }
+            }
+            for &t2 in &b.state(q).eps.clone() {
+                match intern((p, t2), &mut out, &mut pairs, &mut work) {
+                    Some(t) => out.add_eps(pq, t),
+                    None => exhausted = true,
+                }
+            }
+            if exhausted {
+                return None;
+            }
+            if a.is_final(p) && b.is_final(q) {
+                out.add_final(pq);
+            }
+        }
+        Some(Product { nfa: out, pairs })
+    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,74 @@
 //! The kernel against the constructions it replaced, kept verbatim as
 //! `#[cfg(test)]` references: `determinize_counted` must return the same
-//! `Dfa` (numbering included) and cost, `try_counterexample` the same
-//! verdict, witness, cost and abort, and `induce_segment` the same machine.
+//! `Dfa` (numbering included) and cost as both earlier constructions; the
+//! fused table → Hopcroft pass the same key, minimal `Dfa` and cost as
+//! determinize → `minimize_dfa` → serialize, and `minimize_dfa` the same
+//! machine; `try_counterexample` the same verdict, witness, cost and abort;
+//! `try_intersect` the same product; and `induce_segment` the same machine.
 
 use crate::byteclass::ByteClass;
 use crate::dfa::{self, determinize_counted};
 use crate::generate::{random_nonempty_nfa, two_state_unary_machines, RandomNfaConfig};
 use crate::inclusion::{self, try_counterexample, InclusionLimits};
+use crate::minimize::{
+    self, canonical_key_counted, canonical_minimal_counted, minimize_counted, minimize_dfa,
+};
 use crate::nfa::{self, Nfa, StateId};
+use crate::ops;
 
+/// Determinization and canonicalization, against their references.
 fn assert_determinize_matches(m: &Nfa, what: &str) {
+    let determinized = determinize_counted(m);
     assert_eq!(
-        determinize_counted(m),
+        determinized,
         dfa::reference::determinize_counted(m),
         "{what}: determinize"
     );
+    assert_eq!(
+        determinized,
+        dfa::reference::btree_determinize_counted(m),
+        "{what}: determinize (BTreeSet)"
+    );
+    let (key, minimal, cost) = minimize::reference::canonical_minimal_counted(m);
+    assert_eq!(
+        canonical_minimal_counted(m),
+        (key.clone(), minimal.clone(), cost),
+        "{what}: canonical minimal"
+    );
+    assert_eq!(canonical_key_counted(m), (key, cost), "{what}: key");
+    assert_eq!(
+        minimize_counted(m),
+        (minimal.to_nfa(), cost),
+        "{what}: minimize"
+    );
+    assert_eq!(
+        minimize_dfa(&determinized.0),
+        minimal,
+        "{what}: minimize_dfa"
+    );
+    assert_eq!(
+        minimize_dfa(&determinized.0),
+        minimize::reference::minimize_dfa(&determinized.0),
+        "{what}: minimize_dfa against its reference"
+    );
+}
+
+/// The product of `a` and `b`, unlimited and under a cap that trips
+/// halfway, against the reference construction: the same machine and
+/// the same `pairs`, in order.
+fn assert_product_matches(a: &Nfa, b: &Nfa, what: &str) {
+    let full = ops::reference::try_intersect(a, b, usize::MAX).expect("unlimited");
+    for cap in [usize::MAX, full.pairs.len() / 2] {
+        let product = ops::try_intersect(a, b, cap).map(|p| (p.nfa, p.pairs));
+        let expected = ops::reference::try_intersect(a, b, cap).map(|p| (p.nfa, p.pairs));
+        assert_eq!(product, expected, "{what}: product capped at {cap}");
+    }
 }
 
 /// Unlimited, and again under a cap that trips halfway through the
-/// reference's search.
+/// reference's search; and the two machines' product.
 fn assert_inclusion_matches(a: &Nfa, b: &Nfa, what: &str) {
+    assert_product_matches(a, b, what);
     let unlimited = InclusionLimits::UNLIMITED;
     let expected = inclusion::reference::try_counterexample(a, b, &unlimited);
     assert_eq!(
@@ -151,8 +200,8 @@ fn eps_chain(n: usize, loop_back: bool) -> Nfa {
 fn kernel_matches_references_on_long_eps_chains() {
     // `a*` concatenated 60 times: every star's loop state reaches the rest
     // of the chain, so the closures overlap without containing each other.
-    let star = crate::ops::star(&Nfa::literal(b"a"));
-    let stars = (1..60).fold(star.clone(), |m, _| crate::ops::concat(&m, &star).nfa);
+    let star = ops::star(&Nfa::literal(b"a"));
+    let stars = (1..60).fold(star.clone(), |m, _| ops::concat(&m, &star).nfa);
     let chains = [
         eps_chain(30, false),
         eps_chain(30, true),

@@ -996,15 +996,21 @@ fn main() -> ExitCode {
     if args.stats {
         print_stats(&stats);
     }
-    // The core search re-solves constraint subsets with the run's metrics,
-    // ledger and tracer, so it runs before their files are written. A
+    // The core search re-solves constraint subsets with the run's store,
+    // metrics, ledger and tracer, so it runs before their files are
+    // written; the solve above has already found the system unsat. A
     // budget tuned for the full system would spuriously abort those
     // probes, so it runs unlimited.
     let core = match solution {
         Solution::Unsat if args.core => {
             let mut core_options = options.clone();
             core_options.budget = Budget::default();
-            dprle_core::unsat_core_traced(&system, &core_options, &setup.tracer)
+            Some(dprle_core::unsat_core_of_unsat(
+                &system,
+                &core_options,
+                &store,
+                &setup.tracer,
+            ))
         }
         _ => None,
     };

@@ -50,8 +50,11 @@
 //! Every request is assigned a service-unique `request_id` (`r0`, `r1`,
 //! …) echoed in the response together with a `breakdown` object timing
 //! the request lifecycle: `queue-wait-us` (arrival to worker pickup),
-//! `parse-us`, `solve-us`, `serialize-us`, and `wall-us` (arrival to
-//! rendered response; always ≥ the sum of the other four). The same
+//! `parse-us` (the JSON envelope and, for a native program, the program
+//! text), `solve-us` (the solver call; an SMT-LIB script's parsing
+//! interleaves with its `check-sat`s and counts here), `serialize-us`
+//! (the rest: building and rendering the response), and `wall-us`
+//! (arrival to rendered response; always ≥ the sum of the other four). The same
 //! request id is stamped on the request's trace-journal events
 //! (`--trace-out`, and the events a `trace` request embeds) and
 //! cost-ledger records, so a shared journal or multi-tenant ledger joins
@@ -107,6 +110,22 @@ pub const SLOWLOG_SCHEMA: &str = include_str!("../../../docs/slowlog.schema.json
 /// Saturating whole-microsecond wall time since `start`.
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The phases a request's handler times inside its post-envelope
+/// interval: a native program's parse (`parse-us`, beside the envelope's)
+/// and the solver call proper (`solve-us`).
+#[derive(Default)]
+struct Timed {
+    parse_us: Cell<u64>,
+    solve_us: Cell<u64>,
+}
+
+impl Timed {
+    /// Adds the microseconds since `started` to `phase`.
+    fn add(phase: &Cell<u64>, started: Instant) {
+        phase.set(phase.get().saturating_add(elapsed_us(started)));
+    }
 }
 
 /// Server-level configuration: session count plus the *default* solve
@@ -280,16 +299,17 @@ impl SolverService {
         let request_id = format!("r{}", self.requests.fetch_add(1, Ordering::Relaxed));
         let parse_started = Instant::now();
         let parsed = parse_request(line);
-        let parse_us = elapsed_us(parse_started);
+        let envelope_us = elapsed_us(parse_started);
         let after_parse = Instant::now();
-        // Written by solve_request around the solver call proper; what
-        // remains of the post-parse interval is serialization.
-        let solve_us = Cell::new(0u64);
+        // Written by solve_request around a native program's parse and
+        // the solver call proper; what remains of the post-parse interval
+        // is serialization.
+        let timed = Timed::default();
         let (echo_id, body) = match parsed {
             Ok(request) => {
                 let id = request.id.clone();
                 let body = catch_unwind(AssertUnwindSafe(|| {
-                    self.solve_request(&request, &request_id, &solve_us)
+                    self.solve_request(&request, &request_id, &timed)
                 }))
                 .unwrap_or_else(|_| {
                     parse_error_response(
@@ -304,12 +324,14 @@ impl SolverService {
                 (id, body)
             }
         };
-        let serialize_us = elapsed_us(after_parse).saturating_sub(solve_us.get());
+        let (program_us, solve_us) = (timed.parse_us.get(), timed.solve_us.get());
+        let serialize_us =
+            elapsed_us(after_parse).saturating_sub(program_us.saturating_add(solve_us));
         let wall_us = elapsed_us(enqueued);
         let breakdown = Breakdown {
             queue_wait_us,
-            parse_us,
-            solve_us: solve_us.get(),
+            parse_us: envelope_us.saturating_add(program_us),
+            solve_us,
             serialize_us,
             wall_us,
         };
@@ -372,7 +394,7 @@ impl SolverService {
         }
     }
 
-    fn solve_request(&self, request: &Request, request_id: &str, solve_us: &Cell<u64>) -> String {
+    fn solve_request(&self, request: &Request, request_id: &str, timed: &Timed) -> String {
         let started = Instant::now();
         // The per-request sink exists when either the response embeds
         // the ledger or the server accumulates one; records flow to both.
@@ -415,9 +437,9 @@ impl SolverService {
             _ => Tracer::new_tagged(Arc::new(TeeSink(sinks)), request_id),
         };
         let mut response = if request.smtlib {
-            self.solve_smtlib(request, &options, started, &tracer, solve_us)
+            self.solve_smtlib(request, &options, started, &tracer, timed)
         } else {
-            self.solve_dprle(request, &options, started, &tracer, solve_us)
+            self.solve_dprle(request, &options, started, &tracer, timed)
         };
         if let Some(sink) = &ledger_sink {
             if self.config.collect_ledger {
@@ -446,15 +468,18 @@ impl SolverService {
         options: &SolveOptions,
         started: Instant,
         tracer: &Tracer,
-        solve_us: &Cell<u64>,
+        timed: &Timed,
     ) -> String {
-        let system = match parse_file(&request.input) {
+        let parse_started = Instant::now();
+        let parsed = parse_file(&request.input);
+        Timed::add(&timed.parse_us, parse_started);
+        let system = match parsed {
             Ok(parsed) => parsed.system,
             Err(e) => return parse_error_response(Some(&request.id), &e.to_string()),
         };
         let solve_started = Instant::now();
         let solved = try_solve_traced(&system, options, &self.store, tracer);
-        solve_us.set(solve_us.get() + elapsed_us(solve_started));
+        Timed::add(&timed.solve_us, solve_started);
         match solved {
             Ok((Solution::Assignments(assignments), stats)) => {
                 let mut out = ResponseBuilder::new("sat", &request.id);
@@ -484,13 +509,13 @@ impl SolverService {
         options: &SolveOptions,
         started: Instant,
         tracer: &Tracer,
-        solve_us: &Cell<u64>,
+        timed: &Timed,
     ) -> String {
         // The whole script run counts as "solve": script parsing and
         // check-sat execution interleave, so they are not split further.
         let solve_started = Instant::now();
         let run = smtlib::run_script_shared(&request.input, options, tracer, self.store.clone());
-        solve_us.set(solve_us.get() + elapsed_us(solve_started));
+        Timed::add(&timed.solve_us, solve_started);
         let run = match run {
             Ok(run) => run,
             Err(e) => {
@@ -1467,6 +1492,13 @@ mod tests {
         assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
         let error = field(&json, "error").as_str().expect("error message");
         assert!(error.contains("nested too deeply"), "{error}");
+        // Reading the 200 000-byte program is the request's work, and it
+        // is parsing, not serialization.
+        let (_, parse, _, serialize, _) = breakdown_fields(&json);
+        assert!(
+            parse > serialize,
+            "parse-us {parse} <= serialize-us {serialize}"
+        );
         let line = request(&format!(
             "\"id\":\"c\",\"input\":{}",
             json_string(SAT_PROGRAM)

@@ -769,10 +769,27 @@ fn core_search_reaches_the_ledger_metrics_and_journal() {
     let (plain_ledger, plain_journal, plain_metrics) = run("plain", false);
     let (core_ledger, core_journal, core_metrics) = run("core", true);
     assert_eq!(plain_ledger.lines().count(), 1, "{plain_ledger}");
-    assert!(
-        core_ledger.lines().count() > plain_ledger.lines().count(),
-        "the trials' records are in the ledger: {core_ledger}"
-    );
+    // The main solve's record, then the trials' own: the core search does
+    // not solve the whole system again to confirm it is unsat.
+    assert_eq!(core_ledger.lines().count(), 8, "{core_ledger}");
+    let unstamped = |line: &str| -> String {
+        let cut = |s: &str, field: &str| -> String {
+            let start = s.find(field).expect("field present");
+            let end = start + s[start..].find(',').expect("more fields follow");
+            format!("{}{}", &s[..start], &s[end + 1..])
+        };
+        cut(&cut(line, "\"seq\":"), "\"ts_us\":")
+    };
+    for record in plain_ledger.lines().map(unstamped) {
+        let copies = core_ledger
+            .lines()
+            .filter(|l| unstamped(l) == record)
+            .count();
+        assert_eq!(
+            copies, 1,
+            "the main solve's record appears once: {core_ledger}"
+        );
+    }
     let trials = |journal: &str| journal.matches("\"UnsatCoreTrial\"").count();
     assert_eq!(trials(&plain_journal), 0);
     // `unsat.dprle` has three distinct constraints, each tried once.
@@ -791,24 +808,20 @@ fn core_search_reaches_the_ledger_metrics_and_journal() {
     );
 }
 
-#[test]
-fn a_deeply_nested_regex_is_rejected_by_the_cli_and_by_serve() {
-    let depth = 100_000;
-    let program = format!(
-        "var v;\nc := match(/{}a{}/);\nv <= c;\n",
-        "(".repeat(depth),
-        ")".repeat(depth)
-    );
-    let file = temp_file("deep_regex.dprle", &program);
+/// `dprle` rejects `program` with exit 2 and `message` on stderr, and
+/// `dprle serve` answers it with one parse-error naming `message`, then
+/// answers the next request.
+fn assert_rejected_by_the_cli_and_by_serve(name: &str, program: &str, message: &str) {
+    let file = temp_file(name, program);
     let out = dprle(&[file.to_str().expect("utf8 path")]);
     assert_eq!(out.status.code(), Some(2), "a parse error, not an abort");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("nested too deeply"), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
 
     // `dprle serve` answers the line with one parse-error, then goes on.
     let escaped = program.replace('\n', " ");
     let input = format!(
-        "{{\"id\":\"deep\",\"input\":\"{escaped}\"}}\n{{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}}\n"
+        "{{\"id\":\"bad\",\"input\":\"{escaped}\"}}\n{{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}}\n"
     );
     let mut child = Command::new(env!("CARGO_BIN_EXE_dprle"))
         .arg("serve")
@@ -834,9 +847,32 @@ fn a_deeply_nested_regex_is_rejected_by_the_cli_and_by_serve() {
         stdout.lines().find(|l| l.contains(&tag)).expect("answered")
     };
     assert!(
-        response("deep").contains("\"kind\":\"parse-error\""),
+        response("bad").contains("\"kind\":\"parse-error\""),
         "{stdout}"
     );
-    assert!(response("deep").contains("nested too deeply"), "{stdout}");
+    assert!(response("bad").contains(message), "{stdout}");
     assert!(response("next").contains("\"kind\":\"sat\""), "{stdout}");
+}
+
+#[test]
+fn a_deeply_nested_regex_is_rejected_by_the_cli_and_by_serve() {
+    let depth = 100_000;
+    let program = format!(
+        "var v;\nc := match(/{}a{}/);\nv <= c;\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    assert_rejected_by_the_cli_and_by_serve("deep_regex.dprle", &program, "nested too deeply");
+}
+
+#[test]
+fn a_regex_past_the_state_budget_is_rejected_by_the_cli_and_by_serve() {
+    // `a{1,2}` stacked 24 times would compile to about 10 · 2^24 states;
+    // the tenth `{1,2}`, at offset 46, crosses the budget.
+    let program = format!("var v;\nc := /a{}/;\nv <= c;\n", "{1,2}".repeat(24));
+    assert_rejected_by_the_cli_and_by_serve(
+        "stacked_regex.dprle",
+        &program,
+        "too many states at offset 46",
+    );
 }

@@ -89,4 +89,4 @@ pub use trace::{
     check_well_nested, parse_jsonl, provenance_dot, CollectSink, JsonlSink, NullSink, PhaseRow,
     SpanGuard, TeeSink, TraceEvent, TraceEventKind, TraceReport, TraceSink, Tracer, TRACE_SCHEMA,
 };
-pub use unsat_core::{unsat_core, unsat_core_traced, UnsatCore};
+pub use unsat_core::{unsat_core, unsat_core_of_unsat, unsat_core_traced, UnsatCore};

@@ -72,6 +72,20 @@ pub fn unsat_core_traced(
     if solve_traced(system, options, &store, tracer).0.is_sat() {
         return None;
     }
+    Some(unsat_core_of_unsat(system, options, &store, tracer))
+}
+
+/// The deletion loop of [`unsat_core_traced`], for a caller that has just
+/// solved `system` on `store` and found it unsat: the trials run on that
+/// store, warm from the caller's solve, and the system is not solved
+/// again to confirm the answer. Passing a satisfiable system yields a
+/// meaningless core.
+pub fn unsat_core_of_unsat(
+    system: &System,
+    options: &SolveOptions,
+    store: &LangStore,
+    tracer: &Tracer,
+) -> UnsatCore {
     let all: Vec<Constraint> = system.constraints().to_vec();
     // Work on a copy of the system with no constraints; re-add per trial.
     let mut keep = system.distinct_constraints();
@@ -81,7 +95,7 @@ pub fn unsat_core_traced(
         let dropped = keep[i];
         let candidate: Vec<usize> = keep.iter().copied().filter(|&k| k != dropped).collect();
         let trial = with_constraints(system, &all, &candidate);
-        let sat = solve_traced(&trial, options, &store, tracer).0.is_sat();
+        let sat = solve_traced(&trial, options, store, tracer).0.is_sat();
         tracer.emit(|| TraceEventKind::UnsatCoreTrial {
             dropped,
             still_unsat: !sat,
@@ -94,7 +108,7 @@ pub fn unsat_core_traced(
             keep = candidate;
         }
     }
-    Some(UnsatCore { indices: keep })
+    UnsatCore { indices: keep }
 }
 
 fn with_constraints(system: &System, all: &[Constraint], indices: &[usize]) -> System {

@@ -158,6 +158,81 @@ mod tests {
         }
     }
 
+    /// The parser's price bounds what compiling builds, exactly on the
+    /// stacked repetitions the budget is sized by.
+    #[test]
+    fn the_parsers_price_bounds_the_compiled_states() {
+        use crate::oracle::random_ast;
+        use crate::parser::parse_priced;
+        let fixed = [
+            "",
+            "a",
+            "ab",
+            "a|b|",
+            "(ab|c)*d+e?",
+            "a{3}",
+            "a{0,2}",
+            "[ab]{2,}",
+            ".{0,64}",
+            "^[\\d]+$",
+            "(a?b){2}",
+            "((a)(b))|c",
+            "x{0,}y{1,1}",
+        ];
+        let patterns = fixed
+            .iter()
+            .map(|p| p.to_string())
+            .chain((0..300).map(|seed| random_ast(seed, 4).to_string()));
+        for pattern in patterns {
+            let (ast, price) = parse_priced(&pattern).expect("within budget");
+            let exact = compile_exact(&ast).expect("compiles").num_states() as u64;
+            let search = compile_search(&ast).expect("compiles").num_states() as u64;
+            assert!(exact <= price, "{pattern}: {exact} > {price}");
+            assert!(
+                search <= price + 8,
+                "{pattern}: search {search} > {price} + 8"
+            );
+        }
+        for k in 1..=8 {
+            let pattern = format!("a{}", "{1,2}".repeat(k));
+            let (ast, price) = parse_priced(&pattern).expect("within budget");
+            assert_eq!(
+                compile_exact(&ast).expect("compiles").num_states() as u64,
+                price
+            );
+        }
+    }
+
+    #[test]
+    fn patterns_past_the_state_budget_are_rejected_where_they_cross_it() {
+        use crate::parser::MAX_STATES;
+        // Stacked 9 times it prices at 5 112 states; the tenth `{1,2}`,
+        // at offset 1 + 9 · 5, would double that past the budget.
+        assert!(parse(&format!("a{}", "{1,2}".repeat(9))).is_ok());
+        for k in [10, 24] {
+            let err = parse(&format!("a{}", "{1,2}".repeat(k))).expect_err("over budget");
+            assert_eq!(err.kind, RegexErrorKind::TooManyStates);
+            assert_eq!(err.pos, 46, "{err}");
+        }
+        // One bound alone, the largest bound there is, an alternation and
+        // a long literal.
+        let err = parse("(ab){0,5000}").expect_err("over budget");
+        assert_eq!((err.kind, err.pos), (RegexErrorKind::TooManyStates, 4));
+        let err = parse("(ab){4294967295,}").expect_err("over budget");
+        assert_eq!((err.kind, err.pos), (RegexErrorKind::TooManyStates, 4));
+        let alternatives = vec!["abcdefgh"; 1000].join("|");
+        let err = parse(&alternatives).expect_err("over budget");
+        assert_eq!(err.kind, RegexErrorKind::TooManyStates);
+        assert_eq!(alternatives.as_bytes()[err.pos - 1], b'|');
+        let literal = "a".repeat(MAX_STATES as usize);
+        let err = parse(&literal).expect_err("over budget");
+        assert_eq!(err.kind, RegexErrorKind::TooManyStates);
+        // 3 + 2 · 4094 = 8 191 fits; the byte at offset 4 094 does not.
+        assert_eq!(err.pos, 4094);
+        assert!(parse(&literal[..4094]).is_ok());
+        assert!(err.to_string().contains("too many states"), "{err}");
+    }
+
     #[test]
     fn exact_literal() {
         let m = exact("abc");

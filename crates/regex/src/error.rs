@@ -30,6 +30,10 @@ pub enum RegexErrorKind {
     /// Groups and stacked quantifiers nest deeper than
     /// [`MAX_NESTING`](crate::parser::MAX_NESTING) levels.
     NestingTooDeep,
+    /// The pattern would compile to more than
+    /// [`MAX_STATES`](crate::parser::MAX_STATES) states; the position is
+    /// the quantifier, alternative or concatenated part that exceeds them.
+    TooManyStates,
 }
 
 impl fmt::Display for RegexErrorKind {
@@ -46,6 +50,7 @@ impl fmt::Display for RegexErrorKind {
             RegexErrorKind::MalformedEscape => "malformed escape sequence",
             RegexErrorKind::MisplacedAnchor => "anchor in an uninterpretable position",
             RegexErrorKind::NestingTooDeep => "groups and quantifiers nested too deeply",
+            RegexErrorKind::TooManyStates => "pattern compiles to too many states",
         };
         f.write_str(msg)
     }

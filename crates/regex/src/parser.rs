@@ -19,6 +19,14 @@
 //! and the depth of every [`Ast`] it returns, which in turn bounds the
 //! recursion of compiling and dropping it, so hostile input gets a
 //! [`RegexErrorKind::NestingTooDeep`] error, not a stack overflow.
+//!
+//! Size is bounded by [`MAX_STATES`]: the parser prices each construct in
+//! the states [`compile_exact`](crate::compile_exact) will build for it,
+//! and stops at the quantifier, alternative or concatenated part that
+//! would take the pattern past the budget with
+//! [`RegexErrorKind::TooManyStates`]. Bounded repetition multiplies
+//! (`a{1,2}` stacked k times compiles to about 10·2^k states), so a short
+//! pattern could otherwise build a machine that no solve finishes with.
 
 use crate::ast::{Anchor, Ast};
 use crate::error::{ParseRegexError, RegexErrorKind};
@@ -30,6 +38,22 @@ use dprle_automata::ByteClass;
 /// and a concatenation node.
 pub const MAX_NESTING: u32 = 256;
 
+/// The most states [`parse`] lets a pattern compile to. Each construct is
+/// priced at the states its Thompson machine takes in normalized shape
+/// (a class 2, a concatenation 3 plus its parts, `e{m,n}` 3 plus `m`
+/// copies of `e` plus `n − m` optional ones, …), which is exact for the
+/// machines [`compile_exact`](crate::compile_exact) builds and an upper
+/// bound on them; [`compile_search`](crate::compile_search) adds at most
+/// 8 states of Σ* padding.
+///
+/// Sized by measurement (release build, 2-vCPU VM): `a{1,2}` stacked 9
+/// times prices at 5 112 states and `dprle` solves it as an exact
+/// constant in 0.12 s; stacked 10 times it prices at 10 232 and took
+/// 0.46 s, and every further level about 4× longer. The largest pattern
+/// in the corpus, testdata, examples and benchmarks, `.{0,64}`, prices at
+/// 451.
+pub const MAX_STATES: u64 = 8192;
+
 /// Parses a pattern into an [`Ast`].
 ///
 /// # Errors
@@ -37,21 +61,49 @@ pub const MAX_NESTING: u32 = 256;
 /// Returns [`ParseRegexError`] describing the offending position for
 /// malformed or unsupported syntax.
 pub fn parse(pattern: &str) -> Result<Ast, ParseRegexError> {
+    parse_priced(pattern).map(|(ast, _)| ast)
+}
+
+/// [`parse`], plus the states the pattern is priced at (see
+/// [`MAX_STATES`]).
+pub(crate) fn parse_priced(pattern: &str) -> Result<(Ast, u64), ParseRegexError> {
     let mut p = Parser {
         input: pattern.as_bytes(),
         pos: 0,
         open_groups: 0,
     };
-    let (ast, _) = p.alt()?;
+    let (ast, size) = p.alt()?;
     if p.pos != p.input.len() {
         return Err(p.error(RegexErrorKind::UnbalancedParen));
     }
-    Ok(ast)
+    Ok((ast, size.states))
 }
 
-/// Each parse step returns its `Ast` with its nesting: the most levels
-/// (groups and quantifiers) on any path from it down to an atom.
-type Parsed = Result<(Ast, u32), ParseRegexError>;
+/// What a parse step knows of its `Ast` besides the tree.
+#[derive(Clone, Copy)]
+struct Size {
+    /// The most levels (groups and quantifiers) on any path from it down
+    /// to an atom.
+    nesting: u32,
+    /// Its price in compiled states (see [`MAX_STATES`]).
+    states: u64,
+}
+
+impl Size {
+    /// An atom: a one-edge machine of two states.
+    const ATOM: Size = Size {
+        nesting: 0,
+        states: 2,
+    };
+    /// The empty pattern: ε, three states once normalized.
+    const EMPTY: Size = Size {
+        nesting: 0,
+        states: 3,
+    };
+}
+
+/// Each parse step returns its `Ast` with its [`Size`].
+type Parsed = Result<(Ast, Size), ParseRegexError>;
 
 struct Parser<'a> {
     input: &'a [u8],
@@ -91,38 +143,63 @@ impl<'a> Parser<'a> {
     }
 
     fn alt(&mut self) -> Parsed {
-        let (first, mut nesting) = self.concat()?;
+        let (first, mut size) = self.concat()?;
         let mut parts = vec![first];
+        // `union_all`: a new start and final around the alternatives.
+        let mut states = 2 + size.states;
         while self.eat(b'|') {
-            let (part, n) = self.concat()?;
+            let at = self.pos;
+            let (part, s) = self.concat()?;
             parts.push(part);
-            nesting = nesting.max(n);
+            size.nesting = size.nesting.max(s.nesting);
+            states = self.budget(states + s.states, at)?;
         }
         let ast = if parts.len() == 1 {
             parts.pop().expect("one part")
         } else {
+            size.states = states;
             Ast::Alt(parts)
         };
-        Ok((ast, nesting))
+        Ok((ast, size))
     }
 
     fn concat(&mut self) -> Parsed {
         let mut parts = Vec::new();
-        let mut nesting = 0;
+        let mut size = Size::EMPTY;
+        // Concatenation starts from a normalized ε and adds each part.
+        let mut states = Size::EMPTY.states;
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' {
                 break;
             }
-            let (part, n) = self.repeat()?;
+            let at = self.pos;
+            let (part, s) = self.repeat()?;
             parts.push(part);
-            nesting = nesting.max(n);
+            size.nesting = size.nesting.max(s.nesting);
+            states += s.states;
+            // A lone part is the whole concatenation.
+            size.states = match parts.len() {
+                1 => s.states,
+                _ => self.budget(states, at)?,
+            };
         }
         let ast = match parts.len() {
             0 => Ast::Empty,
             1 => parts.pop().expect("one part"),
             _ => Ast::Concat(parts),
         };
-        Ok((ast, nesting))
+        Ok((ast, size))
+    }
+
+    /// `states`, or an error at `at` when that is past [`MAX_STATES`].
+    fn budget(&self, states: u64, at: usize) -> Result<u64, ParseRegexError> {
+        if states > MAX_STATES {
+            return Err(ParseRegexError {
+                pos: at,
+                kind: RegexErrorKind::TooManyStates,
+            });
+        }
+        Ok(states)
     }
 
     /// One more level over `nesting`, or an error at `pos` past the limit.
@@ -134,33 +211,40 @@ impl<'a> Parser<'a> {
     }
 
     fn repeat(&mut self) -> Parsed {
-        let (mut ast, mut nesting) = self.atom()?;
+        let (mut ast, mut size) = self.atom()?;
         loop {
-            match self.peek() {
+            let at = self.pos;
+            // The price of the machine each quantifier builds around its
+            // operand's `s` states (see `dprle_automata::ops`).
+            let s = size.states;
+            let states = match self.peek() {
                 Some(b'*') => {
-                    nesting = self.nest(nesting)?;
+                    size.nesting = self.nest(size.nesting)?;
                     self.pos += 1;
                     ast = Ast::Star(Box::new(ast));
+                    s + 2
                 }
                 Some(b'+') => {
-                    nesting = self.nest(nesting)?;
+                    size.nesting = self.nest(size.nesting)?;
                     self.pos += 1;
                     ast = Ast::Plus(Box::new(ast));
+                    2 * s + 2
                 }
                 Some(b'?') => {
                     // Note: a lazy quantifier such as `a*?` parses as
                     // `(a*)?`, which recognizes the same language as PCRE's
                     // lazy `a*?` — laziness affects match positions only.
-                    nesting = self.nest(nesting)?;
+                    size.nesting = self.nest(size.nesting)?;
                     self.pos += 1;
                     ast = Ast::Optional(Box::new(ast));
+                    s + 5
                 }
                 Some(b'{') => {
                     // `{` only begins a bound when followed by a digit or
                     // comma; otherwise it is a literal brace (PCRE behavior).
                     match self.input.get(self.pos + 1) {
                         Some(c) if c.is_ascii_digit() || *c == b',' => {
-                            nesting = self.nest(nesting)?;
+                            size.nesting = self.nest(size.nesting)?;
                             self.pos += 1;
                             let (min, max) = self.bounds()?;
                             ast = Ast::Repeat {
@@ -168,14 +252,23 @@ impl<'a> Parser<'a> {
                                 min,
                                 max,
                             };
+                            // `min` copies after a normalized ε, then either
+                            // `max − min` optional copies or one starred.
+                            let required = u64::from(min).saturating_mul(s);
+                            let rest = match max {
+                                Some(max) => u64::from(max - min).saturating_mul(s + 5),
+                                None => s + 2,
+                            };
+                            required.saturating_add(rest).saturating_add(3)
                         }
                         _ => break,
                     }
                 }
                 _ => break,
-            }
+            };
+            size.states = self.budget(states, at)?;
         }
-        Ok((ast, nesting))
+        Ok((ast, size))
     }
 
     fn bounds(&mut self) -> Result<(u32, Option<u32>), ParseRegexError> {
@@ -228,17 +321,26 @@ impl<'a> Parser<'a> {
                     });
                 }
                 self.open_groups += 1;
-                let (inner, nesting) = self.alt()?;
+                let (inner, size) = self.alt()?;
                 if !self.eat(b')') {
                     return Err(self.error(RegexErrorKind::UnbalancedParen));
                 }
                 self.open_groups -= 1;
-                return Ok((inner, self.nest(nesting)?));
+                let nesting = self.nest(size.nesting)?;
+                return Ok((
+                    inner,
+                    Size {
+                        nesting,
+                        states: size.states,
+                    },
+                ));
             }
             Some(b'[') => self.class()?,
             Some(b'.') => Ast::Class(ByteClass::FULL.difference(&ByteClass::singleton(b'\n'))),
-            Some(b'^') => Ast::Anchor(Anchor::Start),
-            Some(b'$') => Ast::Anchor(Anchor::End),
+            // Compiling drops an edge anchor (and rejects any other): it
+            // costs no more than ε.
+            Some(b'^') => return Ok((Ast::Anchor(Anchor::Start), Size::EMPTY)),
+            Some(b'$') => return Ok((Ast::Anchor(Anchor::End), Size::EMPTY)),
             Some(b'\\') => Ast::Class(self.escape()?),
             Some(b'*' | b'+' | b'?') => {
                 self.pos -= 1;
@@ -247,7 +349,7 @@ impl<'a> Parser<'a> {
             Some(b) => Ast::byte(b),
             None => return Err(self.error(RegexErrorKind::UnexpectedEnd)),
         };
-        Ok((ast, 0))
+        Ok((ast, Size::ATOM))
     }
 
     /// Parses the body of a `[...]` class (the `[` has been consumed).
@@ -593,8 +695,9 @@ mod tests {
             (err.kind, err.pos),
             (RegexErrorKind::NestingTooDeep, limit + 1)
         );
-        // `(a*)+` is 3 levels deep.
-        let mixed = "(a*)+".to_owned() + &"{1,2}".repeat(limit - 3);
+        // `(a*)+` is 3 levels deep. (Stacked bounds such as `{1,2}` nest
+        // the same way, but 253 of them price far past `MAX_STATES`.)
+        let mixed = "(a*)+".to_owned() + &"{0,}".repeat(limit - 3);
         assert!(parse(&mixed).is_ok(), "{mixed}");
         let err = parse(&(mixed + "*")).expect_err("too deep");
         assert_eq!(err.kind, RegexErrorKind::NestingTooDeep);
@@ -604,11 +707,19 @@ mod tests {
 
     #[test]
     fn hostile_nesting_is_an_error_not_a_stack_overflow() {
-        // 100 000 levels of either kind, parsed on a 1 MiB stack.
-        for pattern in [
-            "(".repeat(100_000) + "a" + &")".repeat(100_000),
-            "a".to_owned() + &"*".repeat(100_000),
-            "(a*)".repeat(50_000),
+        // 100 000 levels of either kind, parsed on a 1 MiB stack; and
+        // 50 000 shallow groups side by side, which only the state budget
+        // stops.
+        for (pattern, kind) in [
+            (
+                "(".repeat(100_000) + "a" + &")".repeat(100_000),
+                RegexErrorKind::NestingTooDeep,
+            ),
+            (
+                "a".to_owned() + &"*".repeat(100_000),
+                RegexErrorKind::NestingTooDeep,
+            ),
+            ("(a*)".repeat(50_000), RegexErrorKind::TooManyStates),
         ] {
             let result = std::thread::Builder::new()
                 .stack_size(1024 * 1024)
@@ -616,9 +727,7 @@ mod tests {
                 .expect("spawn")
                 .join()
                 .expect("no stack overflow");
-            if let Err(err) = result {
-                assert_eq!(err.kind, RegexErrorKind::NestingTooDeep);
-            }
+            assert_eq!(result.expect_err("rejected").kind, kind);
         }
     }
 

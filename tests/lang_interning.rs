@@ -4,7 +4,7 @@
 //! the sharing (the Fig. 9/10 regression below).
 
 use dprle::automata::generate::{random_nfa, RandomNfaConfig};
-use dprle::automata::{equivalent, is_subset, ops, Lang, LangStore, Nfa};
+use dprle::automata::{canonical_key, equivalent, is_subset, ops, Lang, LangStore, Nfa};
 use dprle::core::{solve_with_stats, Expr, SolveOptions, System};
 use proptest::prelude::*;
 
@@ -70,6 +70,24 @@ proptest! {
         prop_assert_eq!(store.is_subset(&lb, &la), is_subset(&b, &a));
         // And the cached second query returns the same answer.
         prop_assert_eq!(store.is_subset(&la, &lb), is_subset(&a, &b));
+    }
+
+    /// A minimized handle is born with its input's key: it is the key of
+    /// its own machine, and the first lookup on it is a hit, not a second
+    /// canonicalization.
+    #[test]
+    fn minimized_handles_carry_their_key(s in any::<u64>()) {
+        let a = m(s);
+        let store = LangStore::new();
+        let minimal = store.minimized(&Lang::new(a.clone()));
+        prop_assert!(minimal.fingerprint_is_cached());
+        let before = store.stats();
+        let key = store.key_of(&minimal);
+        let after = store.stats();
+        prop_assert_eq!(after.fingerprint_hits, before.fingerprint_hits + 1);
+        prop_assert_eq!(after.fingerprint_misses, before.fingerprint_misses);
+        prop_assert_eq!(&*key, &canonical_key(&a));
+        prop_assert_eq!(&*key, &canonical_key(minimal.nfa()));
     }
 }
 
