@@ -775,6 +775,31 @@ impl Nfa {
         false
     }
 
+    /// Whether the machine is structurally one word: an ε-free chain of
+    /// single-byte edges from the start to a final state with no way out,
+    /// and no final state before it. [`Nfa::literal`] builds exactly this
+    /// shape. The test is conservative: `true` means the language is that
+    /// one word, but a one-word language spelled with ε-edges, a branch or
+    /// a byte class answers `false`. It reads one state per byte.
+    pub fn is_single_word(&self) -> bool {
+        let mut q = self.start;
+        // A chain visits each state once; a longer walk has met a cycle.
+        for _ in 0..self.states.len() {
+            let st = &self.states[q.index()];
+            if !st.eps.is_empty() {
+                return false;
+            }
+            if self.finals.contains(&q) {
+                return st.edges.is_empty();
+            }
+            match st.edges.as_slice() {
+                [(class, next)] if class.len() == 1 => q = *next,
+                _ => return false,
+            }
+        }
+        false
+    }
+
     /// Whether the machine is in *normalized* shape: exactly one final state,
     /// no out-edges from the final state, no in-edges to the start state, and
     /// start ≠ final.
@@ -1123,6 +1148,98 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("2 states"), "got {s}");
         assert!(s.contains("start=q0"), "got {s}");
+    }
+
+    #[test]
+    fn every_literal_is_a_single_word() {
+        for word in [&b""[..], b"a", b"nid_", b"SELECT * FROM news WHERE nid='"] {
+            assert!(Nfa::literal(word).is_single_word(), "{word:?}");
+        }
+        assert!(Nfa::class(ByteClass::singleton(b'x')).is_single_word());
+    }
+
+    #[test]
+    fn single_word_test_rejects_every_other_shape() {
+        use crate::ops;
+        let (a, b) = (Nfa::literal(b"a"), Nfa::literal(b"b"));
+        let mut two_byte_class = Nfa::literal(b"ab");
+        two_byte_class.add_edge(StateId(0), ByteClass::singleton(b'c'), StateId(1));
+        let mut class_chain = Nfa::new();
+        let f = class_chain.add_state();
+        class_chain.add_edge(class_chain.start(), ByteClass::from_bytes(*b"ab"), f);
+        class_chain.add_final(f);
+        let mut interior_final = Nfa::literal(b"ab");
+        interior_final.add_final(StateId(1));
+        let mut way_out = Nfa::literal(b"ab");
+        way_out.add_edge(StateId(2), ByteClass::singleton(b'c'), StateId(0));
+        let mut cycle = Nfa::literal(b"a");
+        cycle.add_edge(StateId(1), ByteClass::singleton(b'a'), StateId(0));
+        cycle.clear_finals();
+        let shapes = [
+            ("a|b", ops::union(&a, &b)),
+            ("a*", ops::star(&a)),
+            ("ε-chain a·b", ops::concat(&a, &b).nfa),
+            ("two edges out of one state", two_byte_class),
+            ("a two-byte class", class_chain),
+            ("a final state inside the chain", interior_final),
+            ("an edge out of the final state", way_out),
+            ("a cycle with no final state", cycle),
+            ("∅", Nfa::empty_language()),
+        ];
+        for (what, m) in shapes {
+            assert!(!m.is_single_word(), "{what}");
+        }
+    }
+
+    /// A literal over `{a, b}` with up to three random edits: an edge (of
+    /// one or two bytes) or an ε-edge between random states, a new final
+    /// state, or a fresh state.
+    fn edited_literal(seed: u64) -> Nfa {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.gen_range(0..5);
+        let word: Vec<u8> = (0..len).map(|_| b"ab"[rng.gen_range(0..2)]).collect();
+        let mut m = Nfa::literal(&word);
+        for _ in 0..rng.gen_range(0..4) {
+            let n = m.num_states() as u32;
+            let (from, to) = (StateId(rng.gen_range(0..n)), StateId(rng.gen_range(0..n)));
+            match rng.gen_range(0..5) {
+                0 => m.add_edge(from, ByteClass::singleton(b"ab"[rng.gen_range(0..2)]), to),
+                1 => m.add_edge(from, ByteClass::from_bytes(*b"ab"), to),
+                2 => m.add_eps(from, to),
+                3 => m.add_final(from),
+                _ => {
+                    m.add_state();
+                }
+            }
+        }
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn single_word_test_accepts_only_one_word_languages(seed in proptest::any::<u64>()) {
+            use crate::analysis::{language_size, LanguageSize};
+            let m = edited_literal(seed);
+            if m.is_single_word() {
+                proptest::prop_assert_eq!(language_size(&m), LanguageSize::Finite(1));
+            }
+        }
+    }
+
+    #[test]
+    fn single_word_test_accepts_only_one_word_small_machines() {
+        use crate::analysis::{language_size, LanguageSize};
+        let machines = crate::generate::two_state_unary_machines();
+        let accepted = machines.iter().filter(|m| m.is_single_word()).count();
+        assert!(accepted > 0, "some two-state machine spells one word");
+        for (i, m) in machines.iter().enumerate() {
+            if m.is_single_word() {
+                assert_eq!(language_size(m), LanguageSize::Finite(1), "machine #{i}");
+            }
+        }
     }
 }
 

@@ -30,6 +30,11 @@
 //! Unknown fields are rejected (fail-closed), mirroring the repo's other
 //! schemas.
 //!
+//! A request line may hold at most [`MAX_REQUEST_LINE_BYTES`] bytes before
+//! its newline. A longer one gets one `parse-error` naming the cap as soon
+//! as it crosses it; the rest of the line is read and dropped without
+//! being buffered, and the next line is answered as usual.
+//!
 //! ## Sharing and determinism
 //!
 //! All sessions solve against one shared store, so concurrent requests
@@ -97,6 +102,12 @@ use std::time::{Duration, Instant};
 /// shutdown flag. Bounds shutdown latency, not throughput (a queued
 /// request is picked up immediately).
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The most bytes a request line may hold before its newline, on stdin
+/// and over TCP alike. It is 1 MiB: CI's hostile 300 000-deep JSON
+/// request (≈600 KB) must still reach the JSON depth limit, and the
+/// largest request of the benchmarks is a few KiB.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// How many of the slowest requests the service retains for the admin
 /// plane's `/slow` endpoint. Small and fixed: the ring is a triage tool,
@@ -295,10 +306,32 @@ impl SolverService {
     /// serialize <= wall` holds by construction: the phases are disjoint
     /// sub-intervals of the request's wall interval.
     pub fn handle_request(&self, line: &str, enqueued: Instant) -> String {
+        self.respond(enqueued, || parse_request(line))
+    }
+
+    /// Answers a request line that exceeded [`MAX_REQUEST_LINE_BYTES`]: a
+    /// `parse-error` naming the cap, counted and logged like any other
+    /// response.
+    pub fn handle_overlong(&self, enqueued: Instant) -> String {
+        self.respond(enqueued, || {
+            Err((
+                None,
+                format!("request line exceeds the {MAX_REQUEST_LINE_BYTES}-byte cap"),
+            ))
+        })
+    }
+
+    /// [`SolverService::handle_request`] for a request that `parse`
+    /// reads.
+    fn respond(
+        &self,
+        enqueued: Instant,
+        parse: impl FnOnce() -> Result<Request, (Option<String>, String)>,
+    ) -> String {
         let queue_wait_us = elapsed_us(enqueued);
         let request_id = format!("r{}", self.requests.fetch_add(1, Ordering::Relaxed));
         let parse_started = Instant::now();
-        let parsed = parse_request(line);
+        let parsed = parse();
         let envelope_us = elapsed_us(parse_started);
         let after_parse = Instant::now();
         // Written by solve_request around a native program's parse and
@@ -906,6 +939,62 @@ impl SlowRecord {
 // Transports
 // ---------------------------------------------------------------------
 
+/// One request line framed from a byte stream by [`LineFramer`].
+enum Frame {
+    /// A complete line, without its newline.
+    Line(Vec<u8>),
+    /// A line that crossed [`MAX_REQUEST_LINE_BYTES`].
+    Overlong,
+}
+
+/// Splits a byte stream into request lines of at most
+/// [`MAX_REQUEST_LINE_BYTES`]. Each byte read is scanned once, and a line
+/// that crosses the cap is reported once, then dropped up to its newline
+/// instead of buffered.
+#[derive(Default)]
+struct LineFramer {
+    pending: Vec<u8>,
+    /// The current line crossed the cap.
+    skipping: bool,
+}
+
+impl LineFramer {
+    /// The frames that newly read `bytes` complete.
+    fn feed(&mut self, mut bytes: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        loop {
+            let newline = bytes.iter().position(|&b| b == b'\n');
+            let chunk = &bytes[..newline.unwrap_or(bytes.len())];
+            if !self.skipping {
+                if self.pending.len() + chunk.len() > MAX_REQUEST_LINE_BYTES {
+                    self.pending = Vec::new();
+                    self.skipping = true;
+                    frames.push(Frame::Overlong);
+                } else {
+                    self.pending.extend_from_slice(chunk);
+                }
+            }
+            let Some(newline) = newline else {
+                return frames;
+            };
+            if !std::mem::take(&mut self.skipping) {
+                frames.push(Frame::Line(std::mem::take(&mut self.pending)));
+            }
+            bytes = &bytes[newline + 1..];
+        }
+    }
+
+    /// Whether no part of a request is buffered.
+    fn is_idle(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// The unterminated line left at the end of the stream, if any.
+    fn finish(self) -> Option<Vec<u8>> {
+        (!self.pending.is_empty()).then_some(self.pending)
+    }
+}
+
 /// Serves JSONL over stdin/stdout with [`ServeConfig::sessions`] worker
 /// threads draining one shared queue. Returns after stdin EOF (all read
 /// requests answered) or after `shutdown` was raised and the queue
@@ -913,19 +1002,38 @@ impl SlowRecord {
 pub fn serve_stdio(service: &Arc<SolverService>, shutdown: &'static AtomicBool) {
     // Each queued line carries its arrival instant so the worker that
     // picks it up can report the queue wait in the response breakdown.
-    let (tx, rx) = mpsc::channel::<(String, Instant)>();
+    let (tx, rx) = mpsc::channel::<(Frame, Instant)>();
     let rx = Arc::new(Mutex::new(rx));
     // The reader owns `tx`: dropping it on EOF is the drain signal the
     // workers see as `Disconnected` once the queue empties.
     let reader = std::thread::spawn(move || {
-        for line in std::io::stdin().lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let send = |frame: Frame| {
+            if let Frame::Line(line) = &frame {
+                if line.trim_ascii().is_empty() {
+                    return true;
+                }
             }
-            if tx.send((line, Instant::now())).is_err() {
-                break;
+            tx.send((frame, Instant::now())).is_ok()
+        };
+        let mut stdin = std::io::stdin().lock();
+        let mut framer = LineFramer::default();
+        loop {
+            let frames = match stdin.fill_buf() {
+                Ok([]) => break,
+                Ok(bytes) => {
+                    let (frames, read) = (framer.feed(bytes), bytes.len());
+                    stdin.consume(read);
+                    frames
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            if !frames.into_iter().all(send) {
+                return;
             }
+        }
+        if let Some(last) = framer.finish() {
+            send(Frame::Line(last));
         }
     });
     let workers: Vec<_> = (0..service.config().sessions.max(1))
@@ -935,8 +1043,16 @@ pub fn serve_stdio(service: &Arc<SolverService>, shutdown: &'static AtomicBool) 
             std::thread::spawn(move || loop {
                 let job = rx.lock().expect("queue lock").recv_timeout(POLL_INTERVAL);
                 match job {
-                    Ok((line, enqueued)) => {
-                        let response = service.handle_request(&line, enqueued);
+                    Ok((frame, enqueued)) => {
+                        let response = match frame {
+                            Frame::Line(line) => {
+                                // A `\r\n` line ending is one newline, as
+                                // for `BufRead::lines`.
+                                let line = line.strip_suffix(b"\r").unwrap_or(&line);
+                                service.handle_request(&String::from_utf8_lossy(line), enqueued)
+                            }
+                            Frame::Overlong => service.handle_overlong(enqueued),
+                        };
                         let stdout = std::io::stdout();
                         let mut out = stdout.lock();
                         let _ = writeln!(out, "{response}");
@@ -1016,24 +1132,27 @@ fn serve_connection(
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let mut pending: Vec<u8> = Vec::new();
+    let mut framer = LineFramer::default();
     let mut buf = [0u8; 4096];
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                pending.extend_from_slice(&buf[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw[..pos]);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
+                for frame in framer.feed(&buf[..n]) {
                     // TCP sessions handle requests inline (no queue), so
                     // arrival is the moment the full line was framed and
                     // queue-wait is effectively zero.
-                    let response = service.handle_request(line, Instant::now());
+                    let response = match frame {
+                        Frame::Line(raw) => {
+                            let line = String::from_utf8_lossy(&raw);
+                            let line = line.trim();
+                            if line.is_empty() {
+                                continue;
+                            }
+                            service.handle_request(line, Instant::now())
+                        }
+                        Frame::Overlong => service.handle_overlong(Instant::now()),
+                    };
                     stream.write_all(response.as_bytes())?;
                     stream.write_all(b"\n")?;
                     stream.flush()?;
@@ -1046,7 +1165,7 @@ fn serve_connection(
                 ) =>
             {
                 // Idle (no partial request buffered) + shutdown = close.
-                if shutdown.load(Ordering::SeqCst) && pending.is_empty() {
+                if shutdown.load(Ordering::SeqCst) && framer.is_idle() {
                     break;
                 }
             }
@@ -1531,6 +1650,94 @@ mod tests {
         let json = Json::parse(&response).expect("valid JSON");
         assert_eq!(field(&json, "kind").as_str(), Some("sat"));
         assert_eq!(field(&json, "id").as_str(), Some("net"));
+        flag.store(true, Ordering::SeqCst);
+        drop(reader);
+        drop(stream);
+        server
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
+    }
+
+    #[test]
+    fn line_framer_scans_each_byte_once_and_skips_over_cap_lines() {
+        let frames = |framer: &mut LineFramer, bytes: &[u8]| -> Vec<Option<Vec<u8>>> {
+            framer
+                .feed(bytes)
+                .into_iter()
+                .map(|frame| match frame {
+                    Frame::Line(line) => Some(line),
+                    Frame::Overlong => None,
+                })
+                .collect()
+        };
+        let mut framer = LineFramer::default();
+        assert_eq!(frames(&mut framer, b"ab"), vec![]);
+        assert_eq!(
+            frames(&mut framer, b"c\nd\n\ne"),
+            vec![Some(b"abc".to_vec()), Some(b"d".to_vec()), Some(Vec::new())]
+        );
+        // A line that reaches the cap exactly is a line; one byte more is
+        // reported once, however it arrives, and never buffered.
+        let full = vec![b'x'; MAX_REQUEST_LINE_BYTES - 1];
+        assert_eq!(frames(&mut framer, &full), vec![]);
+        assert_eq!(
+            frames(&mut framer, b"\n"),
+            vec![Some([b"e".as_slice(), &full].concat())]
+        );
+        let half = vec![b'y'; MAX_REQUEST_LINE_BYTES / 2];
+        assert_eq!(frames(&mut framer, &half), vec![]);
+        assert_eq!(frames(&mut framer, &half), vec![]);
+        assert_eq!(frames(&mut framer, b"y"), vec![None]);
+        assert!(framer.is_idle(), "nothing of it is kept");
+        assert_eq!(frames(&mut framer, &half), vec![]);
+        assert_eq!(frames(&mut framer, b"y\nnext"), vec![]);
+        assert_eq!(framer.finish(), Some(b"next".to_vec()));
+    }
+
+    #[test]
+    fn tcp_answers_an_over_cap_line_once_and_then_the_next() {
+        let service = service();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+        let server = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || serve_tcp(&service, listener, flag))
+        };
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        stream
+            .write_all(b"{\"id\":\"big\",\"input\":\"")
+            .expect("send");
+        let filler = vec![b'x'; 64 * 1024];
+        for _ in 0..=MAX_REQUEST_LINE_BYTES / filler.len() {
+            stream.write_all(&filler).expect("send");
+        }
+        // Answered as soon as the line crosses the cap.
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("response line");
+        let json = Json::parse(&response).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("parse-error"));
+        assert_eq!(field(&json, "id"), &Json::Null);
+        let error = field(&json, "error").as_str().expect("error message");
+        assert!(
+            error.contains(&format!("{MAX_REQUEST_LINE_BYTES}-byte cap")),
+            "{error}"
+        );
+        stream.write_all(&filler).expect("send");
+        let line = request(&format!(
+            "\"id\":\"next\",\"input\":{}",
+            json_string(SAT_PROGRAM)
+        ));
+        stream.write_all(b"\"}\n").expect("send");
+        stream.write_all(line.as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send newline");
+        response.clear();
+        reader.read_line(&mut response).expect("response line");
+        let json = Json::parse(&response).expect("valid JSON");
+        assert_eq!(field(&json, "kind").as_str(), Some("sat"));
+        assert_eq!(field(&json, "id").as_str(), Some("next"));
         flag.store(true, Ordering::SeqCst);
         drop(reader);
         drop(stream);

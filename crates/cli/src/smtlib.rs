@@ -24,12 +24,19 @@
 //!
 //! The fragment is exactly the decidable theory the paper treats: no
 //! length arithmetic, no `str.replace`, no word equations.
+//!
+//! A `re.loop` is priced before it is built, by the rule the native regex
+//! parser applies to `{n,m}` ([`dprle_regex::parser::repeat_states`]); one
+//! that prices past [`dprle_regex::parser::MAX_STATES`] is an error at the
+//! loop's offset, so nested loops cannot multiply into a machine no solve
+//! finishes with.
 
 use dprle_automata::{analysis, complement, ops, ByteClass, LangStore, Nfa};
 use dprle_core::metrics::id;
 use dprle_core::{
     try_solve_traced, Expr, ResourceExhausted, Solution, SolveOptions, SolveStats, System, Tracer,
 };
+use dprle_regex::parser::{repeat_states, MAX_STATES};
 use std::fmt;
 use std::sync::Arc;
 
@@ -502,6 +509,19 @@ impl Engine {
                                 .get(1)
                                 .ok_or_else(|| err(*pos, "re.loop needs a regex"))?,
                         )?;
+                        // Priced like the native `{n,m}` before it is built:
+                        // nested loops multiply.
+                        let normalized =
+                            inner.num_states() + if inner.is_normalized() { 0 } else { 2 };
+                        let states = repeat_states(normalized as u64, n as u64, Some(m as u64));
+                        if states > MAX_STATES {
+                            return Err(err(
+                                *pos,
+                                format!(
+                                    "too many states: re.loop prices at {states}, past the budget of {MAX_STATES}"
+                                ),
+                            ));
+                        }
                         return Ok(ops::repeat_range(&inner, n, m));
                     }
                 }
@@ -716,6 +736,47 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A script that nests `((_ re.loop 1 2) …)` `depth` deep around
+    /// `(str.to_re "a")`.
+    fn nested_loops(depth: usize) -> String {
+        format!(
+            "(declare-const x String)\n(assert (str.in_re x {}(str.to_re \"a\"){}))\n(check-sat)\n",
+            "((_ re.loop 1 2) ".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nested_loops_are_priced_like_native_repeats() {
+        // Sixteen levels once built toward 2^16 copies of the operand.
+        let script = nested_loops(16);
+        assert_eq!(script.len(), 364);
+        let err = run_script(&script).expect_err("past the state budget");
+        assert!(
+            err.exhausted.is_none(),
+            "a script error, not a budget breach"
+        );
+        assert!(err.message.contains("too many states"), "{}", err.message);
+        // The error names the loop that crosses the budget by its offset:
+        // the tenth from the inside, as for the native `a{1,2}{1,2}…`.
+        let at = &script[err.pos..];
+        assert!(at.starts_with(&"((_ re.loop 1 2) ".repeat(10)), "{at}");
+        assert!(!at.starts_with(&"((_ re.loop 1 2) ".repeat(11)), "{at}");
+        let native = format!("a{}", "{1,2}".repeat(16));
+        let native = dprle_regex::parse(&native).expect_err("native budget");
+        assert_eq!(
+            native.pos,
+            1 + 9 * "{1,2}".len(),
+            "the tenth level crosses it"
+        );
+        // Within the budget a loop builds, and its price bounds its machine.
+        let out = run_script(&nested_loops(4)).expect("four levels solve");
+        assert_eq!(out, vec![SmtOutput::CheckSat(true)]);
+        let inner = Nfa::literal(b"ab");
+        let built = ops::repeat_range(&inner, 2, 5);
+        assert!(built.num_states() as u64 <= repeat_states(inner.num_states() as u64, 2, Some(5)));
     }
 
     #[test]

@@ -808,50 +808,75 @@ fn core_search_reaches_the_ledger_metrics_and_journal() {
     );
 }
 
-/// `dprle` rejects `program` with exit 2 and `message` on stderr, and
+/// `dprle` rejects `program` (an SMT-LIB script when `name` ends in
+/// `.smt2`) with exit 2 and `message` on stderr within ten seconds, and
 /// `dprle serve` answers it with one parse-error naming `message`, then
 /// answers the next request.
 fn assert_rejected_by_the_cli_and_by_serve(name: &str, program: &str, message: &str) {
     let file = temp_file(name, program);
+    let started = std::time::Instant::now();
     let out = dprle(&[file.to_str().expect("utf8 path")]);
+    assert!(
+        started.elapsed().as_secs() < 10,
+        "rejected before any blowup"
+    );
     assert_eq!(out.status.code(), Some(2), "a parse error, not an abort");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains(message), "{stderr}");
 
     // `dprle serve` answers the line with one parse-error, then goes on.
-    let escaped = program.replace('\n', " ");
-    let input = format!(
-        "{{\"id\":\"bad\",\"input\":\"{escaped}\"}}\n{{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}}\n"
+    let escaped = program
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    let language = if name.ends_with(".smt2") {
+        ",\"language\":\"smtlib\""
+    } else {
+        ""
+    };
+    let bad = format!("{{\"id\":\"bad\"{language},\"input\":\"{escaped}\"}}\n");
+    let stdout = serve_stdin(&[bad.as_bytes(), NEXT_REQUEST.as_bytes()]);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    assert!(
+        response(&stdout, "bad").contains("\"kind\":\"parse-error\""),
+        "{stdout}"
     );
+    assert!(response(&stdout, "bad").contains(message), "{stdout}");
+    assert!(
+        response(&stdout, "next").contains("\"kind\":\"sat\""),
+        "{stdout}"
+    );
+}
+
+/// A request `dprle serve` answers `sat`, with id `next`.
+const NEXT_REQUEST: &str = "{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}\n";
+
+/// Runs `dprle serve` on `input` (written piece by piece) until the end of
+/// its input; returns what it printed.
+fn serve_stdin(input: &[&[u8]]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dprle"))
         .arg("serve")
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("serve starts");
-    child
-        .stdin
-        .take()
-        .expect("stdin")
-        .write_all(input.as_bytes())
-        .expect("write requests");
+    let mut stdin = child.stdin.take().expect("stdin");
+    for piece in input {
+        stdin.write_all(piece).expect("write requests");
+    }
+    drop(stdin);
     let out = child
         .wait_with_output()
         .expect("serve exits at end of input");
     assert!(out.status.success(), "{:?}", out.status);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.lines().count(), 2, "{stdout}");
-    // Responses are written as they complete, so find each by its id.
-    let response = |id: &str| {
-        let tag = format!("\"id\":\"{id}\"");
-        stdout.lines().find(|l| l.contains(&tag)).expect("answered")
-    };
-    assert!(
-        response("bad").contains("\"kind\":\"parse-error\""),
-        "{stdout}"
-    );
-    assert!(response("bad").contains(message), "{stdout}");
-    assert!(response("next").contains("\"kind\":\"sat\""), "{stdout}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The response line carrying `"id":"{id}"`: responses are written as they
+/// complete, so each is found by its id.
+fn response<'a>(stdout: &'a str, id: &str) -> &'a str {
+    let tag = format!("\"id\":\"{id}\"");
+    stdout.lines().find(|l| l.contains(&tag)).expect("answered")
 }
 
 #[test]
@@ -874,5 +899,54 @@ fn a_regex_past_the_state_budget_is_rejected_by_the_cli_and_by_serve() {
         "stacked_regex.dprle",
         &program,
         "too many states at offset 46",
+    );
+}
+
+#[test]
+fn nested_smtlib_loops_are_rejected_by_the_cli_and_by_serve() {
+    // Sixteen nested `((_ re.loop 1 2) …)` (364 bytes) once ran for
+    // longer than any timeout; the tenth from the inside crosses the
+    // state budget native `{1,2}` repeats answer to.
+    let script = format!(
+        "(declare-const x String)\n(assert (str.in_re x {}(str.to_re \"a\"){}))\n(check-sat)\n",
+        "((_ re.loop 1 2) ".repeat(16),
+        ")".repeat(16)
+    );
+    assert_eq!(script.len(), 364);
+    assert_rejected_by_the_cli_and_by_serve("loop16.smt2", &script, "too many states");
+}
+
+#[test]
+fn serve_answers_an_over_cap_stdin_line_once_and_then_the_next() {
+    // 1 MiB of one request line, written in pieces, with no newline
+    // until the end: one parse-error naming the cap, then the next line.
+    let cap = 1 << 20;
+    let head = b"{\"id\":\"big\",\"input\":\"".as_slice();
+    let filler = vec![b'x'; 64 * 1024];
+    let mut input: Vec<&[u8]> = vec![head];
+    input.extend(std::iter::repeat_n(
+        filler.as_slice(),
+        cap / filler.len() + 1,
+    ));
+    input.push(b"\"}\n");
+    input.push(NEXT_REQUEST.as_bytes());
+    let stdout = serve_stdin(&input);
+    assert_eq!(
+        stdout.lines().count(),
+        2,
+        "{}",
+        &stdout[..stdout.len().min(400)]
+    );
+    // The line is not parsed, so its id is not echoed.
+    assert!(!stdout.contains("\"id\":\"big\""), "{stdout}");
+    let big = stdout
+        .lines()
+        .find(|l| l.contains("\"id\":null"))
+        .expect("answered");
+    assert!(big.contains("\"kind\":\"parse-error\""), "{big}");
+    assert!(big.contains(&format!("{cap}-byte cap")), "{big}");
+    assert!(
+        response(&stdout, "next").contains("\"kind\":\"sat\""),
+        "{stdout}"
     );
 }

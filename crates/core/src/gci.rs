@@ -28,6 +28,13 @@
 //! concatenations) receives the **intersection** of its segment languages;
 //! combinations where that intersection is empty are rejected.
 //!
+//! Enumeration is a depth-first walk over the bridges that decides segment
+//! `k` as soon as its closing bridge instance is chosen: an empty segment
+//! prunes the whole subtree below it. A segment is determined by its
+//! `(start, final)` pair of root states, so each root keeps a map from that
+//! pair to the segment's outcome and cuts, checks and minimizes each
+//! distinct segment once, however many combinations share it.
+//!
 //! Deviation from the paper, documented in DESIGN.md: for shared leaves the
 //! paper keeps only combinations whose per-side machines "match", which on
 //! its own Figure 9/10 example yields 2 solutions; intersecting the sides
@@ -35,20 +42,31 @@
 //! We return the larger, still-satisfying set.
 //!
 //! Constant leaves cannot be narrowed by the solver: a combination is kept
-//! only if each constant leaf's segment language equals the constant's full
-//! language (always true for the string-literal constants produced by the
-//! front end, where constants are singleton languages).
+//! only if each constant leaf's segment language is the constant's whole
+//! language. A constant segment is a slice of the product of the root's
+//! concatenation with its constraints, between a state over the constant's
+//! start and one over its final; leaf machines are normalized and bridges
+//! only leave a leaf through its final, so every path of the slice
+//! projects onto a path through the constant's own machine, and
+//! `L(segment) ⊆ L(c)`. The segment is therefore all of `L(c)` exactly
+//! when `L(c) ⊆ L(segment)`. When `c` is structurally one word
+//! ([`Nfa::is_single_word`], which every string literal of the three
+//! front ends is), a nonempty segment is that word and nothing is cut;
+//! otherwise one budgeted inclusion query decides it. An accepted segment
+//! is bound to the constant's own handle, so constants are never
+//! minimized or canonicalized here, and every solution of a group holds
+//! the same constant handles.
 
 use crate::graph::{CiGroup, ConcatEdgePair, DependencyGraph, NodeId, NodeKind};
-use crate::ledger::{product_draft, Ledger, QueryOutcome};
+use crate::ledger::{bypass_inclusion_draft, product_draft, Ledger, QueryOutcome, SITE_GCI};
 use crate::metrics::{id, BudgetKind, Metrics};
 use crate::spec::System;
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
-    ops, CanonicalKey, InclusionAbort, InclusionLimits, Lang, LangStore, Nfa, StateId,
+    inclusion, ops, CanonicalKey, InclusionAbort, InclusionLimits, Lang, LangStore, Nfa, StateId,
 };
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,7 +79,9 @@ pub struct GciOptions {
     pub dedup: bool,
     /// Upper bound on the number of disjunctive solutions per group; the
     /// worst case is exponential in the number of bridges (paper §3.5).
-    /// `None` means unbounded.
+    /// It counts, per root, the candidates that leave every constant leaf
+    /// whole, and then the merged combinations across roots. `None` means
+    /// unbounded.
     pub max_disjuncts: Option<usize>,
     /// Minimize every induced segment machine before further processing.
     /// The paper's prototype did *not* minimize and attributes its
@@ -78,7 +98,7 @@ pub struct GciOptions {
     /// (paper §3.5). A build whose intersection would materialize more than
     /// this many pairs aborts with [`ProductCapHit`] *before* exceeding it.
     /// The same cap bounds the macrostates of each budgeted inclusion check
-    /// (constant-leaf filtering, subsumption pruning) — the inclusion
+    /// (constant-leaf checks, subsumption pruning) — the inclusion
     /// search's frontier loop is the other place the paper's exponential
     /// can hide. Deterministic at every `--jobs N`: the check depends only
     /// on the operand machines.
@@ -88,7 +108,8 @@ pub struct GciOptions {
     /// [`crate::metrics::Budget::deadline`]; inherently nondeterministic,
     /// like the worklist-level deadline check.
     pub deadline: Option<Instant>,
-    /// Query cost ledger each `intersect_build` product is recorded into.
+    /// Query cost ledger each `intersect_build` product and each
+    /// constant-leaf inclusion query is recorded into (site `gci`).
     /// Disabled (no-op) by default; set by the solver's normalization from
     /// [`crate::solve::SolveOptions::ledger`].
     pub ledger: Ledger,
@@ -202,7 +223,10 @@ pub type GroupSolution = BTreeMap<NodeId, Lang>;
 /// `CiGroupEnd` events and every returned solution is reported as a
 /// `GciDisjunct` (so the event count equals the disjunct count the solver
 /// branches on), carrying the group's bridge count, the solution's total
-/// leaf states, and a hash of its canonical language fingerprints.
+/// leaf states, and a hash of its variable leaves' canonical language
+/// fingerprints (the keys dedup computes; every solution holds the same
+/// constant handles, so hashing them would only canonicalize constants in
+/// traced runs).
 ///
 /// Returns `Err` when an intersection hits
 /// [`GciOptions::max_product_states`]; the `CiGroupEnd` event is still
@@ -238,7 +262,7 @@ pub fn solve_group(
         for sol in solutions {
             let states: usize = sol.values().map(Lang::num_states).sum();
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            for (node, lang) in sol {
+            for (node, lang) in variable_leaves(graph, sol) {
                 node.index().hash(&mut hasher);
                 store.key_of(lang).hash(&mut hasher);
             }
@@ -354,17 +378,14 @@ fn solve_group_inner(
         })
     };
 
-    // Enumerate per-root candidate solutions (choices of bridge edges).
+    // Enumerate per-root candidate solutions (choices of bridge edges that
+    // leave every constant leaf whole).
     let mut per_root: Vec<Vec<RootSolution>> = Vec::with_capacity(roots.len());
     {
         let _enumerate_span = tracer.span("enumerate", None, Some(group.index));
         for root in &roots {
-            let candidates = enumerate_root(
-                root,
-                options.max_disjuncts,
-                options.minimize_solutions,
-                store,
-            );
+            let candidates = enumerate_root(root, options, store)
+                .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
             if candidates.is_empty() {
                 return unsat(cost);
             }
@@ -395,37 +416,6 @@ fn solve_group_inner(
         }
     }
 
-    // Reject combinations that narrow a constant leaf: constants are not
-    // assignable, so their induced language must be their full language.
-    // Each check is a budgeted inclusion query: the search's frontier loop
-    // honors the same per-operation cap (and deadline) as the product
-    // builds, so a blowup hiding in the subset judgment aborts the group
-    // instead of running away.
-    let limits = options.inclusion_limits();
-    {
-        let mut kept = Vec::with_capacity(solutions.len());
-        for sol in solutions {
-            let mut holds = true;
-            for (node, machine) in &sol {
-                if let NodeKind::Const(c) = graph.kind(*node) {
-                    match store.try_is_subset(system.const_lang(c), machine, &limits) {
-                        Ok(included) => {
-                            if !included {
-                                holds = false;
-                                break;
-                            }
-                        }
-                        Err(abort) => return Err(abort_to_cap_hit(&abort, cost)),
-                    }
-                }
-            }
-            if holds {
-                kept.push(sol);
-            }
-        }
-        solutions = kept;
-    }
-
     if options.dedup {
         // A leaf is *linear* when it occupies exactly one segment across all
         // roots; unioning a linear leaf across two otherwise-equal solutions
@@ -441,8 +431,15 @@ fn solve_group_inner(
             .filter_map(|(n, c)| (*c == 1).then_some(*n))
             .collect();
         let _minimize_span = tracer.span("minimize", None, Some(group.index));
-        solutions = minimize(solutions, &linear, store, &options.metrics, &limits)
-            .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
+        solutions = minimize(
+            solutions,
+            &linear,
+            graph,
+            store,
+            &options.metrics,
+            &options.inclusion_limits(),
+        )
+        .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     }
     cost.states_built = solutions
         .iter()
@@ -456,6 +453,9 @@ fn solve_group_inner(
 /// pairs.
 type RootSolution = Vec<(NodeId, Lang)>;
 
+/// Adds a root's candidate to a partial group solution, intersecting the
+/// languages of a leaf both hold (`None` when that is empty). One handle
+/// met twice, as every constant leaf is, stays as it is: `L ∩ L = L`.
 fn merge(
     partial: &GroupSolution,
     candidate: &RootSolution,
@@ -467,6 +467,7 @@ fn merge(
             None => {
                 out.insert(*node, machine.clone());
             }
+            Some(existing) if Lang::ptr_eq(existing, machine) => {}
             Some(existing) => {
                 let both = store.intersect(existing, machine);
                 if both.is_empty_language() {
@@ -488,19 +489,20 @@ fn merge(
 fn minimize(
     solutions: Vec<GroupSolution>,
     linear: &[NodeId],
+    graph: &DependencyGraph,
     store: &LangStore,
     metrics: &Metrics,
     limits: &InclusionLimits,
 ) -> Result<Vec<GroupSolution>, InclusionAbort> {
-    let deduped = dedup(solutions, store);
-    let merged = merge_linear(deduped, linear, store, metrics);
+    let deduped = dedup(solutions, graph, store);
+    let merged = merge_linear(deduped, linear, graph, store, metrics);
     prune_subsumed(merged, store, limits)
 }
 
-fn dedup(solutions: Vec<GroupSolution>, store: &LangStore) -> Vec<Keyed> {
+fn dedup(solutions: Vec<GroupSolution>, graph: &DependencyGraph, store: &LangStore) -> Vec<Keyed> {
     let mut out: Vec<Keyed> = Vec::with_capacity(solutions.len());
     for s in solutions {
-        let k = Keyed::new(s, store);
+        let k = Keyed::new(s, graph, store);
         if !out.iter().any(|t| t.keys == k.keys) {
             out.push(k);
         }
@@ -508,18 +510,32 @@ fn dedup(solutions: Vec<GroupSolution>, store: &LangStore) -> Vec<Keyed> {
     out
 }
 
-/// A group solution paired with per-node canonical language fingerprints,
-/// so equality and merge checks avoid repeated complement constructions.
-/// Fingerprints come from the store: a handle shared across solutions (the
-/// common case after intersection-merging) is canonicalized once.
+/// The variable leaves of a group solution. Its constant leaves are bound
+/// to the constants' own handles in every solution, so they never tell
+/// two solutions apart.
+fn variable_leaves<'a>(
+    graph: &'a DependencyGraph,
+    sol: &'a GroupSolution,
+) -> impl Iterator<Item = (&'a NodeId, &'a Lang)> + 'a {
+    sol.iter()
+        .filter(|(node, _)| !matches!(graph.kind(**node), NodeKind::Const(_)))
+}
+
+/// A group solution paired with its variable leaves' canonical language
+/// fingerprints, so equality and merge checks avoid repeated complement
+/// constructions. Fingerprints come from the store: a handle shared
+/// across solutions (the common case after intersection-merging) is
+/// canonicalized once.
 struct Keyed {
     sol: GroupSolution,
     keys: BTreeMap<NodeId, Arc<CanonicalKey>>,
 }
 
 impl Keyed {
-    fn new(sol: GroupSolution, store: &LangStore) -> Keyed {
-        let keys = sol.iter().map(|(n, m)| (*n, store.key_of(m))).collect();
+    fn new(sol: GroupSolution, graph: &DependencyGraph, store: &LangStore) -> Keyed {
+        let keys = variable_leaves(graph, &sol)
+            .map(|(n, m)| (*n, store.key_of(m)))
+            .collect();
         Keyed { sol, keys }
     }
 }
@@ -530,6 +546,7 @@ impl Keyed {
 fn merge_linear(
     mut sols: Vec<Keyed>,
     linear: &[NodeId],
+    graph: &DependencyGraph,
     store: &LangStore,
     metrics: &Metrics,
 ) -> Vec<Keyed> {
@@ -540,7 +557,8 @@ fn merge_linear(
         changed = false;
         'pairs: for i in 0..sols.len() {
             for j in (i + 1)..sols.len() {
-                let Some(candidate) = try_merge(&sols[i], &sols[j], linear, store, metrics) else {
+                let Some(candidate) = try_merge(&sols[i], &sols[j], linear, graph, store, metrics)
+                else {
                     continue;
                 };
                 if !sols.iter().any(|t| t.keys == candidate.keys) {
@@ -561,6 +579,7 @@ fn try_merge(
     a: &Keyed,
     b: &Keyed,
     linear: &[NodeId],
+    graph: &DependencyGraph,
     store: &LangStore,
     metrics: &Metrics,
 ) -> Option<Keyed> {
@@ -586,7 +605,7 @@ fn try_merge(
     metrics.add(id::UNION_STATES, union.num_states() as u64);
     let widened = store.minimized(&Lang::new(union));
     sol.insert(node, widened);
-    Some(Keyed::new(sol, store))
+    Some(Keyed::new(sol, graph, store))
 }
 
 /// Keeps only solutions not pointwise contained in another solution. Every
@@ -638,6 +657,9 @@ struct Build {
     core: Vec<u32>,
     /// Leaf vertex per segment, left to right.
     segments: Vec<NodeId>,
+    /// Per segment, the constant's own handle for a constant leaf (the one
+    /// `leaf_machines` supplies), `None` for a variable.
+    constants: Vec<Option<Lang>>,
     /// Bridge core pairs; `bridges[k]` joins `segments[k]` and
     /// `segments[k+1]`.
     bridges: Vec<(u32, u32)>,
@@ -714,11 +736,11 @@ impl GroupBuilder<'_> {
                 joined
             }
             NodeKind::Var(_) | NodeKind::Const(_) => {
-                let machine = self
+                let leaf = self
                     .leaf_machines
                     .get(&node)
-                    .expect("leaf machine supplied for every group leaf")
-                    .normalize();
+                    .expect("leaf machine supplied for every group leaf");
+                let machine = leaf.normalize();
                 let n = machine.num_states();
                 let core: Vec<u32> = (*next_core..*next_core + n as u32).collect();
                 *next_core += n as u32;
@@ -726,6 +748,9 @@ impl GroupBuilder<'_> {
                     nfa: machine,
                     core,
                     segments: vec![node],
+                    constants: vec![
+                        matches!(self.graph.kind(node), NodeKind::Const(_)).then(|| leaf.clone())
+                    ],
                     bridges: Vec::new(),
                 }
             }
@@ -819,6 +844,7 @@ impl GroupBuilder<'_> {
             nfa: trimmed,
             core,
             segments: build.segments,
+            constants: build.constants,
             bridges: build.bridges,
         }))
     }
@@ -855,11 +881,14 @@ fn concat_builds(left: Build, right: Build) -> Build {
 
     let mut segments = left.segments;
     segments.extend(right.segments);
+    let mut constants = left.constants;
+    constants.extend(right.constants);
 
     Build {
         nfa,
         core,
         segments,
+        constants,
         bridges,
     }
 }
@@ -869,13 +898,15 @@ fn concat_builds(left: Build, right: Build) -> Build {
 // ---------------------------------------------------------------------
 
 /// Enumerates the candidate solutions of one root: every combination of one
-/// epsilon instance per bridge whose induced segments are all nonempty.
+/// epsilon instance per bridge whose segments are all nonempty and leave
+/// each constant leaf its whole language, in depth-first order, until
+/// [`GciOptions::max_disjuncts`] candidates are found. Errs when a
+/// constant leaf's inclusion query hits a budget.
 fn enumerate_root(
     root: &Build,
-    cap: Option<usize>,
-    minimize: bool,
+    options: &GciOptions,
     store: &LangStore,
-) -> Vec<RootSolution> {
+) -> Result<Vec<RootSolution>, InclusionAbort> {
     // Candidate epsilon instances per bridge, identified by core pairs.
     let mut candidates: Vec<Vec<(StateId, StateId)>> = vec![Vec::new(); root.bridges.len()];
     for (from, to) in root.nfa.eps_edges() {
@@ -886,82 +917,143 @@ fn enumerate_root(
             }
         }
     }
-    let mut out = Vec::new();
-    let mut chosen: Vec<(StateId, StateId)> = Vec::with_capacity(root.bridges.len());
-    enumerate_rec(
+    let mut walk = Enumeration {
         root,
-        &candidates,
-        &mut chosen,
-        &mut out,
-        cap,
-        minimize,
+        candidates,
+        options,
         store,
-    );
-    out
+        decided: HashMap::new(),
+        out: Vec::new(),
+    };
+    let mut partial = Vec::with_capacity(root.segments.len());
+    walk.descend(root.nfa.start(), &mut partial)?;
+    Ok(walk.out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate_rec(
-    root: &Build,
-    candidates: &[Vec<(StateId, StateId)>],
-    chosen: &mut Vec<(StateId, StateId)>,
-    out: &mut Vec<RootSolution>,
-    cap: Option<usize>,
-    minimize: bool,
-    store: &LangStore,
-) {
-    if let Some(cap) = cap {
-        if out.len() >= cap {
-            return;
-        }
-    }
-    let k = chosen.len();
-    if k == candidates.len() {
-        // All bridges chosen; cut out every segment.
-        let mut solution = Vec::with_capacity(root.segments.len());
-        for (i, &leaf) in root.segments.iter().enumerate() {
-            let start = if i == 0 {
-                root.nfa.start()
-            } else {
-                chosen[i - 1].1
-            };
-            let final_ = if i == root.segments.len() - 1 {
-                root.single_final()
-            } else {
-                chosen[i].0
-            };
-            let machine = root.nfa.induce_segment(start, final_);
-            if machine.is_empty_language() {
-                return; // incompatible choice combination
+/// One root's depth-first walk over its bridges.
+struct Enumeration<'a> {
+    root: &'a Build,
+    /// Candidate epsilon instances per bridge.
+    candidates: Vec<Vec<(StateId, StateId)>>,
+    options: &'a GciOptions,
+    store: &'a LangStore,
+    /// Every segment decided so far, by its `(start, final)` root states:
+    /// `None` when it is empty or narrows its constant, else the language
+    /// its leaf gets.
+    decided: HashMap<(StateId, StateId), Option<Lang>>,
+    out: Vec<RootSolution>,
+}
+
+impl Enumeration<'_> {
+    /// Extends `partial`, which holds segments `0..k`, by every choice of
+    /// the bridges from `k` on; segment `k` starts at `start`.
+    fn descend(
+        &mut self,
+        start: StateId,
+        partial: &mut RootSolution,
+    ) -> Result<(), InclusionAbort> {
+        if let Some(cap) = self.options.max_disjuncts {
+            if self.out.len() >= cap {
+                return Ok(());
             }
-            store.note_materialized(machine.num_states());
-            let machine = Lang::new(machine);
-            let machine = if minimize {
-                store.minimized(&machine)
+        }
+        let k = partial.len();
+        let leaf = self.root.segments[k];
+        if k == self.candidates.len() {
+            if let Some(lang) = self.segment(k, start, self.root.single_final())? {
+                let mut solution = partial.clone();
+                solution.push((leaf, lang));
+                self.out.push(solution);
+            }
+            return Ok(());
+        }
+        for i in 0..self.candidates[k].len() {
+            // Segment `k` closes at this bridge instance; a rejected one
+            // prunes every combination below it.
+            let (from, to) = self.candidates[k][i];
+            if let Some(lang) = self.segment(k, start, from)? {
+                partial.push((leaf, lang));
+                self.descend(to, partial)?;
+                partial.pop();
+            }
+        }
+        Ok(())
+    }
+
+    /// Segment `k` from `start` to `final_`, decided once per root.
+    fn segment(
+        &mut self,
+        k: usize,
+        start: StateId,
+        final_: StateId,
+    ) -> Result<Option<Lang>, InclusionAbort> {
+        if let Some(decided) = self.decided.get(&(start, final_)) {
+            return Ok(decided.clone());
+        }
+        let decided = self.decide(k, start, final_)?;
+        self.decided.insert((start, final_), decided.clone());
+        Ok(decided)
+    }
+
+    /// Cuts segment `k`. An empty segment is `None`. A variable's segment
+    /// is induced and (by default) minimized. A constant's segment is a
+    /// subset of the constant (module docs), so it is kept, as the
+    /// constant's own handle, exactly when it covers the constant: at once
+    /// for a one-word constant, else by one inclusion query.
+    fn decide(
+        &self,
+        k: usize,
+        start: StateId,
+        final_: StateId,
+    ) -> Result<Option<Lang>, InclusionAbort> {
+        let nfa = &self.root.nfa;
+        if !nfa.reaches(start, final_) {
+            return Ok(None);
+        }
+        let cut = || {
+            let machine = nfa.induce_segment(start, final_);
+            self.store.note_materialized(machine.num_states());
+            machine
+        };
+        let Some(constant) = &self.root.constants[k] else {
+            let machine = Lang::new(cut());
+            return Ok(Some(if self.options.minimize_solutions {
+                self.store.minimized(&machine)
             } else {
                 machine
-            };
-            solution.push((leaf, machine));
-        }
-        out.push(solution);
-        return;
-    }
-    for &edge in &candidates[k] {
-        // Early pruning: the segment ending at this bridge must be
-        // nonempty given the previous choice.
-        let seg_start = if k == 0 {
-            root.nfa.start()
-        } else {
-            chosen[k - 1].1
+            }));
         };
-        if !root.nfa.reaches(seg_start, edge.0) {
-            continue;
-        }
-        chosen.push(edge);
-        enumerate_rec(root, candidates, chosen, out, cap, minimize, store);
-        chosen.pop();
+        let whole = constant.is_single_word() || covers(constant, &cut(), self.options)?;
+        Ok(whole.then(|| constant.clone()))
     }
 }
+
+/// Whether `L(constant) ⊆ L(segment)`: one budgeted inclusion query. It
+/// bypasses the store, whose memo is keyed by canonical fingerprints that
+/// neither a fresh segment nor a constant otherwise needs, and is recorded
+/// into the ledger at site `gci`.
+fn covers(constant: &Lang, segment: &Nfa, options: &GciOptions) -> Result<bool, InclusionAbort> {
+    let started = options.ledger.is_enabled().then(Instant::now);
+    let result = inclusion::try_subset(constant.nfa(), segment, &options.inclusion_limits());
+    let (outcome, cost) = match &result {
+        Ok((included, cost)) => (Some(*included), *cost),
+        Err(abort) => (None, abort.cost()),
+    };
+    let metrics = &options.metrics;
+    metrics.add(id::INCLUSION_MACROSTATES, cost.macrostates);
+    metrics.observe(id::INCLUSION_ANTICHAIN_SIZE, cost.antichain_size);
+    metrics.add(id::INCLUSION_PRUNES, cost.prunes);
+    options.ledger.record(|| {
+        let wall = started.map_or(0, |t| {
+            u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
+        });
+        bypass_inclusion_draft(SITE_GCI, constant.nfa(), segment, outcome, cost, wall)
+    });
+    result.map(|(included, _)| included)
+}
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,9 @@
 //! PR 2's trace journal and PR 4's metrics registry made the solver
 //! observable in aggregate; the ledger records *which* query cost what.
 //! Every [`LangStore`](dprle_automata::LangStore) inclusion query (plus
-//! the memo-bypassing const-check and verify sites in `solve`) and every
-//! `gci::intersect_build` product emits one [`LedgerRecord`]: query kind,
+//! the memo-bypassing const-check and verify sites in `solve`, and `gci`'s
+//! constant-leaf checks) and every `gci::intersect_build` product emits
+//! one [`LedgerRecord`]: query kind,
 //! input features (state/transition counts, byte-class width, language
 //! fingerprints), outcome, and cost (wall µs plus the search's own work
 //! counters). Records serialize as schema-pinned JSONL
@@ -62,7 +63,8 @@ pub const SITE_STORE: &str = "store";
 pub const SITE_CONST_CHECK: &str = "const-check";
 /// Ledger site label: the post-solve verification pass.
 pub const SITE_VERIFY: &str = "verify";
-/// Ledger site label: `gci::intersect_build` products.
+/// Ledger site label: `gci::intersect_build` products and constant-leaf
+/// inclusion checks.
 pub const SITE_GCI: &str = "gci";
 
 fn parse_site(s: &str) -> Option<&'static str> {
@@ -714,7 +716,7 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
 }
 
 /// Builds a draft for a memo-bypassing inclusion site (`const-check`,
-/// `verify`): no memo, no slot identity, deterministic per entry.
+/// `verify`, `gci`): no memo, no slot identity, deterministic per entry.
 pub(crate) fn bypass_inclusion_draft(
     site: &'static str,
     lhs: &Nfa,

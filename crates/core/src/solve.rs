@@ -55,7 +55,7 @@ pub struct SolveOptions {
     /// Re-verify every produced assignment against the original system and
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
-    /// the constant-leaf filtering (see `gci` module docs). Cost: one
+    /// the constant-leaf checks (see `gci` module docs). Cost: one
     /// inclusion check per distinct constraint per assignment (see
     /// [`System::normalized`]).
     pub verify: bool,
@@ -557,7 +557,7 @@ fn solve_prepared(
 
     // Variable-free constraints are decided directly and kept out of the
     // graph (routing them through gci could only narrow constants, which
-    // the constant filter would then reject).
+    // its constant-leaf check would then reject).
     let mut graph_constraints = Vec::with_capacity(constraints.len());
     let mut constant_constraints = Vec::new();
     for c in &constraints {

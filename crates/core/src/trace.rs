@@ -128,7 +128,7 @@ pub enum TraceEventKind {
         disjuncts: usize,
     },
     /// One disjunctive group solution (Fig. 8 `all_combinations` member)
-    /// that survived constant filtering and dedup.
+    /// that left every constant leaf whole and survived dedup.
     GciDisjunct {
         /// Group index.
         group: usize,
@@ -137,8 +137,9 @@ pub enum TraceEventKind {
         bridge_eps: usize,
         /// Total NFA states across the solution's leaf machines.
         states: usize,
-        /// Hash of the solution's canonical language fingerprints
-        /// (identifies language-identical disjuncts across runs).
+        /// Hash of the canonical language fingerprints of the solution's
+        /// variable leaves (identifies language-identical disjuncts across
+        /// runs; constant leaves are the same in every disjunct).
         fingerprint: u64,
     },
     /// A worklist entry was enqueued for the next group (Fig. 7 lines

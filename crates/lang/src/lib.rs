@@ -57,3 +57,9 @@ pub use interp::{run, run_with_oracle, InterpError, RunResult};
 pub use php::{parse_php, print_php, ParsePhpError};
 pub use slice::{slice_for_sink, Slice, SliceLine};
 pub use symex::{explore, SinkKind, SinkReach, SymValue, SymexError, SymexOptions};
+
+/// The solver crate whose [`System`](dprle_core::System) the front end
+/// builds, re-exported so that a crate holding this front end's systems
+/// under another build of `dprle-core` (its own unit tests) can name
+/// their types.
+pub use dprle_core;

@@ -54,6 +54,24 @@ pub const MAX_NESTING: u32 = 256;
 /// 451.
 pub const MAX_STATES: u64 = 8192;
 
+/// The price of `e{min,max}` (`max` is `None` for `e{min,}`) around an
+/// operand `e` priced at `operand` states, by the rule [`parse`] applies
+/// against [`MAX_STATES`]: `min` copies after a normalized ε, then either
+/// `max − min` optional copies or one starred: the states
+/// [`ops::repeat_range`](dprle_automata::ops::repeat_range) builds around a
+/// normalized operand of `operand` states. Saturates rather than
+/// overflowing, so hostile bounds price past any budget.
+pub fn repeat_states(operand: u64, min: u64, max: Option<u64>) -> u64 {
+    let required = min.saturating_mul(operand);
+    let rest = match max {
+        Some(max) => max
+            .saturating_sub(min)
+            .saturating_mul(operand.saturating_add(5)),
+        None => operand.saturating_add(2),
+    };
+    required.saturating_add(rest).saturating_add(3)
+}
+
 /// Parses a pattern into an [`Ast`].
 ///
 /// # Errors
@@ -252,14 +270,7 @@ impl<'a> Parser<'a> {
                                 min,
                                 max,
                             };
-                            // `min` copies after a normalized ε, then either
-                            // `max − min` optional copies or one starred.
-                            let required = u64::from(min).saturating_mul(s);
-                            let rest = match max {
-                                Some(max) => u64::from(max - min).saturating_mul(s + 5),
-                                None => s + 2,
-                            };
-                            required.saturating_add(rest).saturating_add(3)
+                            repeat_states(s, u64::from(min), max.map(u64::from))
                         }
                         _ => break,
                     }

@@ -214,3 +214,90 @@ fn length_extension_composes_with_analysis_constraints() {
     assert!(w.len() <= 6);
     assert!(w.contains(&b'\''));
 }
+
+/// The string constants of all three front ends (native `"…"`, SMT-LIB
+/// string terms, and the PHP analysis's literals) are single words, whose
+/// constant-leaf check in gci is free: a solve that builds a product over
+/// them records no constant-leaf inclusion query. The same constant
+/// spelled as a regex is not structurally one word and takes a query per
+/// distinct segment.
+#[test]
+fn front_end_string_constants_take_the_single_word_fast_path() {
+    use dprle::automata::LangStore;
+    use dprle::core::{try_solve_traced, CollectLedger, Ledger, QueryKind, Tracer};
+    use std::sync::Arc;
+
+    /// (gci products, gci inclusion queries) recorded by `solve`.
+    fn gci_records(solve: impl FnOnce(&SolveOptions)) -> (usize, usize) {
+        let sink = Arc::new(CollectLedger::new());
+        let options = SolveOptions {
+            ledger: Ledger::new(sink.clone()),
+            ..SolveOptions::default()
+        };
+        solve(&options);
+        let records = sink.take();
+        let count = |kind| {
+            records
+                .iter()
+                .filter(|r| r.site == "gci" && r.kind == kind)
+                .count()
+        };
+        (count(QueryKind::Product), count(QueryKind::Inclusion))
+    }
+    let native = |program: &str| {
+        gci_records(|options| {
+            let parsed = dprle_cli::parse_file(program).expect("parses");
+            let (solution, _) = try_solve_traced(
+                &parsed.system,
+                options,
+                &LangStore::new(),
+                &Tracer::disabled(),
+            )
+            .expect("unbudgeted");
+            assert!(solution.is_sat());
+        })
+    };
+    let program = "var v1; c1 := match(/[\\d]+$/); c2 := \"nid_\"; c3 := match(/'/); v1 <= c1; c2 . v1 <= c3;";
+    let (products, queries) = native(program);
+    assert!(products > 0, "gci ran over the constant leaf");
+    assert_eq!(queries, 0, "native literal");
+    let (_, queries) = native(&program.replace("\"nid_\"", "/nid_/"));
+    assert!(
+        queries > 0,
+        "a regex constant is queried once per distinct segment"
+    );
+
+    let script = "(declare-const v1 String)\n(assert (str.in_re v1 (re.+ (re.range \"0\" \"9\"))))\n(assert (str.in_re (str.++ \"nid_\" v1) (re.++ re.all (str.to_re \"'\") re.all)))\n(check-sat)";
+    let (products, queries) = gci_records(|options| {
+        let run = dprle_cli::smtlib::run_script_shared(
+            script,
+            options,
+            &Tracer::disabled(),
+            Arc::new(LangStore::new()),
+        )
+        .expect("runs");
+        assert_eq!(run.outputs.len(), 1);
+    });
+    assert!(products > 0, "gci ran over the constant leaf");
+    assert_eq!(queries, 0, "SMT-LIB string term");
+
+    for spec in FIG12_ROWS.iter() {
+        let program = vulnerable_program(spec);
+        let (products, queries) = gci_records(|options| {
+            let report = analyze(
+                &program,
+                &Policy::sql_quote(),
+                &SymexOptions::default(),
+                options,
+            )
+            .expect("analysis succeeds");
+            assert!(!report.findings.is_empty(), "{}", spec.name);
+        });
+        assert!(
+            products > 0,
+            "{}: gci ran over the constant leaves",
+            spec.name
+        );
+        assert_eq!(queries, 0, "{}: PHP string literals", spec.name);
+    }
+}
