@@ -30,7 +30,7 @@ use dprle_core::{
 };
 use dprle_corpus::{vulnerable_program, VulnSpec, FIG12_ROWS};
 use dprle_lang::symex::SymexOptions;
-use dprle_lang::{explore, to_system, Cfg, Policy, SinkReach};
+use dprle_lang::{explore, to_system, Cfg, Policy, Program};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -237,29 +237,31 @@ fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions, jobs: usize) -> Ve
         .collect()
 }
 
-/// One Figure 12 row's program, explored once.
+/// One Figure 12 row's program.
 struct RowInput<'a> {
     spec: &'a VulnSpec,
     fg: usize,
-    reaches: Vec<SinkReach>,
+    program: Program,
 }
 
 impl<'a> RowInput<'a> {
     fn new(spec: &'a VulnSpec) -> Self {
         let program = vulnerable_program(spec);
         let fg = Cfg::build(&program).num_blocks();
-        let reaches = explore(&program, &SymexOptions::default())
-            .unwrap_or_else(|e| panic!("{}: symbolic execution failed: {e}", spec.name));
-        RowInput { spec, fg, reaches }
+        RowInput { spec, fg, program }
     }
 
-    /// Freshly built systems, one per sink reach. Every pass solves its
-    /// own: `Lang` handles cache their canonical fingerprint, so a pass
-    /// reusing the systems an earlier pass solved would be credited with
-    /// that pass's cache warmth.
+    /// Freshly built systems, one per sink reach, from a fresh exploration.
+    /// Every pass solves its own: `Lang` handles cache their canonical
+    /// fingerprint, and the systems built from one exploration share its
+    /// path-condition handles, so a pass reusing the systems or the
+    /// exploration an earlier pass solved would be credited with that
+    /// pass's cache warmth.
     fn systems(&self) -> Vec<System> {
+        let reaches = explore(&self.program, &SymexOptions::default())
+            .unwrap_or_else(|e| panic!("{}: symbolic execution failed: {e}", self.spec.name));
         let policy = Policy::sql_quote();
-        self.reaches
+        reaches
             .iter()
             .map(|reach| to_system(reach, &policy).0)
             .collect()

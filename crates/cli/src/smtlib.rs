@@ -30,6 +30,11 @@
 //! that prices past [`dprle_regex::parser::MAX_STATES`] is an error at the
 //! loop's offset, so nested loops cannot multiply into a machine no solve
 //! finishes with.
+//!
+//! Lists nest at most [`MAX_NESTING`] deep; a deeper `(` is an error at its
+//! offset. Reading, lowering, solving and dropping a script all recurse
+//! once per level, so the limit keeps a hostile script from overflowing
+//! the stack of the thread that runs it.
 
 use dprle_automata::{analysis, complement, ops, ByteClass, LangStore, Nfa};
 use dprle_core::metrics::id;
@@ -39,6 +44,14 @@ use dprle_core::{
 use dprle_regex::parser::{repeat_states, MAX_STATES};
 use std::fmt;
 use std::sync::Arc;
+
+/// The deepest list nesting a script may have: `(assert (str.in_re x
+/// (re.* (str.to_re "a"))))` nests 4 deep. A script at the limit, in any
+/// recursive form (`re.*`, `re.++`, `re.union`, `str.++`, `re.loop`), is
+/// read, solved and dropped within a spawned thread's default 2 MiB stack,
+/// the stack of a `dprle serve` session, even in a debug build, where the
+/// regex forms overflow it near 280 levels.
+pub const MAX_NESTING: usize = 200;
 
 /// A positioned SMT-LIB front-end error.
 #[derive(Clone, Debug)]
@@ -207,7 +220,7 @@ fn parse_sexprs(input: &str) -> Result<Vec<Sexpr>, SmtError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     let mut out = Vec::new();
-    while let Some(sexpr) = parse_one(bytes, &mut pos)? {
+    while let Some(sexpr) = parse_one(bytes, &mut pos, 0)? {
         out.push(sexpr);
     }
     Ok(out)
@@ -228,13 +241,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_one(bytes: &[u8], pos: &mut usize) -> Result<Option<Sexpr>, SmtError> {
+/// Reads one S-expression at `pos`, which lies inside `depth` lists.
+fn parse_one(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Option<Sexpr>, SmtError> {
     skip_ws(bytes, pos);
     if *pos >= bytes.len() {
         return Ok(None);
     }
     let start = *pos;
     match bytes[*pos] {
+        b'(' if depth == MAX_NESTING => Err(err(
+            start,
+            format!("lists nest deeper than {MAX_NESTING} levels"),
+        )),
         b'(' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -247,7 +265,7 @@ fn parse_one(bytes: &[u8], pos: &mut usize) -> Result<Option<Sexpr>, SmtError> {
                     *pos += 1;
                     return Ok(Some(Sexpr::List { items, pos: start }));
                 }
-                match parse_one(bytes, pos)? {
+                match parse_one(bytes, pos, depth + 1)? {
                     Some(item) => items.push(item),
                     None => return Err(err(start, "unclosed `(`")),
                 }
@@ -566,10 +584,10 @@ impl Engine {
                         Ok(out)
                     }
                     "re.union" => {
-                        let machines: Vec<Nfa> = args
-                            .iter()
-                            .map(|a| self.regex(a))
-                            .collect::<Result<_, _>>()?;
+                        let mut machines = Vec::with_capacity(args.len());
+                        for a in args {
+                            machines.push(self.regex(a)?);
+                        }
                         let out = ops::union_all(machines.iter());
                         self.options
                             .metrics
@@ -577,10 +595,10 @@ impl Engine {
                         Ok(out)
                     }
                     "re.inter" => {
-                        let machines: Vec<Nfa> = args
-                            .iter()
-                            .map(|a| self.regex(a))
-                            .collect::<Result<_, _>>()?;
+                        let mut machines = Vec::with_capacity(args.len());
+                        for a in args {
+                            machines.push(self.regex(a)?);
+                        }
                         let out = ops::intersect_all(machines.iter());
                         self.options
                             .metrics
@@ -777,6 +795,88 @@ mod tests {
         let inner = Nfa::literal(b"ab");
         let built = ops::repeat_range(&inner, 2, 5);
         assert!(built.num_states() as u64 <= repeat_states(inner.num_states() as u64, 2, Some(5)));
+    }
+
+    /// `depth` copies of `open` and `close` around `inner`.
+    fn nest(open: &str, inner: &str, close: &str, depth: usize) -> String {
+        format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    /// A satisfiable script whose lists nest `depth` deep, in each recursive
+    /// form, with the offset of its first `(` inside `depth - 1` lists.
+    fn deep_scripts(depth: usize) -> Vec<(&'static str, String, usize)> {
+        // `(assert (str.in_re x R))` adds two levels, and the innermost
+        // `(str.to_re "a")` one.
+        let member = |open: &str| {
+            let regex = nest(open, "(str.to_re \"a\")", ")", depth - 3);
+            format!("(declare-const x String)\n(assert (str.in_re x {regex}))\n(check-sat)\n")
+        };
+        let concat = nest("(str.++ \"a\" ", "x", ")", depth - 2);
+        let scripts = [
+            ("re.*", member("(re.* ")),
+            ("re.++", member("(re.++ (str.to_re \"a\") ")),
+            ("re.union", member("(re.union (str.to_re \"b\") ")),
+            ("re.loop", member("((_ re.loop 1 1) ")),
+            (
+                "str.++",
+                format!(
+                    "(declare-const x String)\n(assert (str.in_re {concat} re.all))\n(check-sat)\n"
+                ),
+            ),
+        ];
+        scripts
+            .into_iter()
+            .map(|(form, script)| {
+                let mut open = 0;
+                let deepest = script.bytes().position(|b| {
+                    open += usize::from(b == b'(');
+                    open -= usize::from(b == b')');
+                    b == b'(' && open == depth
+                });
+                (form, script.clone(), deepest.expect("nested"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_deepest_scripts_run_on_a_small_stack() {
+        for (form, script, _) in deep_scripts(MAX_NESTING) {
+            // 2 MiB is a spawned thread's default stack (a `dprle serve`
+            // session's).
+            std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let out = run_script(&script).unwrap_or_else(|e| panic!("{form}: {e}"));
+                    assert_eq!(out, vec![SmtOutput::CheckSat(true)], "{form}");
+                })
+                .expect("spawn")
+                .join()
+                .unwrap_or_else(|_| panic!("{form}: no stack overflow"));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_at_the_deepest_list() {
+        for (form, script, deepest) in deep_scripts(MAX_NESTING + 1) {
+            let err = run_script(&script).expect_err(form);
+            assert!(err.exhausted.is_none(), "{form}");
+            assert!(
+                err.message.contains("nest deeper"),
+                "{form}: {}",
+                err.message
+            );
+            assert_eq!(err.pos, deepest, "{form}");
+        }
+        // Far past it, the reader stops at the limit too.
+        let script = format!(
+            "(assert (str.in_re x {}))",
+            nest("(re.* ", "re.all", ")", 100_000)
+        );
+        let err = run_script(&script).expect_err("too deep");
+        assert_eq!(
+            err.pos,
+            "(assert (str.in_re x ".len() + (MAX_NESTING - 2) * "(re.* ".len()
+        );
     }
 
     #[test]

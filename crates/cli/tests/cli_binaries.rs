@@ -917,6 +917,24 @@ fn nested_smtlib_loops_are_rejected_by_the_cli_and_by_serve() {
 }
 
 #[test]
+fn deeply_nested_smtlib_is_rejected_by_the_cli_and_by_serve() {
+    // 5 000 levels (35 KB) once overflowed a serve session's stack and
+    // aborted the whole process; 100 000 levels (700 KB) aborted `dprle`.
+    for depth in [5_000, 100_000] {
+        let script = format!(
+            "(declare-const x String)\n(assert (str.in_re x {}(str.to_re \"a\"){}))\n(check-sat)\n",
+            "(re.* ".repeat(depth),
+            ")".repeat(depth)
+        );
+        assert_rejected_by_the_cli_and_by_serve(
+            "deep.smt2",
+            &script,
+            "lists nest deeper than 200 levels",
+        );
+    }
+}
+
+#[test]
 fn serve_answers_an_over_cap_stdin_line_once_and_then_the_next() {
     // 1 MiB of one request line, written in pieces, with no newline
     // until the end: one parse-error naming the cap, then the next line.

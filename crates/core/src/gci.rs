@@ -394,19 +394,18 @@ fn solve_group_inner(
     }
 
     // Cartesian product across roots, merging shared leaves by
-    // intersection.
+    // intersection. `max_disjuncts` bounds each root's product as a whole,
+    // not one partial's share of it.
     let mut solutions: Vec<GroupSolution> = vec![GroupSolution::new()];
     for candidates in &per_root {
         let mut next = Vec::new();
-        for partial in &solutions {
+        'partials: for partial in &solutions {
             for candidate in candidates {
                 if let Some(merged) = merge(partial, candidate, store) {
                     next.push(merged);
                 }
-                if let Some(cap) = options.max_disjuncts {
-                    if next.len() >= cap {
-                        break;
-                    }
+                if options.max_disjuncts.is_some_and(|cap| next.len() >= cap) {
+                    break 'partials;
                 }
             }
         }
@@ -1053,7 +1052,7 @@ fn covers(constant: &Lang, segment: &Nfa, options: &GciOptions) -> Result<bool, 
 }
 
 #[cfg(test)]
-mod differential;
+pub(crate) mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -1159,6 +1158,52 @@ mod tests {
             &store,
             &Tracer::disabled(),
         )
+    }
+
+    /// Two roots whose merged candidates pass the default cap of 256: the
+    /// cap bounds the cross-root product, not each partial's share of it.
+    #[test]
+    fn max_disjuncts_bounds_the_merge_across_roots() {
+        let mut sys = System::new();
+        let v0 = sys.var("v0");
+        let a = sys.constant("'a'", Nfa::literal(b"a"));
+        let ba = sys.constant("'ba'", Nfa::literal(b"ba"));
+        let empty = sys.constant("''", Nfa::literal(b""));
+        let short = sys.constant("[ab]{0,5}", exact("[ab]{0,5}"));
+        let abs = sys.constant("(ab)*", exact("(ab)*"));
+        sys.require(
+            Expr::Const(a)
+                .concat(Expr::Const(ba))
+                .concat(Expr::Var(v0))
+                .concat(Expr::Const(empty)),
+            short,
+        );
+        sys.require(
+            Expr::Const(abs).concat(Expr::Var(v0)).concat(Expr::Var(v0)),
+            abs,
+        );
+        let solutions = |max_disjuncts| {
+            let options = GciOptions {
+                dedup: false,
+                max_disjuncts,
+                ..GciOptions::default()
+            };
+            solve_single_group_with(&sys, &options)
+                .expect("no product-state cap set")
+                .solutions
+                .len()
+        };
+        assert!(solutions(None) > 256, "the cap binds");
+        assert_eq!(solutions(Some(256)), 256);
+        let options = crate::solve::SolveOptions {
+            gci: GciOptions {
+                dedup: false,
+                ..GciOptions::default()
+            },
+            ..crate::solve::SolveOptions::default()
+        };
+        let solved = crate::solve::solve(&sys, &options);
+        assert!(solved.assignments().len() <= 256);
     }
 
     #[test]

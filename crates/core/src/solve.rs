@@ -38,6 +38,7 @@ use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
     inclusion, ops, InclusionLimits, Lang, LangStore, Nfa, StoreObserver, StoreScope,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -56,8 +57,10 @@ pub struct SolveOptions {
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
     /// the constant-leaf checks (see `gci` module docs). Cost: one
-    /// inclusion check per distinct constraint per assignment (see
-    /// [`System::normalized`]).
+    /// inclusion check per distinct judgment per assignment: constraints
+    /// repeated in the input are dropped first ([`System::normalized`]),
+    /// and constraints whose sides hold the same handles are decided once
+    /// (see [`satisfies`]).
     pub verify: bool,
     /// Stop after this many satisfying assignments (e.g. `Some(1)` for a
     /// "first solution" query — the paper notes the first solution can be
@@ -586,49 +589,12 @@ fn solve_prepared(
         }
     }
 
-    // Reduce phase: every variable picks up the intersection of its inbound
-    // subset constants. For plain variables this is their final language;
-    // for CI-group members it is their leaf machine. Constants enter as
-    // shared handles, so two variables bounded by the same constant reuse
-    // one fingerprint and the store memoizes the repeated intersections.
-    let mut leaf: BTreeMap<NodeId, Lang> = BTreeMap::new();
-    for v in system.var_ids() {
-        let node = graph.var_node(v);
-        let _reduce_span = tracer.span("reduce", Some(node.index() as u32), None);
-        let mut m: Option<Lang> = None;
-        for source in graph.inbound_subset_sources(node) {
-            if let NodeKind::Const(c) = graph.kind(source) {
-                let constant = system.const_lang(c);
-                let next = match m {
-                    None => constant.clone(),
-                    Some(prev) => store.intersect(&prev, constant),
-                };
-                m = Some(if options.minimize_intermediate {
-                    let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
-                    store.minimized(&next)
-                } else {
-                    next
-                });
-            }
-        }
-        let m = m.unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
-        stats.max_leaf_states = stats.max_leaf_states.max(m.num_states());
-        // The reduce phase keeps every leaf machine live for the rest of
-        // the run, so its states are charged against `max_live_states`.
-        let leaf_cost = GroupCost {
-            product_states: 0,
-            states_built: m.num_states() as u64,
-        };
-        if let Err(breach) = charge_entry_cost(&leaf_cost, options, &mut stats, &mut track) {
-            return Err(budget_error(breach, options, &stats));
-        }
-        tracer.emit(|| TraceEventKind::ReduceStep {
-            node: node.index() as u32,
-            var: system.var_name(v).to_owned(),
-            states: m.num_states(),
-        });
-        leaf.insert(node, m);
-    }
+    let mut leaf = match reduce(
+        system, &graph, options, store, tracer, &mut stats, &mut track,
+    ) {
+        Ok(leaf) => leaf,
+        Err(breach) => return Err(budget_error(breach, options, &stats)),
+    };
     for group in &groups {
         for &node in &group.nodes {
             if let NodeKind::Const(c) = graph.kind(node) {
@@ -787,6 +753,88 @@ fn solve_prepared(
     Ok((solution, stats))
 }
 
+/// The reduce phase (Figure 7, lines 3–8): every variable's leaf is the
+/// intersection of its inbound subset constants. For plain variables this
+/// is their final language; for CI-group members it is their leaf machine.
+///
+/// Variables whose inbound constants form the same set share one leaf,
+/// computed for the first of them in that variable's inbound order. With
+/// [`SolveOptions::minimize_intermediate`] that leaf is the store's
+/// canonical minimal machine for the intersection's language, which any
+/// order of intersecting reaches, so each variable gets the machine it
+/// would get alone; without it, the shared leaf has the same language. A
+/// set of fewer than two constants needs no intersection (its leaf is the
+/// constant's own handle or its memoized minimization), so only larger
+/// sets are remembered, and a system without one adds no allocation.
+/// Every variable still gets its `ReduceStep` event and is charged its
+/// leaf's states against `max_live_states`.
+fn reduce(
+    system: &System,
+    graph: &DependencyGraph,
+    options: &SolveOptions,
+    store: &LangStore,
+    tracer: &Tracer,
+    stats: &mut SolveStats,
+    track: &mut BudgetTrack,
+) -> Result<BTreeMap<NodeId, Lang>, Breach> {
+    #[cfg(test)]
+    if differential::reference_mode() {
+        return differential::reference::reduce(
+            system, graph, options, store, tracer, stats, track,
+        );
+    }
+    let mut leaf: BTreeMap<NodeId, Lang> = BTreeMap::new();
+    let mut shared: Vec<(Vec<NodeId>, Lang)> = Vec::new();
+    for v in system.var_ids() {
+        let node = graph.var_node(v);
+        let _reduce_span = tracer.span("reduce", Some(node.index() as u32), None);
+        let bounds = graph.inbound_subset_sources(node);
+        let same_set = |set: &[NodeId]| {
+            set.iter().all(|n| bounds.contains(n)) && bounds.iter().all(|n| set.contains(n))
+        };
+        let m = if let Some((_, m)) = shared.iter().find(|(set, _)| same_set(set)) {
+            m.clone()
+        } else {
+            let mut m: Option<Lang> = None;
+            for &source in &bounds {
+                if let NodeKind::Const(c) = graph.kind(source) {
+                    let constant = system.const_lang(c);
+                    let next = match m {
+                        None => constant.clone(),
+                        Some(prev) => store.intersect(&prev, constant),
+                    };
+                    m = Some(if options.minimize_intermediate {
+                        let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
+                        store.minimized(&next)
+                    } else {
+                        next
+                    });
+                }
+            }
+            let m = m.unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
+            if bounds.len() > 1 {
+                shared.push((bounds, m.clone()));
+            }
+            m
+        };
+        stats.max_leaf_states = stats.max_leaf_states.max(m.num_states());
+        // The reduce phase keeps every leaf machine live for the rest of
+        // the run, so its states are charged against `max_live_states`.
+        let leaf_cost = GroupCost {
+            product_states: 0,
+            states_built: m.num_states() as u64,
+        };
+        charge_entry_cost(&leaf_cost, options, stats, track)?;
+        tracer.emit(|| TraceEventKind::ReduceStep {
+            node: node.index() as u32,
+            var: system.var_name(v).to_owned(),
+            states: m.num_states(),
+        });
+        leaf.insert(node, m);
+    }
+    Ok(leaf)
+}
+
 /// Emits the `MetricsSnapshot` trace event — the registry's headline
 /// aggregates — just before `SolveEnd`, when metrics are enabled. Its
 /// `peak_bytes` is the run's net memo growth so far, the figure
@@ -942,7 +990,8 @@ fn strip_constant_operands(system: &System) -> (System, Vec<Constraint>) {
 /// Checks a variable-free constraint by direct machine evaluation;
 /// recorded into the ledger under the `const-check` site.
 fn constant_constraint_holds_with(options: &SolveOptions, system: &System, c: &Constraint) -> bool {
-    let lhs = eval_expr(system, &c.lhs, &Assignment::new());
+    let unassigned = Assignment::new();
+    let lhs = eval(system, &c.lhs, &unassigned);
     ledgered_subset(
         &options.ledger,
         SITE_CONST_CHECK,
@@ -968,44 +1017,102 @@ fn ledgered_subset(ledger: &Ledger, site: &'static str, lhs: &Nfa, rhs: &Nfa) ->
 /// Evaluates `[e]_A`: substitutes assigned variable languages and folds
 /// concatenations into one machine.
 pub fn eval_expr(system: &System, e: &Expr, assignment: &Assignment) -> Nfa {
+    eval(system, e, assignment).into_owned()
+}
+
+/// [`eval_expr`], borrowing the machine of a single-leaf expression
+/// instead of copying it.
+fn eval<'a>(system: &'a System, e: &Expr, assignment: &'a Assignment) -> Cow<'a, Nfa> {
     match e {
         Expr::Var(v) => assignment
             .get(*v)
-            .map(|l| l.nfa().clone())
-            .unwrap_or_else(Nfa::sigma_star),
-        Expr::Const(c) => system.const_machine(*c).clone(),
+            .map_or_else(|| Cow::Owned(Nfa::sigma_star()), |l| Cow::Borrowed(l.nfa())),
+        Expr::Const(c) => Cow::Borrowed(system.const_machine(*c)),
         Expr::Concat(a, b) => {
-            ops::concat(
-                &eval_expr(system, a, assignment),
-                &eval_expr(system, b, assignment),
-            )
-            .nfa
+            Cow::Owned(ops::concat(&eval(system, a, assignment), &eval(system, b, assignment)).nfa)
         }
-        Expr::Union(a, b) => ops::union(
-            &eval_expr(system, a, assignment),
-            &eval_expr(system, b, assignment),
-        ),
+        Expr::Union(a, b) => Cow::Owned(ops::union(
+            &eval(system, a, assignment),
+            &eval(system, b, assignment),
+        )),
     }
 }
 
 /// The *Satisfying* judgment (paper §3.1): every constraint holds under the
-/// assignment, with constants at full strength.
+/// assignment, with constants at full strength. Constraints whose two sides
+/// hold the same handles pose one `⊆` judgment, which is decided once.
 pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assignment) -> bool {
     satisfies_ledgered(&Ledger::disabled(), system, constraints, assignment)
 }
 
-/// [`satisfies`], recording each per-constraint `⊆` judgment into the
-/// ledger under the `verify` site (the solver's verification filter).
+/// [`satisfies`], recording each `⊆` judgment it decides into the ledger
+/// under the `verify` site (the solver's verification filter).
+///
+/// Each distinct judgment is decided once. Two constraints pose the same
+/// judgment when their left-hand sides have the same shape with the same
+/// handle at each leaf (a variable's assigned language, a constant's
+/// machine) and their right-hand constants share a handle; see
+/// [`same_judgment`]. The check stops at the first judgment that fails, so
+/// one seen before held. The system and the assignment keep every handle
+/// alive for the whole call, so a handle names one machine throughout.
+/// Identity comes from the handles, never from the store's memo, so
+/// verification stays independent of the store. Finding a repeat compares
+/// handles with the constraints before it, which allocates nothing.
 pub(crate) fn satisfies_ledgered(
     ledger: &Ledger,
     system: &System,
     constraints: &[Constraint],
     assignment: &Assignment,
 ) -> bool {
-    constraints.iter().all(|c| {
-        let lhs = eval_expr(system, &c.lhs, assignment);
-        ledgered_subset(ledger, SITE_VERIFY, &lhs, system.const_machine(c.rhs))
+    #[cfg(test)]
+    if differential::reference_mode() {
+        return differential::reference::satisfies_ledgered(
+            ledger,
+            system,
+            constraints,
+            assignment,
+        );
+    }
+    constraints.iter().enumerate().all(|(i, c)| {
+        constraints[..i]
+            .iter()
+            .any(|earlier| same_judgment(system, assignment, earlier, c))
+            || ledgered_subset(
+                ledger,
+                SITE_VERIFY,
+                &eval(system, &c.lhs, assignment),
+                system.const_machine(c.rhs),
+            )
     })
+}
+
+/// Whether `a` and `b` pose the same `⊆` judgment under `assignment`: the
+/// same right-hand handle, and left-hand sides of the same shape with the
+/// same handle at each leaf. Two unassigned variables both stand for Σ*.
+fn same_judgment(system: &System, assignment: &Assignment, a: &Constraint, b: &Constraint) -> bool {
+    fn same_leaves(system: &System, assignment: &Assignment, a: &Expr, b: &Expr) -> bool {
+        let handle = |e: &Expr| match e {
+            Expr::Var(v) => assignment.get(*v),
+            Expr::Const(c) => Some(system.const_lang(*c)),
+            Expr::Concat(..) | Expr::Union(..) => None,
+        };
+        match (a, b) {
+            (Expr::Concat(a1, a2), Expr::Concat(b1, b2))
+            | (Expr::Union(a1, a2), Expr::Union(b1, b2)) => {
+                same_leaves(system, assignment, a1, b1) && same_leaves(system, assignment, a2, b2)
+            }
+            (Expr::Var(_) | Expr::Const(_), Expr::Var(_) | Expr::Const(_)) => {
+                match (handle(a), handle(b)) {
+                    (Some(x), Some(y)) => Lang::ptr_eq(x, y),
+                    (None, None) => true,
+                    _ => false,
+                }
+            }
+            _ => false,
+        }
+    }
+    Lang::ptr_eq(system.const_lang(a.rhs), system.const_lang(b.rhs))
+        && same_leaves(system, assignment, &a.lhs, &b.lhs)
 }
 
 /// Like [`satisfies`] but over the system's own (possibly union-carrying)
@@ -1092,6 +1199,9 @@ fn split_around(system: &System, e: &Expr, v: VarId, assignment: &Assignment) ->
     }
     (alpha, beta)
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

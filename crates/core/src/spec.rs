@@ -18,15 +18,18 @@
 //! two layers:
 //!
 //! 1. *By name*, as the system is built: [`System::var`] and
-//!    [`System::constant`] return the existing id for a name seen before.
-//!    A front end that names one constant per path condition therefore
-//!    registers the same machine under many names.
+//!    [`System::constant`] return the existing id for a name seen before
+//!    (constants through a hash index). A front end that names one
+//!    constant per path condition therefore registers the same language
+//!    under many names, ideally as one shared [`Lang`] handle.
 //! 2. *By machine structure*, when the solver starts:
 //!    [`System::normalized`] maps every constant to the first constant
 //!    with a structurally identical machine, rewrites the constraints to
 //!    use those representatives, and drops repeated constraints. The paper
 //!    defines an instance as a *set* of constraints (§3.1), so a repeat
 //!    adds nothing, and the solver decides each distinct constraint once.
+//!    Constants that share one handle share a representative without
+//!    their machines being hashed again.
 //!
 //! The system is the input to the dependency-graph construction and the
 //! solver.
@@ -36,6 +39,7 @@ use dprle_regex::Regex;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an interned language variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -179,7 +183,12 @@ pub struct Constraint {
 #[derive(Clone, Debug, Default)]
 pub struct System {
     vars: Vec<String>,
-    consts: Vec<(String, Lang)>,
+    /// Each constant's name and language; a name is shared with
+    /// `const_index`, so copying the table copies no string.
+    consts: Vec<(Arc<str>, Lang)>,
+    /// Each constant's id by name. It covers every constant, except in a
+    /// normalized copy, which leaves it empty until a constant is added.
+    const_index: HashMap<Arc<str>, ConstId>,
     constraints: Vec<Constraint>,
 }
 
@@ -207,12 +216,23 @@ impl System {
     ///
     /// Accepts an owned [`Nfa`] or an already-shared [`Lang`] handle; the
     /// table stores handles, so cloning a `System` shares the machines.
+    /// Passing one handle under many names copies no machine, and
+    /// [`System::normalized`] then maps those constants together without
+    /// hashing the machine again.
     pub fn constant(&mut self, name: &str, machine: impl Into<Lang>) -> ConstId {
-        if let Some(i) = self.consts.iter().position(|(n, _)| n == name) {
-            return ConstId(i as u32);
+        if self.const_index.len() < self.consts.len() {
+            self.const_index = (0..self.consts.len())
+                .map(|i| (Arc::clone(&self.consts[i].0), ConstId(i as u32)))
+                .collect();
         }
-        self.consts.push((name.to_owned(), machine.into()));
-        ConstId((self.consts.len() - 1) as u32)
+        if let Some(&id) = self.const_index.get(name) {
+            return id;
+        }
+        let id = ConstId(self.consts.len() as u32);
+        let name: Arc<str> = name.into();
+        self.const_index.insert(Arc::clone(&name), id);
+        self.consts.push((name, machine.into()));
+        id
     }
 
     /// Interns a constant from a regex pattern with *search* (`preg_match`)
@@ -345,7 +365,9 @@ impl System {
     /// Each constant is represented by the first constant whose machine is
     /// structurally equal to its own (`Nfa`'s derived `Hash` and `==`;
     /// constants with equal languages but different machines stay apart).
-    /// The representative keeps its name and its [`Lang`] handle, so a
+    /// Constants that share one [`Lang`] handle share a representative
+    /// found by the handle's address: only a handle's first constant is
+    /// hashed. The representative keeps its name and its handle, so a
     /// machine shared by many constants is fingerprinted once. The
     /// constraints are desugared ([`System::union_free_constraints`]),
     /// rewritten to use representatives, and kept at their first
@@ -363,6 +385,7 @@ impl System {
         Cow::Owned(System {
             vars: self.vars.clone(),
             consts: self.consts.clone(),
+            const_index: HashMap::new(),
             constraints: firsts.iter().map(|&i| canonical[i].clone()).collect(),
         })
     }
@@ -378,12 +401,17 @@ impl System {
     /// `constraints` with every constant replaced by its representative,
     /// plus the positions of each distinct result's first occurrence.
     fn canonical_constraints(&self, constraints: &[Constraint]) -> (Vec<Constraint>, Vec<usize>) {
-        let mut first: HashMap<&Nfa, ConstId> = HashMap::with_capacity(self.consts.len());
+        let mut by_handle: HashMap<usize, ConstId> = HashMap::with_capacity(self.consts.len());
+        let mut by_machine: HashMap<&Nfa, ConstId> = HashMap::new();
         let reps: Vec<ConstId> = self
             .consts
             .iter()
             .enumerate()
-            .map(|(i, (_, lang))| *first.entry(lang.nfa()).or_insert(ConstId(i as u32)))
+            .map(|(i, (_, lang))| {
+                *by_handle
+                    .entry(lang.handle_addr())
+                    .or_insert_with(|| *by_machine.entry(lang.nfa()).or_insert(ConstId(i as u32)))
+            })
             .collect();
         let rep = |c: ConstId| reps[c.0 as usize];
         let canonical: Vec<Constraint> = constraints
@@ -550,6 +578,46 @@ mod tests {
         assert_eq!(norm.const_name(a2), "a2");
         assert_eq!(norm.var_name(w), "w");
         assert!(Lang::ptr_eq(norm.const_lang(a), sys.const_lang(a)));
+    }
+
+    #[test]
+    fn constants_sharing_a_handle_share_a_representative() {
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let shared = Lang::new(Nfa::literal(b"x"));
+        let a = sys.constant("a", shared.clone());
+        let b = sys.constant("b", shared.clone());
+        let copy = sys.constant("copy", Nfa::literal(b"x"));
+        sys.require(Expr::Var(v), b);
+        sys.require(Expr::Var(v), copy);
+        sys.require(Expr::Var(v), a);
+        assert_eq!(sys.distinct_constraints(), vec![0]);
+        let norm = sys.normalized().into_owned();
+        assert_eq!(
+            norm.constraints(),
+            &[Constraint {
+                lhs: Expr::Var(v),
+                rhs: a
+            }]
+        );
+        assert!(Lang::ptr_eq(norm.const_lang(a), &shared));
+        assert!(Lang::ptr_eq(norm.const_lang(b), &shared));
+    }
+
+    #[test]
+    fn a_normalized_copy_still_interns_constants_by_name() {
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let a = sys.constant("a", Nfa::literal(b"x"));
+        sys.require(Expr::Var(v), a);
+        sys.require(Expr::Var(v), a);
+        let mut norm = sys.normalized().into_owned();
+        assert_eq!(norm.constant("a", Nfa::literal(b"y")), a);
+        let b = norm.constant("b", Nfa::literal(b"y"));
+        assert_eq!(b, ConstId(1));
+        assert_eq!(norm.constant("b", Nfa::sigma_star()), b);
+        assert_eq!(norm.const_name(b), "b");
+        assert_eq!(norm.num_consts(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::symex::{explore, Atom, SinkReach, SymValue, SymexError, SymexOptions};
 use dprle_automata::homomorphism::{image, preimage};
-use dprle_automata::{ops, ByteMap, Nfa};
+use dprle_automata::{ops, ByteMap, Lang, Nfa};
 use dprle_core::{solve, Expr, Solution, SolveOptions, System, VarId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,7 +20,8 @@ use std::fmt;
 #[derive(Clone, Debug)]
 pub struct Policy {
     name: String,
-    language: Nfa,
+    /// Shared with every system [`build_system`] generates under it.
+    language: Lang,
 }
 
 impl Policy {
@@ -28,7 +29,7 @@ impl Policy {
     pub fn new(name: &str, language: Nfa) -> Policy {
         Policy {
             name: name.to_owned(),
-            language,
+            language: language.into(),
         }
     }
 
@@ -78,7 +79,7 @@ impl Policy {
 
     /// The unsafe-query language.
     pub fn language(&self) -> &Nfa {
-        &self.language
+        self.language.nfa()
     }
 }
 
@@ -218,6 +219,10 @@ pub fn to_system(reach: &SinkReach, policy: &Policy) -> (System, BTreeMap<String
 /// Like [`to_system`], with explicit handling of case-mapped inputs
 /// (`strtolower($_GET[…])` and friends).
 ///
+/// Path conditions and the policy enter the system as the [`Lang`]
+/// handles they already are, so no condition machine is copied: a
+/// language that many conditions test is one handle under many names.
+///
 /// # Errors
 ///
 /// Fails when an input is used both raw and mapped (or under two distinct
@@ -332,7 +337,7 @@ pub fn build_system(reach: &SinkReach, policy: &Policy) -> Result<GeneratedSyste
     // input-dependent branch).
     let lhs = value_to_expr(&mut sys, &mut inputs, &mut map_constants, &reach.query)?
         .unwrap_or_else(|| Expr::Const(sys.constant("__empty_query", Nfa::literal(b""))));
-    let rhs = sys.constant("__policy", policy.language().clone());
+    let rhs = sys.constant("__policy", policy.language.clone());
     sys.require(lhs, rhs);
     Ok(GeneratedSystem {
         system: sys,

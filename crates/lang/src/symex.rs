@@ -15,10 +15,11 @@
 //! program. A fork saves three lengths; backtracking undoes the
 //! environment, conditions and decisions to them. Each pattern is
 //! compiled once per call, and each tested language and its complement
-//! are built once.
+//! are built once, as a [`Lang`] handle that every path condition testing
+//! them shares.
 
 use crate::ast::{Cond, Program, Stmt, StringExpr};
-use dprle_automata::{complement, ByteMap, Nfa};
+use dprle_automata::{complement, ByteMap, Lang, Nfa};
 use dprle_regex::Regex;
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
@@ -185,8 +186,10 @@ impl fmt::Display for SymValue {
 pub struct PathCondition {
     /// The constrained symbolic value.
     pub subject: SymValue,
-    /// The language it must lie in.
-    pub language: Nfa,
+    /// The language it must lie in: a handle shared by every condition
+    /// of one `explore` call that tests the same thing with the same
+    /// outcome.
+    pub language: Lang,
     /// Human-readable origin, e.g. `preg_match(/[\d]+$/) held`.
     pub description: String,
 }
@@ -368,7 +371,7 @@ enum Test<'p> {
 struct Languages<'p> {
     regexes: HashMap<&'p str, Regex>,
     /// Each (language, description) built so far.
-    built: Vec<(Nfa, String)>,
+    built: Vec<(Lang, String)>,
     /// Where `built` holds the language of a test holding (`true`) or
     /// failing (`false`).
     index: HashMap<(Test<'p>, bool), usize>,
@@ -398,10 +401,13 @@ impl<'p> Languages<'p> {
             Test::Matches(pattern) => {
                 let search = self.regexes[pattern].search_language();
                 if holds {
-                    (search.clone(), format!("preg_match(/{pattern}/) held"))
+                    (
+                        search.clone().into(),
+                        format!("preg_match(/{pattern}/) held"),
+                    )
                 } else {
                     (
-                        complement(search),
+                        complement(search).into(),
                         format!("preg_match(/{pattern}/) failed"),
                     )
                 }
@@ -410,9 +416,9 @@ impl<'p> Languages<'p> {
                 let exact = Nfa::literal(literal);
                 let shown = String::from_utf8_lossy(literal);
                 if holds {
-                    (exact, format!("equals {shown:?}"))
+                    (exact.into(), format!("equals {shown:?}"))
                 } else {
-                    (complement(&exact), format!("differs from {shown:?}"))
+                    (complement(&exact).into(), format!("differs from {shown:?}"))
                 }
             }
         };
@@ -878,12 +884,12 @@ mod reference {
                     Ok(Judgment::Symbolic {
                         when_true: Some(Box::new(PathCondition {
                             subject: value.clone(),
-                            language: lang.clone(),
+                            language: lang.clone().into(),
                             description: format!("preg_match(/{pattern}/) held"),
                         })),
                         when_false: Some(Box::new(PathCondition {
                             subject: value,
-                            language: complement(&lang),
+                            language: complement(&lang).into(),
                             description: format!("preg_match(/{pattern}/) failed"),
                         })),
                     })
@@ -901,12 +907,12 @@ mod reference {
                     Ok(Judgment::Symbolic {
                         when_true: Some(Box::new(PathCondition {
                             subject: value.clone(),
-                            language: lit.clone(),
+                            language: lit.clone().into(),
                             description: format!("equals {:?}", String::from_utf8_lossy(literal)),
                         })),
                         when_false: Some(Box::new(PathCondition {
                             subject: value,
-                            language: complement(&lit),
+                            language: complement(&lit).into(),
                             description: format!(
                                 "differs from {:?}",
                                 String::from_utf8_lossy(literal)
@@ -1419,7 +1425,7 @@ mod tests {
             for (gc, wc) in g.conditions.iter().zip(&w.conditions) {
                 assert_eq!(gc.subject, wc.subject, "{at}");
                 assert_eq!(gc.description, wc.description, "{at}");
-                assert!(gc.language == wc.language, "{at}: {}", wc.description);
+                assert!(*gc.language == *wc.language, "{at}: {}", wc.description);
             }
         }
     }
