@@ -8,7 +8,7 @@
 //! word is double-counted.
 
 use crate::byteclass::ByteClass;
-use crate::dfa::{complement, determinize, Dfa};
+use crate::dfa::{determinize, try_complement, Dfa};
 use crate::nfa::{Nfa, StateId};
 use crate::ops;
 
@@ -241,7 +241,15 @@ impl Iterator for Members {
 
 /// The machine for `L(a) \ L(b)`.
 pub fn difference(a: &Nfa, b: &Nfa) -> Nfa {
-    ops::intersect(a, &complement(b)).nfa.trim().0
+    try_difference(a, b, usize::MAX).expect("an unlimited determinization completes")
+}
+
+/// [`difference`], or `None` when determinizing `b` would number more than
+/// `max_states` states; the determinization stops there.
+pub fn try_difference(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Nfa> {
+    let not_b = try_complement(b, max_states)?;
+    let product = ops::try_intersect_trimmed(a, &not_b, usize::MAX);
+    Some(product.expect("an unlimited product completes").nfa)
 }
 
 /// The machine for the symmetric difference `(A \ B) ∪ (B \ A)` — empty iff

@@ -163,28 +163,38 @@ pub struct DeterminizeCost {
 /// numbered in breadth-first discovery order, and each row merges the
 /// minterm blocks that lead to one target and lists its edges by target.
 pub fn determinize_counted(nfa: &Nfa) -> (Dfa, DeterminizeCost) {
-    subset::with_table(nfa, |table| {
-        let mut row = Vec::new();
-        let states = (0..table.num_states())
-            .map(|q| {
-                table.merged_row(q, &mut row);
-                // Merged targets are distinct.
-                row.sort_unstable_by_key(|&(_, t)| t);
-                row.clone()
-            })
-            .collect();
-        let dfa = Dfa {
-            states,
-            start: StateId(0),
-            finals: table.finals.clone(),
-        };
-        (dfa, table.cost)
-    })
+    subset::with_table(nfa, read_table)
+}
+
+/// The DFA a finished subset table describes, and its cost.
+fn read_table(table: &mut subset::Table) -> (Dfa, DeterminizeCost) {
+    let mut row = Vec::new();
+    let states = (0..table.num_states())
+        .map(|q| {
+            table.merged_row(q, &mut row);
+            // Merged targets are distinct.
+            row.sort_unstable_by_key(|&(_, t)| t);
+            row.clone()
+        })
+        .collect();
+    let dfa = Dfa {
+        states,
+        start: StateId(0),
+        finals: table.finals.clone(),
+    };
+    (dfa, table.cost)
 }
 
 /// The NFA for the complement language Σ* \ L(nfa).
 pub fn complement(nfa: &Nfa) -> Nfa {
-    determinize(nfa).complement().to_nfa().trim().0
+    try_complement(nfa, usize::MAX).expect("an unlimited determinization completes")
+}
+
+/// [`complement`], or `None` when determinizing `nfa` would number more
+/// than `max_states` states; the determinization stops there.
+pub fn try_complement(nfa: &Nfa, max_states: usize) -> Option<Nfa> {
+    let (dfa, _) = subset::try_with_table(nfa, max_states, read_table)?;
+    Some(dfa.complement().to_nfa().trim().0)
 }
 
 /// Language inclusion: is `L(a) ⊆ L(b)`? Unlimited

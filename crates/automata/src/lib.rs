@@ -74,7 +74,7 @@ pub use analysis::{is_finite, language_size, members, LanguageSize};
 pub use byteclass::ByteClass;
 pub use dfa::{
     complement, determinize, determinize_counted, equivalent, inclusion_counterexample, is_subset,
-    DeterminizeCost, Dfa,
+    try_complement, DeterminizeCost, Dfa,
 };
 pub use homomorphism::ByteMap;
 pub use inclusion::{InclusionAbort, InclusionCost, InclusionLimits};

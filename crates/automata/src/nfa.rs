@@ -9,6 +9,7 @@
 //! start state) which [`Nfa::normalize`] establishes.
 
 use crate::byteclass::ByteClass;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -223,6 +224,17 @@ impl Nfa {
     // ------------------------------------------------------------------
     // Raw construction
     // ------------------------------------------------------------------
+
+    /// The machine with these states, starting at state 0: for kernels
+    /// that build every state's edge lists themselves.
+    pub(crate) fn from_states(states: Vec<State>, finals: BTreeSet<StateId>) -> Nfa {
+        debug_assert!(!states.is_empty());
+        Nfa {
+            states,
+            start: StateId(0),
+            finals,
+        }
+    }
 
     /// Appends a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
@@ -832,22 +844,48 @@ impl Nfa {
     /// The paper's constructions (Figure 3 onward) assume this shape "without
     /// loss of generality"; this function is the generality.
     pub fn normalize(&self) -> Nfa {
+        self.clone().into_normalized()
+    }
+
+    /// [`Nfa::normalize`], consuming the machine instead of copying it.
+    pub fn into_normalized(mut self) -> Nfa {
         if self.is_normalized() {
-            return self.clone();
+            return self;
         }
-        let mut m = self.clone();
-        let new_start = m.add_state();
-        let new_final = m.add_state();
-        let old_start = m.start;
-        m.states[new_start.index()].eps.push(old_start);
-        let old_finals: Vec<StateId> = m.finals.iter().copied().collect();
-        for f in old_finals {
-            m.states[f.index()].eps.push(new_final);
+        let new_start = self.add_state();
+        let new_final = self.add_state();
+        let old_start = self.start;
+        self.states[new_start.index()].eps.push(old_start);
+        for &f in &self.finals {
+            self.states[f.index()].eps.push(new_final);
         }
-        m.start = new_start;
-        m.finals.clear();
-        m.finals.insert(new_final);
-        m
+        self.start = new_start;
+        self.finals.clear();
+        self.finals.insert(new_final);
+        self
+    }
+
+    /// [`Nfa::normalize`], borrowing a machine that is normalized already
+    /// instead of copying it.
+    pub fn normalized(&self) -> Cow<'_, Nfa> {
+        if self.is_normalized() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.normalize())
+        }
+    }
+
+    /// Appends a copy of `other`'s states after this machine's, each
+    /// edge's target moved by the same offset, which is returned. The
+    /// start and finals stay this machine's.
+    pub fn append(&mut self, other: &Nfa) -> u32 {
+        let offset = self.states.len() as u32;
+        let moved = |t: StateId| StateId(t.0 + offset);
+        self.states.extend(other.states.iter().map(|st| State {
+            edges: st.edges.iter().map(|&(c, t)| (c, moved(t))).collect(),
+            eps: st.eps.iter().map(|&t| moved(t)).collect(),
+        }));
+        offset
     }
 
     /// The single final state of a normalized machine.

@@ -7,8 +7,12 @@
 //! machines, so [`concat()`] reports where operand states landed and
 //! [`intersect`] reports which operand pair each product state represents.
 
-use crate::nfa::{Nfa, StateId};
-use std::collections::{HashMap, VecDeque};
+use crate::byteclass::ByteClass;
+use crate::nfa::{Nfa, State, StateId};
+use crate::subset::{self, footprint};
+use std::cell::Cell;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// Result of [`concat()`]: the machine for `L(a)·L(b)` plus provenance.
 #[derive(Clone, Debug)]
@@ -42,37 +46,22 @@ pub struct Concatenation {
 /// assert!(!ab.nfa.contains(b"a"));
 /// ```
 pub fn concat(a: &Nfa, b: &Nfa) -> Concatenation {
-    let a = a.normalize();
-    let b = b.normalize();
-    // Copy the left operand one-for-one: left_map[i] == i.
-    let mut out = Nfa::new();
-    let mut left_map = Vec::with_capacity(a.num_states());
-    left_map.push(out.start());
-    for _ in 1..a.num_states() {
-        left_map.push(out.add_state());
-    }
-    out.set_start(left_map[a.start().index()]);
-    for (from, class, to) in a.edges() {
-        out.add_edge(left_map[from.index()], class, left_map[to.index()]);
-    }
-    for (from, to) in a.eps_edges() {
-        out.add_eps(left_map[from.index()], left_map[to.index()]);
-    }
-    // Copy right operand.
-    let mut right_map = Vec::with_capacity(b.num_states());
-    for _ in b.state_ids() {
-        right_map.push(out.add_state());
-    }
-    for (from, class, to) in b.edges() {
-        out.add_edge(right_map[from.index()], class, right_map[to.index()]);
-    }
-    for (from, to) in b.eps_edges() {
-        out.add_eps(right_map[from.index()], right_map[to.index()]);
-    }
-    let f1 = left_map[a.single_final().index()];
-    let s2 = right_map[b.start().index()];
+    concat_owned(a.clone(), b)
+}
+
+/// [`concat()`], building on the left operand instead of copying it: the
+/// same machine and provenance.
+pub fn concat_owned(a: Nfa, b: &Nfa) -> Concatenation {
+    // The left operand stays where it is: left_map[i] == i.
+    let mut out = a.into_normalized();
+    let b = b.normalized();
+    let left_map = out.state_ids().collect();
+    let offset = out.append(&b);
+    let right_map = b.state_ids().map(|q| StateId(q.0 + offset)).collect();
+    let f1 = out.single_final();
+    let s2 = StateId(b.start().0 + offset);
     out.add_eps(f1, s2);
-    out.add_final(right_map[b.single_final().index()]);
+    out.set_single_final(StateId(b.single_final().0 + offset));
     Concatenation {
         nfa: out,
         left_map,
@@ -92,7 +81,7 @@ pub fn union_all<'a, I: IntoIterator<Item = &'a Nfa>>(machines: I) -> Nfa {
     let mut out = Nfa::new();
     let final_ = out.add_state();
     for m in machines {
-        let m = m.normalize();
+        let m = m.normalized();
         let mut map = Vec::with_capacity(m.num_states());
         for _ in m.state_ids() {
             map.push(out.add_state());
@@ -112,7 +101,7 @@ pub fn union_all<'a, I: IntoIterator<Item = &'a Nfa>>(machines: I) -> Nfa {
 
 /// The machine for `L(a)*` (Kleene star), in normalized shape.
 pub fn star(a: &Nfa) -> Nfa {
-    let a = a.normalize();
+    let a = a.normalized();
     let mut out = Nfa::new();
     let mut map = Vec::with_capacity(a.num_states());
     for _ in a.state_ids() {
@@ -223,68 +212,356 @@ pub fn intersect(a: &Nfa, b: &Nfa) -> Product {
 /// depends only on the operands, which keeps budgeted solves
 /// deterministic across worklist thread counts.
 pub fn try_intersect(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Product> {
-    let mut out = Nfa::new();
-    let mut pairs: Vec<(StateId, StateId)> = vec![(a.start(), b.start())];
-    if max_states == 0 {
-        return None;
+    with_product(a, b, max_states, |scratch, pairs| Product {
+        nfa: scratch.emit_all(),
+        pairs,
+    })
+}
+
+/// Result of [`try_intersect_trimmed`]: the product machine trimmed, with
+/// its provenance.
+#[derive(Clone, Debug)]
+pub struct TrimmedProduct {
+    /// The product machine as [`Nfa::trim`] leaves it: the start first,
+    /// then the states on a start→final path in exploration order.
+    pub nfa: Nfa,
+    /// For each state of `nfa`, the explored product state it keeps (the
+    /// mapping `trim` returns); an index into `pairs`.
+    pub old_of_new: Vec<StateId>,
+    /// Every explored pair, in exploration order: [`Product::pairs`].
+    pub pairs: Vec<(StateId, StateId)>,
+}
+
+/// [`try_intersect`] followed by [`Nfa::trim`], in one pass: the same
+/// machine, mapping and pairs, and `None` under the same cap.
+///
+/// Every explored pair is reachable from the start pair by construction,
+/// so trimming needs only the backward pass from the finals.
+pub fn try_intersect_trimmed(a: &Nfa, b: &Nfa, max_states: usize) -> Option<TrimmedProduct> {
+    with_product(a, b, max_states, |scratch, pairs| {
+        let (nfa, old_of_new) = scratch.emit_trimmed();
+        TrimmedProduct {
+            nfa,
+            old_of_new,
+            pairs,
+        }
+    })
+}
+
+/// The scratch of one product construction, kept for the next: the
+/// explored product as flat lists, and the trim's reverse adjacency.
+#[derive(Default)]
+struct ProductScratch {
+    /// Numbers pairs through their seeded hash; the pairs are the caller's.
+    index: subset::Index,
+    a_final: Vec<bool>,
+    b_final: Vec<bool>,
+    /// Product state `i`'s edges are `edges[edge_end[i - 1]..edge_end[i]]`
+    /// (from 0 for state 0), in the order the construction adds them; its
+    /// ε-edges likewise through `eps_end`.
+    edges: Vec<(ByteClass, u32)>,
+    edge_end: Vec<u32>,
+    eps: Vec<u32>,
+    eps_end: Vec<u32>,
+    finals: Vec<bool>,
+    /// Reverse adjacency in compressed rows: the predecessors of `t` are
+    /// `preds[first[t]..first[t + 1]]`.
+    first: Vec<u32>,
+    fill: Vec<u32>,
+    preds: Vec<u32>,
+    live: Vec<bool>,
+    stack: Vec<u32>,
+    new_of_old: Vec<u32>,
+}
+
+thread_local! {
+    /// This thread's product scratch, reused from one construction to the
+    /// next.
+    static PRODUCT: Cell<ProductScratch> = Cell::new(ProductScratch::default());
+}
+
+/// Runs `f` on this thread's product scratch, which is kept for the next
+/// call unless it grew past [`subset::RETAINED_BYTES`].
+fn with_scratch<R>(f: impl FnOnce(&mut ProductScratch) -> R) -> R {
+    let mut scratch = PRODUCT.with(Cell::take);
+    let result = f(&mut scratch);
+    if scratch.footprint() <= subset::RETAINED_BYTES {
+        PRODUCT.with(|cell| cell.set(scratch));
     }
-    let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-    index.insert((a.start(), b.start()), out.start());
-    let mut work: VecDeque<StateId> = VecDeque::from([out.start()]);
-    let mut exhausted = false;
-    while let Some(pq) = work.pop_front() {
-        let (p, q) = pairs[pq.index()];
-        let mut intern = |pair: (StateId, StateId),
-                          out: &mut Nfa,
-                          pairs: &mut Vec<(StateId, StateId)>,
-                          work: &mut VecDeque<StateId>|
-         -> Option<StateId> {
-            if let Some(&id) = index.get(&pair) {
-                return Some(id);
+    result
+}
+
+/// Explores the product of `a` and `b` breadth-first from the start pair
+/// into this thread's scratch, and hands it with the explored pairs to
+/// `f`; `None` once more than `max_states` pairs would be explored.
+fn with_product<R>(
+    a: &Nfa,
+    b: &Nfa,
+    max_states: usize,
+    f: impl FnOnce(&mut ProductScratch, Vec<(StateId, StateId)>) -> R,
+) -> Option<R> {
+    with_scratch(|scratch| {
+        let keep_going = |_| ControlFlow::<Infallible>::Continue(());
+        let pairs = scratch.explore(a, b, max_states, keep_going).ok()?;
+        Some(f(scratch, pairs))
+    })
+}
+
+/// Walks the product of `a` and `b` in [`try_intersect`]'s order without
+/// keeping it, calling `expand` with whether each pair is accepting just
+/// before the pair is expanded; the value of the first `Break`, or `None`
+/// once every pair was expanded.
+pub(crate) fn walk_product<B>(
+    a: &Nfa,
+    b: &Nfa,
+    expand: impl FnMut(bool) -> ControlFlow<B>,
+) -> Option<B> {
+    with_scratch(|scratch| match scratch.explore(a, b, usize::MAX, expand) {
+        Ok(_) => None,
+        Err(Halt::Break(value)) => Some(value),
+        Err(Halt::Cap) => unreachable!("an unlimited walk has no cap"),
+    })
+}
+
+/// Why [`ProductScratch::explore`] stopped early.
+enum Halt<B> {
+    /// One more pair would pass the cap.
+    Cap,
+    /// The caller's `expand` broke off with this value.
+    Break(B),
+}
+
+impl ProductScratch {
+    /// The breadth-first pair exploration. Pairs are numbered in discovery
+    /// order; each pair's synchronized edges (its left edges in order, each
+    /// against its right edges in order), then its left ε-moves, then its
+    /// right ε-moves, are listed as it is expanded. Every listed class is
+    /// nonempty. `expand` is told whether each pair is accepting before
+    /// the pair is expanded, and may stop the exploration there.
+    fn explore<B>(
+        &mut self,
+        a: &Nfa,
+        b: &Nfa,
+        max_states: usize,
+        mut expand: impl FnMut(bool) -> ControlFlow<B>,
+    ) -> Result<Vec<(StateId, StateId)>, Halt<B>> {
+        if max_states == 0 {
+            return Err(Halt::Cap);
+        }
+        for (bits, m) in [(&mut self.a_final, a), (&mut self.b_final, b)] {
+            bits.clear();
+            bits.resize(m.num_states(), false);
+            for f in m.finals() {
+                bits[f.index()] = true;
             }
-            if pairs.len() >= max_states {
-                return None;
+        }
+        self.edges.clear();
+        self.edge_end.clear();
+        self.eps.clear();
+        self.eps_end.clear();
+        self.finals.clear();
+        self.index.clear();
+        let start = (a.start(), b.start());
+        let mut pairs = vec![start];
+        let slot = self
+            .index
+            .find(pair_hash(start), |_| false)
+            .expect_err("the index starts empty");
+        self.index.insert(slot, pair_hash(start));
+        let index = &mut self.index;
+        // The number of `pair`, numbering it next if it is new; `None` when
+        // that would explore more than `max_states` pairs.
+        let mut intern = |pair: (StateId, StateId), pairs: &mut Vec<(StateId, StateId)>| {
+            let h = pair_hash(pair);
+            match index.find(h, |id| pairs[id as usize] == pair) {
+                Ok(id) => Ok(id),
+                Err(_) if pairs.len() >= max_states => Err(Halt::Cap),
+                Err(slot) => {
+                    pairs.push(pair);
+                    Ok(index.insert(slot, h))
+                }
             }
-            let id = out.add_state();
-            index.insert(pair, id);
-            pairs.push(pair);
-            work.push_back(id);
-            Some(id)
         };
-        // Synchronized byte moves.
-        for &(ca, t1) in &a.state(p).edges {
-            for &(cb, t2) in &b.state(q).edges {
-                let c = ca.intersect(&cb);
-                if c.is_empty() {
-                    continue;
+        let mut i = 0;
+        while i < pairs.len() {
+            let (p, q) = pairs[i];
+            let accepting = self.a_final[p.index()] && self.b_final[q.index()];
+            if let ControlFlow::Break(value) = expand(accepting) {
+                return Err(Halt::Break(value));
+            }
+            let (sp, sq) = (a.state(p), b.state(q));
+            for &(ca, t1) in &sp.edges {
+                for &(cb, t2) in &sq.edges {
+                    let c = ca.intersect(&cb);
+                    if !c.is_empty() {
+                        let t = intern((t1, t2), &mut pairs)?;
+                        self.edges.push((c, t));
+                    }
                 }
-                match intern((t1, t2), &mut out, &mut pairs, &mut work) {
-                    Some(t) => out.add_edge(pq, c, t),
-                    None => exhausted = true,
-                }
             }
-        }
-        // Asynchronous epsilon moves.
-        for &t1 in &a.state(p).eps {
-            match intern((t1, q), &mut out, &mut pairs, &mut work) {
-                Some(t) => out.add_eps(pq, t),
-                None => exhausted = true,
+            self.edge_end.push(self.edges.len() as u32);
+            for &t1 in &sp.eps {
+                let t = intern((t1, q), &mut pairs)?;
+                self.eps.push(t);
             }
-        }
-        for &t2 in &b.state(q).eps {
-            match intern((p, t2), &mut out, &mut pairs, &mut work) {
-                Some(t) => out.add_eps(pq, t),
-                None => exhausted = true,
+            for &t2 in &sq.eps {
+                let t = intern((p, t2), &mut pairs)?;
+                self.eps.push(t);
             }
+            self.eps_end.push(self.eps.len() as u32);
+            self.finals.push(accepting);
+            i += 1;
         }
-        if exhausted {
-            return None;
-        }
-        if a.is_final(p) && b.is_final(q) {
-            out.add_final(pq);
-        }
+        Ok(pairs)
     }
-    Some(Product { nfa: out, pairs })
+
+    /// Product state `i`'s edges and ε-edges.
+    fn rows(&self, i: usize) -> (&[(ByteClass, u32)], &[u32]) {
+        (
+            &self.edges[span(&self.edge_end, i)],
+            &self.eps[span(&self.eps_end, i)],
+        )
+    }
+
+    /// The explored product as a machine, every state kept.
+    fn emit_all(&self) -> Nfa {
+        let n = self.finals.len();
+        let states = (0..n)
+            .map(|i| {
+                let (edges, eps) = self.rows(i);
+                State {
+                    edges: edges.iter().map(|&(c, t)| (c, StateId(t))).collect(),
+                    eps: eps.iter().map(|&t| StateId(t)).collect(),
+                }
+            })
+            .collect();
+        let finals = (0..n)
+            .filter(|&i| self.finals[i])
+            .map(|i| StateId(i as u32))
+            .collect();
+        Nfa::from_states(states, finals)
+    }
+
+    /// The explored product trimmed, and `trim`'s new-to-old mapping. The
+    /// live states are those a backward search from the finals reaches;
+    /// the start is kept whether or not it is live, and a dead start keeps
+    /// no edges.
+    fn emit_trimmed(&mut self) -> (Nfa, Vec<StateId>) {
+        let n = self.finals.len();
+        let Self {
+            edges,
+            edge_end,
+            eps,
+            eps_end,
+            finals,
+            first,
+            fill,
+            preds,
+            live,
+            stack,
+            new_of_old,
+            ..
+        } = self;
+        let rows = |i: usize| (&edges[span(edge_end, i)], &eps[span(eps_end, i)]);
+        let targets = |i: usize| {
+            let (edges, eps) = rows(i);
+            edges.iter().map(|&(_, t)| t).chain(eps.iter().copied())
+        };
+        first.clear();
+        first.resize(n + 1, 0);
+        for i in 0..n {
+            for t in targets(i) {
+                first[t as usize + 1] += 1;
+            }
+        }
+        for k in 1..=n {
+            first[k] += first[k - 1];
+        }
+        fill.clear();
+        fill.extend_from_slice(&first[..n]);
+        preds.clear();
+        preds.resize(first[n] as usize, 0);
+        for i in 0..n {
+            for t in targets(i) {
+                preds[fill[t as usize] as usize] = i as u32;
+                fill[t as usize] += 1;
+            }
+        }
+        live.clear();
+        live.extend_from_slice(finals);
+        stack.clear();
+        stack.extend((0..n as u32).filter(|&i| finals[i as usize]));
+        while let Some(t) = stack.pop() {
+            for &p in &preds[first[t as usize] as usize..first[t as usize + 1] as usize] {
+                if !live[p as usize] {
+                    live[p as usize] = true;
+                    stack.push(p);
+                }
+            }
+        }
+        new_of_old.clear();
+        new_of_old.resize(n, subset::NONE);
+        let mut old_of_new = vec![StateId(0)];
+        new_of_old[0] = 0;
+        for i in 1..n {
+            if live[i] {
+                new_of_old[i] = old_of_new.len() as u32;
+                old_of_new.push(StateId(i as u32));
+            }
+        }
+        let kept = |t: u32| match new_of_old[t as usize] {
+            subset::NONE => None,
+            new => Some(StateId(new)),
+        };
+        let states = old_of_new
+            .iter()
+            .map(|old| {
+                if !live[old.index()] {
+                    return State::default();
+                }
+                let (edges, eps) = rows(old.index());
+                State {
+                    edges: edges
+                        .iter()
+                        .filter_map(|&(c, t)| Some((c, kept(t)?)))
+                        .collect(),
+                    eps: eps.iter().filter_map(|&t| kept(t)).collect(),
+                }
+            })
+            .collect();
+        let finals = (0..n)
+            .filter(|&i| finals[i])
+            .map(|i| StateId(new_of_old[i]))
+            .collect();
+        (Nfa::from_states(states, finals), old_of_new)
+    }
+
+    fn footprint(&self) -> usize {
+        self.index.footprint()
+            + footprint(&self.a_final)
+            + footprint(&self.b_final)
+            + footprint(&self.edges)
+            + footprint(&self.edge_end)
+            + footprint(&self.eps)
+            + footprint(&self.eps_end)
+            + footprint(&self.finals)
+            + footprint(&self.first)
+            + footprint(&self.fill)
+            + footprint(&self.preds)
+            + footprint(&self.live)
+            + footprint(&self.stack)
+            + footprint(&self.new_of_old)
+    }
+}
+
+/// The range of entry `i`'s items in a list whose entries end at `ends`.
+fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    (if i == 0 { 0 } else { ends[i - 1] as usize })..ends[i] as usize
+}
+
+/// The index hash of a product pair.
+fn pair_hash((p, q): (StateId, StateId)) -> u64 {
+    subset::hash_words([u64::from(p.0) << 32 | u64::from(q.0)])
 }
 
 /// Convenience wrapper: the intersection machine without provenance,
@@ -307,14 +584,13 @@ pub struct IntersectCost {
 /// reachable product-state counts so callers can record them without
 /// recomputing the product.
 pub fn intersect_lang_counted(a: &Nfa, b: &Nfa) -> (Nfa, IntersectCost) {
-    let product = intersect(a, b);
-    let explored = product.pairs.len();
-    let trimmed = product.nfa.trim().0;
+    let product =
+        try_intersect_trimmed(a, b, usize::MAX).expect("unlimited product cannot exceed its cap");
     let cost = IntersectCost {
-        explored,
-        reachable: trimmed.num_states(),
+        explored: product.pairs.len(),
+        reachable: product.nfa.num_states(),
     };
-    (trimmed, cost)
+    (product.nfa, cost)
 }
 
 /// The intersection of any number of languages, trimmed after each step
@@ -336,12 +612,13 @@ pub fn concat_lang(a: &Nfa, b: &Nfa) -> Nfa {
     concat(a, b).nfa
 }
 
-/// The product construction [`try_intersect`] replaced, kept verbatim as
-/// the reference it must match exactly: the same machine and the same
-/// `pairs`, in the same order.
+/// The product construction and trim that [`try_intersect`] and
+/// [`try_intersect_trimmed`] replaced, kept verbatim as the reference they
+/// must match exactly: the same machines, the same `pairs` in the same
+/// order, and the same trim mapping.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::Product;
+    use super::{Product, TrimmedProduct};
     use crate::nfa::{Nfa, StateId};
     use std::collections::{HashMap, VecDeque};
 
@@ -375,10 +652,8 @@ pub(crate) mod reference {
                 Some(id)
             };
             // Synchronized byte moves.
-            let pa = a.state(p).edges.clone();
-            let qb = b.state(q).edges.clone();
-            for &(ca, t1) in &pa {
-                for &(cb, t2) in &qb {
+            for &(ca, t1) in &a.state(p).edges {
+                for &(cb, t2) in &b.state(q).edges {
                     let c = ca.intersect(&cb);
                     if c.is_empty() {
                         continue;
@@ -390,13 +665,13 @@ pub(crate) mod reference {
                 }
             }
             // Asynchronous epsilon moves.
-            for &t1 in &a.state(p).eps.clone() {
+            for &t1 in &a.state(p).eps {
                 match intern((t1, q), &mut out, &mut pairs, &mut work) {
                     Some(t) => out.add_eps(pq, t),
                     None => exhausted = true,
                 }
             }
-            for &t2 in &b.state(q).eps.clone() {
+            for &t2 in &b.state(q).eps {
                 match intern((p, t2), &mut out, &mut pairs, &mut work) {
                     Some(t) => out.add_eps(pq, t),
                     None => exhausted = true,
@@ -410,6 +685,21 @@ pub(crate) mod reference {
             }
         }
         Some(Product { nfa: out, pairs })
+    }
+
+    /// The product, then [`Nfa::trim`].
+    pub(crate) fn try_intersect_trimmed(
+        a: &Nfa,
+        b: &Nfa,
+        max_states: usize,
+    ) -> Option<TrimmedProduct> {
+        let product = try_intersect(a, b, max_states)?;
+        let (nfa, old_of_new) = product.nfa.trim();
+        Some(TrimmedProduct {
+            nfa,
+            old_of_new,
+            pairs: product.pairs,
+        })
     }
 }
 

@@ -15,9 +15,11 @@
 //! numbered from them — DFA states, antichain entries, counterexamples —
 //! depends only on the sets.
 //!
-//! The kernel's hash tables (state sets in [`Table`], classes in
-//! [`alphabet`]) are open-addressed and probed from a hash seeded once per
-//! process, so no machine can be built in advance to collide in them.
+//! The kernel's hash tables (state sets in [`Table`] and in the `⊆`
+//! search, classes in [`alphabet`], and the pairs of the product
+//! construction in [`crate::ops`]) are open-addressed and probed from a
+//! hash seeded once per process, so no machine can be built in advance to
+//! collide in them.
 
 use crate::byteclass::{refine_minterms, ByteClass};
 use crate::dfa::DeterminizeCost;
@@ -45,7 +47,7 @@ fn seed() -> u64 {
 }
 
 /// A seeded multiply-rotate hash of a word sequence.
-fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+pub(crate) fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = seed();
     for w in words {
         h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
@@ -62,13 +64,13 @@ pub(crate) fn footprint<T>(v: &Vec<T>) -> usize {
 /// linearly from each entry's seeded hash. The caller keeps the entries
 /// and says, through [`Index::find`]'s test, which one is which.
 #[derive(Default)]
-struct Index {
+pub(crate) struct Index {
     slots: Vec<u32>,
     hashes: Vec<u64>,
 }
 
 impl Index {
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.hashes.clear();
         self.slots.clear();
         self.slots.resize(16, NONE);
@@ -76,7 +78,7 @@ impl Index {
 
     /// The number of the entry hashing to `h` that `is` accepts, or the
     /// slot a new one goes in.
-    fn find(&self, h: u64, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    pub(crate) fn find(&self, h: u64, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut i = h as usize & mask;
         loop {
@@ -90,7 +92,7 @@ impl Index {
 
     /// Numbers a new entry hashing to `h`, in the `slot` [`Index::find`]
     /// returned for it.
-    fn insert(&mut self, slot: usize, h: u64) -> u32 {
+    pub(crate) fn insert(&mut self, slot: usize, h: u64) -> u32 {
         let id = self.hashes.len() as u32;
         self.slots[slot] = id;
         self.hashes.push(h);
@@ -109,7 +111,7 @@ impl Index {
         id
     }
 
-    fn footprint(&self) -> usize {
+    pub(crate) fn footprint(&self) -> usize {
         footprint(&self.slots) + footprint(&self.hashes)
     }
 }
@@ -147,7 +149,7 @@ impl ClassSet {
 
 /// Builds minterm alphabets in reused buffers.
 #[derive(Default)]
-struct AlphabetBuilder {
+pub(crate) struct AlphabetBuilder {
     seen: ClassSet,
     spare: Vec<ByteClass>,
 }
@@ -162,7 +164,11 @@ impl AlphabetBuilder {
     /// (every block already lies inside or outside it), so the partition
     /// and its order are exactly those of `minterms` over the whole
     /// sequence.
-    fn build(&mut self, classes: impl IntoIterator<Item = ByteClass>, out: &mut Vec<ByteClass>) {
+    pub(crate) fn build(
+        &mut self,
+        classes: impl IntoIterator<Item = ByteClass>,
+        out: &mut Vec<ByteClass>,
+    ) {
         out.clear();
         self.seen.clear();
         for class in classes {
@@ -172,7 +178,7 @@ impl AlphabetBuilder {
         }
     }
 
-    fn footprint(&self) -> usize {
+    pub(crate) fn footprint(&self) -> usize {
         self.seen.footprint() + footprint(&self.spare)
     }
 }
@@ -196,7 +202,7 @@ pub(crate) fn representatives(alphabet: &[ByteClass]) -> Vec<u8> {
 /// The scratch a [`Subsets`] builds its sets with: reusable from one
 /// machine to the next.
 #[derive(Default)]
-struct Marks {
+pub(crate) struct Marks {
     finals: Vec<bool>,
     /// `mark[q] == stamp` iff `q` is in the set being built.
     mark: Vec<u32>,
@@ -205,7 +211,7 @@ struct Marks {
 }
 
 impl Marks {
-    fn footprint(&self) -> usize {
+    pub(crate) fn footprint(&self) -> usize {
         footprint(&self.finals) + footprint(&self.mark) + footprint(&self.stack)
     }
 }
@@ -218,12 +224,13 @@ pub(crate) struct Subsets<'a> {
 }
 
 impl<'a> Subsets<'a> {
+    #[cfg(test)]
     pub(crate) fn new(nfa: &'a Nfa) -> Subsets<'a> {
         Subsets::reusing(nfa, Marks::default())
     }
 
     /// Like [`Subsets::new`], building in `marks`' buffers.
-    fn reusing(nfa: &'a Nfa, mut marks: Marks) -> Subsets<'a> {
+    pub(crate) fn reusing(nfa: &'a Nfa, mut marks: Marks) -> Subsets<'a> {
         let n = nfa.num_states();
         marks.finals.clear();
         marks.finals.resize(n, false);
@@ -234,6 +241,11 @@ impl<'a> Subsets<'a> {
         marks.mark.resize(n, 0);
         marks.stamp = 0;
         Subsets { nfa, marks }
+    }
+
+    /// The buffers, for the next machine.
+    pub(crate) fn into_marks(self) -> Marks {
+        self.marks
     }
 
     /// Whether state `q` is final.
@@ -266,6 +278,55 @@ impl<'a> Subsets<'a> {
             }
         }
         out.sort_unstable();
+    }
+
+    /// Writes the ε-closure of `targets` into `out`, sorted: the set a
+    /// step reaches when `targets` are the states its byte enters.
+    pub(crate) fn close(&mut self, targets: &[u32], out: &mut Vec<u32>) {
+        self.begin(out);
+        for &t in targets {
+            self.add_closure(t, out);
+        }
+        out.sort_unstable();
+    }
+
+    /// Whether a final state is reachable from the start along ε-edges
+    /// and edges with a nonempty class: whether the language is nonempty.
+    pub(crate) fn accepts_some_word(&mut self) -> bool {
+        let nfa = self.nfa;
+        let start = nfa.start().0;
+        let mut work = std::mem::take(&mut self.marks.stack);
+        self.begin(&mut work);
+        let Marks {
+            finals,
+            mark,
+            stamp,
+            ..
+        } = &mut self.marks;
+        mark[start as usize] = *stamp;
+        work.push(start);
+        let mut found = false;
+        while let Some(p) = work.pop() {
+            if finals[p as usize] {
+                found = true;
+                break;
+            }
+            let st = nfa.state(StateId(p));
+            let live = st
+                .edges
+                .iter()
+                .filter(|(c, _)| !c.is_empty())
+                .map(|&(_, t)| t);
+            for t in live.chain(st.eps.iter().copied()) {
+                if mark[t.index()] != *stamp {
+                    mark[t.index()] = *stamp;
+                    work.push(t.0);
+                }
+            }
+        }
+        work.clear();
+        self.marks.stack = work;
+        found
     }
 
     fn begin(&mut self, out: &mut Vec<u32>) {
@@ -305,26 +366,26 @@ impl<'a> Subsets<'a> {
 /// State sets interned in one pool of state ids: set `i` is
 /// `pool[bounds[i]..bounds[i + 1]]`, numbered through an [`Index`].
 #[derive(Default)]
-struct SetIndex {
+pub(crate) struct SetIndex {
     index: Index,
     pool: Vec<u32>,
     bounds: Vec<usize>,
 }
 
 impl SetIndex {
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.pool.clear();
         self.bounds.clear();
         self.bounds.push(0);
     }
 
-    fn get(&self, i: usize) -> &[u32] {
+    pub(crate) fn get(&self, i: usize) -> &[u32] {
         &self.pool[self.bounds[i]..self.bounds[i + 1]]
     }
 
     /// The number of `set`, numbering it next if it is new; whether it was.
-    fn intern(&mut self, set: &[u32]) -> (u32, bool) {
+    pub(crate) fn intern(&mut self, set: &[u32]) -> (u32, bool) {
         let h = hash_words(set.iter().map(|&q| u64::from(q)));
         match self.index.find(h, |id| self.get(id as usize) == set) {
             Ok(id) => (id, false),
@@ -336,7 +397,7 @@ impl SetIndex {
         }
     }
 
-    fn footprint(&self) -> usize {
+    pub(crate) fn footprint(&self) -> usize {
         self.index.footprint() + footprint(&self.pool) + footprint(&self.bounds)
     }
 }
@@ -381,8 +442,10 @@ impl Table {
         self.finals.len()
     }
 
-    /// Runs the subset construction of `nfa` into this table.
-    fn build(&mut self, nfa: &Nfa) {
+    /// Runs the subset construction of `nfa` into this table; `false`,
+    /// leaving the table unfinished, at the first state set past
+    /// `max_states`, before it is numbered.
+    fn build(&mut self, nfa: &Nfa, max_states: usize) -> bool {
         let TableScratch {
             alphabet,
             symbols,
@@ -404,33 +467,46 @@ impl Table {
         self.delta.clear();
         self.finals.clear();
         sets.clear();
-        kernel.start(next);
-        cost.closure_visited += next.len();
-        sets.intern(next);
-        self.finals.push(kernel.any_final(next));
-        // Work is processed in creation order, so the queue is an index.
-        let mut q = 0;
-        while q < self.finals.len() {
-            cur.clear();
-            cur.extend_from_slice(sets.get(q));
-            for &byte in symbols.iter() {
-                kernel.step(cur, byte, next);
-                cost.closure_visited += next.len();
-                if next.is_empty() {
-                    self.delta.push(NONE);
-                    continue;
-                }
-                let (t, new) = sets.intern(next);
-                if new {
-                    self.finals.push(kernel.any_final(next));
-                }
-                self.delta.push(t);
+        let finals = &mut self.finals;
+        let delta = &mut self.delta;
+        let mut explore = || {
+            if max_states == 0 {
+                return false;
             }
-            q += 1;
-        }
+            kernel.start(next);
+            cost.closure_visited += next.len();
+            sets.intern(next);
+            finals.push(kernel.any_final(next));
+            // Work is processed in creation order, so the queue is an index.
+            let mut q = 0;
+            while q < finals.len() {
+                cur.clear();
+                cur.extend_from_slice(sets.get(q));
+                for &byte in symbols.iter() {
+                    kernel.step(cur, byte, next);
+                    cost.closure_visited += next.len();
+                    if next.is_empty() {
+                        delta.push(NONE);
+                        continue;
+                    }
+                    let (t, new) = sets.intern(next);
+                    if new {
+                        if finals.len() == max_states {
+                            return false;
+                        }
+                        finals.push(kernel.any_final(next));
+                    }
+                    delta.push(t);
+                }
+                q += 1;
+            }
+            true
+        };
+        let complete = explore();
         cost.dfa_states = self.finals.len();
         self.cost = cost;
         *marks = kernel.marks;
+        complete
     }
 
     /// Row `q` with the minterms that lead to one state merged into one
@@ -485,9 +561,18 @@ thread_local! {
 /// [`RETAINED_BYTES`]. A nested call (none exists today) would build in
 /// fresh buffers.
 pub(crate) fn with_table<R>(nfa: &Nfa, f: impl FnOnce(&mut Table) -> R) -> R {
+    try_with_table(nfa, usize::MAX, f).expect("an unlimited construction completes")
+}
+
+/// [`with_table`], or `None` when the construction would number more
+/// than `max_states` states: it stops at the first state set past them.
+pub(crate) fn try_with_table<R>(
+    nfa: &Nfa,
+    max_states: usize,
+    f: impl FnOnce(&mut Table) -> R,
+) -> Option<R> {
     let mut table = TABLE.with(Cell::take);
-    table.build(nfa);
-    let result = f(&mut table);
+    let result = table.build(nfa, max_states).then(|| f(&mut table));
     if table.footprint() <= RETAINED_BYTES {
         TABLE.with(|cell| cell.set(table));
     }

@@ -3,8 +3,11 @@
 //! `Dfa` (numbering included) and cost as both earlier constructions; the
 //! fused table → Hopcroft pass the same key, minimal `Dfa` and cost as
 //! determinize → `minimize_dfa` → serialize, and `minimize_dfa` the same
-//! machine; `try_counterexample` the same verdict, witness, cost and abort;
-//! `try_intersect` the same product; and `induce_segment` the same machine.
+//! machine; `try_counterexample` the same verdict, witness, cost and abort
+//! as both searches it replaced, and `try_intersection_empty` as its
+//! `BTreeSet` pair search; `try_intersect` and
+//! `try_intersect_trimmed` the same product as the construction and trim
+//! they replaced; and `induce_segment` the same machine.
 
 use crate::byteclass::ByteClass;
 use crate::dfa::{self, determinize_counted};
@@ -16,9 +19,18 @@ use crate::minimize::{
 use crate::nfa::{self, Nfa, StateId};
 use crate::ops;
 
-/// Determinization and canonicalization, against their references.
+/// Determinization and canonicalization, against their references; and
+/// the complement under a state cap, which completes at exactly the
+/// determinization's size and stops one state short of it.
 fn assert_determinize_matches(m: &Nfa, what: &str) {
     let determinized = determinize_counted(m);
+    let size = determinized.1.dfa_states;
+    assert_eq!(
+        dfa::try_complement(m, size),
+        Some(dfa::complement(m)),
+        "{what}: complement capped at its size"
+    );
+    assert_eq!(dfa::try_complement(m, size - 1), None, "{what}: one short");
     assert_eq!(
         determinized,
         dfa::reference::determinize_counted(m),
@@ -53,24 +65,39 @@ fn assert_determinize_matches(m: &Nfa, what: &str) {
     );
 }
 
-/// The product of `a` and `b`, unlimited and under a cap that trips
-/// halfway, against the reference construction: the same machine and
-/// the same `pairs`, in order.
+/// The product of `a` and `b`, unlimited, under a cap that trips halfway
+/// and at exactly its size, against the reference construction: the same
+/// machine and the same `pairs`, in order; and trimmed, the same machine,
+/// `old_of_new` and `pairs` as the reference product through
+/// [`Nfa::trim`].
 fn assert_product_matches(a: &Nfa, b: &Nfa, what: &str) {
     let full = ops::reference::try_intersect(a, b, usize::MAX).expect("unlimited");
-    for cap in [usize::MAX, full.pairs.len() / 2] {
+    let size = full.pairs.len();
+    for cap in [usize::MAX, size, size - 1, size / 2] {
         let product = ops::try_intersect(a, b, cap).map(|p| (p.nfa, p.pairs));
         let expected = ops::reference::try_intersect(a, b, cap).map(|p| (p.nfa, p.pairs));
         assert_eq!(product, expected, "{what}: product capped at {cap}");
+        let parts = |p: ops::TrimmedProduct| (p.nfa, p.old_of_new, p.pairs);
+        assert_eq!(
+            ops::try_intersect_trimmed(a, b, cap).map(parts),
+            ops::reference::try_intersect_trimmed(a, b, cap).map(parts),
+            "{what}: trimmed product capped at {cap}"
+        );
     }
 }
 
-/// Unlimited, and again under a cap that trips halfway through the
-/// reference's search; and the two machines' product.
+/// The search against both references: unlimited, under a cap that trips
+/// halfway through the search, and under an expired deadline; and the two
+/// machines' product.
 fn assert_inclusion_matches(a: &Nfa, b: &Nfa, what: &str) {
     assert_product_matches(a, b, what);
     let unlimited = InclusionLimits::UNLIMITED;
-    let expected = inclusion::reference::try_counterexample(a, b, &unlimited);
+    let expected = inclusion::reference::subsets::try_counterexample(a, b, &unlimited);
+    assert_eq!(
+        inclusion::reference::btree::try_counterexample(a, b, &unlimited),
+        expected,
+        "{what}: the references disagree"
+    );
     assert_eq!(
         try_counterexample(a, b, &unlimited),
         expected,
@@ -81,12 +108,36 @@ fn assert_inclusion_matches(a: &Nfa, b: &Nfa, what: &str) {
         max_macrostates: Some(explored / 2),
         deadline: None,
     };
+    let expired = InclusionLimits {
+        max_macrostates: None,
+        deadline: Some(std::time::Instant::now()),
+    };
+    for (limits, how) in [(capped, "capped halfway"), (expired, "past its deadline")] {
+        assert_eq!(
+            try_counterexample(a, b, &limits),
+            inclusion::reference::subsets::try_counterexample(a, b, &limits),
+            "{what}: {how}"
+        );
+    }
+    // Intersection emptiness walks the product's pairs.
+    let expected = inclusion::reference::pairs::try_intersection_empty(a, b, &unlimited);
     assert_eq!(
-        try_counterexample(a, b, &capped),
-        inclusion::reference::try_counterexample(a, b, &capped),
-        "{what}: capped at {}",
-        explored / 2
+        inclusion::try_intersection_empty(a, b, &unlimited),
+        expected,
+        "{what}: intersection emptiness"
     );
+    let walked = expected.expect("unlimited").1.macrostates;
+    let capped = InclusionLimits {
+        max_macrostates: Some(walked / 2),
+        deadline: None,
+    };
+    for (limits, how) in [(capped, "capped halfway"), (expired, "past its deadline")] {
+        assert_eq!(
+            inclusion::try_intersection_empty(a, b, &limits),
+            inclusion::reference::pairs::try_intersection_empty(a, b, &limits),
+            "{what}: intersection emptiness {how}"
+        );
+    }
 }
 
 fn assert_segment_matches(m: &Nfa, s: StateId, f: StateId, what: &str) {
@@ -231,6 +282,32 @@ fn kernel_matches_references_on_long_eps_chains() {
     }
     assert_inclusion_matches(&chains[0], &chains[1], "short chains");
     assert_inclusion_matches(&chains[1], &chains[0], "short chains");
+}
+
+/// The verify site's judgment shape, `lit · v ⊆ Σ*'Σ*`: a literal chain
+/// whose states have one edge each, then a small minimal DFA.
+#[test]
+fn kernel_matches_references_on_verify_shaped_queries() {
+    let quote = ops::concat(
+        &ops::concat(&Nfa::sigma_star(), &Nfa::literal(b"'")).nfa,
+        &Nfa::sigma_star(),
+    )
+    .nfa;
+    let config = RandomNfaConfig {
+        states: 5,
+        alphabet: vec![b'0', b'7', b'\'', b'n'],
+        ..Default::default()
+    };
+    let literals: [&[u8]; 3] = [b"", b"nid_", b"SELECT * FROM news WHERE newsid='nid_"];
+    for seed in 0..40u64 {
+        let v = minimize_counted(&random_nonempty_nfa(seed, &config)).0;
+        for literal in literals {
+            let lhs = ops::concat(&Nfa::literal(literal), &v).nfa;
+            let what = format!("verify #{seed} after {} bytes", literal.len());
+            assert_inclusion_matches(&lhs, &quote, &what);
+            assert_inclusion_matches(&quote, &lhs, &what);
+        }
+    }
 }
 
 /// Copies a machine of the corpus's `dprle_automata` build (a separate

@@ -23,13 +23,20 @@
 //!   semantics.
 //! * `expr <= name;` adds a subset constraint; `expr` is built from
 //!   declared names with `.` (concatenation), `|` (union), and
-//!   parentheses.
+//!   parentheses. It has at most [`MAX_CONCAT_OPERANDS`] operands, and
+//!   its parentheses nest at most [`MAX_PAREN_NESTING`] deep.
 
-use dprle_core::{Expr, System};
+use dprle_core::{Expr, System, MAX_CONCAT_OPERANDS};
 use std::fmt;
 
 pub mod serve;
 pub mod smtlib;
+
+/// The deepest the parentheses of one expression may nest. Parsing recurses
+/// once per level; an expression nested this deep is read and solved
+/// within a `dprle serve` session's 2 MiB stack, even in a debug build,
+/// where 800 to 1 600 levels overflow it.
+pub const MAX_PAREN_NESTING: usize = 256;
 
 /// A parse error with line information.
 #[derive(Clone, Debug)]
@@ -65,6 +72,8 @@ pub fn parse_file(input: &str) -> Result<ParsedFile, ParseFileError> {
     let mut parser = FileParser {
         system: System::new(),
         declared_vars: Vec::new(),
+        operands: 0,
+        parens: 0,
     };
     // Statements end with ';'. Track line numbers by counting newlines.
     let mut line = 1usize;
@@ -107,6 +116,10 @@ fn strip_comments(s: &str) -> String {
 struct FileParser {
     system: System,
     declared_vars: Vec<String>,
+    /// The operands of the expression being parsed so far.
+    operands: usize,
+    /// The parentheses open around the current token.
+    parens: usize,
 }
 
 impl FileParser {
@@ -254,6 +267,8 @@ impl FileParser {
     fn expr(&mut self, text: &str, line: usize) -> Result<Expr, ParseFileError> {
         let tokens = tokenize(text).map_err(|m| self.err(line, m))?;
         let mut pos = 0usize;
+        self.operands = 0;
+        self.parens = 0;
         let e = self.parse_union(&tokens, &mut pos, line)?;
         if pos != tokens.len() {
             return Err(self.err(line, format!("unexpected `{}`", tokens[pos])));
@@ -303,13 +318,28 @@ impl FileParser {
             .clone();
         *pos += 1;
         if token == "(" {
+            if self.parens == MAX_PAREN_NESTING {
+                return Err(self.err(
+                    line,
+                    format!("parentheses nest deeper than {MAX_PAREN_NESTING} levels"),
+                ));
+            }
+            self.parens += 1;
             let e = self.parse_union(tokens, pos, line)?;
             if tokens.get(*pos).is_none_or(|t| t != ")") {
                 return Err(self.err(line, "expected `)`"));
             }
             *pos += 1;
+            self.parens -= 1;
             return Ok(e);
         }
+        if self.operands == MAX_CONCAT_OPERANDS {
+            return Err(self.err(
+                line,
+                format!("more than {MAX_CONCAT_OPERANDS} operands in one concatenation"),
+            ));
+        }
+        self.operands += 1;
         if self.declared_vars.contains(&token) {
             let v = self.system.var(&token);
             return Ok(Expr::Var(v));
@@ -351,6 +381,71 @@ fn tokenize(text: &str) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
     use dprle_core::{solve, SolveOptions};
+
+    /// `a . a . … . x <= c` with `operands` operands, on line 2.
+    fn long_concatenation(operands: usize) -> String {
+        format!(
+            "var x; c := /.*/; a := \"a\";\n{}x <= c;",
+            "a . ".repeat(operands - 1)
+        )
+    }
+
+    /// `x` in `depth` parentheses, on line 2.
+    fn deep_parentheses(depth: usize) -> String {
+        format!(
+            "var x; c := /.*/;\n{}x{} <= c;",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn systems_at_the_limits_solve_on_a_small_stack() {
+        for program in [
+            long_concatenation(MAX_CONCAT_OPERANDS),
+            deep_parentheses(MAX_PAREN_NESTING),
+            // A concatenation under every level of parentheses: its
+            // operands count once, however they are grouped.
+            format!(
+                "var x; c := /.*/; a := \"a\";\n{}x{} <= c;",
+                "(a . ".repeat(MAX_CONCAT_OPERANDS - 1),
+                ")".repeat(MAX_CONCAT_OPERANDS - 1)
+            ),
+        ] {
+            // 2 MiB is a spawned thread's default stack (a `dprle serve`
+            // session's).
+            std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let system = parse_file(&program).expect("parses").system;
+                    assert!(solve(&system, &SolveOptions::default()).is_sat());
+                })
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow");
+        }
+    }
+
+    #[test]
+    fn expressions_past_the_limits_are_errors_at_their_line() {
+        for (program, message) in [
+            (long_concatenation(MAX_CONCAT_OPERANDS + 1), "operands"),
+            (long_concatenation(100_000), "operands"),
+            (deep_parentheses(MAX_PAREN_NESTING + 1), "nest deeper"),
+            (deep_parentheses(100_000), "nest deeper"),
+            (
+                format!(
+                    "var x; c := /.*/; a := \"a\";\n({}) . x <= c;",
+                    "a . ".repeat(MAX_CONCAT_OPERANDS - 1) + "a"
+                ),
+                "operands",
+            ),
+        ] {
+            let e = parse_file(&program).expect_err("past the limit");
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains(message), "{e}");
+        }
+    }
 
     const MOTIVATING: &str = r#"
         # The paper's motivating system.

@@ -29,17 +29,25 @@
 //! parser applies to `{n,m}` ([`dprle_regex::parser::repeat_states`]); one
 //! that prices past [`dprle_regex::parser::MAX_STATES`] is an error at the
 //! loop's offset, so nested loops cannot multiply into a machine no solve
-//! finishes with.
+//! finishes with. `re.comp` and `re.diff` determinize a machine while the
+//! script is read, before any solve's clock runs; a determinization that
+//! would number more than `MAX_STATES` states stops there and is an error
+//! at the operator's offset.
+//!
+//! The term of one assertion has at most [`MAX_CONCAT_OPERANDS`]
+//! operands, counting those of nested `str.++` terms; the next is an
+//! error at its offset.
 //!
 //! Lists nest at most [`MAX_NESTING`] deep; a deeper `(` is an error at its
 //! offset. Reading, lowering, solving and dropping a script all recurse
 //! once per level, so the limit keeps a hostile script from overflowing
 //! the stack of the thread that runs it.
 
-use dprle_automata::{analysis, complement, ops, ByteClass, LangStore, Nfa};
+use dprle_automata::{analysis, ops, try_complement, ByteClass, LangStore, Nfa};
 use dprle_core::metrics::id;
 use dprle_core::{
     try_solve_traced, Expr, ResourceExhausted, Solution, SolveOptions, SolveStats, System, Tracer,
+    MAX_CONCAT_OPERANDS,
 };
 use dprle_regex::parser::{repeat_states, MAX_STATES};
 use std::fmt;
@@ -462,16 +470,27 @@ impl Engine {
         }
     }
 
+    /// Lowers a term of at most [`MAX_CONCAT_OPERANDS`] operands, counting
+    /// those of nested `str.++` terms.
     fn term(&mut self, sexpr: &Sexpr) -> Result<Expr, SmtError> {
+        self.term_counted(sexpr, &mut 0)
+    }
+
+    /// [`Engine::term`], adding the operands it lowers to `operands`.
+    fn term_counted(&mut self, sexpr: &Sexpr, operands: &mut usize) -> Result<Expr, SmtError> {
         match sexpr {
             Sexpr::Str { value, .. } => {
+                *operands += 1;
                 let name = format!("__lit{}", self.system.num_consts());
                 Ok(Expr::Const(
                     self.system.constant(&name, Nfa::literal(value)),
                 ))
             }
             Sexpr::Atom { text, pos } => match self.system.var_id(text) {
-                Some(v) => Ok(Expr::Var(v)),
+                Some(v) => {
+                    *operands += 1;
+                    Ok(Expr::Var(v))
+                }
                 None => Err(err(*pos, format!("undeclared variable `{text}`"))),
             },
             Sexpr::List { items, pos } => {
@@ -480,7 +499,13 @@ impl Engine {
                 }
                 let mut expr: Option<Expr> = None;
                 for item in &items[1..] {
-                    let next = self.term(item)?;
+                    if *operands == MAX_CONCAT_OPERANDS {
+                        return Err(err(
+                            item.pos(),
+                            format!("str.++ has more than {MAX_CONCAT_OPERANDS} operands"),
+                        ));
+                    }
+                    let next = self.term_counted(item, operands)?;
                     expr = Some(match expr {
                         None => next,
                         Some(e) => e.concat(next),
@@ -576,7 +601,7 @@ impl Engine {
                                 .ok_or_else(|| err(*pos, "re.++ needs operands"))?,
                         )?;
                         for a in &args[1..] {
-                            out = ops::concat(&out, &self.regex(a)?).nfa;
+                            out = ops::concat_owned(out, &self.regex(a)?).nfa;
                         }
                         self.options
                             .metrics
@@ -608,17 +633,28 @@ impl Engine {
                     "re.*" => Ok(ops::star(&sub(self, 0)?)),
                     "re.+" => Ok(ops::plus(&sub(self, 0)?)),
                     "re.opt" => Ok(ops::optional(&sub(self, 0)?)),
-                    "re.comp" => Ok(complement(&sub(self, 0)?)),
+                    "re.comp" => try_complement(&sub(self, 0)?, MAX_STATES as usize)
+                        .ok_or_else(|| too_many_states(*pos, head)),
                     "re.diff" => {
                         let a = sub(self, 0)?;
                         let b = sub(self, 1)?;
-                        Ok(analysis::difference(&a, &b))
+                        analysis::try_difference(&a, &b, MAX_STATES as usize)
+                            .ok_or_else(|| too_many_states(*pos, head))
                     }
                     other => Err(err(*pos, format!("unsupported regex operator `{other}`"))),
                 }
             }
         }
     }
+}
+
+/// The error for a `re.comp` or `re.diff` at `pos` whose determinization
+/// passed [`MAX_STATES`] states.
+fn too_many_states(pos: usize, head: &str) -> SmtError {
+    err(
+        pos,
+        format!("too many states: `{head}` determinizes past the budget of {MAX_STATES}"),
+    )
 }
 
 fn escape_smt(bytes: &[u8]) -> String {
@@ -877,6 +913,85 @@ mod tests {
             err.pos,
             "(assert (str.in_re x ".len() + (MAX_NESTING - 2) * "(re.* ".len()
         );
+    }
+
+    /// `(str.++ "a" … "a" x)` with `operands` operands, and the offset of
+    /// the last.
+    fn long_concatenation(operands: usize) -> (String, usize) {
+        let head = format!(
+            "(declare-const x String)\n(assert (str.in_re (str.++ {}",
+            "\"a\" ".repeat(operands - 1)
+        );
+        (format!("{head}x) re.all))\n(check-sat)\n"), head.len())
+    }
+
+    #[test]
+    fn the_longest_concatenations_run_on_a_small_stack() {
+        let (flat, _) = long_concatenation(MAX_CONCAT_OPERANDS);
+        // Operands of nested terms count with the outer ones.
+        let nested = format!(
+            "(declare-const x String)\n(assert (str.in_re (str.++ (str.++ {}) {}x) re.all))\n(check-sat)\n",
+            "\"a\" ".repeat(100),
+            "\"a\" ".repeat(MAX_CONCAT_OPERANDS - 101)
+        );
+        for script in [flat, nested] {
+            std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let out = run_script(&script).expect("solves");
+                    assert_eq!(out, vec![SmtOutput::CheckSat(true)]);
+                })
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow");
+        }
+    }
+
+    #[test]
+    fn concatenations_past_the_limit_are_errors_at_the_extra_operand() {
+        let (script, last) = long_concatenation(MAX_CONCAT_OPERANDS + 1);
+        let err = run_script(&script).expect_err("one operand too many");
+        assert!(err.exhausted.is_none());
+        assert!(err.message.contains("operands"), "{}", err.message);
+        assert_eq!(err.pos, last);
+        let (script, _) = long_concatenation(100_000);
+        assert_eq!(run_script(&script).expect_err("far too many").pos, last);
+        let nested = format!(
+            "(declare-const x String)\n(assert (str.in_re (str.++ (str.++ {}) {}x) re.all))",
+            "\"a\" ".repeat(200),
+            "\"a\" ".repeat(MAX_CONCAT_OPERANDS - 200)
+        );
+        let err = run_script(&nested).expect_err("nested operands count");
+        assert_eq!(err.pos, nested.len() - "x) re.all))".len());
+    }
+
+    #[test]
+    fn complements_past_the_state_budget_are_errors_at_the_operator() {
+        // `Σ*aΣ^n` needs 2^(n+1) states deterministically.
+        let script = |op: &str, n: usize| {
+            format!(
+                "(declare-const x String)\n(assert (str.in_re x ({op} (re.++ re.all (str.to_re \"a\") ((_ re.loop {n} {n}) re.allchar)))))\n(check-sat)\n"
+            )
+        };
+        for op in ["re.comp", "re.diff re.all"] {
+            let started = std::time::Instant::now();
+            let err = run_script(&script(op, 19)).expect_err(op);
+            assert!(err.exhausted.is_none(), "{op}");
+            assert!(err.message.contains("too many states"), "{}", err.message);
+            assert_eq!(
+                err.pos,
+                "(declare-const x String)\n(assert (str.in_re x ".len()
+            );
+            assert!(
+                started.elapsed().as_secs() < 5,
+                "{op}: {:?}",
+                started.elapsed()
+            );
+            // Small enough, the same shapes solve: strings without an `a`
+            // three from the end.
+            let out = run_script(&script(op, 3)).expect(op);
+            assert_eq!(out, vec![SmtOutput::CheckSat(true)], "{op}");
+        }
     }
 
     #[test]

@@ -935,6 +935,98 @@ fn deeply_nested_smtlib_is_rejected_by_the_cli_and_by_serve() {
 }
 
 #[test]
+fn long_concatenations_are_rejected_by_the_cli_and_by_serve() {
+    // 5 000 native operands and 100 000 SMT-LIB ones once overflowed the
+    // stack of `dprle`; 2 000 native ones aborted `dprle serve`.
+    for operands in [2_000, 5_000] {
+        let program = format!(
+            "var x; c := /.*/; a := \"a\";\n{}x <= c;\n",
+            "a . ".repeat(operands - 1)
+        );
+        assert_rejected_by_the_cli_and_by_serve(
+            "long.dprle",
+            &program,
+            "more than 256 operands in one concatenation",
+        );
+    }
+    for operands in [257, 100_000] {
+        let script = format!(
+            "(declare-const x String)\n(assert (str.in_re (str.++ {}x) re.all))\n(check-sat)\n",
+            "\"a\" ".repeat(operands - 1)
+        );
+        assert_rejected_by_the_cli_and_by_serve(
+            "long.smt2",
+            &script,
+            "str.++ has more than 256 operands",
+        );
+    }
+    let program = format!(
+        "var x; c := /.*/;\n{}x{} <= c;\n",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    assert_rejected_by_the_cli_and_by_serve(
+        "parens.dprle",
+        &program,
+        "parentheses nest deeper than 256 levels",
+    );
+    // At the limit, `dprle` answers.
+    let program = format!(
+        "var x; c := /.*/; a := \"a\";\n{}x <= c;\n",
+        "a . ".repeat(255)
+    );
+    let out = dprle(&[temp_file("long256.dprle", &program).to_str().expect("utf8")]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+#[test]
+fn a_complement_past_the_state_budget_is_rejected_by_the_cli_and_by_serve() {
+    // This took 4.15 s of wall time under `--deadline-ms 100` and exited 3,
+    // determinizing while the script was read.
+    let script = "(declare-const x String)\n(assert (str.in_re x (re.comp (re.++ re.all (str.to_re \"a\") ((_ re.loop 19 19) re.allchar)))))\n(check-sat)\n";
+    assert_rejected_by_the_cli_and_by_serve(
+        "comp19.smt2",
+        script,
+        "too many states: `re.comp` determinizes past the budget of 8192",
+    );
+    let small = script.replace("19 19", "3 3");
+    let out = dprle(&[temp_file("comp3.smt2", &small).to_str().expect("utf8")]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "sat");
+}
+
+#[test]
+fn analyzer_rejects_deep_nesting_and_long_concatenations() {
+    let deep = format!(
+        "<?php\n$x = $_GET['x'];\n{}query(\"SELECT \" . $x);\n{}",
+        "if (!preg_match(\"/[0-9]+/\", $x)) {\n".repeat(20_000),
+        "}\n".repeat(20_000)
+    );
+    let long = format!(
+        "<?php\n$x = $_GET['x'];\nquery(\"SELECT \"{});\n",
+        " . $x".repeat(100_000)
+    );
+    for (name, source, message) in [
+        (
+            "deep.php",
+            deep,
+            "line 203: blocks and calls nest deeper than 200 levels",
+        ),
+        (
+            "long.php",
+            long,
+            "more than the 256 one constraint may have",
+        ),
+    ] {
+        let file = temp_file(name, &source);
+        let out = dprle_analyze(&[file.to_str().expect("utf8 path")]);
+        assert_eq!(out.status.code(), Some(2), "a typed error, not an abort");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    }
+}
+
+#[test]
 fn serve_answers_an_over_cap_stdin_line_once_and_then_the_next() {
     // 1 MiB of one request line, written in pieces, with no newline
     // until the end: one parse-error naming the cap, then the next line.

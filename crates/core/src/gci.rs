@@ -65,6 +65,7 @@ use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
     inclusion, ops, CanonicalKey, InclusionAbort, InclusionLimits, Lang, LangStore, Nfa, StateId,
 };
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -323,7 +324,7 @@ pub fn root_machines(system: &System) -> Vec<Nfa> {
             product_states: Cell::new(0),
         };
         if let Ok(Some(roots)) = builder.build_roots() {
-            out.extend(roots.into_iter().map(|root| root.nfa));
+            out.extend(roots.into_iter().map(|root| root.nfa.into_owned()));
         }
     }
     out
@@ -650,9 +651,10 @@ fn prune_subsumed(
 // ---------------------------------------------------------------------
 
 /// A root machine under construction: the NFA plus, for every state, the
-/// *core id* of the leaf-skeleton state it descends from.
-struct Build {
-    nfa: Nfa,
+/// *core id* of the leaf-skeleton state it descends from. A leaf's build
+/// borrows the leaf's machine when that is normalized already.
+struct Build<'a> {
+    nfa: Cow<'a, Nfa>,
     core: Vec<u32>,
     /// Leaf vertex per segment, left to right.
     segments: Vec<NodeId>,
@@ -664,7 +666,7 @@ struct Build {
     bridges: Vec<(u32, u32)>,
 }
 
-impl Build {
+impl Build<'_> {
     fn single_final(&self) -> StateId {
         self.nfa.single_final()
     }
@@ -686,11 +688,11 @@ struct GroupBuilder<'a> {
     product_states: Cell<u64>,
 }
 
-impl GroupBuilder<'_> {
+impl<'a> GroupBuilder<'a> {
     /// Builds the machine for every root temp of the group. `Ok(None)`
     /// means some root's language is empty; `Err(CapHit)` means an
     /// intersection hit the product-state cap.
-    fn build_roots(&self) -> Result<Option<Vec<Build>>, CapHit> {
+    fn build_roots(&self) -> Result<Option<Vec<Build<'a>>>, CapHit> {
         let edges: Vec<&ConcatEdgePair> = self
             .group
             .edge_indices
@@ -716,7 +718,7 @@ impl GroupBuilder<'_> {
         node: NodeId,
         edges: &[&ConcatEdgePair],
         next_core: &mut u32,
-    ) -> Result<Option<Build>, CapHit> {
+    ) -> Result<Option<Build<'a>>, CapHit> {
         let mut build = match self.graph.kind(node) {
             NodeKind::Temp(_) => {
                 let e = edges
@@ -739,7 +741,7 @@ impl GroupBuilder<'_> {
                     .leaf_machines
                     .get(&node)
                     .expect("leaf machine supplied for every group leaf");
-                let machine = leaf.normalize();
+                let machine = leaf.nfa().normalized();
                 let n = machine.num_states();
                 let core: Vec<u32> = (*next_core..*next_core + n as u32).collect();
                 *next_core += n as u32;
@@ -776,8 +778,12 @@ impl GroupBuilder<'_> {
     /// the product and trimming. `Ok(None)` when the result is empty;
     /// `Err(CapHit)` when the product would exceed the cap (at most `cap`
     /// product states were materialized).
-    fn intersect_build(&self, build: Build, constraint: &Nfa) -> Result<Option<Build>, CapHit> {
-        let constraint = constraint.normalize();
+    fn intersect_build(
+        &self,
+        build: Build<'a>,
+        constraint: &Nfa,
+    ) -> Result<Option<Build<'a>>, CapHit> {
+        let constraint = constraint.normalized();
         // The clock is read only when the ledger is enabled, preserving the
         // zero-cost-when-disabled contract.
         let started = self.ledger.is_enabled().then(Instant::now);
@@ -786,7 +792,7 @@ impl GroupBuilder<'_> {
                 u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
             })
         };
-        let Some(product) = ops::try_intersect(&build.nfa, &constraint, self.cap) else {
+        let Some(product) = ops::try_intersect_trimmed(&build.nfa, &constraint, self.cap) else {
             self.product_states
                 .set(self.product_states.get() + self.cap as u64);
             self.ledger.record(|| {
@@ -804,12 +810,7 @@ impl GroupBuilder<'_> {
         let explored = product.pairs.len();
         self.product_states
             .set(self.product_states.get() + explored as u64);
-        let core: Vec<u32> = product
-            .pairs
-            .iter()
-            .map(|&(left, _)| build.core[left.index()])
-            .collect();
-        let (trimmed, old_of_new) = product.nfa.trim();
+        let trimmed = product.nfa;
         self.metrics.add(id::INTERSECT_PRODUCTS, explored as u64);
         self.metrics
             .observe(id::INTERSECT_EXPLORED, explored as u64);
@@ -838,9 +839,13 @@ impl GroupBuilder<'_> {
                 wall(started),
             )
         });
-        let core = old_of_new.iter().map(|old| core[old.index()]).collect();
+        let core = product
+            .old_of_new
+            .iter()
+            .map(|old| build.core[product.pairs[old.index()].0.index()])
+            .collect();
         Ok(Some(Build {
-            nfa: trimmed,
+            nfa: Cow::Owned(trimmed),
             core,
             segments: build.segments,
             constants: build.constants,
@@ -850,30 +855,21 @@ impl GroupBuilder<'_> {
 }
 
 /// Concatenates two builds with a fresh epsilon bridge, preserving cores.
-fn concat_builds(left: Build, right: Build) -> Build {
-    let mut nfa = left.nfa.clone();
-    let offset = nfa.num_states() as u32;
-    for _ in 0..right.nfa.num_states() {
-        nfa.add_state();
-    }
-    for (from, class, to) in right.nfa.edges() {
-        nfa.add_edge(StateId(from.0 + offset), class, StateId(to.0 + offset));
-    }
-    for (from, to) in right.nfa.eps_edges() {
-        nfa.add_eps(StateId(from.0 + offset), StateId(to.0 + offset));
-    }
-    let left_final = left.nfa.single_final();
+/// The right build's states are appended to the left's machine.
+fn concat_builds<'a>(left: Build<'a>, right: Build<'a>) -> Build<'a> {
+    let mut nfa = left.nfa.into_owned();
+    let left_final = nfa.single_final();
+    let offset = nfa.append(&right.nfa);
     let right_start = StateId(right.nfa.start().0 + offset);
     nfa.add_eps(left_final, right_start);
     nfa.set_single_final(StateId(right.nfa.single_final().0 + offset));
-
-    let mut core = left.core.clone();
-    core.extend(right.core.iter().copied());
 
     let bridge = (
         left.core[left_final.index()],
         right.core[right.nfa.start().index()],
     );
+    let mut core = left.core;
+    core.extend(right.core);
     let mut bridges = left.bridges;
     bridges.push(bridge);
     bridges.extend(right.bridges);
@@ -884,7 +880,7 @@ fn concat_builds(left: Build, right: Build) -> Build {
     constants.extend(right.constants);
 
     Build {
-        nfa,
+        nfa: Cow::Owned(nfa),
         core,
         segments,
         constants,
@@ -902,7 +898,7 @@ fn concat_builds(left: Build, right: Build) -> Build {
 /// [`GciOptions::max_disjuncts`] candidates are found. Errs when a
 /// constant leaf's inclusion query hits a budget.
 fn enumerate_root(
-    root: &Build,
+    root: &Build<'_>,
     options: &GciOptions,
     store: &LangStore,
 ) -> Result<Vec<RootSolution>, InclusionAbort> {
@@ -931,7 +927,7 @@ fn enumerate_root(
 
 /// One root's depth-first walk over its bridges.
 struct Enumeration<'a> {
-    root: &'a Build,
+    root: &'a Build<'a>,
     /// Candidate epsilon instances per bridge.
     candidates: Vec<Vec<(StateId, StateId)>>,
     options: &'a GciOptions,

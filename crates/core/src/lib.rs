@@ -84,7 +84,7 @@ pub use solve::{
     satisfies_system, solve, solve_first, solve_traced, solve_with_stats, solve_with_store,
     solver_graph, try_solve_traced, SolveOptions, SolveStats,
 };
-pub use spec::{ConstId, Constraint, Expr, System, VarId};
+pub use spec::{ConstId, Constraint, Expr, System, VarId, MAX_CONCAT_OPERANDS};
 pub use trace::{
     check_well_nested, parse_jsonl, provenance_dot, CollectSink, JsonlSink, NullSink, PhaseRow,
     SpanGuard, TeeSink, TraceEvent, TraceEventKind, TraceReport, TraceSink, Tracer, TRACE_SCHEMA,

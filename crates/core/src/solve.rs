@@ -1021,7 +1021,8 @@ pub fn eval_expr(system: &System, e: &Expr, assignment: &Assignment) -> Nfa {
 }
 
 /// [`eval_expr`], borrowing the machine of a single-leaf expression
-/// instead of copying it.
+/// instead of copying it. A concatenation builds on its left operand's
+/// machine, copying it only when it is borrowed.
 fn eval<'a>(system: &'a System, e: &Expr, assignment: &'a Assignment) -> Cow<'a, Nfa> {
     match e {
         Expr::Var(v) => assignment
@@ -1029,7 +1030,8 @@ fn eval<'a>(system: &'a System, e: &Expr, assignment: &'a Assignment) -> Cow<'a,
             .map_or_else(|| Cow::Owned(Nfa::sigma_star()), |l| Cow::Borrowed(l.nfa())),
         Expr::Const(c) => Cow::Borrowed(system.const_machine(*c)),
         Expr::Concat(a, b) => {
-            Cow::Owned(ops::concat(&eval(system, a, assignment), &eval(system, b, assignment)).nfa)
+            let left = eval(system, a, assignment).into_owned();
+            Cow::Owned(ops::concat_owned(left, &eval(system, b, assignment)).nfa)
         }
         Expr::Union(a, b) => Cow::Owned(ops::union(
             &eval(system, a, assignment),

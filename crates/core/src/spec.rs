@@ -41,6 +41,19 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+/// The most operands the left-hand side of one constraint may have: the
+/// operands of its concatenation, counting every leaf of the
+/// concatenations and unions nested in it. Front ends fold a
+/// concatenation into a left-deep chain of [`Expr::Concat`], and the
+/// solver's walks over an expression (building the dependency graph,
+/// normalization, evaluation, display, drop) and its group enumeration
+/// recurse once per operand, so the expression's depth must be bounded
+/// before it is built. A system whose concatenation has this many
+/// operands, in any of the three front ends, is read, solved and dropped
+/// within a spawned thread's default 2 MiB stack, a `dprle serve`
+/// session's, even in a debug build, where 400 to 500 overflow it.
+pub const MAX_CONCAT_OPERANDS: usize = 256;
+
 /// Identifier of an interned language variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct VarId(pub u32);

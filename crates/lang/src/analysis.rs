@@ -12,7 +12,7 @@
 use crate::symex::{explore, Atom, SinkReach, SymValue, SymexError, SymexOptions};
 use dprle_automata::homomorphism::{image, preimage};
 use dprle_automata::{ops, ByteMap, Lang, Nfa};
-use dprle_core::{solve, Expr, Solution, SolveOptions, System, VarId};
+use dprle_core::{solve, Expr, Solution, SolveOptions, System, VarId, MAX_CONCAT_OPERANDS};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -145,6 +145,13 @@ pub enum AnalysisError {
         /// The offending input parameter.
         input: String,
     },
+    /// A string reaching a sink or a condition concatenates more than
+    /// [`MAX_CONCAT_OPERANDS`] literals and inputs: its constraint would
+    /// be too deep for the solver to walk.
+    TooManyOperands {
+        /// The operands the string has.
+        operands: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -154,6 +161,11 @@ impl fmt::Display for AnalysisError {
             AnalysisError::MixedMappedUse { input } => write!(
                 f,
                 "input `{input}` is used both raw and case-mapped on one path; unsupported"
+            ),
+            AnalysisError::TooManyOperands { operands } => write!(
+                f,
+                "a string concatenates {operands} operands, more than the \
+                 {MAX_CONCAT_OPERANDS} one constraint may have"
             ),
         }
     }
@@ -206,8 +218,13 @@ pub struct GeneratedSystem {
 /// Returns the system plus the mapping from input-parameter names to
 /// solver variables. This is the paper's constraint-generation step; its
 /// size is the `|C|` column of Figure 12.
+///
+/// # Panics
+///
+/// Panics where [`build_system`] fails: an input used both raw and
+/// mapped, or a string of more than [`MAX_CONCAT_OPERANDS`] operands.
 pub fn to_system(reach: &SinkReach, policy: &Policy) -> (System, BTreeMap<String, VarId>) {
-    let generated = build_system(reach, policy).expect("reach uses inputs consistently");
+    let generated = build_system(reach, policy).expect("reach builds a system");
     let vars = generated
         .inputs
         .iter()
@@ -307,6 +324,11 @@ pub fn build_system(reach: &SinkReach, policy: &Policy) -> Result<GeneratedSyste
                              map_constants: &mut BTreeMap<String, ()>,
                              value: &SymValue|
      -> Result<Option<Expr>, AnalysisError> {
+        if value.atoms.len() > MAX_CONCAT_OPERANDS {
+            return Err(AnalysisError::TooManyOperands {
+                operands: value.atoms.len(),
+            });
+        }
         let mut expr: Option<Expr> = None;
         for atom in &value.atoms {
             let next = atom_to_expr(sys, inputs, map_constants, atom)?;
@@ -380,9 +402,11 @@ pub fn analyze_sinks(
         ..Default::default()
     };
     for reach in relevant {
-        match analyze_reach(reach, policy, solve_options) {
-            Some(finding) => report.findings.push(finding),
-            None => report.safe_sinks += 1,
+        match try_analyze_reach(reach, policy, solve_options) {
+            Ok(Some(finding)) => report.findings.push(finding),
+            // A string too long to constrain is not known to be safe.
+            Err(e @ AnalysisError::TooManyOperands { .. }) => return Err(e),
+            Ok(None) | Err(_) => report.safe_sinks += 1,
         }
     }
     Ok(report)
@@ -475,6 +499,43 @@ mod tests {
     use super::*;
     use crate::ast::Program;
     use dprle_regex::Regex;
+
+    #[test]
+    fn strings_past_the_operand_limit_are_errors() {
+        use crate::php::parse_php;
+        let query = |operands: usize| {
+            let source = format!(
+                "<?php\n$x = $_GET['x'];\nquery(\"SELECT \"{});\n",
+                " . $x".repeat(operands - 1)
+            );
+            let program = parse_php("long", &source).expect("parses");
+            analyze_sinks(
+                &program,
+                &Policy::sql_quote(),
+                &SymexOptions::default(),
+                &SolveOptions::default(),
+                None,
+            )
+        };
+        let report = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || {
+                query(MAX_CONCAT_OPERANDS)
+                    .expect("at the limit")
+                    .findings
+                    .len()
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(report, 1);
+        for operands in [MAX_CONCAT_OPERANDS + 1, 100_000] {
+            match query(operands) {
+                Err(AnalysisError::TooManyOperands { operands: n }) => assert_eq!(n, operands),
+                other => panic!("{operands} operands: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn figure1_yields_an_exploit() {

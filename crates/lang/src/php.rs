@@ -21,9 +21,20 @@
 //! `!cond`, and `unknown(...)` for opaque predicates. Expressions: single-
 //! or double-quoted literals, `$var`, `$_GET['k']`/`$_POST['k']`/
 //! `$_REQUEST['k']`, and `.`-concatenation.
+//!
+//! Blocks and case-function calls nest at most [`MAX_NESTING`] deep; a
+//! deeper one is an error at its line.
 
 use crate::ast::{Cond, Program, Stmt, StringExpr};
 use std::fmt;
+
+/// The deepest that `if`/`else`/`while` blocks and `strtolower`/
+/// `strtoupper` calls may nest. Parsing, control-flow graph building,
+/// printing and dropping a program all recurse once per level; a program
+/// nested this deep is parsed and analyzed within a spawned thread's
+/// default 2 MiB stack, even in a debug build, where 300 to 350 levels
+/// of `if` overflow it.
+pub const MAX_NESTING: usize = 200;
 
 /// A parse error with line information.
 #[derive(Clone, Debug)]
@@ -50,7 +61,11 @@ impl std::error::Error for ParsePhpError {}
 /// fragment.
 pub fn parse_php(name: &str, source: &str) -> Result<Program, ParsePhpError> {
     let tokens = lex(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmts = parser.block_body(/*top_level=*/ true)?;
     parser.expect_eof()?;
     Ok(Program {
@@ -438,6 +453,8 @@ fn lex_string(
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// The blocks and case-function calls open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -466,6 +483,25 @@ impl Parser {
         } else {
             Err(err(self.line(), format!("expected {what}")))
         }
+    }
+
+    /// Parses `inner` one nesting level deeper, or fails at `line` past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        line: usize,
+        inner: impl FnOnce(&mut Parser) -> Result<T, ParsePhpError>,
+    ) -> Result<T, ParsePhpError> {
+        if self.depth == MAX_NESTING {
+            return Err(err(
+                line,
+                format!("blocks and calls nest deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let out = inner(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn expect_eof(&self) -> Result<(), ParsePhpError> {
@@ -525,7 +561,7 @@ impl Parser {
                     let cond = self.condition()?;
                     self.expect(&Token::RParen, "`)` after condition")?;
                     self.expect(&Token::LBrace, "`{` to open the loop body")?;
-                    let body = self.block_body(false)?;
+                    let body = self.nested(line, |p| p.block_body(false))?;
                     self.expect(&Token::RBrace, "`}`")?;
                     Ok(Stmt::While { cond, body })
                 }
@@ -534,12 +570,12 @@ impl Parser {
                     let cond = self.condition()?;
                     self.expect(&Token::RParen, "`)` after condition")?;
                     self.expect(&Token::LBrace, "`{` to open the then-branch")?;
-                    let then = self.block_body(false)?;
+                    let then = self.nested(line, |p| p.block_body(false))?;
                     self.expect(&Token::RBrace, "`}`")?;
                     let els = if self.peek() == Some(&Token::Ident("else".to_owned())) {
                         self.pos += 1;
                         self.expect(&Token::LBrace, "`{` after else")?;
-                        let els = self.block_body(false)?;
+                        let els = self.nested(line, |p| p.block_body(false))?;
                         self.expect(&Token::RBrace, "`}`")?;
                         els
                     } else {
@@ -554,11 +590,21 @@ impl Parser {
     }
 
     fn condition(&mut self) -> Result<Cond, ParsePhpError> {
-        let line = self.line();
-        if self.peek() == Some(&Token::Bang) {
+        let mut negations = 0usize;
+        while self.peek() == Some(&Token::Bang) {
             self.pos += 1;
-            return Ok(self.condition()?.negate());
+            negations += 1;
         }
+        let cond = self.positive_condition()?;
+        Ok(if negations % 2 == 1 {
+            cond.negate()
+        } else {
+            cond
+        })
+    }
+
+    fn positive_condition(&mut self) -> Result<Cond, ParsePhpError> {
+        let line = self.line();
         match self.peek().cloned() {
             Some(Token::Ident(word)) if word == "preg_match" => {
                 self.pos += 1;
@@ -625,7 +671,7 @@ impl Parser {
             Some(Token::Superglobal { key }) => Ok(StringExpr::Input(key)),
             Some(Token::Ident(word)) if word == "strtolower" || word == "strtoupper" => {
                 self.expect(&Token::LParen, "`(` after case function")?;
-                let inner = self.expression()?;
+                let inner = self.nested(line, Parser::expression)?;
                 self.expect(&Token::RParen, "`)` closing case function")?;
                 Ok(if word == "strtolower" {
                     StringExpr::Lower(Box::new(inner))
@@ -754,6 +800,77 @@ query("SELECT * FROM news WHERE newsid=" . $newsid);
         assert!(parse_php("bad", "<?php $x = 'unterminated").is_err());
         assert!(parse_php("bad", "<?php if (preg_match('nodelim', $x)) {}").is_err());
         assert!(parse_php("bad", "<?php $_POST = 1;").is_err());
+    }
+
+    /// `depth` nested filters around a query, each `if` on its own line
+    /// from line 3.
+    fn nested_filters(depth: usize) -> String {
+        format!(
+            "<?php\n$x = $_GET['x'];\n{}query(\"SELECT \" . $x);\n{}",
+            "if (!preg_match(\"/[0-9]+/\", $x)) {\n".repeat(depth),
+            "}\n".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn programs_at_the_nesting_limit_analyze_on_a_small_stack() {
+        use crate::analysis::{analyze_sinks, Policy};
+        use crate::symex::SymexOptions;
+        use dprle_core::SolveOptions;
+        let cased = format!(
+            "<?php\nquery({}$_GET['x']{});\n",
+            "strtolower(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        for source in [nested_filters(MAX_NESTING), cased] {
+            // 2 MiB is a spawned thread's default stack.
+            std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let program = parse_php("deep", &source).expect("parses");
+                    let cfg = crate::Cfg::build(&program);
+                    assert!(cfg.num_blocks() > 0);
+                    let report = analyze_sinks(
+                        &program,
+                        &Policy::sql_quote(),
+                        &SymexOptions::default(),
+                        &SolveOptions::default(),
+                        None,
+                    )
+                    .expect("analyzes");
+                    assert_eq!(report.findings.len(), 1);
+                    assert!(parse_php("again", &print_php(&program)).is_ok());
+                })
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_at_its_line() {
+        for depth in [MAX_NESTING + 1, 20_000] {
+            let e = parse_php("deep", &nested_filters(depth)).expect_err("too deep");
+            assert_eq!(e.line, 3 + MAX_NESTING, "{e}");
+            assert!(e.message.contains("nest deeper"), "{e}");
+        }
+        let cased = format!(
+            "<?php\n$x = {}$_GET['x']{};\n",
+            "strtoupper(".repeat(MAX_NESTING + 1),
+            ")".repeat(MAX_NESTING + 1)
+        );
+        let e = parse_php("cased", &cased).expect_err("too deep");
+        assert_eq!(e.line, 2);
+        // Negations are not nesting: any number of them parses.
+        let negated = format!("<?php\nif ({}unknown()) {{ exit; }}\n", "!".repeat(100_001));
+        let program = parse_php("negated", &negated).expect("parses");
+        assert!(matches!(
+            &program.stmts[0],
+            Stmt::If {
+                cond: Cond::Not(_),
+                ..
+            }
+        ));
     }
 
     #[test]
