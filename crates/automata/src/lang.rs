@@ -10,8 +10,10 @@
 //! ([`canonical_key`](crate::minimize::canonical_key)), emptiness,
 //! ε-freeness, and edge counts — so each of those is paid at most once per
 //! underlying machine no matter how many branches share it. [`LangStore`]
-//! layers hash-consing (one representative handle per distinct language)
-//! and memoization of the binary operations the solver runs repeatedly
+//! layers hash-consing (one representative handle per distinct language),
+//! a structure table that lets a fresh handle of a machine the store has
+//! canonicalized before take that key without canonicalizing, and
+//! memoization of the binary operations the solver runs repeatedly
 //! (intersection, inclusion) keyed by operand fingerprints, with counters
 //! that the solver surfaces as cache observability stats.
 
@@ -23,9 +25,11 @@ use crate::minimize::{
 };
 use crate::nfa::Nfa;
 use crate::ops;
+use crate::subset;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Approximate per-state heap footprint of an [`Nfa`] in bytes, used by the
@@ -297,10 +301,24 @@ impl StoreOp {
 /// regardless of which thread actually won the race.
 #[derive(Clone, Debug)]
 pub enum MemoIdentity {
-    /// A handle's per-allocation fingerprint slot. Holding the `Lang`
-    /// clone pins the allocation, so the address-based identity cannot be
-    /// reused while the identity is alive.
-    Fingerprint(Lang),
+    /// A fingerprint lookup on `handle`. With a structure table (an
+    /// interning store) the slot is the handle's machine: `structure` is
+    /// its digest, and identities compare by digest, then by machine, so
+    /// every handle of one machine names one slot, as the table does. A
+    /// pass-through store has no table, `structure` is `None`, and the slot
+    /// is the handle itself (holding the clone pins its address). `keyed`
+    /// says whether the lookup found the handle without a key, as opposed
+    /// to answering from the handle's own cache; it is not part of the
+    /// slot.
+    Fingerprint {
+        /// The handle looked up.
+        handle: Lang,
+        /// The digest of the handle's machine, when the store has a
+        /// structure table.
+        structure: Option<u64>,
+        /// Whether the handle had no key when the lookup began.
+        keyed: bool,
+    },
     /// The minimization memo slot for a language.
     Minimize(Arc<CanonicalKey>),
     /// The intersection memo slot for an (unordered, pre-normalized)
@@ -313,7 +331,22 @@ pub enum MemoIdentity {
 impl PartialEq for MemoIdentity {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (MemoIdentity::Fingerprint(a), MemoIdentity::Fingerprint(b)) => Lang::ptr_eq(a, b),
+            (
+                MemoIdentity::Fingerprint {
+                    handle: a,
+                    structure: da,
+                    ..
+                },
+                MemoIdentity::Fingerprint {
+                    handle: b,
+                    structure: db,
+                    ..
+                },
+            ) => match (da, db) {
+                (Some(da), Some(db)) => da == db && (Lang::ptr_eq(a, b) || a.nfa() == b.nfa()),
+                (None, None) => Lang::ptr_eq(a, b),
+                _ => false,
+            },
             (MemoIdentity::Minimize(a), MemoIdentity::Minimize(b)) => a == b,
             (MemoIdentity::Intersect(a0, a1), MemoIdentity::Intersect(b0, b1)) => {
                 a0 == b0 && a1 == b1
@@ -328,26 +361,28 @@ impl PartialEq for MemoIdentity {
 
 impl Eq for MemoIdentity {}
 
-impl std::hash::Hash for MemoIdentity {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for MemoIdentity {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            MemoIdentity::Fingerprint(l) => {
+            MemoIdentity::Fingerprint {
+                handle, structure, ..
+            } => {
                 0u8.hash(state);
-                l.handle_addr().hash(state);
+                state.write_u64(structure.unwrap_or(handle.handle_addr() as u64));
             }
             MemoIdentity::Minimize(k) => {
                 1u8.hash(state);
-                k.hash(state);
+                state.write_u64(k.digest());
             }
             MemoIdentity::Intersect(a, b) => {
                 2u8.hash(state);
-                a.hash(state);
-                b.hash(state);
+                state.write_u64(a.digest());
+                state.write_u64(b.digest());
             }
             MemoIdentity::Inclusion(a, b) => {
                 3u8.hash(state);
-                a.hash(state);
-                b.hash(state);
+                state.write_u64(a.digest());
+                state.write_u64(b.digest());
             }
         }
     }
@@ -416,9 +451,13 @@ pub trait StoreObserver: Send + Sync {
 /// ([`StoreScope::stats`]), which the solver surfaces as `SolveStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Fingerprint requests answered from a handle's cache.
+    /// Fingerprint requests answered without canonicalizing: from the
+    /// handle's cache, from the store's structure table (a handle of a
+    /// machine the store canonicalized before), or by a racing lookup
+    /// that canonicalized the same machine first.
     pub fingerprint_hits: u64,
-    /// Fingerprint requests that ran determinize+minimize.
+    /// Fingerprint requests that ran determinize+minimize for a machine
+    /// the store had not canonicalized.
     pub fingerprint_misses: u64,
     /// Binary operations (intersection, inclusion) answered from the memo
     /// tables.
@@ -430,12 +469,12 @@ pub struct StoreStats {
     pub interned: u64,
     /// States of machines materialized by store-computed operations.
     pub states_materialized: u64,
-    /// Approximate bytes charged by memo-table and interner inserts
-    /// (shape-derived estimates; see [`Lang::approx_bytes`]). Only the
-    /// insert winner charges, so on an unbounded store the total is
-    /// deterministic across thread counts. Fingerprint keys are not memo
-    /// entries (they live on the handles) and are accounted separately
-    /// under `automata.fingerprint.bytes`.
+    /// Approximate bytes charged by memo-table, interner and
+    /// structure-table inserts (shape-derived estimates; see
+    /// [`Lang::approx_bytes`]). Only the insert winner charges, so on an
+    /// unbounded store the total is deterministic across thread counts.
+    /// Fingerprint keys are not memo entries (they live on the handles)
+    /// and are accounted separately under `automata.fingerprint.bytes`.
     pub charged_bytes: u64,
     /// `charged_bytes` minus `evicted_bytes`, floored at zero. On a store
     /// these are the bytes its memo tables retain; with a byte cap
@@ -581,29 +620,104 @@ impl Drop for StoreScopeGuard {
     }
 }
 
-/// The identity of one retained memo entry — the currency of the store's
-/// LRU bookkeeping. Unlike [`MemoIdentity`] (which also names per-handle
+/// A seeded 64-bit digest of a machine's structure: its state count,
+/// start, finals, and each state's edges and ε-edges in order, hashed in
+/// place. Structurally equal machines (`Nfa == Nfa`) digest equally.
+fn structure_digest(nfa: &Nfa) -> u64 {
+    let finals = nfa.finals();
+    let header = [
+        nfa.num_states() as u64,
+        u64::from(nfa.start().0),
+        finals.len() as u64,
+    ];
+    let states = nfa.state_ids().map(|q| nfa.state(q)).flat_map(|state| {
+        let lens = (state.edges.len() as u64) << 32 | state.eps.len() as u64;
+        let edges = state.edges.iter().flat_map(|&(class, t)| {
+            let [w0, w1, w2, w3] = class.words();
+            [w0, w1, w2, w3, u64::from(t.0)]
+        });
+        std::iter::once(lens)
+            .chain(edges)
+            .chain(state.eps.iter().map(|t| u64::from(t.0)))
+    });
+    subset::hash_words(
+        header
+            .into_iter()
+            .chain(finals.iter().map(|q| u64::from(q.0)))
+            .chain(states),
+    )
+}
+
+/// A canonical key as a memo-table key: hashed by its digest alone
+/// ([`CanonicalKey::digest`]), compared word by word.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct MemoKey(Arc<CanonicalKey>);
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.digest());
+    }
+}
+
+/// The hasher of the store's tables. Their keys are digests under the
+/// per-process seed already, so no input can be built to collide in them,
+/// and the hasher only folds them together (a pair's two digests, an
+/// enum's tag) without hashing them again.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by digests, hashed by [`DigestHasher`].
+type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
+
+/// The identity of one retained entry — the currency of the store's LRU
+/// bookkeeping. Unlike [`MemoIdentity`] (which also names per-handle
 /// fingerprint slots that the store does not retain), every variant here
-/// maps to exactly one entry of one of the four memo tables, so evicting a
-/// slot is an O(1) map removal.
+/// maps to exactly one entry of one of the store's five tables, so
+/// evicting a slot is an O(1) map removal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum SlotKey {
     /// One hash-consed representative in the interner.
-    Interned(Arc<CanonicalKey>),
+    Interned(MemoKey),
     /// One intersection result, keyed by the unordered fingerprint pair.
-    Intersect(Arc<CanonicalKey>, Arc<CanonicalKey>),
+    Intersect(MemoKey, MemoKey),
     /// One inclusion verdict, keyed by the ordered fingerprint pair.
-    Inclusion(Arc<CanonicalKey>, Arc<CanonicalKey>),
+    Inclusion(MemoKey, MemoKey),
     /// One minimized machine, keyed by the input fingerprint.
-    Minimize(Arc<CanonicalKey>),
+    Minimize(MemoKey),
+    /// One structure-table entry, keyed by its machine's digest.
+    Structure(u64),
 }
 
 #[derive(Default)]
 struct StoreInner {
-    interned: HashMap<Arc<CanonicalKey>, Lang>,
-    intersect_memo: HashMap<(Arc<CanonicalKey>, Arc<CanonicalKey>), Lang>,
-    inclusion_memo: HashMap<(Arc<CanonicalKey>, Arc<CanonicalKey>), bool>,
-    minimize_memo: HashMap<Arc<CanonicalKey>, Lang>,
+    interned: DigestMap<MemoKey, Lang>,
+    intersect_memo: DigestMap<(MemoKey, MemoKey), Lang>,
+    inclusion_memo: DigestMap<(MemoKey, MemoKey), bool>,
+    minimize_memo: DigestMap<MemoKey, Lang>,
+    /// The structure table: a machine's digest → the fingerprinted handle
+    /// that first had that machine. One entry per digest; a different
+    /// machine with the same digest canonicalizes and leaves the entry be.
+    structures: DigestMap<u64, Lang>,
     stats: StoreStats,
     /// Registry the store records operation costs into. Kept inside the
     /// existing mutex (no extra lock); the handle's atomic operations are
@@ -617,8 +731,8 @@ struct StoreInner {
     tick: u64,
     /// tick → slot, recency-ordered: the first entry is the next victim.
     by_recency: BTreeMap<u64, SlotKey>,
-    /// slot → (last-touch tick, byte charge); mirrors the four memo maps.
-    charges: HashMap<SlotKey, (u64, u64)>,
+    /// slot → (last-touch tick, byte charge); mirrors the five tables.
+    charges: DigestMap<SlotKey, (u64, u64)>,
 }
 
 impl StoreInner {
@@ -712,8 +826,40 @@ impl StoreInner {
                 SlotKey::Minimize(k) => {
                     self.minimize_memo.remove(k);
                 }
+                SlotKey::Structure(digest) => {
+                    self.structures.remove(digest);
+                }
             }
             self.count(Tally::Evict(bytes));
+        }
+    }
+
+    /// The key of the table's entry for `lang`'s machine, if it has one.
+    fn structure_key(&mut self, digest: u64, lang: &Lang) -> Option<Arc<CanonicalKey>> {
+        let entry = self.structures.get(&digest)?;
+        if !Lang::ptr_eq(entry, lang) && entry.nfa() != lang.nfa() {
+            return None;
+        }
+        let key = entry.inner.fingerprint.get().cloned();
+        self.touch(SlotKey::Structure(digest));
+        Some(key.expect("table entries are keyed"))
+    }
+
+    /// Enters `lang`, just keyed, in the structure table unless another
+    /// machine holds its digest. Returns `false` when an equal machine is
+    /// there already: a racing lookup canonicalized it first.
+    fn insert_structure(&mut self, digest: u64, lang: &Lang) -> bool {
+        match self.structures.get(&digest) {
+            Some(entry) if Lang::ptr_eq(entry, lang) || entry.nfa() == lang.nfa() => {
+                self.touch(SlotKey::Structure(digest));
+                false
+            }
+            Some(_) => true,
+            None => {
+                self.structures.insert(digest, lang.clone());
+                self.charge_insert(SlotKey::Structure(digest), lang.approx_bytes());
+                true
+            }
         }
     }
 }
@@ -814,12 +960,17 @@ impl LangStore {
         }
     }
 
-    /// The language's fingerprint, with hit/miss accounting. The hit/miss
-    /// split is race-free: [`Lang::fingerprint_tracked`] reports whether
-    /// *this* call ran the canonicalization, so concurrent callers racing
-    /// on one handle record exactly one miss between them — total misses
-    /// equal the number of distinct handles canonicalized, independent of
-    /// scheduling.
+    /// The language's fingerprint, with hit/miss accounting. A handle
+    /// without a key first looks its machine up in the store's structure
+    /// table: a machine the store canonicalized before lends its key, and
+    /// only a new machine is canonicalized (then entered in the table).
+    ///
+    /// The hit/miss split is race-free. [`Lang::fingerprint_tracked`]
+    /// reports whether *this* call ran the canonicalization, so callers
+    /// racing on one handle record one miss between them; and a call that
+    /// canonicalized a machine another call entered in the table first
+    /// counts a hit, as a lost memo insert does. So misses count the
+    /// distinct machines canonicalized, independent of scheduling.
     pub fn key_of(&self, lang: &Lang) -> Arc<CanonicalKey> {
         self.key_and_minimal(lang, false).0
     }
@@ -831,14 +982,42 @@ impl LangStore {
         lang: &Lang,
         want_minimal: bool,
     ) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Option<Dfa>)>) {
+        let enabled = self.enabled;
+        let identity = |structure: Option<u64>, keyed: bool| {
+            Some(MemoIdentity::Fingerprint {
+                handle: lang.clone(),
+                structure: structure.or_else(|| enabled.then(|| structure_digest(lang.nfa()))),
+                keyed,
+            })
+        };
+        if let Some(key) = lang.inner.fingerprint.get() {
+            self.settle(self.lock(), StoreOp::Fingerprint, true, || {
+                identity(None, false)
+            });
+            return (key.clone(), None);
+        }
+        let digest = enabled.then(|| structure_digest(lang.nfa()));
+        if let Some(digest) = digest {
+            let mut inner = self.lock();
+            if let Some(key) = inner.structure_key(digest, lang) {
+                self.settle(inner, StoreOp::Fingerprint, true, || {
+                    identity(Some(digest), true)
+                });
+                // Set after the lock is released: a racing canonicalization
+                // of this handle, if any, finishes first, with the same key.
+                return (lang.inner.fingerprint.get_or_init(|| key).clone(), None);
+            }
+        }
         let (key, computed) = lang.fingerprint_with_minimal(want_minimal);
-        let inner = self.lock();
-        if let Some((cost, _)) = &computed {
+        let mut inner = self.lock();
+        // A hit when a racing call keyed this handle, or entered an equal
+        // machine in the table while this call canonicalized: the insert
+        // winner alone counts the miss and records the cost.
+        let hit = computed.is_none() || digest.is_some_and(|d| !inner.insert_structure(d, lang));
+        if let Some((cost, _)) = computed.as_ref().filter(|_| !hit) {
             record_fingerprint_cost(&inner.metrics, lang, cost);
         }
-        self.settle(inner, StoreOp::Fingerprint, computed.is_none(), || {
-            Some(MemoIdentity::Fingerprint(lang.clone()))
-        });
+        self.settle(inner, StoreOp::Fingerprint, hit, || identity(digest, true));
         (key, computed)
     }
 
@@ -850,7 +1029,7 @@ impl LangStore {
         if !self.enabled {
             return lang;
         }
-        let key = self.key_of(&lang);
+        let key = MemoKey(self.key_of(&lang));
         let mut inner = self.lock();
         if let Some(existing) = inner.interned.get(&key) {
             let existing = existing.clone();
@@ -877,9 +1056,10 @@ impl LangStore {
             return result;
         }
         let (ka, kb) = (self.key_of(a), self.key_of(b));
-        let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
+        let (ka, kb) = if ka <= kb { (ka, kb) } else { (kb, ka) };
+        let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
         let slot = || SlotKey::Intersect(key.0.clone(), key.1.clone());
-        let identity = || Some(MemoIdentity::Intersect(key.0.clone(), key.1.clone()));
+        let identity = || Some(MemoIdentity::Intersect(ka.clone(), kb.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.intersect_memo.get(&key).cloned() {
@@ -980,15 +1160,16 @@ impl LangStore {
             report(None, None, false, true, Some(result), cost);
             return Ok(result);
         }
-        let key = (self.key_of(a), self.key_of(b));
-        if key.0 == key.1 {
+        let (ka, kb) = (self.key_of(a), self.key_of(b));
+        if ka == kb {
             // Second pre-check: equal fingerprints mean equal languages,
             // so the inclusion holds without a search.
             return Ok(true);
         }
-        let keys = Some((&key.0, &key.1));
+        let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
+        let keys = Some((&ka, &kb));
         let slot = || SlotKey::Inclusion(key.0.clone(), key.1.clone());
-        let identity = || Some(MemoIdentity::Inclusion(key.0.clone(), key.1.clone()));
+        let identity = || Some(MemoIdentity::Inclusion(ka.clone(), kb.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.inclusion_memo.get(&key).copied() {
@@ -1043,8 +1224,9 @@ impl LangStore {
         }
         // A fingerprint computed here comes with the minimal DFA, which is
         // exactly what a memo miss would determinize and refine again.
-        let (key, minimal) = self.key_and_minimal(a, true);
-        let identity = || Some(MemoIdentity::Minimize(key.clone()));
+        let (fingerprint, minimal) = self.key_and_minimal(a, true);
+        let key = MemoKey(fingerprint.clone());
+        let identity = || Some(MemoIdentity::Minimize(fingerprint.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.minimize_memo.get(&key).cloned() {
@@ -1059,7 +1241,7 @@ impl LangStore {
         };
         // The result has `a`'s language, hence `a`'s key: the handle is born
         // with it, so no minimal machine is ever canonicalized again.
-        let result = Lang::with_fingerprint(nfa, OnceLock::from(key.clone()));
+        let result = Lang::with_fingerprint(nfa, OnceLock::from(fingerprint.clone()));
         let mut inner = self.lock();
         // Same race re-check as `intersect`: first writer wins the entry.
         if let Some(existing) = inner.minimize_memo.get(&key).cloned() {
@@ -1365,41 +1547,152 @@ mod tests {
     }
 
     #[test]
-    // False positive: `MemoIdentity` hashes by handle address and
-    // immutable `Arc<CanonicalKey>`s, not through `Lang`'s interior cache.
+    // False positive: `MemoIdentity` hashes by digests and compares by
+    // handle address or immutable machine, not through `Lang`'s interior
+    // cache.
     #[allow(clippy::mutable_key_type)]
     fn memo_identity_distinguishes_slots() {
         use std::collections::HashSet;
         let a = Lang::new(ab_star());
         let b = a.clone();
         let c = Lang::new(ab_star());
-        // Clones share a slot; a fresh structurally-equal handle does not.
-        assert_eq!(
-            MemoIdentity::Fingerprint(a.clone()),
-            MemoIdentity::Fingerprint(b.clone())
-        );
-        assert_ne!(
-            MemoIdentity::Fingerprint(a.clone()),
-            MemoIdentity::Fingerprint(c.clone())
-        );
+        // (ab)* ∪ {ε}: the same language, another machine.
+        let d = Lang::new(ops::union(&ab_star(), &Nfa::epsilon()));
+        let by_structure = |l: &Lang| MemoIdentity::Fingerprint {
+            handle: l.clone(),
+            structure: Some(structure_digest(l.nfa())),
+            keyed: true,
+        };
+        let by_handle = |l: &Lang| MemoIdentity::Fingerprint {
+            handle: l.clone(),
+            structure: None,
+            keyed: true,
+        };
+        // With a structure table, every handle of one machine shares a
+        // slot and a different machine of the same language does not;
+        // without one, only clones do.
+        assert_eq!(by_structure(&a), by_structure(&c));
+        assert_ne!(by_structure(&a), by_structure(&d));
+        assert_eq!(by_handle(&a), by_handle(&b));
+        assert_ne!(by_handle(&a), by_handle(&c));
         let ka = a.fingerprint();
-        let kc = c.fingerprint();
+        let kd = d.fingerprint();
         assert_eq!(
             MemoIdentity::Minimize(ka.clone()),
-            MemoIdentity::Minimize(kc.clone()),
+            MemoIdentity::Minimize(kd.clone()),
             "value-keyed slots compare by language"
         );
         assert_ne!(
             MemoIdentity::Minimize(ka.clone()),
-            MemoIdentity::Intersect(ka.clone(), kc.clone())
+            MemoIdentity::Intersect(ka.clone(), kd.clone())
         );
         let mut set = HashSet::new();
-        set.insert(MemoIdentity::Fingerprint(a));
-        set.insert(MemoIdentity::Fingerprint(b));
-        set.insert(MemoIdentity::Fingerprint(c));
+        set.insert(by_structure(&a));
+        set.insert(by_structure(&b));
+        set.insert(by_structure(&c));
+        set.insert(by_structure(&d));
         set.insert(MemoIdentity::Minimize(ka));
-        set.insert(MemoIdentity::Minimize(kc));
+        set.insert(MemoIdentity::Minimize(kd));
         assert_eq!(set.len(), 3);
+    }
+
+    #[test]
+    fn a_known_machine_takes_its_key_from_the_table() {
+        use crate::generate::{random_nonempty_nfa, RandomNfaConfig};
+        let config = RandomNfaConfig {
+            states: 6,
+            alphabet: vec![b'a', b'b', b'c'],
+            ..Default::default()
+        };
+        for seed in 0..64 {
+            let machine = random_nonempty_nfa(seed, &config);
+            let store = LangStore::new();
+            let first = Lang::new(machine.clone());
+            let key = store.key_of(&first);
+            assert_eq!(*key, crate::minimize::canonical_key(&machine));
+            let stats = store.stats();
+            assert_eq!((stats.fingerprint_hits, stats.fingerprint_misses), (0, 1));
+            // A fresh handle of the same machine canonicalizes nothing.
+            let second = Lang::new(machine.clone());
+            assert_eq!(store.key_of(&second), key, "seed {seed}");
+            assert!(second.fingerprint_is_cached());
+            let stats = store.stats();
+            assert_eq!((stats.fingerprint_hits, stats.fingerprint_misses), (1, 1));
+            // Its minimized machine is the cold one.
+            let minimal = store.minimized(&Lang::new(machine.clone()));
+            assert_eq!(*minimal.nfa(), crate::minimize::minimize(&machine));
+            assert_eq!(store.stats().fingerprint_misses, 1);
+        }
+    }
+
+    #[test]
+    fn a_digest_collision_canonicalizes_instead_of_adopting() {
+        let store = LangStore::new();
+        let planted = Lang::new(Nfa::literal(b"planted"));
+        planted.fingerprint();
+        let machine = ab_star();
+        let digest = structure_digest(&machine);
+        {
+            // Plant a different machine under this machine's digest.
+            let mut inner = store.lock();
+            assert!(inner.insert_structure(digest, &planted));
+        }
+        let lang = Lang::new(machine.clone());
+        let key = store.key_of(&lang);
+        assert_eq!(*key, crate::minimize::canonical_key(&machine));
+        assert_ne!(key, planted.fingerprint());
+        let stats = store.stats();
+        assert_eq!((stats.fingerprint_hits, stats.fingerprint_misses), (0, 1));
+        // The occupant stays; the newcomer is not entered.
+        let inner = store.lock();
+        assert!(Lang::ptr_eq(&inner.structures[&digest], &planted));
+        assert_eq!(inner.structures.len(), 1);
+    }
+
+    #[test]
+    fn racing_handles_of_one_machine_count_one_miss() {
+        for _ in 0..8 {
+            let store = LangStore::new();
+            let handles: Vec<Lang> = (0..4).map(|_| Lang::new(ab_star())).collect();
+            std::thread::scope(|s| {
+                for handle in &handles {
+                    let store = &store;
+                    s.spawn(move || store.key_of(handle));
+                }
+            });
+            let stats = store.stats();
+            assert_eq!((stats.fingerprint_hits, stats.fingerprint_misses), (3, 1));
+            assert_eq!(store.lock().structures.len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_bounded_store_evicts_table_entries() {
+        let machines: Vec<Nfa> = (1..=8).map(Nfa::exact_length).collect();
+        let charge = Lang::new(machines[0].clone()).approx_bytes();
+        let cap = 3 * charge;
+        let store = LangStore::bounded(cap);
+        for machine in &machines {
+            store.key_of(&Lang::new(machine.clone()));
+            assert!(
+                store.stats().memo_bytes <= cap,
+                "under the cap after every insert"
+            );
+        }
+        assert!(store.stats().evictions > 0);
+        assert!(store.lock().structures.len() < machines.len());
+        // The oldest machine was evicted: it canonicalizes again, with the
+        // same key.
+        let misses = store.stats().fingerprint_misses;
+        let again = store.key_of(&Lang::new(machines[0].clone()));
+        assert_eq!(store.stats().fingerprint_misses, misses + 1);
+        assert_eq!(*again, crate::minimize::canonical_key(&machines[0]));
+        // A pass-through store keeps no table.
+        let plain = LangStore::interning(false);
+        plain.key_of(&Lang::new(machines[0].clone()));
+        plain.key_of(&Lang::new(machines[0].clone()));
+        assert_eq!(plain.stats().fingerprint_misses, 2);
+        assert!(plain.lock().structures.is_empty());
     }
 
     #[test]

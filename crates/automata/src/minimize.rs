@@ -350,7 +350,7 @@ impl Refiner {
         }
         let key = key.then(|| {
             words[0] = order.len() as u64;
-            CanonicalKey(words)
+            CanonicalKey::new(words)
         });
         let machine = machine.then(|| Dfa::from_parts(states, StateId(0), minimal_finals));
         (key, machine)
@@ -451,10 +451,66 @@ pub(crate) fn canonical_minimal_counted(nfa: &Nfa) -> (CanonicalKey, Dfa, Determ
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺
 /// equal languages.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct CanonicalKey(Vec<u64>);
+///
+/// A key carries a seeded digest of its words ([`CanonicalKey::digest`]),
+/// computed once when the key is made, so that tables keyed by it hash one
+/// word. Equality compares the digests, then every word. `Hash`, `Ord` and
+/// `Debug` see the words only, so nothing derived from them depends on the
+/// per-process seed.
+#[derive(Clone)]
+pub struct CanonicalKey {
+    words: Vec<u64>,
+    digest: u64,
+}
+
+impl PartialEq for CanonicalKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && self.words == other.words
+    }
+}
+
+impl Eq for CanonicalKey {}
+
+impl std::hash::Hash for CanonicalKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.words.hash(state);
+    }
+}
+
+impl PartialOrd for CanonicalKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CanonicalKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.words.cmp(&other.words)
+    }
+}
+
+impl std::fmt::Debug for CanonicalKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("CanonicalKey").field(&self.words).finish()
+    }
+}
 
 impl CanonicalKey {
+    /// A key over `words`, with its digest.
+    fn new(words: Vec<u64>) -> CanonicalKey {
+        let digest = subset::hash_words(words.iter().copied());
+        CanonicalKey { words, digest }
+    }
+
+    /// A 64-bit digest of the key, hashed once when the key was made with a
+    /// seed drawn once per process: equal keys digest equally within a
+    /// process, and no input can be built in advance to collide. It is for
+    /// hash tables only; [`CanonicalKey::hash64`] is the stable digest for
+    /// anything written out.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
     /// Serializes a canonical minimal DFA: the state count, then per state
     /// its finality, its edge count, and per edge the class's four bitmap
     /// words and the target. [`Refiner::emit`] writes the same words as it
@@ -471,13 +527,13 @@ impl CanonicalKey {
                 words.push(u64::from(t.0));
             }
         }
-        CanonicalKey(words)
+        CanonicalKey::new(words)
     }
 
     /// Approximate heap footprint of the key in bytes (its word payload).
     /// Used by the store's memo byte accounting.
     pub fn byte_len(&self) -> usize {
-        self.0.len() * std::mem::size_of::<u64>()
+        self.words.len() * std::mem::size_of::<u64>()
     }
 
     /// A stable 64-bit digest of the key (FNV-1a over its word payload in
@@ -487,7 +543,7 @@ impl CanonicalKey {
     /// across machines and runs.
     pub fn hash64(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &word in &self.0 {
+        for &word in &self.words {
             for byte in word.to_le_bytes() {
                 h ^= u64::from(byte);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -963,7 +1019,7 @@ mod moore {
                 ));
             }
         }
-        CanonicalKey(words)
+        CanonicalKey::new(words)
     }
 
     pub(super) fn minimize(nfa: &Nfa) -> Nfa {
@@ -1086,7 +1142,7 @@ mod hopcroft_tests {
             key.push(i as u64 + 1);
         }
         key.extend([1, 0]);
-        assert_eq!(canonical_key(&literal), CanonicalKey(key));
+        assert_eq!(canonical_key(&literal), CanonicalKey::new(key));
         assert_matches_moore(&Nfa::literal(&word[..250]), "250-byte literal");
     }
 

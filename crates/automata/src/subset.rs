@@ -46,12 +46,13 @@ fn seed() -> u64 {
     })
 }
 
-/// A seeded multiply-rotate hash of a word sequence.
+/// A seeded multiply-rotate hash of a word sequence. The words are folded
+/// in (internal iteration), so a chain of iterators over a machine's parts
+/// hashes it in place.
 pub(crate) fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = seed();
-    for w in words {
-        h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    }
+    let h = words.into_iter().fold(seed(), |h, w| {
+        (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+    });
     h ^ (h >> 32)
 }
 

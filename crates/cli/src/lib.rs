@@ -187,16 +187,10 @@ impl FileParser {
             .strip_prefix("match(")
             .and_then(|v| v.strip_suffix(')'))
         {
-            let pattern = self.regex_body(inner.trim(), line)?;
-            let re = dprle_regex::Regex::new(&pattern)
-                .map_err(|e| self.err(line, format!("bad regex: {e}")))?;
-            return Ok(re.search_language().clone());
+            return self.regex_language(inner.trim(), line, dprle_regex::compile_search);
         }
         if value.starts_with('/') {
-            let pattern = self.regex_body(value, line)?;
-            let re = dprle_regex::Regex::new(&pattern)
-                .map_err(|e| self.err(line, format!("bad regex: {e}")))?;
-            return Ok(re.exact_language().clone());
+            return self.regex_language(value, line, dprle_regex::compile_exact);
         }
         if value.starts_with('"') {
             let bytes = self.literal_body(value, line)?;
@@ -208,12 +202,24 @@ impl FileParser {
         ))
     }
 
-    fn regex_body(&self, value: &str, line: usize) -> Result<String, ParseFileError> {
-        let inner = value
+    /// Compiles a `/…/` constant under one reading (search or exact),
+    /// parsing its body once.
+    fn regex_language(
+        &self,
+        value: &str,
+        line: usize,
+        compile: fn(&dprle_regex::Ast) -> Result<dprle_automata::Nfa, dprle_regex::ParseRegexError>,
+    ) -> Result<dprle_automata::Nfa, ParseFileError> {
+        dprle_regex::parse(self.regex_body(value, line)?)
+            .and_then(|ast| compile(&ast))
+            .map_err(|e| self.err(line, format!("bad regex: {e}")))
+    }
+
+    fn regex_body<'a>(&self, value: &'a str, line: usize) -> Result<&'a str, ParseFileError> {
+        value
             .strip_prefix('/')
             .and_then(|v| v.strip_suffix('/'))
-            .ok_or_else(|| self.err(line, "regex must be delimited by /…/"))?;
-        Ok(inner.to_owned())
+            .ok_or_else(|| self.err(line, "regex must be delimited by /…/"))
     }
 
     fn literal_body(&self, value: &str, line: usize) -> Result<Vec<u8>, ParseFileError> {
@@ -485,6 +491,25 @@ mod tests {
         let search = parsed.system.const_machine(dprle_core::ConstId(1));
         assert!(exact.contains(b"ab") && !exact.contains(b"xaby"));
         assert!(search.contains(b"xaby"));
+        // Each reading is the machine `Regex` compiles for it, and a bad
+        // pattern fails with `Regex`'s message.
+        for pattern in ["ab", "^a[0-9]+$", "(x|yz)*q?"] {
+            let parsed =
+                parse_file(&format!("a := /{pattern}/; b := match(/{pattern}/);")).expect("parses");
+            let re = dprle_regex::Regex::new(pattern).expect("compiles");
+            let machine = |c| parsed.system.const_machine(dprle_core::ConstId(c));
+            assert_eq!(machine(0), re.exact_language(), "{pattern}");
+            assert_eq!(machine(1), re.search_language(), "{pattern}");
+        }
+        for pattern in ["a^b", "(ab"] {
+            let message = dprle_regex::Regex::new(pattern)
+                .expect_err("bad")
+                .to_string();
+            for value in [format!("/{pattern}/"), format!("match(/{pattern}/)")] {
+                let err = parse_file(&format!("a := {value};")).expect_err("bad regex");
+                assert!(err.to_string().contains(&message), "{err}");
+            }
+        }
     }
 
     #[test]

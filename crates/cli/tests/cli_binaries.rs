@@ -194,6 +194,25 @@ fn analyzer_enumerates_stacked_alternatives_in_bounded_memory() {
 }
 
 #[test]
+fn analyzer_fails_on_a_sink_it_cannot_constrain() {
+    // `x = "'"` puts a quote in the query; the raw and lowered views of
+    // `x` cannot be linked, so the sink is unanalyzed, not SAFE.
+    let file = temp_file(
+        "mixed_use.php",
+        "<?php\n$x = $_GET['x'];\nquery(\"SELECT \" . $x . strtolower($x));\n",
+    );
+    let out = dprle_analyze(&[file.to_str().expect("utf8")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}");
+    assert!(!stdout.contains("SAFE"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("input `x` is used both raw and case-mapped on one path; unsupported"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn analyzer_rejects_unparseable_php() {
     let file = temp_file("bad.php", "<?php for(;;) {}");
     let out = dprle_analyze(&[file.to_str().expect("utf8")]);

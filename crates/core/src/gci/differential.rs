@@ -547,6 +547,78 @@ fn enumeration_matches_reference_on_figure_9_10() {
     assert_eq!(coverage.solutions, 4, "{coverage:?}");
 }
 
+/// Every segment the reference cuts from the roots of `system`'s CI-groups.
+fn segments_of(system: &System) -> Vec<Nfa> {
+    let graph = DependencyGraph::from_system(system);
+    let leaves = leaf_machines(&graph, system);
+    let options = GciOptions::default();
+    let store = LangStore::new();
+    let mut segments = Vec::new();
+    for group in graph.ci_groups() {
+        let builder = GroupBuilder {
+            graph: &graph,
+            group: &group,
+            system,
+            leaf_machines: &leaves,
+            metrics: &options.metrics,
+            ledger: &options.ledger,
+            cap: usize::MAX,
+            product_states: Cell::new(0),
+        };
+        let roots = builder.build_roots().ok().flatten().unwrap_or_default();
+        for root in &roots {
+            for candidate in reference::enumerate_root(root, None, false, &store) {
+                segments.extend(candidate.into_iter().map(|(_, lang)| lang.into_nfa()));
+            }
+        }
+    }
+    segments
+}
+
+#[test]
+fn structural_hits_match_cold_canonicalization_on_segments() {
+    let mut systems: Vec<System> = fig12_systems()
+        .into_iter()
+        .map(|(_, system)| system.normalized().into_owned())
+        .collect();
+    let exact = |p: &str| Regex::new(p).expect("pattern").exact_language().clone();
+    let mut figure_9_10 = System::new();
+    let (va, vb, vc) = (
+        figure_9_10.var("va"),
+        figure_9_10.var("vb"),
+        figure_9_10.var("vc"),
+    );
+    for (v, pattern) in [(va, "o(pp)+"), (vb, "p*(qq)+"), (vc, "q*r")] {
+        let c = figure_9_10.constant(pattern, exact(pattern));
+        figure_9_10.require(Expr::Var(v), c);
+    }
+    let c1 = figure_9_10.constant("c1", exact("op{5}q*"));
+    let c2 = figure_9_10.constant("c2", exact("p*q{4}r"));
+    figure_9_10.require(Expr::Var(va).concat(Expr::Var(vb)), c1);
+    figure_9_10.require(Expr::Var(vb).concat(Expr::Var(vc)), c2);
+    systems.push(figure_9_10);
+    let mut checked = 0;
+    for system in &systems {
+        for segment in segments_of(system) {
+            // One handle canonicalizes; a fresh handle of the same machine
+            // takes its key from the table, and minimizes from that key.
+            let store = LangStore::new();
+            let cold_key = dprle_automata::canonical_key(&segment);
+            assert_eq!(*store.key_of(&Lang::new(segment.clone())), cold_key);
+            let before = store.stats();
+            let warm = Lang::new(segment.clone());
+            assert_eq!(*store.key_of(&warm), cold_key);
+            let after = store.stats();
+            assert_eq!(after.fingerprint_misses, before.fingerprint_misses);
+            assert_eq!(after.fingerprint_hits, before.fingerprint_hits + 1);
+            let minimal = store.minimized(&Lang::new(segment.clone()));
+            assert_eq!(*minimal.nfa(), dprle_automata::minimize(&segment));
+            checked += 1;
+        }
+    }
+    assert!(checked >= 40, "{checked} segments");
+}
+
 /// The constants random systems draw from: literals (ε included), ε-chains
 /// of literals, multi-word and infinite constants.
 fn constant_pool() -> Vec<(&'static str, Nfa)> {

@@ -38,8 +38,8 @@
 // `HashMap<MemoIdentity, _>` trips clippy's `mutable_key_type`: a
 // `MemoIdentity` holds a `Lang`, whose interior fingerprint cache is a
 // `OnceLock`. The lint is a false positive here — `MemoIdentity`'s
-// `Hash`/`Eq` go through the handle *address* and immutable
-// `Arc<CanonicalKey>`s only, never through the mutable cell (same
+// `Hash`/`Eq` go through the handle's address or immutable machine and
+// immutable `Arc<CanonicalKey>`s only, never through the mutable cell (same
 // reasoning as `core::parallel`).
 #![allow(clippy::mutable_key_type)]
 

@@ -24,10 +24,11 @@
 //!   ids and sequence numbers match the sequential run exactly;
 //! - rewrites each buffered `MemoHit`/`MemoMiss` outcome to the outcome the
 //!   *sequential* run would have observed: within a level, the first touch
-//!   of a memo slot (identified by [`MemoIdentity`]) in replay order is the
-//!   miss — provided the slot was computed during this level at all; slots
-//!   computed in earlier levels or pre-populated by earlier solves are hits
-//!   everywhere, in both runs;
+//!   of a memo slot (identified by [`MemoIdentity`]; a fingerprint's slot
+//!   is its machine's structure) in replay order is the miss — provided the
+//!   slot was computed during this level at all; slots computed in earlier
+//!   levels or pre-populated by earlier solves are hits everywhere, in both
+//!   runs, and so is every lookup of a handle keyed before the level;
 //! - accumulates the branch counters and re-simulates the sequential
 //!   queue-length trajectory, so `peak_worklist` and the `depth` field of
 //!   `WorklistBranch` events are scheduling-independent;
@@ -44,8 +45,8 @@
 // `HashSet<MemoIdentity>` trips clippy's `mutable_key_type`: a
 // `MemoIdentity` holds a `Lang`, whose interior fingerprint cache is a
 // `OnceLock`. The lint is a false positive here — `MemoIdentity`'s
-// `Hash`/`Eq` go through the handle *address* and immutable
-// `Arc<CanonicalKey>`s only, never through the mutable cell.
+// `Hash`/`Eq` go through the handle's address or immutable machine and
+// immutable `Arc<CanonicalKey>`s only, never through the mutable cell.
 #![allow(clippy::mutable_key_type)]
 
 use crate::gci::{solve_group, GroupOutcome, ProductCapHit};
@@ -367,58 +368,89 @@ fn finish_level_entry(ctx: &WorklistCtx<'_>, partial: &BTreeMap<NodeId, Lang>) -
 // Deterministic replay
 // ---------------------------------------------------------------------
 
-/// Collects the memo slots that were *computed* (actually missed) anywhere
-/// in this level. A slot absent from this set was either computed in an
-/// earlier level or pre-populated by an earlier solve — in both cases the
-/// sequential run hits it too, so its events need no rewriting.
-fn collect_computed<'a>(
-    items: impl Iterator<Item = (&'a [TraceEvent], &'a [Option<MemoIdentity>])>,
-    computed: &mut HashSet<MemoIdentity>,
-) {
-    for (events, ids) in items {
-        let mut k = 0usize;
-        for event in events {
-            match &event.kind {
-                TraceEventKind::MemoMiss { .. } => {
-                    if let Some(Some(id)) = ids.get(k) {
-                        computed.insert(id.clone());
-                    }
-                    k += 1;
-                }
-                TraceEventKind::MemoHit { .. } => k += 1,
-                _ => {}
-            }
-        }
-    }
+/// One level's memo-outcome replay: rewrites each entry's buffered
+/// outcomes to the ones the sequential run observes.
+///
+/// For a slot computed (missed) anywhere in the level, the first touch in
+/// replay order is the miss and every later touch a hit. A slot absent
+/// from that set was computed in an earlier level or by an earlier solve,
+/// and every run hits it. Slot-less events (pass-through stores) keep
+/// their recorded outcome: with no cache, every operation deterministically
+/// misses.
+///
+/// A fingerprint slot is a machine structure, which handles keyed before
+/// this level do not enter: their own caches answer them in every run.
+/// So only the first touch of a handle keyed in this level is a touch of
+/// its structure; which entry keyed it first depends on scheduling, but
+/// the handle's first touch in replay order is where the sequential run
+/// keys it.
+#[derive(Default)]
+struct MemoReplay {
+    computed: HashSet<MemoIdentity>,
+    /// Addresses of the handles keyed in this level.
+    keyed: HashSet<usize>,
+    seen: HashSet<MemoIdentity>,
+    seen_handles: HashSet<usize>,
 }
 
-/// Replays one entry's buffered events into the parent journal, rewriting
-/// memo outcomes to the sequential ones: for each slot computed during
-/// this level, the first touch in replay order becomes the miss and every
-/// later touch a hit. Slot-less events (pass-through stores) keep their
-/// recorded outcome — with no cache, every operation deterministically
-/// misses.
-fn replay_entry_events(
-    parent: &Tracer,
-    mut events: Vec<TraceEvent>,
-    ids: &[Option<MemoIdentity>],
-    computed: &HashSet<MemoIdentity>,
-    seen: &mut HashSet<MemoIdentity>,
-) {
-    let mut k = 0usize;
-    for event in &mut events {
-        let op = match &event.kind {
-            TraceEventKind::MemoHit { op } | TraceEventKind::MemoMiss { op } => op.clone(),
-            _ => continue,
-        };
-        if let Some(Some(id)) = ids.get(k) {
-            let hit = seen.contains(id) || !computed.contains(id);
-            seen.insert(id.clone());
+impl MemoReplay {
+    /// Collects the level's computed slots and keyed handles.
+    fn collect<'a>(
+        items: impl Iterator<Item = (&'a [TraceEvent], &'a [Option<MemoIdentity>])>,
+    ) -> MemoReplay {
+        let mut replay = MemoReplay::default();
+        for (events, ids) in items {
+            let outcomes = events.iter().filter_map(|event| match event.kind {
+                TraceEventKind::MemoMiss { .. } => Some(false),
+                TraceEventKind::MemoHit { .. } => Some(true),
+                _ => None,
+            });
+            for (hit, id) in outcomes.zip(ids) {
+                let Some(id) = id else { continue };
+                if let MemoIdentity::Fingerprint {
+                    handle,
+                    keyed: true,
+                    ..
+                } = id
+                {
+                    replay.keyed.insert(handle.handle_addr());
+                }
+                if !hit {
+                    replay.computed.insert(id.clone());
+                }
+            }
+        }
+        replay
+    }
+
+    /// Replays one entry's buffered events into the parent journal with
+    /// their sequential outcomes.
+    fn replay(
+        &mut self,
+        parent: &Tracer,
+        mut events: Vec<TraceEvent>,
+        ids: &[Option<MemoIdentity>],
+    ) {
+        let mut ids = ids.iter();
+        for event in &mut events {
+            let op = match &event.kind {
+                TraceEventKind::MemoHit { op } | TraceEventKind::MemoMiss { op } => op.clone(),
+                _ => continue,
+            };
+            let Some(Some(id)) = ids.next() else { continue };
+            let hit = match id {
+                MemoIdentity::Fingerprint { handle, .. }
+                    if !self.keyed.contains(&handle.handle_addr())
+                        || !self.seen_handles.insert(handle.handle_addr()) =>
+                {
+                    true
+                }
+                _ => !self.computed.contains(id) || !self.seen.insert(id.clone()),
+            };
             event.kind = memo_kind(op, hit);
         }
-        k += 1;
+        parent.absorb_events(events);
     }
-    parent.absorb_events(events);
 }
 
 // ---------------------------------------------------------------------
@@ -454,12 +486,10 @@ pub(crate) fn drive_worklist(
             break; // every branch died; the sequential queue drains too
         }
         let results = map_level(jobs, level.len(), |_entry| solve_level_entry(ctx, gi));
-        let mut computed = HashSet::new();
-        collect_computed(
+        let mut memo = MemoReplay::collect(
             results
                 .iter()
                 .map(|r| (r.events.as_slice(), r.ids.as_slice())),
-            &mut computed,
         );
         // The ledger replay mirrors the trace replay exactly: per level,
         // gather the engine cost of every memo slot computed here, then
@@ -471,13 +501,12 @@ pub(crate) fn drive_worklist(
             &mut ledger_costs,
         );
         let mut ledger_seen = HashSet::new();
-        let mut seen = HashSet::new();
         let mut next: Vec<BTreeMap<NodeId, Lang>> = Vec::new();
         for (partial, result) in level.iter().zip(results) {
             sim_len -= 1;
             metrics.gauge_set(id::WORKLIST_DEPTH, sim_len as u64);
             check_deadline(ctx.options, track)?;
-            replay_entry_events(ctx.tracer, result.events, &result.ids, &computed, &mut seen);
+            memo.replay(ctx.tracer, result.events, &result.ids);
             replay_drafts(
                 &ctx.options.ledger,
                 result.ledger,
@@ -523,12 +552,10 @@ pub(crate) fn drive_worklist(
     // cannot perturb any counter — the truncated replay below discards
     // everything past the cap, matching the sequential early exit.
     let results = map_level(jobs, level.len(), |i| finish_level_entry(ctx, &level[i]));
-    let mut computed = HashSet::new();
-    collect_computed(
+    let mut memo = MemoReplay::collect(
         results
             .iter()
             .map(|r| (r.events.as_slice(), r.ids.as_slice())),
-        &mut computed,
     );
     let mut ledger_costs = HashMap::new();
     collect_computed_costs(
@@ -536,14 +563,13 @@ pub(crate) fn drive_worklist(
         &mut ledger_costs,
     );
     let mut ledger_seen = HashSet::new();
-    let mut seen = HashSet::new();
     let mut produced: Vec<Assignment> = Vec::new();
     for result in results {
         sim_len = sim_len.saturating_sub(1);
         metrics.gauge_set(id::WORKLIST_DEPTH, sim_len as u64);
         check_deadline(ctx.options, track)?;
         stats.branches_completed += 1;
-        replay_entry_events(ctx.tracer, result.events, &result.ids, &computed, &mut seen);
+        memo.replay(ctx.tracer, result.events, &result.ids);
         replay_drafts(
             &ctx.options.ledger,
             result.ledger,
@@ -573,6 +599,68 @@ mod tests {
     use crate::trace::CollectSink;
     use dprle_regex::Regex;
     use std::sync::Arc;
+
+    /// One buffered entry of fingerprint lookups: `(handle, keyed, hit)`.
+    fn entry(lookups: &[(&Lang, bool, bool)]) -> (Vec<TraceEvent>, Vec<Option<MemoIdentity>>) {
+        lookups
+            .iter()
+            .map(|&(handle, keyed, hit)| {
+                let event = TraceEvent {
+                    seq: 0,
+                    ts_us: 0,
+                    request_id: None,
+                    kind: memo_kind("fingerprint".to_owned(), hit),
+                };
+                let identity = MemoIdentity::Fingerprint {
+                    handle: handle.clone(),
+                    // One machine, so one structure slot for all handles.
+                    structure: Some(7),
+                    keyed,
+                };
+                (event, Some(identity))
+            })
+            .unzip()
+    }
+
+    /// Replays entries in order and returns each lookup's outcome.
+    fn replayed(entries: Vec<(Vec<TraceEvent>, Vec<Option<MemoIdentity>>)>) -> Vec<bool> {
+        let mut memo = MemoReplay::collect(
+            entries
+                .iter()
+                .map(|(events, ids)| (events.as_slice(), ids.as_slice())),
+        );
+        let sink = Arc::new(CollectSink::new());
+        let tracer = Tracer::new(sink.clone());
+        for (events, ids) in entries {
+            memo.replay(&tracer, events, &ids);
+        }
+        sink.take()
+            .into_iter()
+            .map(|event| matches!(event.kind, TraceEventKind::MemoHit { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn replay_keys_a_structure_at_its_first_keying_touch() {
+        let machine = dprle_automata::Nfa::literal(b"ab");
+        let (keyed_before, fresh) = (Lang::new(machine.clone()), Lang::new(machine.clone()));
+        // A handle keyed before the level answers from its own cache, so
+        // it does not enter the structure: the fresh handle still misses,
+        // whichever entry ran first.
+        let outcomes = replayed(vec![
+            entry(&[(&keyed_before, false, true)]),
+            entry(&[(&fresh, true, false)]),
+        ]);
+        assert_eq!(outcomes, [true, false]);
+        // One handle keyed in this level by the later entry: the earlier
+        // entry's cache hit is where the sequential run keys it.
+        let shared = Lang::new(machine);
+        let outcomes = replayed(vec![
+            entry(&[(&shared, false, true)]),
+            entry(&[(&shared, true, false), (&fresh, true, true)]),
+        ]);
+        assert_eq!(outcomes, [false, true, true]);
+    }
 
     /// Two branching CI-groups — the worklist genuinely fans out, so the
     /// journal exercises the buffered-fork replay (see the solve.rs tests

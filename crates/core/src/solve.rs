@@ -152,11 +152,13 @@ pub struct SolveStats {
     pub branches_filtered: usize,
     /// Largest leaf machine (states) after the reduce phase.
     pub max_leaf_states: usize,
-    /// Fingerprint lookups answered from a handle's cached canonical key
+    /// Fingerprint lookups answered without canonicalizing: from a
+    /// handle's cached canonical key or from the store's structure table
     /// (each hit is one determinize+minimize avoided).
     pub fingerprint_hits: usize,
-    /// Fingerprint lookups that had to canonicalize a machine (the number
-    /// of minimal-DFA constructions the run actually performed).
+    /// Fingerprint lookups that had to canonicalize a machine the store
+    /// had not canonicalized (the number of minimal-DFA constructions the
+    /// run actually performed).
     pub fingerprint_misses: usize,
     /// Memoized binary operations (intersection, inclusion, minimization)
     /// answered from the [`LangStore`] cache.

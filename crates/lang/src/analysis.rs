@@ -372,7 +372,10 @@ pub fn build_system(reach: &SinkReach, policy: &Policy) -> Result<GeneratedSyste
 ///
 /// # Errors
 ///
-/// Propagates symbolic-execution failures (bad patterns, path explosion).
+/// Propagates symbolic-execution failures (bad patterns, path explosion)
+/// and the first sink whose constraints cannot be generated (an input used
+/// both raw and case-mapped, a string past [`MAX_CONCAT_OPERANDS`]): such a
+/// sink is not known to be safe.
 pub fn analyze(
     program: &crate::ast::Program,
     policy: &Policy,
@@ -402,11 +405,11 @@ pub fn analyze_sinks(
         ..Default::default()
     };
     for reach in relevant {
-        match try_analyze_reach(reach, policy, solve_options) {
-            Ok(Some(finding)) => report.findings.push(finding),
-            // A string too long to constrain is not known to be safe.
-            Err(e @ AnalysisError::TooManyOperands { .. }) => return Err(e),
-            Ok(None) | Err(_) => report.safe_sinks += 1,
+        // A sink whose constraints could not be generated is not known to
+        // be safe, so every error ends the analysis.
+        match try_analyze_reach(reach, policy, solve_options)? {
+            Some(finding) => report.findings.push(finding),
+            None => report.safe_sinks += 1,
         }
     }
     Ok(report)
@@ -829,6 +832,26 @@ mod tests {
         let reaches = explore(&p, &SymexOptions::default()).expect("explores");
         let result = try_analyze_reach(&reaches[0], &Policy::sql_quote(), &SolveOptions::default());
         assert!(matches!(result, Err(AnalysisError::MixedMappedUse { .. })));
+    }
+
+    #[test]
+    fn a_sink_that_cannot_be_constrained_is_not_counted_safe() {
+        use crate::php::parse_php;
+        // `x = "'"` puts a quote in the query, but the two views of `x`
+        // cannot be linked: the analysis must fail, not report SAFE.
+        let source = "<?php\n$x = $_GET['x'];\nquery(\"SELECT \" . $x . strtolower($x));\n";
+        let program = parse_php("mixed", source).expect("parses");
+        let result = analyze_sinks(
+            &program,
+            &Policy::sql_quote(),
+            &SymexOptions::default(),
+            &SolveOptions::default(),
+            None,
+        );
+        match result {
+            Err(AnalysisError::MixedMappedUse { input }) => assert_eq!(input, "x"),
+            other => panic!("expected a mixed-use error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -95,14 +95,26 @@ fn roundtrip_through_printer_preserves_findings() {
 
 #[test]
 fn hardened_application_is_safe() {
-    // Harden both sinks: a strict user filter and a quote-rejecting guard
-    // on the admin target.
+    // Harden both sinks: a strict user filter, and on the admin path a
+    // quote-rejecting guard on the lowered target with no quotes of the
+    // query's own (the policy flags any quote). The guard tests the value
+    // the query uses: a guard on the raw input cannot be linked to its
+    // lowered use, and such a sink is an error, not safe.
     let hardened = APP
         .replace("[a-zA-Z0-9_\\']{1,16}", "[a-zA-Z0-9_]{1,16}")
         .replace(
             "query(\"SELECT * FROM admin WHERE u='\" . strtolower($_POST['target']) . \"'\");",
-            "if (preg_match('/\\'/', $_POST['target'])) { exit; }\n    query(\"SELECT * FROM admin WHERE u='\" . strtolower($_POST['target']) . \"'\");",
+            "if (preg_match('/\\'/', strtolower($_POST['target']))) { exit; }\n    query(\"SELECT * FROM admin WHERE u=\" . strtolower($_POST['target']));",
         );
+    assert_eq!(
+        hardened.matches("strtolower").count(),
+        2,
+        "admin sink hardened"
+    );
+    assert!(
+        hardened.contains("[a-zA-Z0-9_]{1,16}"),
+        "user filter hardened"
+    );
     let program = parse_php("hardened", &hardened).expect("parses");
     let report = analyze(
         &program,

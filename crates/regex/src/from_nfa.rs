@@ -37,6 +37,20 @@ pub fn nfa_to_regex(nfa: &Nfa, max_nodes: usize) -> Option<Ast> {
     if min.finals().is_empty() {
         return None;
     }
+    // A minimal DFA with more states than `max_nodes` cannot print, so
+    // give up before eliminating, whose every step scans all edges. This
+    // changes no result: every state of `min` is reachable from its start,
+    // and elimination keeps each surviving state reachable from the GNFA's
+    // start through surviving states (a path through the eliminated state
+    // becomes one edge). So after the first step each of the n − 1
+    // surviving interior states, and the accept state (the language is
+    // nonempty), has an incoming edge from another node: at least n edges,
+    // each labelled with at least one node, where n = `min.num_states()`.
+    // The size guard checks after every step, so it would already fail at
+    // the first one.
+    if min.num_states() > max_nodes {
+        return None;
+    }
     let mut gnfa = Gnfa::from_nfa(&min);
     gnfa.eliminate(max_nodes)
 }
@@ -46,7 +60,7 @@ pub fn nfa_to_regex(nfa: &Nfa, max_nodes: usize) -> Option<Ast> {
 ///
 /// This is the presentation helper used by solution printers: small
 /// languages come out as readable patterns (`xyy|xyyyy`), huge ones as
-/// `NFA(… states …)` summaries.
+/// `NFA(… states …)` summaries of bounded length (counts, not state lists).
 pub fn display_language(nfa: &Nfa, max_nodes: usize) -> String {
     match nfa_to_regex(nfa, max_nodes) {
         Some(ast) => {
@@ -58,7 +72,13 @@ pub fn display_language(nfa: &Nfa, max_nodes: usize) -> String {
             }
         }
         None if nfa.is_empty_language() => "(empty language)".to_owned(),
-        None => nfa.to_string(),
+        None => format!(
+            "NFA({} states, {} edges, start={}, {} finals)",
+            nfa.num_states(),
+            nfa.num_transitions(),
+            nfa.start(),
+            nfa.finals().len()
+        ),
     }
 }
 
@@ -373,6 +393,54 @@ mod tests {
         assert_eq!(nfa_to_regex(&m, 2), None);
         let shown = display_language(&m, 2);
         assert!(shown.contains("NFA("), "fallback rendering: {shown}");
+    }
+
+    /// `[ab]*a[ab]{n}`: its minimal DFA has 2^(n+1) states.
+    fn nth_from_last(n: usize) -> Nfa {
+        let ast = crate::parse(&format!("[ab]*a[ab]{{{n}}}")).expect("parses");
+        compile_exact(&ast).expect("compiles")
+    }
+
+    #[test]
+    fn machines_past_the_cap_fall_back_before_eliminating() {
+        for n in [12, 14] {
+            let m = nth_from_last(n);
+            let started = std::time::Instant::now();
+            let shown = display_language(&m, 400);
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(10),
+                "n = {n}: {:?}",
+                started.elapsed()
+            );
+            assert!(shown.starts_with("NFA("), "{shown}");
+            assert!(shown.len() < 100, "bounded summary: {shown}");
+        }
+    }
+
+    #[test]
+    fn the_early_fallback_changes_no_result_near_the_cap() {
+        // The reference: elimination alone, guarded only by its size check.
+        let eliminate = |m: &Nfa, cap: usize| {
+            let min = dprle_automata::minimize(m);
+            Gnfa::from_nfa(&min).eliminate(cap)
+        };
+        let machines = [
+            Nfa::literal(b"abcdefgh"),
+            nth_from_last(2),
+            ops::star(&ops::union(&Nfa::literal(b"ab"), &Nfa::literal(b"ba"))),
+        ];
+        for m in &machines {
+            let n = dprle_automata::minimize(m).num_states();
+            for cap in (n.saturating_sub(2)..=n + 2).chain([400]) {
+                assert_eq!(
+                    nfa_to_regex(m, cap),
+                    eliminate(m, cap),
+                    "cap {cap}, {n} states"
+                );
+            }
+            assert!(nfa_to_regex(m, n - 1).is_none(), "just over the cap");
+            assert!(nfa_to_regex(m, 400).is_some(), "well under the cap");
+        }
     }
 
     #[test]
