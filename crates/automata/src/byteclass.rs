@@ -46,6 +46,12 @@ impl ByteClass {
         self.words
     }
 
+    /// The class whose bitmap is `words` (the inverse of
+    /// [`ByteClass::words`]).
+    pub(crate) fn from_words(words: [u64; 4]) -> Self {
+        ByteClass { words }
+    }
+
     /// Creates the class containing exactly `b`.
     pub fn singleton(b: u8) -> Self {
         let mut c = Self::EMPTY;

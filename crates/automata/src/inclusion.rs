@@ -1,6 +1,10 @@
-//! Language inclusion by antichains: the one decision procedure behind
-//! every `⊆` judgment — subset, equivalence, counterexample extraction,
-//! and intersection emptiness.
+//! Language inclusion, budgeted. The antichain search decides every `⊆`
+//! judgment whose right-hand side has no canonical key — subset,
+//! equivalence, counterexample extraction. [`try_subset_of_key`] decides
+//! one whose right-hand side has a key by one product walk with the key's
+//! complement: the intersection-emptiness walk
+//! ([`try_intersection_empty`]), with no subset construction (DESIGN.md
+//! §8).
 //!
 //! The search is lazy inclusion checking in the style of
 //! De Wulf–Doyen–Henzinger–Raskin: it interleaves an on-the-fly subset
@@ -23,6 +27,7 @@
 //! leaves behind reaches the next one's answer.
 
 use crate::byteclass::ByteClass;
+use crate::minimize::CanonicalKey;
 use crate::nfa::{Nfa, StateId};
 use crate::ops;
 use crate::subset::{
@@ -537,6 +542,22 @@ pub fn try_equivalent(
     Ok((backward, cost))
 }
 
+/// Is `L(a) ⊆ L(key)`, for the language `key` canonicalizes? Budgeted.
+///
+/// The key is the right-hand side's minimal DFA, already determinized,
+/// so the judgment needs no subset construction and no antichain: it is
+/// `L(a) ∩ L(complement(key)) = ∅`, one [`try_intersection_empty`] walk
+/// of `a` against [`CanonicalKey::complement`], which stops at the first
+/// accepting pair. Each pair expanded counts as one macrostate; the walk
+/// keeps no antichain and prunes nothing.
+pub fn try_subset_of_key(
+    a: &Nfa,
+    key: &CanonicalKey,
+    limits: &InclusionLimits,
+) -> Result<(bool, InclusionCost), InclusionAbort> {
+    try_intersection_empty(a, &key.complement(), limits)
+}
+
 /// Is `L(a) ∩ L(b) = ∅`? Budgeted. The pair walk of
 /// [`crate::ops::try_intersect`] without materializing the product,
 /// early-exiting at the first accepting pair; each pair expanded counts
@@ -799,6 +820,96 @@ mod tests {
         }
         assert_eq!(rows.targets.len(), stars.edges().count());
         assert_eq!(rows.entries.len(), stars.edges().count());
+    }
+
+    /// The walk against the right-hand side's key decides what the
+    /// antichain search decides, on 3 000 seeded pairs: ε-NFAs on both
+    /// sides, one-word right-hand sides, and ε-heavy left-hand sides.
+    #[test]
+    fn the_key_walk_decides_as_the_antichain_search() {
+        use crate::generate::{random_literal_chain, random_nfa};
+        use crate::minimize::canonical_key;
+        let lhs_configs = [
+            RandomNfaConfig {
+                states: 6,
+                alphabet: vec![b'a', b'b'],
+                ..Default::default()
+            },
+            RandomNfaConfig {
+                states: 10,
+                edges_per_state: 1.0,
+                eps_per_state: 2.5,
+                alphabet: vec![b'a', b'b', b'c'],
+                final_probability: 0.3,
+            },
+        ];
+        let rhs_config = RandomNfaConfig {
+            states: 6,
+            alphabet: vec![b'a', b'b', b'c'],
+            final_probability: 0.4,
+            ..Default::default()
+        };
+        let (mut held, mut failed) = (0, 0);
+        for seed in 0..3000u64 {
+            let a = random_nfa(seed, &lhs_configs[seed as usize % 2]);
+            let b = match seed % 3 {
+                0 => random_literal_chain(seed, seed as usize % 4, b"abc"),
+                _ => random_nfa(seed.wrapping_add(1_000_003), &rhs_config),
+            };
+            let (walked, cost) =
+                try_subset_of_key(&a, &canonical_key(&b), &InclusionLimits::UNLIMITED)
+                    .expect("unlimited");
+            assert_eq!(walked, subset(&a, &b), "seed {seed}");
+            assert_eq!((cost.antichain_size, cost.prunes), (0, 0), "seed {seed}");
+            if walked {
+                held += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(held >= 300 && failed >= 300, "held {held}, failed {failed}");
+    }
+
+    #[test]
+    fn the_key_walk_aborts_at_its_cap_with_its_partial_cost() {
+        // Σ* ⊄ (ab)*: the walk meets the accepting pair after `a`.
+        let a = Nfa::sigma_star();
+        let key = crate::minimize::canonical_key(&ops::star(&Nfa::literal(b"ab")));
+        let unlimited = try_subset_of_key(&a, &key, &InclusionLimits::UNLIMITED);
+        let need = unlimited.expect("unlimited").1.macrostates;
+        assert!(need >= 2, "{need}");
+        for cap in 1..need {
+            let limits = InclusionLimits {
+                max_macrostates: Some(cap),
+                deadline: None,
+            };
+            let partial = InclusionCost {
+                macrostates: cap,
+                ..InclusionCost::default()
+            };
+            assert_eq!(
+                try_subset_of_key(&a, &key, &limits),
+                Err(InclusionAbort::MacrostateCap {
+                    limit: cap,
+                    cost: partial
+                })
+            );
+        }
+        let at_need = InclusionLimits {
+            max_macrostates: Some(need),
+            deadline: None,
+        };
+        assert_eq!(try_subset_of_key(&a, &key, &at_need), unlimited);
+        let expired = InclusionLimits {
+            max_macrostates: None,
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+        };
+        assert_eq!(
+            try_subset_of_key(&a, &key, &expired),
+            Err(InclusionAbort::Deadline {
+                cost: InclusionCost::default()
+            })
+        );
     }
 
     #[test]

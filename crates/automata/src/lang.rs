@@ -17,11 +17,11 @@
 //! (intersection, inclusion) keyed by operand fingerprints, with counters
 //! that the solver surfaces as cache observability stats.
 
-use crate::dfa::{DeterminizeCost, Dfa};
+use crate::dfa::DeterminizeCost;
 use crate::inclusion::{self, InclusionAbort, InclusionCost, InclusionLimits};
 use crate::metrics::{id, Metrics};
 use crate::minimize::{
-    canonical_key_counted, canonical_minimal_counted, minimize_counted, CanonicalKey,
+    canonical_key_counted, minimize_counted, try_canonical_key_counted, CanonicalKey,
 };
 use crate::nfa::Nfa;
 use crate::ops;
@@ -132,40 +132,46 @@ impl Lang {
     /// metrics registry charge each canonicalization exactly once no matter
     /// how many threads race on the handle.
     pub fn fingerprint_tracked_costed(&self) -> (Arc<CanonicalKey>, Option<FingerprintCost>) {
-        let (key, computed) = self.fingerprint_with_minimal(false);
-        (key, computed.map(|(cost, _)| cost))
-    }
-
-    /// Like [`Lang::fingerprint_tracked_costed`]; with `want_minimal`, the
-    /// call that computes the key also returns the minimal DFA it
-    /// serialized, so a caller that needs the minimized machine next need
-    /// not canonicalize again.
-    fn fingerprint_with_minimal(
-        &self,
-        want_minimal: bool,
-    ) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Option<Dfa>)>) {
         let mut computed = None;
         let key = self
             .inner
             .fingerprint
             .get_or_init(|| {
-                let nfa = &self.inner.nfa;
-                let (key, minimal, determinize) = if want_minimal {
-                    let (key, minimal, cost) = canonical_minimal_counted(nfa);
-                    (key, Some(minimal), cost)
-                } else {
-                    let (key, cost) = canonical_key_counted(nfa);
-                    (key, None, cost)
-                };
-                let cost = FingerprintCost {
+                let (key, determinize) = canonical_key_counted(&self.inner.nfa);
+                computed = Some(FingerprintCost {
                     determinize,
                     key_bytes: key.byte_len() as u64,
-                };
-                computed = Some((cost, minimal));
+                });
                 Arc::new(key)
             })
             .clone();
         (key, computed)
+    }
+
+    /// [`Lang::fingerprint_tracked_costed`] under a cap: `None`, keying
+    /// nothing, when the canonicalization would number more than
+    /// `max_states` DFA states. A capped canonicalization runs outside the
+    /// handle's `OnceLock`, so racing callers may both compute; the one
+    /// whose key the handle keeps observes the cost.
+    fn try_fingerprint_tracked_costed(
+        &self,
+        max_states: usize,
+    ) -> Option<(Arc<CanonicalKey>, Option<FingerprintCost>)> {
+        if max_states == usize::MAX {
+            return Some(self.fingerprint_tracked_costed());
+        }
+        if let Some(key) = self.inner.fingerprint.get() {
+            return Some((key.clone(), None));
+        }
+        let (key, determinize) = try_canonical_key_counted(&self.inner.nfa, max_states)?;
+        let cost = FingerprintCost {
+            determinize,
+            key_bytes: key.byte_len() as u64,
+        };
+        let key = Arc::new(key);
+        let kept = self.inner.fingerprint.get_or_init(|| key.clone()).clone();
+        let won = Arc::ptr_eq(&kept, &key);
+        Some((kept, won.then_some(cost)))
     }
 
     /// Rough heap footprint of the wrapped machine in bytes, derived only
@@ -972,16 +978,16 @@ impl LangStore {
     /// counts a hit, as a lost memo insert does. So misses count the
     /// distinct machines canonicalized, independent of scheduling.
     pub fn key_of(&self, lang: &Lang) -> Arc<CanonicalKey> {
-        self.key_and_minimal(lang, false).0
+        self.try_key_of(lang, usize::MAX)
+            .expect("an unlimited canonicalization completes")
     }
 
-    /// [`LangStore::key_of`], plus the computation's cost and, with
-    /// `want_minimal`, the minimal DFA when this call computed the key.
-    fn key_and_minimal(
-        &self,
-        lang: &Lang,
-        want_minimal: bool,
-    ) -> (Arc<CanonicalKey>, Option<(FingerprintCost, Option<Dfa>)>) {
+    /// [`LangStore::key_of`] with the canonicalization capped at
+    /// `max_states` DFA states: a key the handle holds or the structure
+    /// table lends comes back whatever its size, and a machine past the
+    /// cap gets `None`. That abort counts no memo outcome and records no
+    /// cost; the handle stays keyless, so a later call starts over.
+    pub fn try_key_of(&self, lang: &Lang, max_states: usize) -> Option<Arc<CanonicalKey>> {
         let enabled = self.enabled;
         let identity = |structure: Option<u64>, keyed: bool| {
             Some(MemoIdentity::Fingerprint {
@@ -994,7 +1000,7 @@ impl LangStore {
             self.settle(self.lock(), StoreOp::Fingerprint, true, || {
                 identity(None, false)
             });
-            return (key.clone(), None);
+            return Some(key.clone());
         }
         let digest = enabled.then(|| structure_digest(lang.nfa()));
         if let Some(digest) = digest {
@@ -1005,20 +1011,20 @@ impl LangStore {
                 });
                 // Set after the lock is released: a racing canonicalization
                 // of this handle, if any, finishes first, with the same key.
-                return (lang.inner.fingerprint.get_or_init(|| key).clone(), None);
+                return Some(lang.inner.fingerprint.get_or_init(|| key).clone());
             }
         }
-        let (key, computed) = lang.fingerprint_with_minimal(want_minimal);
+        let (key, computed) = lang.try_fingerprint_tracked_costed(max_states)?;
         let mut inner = self.lock();
         // A hit when a racing call keyed this handle, or entered an equal
         // machine in the table while this call canonicalized: the insert
         // winner alone counts the miss and records the cost.
         let hit = computed.is_none() || digest.is_some_and(|d| !inner.insert_structure(d, lang));
-        if let Some((cost, _)) = computed.as_ref().filter(|_| !hit) {
+        if let Some(cost) = computed.as_ref().filter(|_| !hit) {
             record_fingerprint_cost(&inner.metrics, lang, cost);
         }
         self.settle(inner, StoreOp::Fingerprint, hit, || identity(digest, true));
-        (key, computed)
+        Some(key)
     }
 
     /// Hash-conses `lang`: returns the store's representative handle for
@@ -1092,9 +1098,9 @@ impl LangStore {
     }
 
     /// Memoized language inclusion (`a ⊆ b`), keyed by the ordered
-    /// fingerprint pair and decided by [`crate::inclusion::try_subset`].
-    /// Unlimited: see [`LangStore::try_is_subset`] for the
-    /// budget-enforcing variant.
+    /// fingerprint pair and decided against `b`'s key by
+    /// [`crate::inclusion::try_subset_of_key`]. Unlimited: see
+    /// [`LangStore::try_is_subset`] for the budget-enforcing variant.
     pub fn is_subset(&self, a: &Lang, b: &Lang) -> bool {
         self.try_is_subset(a, b, &InclusionLimits::UNLIMITED)
             .expect("unlimited inclusion cannot abort")
@@ -1102,9 +1108,15 @@ impl LangStore {
 
     /// Budgeted [`LangStore::is_subset`]: structural pre-checks and memo
     /// hits answer for free; an actual search observes `limits` inside
-    /// its frontier loop. A breach memoizes nothing (a later unbudgeted
-    /// retry recomputes), but the partial work is still counted so an
+    /// its loop. A breach memoizes nothing (a later unbudgeted retry
+    /// recomputes), but the partial work is still counted so an
     /// exhaustion snapshot reflects it.
+    ///
+    /// Both keys are in hand before any search, and `b`'s is its minimal
+    /// DFA, so a memo miss walks `a` against that key's complement
+    /// ([`crate::inclusion::try_subset_of_key`]) instead of running the
+    /// antichain search. A pass-through store keys nothing and runs the
+    /// antichain search ([`crate::inclusion::try_subset`]).
     pub fn try_is_subset(
         &self,
         a: &Lang,
@@ -1186,7 +1198,7 @@ impl LangStore {
                 return Ok(hit);
             }
         }
-        let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
+        let (result, cost) = match inclusion::try_subset_of_key(a.nfa(), &kb, limits) {
             Ok(computed) => computed,
             Err(abort) => {
                 self.lock().count(Tally::Inclusion(abort.cost()));
@@ -1212,6 +1224,12 @@ impl LangStore {
     }
 
     /// Memoized language-preserving minimization, keyed by fingerprint.
+    ///
+    /// The key is the minimal DFA serialized, so a memo miss decodes it
+    /// ([`CanonicalKey::to_nfa`]) however the key was obtained: computed
+    /// by this call, cached on the handle, or lent by the structure table.
+    /// No subset construction runs beyond the one a key lookup may count.
+    /// A pass-through store minimizes directly ([`minimize_counted`]).
     pub fn minimized(&self, a: &Lang) -> Lang {
         if !self.enabled {
             let (nfa, det) = minimize_counted(a.nfa());
@@ -1222,9 +1240,7 @@ impl LangStore {
             self.settle(inner, StoreOp::Minimize, false, || None);
             return result;
         }
-        // A fingerprint computed here comes with the minimal DFA, which is
-        // exactly what a memo miss would determinize and refine again.
-        let (fingerprint, minimal) = self.key_and_minimal(a, true);
+        let fingerprint = self.key_of(a);
         let key = MemoKey(fingerprint.clone());
         let identity = || Some(MemoIdentity::Minimize(fingerprint.clone()));
         {
@@ -1235,13 +1251,10 @@ impl LangStore {
                 return hit;
             }
         }
-        let (nfa, det) = match minimal {
-            Some((cost, Some(minimal))) => (minimal.to_nfa(), cost.determinize),
-            _ => minimize_counted(a.nfa()),
-        };
         // The result has `a`'s language, hence `a`'s key: the handle is born
         // with it, so no minimal machine is ever canonicalized again.
-        let result = Lang::with_fingerprint(nfa, OnceLock::from(fingerprint.clone()));
+        let result =
+            Lang::with_fingerprint(fingerprint.to_nfa(), OnceLock::from(fingerprint.clone()));
         let mut inner = self.lock();
         // Same race re-check as `intersect`: first writer wins the entry.
         if let Some(existing) = inner.minimize_memo.get(&key).cloned() {
@@ -1249,7 +1262,6 @@ impl LangStore {
             self.settle(inner, StoreOp::Minimize, true, identity);
             return existing;
         }
-        record_minimize_cost(&inner.metrics, a, &det);
         inner.count(Tally::Materialized(result.num_states() as u64));
         inner.minimize_memo.insert(key.clone(), result.clone());
         inner.charge_insert(SlotKey::Minimize(key.clone()), result.approx_bytes());
@@ -1957,6 +1969,97 @@ mod tests {
             evictions,
             "unbounded again: no further eviction"
         );
+    }
+
+    #[test]
+    fn one_minimization_records_one_subset_construction() {
+        let machine = ops::union(&ab_star(), &Nfa::literal(b"ba"));
+        let (_, cost) = minimize_counted(&machine);
+        for store in [LangStore::new(), LangStore::interning(false)] {
+            let metrics = Metrics::enabled();
+            store.set_metrics(metrics.clone());
+            store.minimized(&Lang::new(machine.clone()));
+            let snap = metrics.snapshot().expect("enabled registry");
+            let histogram = |name: &str| match snap.get(name).expect(name).value {
+                crate::metrics::MetricValue::Histogram { count, sum, .. } => (count, sum),
+                ref other => panic!("{name} is {other:?}"),
+            };
+            assert_eq!(
+                histogram("automata.determinize.states_out"),
+                (1, cost.dfa_states as u64)
+            );
+            assert_eq!(
+                histogram("automata.determinize.states_in"),
+                (1, machine.num_states() as u64)
+            );
+            match snap
+                .get("automata.eps_closure.visited_states")
+                .expect("def")
+                .value
+            {
+                crate::metrics::MetricValue::Counter { value } => {
+                    assert_eq!(value, cost.closure_visited as u64)
+                }
+                ref other => panic!("counter expected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_keyed_handle_minimizes_from_its_key() {
+        let store = LangStore::new();
+        let metrics = Metrics::enabled();
+        store.set_metrics(metrics.clone());
+        let machine = ops::union(&ab_star(), &Nfa::literal(b"ba"));
+        let keyed = Lang::new(machine.clone());
+        keyed.fingerprint();
+        let minimal = store.minimized(&keyed);
+        assert_eq!(*minimal.nfa(), crate::minimize::minimize(&machine));
+        assert!(minimal.fingerprint_is_cached());
+        assert_eq!(store.stats().fingerprint_misses, 0);
+        // No subset construction ran.
+        let snap = metrics.snapshot().expect("enabled registry");
+        match snap
+            .get("automata.determinize.states_out")
+            .expect("def")
+            .value
+        {
+            crate::metrics::MetricValue::Histogram { count, .. } => assert_eq!(count, 0),
+            ref other => panic!("histogram expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_capped_key_lookup_gives_up_past_its_cap() {
+        let machine = ops::union(&ab_star(), &Nfa::literal(b"ba"));
+        let (key, cost) = canonical_key_counted(&machine);
+        let counts = |store: &LangStore| {
+            let stats = store.stats();
+            (stats.fingerprint_hits, stats.fingerprint_misses)
+        };
+        for store in [LangStore::new(), LangStore::interning(false)] {
+            let lang = Lang::new(machine.clone());
+            // Past the cap: no key, no memo outcome, and a keyless handle.
+            assert_eq!(store.try_key_of(&lang, cost.dfa_states - 1), None);
+            assert!(!lang.fingerprint_is_cached());
+            assert_eq!(counts(&store), (0, 0));
+            // At the cap: one counted canonicalization, kept on the handle,
+            // whose key then comes back under any cap.
+            assert_eq!(
+                store.try_key_of(&lang, cost.dfa_states).as_deref(),
+                Some(&key)
+            );
+            assert!(lang.fingerprint_is_cached());
+            assert_eq!(store.try_key_of(&lang, 0).as_deref(), Some(&key));
+            assert_eq!(counts(&store), (1, 1));
+        }
+        // The structure table lends its key under any cap.
+        let store = LangStore::new();
+        store.key_of(&Lang::new(machine.clone()));
+        let fresh = Lang::new(machine);
+        assert_eq!(store.try_key_of(&fresh, 0).as_deref(), Some(&key));
+        assert!(fresh.fingerprint_is_cached());
+        assert_eq!(counts(&store), (1, 1));
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! * [`dfa`] — subset construction, complement, language inclusion and
 //!   equivalence (the `⊆` judgments of the constraint language).
 //! * [`inclusion`] — the antichain-based lazy subset construction behind
-//!   every `⊆` judgment, with budget hooks inside its frontier loop.
+//!   every `⊆` judgment whose right-hand side has no canonical key, and
+//!   the product walk against a key's complement for one that has, both
+//!   with budget hooks inside their loops.
 //! * [`minimize`](mod@minimize) — DFA minimization (the optimization the
-//!   paper suggests for its Figure 12 `secure` outlier).
+//!   paper suggests for its Figure 12 `secure` outlier), and canonical
+//!   keys that decode back into the minimal DFA and its complement.
 //! * [`lang`] — cheap-to-clone interned language handles ([`Lang`]) with
 //!   cached canonical fingerprints, and the hash-consing / memoizing
 //!   [`LangStore`] the solver shares across worklist branches.

@@ -16,9 +16,10 @@
 
 use crate::byteclass::ByteClass;
 use crate::dfa::{DeterminizeCost, Dfa};
-use crate::nfa::{Nfa, StateId};
+use crate::nfa::{Nfa, State, StateId};
 use crate::subset::{self, footprint, NONE, RETAINED_BYTES};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// Minimizes a DFA by Hopcroft's partition refinement.
 ///
@@ -55,13 +56,12 @@ pub fn minimize_dfa(dfa: &Dfa) -> Dfa {
     })
 }
 
-/// What [`Refiner::emit`] writes: the canonical key, the canonical
-/// minimal DFA, or both.
+/// What [`Refiner::emit`] writes: the canonical key or the canonical
+/// minimal DFA.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Emit {
     Key,
     Machine,
-    Both,
 }
 
 /// Partition-refinement scratch, reused from one refinement to the next.
@@ -266,7 +266,7 @@ impl Refiner {
         start: u32,
         what: Emit,
     ) -> (Option<CanonicalKey>, Option<Dfa>) {
-        let (key, machine) = (what != Emit::Machine, what != Emit::Key);
+        let (key, machine) = (what == Emit::Key, what == Emit::Machine);
         let k = alphabet.len();
         let n = finals.len();
         let Refiner {
@@ -383,9 +383,14 @@ impl Refiner {
 }
 
 /// The one canonicalization pass: the subset table of `nfa`, refined and
-/// emitted as `what` asks (see [`Refiner::emit`]), with the table's cost.
-fn canonicalize(nfa: &Nfa, what: Emit) -> (Option<CanonicalKey>, Option<Dfa>, DeterminizeCost) {
-    subset::with_table(nfa, |table| {
+/// emitted as `what` asks (see [`Refiner::emit`]), with the table's cost;
+/// `None` when the table would number more than `max_states` states.
+fn canonicalize(
+    nfa: &Nfa,
+    what: Emit,
+    max_states: usize,
+) -> Option<(Option<CanonicalKey>, Option<Dfa>, DeterminizeCost)> {
+    subset::try_with_table(nfa, max_states, |table| {
         let (key, machine) = with_refiner(|r| {
             r.refine(table.alphabet.len(), &table.delta, &table.finals);
             r.emit(&table.alphabet, &table.delta, &table.finals, 0, what)
@@ -414,7 +419,8 @@ pub fn minimize(nfa: &Nfa) -> Nfa {
 /// that took. The canonical quotient is emitted straight from the refined
 /// partition of the input's subset table.
 pub fn minimize_counted(nfa: &Nfa) -> (Nfa, DeterminizeCost) {
-    let (_, minimal, cost) = canonicalize(nfa, Emit::Machine);
+    let (_, minimal, cost) =
+        canonicalize(nfa, Emit::Machine, usize::MAX).expect("an unlimited pass completes");
     (minimal.expect("asked for the machine").to_nfa(), cost)
 }
 
@@ -433,20 +439,18 @@ pub fn canonical_key(nfa: &Nfa) -> CanonicalKey {
 /// [`canonical_key`] plus the cost of the subset construction, under the
 /// same accounting as [`minimize_counted`].
 pub fn canonical_key_counted(nfa: &Nfa) -> (CanonicalKey, DeterminizeCost) {
-    let (key, _, cost) = canonicalize(nfa, Emit::Key);
-    (key.expect("asked for the key"), cost)
+    try_canonical_key_counted(nfa, usize::MAX).expect("an unlimited pass completes")
 }
 
-/// [`canonical_key_counted`] plus the minimal DFA the key serializes: one
-/// pass yields both the fingerprint and what [`minimize_counted`] would
-/// rebuild (`minimal.to_nfa()`).
-pub(crate) fn canonical_minimal_counted(nfa: &Nfa) -> (CanonicalKey, Dfa, DeterminizeCost) {
-    let (key, minimal, cost) = canonicalize(nfa, Emit::Both);
-    (
-        key.expect("asked for the key"),
-        minimal.expect("asked for the machine"),
-        cost,
-    )
+/// [`canonical_key_counted`], or `None` when the subset construction would
+/// number more than `max_states` DFA states: it stops at the first state
+/// set past them, before any refinement.
+pub(crate) fn try_canonical_key_counted(
+    nfa: &Nfa,
+    max_states: usize,
+) -> Option<(CanonicalKey, DeterminizeCost)> {
+    let (key, _, cost) = canonicalize(nfa, Emit::Key, max_states)?;
+    Some((key.expect("asked for the key"), cost))
 }
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺
@@ -509,6 +513,66 @@ impl CanonicalKey {
     /// anything written out.
     pub fn digest(&self) -> u64 {
         self.digest
+    }
+
+    /// The minimal DFA the key serializes: its states in key order from
+    /// start 0, each state's edges in key order. This is exactly the
+    /// machine [`minimize`] returns for the key's language, rebuilt in
+    /// O(key) with no subset construction.
+    pub fn to_nfa(&self) -> Nfa {
+        self.decode(false)
+    }
+
+    /// The complement of the key's language: the machine
+    /// [`CanonicalKey::to_nfa`] returns, completed by one dead state (each
+    /// state's bytes outside its row go there, and it loops on every
+    /// byte), with every state's finality flipped. A complete DFA, so
+    /// `L(A) ⊆ L(key)` is one product walk of `A` with it
+    /// ([`crate::inclusion::try_subset_of_key`]).
+    pub fn complement(&self) -> Nfa {
+        self.decode(true)
+    }
+
+    /// Reads the words [`Refiner::emit`] wrote back into a machine,
+    /// completed and complemented when `complement` is set.
+    fn decode(&self, complement: bool) -> Nfa {
+        let words = &self.words;
+        let n = words[0] as usize;
+        let dead = StateId(n as u32);
+        let mut states = Vec::with_capacity(n + usize::from(complement));
+        let mut finals = BTreeSet::new();
+        let mut at = 1;
+        for q in 0..n {
+            let (accepting, len) = (words[at] == 1, words[at + 1] as usize);
+            at += 2;
+            let mut edges = Vec::with_capacity(len + usize::from(complement));
+            let mut covered = ByteClass::EMPTY;
+            for edge in words[at..at + 5 * len].chunks_exact(5) {
+                let class = ByteClass::from_words([edge[0], edge[1], edge[2], edge[3]]);
+                covered = covered.union(&class);
+                edges.push((class, StateId(edge[4] as u32)));
+            }
+            at += 5 * len;
+            let rest = covered.complement();
+            if complement && !rest.is_empty() {
+                edges.push((rest, dead));
+            }
+            if accepting != complement {
+                finals.insert(StateId(q as u32));
+            }
+            states.push(State {
+                edges,
+                eps: Vec::new(),
+            });
+        }
+        if complement {
+            states.push(State {
+                edges: vec![(ByteClass::FULL, dead)],
+                eps: Vec::new(),
+            });
+            finals.insert(dead);
+        }
+        Nfa::from_states(states, finals)
     }
 
     /// Serializes a canonical minimal DFA: the state count, then per state
@@ -1158,6 +1222,87 @@ mod hopcroft_tests {
         assert_eq!(none.num_states(), 1);
         assert!(none.transitions(StateId(0)).is_empty());
         assert!(!none.is_final(StateId(0)));
+    }
+}
+
+/// The key's two decoders: the machine [`minimize`] returns, and a
+/// complete DFA for the complement.
+#[cfg(test)]
+mod decode_tests {
+    use super::*;
+    use crate::dfa::{self, equivalent};
+    use crate::generate::{random_nfa, two_state_unary_machines, RandomNfaConfig};
+    use crate::ops;
+
+    fn assert_decodes(m: &Nfa, what: &str) {
+        let key = canonical_key(m);
+        let minimal = key.to_nfa();
+        assert_eq!(minimal, minimize(m), "{what}: to_nfa");
+        let complement = key.complement();
+        assert!(
+            equivalent(&complement, &dfa::complement(m)),
+            "{what}: complement"
+        );
+        // The same states plus one dead state, none of them with ε-edges,
+        // and each state's classes partitioning Σ.
+        assert_eq!(complement.num_states(), minimal.num_states() + 1, "{what}");
+        for q in complement.state_ids() {
+            let state = complement.state(q);
+            assert!(state.eps.is_empty(), "{what}: state {q}");
+            let mut covered = ByteClass::EMPTY;
+            for (class, _) in &state.edges {
+                assert!(covered.is_disjoint(class), "{what}: state {q}");
+                covered = covered.union(class);
+            }
+            assert!(covered.is_full(), "{what}: state {q} is complete");
+        }
+    }
+
+    #[test]
+    fn keys_decode_to_the_minimal_machine_and_a_complete_complement() {
+        let configs = [
+            RandomNfaConfig::default(),
+            RandomNfaConfig {
+                states: 10,
+                edges_per_state: 1.5,
+                eps_per_state: 1.5,
+                alphabet: vec![b'a', b'b', b'x', b'y'],
+                final_probability: 0.3,
+            },
+        ];
+        for (i, cfg) in configs.iter().enumerate() {
+            for seed in 0..200 {
+                assert_decodes(&random_nfa(seed, cfg), &format!("config {i} seed {seed}"));
+            }
+        }
+        for (i, m) in two_state_unary_machines().iter().enumerate() {
+            assert_decodes(m, &format!("machine #{i}"));
+        }
+        let not_a = ByteClass::singleton(b'a').complement();
+        for (what, m) in [
+            ("epsilon", Nfa::epsilon()),
+            ("abc", Nfa::literal(b"abc")),
+            ("[^a]*", ops::star(&Nfa::class(not_a))),
+            (
+                "(ab|ba)*",
+                ops::star(&ops::union(&Nfa::literal(b"ab"), &Nfa::literal(b"ba"))),
+            ),
+        ] {
+            assert_decodes(&m, what);
+        }
+    }
+
+    #[test]
+    fn the_empty_and_universal_keys_complement_each_other() {
+        let empty = canonical_key(&Nfa::empty_language());
+        let universal = canonical_key(&Nfa::sigma_star());
+        assert_eq!(empty, CanonicalKey::new(vec![1, 0, 0]));
+        assert_decodes(&Nfa::empty_language(), "empty");
+        assert_decodes(&Nfa::sigma_star(), "sigma*");
+        assert!(equivalent(&empty.complement(), &Nfa::sigma_star()));
+        assert!(universal.complement().is_empty_language());
+        assert_eq!(canonical_key(&empty.complement()), universal);
+        assert_eq!(canonical_key(&universal.complement()), empty);
     }
 }
 

@@ -1,9 +1,9 @@
 //! The kernel against the constructions it replaced, kept verbatim as
 //! `#[cfg(test)]` references: `determinize_counted` must return the same
 //! `Dfa` (numbering included) and cost as both earlier constructions; the
-//! fused table → Hopcroft pass the same key, minimal `Dfa` and cost as
-//! determinize → `minimize_dfa` → serialize, and `minimize_dfa` the same
-//! machine; `try_counterexample` the same verdict, witness, cost and abort
+//! fused table → Hopcroft pass the same key, minimal machine and cost as
+//! determinize → `minimize_dfa` → serialize, the key decode to that
+//! minimal machine, and `minimize_dfa` the same machine; `try_counterexample` the same verdict, witness, cost and abort
 //! as both searches it replaced, and `try_intersection_empty` as its
 //! `BTreeSet` pair search; `try_intersect` and
 //! `try_intersect_trimmed` the same product as the construction and trim
@@ -13,15 +13,13 @@ use crate::byteclass::ByteClass;
 use crate::dfa::{self, determinize_counted};
 use crate::generate::{random_nonempty_nfa, two_state_unary_machines, RandomNfaConfig};
 use crate::inclusion::{self, try_counterexample, InclusionLimits};
-use crate::minimize::{
-    self, canonical_key_counted, canonical_minimal_counted, minimize_counted, minimize_dfa,
-};
+use crate::minimize::{self, canonical_key_counted, minimize_counted, minimize_dfa};
 use crate::nfa::{self, Nfa, StateId};
 use crate::ops;
 
 /// Determinization and canonicalization, against their references; and
-/// the complement under a state cap, which completes at exactly the
-/// determinization's size and stops one state short of it.
+/// the complement and the key under a state cap, which complete at
+/// exactly the determinization's size and stop one state short of it.
 fn assert_determinize_matches(m: &Nfa, what: &str) {
     let determinized = determinize_counted(m);
     let size = determinized.1.dfa_states;
@@ -42,12 +40,18 @@ fn assert_determinize_matches(m: &Nfa, what: &str) {
         "{what}: determinize (BTreeSet)"
     );
     let (key, minimal, cost) = minimize::reference::canonical_minimal_counted(m);
+    assert_eq!(key.to_nfa(), minimal.to_nfa(), "{what}: decoded key");
+    assert_eq!(canonical_key_counted(m), (key.clone(), cost), "{what}: key");
     assert_eq!(
-        canonical_minimal_counted(m),
-        (key.clone(), minimal.clone(), cost),
-        "{what}: canonical minimal"
+        minimize::try_canonical_key_counted(m, size),
+        Some((key, cost)),
+        "{what}: key capped at its size"
     );
-    assert_eq!(canonical_key_counted(m), (key, cost), "{what}: key");
+    assert_eq!(
+        minimize::try_canonical_key_counted(m, size - 1),
+        None,
+        "{what}: key one short"
+    );
     assert_eq!(
         minimize_counted(m),
         (minimal.to_nfa(), cost),

@@ -1066,7 +1066,7 @@ fn main() -> ExitCode {
                         println!(
                             "{} -> {}",
                             system.var_name(v),
-                            dprle_regex::display_language(machine, 400)
+                            dprle_regex::display_lang(machine, 400)
                         );
                     }
                 }

@@ -740,7 +740,7 @@ fn stats_json(stats: &SolveStats, started: Instant) -> String {
 /// How [`solutions_json`] renders each variable's solved machine.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Rendering {
-    /// The deterministic language description (`display_language`).
+    /// The deterministic language description (`display_lang`).
     Language,
     /// One shortest witness string (lossy UTF-8), or `null` for the
     /// empty language.
@@ -775,7 +775,7 @@ fn solutions_json(
             match rendering {
                 Rendering::Language => {
                     out.push_str(",\"language\":");
-                    out.push_str(&json_string(&dprle_regex::display_language(machine, 400)));
+                    out.push_str(&json_string(&dprle_regex::display_lang(machine, 400)));
                 }
                 Rendering::Witness => {
                     out.push_str(",\"witness\":");

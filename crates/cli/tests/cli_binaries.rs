@@ -194,6 +194,43 @@ fn analyzer_enumerates_stacked_alternatives_in_bounded_memory() {
 }
 
 #[test]
+fn a_small_left_side_verifies_quickly_against_an_exponential_constant() {
+    // `c`'s minimal DFA has about 2^21 states. Verification decides
+    // `v . w <= c` against `c`'s canonical key only when keying `c` stays
+    // under a state cap; past it, the antichain search explores the few
+    // subsets `xy` reaches. The address-space cap keeps a regression from
+    // taking the machine down with it.
+    let file = temp_file(
+        "exponential_constant.dprle",
+        "var v w; x := /x/; y := /y/; c := /xy|[ab]*a[ab]{20}/; v <= x; w <= y; v . w <= c;",
+    );
+    let started = std::time::Instant::now();
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -v 1500000 2>/dev/null; exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_dprle"),
+            file.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("v -> x") && stdout.contains("w -> y"),
+        "{stdout}"
+    );
+    assert!(
+        started.elapsed().as_secs() < 10,
+        "verified without determinizing the constant"
+    );
+}
+
+#[test]
 fn analyzer_fails_on_a_sink_it_cannot_constrain() {
     // `x = "'"` puts a quote in the query; the raw and lowered views of
     // `x` cannot be linked, so the sink is unanalyzed, not SAFE.

@@ -600,10 +600,12 @@ fn structural_hits_match_cold_canonicalization_on_segments() {
     let mut checked = 0;
     for system in &systems {
         for segment in segments_of(system) {
-            // One handle canonicalizes; a fresh handle of the same machine
-            // takes its key from the table, and minimizes from that key.
+            // The key decodes to the minimal machine. One handle
+            // canonicalizes; a fresh handle of the same machine takes its
+            // key from the table, and minimizes from that key.
             let store = LangStore::new();
             let cold_key = dprle_automata::canonical_key(&segment);
+            assert_eq!(cold_key.to_nfa(), dprle_automata::minimize(&segment));
             assert_eq!(*store.key_of(&Lang::new(segment.clone())), cold_key);
             let before = store.stats();
             let warm = Lang::new(segment.clone());

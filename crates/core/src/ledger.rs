@@ -175,8 +175,11 @@ impl QueryOutcome {
 /// `cost_main` is `macrostates` (Inclusion) or `explored` product pairs
 /// (Product); `cost_aux` is the final `antichain` size or the trimmed
 /// product's `states`; `cost_prunes` is antichain subsumption `prunes`
-/// (always zero for products). [`LedgerRecord::to_json`] maps them onto
-/// the per-kind field names pinned by `docs/ledger.schema.json`.
+/// (always zero for products). An inclusion decided by a walk against
+/// the right-hand side's canonical key counts its pairs as macrostates
+/// and keeps no antichain, so it reads zero in both. [`LedgerRecord::to_json`]
+/// maps them onto the per-kind field names pinned by
+/// `docs/ledger.schema.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LedgerRecord {
     /// Deterministic global sequence number (emission order).

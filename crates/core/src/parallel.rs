@@ -58,19 +58,19 @@ use crate::ledger::{
 use crate::metrics::id;
 use crate::solution::{Assignment, Solution};
 use crate::solve::{
-    cap_hit_breach, charge_entry_cost, check_deadline, finish_branch, Breach, BudgetTrack,
-    SolveOptions, SolveStats,
+    cap_hit_breach, charge_entry_cost, check_deadline, finish_branch, verification_keys, Breach,
+    BudgetTrack, SolveOptions, SolveStats,
 };
 use crate::spec::{Constraint, System};
 use crate::trace::{TraceEvent, TraceEventKind, Tracer};
 use dprle_automata::{
-    InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp, StoreScope,
+    CanonicalKey, InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp, StoreScope,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A handle that runs the solver with a fixed worker count. Thin
 /// convenience over [`SolveOptions::jobs`]: `ParallelSolver::new(n)` solves
@@ -330,7 +330,11 @@ fn solve_level_entry(ctx: &WorklistCtx<'_>, gi: usize) -> EntryOutcome {
     }
 }
 
-fn finish_level_entry(ctx: &WorklistCtx<'_>, partial: &BTreeMap<NodeId, Lang>) -> FinishOutcome {
+fn finish_level_entry(
+    ctx: &WorklistCtx<'_>,
+    verify_keys: &[Option<Arc<CanonicalKey>>],
+    partial: &BTreeMap<NodeId, Lang>,
+) -> FinishOutcome {
     let (fork, sink) = ctx.tracer.fork_buffered();
     let ids: IdBuffer = Rc::default();
     let guard = SlotGuard::install(&fork, &ids);
@@ -347,6 +351,7 @@ fn finish_level_entry(ctx: &WorklistCtx<'_>, partial: &BTreeMap<NodeId, Lang>) -
         ctx.options,
         ctx.original,
         ctx.verify_constraints,
+        verify_keys,
         &fork,
         ctx.groups.len(),
     );
@@ -546,12 +551,22 @@ pub(crate) fn drive_worklist(
         level = next;
     }
 
-    // Completion level: convert and filter every surviving branch. Branch
-    // completion performs no store operations, so running branches past
-    // `max_assignments` speculatively costs wall time on the workers but
-    // cannot perturb any counter — the truncated replay below discards
+    // Completion level: convert and filter every surviving branch. The
+    // verification keys are looked up here, on this thread, where the
+    // sequential loop looks them up: as its first branch completes. Branch
+    // completion then performs no store operations, so running branches
+    // past `max_assignments` speculatively costs wall time on the workers
+    // but cannot perturb any counter — the truncated replay below discards
     // everything past the cap, matching the sequential early exit.
-    let results = map_level(jobs, level.len(), |i| finish_level_entry(ctx, &level[i]));
+    if level.is_empty() {
+        return Ok(Vec::new());
+    }
+    check_deadline(ctx.options, track)?;
+    let verify_keys =
+        verification_keys(ctx.options, ctx.store, ctx.original, ctx.verify_constraints);
+    let results = map_level(jobs, level.len(), |i| {
+        finish_level_entry(ctx, &verify_keys, &level[i])
+    });
     let mut memo = MemoReplay::collect(
         results
             .iter()
@@ -787,6 +802,28 @@ mod tests {
         let baseline = journal(1, &opts);
         for jobs in [4, 8] {
             assert_eq!(journal(jobs, &opts), baseline, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn stats_match_under_max_assignments_cap() {
+        // Completion runs past the cap on the workers and is truncated in
+        // replay, so it must touch no store: the verification keys are
+        // looked up before it, as the sequential loop looks them up.
+        let stats = |jobs| {
+            let opts = SolveOptions {
+                jobs,
+                max_assignments: Some(1),
+                ..SolveOptions::default()
+            };
+            let store = LangStore::new();
+            solve_traced(&branching_system(), &opts, &store, &Tracer::disabled())
+                .1
+                .counter_fields()
+        };
+        let baseline = stats(1);
+        for jobs in [4, 8] {
+            assert_eq!(stats(jobs), baseline, "jobs={jobs}");
         }
     }
 

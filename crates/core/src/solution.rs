@@ -103,7 +103,7 @@ impl fmt::Display for AssignmentDisplay<'_> {
                 writeln!(f)?;
             }
             let name = self.system.var_name(*var);
-            let lang = dprle_regex::display_language(machine, 200);
+            let lang = dprle_regex::display_lang(machine, 200);
             match machine.shortest_member() {
                 Some(w) => write!(
                     f,

@@ -36,7 +36,8 @@ use crate::solution::{Assignment, Solution};
 use crate::spec::{Constraint, Expr, System, VarId};
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
-    inclusion, ops, InclusionLimits, Lang, LangStore, Nfa, StoreObserver, StoreScope,
+    inclusion, ops, CanonicalKey, InclusionAbort, InclusionCost, InclusionLimits, Lang, LangStore,
+    Nfa, StoreObserver, StoreScope,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -56,11 +57,15 @@ pub struct SolveOptions {
     /// Re-verify every produced assignment against the original system and
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
-    /// the constant-leaf checks (see `gci` module docs). Cost: one
-    /// inclusion check per distinct judgment per assignment: constraints
-    /// repeated in the input are dropped first ([`System::normalized`]),
-    /// and constraints whose sides hold the same handles are decided once
-    /// (see [`satisfies`]).
+    /// the constant-leaf checks (see `gci` module docs). Cost: one product
+    /// walk against the right-hand constant's canonical key per distinct
+    /// judgment per assignment: constraints repeated in the input are
+    /// dropped first ([`System::normalized`]), and constraints whose sides
+    /// hold the same handles are decided once (see [`satisfies`]). The
+    /// keys are looked up once per solve, when the first branch completes;
+    /// a constant that nothing keyed before is canonicalized then, unless
+    /// that would build more than 8 192 DFA states, and a constant past
+    /// that cap is verified by the antichain search instead.
     pub verify: bool,
     /// Stop after this many satisfying assignments (e.g. `Some(1)` for a
     /// "first solution" query — the paper notes the first solution can be
@@ -646,6 +651,7 @@ fn solve_prepared(
         .metrics
         .gauge_set(id::WORKLIST_DEPTH, queue.len() as u64);
     let mut produced: Vec<Assignment> = Vec::new();
+    let mut verify_keys = None;
 
     'queue: while let Some((gi, partial)) = queue.pop_front() {
         options
@@ -658,6 +664,9 @@ fn solve_prepared(
             // Convert and filter as soon as a branch completes so that
             // `max_assignments` can stop the search early.
             stats.branches_completed += 1;
+            let verify_keys = verify_keys.get_or_insert_with(|| {
+                verification_keys(options, store, original, &verify_constraints)
+            });
             match finish_branch(
                 system,
                 &graph,
@@ -666,6 +675,7 @@ fn solve_prepared(
                 options,
                 original,
                 &verify_constraints,
+                verify_keys,
                 tracer,
                 gi,
             ) {
@@ -886,8 +896,46 @@ pub fn solve_first(system: &System, options: &SolveOptions) -> Option<Assignment
     }
 }
 
+/// The most DFA states verification builds to key a right-hand constant
+/// nothing keyed before (the cap SMT-LIB `re.comp` observes). Past it the
+/// constant is verified by the antichain search, which explores only the
+/// subsets the left-hand side reaches: a small left-hand side against an
+/// exponential constant stays cheap.
+const VERIFY_KEY_MAX_STATES: usize = 8_192;
+
+/// The right-hand key of each of `constraints`, in order, for the
+/// verification filter ([`satisfies_ledgered`]); empty when verification
+/// is off. Each distinct right-hand handle is looked up once through
+/// `store` ([`LangStore::try_key_of`]): its cached key, the structure
+/// table's, or a canonicalization capped at [`VERIFY_KEY_MAX_STATES`];
+/// `None` past the cap. Both drivers call this on the calling thread when
+/// the first branch completes, so completing a branch touches no store.
+pub(crate) fn verification_keys(
+    options: &SolveOptions,
+    store: &LangStore,
+    system: &System,
+    constraints: &[Constraint],
+) -> Vec<Option<Arc<CanonicalKey>>> {
+    if !options.verify {
+        return Vec::new();
+    }
+    let mut keys: Vec<Option<Arc<CanonicalKey>>> = Vec::with_capacity(constraints.len());
+    for (i, c) in constraints.iter().enumerate() {
+        let rhs = system.const_lang(c.rhs);
+        let earlier = constraints[..i]
+            .iter()
+            .position(|e| Lang::ptr_eq(system.const_lang(e.rhs), rhs));
+        keys.push(match earlier {
+            Some(j) => keys[j].clone(),
+            None => store.try_key_of(rhs, VERIFY_KEY_MAX_STATES),
+        });
+    }
+    keys
+}
+
 /// Turns a completed branch's node assignment into a variable assignment,
-/// applying the nonemptiness and verification filters.
+/// applying the nonemptiness and verification filters. `verify_keys` are
+/// [`verification_keys`] of `verify_constraints`; no store is touched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_branch(
     system: &System,
@@ -897,6 +945,7 @@ pub(crate) fn finish_branch(
     options: &SolveOptions,
     original: &System,
     verify_constraints: &[Constraint],
+    verify_keys: &[Option<Arc<CanonicalKey>>],
     tracer: &Tracer,
     group_index: usize,
 ) -> Option<Assignment> {
@@ -919,7 +968,13 @@ pub(crate) fn finish_branch(
     }
     if options.verify {
         let _verify_span = tracer.span("verify", None, None);
-        if !satisfies_ledgered(&options.ledger, original, verify_constraints, &assignment) {
+        if !satisfies_ledgered(
+            &options.ledger,
+            verify_keys,
+            original,
+            verify_constraints,
+            &assignment,
+        ) {
             tracer.emit(|| TraceEventKind::WorklistPrune {
                 group: group_index,
                 reason: "verify-failed".to_owned(),
@@ -989,30 +1044,36 @@ fn strip_constant_operands(system: &System) -> (System, Vec<Constraint>) {
     (out, rewritten)
 }
 
-/// Checks a variable-free constraint by direct machine evaluation;
-/// recorded into the ledger under the `const-check` site.
+/// Checks a variable-free constraint by direct machine evaluation, with
+/// the antichain search; recorded into the ledger under the `const-check`
+/// site.
 fn constant_constraint_holds_with(options: &SolveOptions, system: &System, c: &Constraint) -> bool {
     let unassigned = Assignment::new();
     let lhs = eval(system, &c.lhs, &unassigned);
-    ledgered_subset(
-        &options.ledger,
-        SITE_CONST_CHECK,
-        &lhs,
-        system.const_machine(c.rhs),
-    )
+    let rhs = system.const_machine(c.rhs);
+    ledgered_subset(&options.ledger, SITE_CONST_CHECK, &lhs, rhs, |limits| {
+        inclusion::try_subset(&lhs, rhs, limits)
+    })
 }
 
-/// A `⊆` judgment recorded into the ledger as a memo-bypassing query (no
-/// store, no memo). Reads the clock only when the ledger is enabled.
-fn ledgered_subset(ledger: &Ledger, site: &'static str, lhs: &Nfa, rhs: &Nfa) -> bool {
-    if !ledger.is_enabled() {
-        return dprle_automata::is_subset(lhs, rhs);
+/// A `⊆` judgment, decided unlimited by `decide`, recorded into the
+/// ledger as a memo-bypassing query (no memo) with `decide`'s cost and
+/// features of `lhs` and `rhs`. Reads the clock only when the ledger is
+/// enabled.
+fn ledgered_subset(
+    ledger: &Ledger,
+    site: &'static str,
+    lhs: &Nfa,
+    rhs: &Nfa,
+    decide: impl FnOnce(&InclusionLimits) -> Result<(bool, InclusionCost), InclusionAbort>,
+) -> bool {
+    let started = ledger.is_enabled().then(Instant::now);
+    let (result, cost) =
+        decide(&InclusionLimits::UNLIMITED).expect("an unlimited inclusion check cannot abort");
+    if let Some(started) = started {
+        let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        ledger.record(|| bypass_inclusion_draft(site, lhs, rhs, Some(result), cost, wall));
     }
-    let started = Instant::now();
-    let (result, cost) = inclusion::try_subset(lhs, rhs, &InclusionLimits::UNLIMITED)
-        .expect("an unlimited inclusion check cannot abort");
-    let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    ledger.record(|| bypass_inclusion_draft(site, lhs, rhs, Some(result), cost, wall));
     result
 }
 
@@ -1044,26 +1105,26 @@ fn eval<'a>(system: &'a System, e: &Expr, assignment: &'a Assignment) -> Cow<'a,
 
 /// The *Satisfying* judgment (paper §3.1): every constraint holds under the
 /// assignment, with constants at full strength. Constraints whose two sides
-/// hold the same handles pose one `⊆` judgment, which is decided once.
+/// hold the same handles pose one `⊆` judgment, which is decided once, by
+/// the antichain search ([`dprle_automata::is_subset`]): this is the
+/// oracle that tests hold the solver to, so it shares no code with
+/// canonicalization.
 pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assignment) -> bool {
-    satisfies_ledgered(&Ledger::disabled(), system, constraints, assignment)
+    satisfies_with(system, constraints, assignment, |_, lhs, rhs| {
+        dprle_automata::is_subset(lhs, rhs.nfa())
+    })
 }
 
-/// [`satisfies`], recording each `⊆` judgment it decides into the ledger
-/// under the `verify` site (the solver's verification filter).
-///
-/// Each distinct judgment is decided once. Two constraints pose the same
-/// judgment when their left-hand sides have the same shape with the same
-/// handle at each leaf (a variable's assigned language, a constant's
-/// machine) and their right-hand constants share a handle; see
-/// [`same_judgment`]. The check stops at the first judgment that fails, so
-/// one seen before held. The system and the assignment keep every handle
-/// alive for the whole call, so a handle names one machine throughout.
-/// Identity comes from the handles, never from the store's memo, so
-/// verification stays independent of the store. Finding a repeat compares
-/// handles with the constraints before it, which allocates nothing.
+/// The solver's verification filter: [`satisfies`], deciding each
+/// judgment against the right-hand constant's canonical key
+/// ([`inclusion::try_subset_of_key`]) and recording it into the ledger
+/// under the `verify` site. `keys[i]` is the key of constraint `i`'s
+/// right-hand side ([`verification_keys`]); a judgment whose key is
+/// `None` is decided by the antichain search. Verification reads keys,
+/// never a memoized verdict.
 pub(crate) fn satisfies_ledgered(
     ledger: &Ledger,
+    keys: &[Option<Arc<CanonicalKey>>],
     system: &System,
     constraints: &[Constraint],
     assignment: &Assignment,
@@ -1077,15 +1138,42 @@ pub(crate) fn satisfies_ledgered(
             assignment,
         );
     }
+    satisfies_with(system, constraints, assignment, |i, lhs, rhs| {
+        ledgered_subset(ledger, SITE_VERIFY, lhs, rhs.nfa(), |limits| {
+            match &keys[i] {
+                Some(key) => inclusion::try_subset_of_key(lhs, key, limits),
+                None => inclusion::try_subset(lhs, rhs.nfa(), limits),
+            }
+        })
+    })
+}
+
+/// Whether every constraint holds under `assignment`, each distinct
+/// judgment decided once by `holds(i, lhs, rhs)` for the first constraint
+/// `i` that poses it.
+///
+/// Two constraints pose the same judgment when their left-hand sides have
+/// the same shape with the same handle at each leaf (a variable's assigned
+/// language, a constant's machine) and their right-hand constants share a
+/// handle; see [`same_judgment`]. The check stops at the first judgment
+/// that fails, so one seen before held. The system and the assignment keep
+/// every handle alive for the whole call, so a handle names one machine
+/// throughout. Finding a repeat compares handles with the constraints
+/// before it, which allocates nothing.
+fn satisfies_with(
+    system: &System,
+    constraints: &[Constraint],
+    assignment: &Assignment,
+    mut holds: impl FnMut(usize, &Nfa, &Lang) -> bool,
+) -> bool {
     constraints.iter().enumerate().all(|(i, c)| {
         constraints[..i]
             .iter()
             .any(|earlier| same_judgment(system, assignment, earlier, c))
-            || ledgered_subset(
-                ledger,
-                SITE_VERIFY,
+            || holds(
+                i,
                 &eval(system, &c.lhs, assignment),
-                system.const_machine(c.rhs),
+                system.const_lang(c.rhs),
             )
     })
 }
@@ -1252,6 +1340,34 @@ mod tests {
         // Any witness passes the faulty filter and injects a quote.
         assert!(Regex::new("[\\d]+$").expect("re").is_match(&exploit));
         assert!(exploit.contains(&b'\''));
+    }
+
+    #[test]
+    fn verification_leaves_an_exponential_constant_unkeyed() {
+        // `c`'s minimal DFA has 2^17 states, past `VERIFY_KEY_MAX_STATES`:
+        // verification gives up keying it and the antichain search decides
+        // `v . w ⊆ c`, exploring only the subsets `xy` reaches.
+        let mut sys = System::new();
+        let v = sys.var("v");
+        let w = sys.var("w");
+        let x = sys.constant("x", exact("x"));
+        let y = sys.constant("y", exact("y"));
+        let c = sys.constant("c", exact("xy|[ab]*a[ab]{16}"));
+        sys.require(Expr::Var(v), x);
+        sys.require(Expr::Var(w), y);
+        sys.require(Expr::Var(v).concat(Expr::Var(w)), c);
+        for jobs in [1, 4] {
+            let opts = SolveOptions {
+                jobs,
+                ..SolveOptions::default()
+            };
+            let (solution, stats) =
+                solve_traced(&sys, &opts, &LangStore::new(), &Tracer::disabled());
+            let asg = solution.first().expect("xy ⊆ c");
+            assert_eq!(asg.witness(v).as_deref(), Some(b"x".as_slice()));
+            assert_eq!(stats.branches_filtered, 0, "jobs={jobs}");
+            assert!(!sys.const_lang(c).fingerprint_is_cached(), "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Reduce and verification against the code they replaced, kept verbatim
 //! as `#[cfg(test)]` references: the reduce loop that intersected every
 //! variable's inbound constants in that variable's own order, and the
-//! verification that decided every constraint, copying each leaf machine.
-//! A thread in [reference mode](with_reference) runs the references inside
-//! the real solver, so whole solves compare. Solutions must agree in order,
-//! with each variable's canonical key, witness and printed language, and
-//! with `minimize_intermediate` on, machine for machine. With it off, a
-//! shared leaf is the product in the first variable's order, so only the
-//! languages must agree, and on Figure 12 what prints. `satisfies` must
-//! give the same verdict on random assignments, failing ones included, and
-//! the verify-site ledger must hold one record per distinct judgment.
+//! verification that decided every constraint by the antichain search,
+//! copying each leaf machine. A thread in [reference mode](with_reference)
+//! runs the references inside the real solver, so whole solves compare, on
+//! interning and pass-through stores. Solutions must agree in order, with
+//! each variable's canonical key, witness and printed language, and with
+//! `minimize_intermediate` on, machine for machine. With it off, a shared
+//! leaf is the product in the first variable's order, so only the
+//! languages must agree, and on Figure 12 what prints. The verification
+//! filter, which walks each distinct judgment against the right-hand
+//! constant's key (or, for a constant without one, runs the antichain
+//! search), and the public `satisfies` must give the reference's
+//! verdict on random assignments, failing ones included, and the
+//! verify-site ledger must hold one record per distinct judgment.
 
 use super::*;
 use crate::ledger::CollectLedger;
@@ -106,7 +110,10 @@ pub(super) mod reference {
     ) -> bool {
         constraints.iter().all(|c| {
             let lhs = eval_expr(system, &c.lhs, assignment);
-            ledgered_subset(ledger, SITE_VERIFY, &lhs, system.const_machine(c.rhs))
+            let rhs = system.const_machine(c.rhs);
+            ledgered_subset(ledger, SITE_VERIFY, &lhs, rhs, |limits| {
+                inclusion::try_subset(&lhs, rhs, limits)
+            })
         })
     }
 }
@@ -120,19 +127,14 @@ struct Run {
     verify_records: usize,
 }
 
-fn run(system: &System, options: &SolveOptions) -> Run {
+fn run(system: &System, options: &SolveOptions, store: &LangStore) -> Run {
     let sink = Arc::new(CollectSink::new());
     let ledger = Arc::new(CollectLedger::new());
     let options = SolveOptions {
         ledger: Ledger::new(ledger.clone()),
         ..options.clone()
     };
-    let (solution, stats) = solve_traced(
-        system,
-        &options,
-        &LangStore::new(),
-        &Tracer::new(sink.clone()),
-    );
+    let (solution, stats) = solve_traced(system, &options, store, &Tracer::new(sink.clone()));
     let reduce_steps = sink
         .take()
         .into_iter()
@@ -215,7 +217,8 @@ struct Coverage {
 }
 
 /// Solves `system` with the new and the reference code under both
-/// settings of `minimize_intermediate` and compares the answers. With
+/// settings of `minimize_intermediate`, each on a fresh interning and a
+/// fresh pass-through store, and compares the answers. With
 /// `prints_identical_off`, witnesses and printed languages must also match
 /// without intermediate minimization.
 fn assert_matches_reference(
@@ -224,14 +227,14 @@ fn assert_matches_reference(
     prints_identical_off: bool,
     coverage: &mut Coverage,
 ) {
-    for minimize in [true, false] {
+    for (minimize, interning) in [(true, true), (false, true), (true, false), (false, false)] {
         let options = SolveOptions {
             minimize_intermediate: minimize,
             ..SolveOptions::default()
         };
-        let what = format!("{what} (minimize_intermediate {minimize})");
-        let new = run(system, &options);
-        let old = with_reference(|| run(system, &options));
+        let what = format!("{what} (minimize_intermediate {minimize}, interning {interning})");
+        let new = run(system, &options, &LangStore::interning(interning));
+        let old = with_reference(|| run(system, &options, &LangStore::interning(interning)));
         let (got, want) = (new.solution.assignments(), old.solution.assignments());
         assert_eq!(got.len(), want.len(), "{what}");
         for (g, w) in got.iter().zip(want) {
@@ -290,9 +293,11 @@ fn assert_matches_reference(
                 .map(|a| distinct_judgments(&normalized, &constraints, a))
                 .sum();
             assert_eq!(new.verify_records, expected, "{what}");
-            coverage.repeated_judgments += old.verify_records - new.verify_records;
+            if interning {
+                coverage.repeated_judgments += old.verify_records - new.verify_records;
+            }
         }
-        if minimize {
+        if minimize && interning {
             coverage.solutions += got.len();
             coverage.shared_leaves += shared_leaves(system);
         }
@@ -328,7 +333,7 @@ fn reduce_and_verify_match_reference_on_fig12_systems() {
     let mut verify_records = 0;
     for (name, system) in &systems {
         assert_matches_reference(system, name, true, &mut coverage);
-        verify_records += run(system, &SolveOptions::default()).verify_records;
+        verify_records += run(system, &SolveOptions::default(), &LangStore::new()).verify_records;
     }
     assert!(coverage.solutions >= 17, "{coverage:?}");
     // Eight rows bound eight variables by one three-constant set, and two
@@ -461,9 +466,11 @@ fn reduce_and_verify_match_reference_on_random_systems() {
     );
 }
 
-/// `satisfies` on random assignments, failing ones included: the same
-/// verdict as the reference, and one verify record per distinct judgment
-/// it poses before it stops.
+/// The verification filter, with an interning and a pass-through store's
+/// keys and with none, and the public `satisfies` on random assignments,
+/// failing ones included:
+/// the same verdict as the reference, and one verify record per distinct
+/// judgment the filter poses before it stops.
 #[test]
 fn satisfies_matches_reference_on_random_assignments() {
     let exact = |p: &str| Regex::new(p).expect("pattern").exact_language().clone();
@@ -471,6 +478,7 @@ fn satisfies_matches_reference_on_random_assignments() {
         .iter()
         .map(|p| Lang::new(exact(p)))
         .collect();
+    let stores = [LangStore::new(), LangStore::interning(false)];
     let (mut held, mut failed) = (0, 0);
     for seed in 0..64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -492,19 +500,38 @@ fn satisfies_matches_reference_on_random_assignments() {
             }
             for (sys, what) in [(&system, "as built"), (&*normalized, "normalized")] {
                 let constraints = sys.union_free_constraints();
-                let collected = Arc::new(CollectLedger::new());
-                let ledger = Ledger::new(collected.clone());
-                let verdict = satisfies_ledgered(&ledger, sys, &constraints, &assignment);
-                let expected = with_reference(|| satisfies(sys, &constraints, &assignment));
-                assert_eq!(verdict, expected, "seed {seed}, {what}: {sys}");
-                let records = collected.take();
-                assert!(records.iter().all(|r| r.site == SITE_VERIFY));
-                assert_eq!(
-                    records.len(),
-                    distinct_judgments(sys, &constraints, &assignment),
-                    "seed {seed}, {what}: {sys}"
+                let expected = reference::satisfies_ledgered(
+                    &Ledger::disabled(),
+                    sys,
+                    &constraints,
+                    &assignment,
                 );
-                if verdict {
+                assert_eq!(
+                    satisfies(sys, &constraints, &assignment),
+                    expected,
+                    "seed {seed}, {what}, the public oracle: {sys}"
+                );
+                // Each store's keys, and none at all (every constant past
+                // the cap: the antichain search decides).
+                let unkeyed = vec![None; constraints.len()];
+                let keyed = stores.iter().map(|store| {
+                    verification_keys(&SolveOptions::default(), store, sys, &constraints)
+                });
+                for keys in keyed.chain([unkeyed]) {
+                    let collected = Arc::new(CollectLedger::new());
+                    let ledger = Ledger::new(collected.clone());
+                    let verdict =
+                        satisfies_ledgered(&ledger, &keys, sys, &constraints, &assignment);
+                    assert_eq!(verdict, expected, "seed {seed}, {what}: {sys}");
+                    let records = collected.take();
+                    assert!(records.iter().all(|r| r.site == SITE_VERIFY));
+                    assert_eq!(
+                        records.len(),
+                        distinct_judgments(sys, &constraints, &assignment),
+                        "seed {seed}, {what}: {sys}"
+                    );
+                }
+                if expected {
                     held += 1;
                 } else {
                     failed += 1;

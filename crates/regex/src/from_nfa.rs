@@ -8,7 +8,7 @@
 //! machines degrade gracefully instead of producing megabyte regexes.
 
 use crate::ast::Ast;
-use dprle_automata::{ByteClass, Nfa, StateId};
+use dprle_automata::{ByteClass, Lang, Nfa, StateId};
 use std::collections::HashMap;
 
 /// Converts a machine into a regular expression for the same language.
@@ -33,7 +33,14 @@ use std::collections::HashMap;
 pub fn nfa_to_regex(nfa: &Nfa, max_nodes: usize) -> Option<Ast> {
     // Work on the minimal DFA: fewer states, and deterministic structure
     // tends to produce dramatically smaller expressions.
-    let min = dprle_automata::minimize(nfa);
+    minimal_to_regex(&dprle_automata::minimize(nfa), max_nodes)
+}
+
+/// [`nfa_to_regex`] on the canonical minimal DFA of the language, as
+/// [`dprle_automata::minimize`] or a key's
+/// [`CanonicalKey::to_nfa`](dprle_automata::CanonicalKey::to_nfa) builds
+/// it.
+fn minimal_to_regex(min: &Nfa, max_nodes: usize) -> Option<Ast> {
     if min.finals().is_empty() {
         return None;
     }
@@ -51,7 +58,7 @@ pub fn nfa_to_regex(nfa: &Nfa, max_nodes: usize) -> Option<Ast> {
     if min.num_states() > max_nodes {
         return None;
     }
-    let mut gnfa = Gnfa::from_nfa(&min);
+    let mut gnfa = Gnfa::from_nfa(min);
     gnfa.eliminate(max_nodes)
 }
 
@@ -62,7 +69,26 @@ pub fn nfa_to_regex(nfa: &Nfa, max_nodes: usize) -> Option<Ast> {
 /// languages come out as readable patterns (`xyy|xyyyy`), huge ones as
 /// `NFA(… states …)` summaries of bounded length (counts, not state lists).
 pub fn display_language(nfa: &Nfa, max_nodes: usize) -> String {
-    match nfa_to_regex(nfa, max_nodes) {
+    render(nfa, nfa_to_regex(nfa, max_nodes))
+}
+
+/// [`display_language`] of a handle's language, printed from its
+/// canonical key, which is the minimal DFA [`nfa_to_regex`] would build: a
+/// keyed handle (every solution handle is one) decodes it in O(key)
+/// instead of determinizing and refining its machine again, and an
+/// unkeyed one canonicalizes once and keeps the key. The text is the same
+/// as `display_language(lang, max_nodes)`.
+pub fn display_lang(lang: &Lang, max_nodes: usize) -> String {
+    render(
+        lang,
+        minimal_to_regex(&lang.fingerprint().to_nfa(), max_nodes),
+    )
+}
+
+/// The text of a language whose regex is `regex`, or, when there is none,
+/// of `nfa` itself.
+fn render(nfa: &Nfa, regex: Option<Ast>) -> String {
+    match regex {
         Some(ast) => {
             let s = ast.to_string();
             if s.is_empty() {
@@ -440,6 +466,35 @@ mod tests {
             }
             assert!(nfa_to_regex(m, n - 1).is_none(), "just over the cap");
             assert!(nfa_to_regex(m, 400).is_some(), "well under the cap");
+        }
+    }
+
+    #[test]
+    fn a_handle_prints_from_its_key_as_its_machine_prints() {
+        use dprle_automata::generate::{random_nfa, RandomNfaConfig};
+        let cfg = RandomNfaConfig {
+            states: 6,
+            alphabet: vec![b'a', b'b', b'c'],
+            ..Default::default()
+        };
+        let mut machines: Vec<Nfa> = (0..60).map(|seed| random_nfa(seed, &cfg)).collect();
+        machines.extend([
+            Nfa::empty_language(),
+            Nfa::epsilon(),
+            Nfa::sigma_star(),
+            Nfa::literal(b"hi"),
+            ops::union(&Nfa::literal(b"abcdef"), &Nfa::literal(b"ghijkl")),
+            nth_from_last(3),
+            nth_from_last(12),
+        ]);
+        for m in &machines {
+            let keyed = Lang::new(m.clone());
+            keyed.fingerprint();
+            for cap in [2, 200, 400] {
+                let want = display_language(m, cap);
+                assert_eq!(display_lang(&Lang::new(m.clone()), cap), want, "{m}");
+                assert_eq!(display_lang(&keyed, cap), want, "{m}");
+            }
         }
     }
 

@@ -32,7 +32,7 @@ pub mod parser;
 pub use ast::{Anchor, Ast};
 pub use compile::{compile_exact, compile_search};
 pub use error::{ParseRegexError, RegexErrorKind};
-pub use from_nfa::{display_language, nfa_to_regex};
+pub use from_nfa::{display_lang, display_language, nfa_to_regex};
 pub use oracle::oracle_is_full_match;
 pub use parser::parse;
 
