@@ -193,7 +193,7 @@ pub fn complement(nfa: &Nfa) -> Nfa {
 /// [`complement`], or `None` when determinizing `nfa` would number more
 /// than `max_states` states; the determinization stops there.
 pub fn try_complement(nfa: &Nfa, max_states: usize) -> Option<Nfa> {
-    let (dfa, _) = subset::try_with_table(nfa, max_states, read_table)?;
+    let (dfa, _) = subset::try_with_table(nfa, max_states, read_table).ok()?;
     Some(dfa.complement().to_nfa().trim().0)
 }
 

@@ -22,7 +22,7 @@
 //! subset construction before it can look at a deadline (DESIGN.md §8).
 //!
 //! The searches are pure — same operands in, same verdict and cost out —
-//! which keeps memoized results and parallel solves deterministic. Their
+//! which keeps memoized results deterministic. Their
 //! buffers are thread-local and reset by every query, so nothing one query
 //! leaves behind reaches the next one's answer.
 

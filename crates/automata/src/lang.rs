@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Approximate per-state heap footprint of an [`Nfa`] in bytes, used by the
 /// store's memo byte accounting. Shape-derived (never allocator-derived) so
-/// the accounting is identical across runs and thread counts.
+/// the accounting is identical across runs.
 const STATE_BYTES: u64 = 24;
 /// Approximate per-transition heap footprint, same accounting.
 const EDGE_BYTES: u64 = 40;
@@ -148,20 +148,21 @@ impl Lang {
         (key, computed)
     }
 
-    /// [`Lang::fingerprint_tracked_costed`] under a cap: `None`, keying
-    /// nothing, when the canonicalization would number more than
-    /// `max_states` DFA states. A capped canonicalization runs outside the
-    /// handle's `OnceLock`, so racing callers may both compute; the one
-    /// whose key the handle keeps observes the cost.
+    /// [`Lang::fingerprint_tracked_costed`] under a cap: keying nothing,
+    /// and returning the partial subset construction's cost, when the
+    /// canonicalization would number more than `max_states` DFA states. A
+    /// capped canonicalization runs outside the handle's `OnceLock`, so
+    /// racing callers may both compute; the one whose key the handle keeps
+    /// observes the cost.
     fn try_fingerprint_tracked_costed(
         &self,
         max_states: usize,
-    ) -> Option<(Arc<CanonicalKey>, Option<FingerprintCost>)> {
+    ) -> Result<(Arc<CanonicalKey>, Option<FingerprintCost>), DeterminizeCost> {
         if max_states == usize::MAX {
-            return Some(self.fingerprint_tracked_costed());
+            return Ok(self.fingerprint_tracked_costed());
         }
         if let Some(key) = self.inner.fingerprint.get() {
-            return Some((key.clone(), None));
+            return Ok((key.clone(), None));
         }
         let (key, determinize) = try_canonical_key_counted(&self.inner.nfa, max_states)?;
         let cost = FingerprintCost {
@@ -171,7 +172,7 @@ impl Lang {
         let key = Arc::new(key);
         let kept = self.inner.fingerprint.get_or_init(|| key.clone()).clone();
         let won = Arc::ptr_eq(&kept, &key);
-        Some((kept, won.then_some(cost)))
+        Ok((kept, won.then_some(cost)))
     }
 
     /// Rough heap footprint of the wrapped machine in bytes, derived only
@@ -183,10 +184,9 @@ impl Lang {
     }
 
     /// An address identifying this handle's shared allocation, stable for
-    /// as long as any clone of the handle is alive. Used as the identity of
-    /// per-handle cache slots (see [`MemoIdentity::Fingerprint`]); callers
-    /// comparing addresses across time must hold a clone so the allocation
-    /// cannot be reused.
+    /// as long as any clone of the handle is alive; callers comparing
+    /// addresses across time must hold a clone so the allocation cannot be
+    /// reused.
     pub fn handle_addr(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize
     }
@@ -299,101 +299,6 @@ impl StoreOp {
     }
 }
 
-/// The identity of one memo-cache slot, as reported to
-/// [`StoreObserver::memo_event`]. Two events with equal identities
-/// landed on the same cache slot, which is what lets a deterministic
-/// replay of a parallel run reassign hit/miss outcomes in a canonical
-/// order: the first touch of a slot in replay order is the miss,
-/// regardless of which thread actually won the race.
-#[derive(Clone, Debug)]
-pub enum MemoIdentity {
-    /// A fingerprint lookup on `handle`. With a structure table (an
-    /// interning store) the slot is the handle's machine: `structure` is
-    /// its digest, and identities compare by digest, then by machine, so
-    /// every handle of one machine names one slot, as the table does. A
-    /// pass-through store has no table, `structure` is `None`, and the slot
-    /// is the handle itself (holding the clone pins its address). `keyed`
-    /// says whether the lookup found the handle without a key, as opposed
-    /// to answering from the handle's own cache; it is not part of the
-    /// slot.
-    Fingerprint {
-        /// The handle looked up.
-        handle: Lang,
-        /// The digest of the handle's machine, when the store has a
-        /// structure table.
-        structure: Option<u64>,
-        /// Whether the handle had no key when the lookup began.
-        keyed: bool,
-    },
-    /// The minimization memo slot for a language.
-    Minimize(Arc<CanonicalKey>),
-    /// The intersection memo slot for an (unordered, pre-normalized)
-    /// fingerprint pair.
-    Intersect(Arc<CanonicalKey>, Arc<CanonicalKey>),
-    /// The inclusion memo slot for an (ordered) fingerprint pair.
-    Inclusion(Arc<CanonicalKey>, Arc<CanonicalKey>),
-}
-
-impl PartialEq for MemoIdentity {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (
-                MemoIdentity::Fingerprint {
-                    handle: a,
-                    structure: da,
-                    ..
-                },
-                MemoIdentity::Fingerprint {
-                    handle: b,
-                    structure: db,
-                    ..
-                },
-            ) => match (da, db) {
-                (Some(da), Some(db)) => da == db && (Lang::ptr_eq(a, b) || a.nfa() == b.nfa()),
-                (None, None) => Lang::ptr_eq(a, b),
-                _ => false,
-            },
-            (MemoIdentity::Minimize(a), MemoIdentity::Minimize(b)) => a == b,
-            (MemoIdentity::Intersect(a0, a1), MemoIdentity::Intersect(b0, b1)) => {
-                a0 == b0 && a1 == b1
-            }
-            (MemoIdentity::Inclusion(a0, a1), MemoIdentity::Inclusion(b0, b1)) => {
-                a0 == b0 && a1 == b1
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for MemoIdentity {}
-
-impl Hash for MemoIdentity {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            MemoIdentity::Fingerprint {
-                handle, structure, ..
-            } => {
-                0u8.hash(state);
-                state.write_u64(structure.unwrap_or(handle.handle_addr() as u64));
-            }
-            MemoIdentity::Minimize(k) => {
-                1u8.hash(state);
-                state.write_u64(k.digest());
-            }
-            MemoIdentity::Intersect(a, b) => {
-                2u8.hash(state);
-                state.write_u64(a.digest());
-                state.write_u64(b.digest());
-            }
-            MemoIdentity::Inclusion(a, b) => {
-                3u8.hash(state);
-                state.write_u64(a.digest());
-                state.write_u64(b.digest());
-            }
-        }
-    }
-}
-
 /// One answered inclusion query, reported to
 /// [`StoreObserver::inclusion_query`] by [`LangStore::try_is_subset`].
 /// Structural pre-checks (pointer equality, empty LHS, equal fingerprints)
@@ -408,13 +313,10 @@ pub struct InclusionQuery<'a> {
     pub lhs_key: Option<&'a CanonicalKey>,
     /// Canonical fingerprint of the RHS, when the store computed one.
     pub rhs_key: Option<&'a CanonicalKey>,
-    /// The memo slot this query touched, `None` for pass-through stores.
-    pub identity: Option<MemoIdentity>,
+    /// Whether the store memoizes (`false` for pass-through stores).
+    pub memoized: bool,
     /// Whether the memo (or a lost insert race) answered the query.
     pub memo_hit: bool,
-    /// Whether the search actually ran. `memo_hit && engine_ran` marks a
-    /// lost insert race: the search ran but another thread's result won.
-    pub engine_ran: bool,
     /// The verdict; `None` when the budget was exhausted mid-query.
     pub outcome: Option<bool>,
     /// Search work for this query (zero when the search did not run).
@@ -430,11 +332,9 @@ pub struct InclusionQuery<'a> {
 /// `MemoHit`/`MemoMiss` events and cost-ledger records without the
 /// automata crate knowing about either format.
 pub trait StoreObserver: Send + Sync {
-    /// Called once per memoized operation with its hit/miss outcome and
-    /// the cache slot's identity, when the store can name one (`None` for
-    /// pass-through stores, which have no slots: every operation is a
-    /// deterministic miss).
-    fn memo_event(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool);
+    /// Called once per memoized operation with its hit/miss outcome (on a
+    /// pass-through store every operation misses).
+    fn memo_event(&self, op: StoreOp, hit: bool);
 
     /// Whether this observer wants per-query [`InclusionQuery`] reports.
     /// When `false` (the default) the store skips the wall-clock reads and
@@ -463,7 +363,8 @@ pub struct StoreStats {
     /// that canonicalized the same machine first.
     pub fingerprint_hits: u64,
     /// Fingerprint requests that ran determinize+minimize for a machine
-    /// the store had not canonicalized.
+    /// the store had not canonicalized, including capped requests that
+    /// gave up past their cap ([`LangStore::try_key_of`]).
     pub fingerprint_misses: u64,
     /// Binary operations (intersection, inclusion) answered from the memo
     /// tables.
@@ -478,7 +379,7 @@ pub struct StoreStats {
     /// Approximate bytes charged by memo-table, interner and
     /// structure-table inserts (shape-derived estimates; see
     /// [`Lang::approx_bytes`]). Only the insert winner charges, so on an
-    /// unbounded store the total is deterministic across thread counts.
+    /// unbounded store racing sessions charge each entry once.
     /// Fingerprint keys are not memo entries (they live on the handles)
     /// and are accounted separately under `automata.fingerprint.bytes`.
     pub charged_bytes: u64,
@@ -497,7 +398,7 @@ pub struct StoreStats {
     pub evicted_bytes: u64,
     /// Macrostates explored by store-computed inclusion queries (see
     /// [`crate::inclusion::InclusionCost`]). Incremented only by the memo
-    /// insert winner, so the total is deterministic across thread counts.
+    /// insert winner, so racing sessions count each search once.
     pub inclusion_macrostates: u64,
 }
 
@@ -562,18 +463,14 @@ enum Tally {
 /// A scope is installed per thread instead ([`StoreScope::install`]):
 /// every operation *that thread* runs while the guard lives is counted in
 /// the scope as well as in the store, and reported to the scope's
-/// observer. Parallel drivers capture [`StoreScope::current`] before
-/// spawning workers and install it on each, so one scope follows a
-/// request across threads; its counts are adds that commute, so they are
-/// as deterministic as the store's own.
+/// observer.
 pub struct StoreScope {
     stats: Mutex<StoreStats>,
     observer: Option<Arc<dyn StoreObserver>>,
 }
 
 thread_local! {
-    /// The scope installed on this thread, if any. An `Arc` (not a
-    /// borrow) so parallel solve workers can install their spawner's.
+    /// The scope installed on this thread, if any.
     static SCOPE: RefCell<Option<Arc<StoreScope>>> = const { RefCell::new(None) };
 }
 
@@ -696,10 +593,8 @@ impl Hasher for DigestHasher {
 type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
 
 /// The identity of one retained entry — the currency of the store's LRU
-/// bookkeeping. Unlike [`MemoIdentity`] (which also names per-handle
-/// fingerprint slots that the store does not retain), every variant here
-/// maps to exactly one entry of one of the store's five tables, so
-/// evicting a slot is an O(1) map removal.
+/// bookkeeping. Every variant maps to exactly one entry of one of the
+/// store's five tables, so evicting a slot is an O(1) map removal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum SlotKey {
     /// One hash-consed representative in the interner.
@@ -728,8 +623,8 @@ struct StoreInner {
     /// Registry the store records operation costs into. Kept inside the
     /// existing mutex (no extra lock); the handle's atomic operations are
     /// no-ops when metrics are disabled, and every recording site below is
-    /// winner-only (first memo writer / fingerprint computer), so totals
-    /// are deterministic across thread counts.
+    /// winner-only (first memo writer / fingerprint computer), so sessions
+    /// racing on the store record each result once.
     metrics: Metrics,
     /// Byte cap on the memo tables; `None` (the default) never evicts.
     max_bytes: Option<u64>,
@@ -873,8 +768,7 @@ impl StoreInner {
 /// Hash-consing interner and binary-operation memo table for [`Lang`].
 ///
 /// All methods take `&self`; the store is internally synchronized, so one
-/// store can be shared across solves, serve sessions and parallel branch
-/// exploration. With `interning(false)` the store becomes a pass-through
+/// store can be shared across solves and concurrent serve sessions. With `interning(false)` the store becomes a pass-through
 /// that computes every operation directly — the `ablation_interning`
 /// benchmark compares the two modes.
 pub struct LangStore {
@@ -949,20 +843,13 @@ impl LangStore {
     }
 
     /// Counts one memo outcome, then releases the store lock and reports
-    /// the outcome, with its slot identity, to the current scope's
-    /// observer. The observer runs without the lock held, so it may use
-    /// the store itself.
-    fn settle(
-        &self,
-        mut inner: MutexGuard<'_, StoreInner>,
-        op: StoreOp,
-        hit: bool,
-        identity: impl FnOnce() -> Option<MemoIdentity>,
-    ) {
+    /// the outcome to the current scope's observer. The observer runs
+    /// without the lock held, so it may use the store itself.
+    fn settle(&self, mut inner: MutexGuard<'_, StoreInner>, op: StoreOp, hit: bool) {
         inner.count(Tally::Memo { op, hit });
         drop(inner);
         if let Some(observer) = StoreScope::current_observer() {
-            observer.memo_event(op, identity().as_ref(), hit);
+            observer.memo_event(op, hit);
         }
     }
 
@@ -985,36 +872,33 @@ impl LangStore {
     /// [`LangStore::key_of`] with the canonicalization capped at
     /// `max_states` DFA states: a key the handle holds or the structure
     /// table lends comes back whatever its size, and a machine past the
-    /// cap gets `None`. That abort counts no memo outcome and records no
-    /// cost; the handle stays keyless, so a later call starts over.
+    /// cap gets `None`. That abort counts a miss and records the partial
+    /// subset construction's cost (no key bytes); the handle stays
+    /// keyless, so a later call starts over.
     pub fn try_key_of(&self, lang: &Lang, max_states: usize) -> Option<Arc<CanonicalKey>> {
-        let enabled = self.enabled;
-        let identity = |structure: Option<u64>, keyed: bool| {
-            Some(MemoIdentity::Fingerprint {
-                handle: lang.clone(),
-                structure: structure.or_else(|| enabled.then(|| structure_digest(lang.nfa()))),
-                keyed,
-            })
-        };
         if let Some(key) = lang.inner.fingerprint.get() {
-            self.settle(self.lock(), StoreOp::Fingerprint, true, || {
-                identity(None, false)
-            });
+            self.settle(self.lock(), StoreOp::Fingerprint, true);
             return Some(key.clone());
         }
-        let digest = enabled.then(|| structure_digest(lang.nfa()));
+        let digest = self.enabled.then(|| structure_digest(lang.nfa()));
         if let Some(digest) = digest {
             let mut inner = self.lock();
             if let Some(key) = inner.structure_key(digest, lang) {
-                self.settle(inner, StoreOp::Fingerprint, true, || {
-                    identity(Some(digest), true)
-                });
+                self.settle(inner, StoreOp::Fingerprint, true);
                 // Set after the lock is released: a racing canonicalization
                 // of this handle, if any, finishes first, with the same key.
                 return Some(lang.inner.fingerprint.get_or_init(|| key).clone());
             }
         }
-        let (key, computed) = lang.try_fingerprint_tracked_costed(max_states)?;
+        let (key, computed) = match lang.try_fingerprint_tracked_costed(max_states) {
+            Ok(keyed) => keyed,
+            Err(partial) => {
+                let inner = self.lock();
+                record_determinize_cost(&inner.metrics, lang, &partial);
+                self.settle(inner, StoreOp::Fingerprint, false);
+                return None;
+            }
+        };
         let mut inner = self.lock();
         // A hit when a racing call keyed this handle, or entered an equal
         // machine in the table while this call canonicalized: the insert
@@ -1023,7 +907,7 @@ impl LangStore {
         if let Some(cost) = computed.as_ref().filter(|_| !hit) {
             record_fingerprint_cost(&inner.metrics, lang, cost);
         }
-        self.settle(inner, StoreOp::Fingerprint, hit, || identity(digest, true));
+        self.settle(inner, StoreOp::Fingerprint, hit);
         Some(key)
     }
 
@@ -1058,19 +942,18 @@ impl LangStore {
             let mut inner = self.lock();
             record_intersect_cost(&inner.metrics, &cost);
             inner.count(Tally::Materialized(result.num_states() as u64));
-            self.settle(inner, StoreOp::Intersect, false, || None);
+            self.settle(inner, StoreOp::Intersect, false);
             return result;
         }
         let (ka, kb) = (self.key_of(a), self.key_of(b));
         let (ka, kb) = if ka <= kb { (ka, kb) } else { (kb, ka) };
         let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
         let slot = || SlotKey::Intersect(key.0.clone(), key.1.clone());
-        let identity = || Some(MemoIdentity::Intersect(ka.clone(), kb.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.intersect_memo.get(&key).cloned() {
                 inner.touch(slot());
-                self.settle(inner, StoreOp::Intersect, true, identity);
+                self.settle(inner, StoreOp::Intersect, true);
                 return hit;
             }
         }
@@ -1086,14 +969,14 @@ impl LangStore {
         // than the scheduling-dependent set of racers.
         if let Some(existing) = inner.intersect_memo.get(&key).cloned() {
             inner.touch(slot());
-            self.settle(inner, StoreOp::Intersect, true, identity);
+            self.settle(inner, StoreOp::Intersect, true);
             return existing;
         }
         record_intersect_cost(&inner.metrics, &cost);
         inner.count(Tally::Materialized(result.num_states() as u64));
         inner.intersect_memo.insert(key.clone(), result.clone());
         inner.charge_insert(slot(), result.approx_bytes());
-        self.settle(inner, StoreOp::Intersect, false, identity);
+        self.settle(inner, StoreOp::Intersect, false);
         result
     }
 
@@ -1127,8 +1010,7 @@ impl LangStore {
             return Ok(true);
         }
         // Structural pre-check: ∅ ⊆ L(b). The emptiness bit is cached on
-        // the handle, so this is O(1) after first touch and deterministic
-        // across thread counts.
+        // the handle, so this is O(1) after first touch.
         if a.is_empty_language() {
             return Ok(true);
         }
@@ -1137,9 +1019,7 @@ impl LangStore {
         let reporter = StoreScope::current_observer().filter(|o| o.wants_queries());
         let started = reporter.as_ref().map(|_| std::time::Instant::now());
         let report = |keys: Option<(&Arc<CanonicalKey>, &Arc<CanonicalKey>)>,
-                      identity: Option<MemoIdentity>,
                       memo_hit: bool,
-                      engine_ran: bool,
                       outcome: Option<bool>,
                       cost: InclusionCost| {
             if let Some(observer) = &reporter {
@@ -1148,9 +1028,8 @@ impl LangStore {
                     rhs: b.nfa(),
                     lhs_key: keys.map(|(k, _)| &**k),
                     rhs_key: keys.map(|(_, k)| &**k),
-                    identity,
+                    memoized: self.enabled,
                     memo_hit,
-                    engine_ran,
                     outcome,
                     cost,
                     wall_us: started.map_or(0, |t| t.elapsed().as_micros() as u64),
@@ -1162,14 +1041,14 @@ impl LangStore {
                 Ok(computed) => computed,
                 Err(abort) => {
                     self.lock().count(Tally::Inclusion(abort.cost()));
-                    report(None, None, false, true, None, abort.cost());
+                    report(None, false, None, abort.cost());
                     return Err(abort);
                 }
             };
             let mut inner = self.lock();
             inner.count(Tally::Inclusion(cost));
-            self.settle(inner, StoreOp::Inclusion, false, || None);
-            report(None, None, false, true, Some(result), cost);
+            self.settle(inner, StoreOp::Inclusion, false);
+            report(None, false, Some(result), cost);
             return Ok(result);
         }
         let (ka, kb) = (self.key_of(a), self.key_of(b));
@@ -1181,20 +1060,12 @@ impl LangStore {
         let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
         let keys = Some((&ka, &kb));
         let slot = || SlotKey::Inclusion(key.0.clone(), key.1.clone());
-        let identity = || Some(MemoIdentity::Inclusion(ka.clone(), kb.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.inclusion_memo.get(&key).copied() {
                 inner.touch(slot());
-                self.settle(inner, StoreOp::Inclusion, true, identity);
-                report(
-                    keys,
-                    identity(),
-                    true,
-                    false,
-                    Some(hit),
-                    InclusionCost::default(),
-                );
+                self.settle(inner, StoreOp::Inclusion, true);
+                report(keys, true, Some(hit), InclusionCost::default());
                 return Ok(hit);
             }
         }
@@ -1202,14 +1073,13 @@ impl LangStore {
             Ok(computed) => computed,
             Err(abort) => {
                 self.lock().count(Tally::Inclusion(abort.cost()));
-                report(keys, identity(), false, true, None, abort.cost());
+                report(keys, false, None, abort.cost());
                 return Err(abort);
             }
         };
         let mut inner = self.lock();
         // Same race re-check as `intersect`: first writer wins the entry,
-        // and only the winner counts the search work, so the totals stay
-        // deterministic across thread counts.
+        // and only the winner counts the search work.
         let hit = inner.inclusion_memo.contains_key(&key);
         if hit {
             inner.touch(slot());
@@ -1218,8 +1088,8 @@ impl LangStore {
             inner.inclusion_memo.insert(key.clone(), result);
             inner.charge_insert(slot(), INCLUSION_ENTRY_BYTES);
         }
-        self.settle(inner, StoreOp::Inclusion, hit, identity);
-        report(keys, identity(), hit, true, Some(result), cost);
+        self.settle(inner, StoreOp::Inclusion, hit);
+        report(keys, hit, Some(result), cost);
         Ok(result)
     }
 
@@ -1235,19 +1105,18 @@ impl LangStore {
             let (nfa, det) = minimize_counted(a.nfa());
             let result = Lang::new(nfa);
             let mut inner = self.lock();
-            record_minimize_cost(&inner.metrics, a, &det);
+            record_determinize_cost(&inner.metrics, a, &det);
             inner.count(Tally::Materialized(result.num_states() as u64));
-            self.settle(inner, StoreOp::Minimize, false, || None);
+            self.settle(inner, StoreOp::Minimize, false);
             return result;
         }
         let fingerprint = self.key_of(a);
         let key = MemoKey(fingerprint.clone());
-        let identity = || Some(MemoIdentity::Minimize(fingerprint.clone()));
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.minimize_memo.get(&key).cloned() {
                 inner.touch(SlotKey::Minimize(key.clone()));
-                self.settle(inner, StoreOp::Minimize, true, identity);
+                self.settle(inner, StoreOp::Minimize, true);
                 return hit;
             }
         }
@@ -1259,13 +1128,13 @@ impl LangStore {
         // Same race re-check as `intersect`: first writer wins the entry.
         if let Some(existing) = inner.minimize_memo.get(&key).cloned() {
             inner.touch(SlotKey::Minimize(key.clone()));
-            self.settle(inner, StoreOp::Minimize, true, identity);
+            self.settle(inner, StoreOp::Minimize, true);
             return existing;
         }
         inner.count(Tally::Materialized(result.num_states() as u64));
         inner.minimize_memo.insert(key.clone(), result.clone());
         inner.charge_insert(SlotKey::Minimize(key.clone()), result.approx_bytes());
-        self.settle(inner, StoreOp::Minimize, false, identity);
+        self.settle(inner, StoreOp::Minimize, false);
         result
     }
 
@@ -1288,12 +1157,7 @@ impl LangStore {
 /// entries exclusively.
 fn record_fingerprint_cost(metrics: &Metrics, input: &Lang, cost: &FingerprintCost) {
     metrics.add(id::FINGERPRINT_BYTES, cost.key_bytes);
-    metrics.add(
-        id::EPS_CLOSURE_VISITED,
-        cost.determinize.closure_visited as u64,
-    );
-    metrics.observe(id::DETERMINIZE_IN, input.num_states() as u64);
-    metrics.observe(id::DETERMINIZE_OUT, cost.determinize.dfa_states as u64);
+    record_determinize_cost(metrics, input, &cost.determinize);
 }
 
 /// Records one computed intersection's cost: product states explored vs.
@@ -1304,9 +1168,10 @@ fn record_intersect_cost(metrics: &Metrics, cost: &ops::IntersectCost) {
     metrics.observe(id::INTERSECT_REACHABLE, cost.reachable as u64);
 }
 
-/// Records one computed minimization's cost: the determinization blowup
-/// (input NFA states → subset-construction states) and ε-closure work.
-fn record_minimize_cost(metrics: &Metrics, input: &Lang, det: &DeterminizeCost) {
+/// Records one subset construction's cost, complete or stopped at a cap:
+/// the determinization blowup (input NFA states → subset-construction
+/// states) and ε-closure work.
+fn record_determinize_cost(metrics: &Metrics, input: &Lang, det: &DeterminizeCost) {
     metrics.observe(id::DETERMINIZE_IN, input.num_states() as u64);
     metrics.observe(id::DETERMINIZE_OUT, det.dfa_states as u64);
     metrics.add(id::EPS_CLOSURE_VISITED, det.closure_visited as u64);
@@ -1408,7 +1273,7 @@ mod tests {
             misses: AtomicUsize,
         }
         impl StoreObserver for Counting {
-            fn memo_event(&self, _op: StoreOp, _identity: Option<&MemoIdentity>, hit: bool) {
+            fn memo_event(&self, _op: StoreOp, hit: bool) {
                 if hit {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -1559,56 +1424,6 @@ mod tests {
     }
 
     #[test]
-    // False positive: `MemoIdentity` hashes by digests and compares by
-    // handle address or immutable machine, not through `Lang`'s interior
-    // cache.
-    #[allow(clippy::mutable_key_type)]
-    fn memo_identity_distinguishes_slots() {
-        use std::collections::HashSet;
-        let a = Lang::new(ab_star());
-        let b = a.clone();
-        let c = Lang::new(ab_star());
-        // (ab)* ∪ {ε}: the same language, another machine.
-        let d = Lang::new(ops::union(&ab_star(), &Nfa::epsilon()));
-        let by_structure = |l: &Lang| MemoIdentity::Fingerprint {
-            handle: l.clone(),
-            structure: Some(structure_digest(l.nfa())),
-            keyed: true,
-        };
-        let by_handle = |l: &Lang| MemoIdentity::Fingerprint {
-            handle: l.clone(),
-            structure: None,
-            keyed: true,
-        };
-        // With a structure table, every handle of one machine shares a
-        // slot and a different machine of the same language does not;
-        // without one, only clones do.
-        assert_eq!(by_structure(&a), by_structure(&c));
-        assert_ne!(by_structure(&a), by_structure(&d));
-        assert_eq!(by_handle(&a), by_handle(&b));
-        assert_ne!(by_handle(&a), by_handle(&c));
-        let ka = a.fingerprint();
-        let kd = d.fingerprint();
-        assert_eq!(
-            MemoIdentity::Minimize(ka.clone()),
-            MemoIdentity::Minimize(kd.clone()),
-            "value-keyed slots compare by language"
-        );
-        assert_ne!(
-            MemoIdentity::Minimize(ka.clone()),
-            MemoIdentity::Intersect(ka.clone(), kd.clone())
-        );
-        let mut set = HashSet::new();
-        set.insert(by_structure(&a));
-        set.insert(by_structure(&b));
-        set.insert(by_structure(&c));
-        set.insert(by_structure(&d));
-        set.insert(MemoIdentity::Minimize(ka));
-        set.insert(MemoIdentity::Minimize(kd));
-        assert_eq!(set.len(), 3);
-    }
-
-    #[test]
     fn a_known_machine_takes_its_key_from_the_table() {
         use crate::generate::{random_nonempty_nfa, RandomNfaConfig};
         let config = RandomNfaConfig {
@@ -1708,17 +1523,14 @@ mod tests {
     }
 
     #[test]
-    fn observer_receives_slot_identities() {
+    fn observer_hears_each_memo_outcome() {
         #[derive(Default)]
         struct Recording {
-            identities: Mutex<Vec<(StoreOp, Option<MemoIdentity>, bool)>>,
+            events: Mutex<Vec<(StoreOp, bool)>>,
         }
         impl StoreObserver for Recording {
-            fn memo_event(&self, op: StoreOp, identity: Option<&MemoIdentity>, hit: bool) {
-                self.identities
-                    .lock()
-                    .expect("recording")
-                    .push((op, identity.cloned(), hit));
+            fn memo_event(&self, op: StoreOp, hit: bool) {
+                self.events.lock().expect("recording").push((op, hit));
             }
         }
         let store = LangStore::new();
@@ -1728,31 +1540,27 @@ mod tests {
         let b = Lang::new(Nfa::length_between(0, 4));
         store.intersect(&a, &b);
         store.intersect(&b, &a);
-        let events = observer.identities.lock().expect("recording").clone();
-        // Every enabled-store event carries an identity.
-        assert!(events.iter().all(|(_, id, _)| id.is_some()));
-        let intersects: Vec<_> = events
+        let intersects: Vec<bool> = observer
+            .events
+            .lock()
+            .expect("recording")
             .iter()
-            .filter(|(op, _, _)| *op == StoreOp::Intersect)
+            .filter(|(op, _)| *op == StoreOp::Intersect)
+            .map(|&(_, hit)| hit)
             .collect();
-        assert_eq!(intersects.len(), 2);
-        assert_eq!(
-            intersects[0].1, intersects[1].1,
-            "commuted operands land on one slot"
-        );
-        assert!(!intersects[0].2, "first touch misses");
-        assert!(intersects[1].2, "second touch hits");
-        // A pass-through store reports no identities.
+        // Commuted operands land on one memo entry: the first touch
+        // misses, the second hits.
+        assert_eq!(intersects, [false, true]);
+        // A pass-through store misses every operation.
         let plain = LangStore::interning(false);
         plain.intersect(&a, &b);
-        let last = observer
-            .identities
+        let last = *observer
+            .events
             .lock()
             .expect("recording")
             .last()
-            .cloned()
             .expect("event recorded");
-        assert!(last.1.is_none());
+        assert_eq!(last, (StoreOp::Intersect, false));
     }
 
     #[test]
@@ -2039,10 +1847,10 @@ mod tests {
         };
         for store in [LangStore::new(), LangStore::interning(false)] {
             let lang = Lang::new(machine.clone());
-            // Past the cap: no key, no memo outcome, and a keyless handle.
+            // Past the cap: no key, a keyless handle, and one counted miss.
             assert_eq!(store.try_key_of(&lang, cost.dfa_states - 1), None);
             assert!(!lang.fingerprint_is_cached());
-            assert_eq!(counts(&store), (0, 0));
+            assert_eq!(counts(&store), (0, 1));
             // At the cap: one counted canonicalization, kept on the handle,
             // whose key then comes back under any cap.
             assert_eq!(
@@ -2051,7 +1859,7 @@ mod tests {
             );
             assert!(lang.fingerprint_is_cached());
             assert_eq!(store.try_key_of(&lang, 0).as_deref(), Some(&key));
-            assert_eq!(counts(&store), (1, 1));
+            assert_eq!(counts(&store), (1, 2));
         }
         // The structure table lends its key under any cap.
         let store = LangStore::new();

@@ -82,8 +82,8 @@ pub use dfa::{
 pub use homomorphism::ByteMap;
 pub use inclusion::{InclusionAbort, InclusionCost, InclusionLimits};
 pub use lang::{
-    FingerprintCost, InclusionQuery, Lang, LangStore, MemoIdentity, StoreObserver, StoreOp,
-    StoreScope, StoreScopeGuard, StoreStats,
+    FingerprintCost, InclusionQuery, Lang, LangStore, StoreObserver, StoreOp, StoreScope,
+    StoreScopeGuard, StoreStats,
 };
 pub use metrics::{MetricEntry, MetricValue, Metrics, MetricsSnapshot};
 pub use minimize::{

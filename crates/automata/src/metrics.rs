@@ -5,16 +5,15 @@
 //! an inlined no-op) or holds an `Arc` to a fixed-shape `Registry` of
 //! named counters, gauges, and log2-bucketed histograms. The metric set
 //! is a closed table ([`METRIC_DEFS`], indexed by the constants in
-//! [`id`]) so snapshots always have the same shape and ordering — the
-//! property the determinism harness byte-compares across thread counts.
+//! [`id`]) so snapshots always have the same shape and ordering.
 //!
-//! Recording discipline (load-bearing for `--jobs N` determinism): ops
-//! stay pure and *return* their costs; recording happens only at sites
-//! whose execution set is identical at any thread count — the
-//! `LangStore`'s first-writer-wins insert commit, the once-per-handle
-//! fingerprint compute, per-entry `gci` calls (identical argument sets at
-//! every level), and the driver's ordered replay loop. Counter adds and
-//! histogram observations commute, so totals are byte-identical.
+//! Recording discipline: ops stay pure and *return* their costs;
+//! recording happens only at sites that run once per computed result —
+//! the `LangStore`'s first-writer-wins insert commit, the once-per-handle
+//! fingerprint compute, per-entry `gci` calls, and the worklist loop — so
+//! sessions racing on one shared store record each result once. Counter
+//! adds and histogram observations commute, so totals do not depend on
+//! the interleaving.
 //!
 //! Layering note: this module lives in `dprle-automata` (the lowest
 //! layer) so automata call sites can record into it; `dprle-core`

@@ -384,12 +384,13 @@ impl Refiner {
 
 /// The one canonicalization pass: the subset table of `nfa`, refined and
 /// emitted as `what` asks (see [`Refiner::emit`]), with the table's cost;
-/// `None` when the table would number more than `max_states` states.
+/// the partial table's cost when it would number more than `max_states`
+/// states.
 fn canonicalize(
     nfa: &Nfa,
     what: Emit,
     max_states: usize,
-) -> Option<(Option<CanonicalKey>, Option<Dfa>, DeterminizeCost)> {
+) -> Result<(Option<CanonicalKey>, Option<Dfa>, DeterminizeCost), DeterminizeCost> {
     subset::try_with_table(nfa, max_states, |table| {
         let (key, machine) = with_refiner(|r| {
             r.refine(table.alphabet.len(), &table.delta, &table.finals);
@@ -405,11 +406,9 @@ fn canonicalize(
 /// language with the minimal number of live states, rebuilt under the
 /// canonical BFS numbering (the one [`canonical_key`] serializes). That
 /// makes the output a *value*: any two inputs with the same language
-/// produce the identical `Nfa`, not merely isomorphic ones. The parallel
-/// solver depends on this — concurrent branches that race to minimize
-/// language-equal machines must end up with interchangeable results, or
-/// memo-table contents (and everything derived from them, such as product
-/// sizes) would vary from run to run.
+/// produce the identical `Nfa`, not merely isomorphic ones, so concurrent
+/// sessions that race to minimize language-equal machines on one store
+/// end up with interchangeable results.
 pub fn minimize(nfa: &Nfa) -> Nfa {
     minimize_counted(nfa).0
 }
@@ -442,15 +441,15 @@ pub fn canonical_key_counted(nfa: &Nfa) -> (CanonicalKey, DeterminizeCost) {
     try_canonical_key_counted(nfa, usize::MAX).expect("an unlimited pass completes")
 }
 
-/// [`canonical_key_counted`], or `None` when the subset construction would
-/// number more than `max_states` DFA states: it stops at the first state
-/// set past them, before any refinement.
+/// [`canonical_key_counted`], or the cost of the work done when the subset
+/// construction would number more than `max_states` DFA states: it stops
+/// at the first state set past them, before any refinement.
 pub(crate) fn try_canonical_key_counted(
     nfa: &Nfa,
     max_states: usize,
-) -> Option<(CanonicalKey, DeterminizeCost)> {
+) -> Result<(CanonicalKey, DeterminizeCost), DeterminizeCost> {
     let (key, _, cost) = canonicalize(nfa, Emit::Key, max_states)?;
-    Some((key.expect("asked for the key"), cost))
+    Ok((key.expect("asked for the key"), cost))
 }
 
 /// Opaque language fingerprint produced by [`canonical_key`]. Equal keys ⟺

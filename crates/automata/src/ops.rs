@@ -210,7 +210,7 @@ pub fn intersect(a: &Nfa, b: &Nfa) -> Product {
 /// resource budget: the BFS stops *before* exceeding the cap, so at most
 /// `max_states` product states (and their edges) ever exist. The bound
 /// depends only on the operands, which keeps budgeted solves
-/// deterministic across worklist thread counts.
+/// deterministic.
 pub fn try_intersect(a: &Nfa, b: &Nfa, max_states: usize) -> Option<Product> {
     with_product(a, b, max_states, |scratch, pairs| Product {
         nfa: scratch.emit_all(),

@@ -565,15 +565,20 @@ pub(crate) fn with_table<R>(nfa: &Nfa, f: impl FnOnce(&mut Table) -> R) -> R {
     try_with_table(nfa, usize::MAX, f).expect("an unlimited construction completes")
 }
 
-/// [`with_table`], or `None` when the construction would number more
-/// than `max_states` states: it stops at the first state set past them.
+/// [`with_table`], or the cost of the work done when the construction
+/// would number more than `max_states` states: it stops at the first state
+/// set past them.
 pub(crate) fn try_with_table<R>(
     nfa: &Nfa,
     max_states: usize,
     f: impl FnOnce(&mut Table) -> R,
-) -> Option<R> {
+) -> Result<R, DeterminizeCost> {
     let mut table = TABLE.with(Cell::take);
-    let result = table.build(nfa, max_states).then(|| f(&mut table));
+    let result = if table.build(nfa, max_states) {
+        Ok(f(&mut table))
+    } else {
+        Err(table.cost)
+    };
     if table.footprint() <= RETAINED_BYTES {
         TABLE.with(|cell| cell.set(table));
     }

@@ -44,13 +44,13 @@ fn assert_determinize_matches(m: &Nfa, what: &str) {
     assert_eq!(canonical_key_counted(m), (key.clone(), cost), "{what}: key");
     assert_eq!(
         minimize::try_canonical_key_counted(m, size),
-        Some((key, cost)),
+        Ok((key, cost)),
         "{what}: key capped at its size"
     );
     assert_eq!(
-        minimize::try_canonical_key_counted(m, size - 1),
-        None,
-        "{what}: key one short"
+        minimize::try_canonical_key_counted(m, size - 1).map_err(|partial| partial.dfa_states),
+        Err(size - 1),
+        "{what}: key one short, stopped at the cap"
     );
     assert_eq!(
         minimize_counted(m),

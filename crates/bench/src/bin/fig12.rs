@@ -10,23 +10,19 @@
 //! rests on wall times of a few milliseconds.
 //!
 //! Usage: `cargo run -p dprle-bench --bin fig12 --release
-//! [--json] [--jobs N] [--ledger-out FILE]`
+//! [--json] [--ledger-out FILE]`
 //!
-//! `--jobs N` adds a third, untraced solving pass per row with `N`
-//! worklist workers (the branch-parallel solver, whose output is
-//! byte-identical to sequential) and reports the per-row speedup.
 //! `--ledger-out` writes the ledgered pass's per-query cost records as
 //! JSONL — feed two of those to `dprle profile diff` for a per-query
 //! comparison.
 //!
 //! Always writes the machine-readable results (per-row `|FG|`, `|C|`,
-//! distinct `|C|`, solve time, parallel jobs/speedup, and interning cache
-//! counters) to `BENCH_fig12.json` in the current directory; `--json`
+//! distinct `|C|`, solve time, and interning cache counters) to `BENCH_fig12.json` in the current directory; `--json`
 //! additionally prints that JSON to stdout instead of the human-readable
 //! table.
 
 use dprle_bench::{
-    fig12_ledger_jsonl, fig12_rows_json, fig12_shape_violations, run_fig12_jobs,
+    fig12_ledger_jsonl, fig12_rows_json, fig12_shape_violations, run_fig12,
     secure_outlier_shortfall,
 };
 use dprle_core::SolveOptions;
@@ -34,17 +30,6 @@ use dprle_core::SolveOptions;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let as_json = args.iter().any(|a| a == "--json");
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|n| *n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }),
-        None => 1,
-    };
     let ledger_out = args.iter().position(|a| a == "--ledger-out").map(|i| {
         args.get(i + 1).cloned().unwrap_or_else(|| {
             eprintln!("--ledger-out needs a file");
@@ -52,7 +37,7 @@ fn main() {
         })
     });
 
-    let rows = run_fig12_jobs(&SolveOptions::default(), jobs);
+    let rows = run_fig12(&SolveOptions::default());
 
     if let Some(path) = &ledger_out {
         match std::fs::write(path, fig12_ledger_jsonl(&rows)) {
@@ -76,77 +61,35 @@ fn main() {
     }
 
     println!("Figure 12: experimental results (measured vs published)");
-    if jobs > 1 {
-        println!(
-            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10} {:>10} {:>5} {:>10} {:>8}",
-            "App",
-            "Vuln",
-            "|FG|",
-            "(pub)",
-            "|C|",
-            "(pub)",
-            "distinct",
-            "T_S (s)",
-            "(pub s)",
-            "jobs",
-            "par (s)",
-            "speedup"
-        );
-    } else {
-        println!(
-            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10} {:>10} {:>9} {:>9}",
-            "App",
-            "Vuln",
-            "|FG|",
-            "(pub)",
-            "|C|",
-            "(pub)",
-            "distinct",
-            "T_S (s)",
-            "(pub s)",
-            "products",
-            "peak KiB"
-        );
-    }
+    println!(
+        "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10} {:>10} {:>9} {:>9}",
+        "App",
+        "Vuln",
+        "|FG|",
+        "(pub)",
+        "|C|",
+        "(pub)",
+        "distinct",
+        "T_S (s)",
+        "(pub s)",
+        "products",
+        "peak KiB"
+    );
     for r in &rows {
-        if jobs > 1 {
-            println!(
-                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>5} {:>10.3} {:>7.2}x",
-                r.app,
-                r.name,
-                r.fg,
-                r.fg_paper,
-                r.c,
-                r.c_paper,
-                r.c_distinct,
-                r.seconds,
-                r.paper_seconds,
-                r.jobs,
-                r.par_seconds,
-                r.speedup
-            );
-        } else {
-            println!(
-                "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>9} {:>9}",
-                r.app,
-                r.name,
-                r.fg,
-                r.fg_paper,
-                r.c,
-                r.c_paper,
-                r.c_distinct,
-                r.seconds,
-                r.paper_seconds,
-                r.product_states,
-                r.peak_bytes / 1024
-            );
-        }
-    }
-    if jobs > 1 {
-        let mut speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
-        speedups.sort_by(|a, b| a.total_cmp(b));
-        let median = speedups[speedups.len() / 2];
-        println!("\nMedian speedup at --jobs {jobs}: {median:.2}x (hardware dependent)");
+        println!(
+            "{:<8} {:<10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>10.3} {:>10.3} {:>9} {:>9}",
+            r.app,
+            r.name,
+            r.fg,
+            r.fg_paper,
+            r.c,
+            r.c_paper,
+            r.c_distinct,
+            r.seconds,
+            r.paper_seconds,
+            r.product_states,
+            r.peak_bytes / 1024
+        );
     }
 
     // Per-phase wall time aggregated over all rows' traced passes

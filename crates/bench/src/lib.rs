@@ -69,16 +69,6 @@ pub struct Fig12Row {
     pub traced_seconds: f64,
     /// Published solving time in seconds (2009 hardware).
     pub paper_seconds: f64,
-    /// Worker threads of the parallel pass (`1` = the pass was skipped and
-    /// the sequential measurement is reused).
-    pub jobs: usize,
-    /// Measured constraint-solving time with `jobs` worklist workers,
-    /// tracer disabled. Byte-identical output to the sequential pass is
-    /// guaranteed by the deterministic merge; the delta is pure scheduling.
-    pub par_seconds: f64,
-    /// `seconds / par_seconds` — the parallel pass's speedup. Hardware
-    /// dependent: meaningful only on multi-core runners.
-    pub speedup: f64,
     /// Whether an exploit was found (every row should be `true`).
     pub exploitable: bool,
     /// Product states explored across the row's solves (the §3.5 cost
@@ -195,20 +185,12 @@ pub fn median(mut values: Vec<f64>) -> f64 {
 /// with the tracer enabled into a null sink, so the table carries the
 /// tracing overhead alongside.
 pub fn run_fig12_row(spec: &VulnSpec, options: &SolveOptions) -> Fig12Row {
-    run_fig12_row_jobs(spec, options, 1)
-}
-
-/// Like [`run_fig12_row`], additionally timing a third, untraced pass with
-/// `jobs` worklist workers (skipped when `jobs <= 1`). The parallel pass
-/// produces byte-identical solutions and statistics — only wall time may
-/// differ — so the row's `speedup` isolates the scheduling win.
-pub fn run_fig12_row_jobs(spec: &VulnSpec, options: &SolveOptions, jobs: usize) -> Fig12Row {
-    run_fig12_rows(std::slice::from_ref(spec), options, jobs).remove(0)
+    run_fig12_rows(std::slice::from_ref(spec), options).remove(0)
 }
 
 /// Runs `specs`: the [`TS_ROUNDS`] `T_S` rounds over all of them first,
-/// then each row's traced, parallel and ledgered passes.
-fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions, jobs: usize) -> Vec<Fig12Row> {
+/// then each row's traced and ledgered passes.
+fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions) -> Vec<Fig12Row> {
     let inputs: Vec<RowInput> = specs.iter().map(RowInput::new).collect();
     let reference = HostReference::new();
     let mut rounds: Vec<TsRounds> = Vec::with_capacity(inputs.len());
@@ -233,7 +215,7 @@ fn run_fig12_rows(specs: &[VulnSpec], options: &SolveOptions, jobs: usize) -> Ve
     inputs
         .iter()
         .zip(rounds)
-        .map(|(input, ts)| measure_row(input, options, jobs, ts))
+        .map(|(input, ts)| measure_row(input, options, ts))
         .collect()
 }
 
@@ -286,7 +268,7 @@ impl<'a> RowInput<'a> {
 }
 
 /// Runs a row's passes after `T_S` and assembles the row.
-fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRounds) -> Fig12Row {
+fn measure_row(input: &RowInput, options: &SolveOptions, ts: TsRounds) -> Fig12Row {
     let spec = input.spec;
     let TsRounds {
         seconds,
@@ -319,22 +301,6 @@ fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRoun
     let phases = TraceReport::from_events(&sink.take())
         .map(|r| r.phases)
         .unwrap_or_default();
-    // Third pass: the same untraced workload on the parallel worklist.
-    let (jobs, par_seconds) = if jobs > 1 {
-        let par_systems = input.systems();
-        let par_options = SolveOptions {
-            jobs,
-            ..options.clone()
-        };
-        let start = Instant::now();
-        for sys in &par_systems {
-            let store = LangStore::interning(par_options.interning);
-            let _ = solve_traced(sys, &par_options, &store, &Tracer::disabled());
-        }
-        (jobs, start.elapsed().as_secs_f64())
-    } else {
-        (1, seconds)
-    };
     // Ledgered pass: the same workload once more with the query cost
     // ledger live, kept separate from the `T_S` passes so the timing
     // columns stay ledger-free.
@@ -367,13 +333,6 @@ fn measure_row(input: &RowInput, options: &SolveOptions, jobs: usize, ts: TsRoun
         reference_ratio: median(reference_ratios),
         traced_seconds,
         paper_seconds: spec.paper_seconds,
-        jobs,
-        par_seconds,
-        speedup: if par_seconds > 0.0 {
-            seconds / par_seconds
-        } else {
-            1.0
-        },
         exploitable,
         product_states: stats.product_states,
         peak_bytes: stats.peak_bytes,
@@ -395,12 +354,7 @@ pub fn fig12_ledger_jsonl(rows: &[Fig12Row]) -> String {
 
 /// Runs all 17 rows.
 pub fn run_fig12(options: &SolveOptions) -> Vec<Fig12Row> {
-    run_fig12_jobs(options, 1)
-}
-
-/// Like [`run_fig12`] with a parallel pass at `jobs` workers per row.
-pub fn run_fig12_jobs(options: &SolveOptions, jobs: usize) -> Vec<Fig12Row> {
-    run_fig12_rows(&FIG12_ROWS, options, jobs)
+    run_fig12_rows(&FIG12_ROWS, options)
 }
 
 /// Escapes `s` as a JSON string literal (including the quotes).
@@ -444,9 +398,6 @@ pub fn fig12_rows_json(rows: &[Fig12Row]) -> String {
             ("reference_ratio", format!("{:.4}", r.reference_ratio)),
             ("traced_seconds", format!("{:.6}", r.traced_seconds)),
             ("paper_seconds", format!("{:.3}", r.paper_seconds)),
-            ("jobs", r.jobs.to_string()),
-            ("par_seconds", format!("{:.6}", r.par_seconds)),
-            ("speedup", format!("{:.3}", r.speedup)),
             ("exploitable", r.exploitable.to_string()),
             ("product_states", r.product_states.to_string()),
             ("peak_bytes", r.peak_bytes.to_string()),
@@ -516,7 +467,7 @@ impl BaselineRow {
 /// Line-oriented on purpose: the file is always produced by
 /// [`fig12_rows_json`], whose one-field-per-line layout this relies on —
 /// it is not a general JSON parser. Field names are matched exactly, so
-/// `traced_seconds`/`par_seconds`/`paper_seconds` never collide.
+/// `traced_seconds`/`paper_seconds` never collide.
 pub fn parse_fig12_baseline(json: &str) -> Vec<BaselineRow> {
     let unquote = |s: &str| {
         s.trim()
@@ -744,9 +695,6 @@ mod tests {
             reference_ratio: 20.0,
             traced_seconds: 0.012,
             paper_seconds: 0.01,
-            jobs: 1,
-            par_seconds: 0.01,
-            speedup: 1.0,
             exploitable: true,
             product_states: 0,
             peak_bytes: 0,
@@ -795,9 +743,6 @@ mod tests {
             reference_ratio: 20.0,
             traced_seconds: 0.012,
             paper_seconds: 0.01,
-            jobs: 1,
-            par_seconds: 0.01,
-            speedup: 1.0,
             exploitable: true,
             product_states: 42,
             peak_bytes: 4096,
@@ -846,9 +791,6 @@ mod tests {
             reference_ratio: seconds * 8.0,
             traced_seconds: seconds * 2.0,
             paper_seconds: 9.0,
-            jobs: 4,
-            par_seconds: seconds / 2.0,
-            speedup: 2.0,
             exploitable: true,
             product_states: 0,
             peak_bytes: 0,
@@ -862,7 +804,7 @@ mod tests {
         rows[1].stats.product_states = 10914;
         let parsed = parse_fig12_baseline(&fig12_rows_json(&rows));
         // Only the untraced sequential `seconds` and `reference_ratio`
-        // fields are extracted — the traced/par/paper variants must not
+        // fields are extracted — the traced/paper variants must not
         // collide with them.
         let seconds: Vec<(&str, f64, f64)> = parsed
             .iter()

@@ -34,7 +34,6 @@
 //!   --max-live-states N     abort once N solution-machine states are live
 //!   --deadline-ms N    abort the solve after N milliseconds
 //!   --no-interning     disable language interning/memoization (ablation)
-//!   --jobs N           worklist worker threads (default 1; deterministic)
 //!   --store-max-bytes N  LRU byte cap on the language store's memo
 //!                      tables (default unbounded); eviction changes hit
 //!                      rates, never answers
@@ -47,9 +46,12 @@
 //!                      (prints `listening HOST:PORT` on stdout; use
 //!                      `--listen 127.0.0.1:0` for an ephemeral port)
 //!   --store-max-bytes N  shared-store LRU byte cap
-//!   --jobs/--max-product-states/--max-live-states/
-//!   --deadline-ms/--no-interning  per-request defaults (requests may
-//!                      override all but interning)
+//!   --max-product-states/--max-live-states/--deadline-ms/--no-interning
+//!                      per-request defaults (requests may override all
+//!                      but interning)
+//!   --jobs N           ignored (N must be a positive integer); kept only
+//!                      because perfbench still passes it, which ROADMAP
+//!                      item 1 removes
 //!   --metrics-out/--metrics-format/--ledger-out  flushed at shutdown
 //!   --admin ADDR       HTTP/1.1 admin plane at ADDR: GET /metrics
 //!                      (Prometheus), /healthz, /readyz (503 while
@@ -97,14 +99,16 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--jobs N] [--store-max-bytes N] FILE
+const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--store-max-bytes N] FILE
        dprle serve [--sessions N] [--listen ADDR] [--store-max-bytes N] [--jobs N] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--admin ADDR] [--trace-out FILE] [--slow-log FILE] [--slow-ms N]
        dprle watch [--interval-ms N] [--count N] HOST:PORT
        dprle trace-report [--check-schema SCHEMA] TRACE.jsonl
        dprle metrics-report [--check-schema] [--top K] METRICS.jsonl
        dprle profile top|diff|check ... (see `dprle profile --help`)
   solves a system of subset constraints over regular languages
-  (see the dprle-cli crate docs for the input format)";
+  (see the dprle-cli crate docs for the input format)
+  `dprle serve --jobs N` is ignored: it stays only while perfbench passes
+  it, and ROADMAP item 1 removes that";
 
 /// Exit status for a solve aborted by `--max-product-states`,
 /// `--max-live-states`, or `--deadline-ms`.
@@ -130,7 +134,6 @@ struct Args {
     core: bool,
     stats: bool,
     interning: bool,
-    jobs: usize,
     metrics_out: Option<String>,
     metrics_format: MetricsFormat,
     ledger_out: Option<String>,
@@ -155,7 +158,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         core: false,
         stats: false,
         interning: true,
-        jobs: 1,
         metrics_out: None,
         metrics_format: MetricsFormat::Json,
         ledger_out: None,
@@ -238,15 +240,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 })?);
             }
             "--no-interning" => args.interning = false,
-            "--jobs" => {
-                i += 1;
-                let n = argv.get(i).ok_or("--jobs needs a count")?;
-                args.jobs = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{n}`"))?;
-            }
             "--dot-var" => {
                 i += 1;
                 let name = argv.get(i).ok_or("--dot-var needs a name")?;
@@ -834,7 +827,6 @@ fn empty_args() -> Args {
         core: false,
         stats: false,
         interning: true,
-        jobs: 1,
         metrics_out: None,
         metrics_format: MetricsFormat::Json,
         ledger_out: None,
@@ -901,7 +893,6 @@ fn main() -> ExitCode {
         max_assignments: if args.first { Some(1) } else { None },
         verify: args.verify,
         interning: args.interning,
-        jobs: args.jobs,
         metrics: metrics.clone(),
         budget: Budget {
             max_product_states: args.max_product_states,

@@ -5,7 +5,7 @@
 //! either over stdin/stdout (the default) or over a TCP socket
 //! (`--listen ADDR`). Each request names a program in the native
 //! constraint format or an SMT-LIB strings script, plus optional
-//! per-request overrides for `jobs` and the resource budget. Every
+//! per-request overrides for the resource budget. Every
 //! request produces exactly one typed response (`sat` / `unsat` /
 //! `resource-exhausted` / `parse-error`) — malformed input, budget
 //! breaches, and even solver panics are mapped to schema-compliant JSON
@@ -19,7 +19,6 @@
 //! | `id` | string, required | echoed verbatim in the response |
 //! | `input` | string, required | the program text |
 //! | `language` | `"dprle"` \| `"smtlib"` | input syntax (default `dprle`) |
-//! | `jobs` | integer ≥ 1 | worklist worker threads for this request |
 //! | `max_product_states` | integer ≥ 1 | budget override |
 //! | `max_live_states` | integer ≥ 1 | budget override |
 //! | `deadline_ms` | integer ≥ 1 | budget override |
@@ -152,7 +151,10 @@ pub struct ServeConfig {
     /// Whether the shared store interns/memoizes at all
     /// (`--no-interning` ablation when false).
     pub interning: bool,
-    /// Default worklist worker threads per request.
+    /// Ignored: every request runs the one sequential worklist. The field
+    /// (and `dprle serve --jobs N`, which sets it) remains only because
+    /// the `perfbench` benchmark still names it; ROADMAP item 1 removes
+    /// those references, and this field goes with them.
     pub jobs: usize,
     /// Default `Budget::max_product_states`.
     pub max_product_states: Option<u64>,
@@ -435,7 +437,6 @@ impl SolverService {
             (request.ledger || self.config.collect_ledger).then(|| Arc::new(CollectLedger::new()));
         let options = SolveOptions {
             interning: self.config.interning,
-            jobs: request.jobs.unwrap_or(self.config.jobs),
             metrics: self.metrics.clone(),
             budget: Budget {
                 max_product_states: request
@@ -589,7 +590,6 @@ struct Request {
     id: String,
     input: String,
     smtlib: bool,
-    jobs: Option<usize>,
     max_product_states: Option<u64>,
     max_live_states: Option<u64>,
     deadline_ms: Option<u64>,
@@ -611,7 +611,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
     let fail = |message: String| (id.clone(), message);
     let mut input = None;
     let mut smtlib = false;
-    let mut jobs = None;
     let mut max_product_states = None;
     let mut max_live_states = None;
     let mut deadline_ms = None;
@@ -649,7 +648,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
                     ))
                 }
             },
-            "jobs" => jobs = Some(positive(value, key).map_err(&fail)? as usize),
             "max_product_states" => max_product_states = Some(positive(value, key).map_err(&fail)?),
             "max_live_states" => max_live_states = Some(positive(value, key).map_err(&fail)?),
             "deadline_ms" => deadline_ms = Some(positive(value, key).map_err(&fail)?),
@@ -669,7 +667,6 @@ fn parse_request(line: &str) -> Result<Request, (Option<String>, String)> {
         id,
         input,
         smtlib,
-        jobs,
         max_product_states,
         max_live_states,
         deadline_ms,
@@ -1439,11 +1436,13 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected_but_keep_the_id() {
-        // `inclusion` once selected an inclusion engine; it must not be
-        // silently ignored now that there is only one.
+        // `inclusion` once selected an inclusion engine and `jobs` a
+        // worker count; neither may be silently ignored now that there is
+        // one engine and one worklist.
         for (extra, name) in [
             ("\"bogus\":1", "bogus"),
             ("\"inclusion\":\"eager\"", "inclusion"),
+            ("\"jobs\":2", "jobs"),
         ] {
             let line = request(&format!("\"id\":\"q3\",\"input\":\"var v;\",{extra}"));
             let json = Json::parse(&service().handle_line(&line)).expect("valid JSON");

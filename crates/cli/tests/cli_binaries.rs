@@ -204,22 +204,23 @@ fn a_small_left_side_verifies_quickly_against_an_exponential_constant() {
         "exponential_constant.dprle",
         "var v w; x := /x/; y := /y/; c := /xy|[ab]*a[ab]{20}/; v <= x; w <= y; v . w <= c;",
     );
+    let metrics = std::env::temp_dir().join("dprle_cli_test_exponential_constant_metrics.jsonl");
     let started = std::time::Instant::now();
     let out = Command::new("sh")
         .args([
             "-c",
             "ulimit -v 1500000 2>/dev/null; exec \"$0\" \"$@\"",
             env!("CARGO_BIN_EXE_dprle"),
+            "--stats",
+            "--metrics-out",
+            metrics.to_str().expect("utf8"),
             file.to_str().expect("utf8"),
         ])
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stdout: {stdout}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stdout: {stdout}\nstderr: {stderr}");
     assert!(
         stdout.contains("v -> x") && stdout.contains("w -> y"),
         "{stdout}"
@@ -227,6 +228,23 @@ fn a_small_left_side_verifies_quickly_against_an_exponential_constant() {
     assert!(
         started.elapsed().as_secs() < 10,
         "verified without determinizing the constant"
+    );
+    // The lookup that gave up on `c` at 8 192 DFA states is counted: a
+    // seventh fingerprint miss beside the six canonicalizations that
+    // completed (12 DFA states between them), and its partial subset
+    // construction in the determinization metrics.
+    assert!(
+        stderr.contains("stats: fingerprint-misses: 7\n"),
+        "{stderr}"
+    );
+    let snapshot = std::fs::read_to_string(&metrics).expect("metrics written");
+    let states_out = snapshot
+        .lines()
+        .find(|l| l.contains("\"name\":\"automata.determinize.states_out\""))
+        .expect("determinization recorded");
+    assert!(
+        states_out.contains("\"count\":7,\"sum\":8204,"),
+        "{states_out}"
     );
 }
 
@@ -658,8 +676,8 @@ fn ledger_out_is_schema_valid_and_profile_views_render() {
 fn one_shot_journals_and_ledgers_omit_request_ids() {
     // `request_id` is a serve-plane tag joining journal and ledger rows
     // to a response. One-shot runs must omit the field entirely — not
-    // emit `"request_id":null` — so the byte-compare determinism gates
-    // (identical output across `--jobs` levels) never see it.
+    // emit `"request_id":null` — so byte-compares of one-shot output
+    // never see it.
     let file = temp_file("untagged.dprle", MOTIVATING);
     let journal = std::env::temp_dir().join("dprle_cli_test_untagged_trace.jsonl");
     let ledger = std::env::temp_dir().join("dprle_cli_test_untagged_ledger.jsonl");
@@ -891,7 +909,7 @@ fn assert_rejected_by_the_cli_and_by_serve(name: &str, program: &str, message: &
         ""
     };
     let bad = format!("{{\"id\":\"bad\"{language},\"input\":\"{escaped}\"}}\n");
-    let stdout = serve_stdin(&[bad.as_bytes(), NEXT_REQUEST.as_bytes()]);
+    let stdout = serve_stdin(&[], &[bad.as_bytes(), NEXT_REQUEST.as_bytes()]);
     assert_eq!(stdout.lines().count(), 2, "{stdout}");
     assert!(
         response(&stdout, "bad").contains("\"kind\":\"parse-error\""),
@@ -907,11 +925,12 @@ fn assert_rejected_by_the_cli_and_by_serve(name: &str, program: &str, message: &
 /// A request `dprle serve` answers `sat`, with id `next`.
 const NEXT_REQUEST: &str = "{\"id\":\"next\",\"input\":\"var v; c := \\\"x\\\"; v <= c;\"}\n";
 
-/// Runs `dprle serve` on `input` (written piece by piece) until the end of
-/// its input; returns what it printed.
-fn serve_stdin(input: &[&[u8]]) -> String {
+/// Runs `dprle serve` with `args` on `input` (written piece by piece)
+/// until the end of its input; returns what it printed.
+fn serve_stdin(args: &[&str], input: &[&[u8]]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dprle"))
         .arg("serve")
+        .args(args)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -933,6 +952,83 @@ fn serve_stdin(input: &[&[u8]]) -> String {
 fn response<'a>(stdout: &'a str, id: &str) -> &'a str {
     let tag = format!("\"id\":\"{id}\"");
     stdout.lines().find(|l| l.contains(&tag)).expect("answered")
+}
+
+/// A response's `solutions`, `witnesses` and `stats`, less the stats'
+/// wall time: what two runs of one request must agree on.
+fn answer(line: &str) -> Vec<dprle_core::Json> {
+    let json = dprle_core::Json::parse(line).expect("a JSON response");
+    let obj = json.as_object().expect("an object");
+    ["solutions", "witnesses", "stats"]
+        .into_iter()
+        .map(
+            |key| match dprle_core::lookup(obj, key).expect(key).clone() {
+                dprle_core::Json::Obj(mut fields) => {
+                    fields.retain(|(name, _)| name != "wall-us");
+                    dprle_core::Json::Obj(fields)
+                }
+                other => other,
+            },
+        )
+        .collect()
+}
+
+#[test]
+fn serve_accepts_and_ignores_jobs_on_its_command_line_only() {
+    // The transport invocation of the perfbench benchmark: `--jobs` is
+    // accepted and changes no answer and no counter.
+    const FIG1: &str = concat!(
+        r#"{"id":"fig1","input":"var v1; c1 := match(/[\\d]+$/); c2 := \"nid00001_\"; "#,
+        r#"c3 := match(/'/); v1 <= c1; c2 . v1 <= c3;","witness":true}"#,
+        "\n"
+    );
+    let with_jobs = serve_stdin(
+        &[
+            "--sessions",
+            "1",
+            "--jobs",
+            "1",
+            "--store-max-bytes",
+            "98304",
+        ],
+        &[FIG1.as_bytes()],
+    );
+    let without = serve_stdin(
+        &["--sessions", "1", "--store-max-bytes", "98304"],
+        &[FIG1.as_bytes()],
+    );
+    assert!(
+        response(&with_jobs, "fig1").contains("\"kind\":\"sat\""),
+        "{with_jobs}"
+    );
+    assert_eq!(
+        answer(response(&with_jobs, "fig1")),
+        answer(response(&without, "fig1"))
+    );
+    // A request naming `jobs` is rejected, and the next line is answered.
+    let jobs = concat!(r#"{"id":"jobs","input":"var v;","jobs":2}"#, "\n");
+    let stdout = serve_stdin(&[], &[jobs.as_bytes(), NEXT_REQUEST.as_bytes()]);
+    assert!(
+        response(&stdout, "jobs").contains("\"kind\":\"parse-error\""),
+        "{stdout}"
+    );
+    assert!(
+        response(&stdout, "jobs").contains("unknown field `jobs`"),
+        "{stdout}"
+    );
+    assert!(
+        response(&stdout, "next").contains("\"kind\":\"sat\""),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn the_one_shot_solver_has_no_jobs_option() {
+    let file = temp_file("jobs.dprle", MOTIVATING);
+    let out = dprle(&["--jobs", "2", file.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--jobs`"), "{stderr}");
 }
 
 #[test]
@@ -1096,7 +1192,7 @@ fn serve_answers_an_over_cap_stdin_line_once_and_then_the_next() {
     ));
     input.push(b"\"}\n");
     input.push(NEXT_REQUEST.as_bytes());
-    let stdout = serve_stdin(&input);
+    let stdout = serve_stdin(&[], &input);
     assert_eq!(
         stdout.lines().count(),
         2,

@@ -91,9 +91,7 @@ pub struct GciOptions {
     /// reproduces the prototype's behavior for the ablation study.
     pub minimize_solutions: bool,
     /// Metrics registry the group solve records its operation costs into.
-    /// Disabled (no-op) by default. The per-entry set of recording calls
-    /// depends only on the entry's inputs, so totals are identical at every
-    /// `--jobs N`.
+    /// Disabled (no-op) by default.
     pub metrics: Metrics,
     /// Per-operation cap on product states explored by one intersection
     /// (paper §3.5). A build whose intersection would materialize more than
@@ -101,8 +99,8 @@ pub struct GciOptions {
     /// The same cap bounds the macrostates of each budgeted inclusion check
     /// (constant-leaf checks, subsumption pruning) — the inclusion
     /// search's frontier loop is the other place the paper's exponential
-    /// can hide. Deterministic at every `--jobs N`: the check depends only
-    /// on the operand machines.
+    /// can hide. Deterministic: the check depends only on the operand
+    /// machines.
     pub max_product_states: Option<u64>,
     /// Wall-clock deadline for budgeted inclusion checks, forwarded into
     /// the inclusion search's frontier loop. Set by the solver's normalization from

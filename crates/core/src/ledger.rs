@@ -18,16 +18,10 @@
 //! the handle is disabled, and the store only reads the clock when an
 //! observer opts in via `StoreObserver::wants_queries`.
 //!
-//! **Determinism.** `ts_us` (wall time) is the only nondeterministic
-//! field. Everything else — including `seq` and the memo hit/miss split —
-//! is byte-identical across `--jobs 1/4/8`: workers buffer drafts in a
-//! thread-local slot (`LedgerSlotGuard`), and `core::parallel` replays
-//! them in sequential order, rewriting each memo outcome exactly like the
-//! trace replay does (first touch of a level-computed slot in replay
-//! order is the miss, carrying the slot's search cost; later touches are
-//! free hits). This leans on the same value-determinism contract as the
-//! winner-only metrics recording: equal memo slots imply equal search
-//! cost.
+//! **Determinism.** Records are emitted in the order the solver answers
+//! its queries. `ts_us` (wall time) is the only nondeterministic field:
+//! everything else, `seq` and the memo hit/miss split included, repeats
+//! exactly when one system is solved again on a fresh store.
 //!
 //! The module also carries the aggregation behind `dprle profile`:
 //! [`render_top`] (hottest queries, plus a flame-style span rollup from a
@@ -35,19 +29,10 @@
 //! ledgers, matched by fingerprint pair, with an optional regression
 //! gate).
 
-// `HashMap<MemoIdentity, _>` trips clippy's `mutable_key_type`: a
-// `MemoIdentity` holds a `Lang`, whose interior fingerprint cache is a
-// `OnceLock`. The lint is a false positive here — `MemoIdentity`'s
-// `Hash`/`Eq` go through the handle's address or immutable machine and
-// immutable `Arc<CanonicalKey>`s only, never through the mutable cell (same
-// reasoning as `core::parallel`).
-#![allow(clippy::mutable_key_type)]
-
 use crate::schema::{self, get_opt_str, get_str, get_u64, json_string, Json};
 use crate::trace::{parse_jsonl, TraceEventKind};
-use dprle_automata::{ByteClass, InclusionCost, InclusionQuery, MemoIdentity, Nfa};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use dprle_automata::{ByteClass, InclusionCost, InclusionQuery, Nfa};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -419,15 +404,6 @@ impl LedgerSink for CollectLedger {
     }
 }
 
-/// A draft record buffered on a worker thread: the serialized fields plus
-/// the replay metadata (`identity` names the memo slot, `engine_cost` is
-/// `Some` exactly when the search ran for this query).
-pub(crate) struct LedgerDraft {
-    pub(crate) record: LedgerRecord,
-    pub(crate) identity: Option<MemoIdentity>,
-    pub(crate) engine_cost: Option<InclusionCost>,
-}
-
 struct LedgerInner {
     seq: AtomicU64,
     sink: Arc<dyn LedgerSink>,
@@ -486,125 +462,17 @@ impl Ledger {
         self.inner.is_some()
     }
 
-    /// Records one query. The draft is built only when the ledger is
-    /// enabled; it is routed to the thread's worker buffer when one is
-    /// installed (parallel levels) and emitted directly otherwise.
-    pub(crate) fn record(&self, make: impl FnOnce() -> LedgerDraft) {
-        if self.inner.is_none() {
-            return;
-        }
-        let draft = make();
-        let unrouted = LEDGER_SLOT.with(|slot| match &mut *slot.borrow_mut() {
-            Some(buffer) => {
-                buffer.push(draft);
-                None
-            }
-            None => Some(draft),
-        });
-        if let Some(draft) = unrouted {
-            self.emit(draft.record);
-        }
-    }
-
-    /// Assigns the next sequence number, stamps the ledger's request tag
-    /// (if any), and hands the record to the sink.
-    pub(crate) fn emit(&self, mut record: LedgerRecord) {
+    /// Records one query: builds its draft record only when the ledger is
+    /// enabled, assigns the next sequence number, stamps the ledger's
+    /// request tag (if any), and hands the record to the sink.
+    pub(crate) fn record(&self, make: impl FnOnce() -> LedgerRecord) {
         let Some(inner) = &self.inner else { return };
+        let mut record = make();
         record.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         if inner.tag.is_some() {
             record.request_id = inner.tag.clone();
         }
         inner.sink.record(&record);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker-slot routing and deterministic replay (used by core::parallel)
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// While a worker thread processes one worklist entry, its ledger
-    /// drafts are buffered here instead of reaching the sink, so the main
-    /// thread can replay them in sequential order.
-    static LEDGER_SLOT: RefCell<Option<Vec<LedgerDraft>>> = const { RefCell::new(None) };
-}
-
-/// Installs the thread's ledger buffer for the duration of one worklist
-/// entry; clears it on drop (also on unwind).
-pub(crate) struct LedgerSlotGuard;
-
-impl LedgerSlotGuard {
-    pub(crate) fn install() -> LedgerSlotGuard {
-        LEDGER_SLOT.with(|slot| {
-            *slot.borrow_mut() = Some(Vec::new());
-        });
-        LedgerSlotGuard
-    }
-
-    /// Takes the buffered drafts.
-    pub(crate) fn finish(self) -> Vec<LedgerDraft> {
-        LEDGER_SLOT
-            .with(|slot| slot.borrow_mut().take())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for LedgerSlotGuard {
-    fn drop(&mut self) {
-        LEDGER_SLOT.with(|slot| {
-            *slot.borrow_mut() = None;
-        });
-    }
-}
-
-/// Collects, from one level's buffered drafts, the engine cost of every
-/// memo slot computed during the level. Mirrors the trace replay's
-/// `collect_computed`: a slot absent from this map was answered by an
-/// earlier level's memo entry in the sequential run too.
-pub(crate) fn collect_computed_costs<'a>(
-    entries: impl Iterator<Item = &'a [LedgerDraft]>,
-    costs: &mut HashMap<MemoIdentity, InclusionCost>,
-) {
-    for drafts in entries {
-        for draft in drafts {
-            if let (Some(id), Some(cost)) = (&draft.identity, draft.engine_cost) {
-                costs.entry(id.clone()).or_insert(cost);
-            }
-        }
-    }
-}
-
-/// Replays one entry's buffered drafts in sequential order, rewriting
-/// each slot-keyed record's memo outcome and engine cost to what the
-/// sequential run would have recorded: the first touch (in replay order)
-/// of a slot computed this level is the miss and carries the slot's
-/// engine cost; every later touch is a free hit. Slot-less records
-/// (products, bypass sites, pass-through stores) replay unchanged —
-/// their contents are deterministic per entry.
-pub(crate) fn replay_drafts(
-    ledger: &Ledger,
-    drafts: Vec<LedgerDraft>,
-    costs: &HashMap<MemoIdentity, InclusionCost>,
-    seen: &mut HashSet<MemoIdentity>,
-) {
-    for mut draft in drafts {
-        if let Some(id) = &draft.identity {
-            let hit = seen.contains(id) || !costs.contains_key(id);
-            seen.insert(id.clone());
-            if hit {
-                draft.record.memo = Some(MemoStatus::Hit);
-                draft.record.cost_main = 0;
-                draft.record.cost_aux = 0;
-                draft.record.cost_prunes = 0;
-            } else {
-                let cost = costs[id];
-                draft.record.memo = Some(MemoStatus::Miss);
-                draft.record.cost_main = cost.macrostates;
-                draft.record.cost_aux = cost.antichain_size;
-                draft.record.cost_prunes = cost.prunes;
-            }
-        }
-        ledger.emit(draft.record);
     }
 }
 
@@ -663,22 +531,17 @@ fn features(record: &mut LedgerRecord, lhs: &Nfa, rhs: &Nfa) {
     record.classes = classes.len() as u64;
 }
 
-/// Builds a draft from a store-reported inclusion query.
-pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
-    let memo = if query.identity.is_some() {
-        if query.memo_hit {
-            MemoStatus::Hit
-        } else {
-            MemoStatus::Miss
-        }
-    } else {
-        MemoStatus::Bypass
+/// Builds a draft record from a store-reported inclusion query.
+pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerRecord {
+    let memo = match (query.memoized, query.memo_hit) {
+        (true, true) => MemoStatus::Hit,
+        (true, false) => MemoStatus::Miss,
+        (false, _) => MemoStatus::Bypass,
     };
-    // A memo hit serializes zero search cost even when this thread lost
-    // an insert race and ran the search anyway — the sequential run's hit
-    // does no search work. The raw cost still rides along in the draft so
-    // the parallel replay can charge it to the replay-order first touch.
-    let serialized_cost = if query.memo_hit {
+    // A memo hit records zero search cost even when this session lost an
+    // insert race and ran the search anyway: the winner's record carries
+    // the search.
+    let cost = if query.memo_hit {
         InclusionCost::default()
     } else {
         query.cost
@@ -705,21 +568,17 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerDraft {
         rhs_fp: query
             .rhs_key
             .map_or_else(|| nfa_hash64(query.rhs), |k| k.hash64()),
-        cost_main: serialized_cost.macrostates,
-        cost_aux: serialized_cost.antichain_size,
-        cost_prunes: serialized_cost.prunes,
+        cost_main: cost.macrostates,
+        cost_aux: cost.antichain_size,
+        cost_prunes: cost.prunes,
         request_id: None,
     };
     features(&mut record, query.lhs, query.rhs);
-    LedgerDraft {
-        record,
-        identity: query.identity.clone(),
-        engine_cost: query.engine_ran.then_some(query.cost),
-    }
+    record
 }
 
-/// Builds a draft for a memo-bypassing inclusion site (`const-check`,
-/// `verify`, `gci`): no memo, no slot identity, deterministic per entry.
+/// Builds a draft record for a memo-bypassing inclusion site
+/// (`const-check`, `verify`, `gci`).
 pub(crate) fn bypass_inclusion_draft(
     site: &'static str,
     lhs: &Nfa,
@@ -727,7 +586,7 @@ pub(crate) fn bypass_inclusion_draft(
     outcome: Option<bool>,
     cost: InclusionCost,
     wall_us: u64,
-) -> LedgerDraft {
+) -> LedgerRecord {
     let mut record = LedgerRecord {
         seq: 0,
         ts_us: wall_us,
@@ -752,14 +611,10 @@ pub(crate) fn bypass_inclusion_draft(
         request_id: None,
     };
     features(&mut record, lhs, rhs);
-    LedgerDraft {
-        record,
-        identity: None,
-        engine_cost: None,
-    }
+    record
 }
 
-/// Builds a draft for one `gci::intersect_build` product.
+/// Builds a draft record for one `gci::intersect_build` product.
 pub(crate) fn product_draft(
     lhs: &Nfa,
     rhs: &Nfa,
@@ -767,7 +622,7 @@ pub(crate) fn product_draft(
     explored: u64,
     states: u64,
     wall_us: u64,
-) -> LedgerDraft {
+) -> LedgerRecord {
     let mut record = LedgerRecord {
         seq: 0,
         ts_us: wall_us,
@@ -788,11 +643,7 @@ pub(crate) fn product_draft(
         request_id: None,
     };
     features(&mut record, lhs, rhs);
-    LedgerDraft {
-        record,
-        identity: None,
-        engine_cost: None,
-    }
+    record
 }
 
 // ---------------------------------------------------------------------
@@ -1219,8 +1070,7 @@ mod tests {
         let sink = Arc::new(CollectLedger::new());
         let ledger = Ledger::new(sink.clone());
         for _ in 0..3 {
-            let record = sample_record(QueryKind::Product);
-            ledger.emit(record);
+            ledger.record(|| sample_record(QueryKind::Product));
         }
         let records = sink.take();
         assert_eq!(
@@ -1233,8 +1083,8 @@ mod tests {
     fn tagged_ledger_stamps_request_ids_on_every_record() {
         let sink = Arc::new(CollectLedger::new());
         let ledger = Ledger::new_tagged(sink.clone(), "r7");
-        ledger.emit(sample_record(QueryKind::Inclusion));
-        ledger.emit(sample_record(QueryKind::Product));
+        ledger.record(|| sample_record(QueryKind::Inclusion));
+        ledger.record(|| sample_record(QueryKind::Product));
         let records = sink.take();
         assert!(records
             .iter()

@@ -54,7 +54,6 @@ pub mod gci;
 pub mod graph;
 pub mod ledger;
 pub mod metrics;
-pub mod parallel;
 pub mod schema;
 pub mod solution;
 pub mod solve;
@@ -77,7 +76,6 @@ pub use metrics::{
     parse_snapshot, render_report, validate_metrics_jsonl, Budget, BudgetKind, MetricEntry,
     MetricValue, Metrics, MetricsSnapshot, ResourceExhausted, METRICS_SCHEMA,
 };
-pub use parallel::ParallelSolver;
 pub use schema::{json_string, lookup, schema_kinds, validate_jsonl, Json};
 pub use solution::{Assignment, Solution};
 pub use solve::{

@@ -20,11 +20,10 @@
 //!
 //! ## Determinism
 //!
-//! Budget checks are applied only at points whose inputs are identical at
-//! every `--jobs N`: the per-operation product-state cap inside the
-//! generalized concat-intersect depends only on the operand machines, and
-//! the cumulative checks run in the driver's deterministic FIFO (sequential)
-//! or ordered-replay (parallel) position. The one exception is
+//! Budget checks are applied only at deterministic points: the
+//! per-operation product-state cap inside the generalized concat-intersect
+//! depends only on the operand machines, and the cumulative checks run at
+//! each entry of the worklist's FIFO. The one exception is
 //! [`Budget::deadline`], which is wall-clock by nature and documented as
 //! nondeterministic.
 
@@ -46,9 +45,9 @@ pub const METRICS_SCHEMA_TAG: &str = "dprle-metrics-v1";
 
 /// Resource limits for one solve. `Default` is fully unlimited.
 ///
-/// Limits are checked against the *driver-accumulated* totals (identical at
-/// every `--jobs N`; see the module docs), except `deadline`, which is
-/// wall-clock and therefore inherently nondeterministic.
+/// Limits are checked against the *driver-accumulated* totals (see the
+/// module docs), except `deadline`, which is wall-clock and therefore
+/// inherently nondeterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Cap on the cumulative number of states *kept* across group solving

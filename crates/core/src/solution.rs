@@ -123,8 +123,9 @@ impl fmt::Display for AssignmentDisplay<'_> {
 pub enum Solution {
     /// One or more disjunctive satisfying assignments.
     Assignments(Vec<Assignment>),
-    /// No satisfying assignment exists (under the solver's nonemptiness
-    /// requirement — see [`crate::solve::SolveOptions::require_nonempty`]).
+    /// No satisfying assignment exists in which every variable's language
+    /// is nonempty (Figure 7 treats a branch with an empty variable as
+    /// failed).
     Unsat,
 }
 

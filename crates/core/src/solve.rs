@@ -29,15 +29,16 @@
 
 use crate::gci::{solve_group, GciOptions, GroupCost, ProductCapHit};
 use crate::graph::{DependencyGraph, NodeId, NodeKind};
-use crate::ledger::{bypass_inclusion_draft, Ledger, SITE_CONST_CHECK, SITE_VERIFY};
+use crate::ledger::{
+    bypass_inclusion_draft, draft_from_inclusion, Ledger, SITE_CONST_CHECK, SITE_VERIFY,
+};
 use crate::metrics::{id, Budget, BudgetKind, Metrics, ResourceExhausted};
-use crate::parallel::{drive_worklist, RoutedStoreObserver, WorklistCtx};
 use crate::solution::{Assignment, Solution};
 use crate::spec::{Constraint, Expr, System, VarId};
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
-    inclusion, ops, CanonicalKey, InclusionAbort, InclusionCost, InclusionLimits, Lang, LangStore,
-    Nfa, StoreObserver, StoreScope,
+    inclusion, ops, CanonicalKey, InclusionAbort, InclusionCost, InclusionLimits, InclusionQuery,
+    Lang, LangStore, Nfa, StoreObserver, StoreOp, StoreScope,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -50,10 +51,6 @@ use std::time::Instant;
 pub struct SolveOptions {
     /// Options for the generalized concat-intersect step.
     pub gci: GciOptions,
-    /// Reject assignments that map some variable to the empty language
-    /// (Figure 7 treats such branches as failed). Disable to observe the
-    /// raw per-branch languages.
-    pub require_nonempty: bool,
     /// Re-verify every produced assignment against the original system and
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
@@ -93,12 +90,10 @@ pub struct SolveOptions {
     /// repeated language computations across disjuncts hit the cache.
     /// Disable (`ablation_interning`) to measure the sharing's effect.
     pub interning: bool,
-    /// Worker threads for the worklist phase. `1` (the default) runs the
-    /// sequential Figure 7 loop; larger values distribute each worklist
-    /// level across a scoped thread pool and deterministically merge the
-    /// results, so solutions, statistics, and trace journals are
-    /// byte-identical to the sequential run (timestamps aside) — see the
-    /// [`parallel`](crate::parallel) module. `0` is treated as `1`.
+    /// Ignored: every solve runs the one sequential Figure 7 worklist.
+    /// The field remains only because the `perfbench` benchmark still
+    /// names it; ROADMAP item 1 removes that reference, and this field
+    /// goes with it.
     pub jobs: usize,
     /// Metrics registry the run records into (see
     /// [`metrics`](crate::metrics)). Disabled — a no-op handle — by
@@ -116,9 +111,8 @@ pub struct SolveOptions {
     /// (constant pre-check, verification), and every gci product emits
     /// one attributed cost record. Disabled — a no-op handle — by
     /// default; the entry points copy this handle into [`GciOptions`] and
-    /// install a query-reporting store observer. Records are
-    /// byte-identical at every [`SolveOptions::jobs`] count apart from
-    /// the `ts_us` wall-time field. Enabled on the CLI with
+    /// install a query-reporting store observer. Records are emitted in
+    /// the order the queries are answered. Enabled on the CLI with
     /// `--ledger-out`.
     pub ledger: Ledger,
 }
@@ -127,7 +121,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             gci: GciOptions::default(),
-            require_nonempty: true,
             verify: true,
             max_assignments: None,
             minimize_intermediate: true,
@@ -162,8 +155,9 @@ pub struct SolveStats {
     /// (each hit is one determinize+minimize avoided).
     pub fingerprint_hits: usize,
     /// Fingerprint lookups that had to canonicalize a machine the store
-    /// had not canonicalized (the number of minimal-DFA constructions the
-    /// run actually performed).
+    /// had not canonicalized: the minimal-DFA constructions the run
+    /// performed, counting verification's capped constructions that gave
+    /// up past their cap (see [`SolveOptions::verify`]).
     pub fingerprint_misses: usize,
     /// Memoized binary operations (intersection, inclusion, minimization)
     /// answered from the [`LangStore`] cache.
@@ -177,12 +171,10 @@ pub struct SolveStats {
     /// Product states explored by the run's budget-relevant intersection
     /// constructions (the generalized concat-intersect builds — the paper's
     /// §3.5 quadratic term). Driver-accumulated from per-group costs, so it
-    /// is available with metrics disabled and identical at every
-    /// [`SolveOptions::jobs`] count.
+    /// is available with metrics disabled.
     pub product_states: u64,
     /// Macrostates explored by the run's winning inclusion checks (see the
-    /// [`inclusion`] module). Counted in the run's [`StoreScope`],
-    /// identical at every [`SolveOptions::jobs`] count.
+    /// [`inclusion`] module). Counted in the run's [`StoreScope`].
     pub inclusion_macrostates: u64,
     /// Growth of the store's memo byte footprint over this run (interned
     /// machines and memo table entries): the run's [`StoreScope`]
@@ -342,9 +334,6 @@ pub fn solve_traced(
 ///
 /// The error carries the [`SolveStats`] accumulated up to the breach and —
 /// when [`SolveOptions::metrics`] is enabled — a full registry snapshot.
-/// At `jobs > 1` an error-path snapshot may additionally include the
-/// speculative work of level-mates computed before the breach was replayed;
-/// success-path metrics are byte-identical at every jobs count.
 pub fn try_solve_traced(
     system: &System,
     options: &SolveOptions,
@@ -373,21 +362,17 @@ pub fn try_solve_traced(
     store.set_metrics(options.metrics.clone());
     let options = &options;
 
-    // The run's store scope: every store operation this solve runs, on
-    // this thread or on a parallel worker (which re-installs the scope, see
-    // `parallel::map_level`), is counted in it and reported to its
-    // observer. So the returned stats, the journal's memo events and the
-    // ledger's store-site records cover exactly this run, even when the
-    // store is shared with concurrent sessions. The routed observer sends
-    // memo events to the tracer (on a parallel worker, to the entry's
-    // buffer for the deterministic replay) and, with the ledger enabled,
-    // reports every answered inclusion query.
+    // The run's store scope: every store operation this solve runs is
+    // counted in it and reported to its observer. So the returned stats,
+    // the journal's memo events and the ledger's store-site records cover
+    // exactly this run, even when the store is shared with concurrent
+    // sessions.
     let observer: Option<Arc<dyn StoreObserver>> =
         (tracer.is_enabled() || options.ledger.is_enabled()).then(|| {
-            Arc::new(RoutedStoreObserver::new(
-                tracer.clone(),
-                options.ledger.clone(),
-            )) as _
+            Arc::new(SolveObserver {
+                tracer: tracer.clone(),
+                ledger: options.ledger.clone(),
+            }) as _
         });
     let scope = StoreScope::new(observer);
     let result = {
@@ -423,22 +408,51 @@ pub fn try_solve_traced(
     }
 }
 
+/// The [`StoreObserver`] of a traced or ledgered solve's [`StoreScope`]:
+/// memo outcomes become `MemoHit`/`MemoMiss` trace events, and answered
+/// inclusion queries become ledger records.
+struct SolveObserver {
+    tracer: Tracer,
+    ledger: Ledger,
+}
+
+impl StoreObserver for SolveObserver {
+    fn memo_event(&self, op: StoreOp, hit: bool) {
+        self.tracer.emit(|| {
+            let op = op.name().to_owned();
+            if hit {
+                TraceEventKind::MemoHit { op }
+            } else {
+                TraceEventKind::MemoMiss { op }
+            }
+        });
+    }
+
+    fn wants_queries(&self) -> bool {
+        self.ledger.is_enabled()
+    }
+
+    fn inclusion_query(&self, query: &InclusionQuery<'_>) {
+        self.ledger.record(|| draft_from_inclusion(query));
+    }
+}
+
 /// A budget breach as `(kind, limit, observed)` — the internal currency of
 /// the budget checks, turned into a full [`ResourceExhausted`] (snapshot +
 /// stats attached) only at the driver's return boundary.
-pub(crate) type Breach = (BudgetKind, u64, u64);
+type Breach = (BudgetKind, u64, u64);
 
-/// Mutable budget-tracking state threaded through the sequential loop and
-/// the parallel replay, so both charge identical totals in identical order.
-pub(crate) struct BudgetTrack {
+/// Mutable budget-tracking state threaded through the reduce phase and
+/// the worklist.
+struct BudgetTrack {
     /// Solve start time; `Some` only when a deadline is configured.
-    pub(crate) start: Option<Instant>,
+    start: Option<Instant>,
     /// Cumulative states *kept* (reduce-phase leaves + group solution
     /// machines), checked against `Budget::max_live_states`.
-    pub(crate) live_states: u64,
+    live_states: u64,
     /// Cumulative group-solution states, reported by the
     /// `MetricsSnapshot` trace event.
-    pub(crate) states_built: u64,
+    states_built: u64,
 }
 
 impl BudgetTrack {
@@ -451,11 +465,9 @@ impl BudgetTrack {
     }
 }
 
-/// Charges one entry's deterministic group cost against the cumulative
-/// budget, the stats, and the metrics registry. Shared by the sequential
-/// loop and the parallel replay (called at the entry's replay position), so
-/// totals and breach points are identical at every `--jobs N`.
-pub(crate) fn charge_entry_cost(
+/// Charges one entry's group cost (or one reduce-phase leaf) against the
+/// cumulative budget, the stats, and the metrics registry.
+fn charge_entry_cost(
     cost: &GroupCost,
     options: &SolveOptions,
     stats: &mut SolveStats,
@@ -485,7 +497,7 @@ pub(crate) fn charge_entry_cost(
 
 /// The wall-clock check, run between worklist entries. Inherently
 /// nondeterministic (documented on [`Budget::deadline`]).
-pub(crate) fn check_deadline(options: &SolveOptions, track: &BudgetTrack) -> Result<(), Breach> {
+fn check_deadline(options: &SolveOptions, track: &BudgetTrack) -> Result<(), Breach> {
     if let (Some(deadline), Some(start)) = (options.budget.deadline, track.start) {
         let elapsed = start.elapsed();
         if elapsed > deadline {
@@ -505,11 +517,7 @@ pub(crate) fn check_deadline(options: &SolveOptions, track: &BudgetTrack) -> Res
 /// only from the inclusion search's frontier loop — recompute the
 /// elapsed/limit micros against the run's own clock, matching
 /// [`check_deadline`]'s reporting.
-pub(crate) fn cap_hit_breach(
-    hit: &ProductCapHit,
-    options: &SolveOptions,
-    track: &BudgetTrack,
-) -> Breach {
+fn cap_hit_breach(hit: &ProductCapHit, options: &SolveOptions, track: &BudgetTrack) -> Breach {
     match hit.kind {
         BudgetKind::Deadline => {
             let limit = options
@@ -615,35 +623,6 @@ fn solve_prepared(
     // (Figure 7, lines 13–14).
     // Partial assignments hold `Lang` handles: branching clones the map of
     // handles (O(entries) Arc bumps), never the machines themselves.
-    if options.jobs > 1 {
-        let ctx = WorklistCtx {
-            system,
-            graph: &graph,
-            groups: &groups,
-            leaf: &leaf,
-            options,
-            original,
-            verify_constraints: &verify_constraints,
-            store,
-            tracer,
-        };
-        let produced = match drive_worklist(&ctx, options.jobs, &mut stats, &mut track) {
-            Ok(produced) => produced,
-            Err(breach) => return Err(budget_error(breach, options, &stats)),
-        };
-        let solution = if produced.is_empty() {
-            Solution::Unsat
-        } else {
-            Solution::Assignments(produced)
-        };
-        emit_metrics_snapshot(tracer, options, &stats, &track);
-        tracer.emit(|| TraceEventKind::SolveEnd {
-            sat: solution.is_sat(),
-            assignments: solution.assignments().len(),
-        });
-        return Ok((solution, stats));
-    }
-
     let mut queue: VecDeque<(usize, BTreeMap<NodeId, Lang>)> =
         VecDeque::from([(0, BTreeMap::new())]);
     stats.peak_worklist = queue.len();
@@ -653,7 +632,7 @@ fn solve_prepared(
     let mut produced: Vec<Assignment> = Vec::new();
     let mut verify_keys = None;
 
-    'queue: while let Some((gi, partial)) = queue.pop_front() {
+    while let Some((gi, partial)) = queue.pop_front() {
         options
             .metrics
             .gauge_set(id::WORKLIST_DEPTH, queue.len() as u64);
@@ -662,32 +641,54 @@ fn solve_prepared(
         }
         if gi == groups.len() {
             // Convert and filter as soon as a branch completes so that
-            // `max_assignments` can stop the search early.
+            // `max_assignments` can stop the search early. A branch in
+            // which some variable's language is empty has failed
+            // (Figure 7, lines 16–23).
             stats.branches_completed += 1;
             let verify_keys = verify_keys.get_or_insert_with(|| {
                 verification_keys(options, store, original, &verify_constraints)
             });
-            match finish_branch(
-                system,
-                &graph,
-                &leaf,
-                &partial,
-                options,
-                original,
-                &verify_constraints,
-                verify_keys,
-                tracer,
-                gi,
-            ) {
-                Some(assignment) => {
-                    produced.push(assignment);
-                    if let Some(cap) = options.max_assignments {
-                        if produced.len() >= cap {
-                            break 'queue;
-                        }
-                    }
-                }
-                None => stats.branches_filtered += 1,
+            let mut assignment = Assignment::new();
+            for v in system.var_ids() {
+                let node = graph.var_node(v);
+                let machine = partial
+                    .get(&node)
+                    .or_else(|| leaf.get(&node))
+                    .cloned()
+                    .unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
+                assignment.insert(v, machine);
+            }
+            let verified = || {
+                let _verify_span = tracer.span("verify", None, None);
+                satisfies_ledgered(
+                    &options.ledger,
+                    verify_keys,
+                    original,
+                    &verify_constraints,
+                    &assignment,
+                )
+            };
+            let pruned = if assignment.has_empty_language() {
+                Some("empty-language")
+            } else if options.verify && !verified() {
+                Some("verify-failed")
+            } else {
+                None
+            };
+            if let Some(reason) = pruned {
+                tracer.emit(|| TraceEventKind::WorklistPrune {
+                    group: gi,
+                    reason: reason.to_owned(),
+                });
+                stats.branches_filtered += 1;
+                continue;
+            }
+            produced.push(assignment);
+            if options
+                .max_assignments
+                .is_some_and(|cap| produced.len() >= cap)
+            {
+                break;
             }
             continue;
         }
@@ -908,9 +909,9 @@ const VERIFY_KEY_MAX_STATES: usize = 8_192;
 /// is off. Each distinct right-hand handle is looked up once through
 /// `store` ([`LangStore::try_key_of`]): its cached key, the structure
 /// table's, or a canonicalization capped at [`VERIFY_KEY_MAX_STATES`];
-/// `None` past the cap. Both drivers call this on the calling thread when
-/// the first branch completes, so completing a branch touches no store.
-pub(crate) fn verification_keys(
+/// `None` past the cap. The worklist calls this when the first branch
+/// completes.
+fn verification_keys(
     options: &SolveOptions,
     store: &LangStore,
     system: &System,
@@ -931,58 +932,6 @@ pub(crate) fn verification_keys(
         });
     }
     keys
-}
-
-/// Turns a completed branch's node assignment into a variable assignment,
-/// applying the nonemptiness and verification filters. `verify_keys` are
-/// [`verification_keys`] of `verify_constraints`; no store is touched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_branch(
-    system: &System,
-    graph: &DependencyGraph,
-    leaf: &BTreeMap<NodeId, Lang>,
-    node_map: &BTreeMap<NodeId, Lang>,
-    options: &SolveOptions,
-    original: &System,
-    verify_constraints: &[Constraint],
-    verify_keys: &[Option<Arc<CanonicalKey>>],
-    tracer: &Tracer,
-    group_index: usize,
-) -> Option<Assignment> {
-    let mut assignment = Assignment::new();
-    for v in system.var_ids() {
-        let node = graph.var_node(v);
-        let machine = node_map
-            .get(&node)
-            .or_else(|| leaf.get(&node))
-            .cloned()
-            .unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
-        assignment.insert(v, machine);
-    }
-    if options.require_nonempty && assignment.has_empty_language() {
-        tracer.emit(|| TraceEventKind::WorklistPrune {
-            group: group_index,
-            reason: "empty-language".to_owned(),
-        });
-        return None;
-    }
-    if options.verify {
-        let _verify_span = tracer.span("verify", None, None);
-        if !satisfies_ledgered(
-            &options.ledger,
-            verify_keys,
-            original,
-            verify_constraints,
-            &assignment,
-        ) {
-            tracer.emit(|| TraceEventKind::WorklistPrune {
-                group: group_index,
-                reason: "verify-failed".to_owned(),
-            });
-            return None;
-        }
-    }
-    Some(assignment)
 }
 
 /// Rewrites every constraint by stripping leading and trailing constant
@@ -1122,7 +1071,7 @@ pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assig
 /// right-hand side ([`verification_keys`]); a judgment whose key is
 /// `None` is decided by the antichain search. Verification reads keys,
 /// never a memoized verdict.
-pub(crate) fn satisfies_ledgered(
+fn satisfies_ledgered(
     ledger: &Ledger,
     keys: &[Option<Arc<CanonicalKey>>],
     system: &System,
@@ -1356,18 +1305,16 @@ mod tests {
         sys.require(Expr::Var(v), x);
         sys.require(Expr::Var(w), y);
         sys.require(Expr::Var(v).concat(Expr::Var(w)), c);
-        for jobs in [1, 4] {
-            let opts = SolveOptions {
-                jobs,
-                ..SolveOptions::default()
-            };
-            let (solution, stats) =
-                solve_traced(&sys, &opts, &LangStore::new(), &Tracer::disabled());
-            let asg = solution.first().expect("xy ⊆ c");
-            assert_eq!(asg.witness(v).as_deref(), Some(b"x".as_slice()));
-            assert_eq!(stats.branches_filtered, 0, "jobs={jobs}");
-            assert!(!sys.const_lang(c).fingerprint_is_cached(), "jobs={jobs}");
-        }
+        let (solution, stats) = solve_traced(
+            &sys,
+            &SolveOptions::default(),
+            &LangStore::new(),
+            &Tracer::disabled(),
+        );
+        let asg = solution.first().expect("xy ⊆ c");
+        assert_eq!(asg.witness(v).as_deref(), Some(b"x".as_slice()));
+        assert_eq!(stats.branches_filtered, 0);
+        assert!(!sys.const_lang(c).fingerprint_is_cached());
     }
 
     #[test]
@@ -1497,14 +1444,6 @@ mod tests {
         sys.require(Expr::Var(v), ca);
         sys.require(Expr::Var(v), cb);
         assert!(!solve(&sys, &SolveOptions::default()).is_sat());
-        // With require_nonempty disabled the branch survives with ∅.
-        let opts = SolveOptions {
-            require_nonempty: false,
-            ..Default::default()
-        };
-        let solution = solve(&sys, &opts);
-        assert!(solution.is_sat());
-        assert!(solution.first().expect("branch").has_empty_language());
     }
 
     #[test]
@@ -1860,28 +1799,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_breach_is_identical_across_thread_counts() {
-        let breach = |jobs: usize| {
-            let sys = two_group_disjunctive_system();
-            let opts = SolveOptions {
-                jobs,
-                budget: crate::metrics::Budget {
-                    max_product_states: Some(1),
-                    ..Default::default()
-                },
-                ..SolveOptions::default()
-            };
-            let err = try_solve_traced(&sys, &opts, &LangStore::new(), &Tracer::disabled())
-                .expect_err("budget trips at every jobs count");
-            (err.kind, err.limit, err.observed)
-        };
-        let base = breach(1);
-        for jobs in [2, 4, 8] {
-            assert_eq!(breach(jobs), base, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn metrics_registry_reflects_the_run() {
         let sys = two_group_disjunctive_system();
         let metrics = Metrics::enabled();
@@ -1923,110 +1840,33 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshots_are_identical_across_thread_counts() {
-        let run = |jobs: usize| {
-            let sys = two_group_disjunctive_system();
-            let metrics = Metrics::enabled();
-            let opts = SolveOptions {
-                jobs,
-                metrics: metrics.clone(),
-                ..SolveOptions::default()
-            };
-            let store = LangStore::new();
-            let _ = solve_traced(&sys, &opts, &store, &Tracer::disabled());
-            metrics.snapshot().expect("enabled").to_jsonl(0)
-        };
-        let baseline = run(1);
-        assert!(baseline.contains("automata.intersect.products"));
-        for jobs in [2, 4, 8] {
-            assert_eq!(run(jobs), baseline, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_solutions_and_stats() {
-        // Each run gets a *fresh* system: fingerprint hit/miss counters
-        // depend on the handles' interior caches, which a previous run over
-        // the same `System` would have warmed.
-        let sequential = SolveOptions::default();
-        let (seq, seq_stats) = solve_with_stats(&two_group_disjunctive_system(), &sequential);
-        for jobs in [2, 4, 8] {
-            let sys = two_group_disjunctive_system();
-            let opts = SolveOptions {
-                jobs,
-                ..sequential.clone()
-            };
-            let (par, par_stats) = solve_with_stats(&sys, &opts);
-            assert_eq!(par.assignments().len(), seq.assignments().len());
-            for (a, b) in seq.assignments().iter().zip(par.assignments()) {
-                for v in sys.var_ids() {
-                    let (sa, sb) = (a.get(v).expect("assigned"), b.get(v).expect("assigned"));
-                    assert_eq!(sa.fingerprint(), sb.fingerprint(), "jobs={jobs} var {v:?}");
-                }
-            }
-            // Full equality: every counter *and* the human-readable event
-            // strings (SolveStats derives PartialEq over all fields).
-            assert_eq!(par_stats, seq_stats, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_respects_max_assignments() {
+    fn max_assignments_stops_the_worklist() {
         let sys = two_group_disjunctive_system();
-        for jobs in [1, 4] {
-            let opts = SolveOptions {
-                max_assignments: Some(2),
-                jobs,
-                ..SolveOptions::default()
-            };
-            let (solution, stats) = solve_with_stats(&sys, &opts);
-            assert_eq!(solution.assignments().len(), 2, "jobs={jobs}");
-            assert_eq!(stats.branches_completed, 2, "jobs={jobs}");
-        }
+        let opts = SolveOptions {
+            max_assignments: Some(2),
+            ..SolveOptions::default()
+        };
+        let (solution, stats) = solve_with_stats(&sys, &opts);
+        assert_eq!(solution.assignments().len(), 2);
+        assert_eq!(stats.branches_completed, 2);
     }
 
     #[test]
-    fn parallel_solver_handle_matches_options_knob() {
-        let opts = SolveOptions::default();
-        let (via_handle, handle_stats) = crate::parallel::ParallelSolver::new(4)
-            .solve_with_stats(&two_group_disjunctive_system(), &opts);
-        let (via_knob, knob_stats) = solve_with_stats(
-            &two_group_disjunctive_system(),
-            &SolveOptions {
-                jobs: 4,
-                ..opts.clone()
-            },
-        );
-        assert_eq!(via_handle.assignments().len(), via_knob.assignments().len());
-        assert_eq!(handle_stats, knob_stats);
-    }
-
-    #[test]
-    fn parallel_unsat_group_drains_cleanly() {
-        // The branching groups are satisfiable but a later group is not →
-        // every branch dies. Fresh systems per run (see above).
-        fn build() -> System {
-            let mut sys = two_group_disjunctive_system();
-            let v5 = sys.var("v5");
-            let v6 = sys.var("v6");
-            let ca = sys.constant("ca", exact("a"));
-            let cb = sys.constant("cb", exact("b"));
-            let cc = sys.constant("cc", exact("c"));
-            sys.require(Expr::Var(v5), ca);
-            sys.require(Expr::Var(v6), cb);
-            sys.require(Expr::Var(v5).concat(Expr::Var(v6)), cc);
-            sys
-        }
-        let (seq, seq_stats) = solve_with_stats(&build(), &SolveOptions::default());
-        let (par, par_stats) = solve_with_stats(
-            &build(),
-            &SolveOptions {
-                jobs: 4,
-                ..SolveOptions::default()
-            },
-        );
-        assert!(!seq.is_sat());
-        assert!(!par.is_sat());
-        assert_eq!(par_stats, seq_stats);
+    fn an_unsat_group_drains_the_worklist() {
+        // The branching groups are satisfiable but another group is not →
+        // every branch dies.
+        let mut sys = two_group_disjunctive_system();
+        let v5 = sys.var("v5");
+        let v6 = sys.var("v6");
+        let ca = sys.constant("ca", exact("a"));
+        let cb = sys.constant("cb", exact("b"));
+        let cc = sys.constant("cc", exact("c"));
+        sys.require(Expr::Var(v5), ca);
+        sys.require(Expr::Var(v6), cb);
+        sys.require(Expr::Var(v5).concat(Expr::Var(v6)), cc);
+        let (solution, stats) = solve_with_stats(&sys, &SolveOptions::default());
+        assert!(!solution.is_sat());
+        assert_eq!(stats.groups, 3);
+        assert_eq!(stats.branches_completed, 0);
     }
 }

@@ -598,69 +598,6 @@ impl Tracer {
             }),
         }
     }
-
-    /// Forks a tracer that records into a private in-memory buffer while
-    /// sharing this tracer's clock. Worker threads trace into their own
-    /// fork and the coordinator replays the buffers in a deterministic
-    /// order via [`Tracer::absorb_events`], so the merged journal is
-    /// independent of thread scheduling. The fork starts with a fresh
-    /// sequence/span-id space and an empty span stack; both are remapped
-    /// on absorption. A disabled tracer forks another disabled tracer
-    /// (and no buffer), keeping the zero-cost property.
-    pub fn fork_buffered(&self) -> (Tracer, Option<Arc<CollectSink>>) {
-        let Some(inner) = &self.inner else {
-            return (Tracer::disabled(), None);
-        };
-        let sink = Arc::new(CollectSink::new());
-        let child = Tracer {
-            inner: Some(Arc::new(TracerInner {
-                sink: sink.clone() as Arc<dyn TraceSink>,
-                epoch: inner.epoch,
-                seq: AtomicU64::new(0),
-                next_span: AtomicU64::new(1),
-                stack: Mutex::new(Vec::new()),
-                tag: inner.tag.clone(),
-            })),
-        };
-        (child, Some(sink))
-    }
-
-    /// Replays events captured by a [`Tracer::fork_buffered`] fork into
-    /// this tracer, in order: sequence numbers are re-assigned from this
-    /// tracer's counter, span ids are remapped to fresh ids here (the
-    /// parent of a fork-top-level span becomes this tracer's innermost
-    /// open span), and the recorded timestamps — measured against the
-    /// shared epoch — are preserved. Replayed spans were already closed
-    /// inside the fork, so this tracer's span stack is untouched.
-    pub fn absorb_events(&self, events: Vec<TraceEvent>) {
-        let Some(inner) = &self.inner else { return };
-        let outer_parent = inner
-            .stack
-            .lock()
-            .expect("span stack")
-            .last()
-            .copied()
-            .unwrap_or(0);
-        let mut remap: BTreeMap<u64, u64> = BTreeMap::new();
-        for mut event in events {
-            match &mut event.kind {
-                TraceEventKind::SpanStart { span, parent, .. } => {
-                    let fresh = inner.next_span.fetch_add(1, Ordering::Relaxed);
-                    remap.insert(*span, fresh);
-                    *parent = remap.get(parent).copied().unwrap_or(outer_parent);
-                    *span = fresh;
-                }
-                TraceEventKind::SpanEnd { span, .. } => {
-                    if let Some(fresh) = remap.get(span) {
-                        *span = *fresh;
-                    }
-                }
-                _ => {}
-            }
-            event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            inner.sink.record(&event);
-        }
-    }
 }
 
 impl TracerInner {
@@ -1325,89 +1262,5 @@ mod tests {
             .collect();
         expected.sort();
         assert_eq!(covered, expected, "docs/trace.schema.json drifted");
-    }
-
-    #[test]
-    fn fork_buffered_of_disabled_tracer_is_disabled() {
-        let (fork, sink) = Tracer::disabled().fork_buffered();
-        assert!(!fork.is_enabled());
-        assert!(sink.is_none());
-    }
-
-    #[test]
-    fn absorbed_fork_events_match_direct_emission() {
-        // The same span/event structure once emitted directly and once
-        // through a fork + absorb must serialize identically (timestamps
-        // aside): same seq numbering, same span ids, same parents.
-        let emit_body = |tracer: &Tracer| {
-            let _outer = tracer.span("gci", None, Some(0));
-            tracer.emit(|| TraceEventKind::MemoHit {
-                op: "intersect".to_owned(),
-            });
-            let _inner = tracer.span("verify", Some(3), None);
-            tracer.emit(|| TraceEventKind::MemoMiss {
-                op: "minimize".to_owned(),
-            });
-        };
-
-        let direct_sink = Arc::new(CollectSink::new());
-        let direct = Tracer::new(direct_sink.clone());
-        {
-            let _solve = direct.span("solve", None, None);
-            emit_body(&direct);
-            emit_body(&direct);
-        }
-
-        let merged_sink = Arc::new(CollectSink::new());
-        let merged = Tracer::new(merged_sink.clone());
-        {
-            let _solve = merged.span("solve", None, None);
-            // Two forks recorded "concurrently", absorbed in order.
-            let (fork_a, buf_a) = merged.fork_buffered();
-            let (fork_b, buf_b) = merged.fork_buffered();
-            emit_body(&fork_b);
-            emit_body(&fork_a);
-            merged.absorb_events(buf_a.expect("enabled").take());
-            merged.absorb_events(buf_b.expect("enabled").take());
-        }
-
-        let strip_ts = |events: Vec<TraceEvent>| -> Vec<String> {
-            events
-                .into_iter()
-                .map(|mut e| {
-                    e.ts_us = 0;
-                    e.to_json()
-                })
-                .collect()
-        };
-        assert_eq!(strip_ts(direct_sink.take()), strip_ts(merged_sink.take()));
-    }
-
-    #[test]
-    fn absorbed_span_parents_rebind_to_the_open_span() {
-        let sink = Arc::new(CollectSink::new());
-        let tracer = Tracer::new(sink.clone());
-        let outer = tracer.span("solve", None, None);
-        let (fork, buf) = tracer.fork_buffered();
-        {
-            let _s = fork.span("gci", None, Some(1));
-        }
-        tracer.absorb_events(buf.expect("enabled").take());
-        drop(outer);
-        let events = sink.take();
-        let outer_id = match &events[0].kind {
-            TraceEventKind::SpanStart { span, .. } => *span,
-            other => panic!("expected outer SpanStart, got {other:?}"),
-        };
-        match &events[1].kind {
-            TraceEventKind::SpanStart { span, parent, .. } => {
-                assert_eq!(*parent, outer_id, "fork root rebinds to open span");
-                assert_ne!(*span, outer_id, "fresh id, no collision");
-            }
-            other => panic!("expected absorbed SpanStart, got {other:?}"),
-        }
-        // Seqs are contiguous across direct and absorbed events.
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
     }
 }

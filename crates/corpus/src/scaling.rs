@@ -95,17 +95,16 @@ pub fn nested_system(k: usize, q: usize) -> System {
 }
 
 /// A system of `groups` independent CI-groups, each branching into
-/// `disjuncts` disjunctive solutions — the workload the branch-parallel
-/// worklist solver is built for.
+/// `disjuncts` disjunctive solutions: the workload that makes the Figure 7
+/// worklist fan out.
 ///
 /// Group `i` constrains a disjoint variable pair:
 /// `aᵢ ⊆ x(yy)+`, `bᵢ ⊆ (yy)*z`, `aᵢ·bᵢ ⊆ x(yy|yyyy|…){1}z`-style targets
 /// whose alternation width fixes the disjunct count. The worklist then
 /// fans out to `disjuncts^groups` complete branches, every one paying the
-/// (memo-free) verification cost — the part of the run that scales with
-/// worker threads. All machines are built from regexes, so the system is
-/// deterministic; solving it at any `jobs` count must produce identical
-/// output (the determinism harness relies on this).
+/// (memo-free) verification cost. All machines are built from regexes, so
+/// the system is deterministic: solving it twice produces identical
+/// output.
 pub fn multi_group_system(groups: usize, disjuncts: usize) -> System {
     use dprle_regex::Regex;
     let d = disjuncts.max(1);

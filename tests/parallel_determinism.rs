@@ -1,6 +1,10 @@
-//! The branch-parallel worklist solver is observationally identical to
-//! the sequential Figure 7 loop: same solutions in the same order, same
-//! counters, and (modulo wall-clock timestamps) the same trace journal.
+//! `SolveOptions::jobs` is inert: every solve runs the one sequential
+//! Figure 7 worklist, whatever `jobs` says, so any `jobs` value gives the
+//! same solutions in the same order, the same counters, and (modulo
+//! wall-clock timestamps) the same trace journal and cost ledger. The
+//! field remains only because the `perfbench` benchmark still sets it;
+//! these tests pin that the setting changes nothing until ROADMAP item 1
+//! removes it.
 //!
 //! Every comparison below rebuilds its system from scratch per run:
 //! `Lang` handles cache their canonical fingerprint internally, so a

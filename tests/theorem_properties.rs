@@ -111,8 +111,8 @@ proptest! {
         }
     }
 
-    /// Branch filtering: with `require_nonempty` (the default), no returned
-    /// assignment maps a variable to the empty language.
+    /// Branch filtering: no returned assignment maps a variable to the
+    /// empty language (Figure 7's nonemptiness filter always runs).
     #[test]
     fn rma_assignments_are_nonempty(seed in any::<u64>()) {
         let cfg = RandomSystemConfig::default();
