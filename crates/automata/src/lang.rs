@@ -10,19 +10,16 @@
 //! ([`canonical_key`](crate::minimize::canonical_key)), emptiness,
 //! ε-freeness, and edge counts — so each of those is paid at most once per
 //! underlying machine no matter how many branches share it. [`LangStore`]
-//! layers hash-consing (one representative handle per distinct language),
-//! a structure table that lets a fresh handle of a machine the store has
-//! canonicalized before take that key without canonicalizing, and
-//! memoization of the binary operations the solver runs repeatedly
-//! (intersection, inclusion) keyed by operand fingerprints, with counters
-//! that the solver surfaces as cache observability stats.
+//! layers a structure table that lets a fresh handle of a machine the
+//! store has canonicalized before take that key without canonicalizing,
+//! and memoization of the operations the solver runs repeatedly
+//! (intersection, inclusion, minimization) keyed by operand fingerprints,
+//! with counters that the solver surfaces as cache observability stats.
 
 use crate::dfa::DeterminizeCost;
 use crate::inclusion::{self, InclusionAbort, InclusionCost, InclusionLimits};
 use crate::metrics::{id, Metrics};
-use crate::minimize::{
-    canonical_key_counted, minimize_counted, try_canonical_key_counted, CanonicalKey,
-};
+use crate::minimize::{canonical_key_counted, try_canonical_key_counted, CanonicalKey};
 use crate::nfa::Nfa;
 use crate::ops;
 use crate::subset;
@@ -308,13 +305,10 @@ pub struct InclusionQuery<'a> {
     pub lhs: &'a Nfa,
     /// Right-hand operand.
     pub rhs: &'a Nfa,
-    /// Canonical fingerprint of the LHS, when the store computed one
-    /// (`None` on the pass-through path, which never fingerprints).
-    pub lhs_key: Option<&'a CanonicalKey>,
-    /// Canonical fingerprint of the RHS, when the store computed one.
-    pub rhs_key: Option<&'a CanonicalKey>,
-    /// Whether the store memoizes (`false` for pass-through stores).
-    pub memoized: bool,
+    /// Canonical fingerprint of the LHS.
+    pub lhs_key: &'a CanonicalKey,
+    /// Canonical fingerprint of the RHS.
+    pub rhs_key: &'a CanonicalKey,
     /// Whether the memo (or a lost insert race) answered the query.
     pub memo_hit: bool,
     /// The verdict; `None` when the budget was exhausted mid-query.
@@ -332,8 +326,7 @@ pub struct InclusionQuery<'a> {
 /// `MemoHit`/`MemoMiss` events and cost-ledger records without the
 /// automata crate knowing about either format.
 pub trait StoreObserver: Send + Sync {
-    /// Called once per memoized operation with its hit/miss outcome (on a
-    /// pass-through store every operation misses).
+    /// Called once per memoized operation with its hit/miss outcome.
     fn memo_event(&self, op: StoreOp, hit: bool);
 
     /// Whether this observer wants per-query [`InclusionQuery`] reports.
@@ -352,7 +345,7 @@ pub trait StoreObserver: Send + Sync {
     }
 }
 
-/// Counters for the interning layer. One set, two instances: a store's
+/// Counters for the store. One set, two instances: a store's
 /// running totals ([`LangStore::stats`]) and a request's share of them
 /// ([`StoreScope::stats`]), which the solver surfaces as `SolveStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -369,15 +362,12 @@ pub struct StoreStats {
     /// Binary operations (intersection, inclusion) answered from the memo
     /// tables.
     pub op_hits: u64,
-    /// Binary operations computed directly (and, with interning enabled,
-    /// recorded in the memo tables).
+    /// Binary operations computed and recorded in the memo tables.
     pub op_misses: u64,
-    /// Distinct languages hash-consed into the store.
-    pub interned: u64,
     /// States of machines materialized by store-computed operations.
     pub states_materialized: u64,
-    /// Approximate bytes charged by memo-table, interner and
-    /// structure-table inserts (shape-derived estimates; see
+    /// Approximate bytes charged by memo-table and structure-table
+    /// inserts (shape-derived estimates; see
     /// [`Lang::approx_bytes`]). Only the insert winner charges, so on an
     /// unbounded store racing sessions charge each entry once.
     /// Fingerprint keys are not memo entries (they live on the handles)
@@ -424,7 +414,6 @@ impl StoreStats {
             Tally::Memo { hit: false, .. } => self.op_misses += 1,
             Tally::Materialized(states) => self.states_materialized += states,
             Tally::Inclusion(cost) => self.inclusion_macrostates += cost.macrostates,
-            Tally::Interned => self.interned += 1,
             Tally::Charge(bytes) => self.charged_bytes += bytes,
             Tally::Evict(bytes) => {
                 self.evictions += 1;
@@ -445,8 +434,6 @@ enum Tally {
     Materialized(u64),
     /// The work of one inclusion search (complete or aborted).
     Inclusion(InclusionCost),
-    /// A language was hash-consed into the interner.
-    Interned,
     /// A memo entry of this many bytes was inserted.
     Charge(u64),
     /// A memo entry of this many bytes was evicted.
@@ -594,11 +581,9 @@ type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
 
 /// The identity of one retained entry — the currency of the store's LRU
 /// bookkeeping. Every variant maps to exactly one entry of one of the
-/// store's five tables, so evicting a slot is an O(1) map removal.
+/// store's four tables, so evicting a slot is an O(1) map removal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum SlotKey {
-    /// One hash-consed representative in the interner.
-    Interned(MemoKey),
     /// One intersection result, keyed by the unordered fingerprint pair.
     Intersect(MemoKey, MemoKey),
     /// One inclusion verdict, keyed by the ordered fingerprint pair.
@@ -611,7 +596,6 @@ enum SlotKey {
 
 #[derive(Default)]
 struct StoreInner {
-    interned: DigestMap<MemoKey, Lang>,
     intersect_memo: DigestMap<(MemoKey, MemoKey), Lang>,
     inclusion_memo: DigestMap<(MemoKey, MemoKey), bool>,
     minimize_memo: DigestMap<MemoKey, Lang>,
@@ -632,7 +616,7 @@ struct StoreInner {
     tick: u64,
     /// tick → slot, recency-ordered: the first entry is the next victim.
     by_recency: BTreeMap<u64, SlotKey>,
-    /// slot → (last-touch tick, byte charge); mirrors the five tables.
+    /// slot → (last-touch tick, byte charge); mirrors the four tables.
     charges: DigestMap<SlotKey, (u64, u64)>,
 }
 
@@ -657,7 +641,7 @@ impl StoreInner {
                 metrics.observe(id::INCLUSION_ANTICHAIN_SIZE, cost.antichain_size);
                 metrics.add(id::INCLUSION_PRUNES, cost.prunes);
             }
-            Tally::Interned | Tally::Charge(_) => {}
+            Tally::Charge(_) => {}
             Tally::Evict(bytes) => {
                 metrics.add(id::STORE_EVICTIONS, 1);
                 metrics.add(id::STORE_EVICTED_BYTES, bytes);
@@ -715,9 +699,6 @@ impl StoreInner {
             };
             let (_, bytes) = self.charges.remove(&slot).expect("charged slot");
             match &slot {
-                SlotKey::Interned(k) => {
-                    self.interned.remove(k);
-                }
                 SlotKey::Intersect(a, b) => {
                     self.intersect_memo.remove(&(a.clone(), b.clone()));
                 }
@@ -765,41 +746,32 @@ impl StoreInner {
     }
 }
 
-/// Hash-consing interner and binary-operation memo table for [`Lang`].
+/// The structure table and the operation memo tables for [`Lang`].
 ///
 /// All methods take `&self`; the store is internally synchronized, so one
-/// store can be shared across solves and concurrent serve sessions. With `interning(false)` the store becomes a pass-through
-/// that computes every operation directly — the `ablation_interning`
-/// benchmark compares the two modes.
+/// store can be shared across solves and concurrent serve sessions.
+#[derive(Default)]
 pub struct LangStore {
     inner: Mutex<StoreInner>,
-    enabled: bool,
-}
-
-impl Default for LangStore {
-    fn default() -> Self {
-        LangStore::new()
-    }
 }
 
 impl LangStore {
-    /// A store with interning and memoization enabled.
+    /// An empty, unbounded store.
     pub fn new() -> Self {
-        LangStore::interning(true)
+        LangStore::default()
     }
 
-    /// A store with the caching layer toggled; `interning(false)` computes
-    /// everything directly (ablation baseline).
-    pub fn interning(enabled: bool) -> Self {
-        LangStore {
-            inner: Mutex::new(StoreInner::default()),
-            enabled,
-        }
+    /// The same store as [`LangStore::new`]: the flag is ignored, and every
+    /// store memoizes. Kept only because the `perfbench` benchmark still
+    /// calls `LangStore::interning(options.interning)`; ROADMAP item 1
+    /// removes that call, and this constructor goes with it.
+    pub fn interning(_ignored: bool) -> Self {
+        LangStore::new()
     }
 
-    /// A store with interning enabled and an LRU byte cap on its memo
-    /// tables: whenever an insert pushes the retained estimate past
-    /// `max_bytes`, least-recently-used entries are dropped until it fits.
+    /// An empty store with an LRU byte cap on its memo tables: whenever an
+    /// insert pushes the retained estimate past `max_bytes`,
+    /// least-recently-used entries are dropped until it fits.
     /// Eviction changes hit rates, never answers — an evicted entry is
     /// simply recomputed on next use.
     pub fn bounded(max_bytes: u64) -> Self {
@@ -824,11 +796,6 @@ impl LangStore {
     /// The installed LRU byte cap, if any.
     pub fn max_bytes(&self) -> Option<u64> {
         self.lock().max_bytes
-    }
-
-    /// Whether the caching layer is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Installs the metrics registry handle the store records operation
@@ -880,8 +847,8 @@ impl LangStore {
             self.settle(self.lock(), StoreOp::Fingerprint, true);
             return Some(key.clone());
         }
-        let digest = self.enabled.then(|| structure_digest(lang.nfa()));
-        if let Some(digest) = digest {
+        let digest = structure_digest(lang.nfa());
+        {
             let mut inner = self.lock();
             if let Some(key) = inner.structure_key(digest, lang) {
                 self.settle(inner, StoreOp::Fingerprint, true);
@@ -903,7 +870,7 @@ impl LangStore {
         // A hit when a racing call keyed this handle, or entered an equal
         // machine in the table while this call canonicalized: the insert
         // winner alone counts the miss and records the cost.
-        let hit = computed.is_none() || digest.is_some_and(|d| !inner.insert_structure(d, lang));
+        let hit = computed.is_none() || !inner.insert_structure(digest, lang);
         if let Some(cost) = computed.as_ref().filter(|_| !hit) {
             record_fingerprint_cost(&inner.metrics, lang, cost);
         }
@@ -911,40 +878,10 @@ impl LangStore {
         Some(key)
     }
 
-    /// Hash-conses `lang`: returns the store's representative handle for
-    /// the same language, inserting `lang` if it is new. Sharing the
-    /// representative means later fingerprint and emptiness queries on any
-    /// equal-language handle hit the same caches.
-    pub fn intern(&self, lang: Lang) -> Lang {
-        if !self.enabled {
-            return lang;
-        }
-        let key = MemoKey(self.key_of(&lang));
-        let mut inner = self.lock();
-        if let Some(existing) = inner.interned.get(&key) {
-            let existing = existing.clone();
-            inner.touch(SlotKey::Interned(key));
-            return existing;
-        }
-        inner.count(Tally::Interned);
-        inner.interned.insert(key.clone(), lang.clone());
-        inner.charge_insert(SlotKey::Interned(key), lang.approx_bytes());
-        lang
-    }
-
     /// Memoized language intersection. The memo key is the unordered
     /// fingerprint pair (intersection is commutative on languages), so
     /// `intersect(a, b)` and `intersect(b, a)` share one entry.
     pub fn intersect(&self, a: &Lang, b: &Lang) -> Lang {
-        if !self.enabled {
-            let (nfa, cost) = ops::intersect_lang_counted(a.nfa(), b.nfa());
-            let result = Lang::new(nfa);
-            let mut inner = self.lock();
-            record_intersect_cost(&inner.metrics, &cost);
-            inner.count(Tally::Materialized(result.num_states() as u64));
-            self.settle(inner, StoreOp::Intersect, false);
-            return result;
-        }
         let (ka, kb) = (self.key_of(a), self.key_of(b));
         let (ka, kb) = if ka <= kb { (ka, kb) } else { (kb, ka) };
         let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
@@ -998,8 +935,7 @@ impl LangStore {
     /// Both keys are in hand before any search, and `b`'s is its minimal
     /// DFA, so a memo miss walks `a` against that key's complement
     /// ([`crate::inclusion::try_subset_of_key`]) instead of running the
-    /// antichain search. A pass-through store keys nothing and runs the
-    /// antichain search ([`crate::inclusion::try_subset`]).
+    /// antichain search.
     pub fn try_is_subset(
         &self,
         a: &Lang,
@@ -1018,17 +954,19 @@ impl LangStore {
         // scope observer that wants queries, no clock is read at all.
         let reporter = StoreScope::current_observer().filter(|o| o.wants_queries());
         let started = reporter.as_ref().map(|_| std::time::Instant::now());
-        let report = |keys: Option<(&Arc<CanonicalKey>, &Arc<CanonicalKey>)>,
-                      memo_hit: bool,
-                      outcome: Option<bool>,
-                      cost: InclusionCost| {
+        let (ka, kb) = (self.key_of(a), self.key_of(b));
+        if ka == kb {
+            // Second pre-check: equal fingerprints mean equal languages,
+            // so the inclusion holds without a search.
+            return Ok(true);
+        }
+        let report = |memo_hit: bool, outcome: Option<bool>, cost: InclusionCost| {
             if let Some(observer) = &reporter {
                 observer.inclusion_query(&InclusionQuery {
                     lhs: a.nfa(),
                     rhs: b.nfa(),
-                    lhs_key: keys.map(|(k, _)| &**k),
-                    rhs_key: keys.map(|(_, k)| &**k),
-                    memoized: self.enabled,
+                    lhs_key: &ka,
+                    rhs_key: &kb,
                     memo_hit,
                     outcome,
                     cost,
@@ -1036,36 +974,14 @@ impl LangStore {
                 });
             }
         };
-        if !self.enabled {
-            let (result, cost) = match inclusion::try_subset(a.nfa(), b.nfa(), limits) {
-                Ok(computed) => computed,
-                Err(abort) => {
-                    self.lock().count(Tally::Inclusion(abort.cost()));
-                    report(None, false, None, abort.cost());
-                    return Err(abort);
-                }
-            };
-            let mut inner = self.lock();
-            inner.count(Tally::Inclusion(cost));
-            self.settle(inner, StoreOp::Inclusion, false);
-            report(None, false, Some(result), cost);
-            return Ok(result);
-        }
-        let (ka, kb) = (self.key_of(a), self.key_of(b));
-        if ka == kb {
-            // Second pre-check: equal fingerprints mean equal languages,
-            // so the inclusion holds without a search.
-            return Ok(true);
-        }
         let key = (MemoKey(ka.clone()), MemoKey(kb.clone()));
-        let keys = Some((&ka, &kb));
         let slot = || SlotKey::Inclusion(key.0.clone(), key.1.clone());
         {
             let mut inner = self.lock();
             if let Some(hit) = inner.inclusion_memo.get(&key).copied() {
                 inner.touch(slot());
                 self.settle(inner, StoreOp::Inclusion, true);
-                report(keys, true, Some(hit), InclusionCost::default());
+                report(true, Some(hit), InclusionCost::default());
                 return Ok(hit);
             }
         }
@@ -1073,7 +989,7 @@ impl LangStore {
             Ok(computed) => computed,
             Err(abort) => {
                 self.lock().count(Tally::Inclusion(abort.cost()));
-                report(keys, false, None, abort.cost());
+                report(false, None, abort.cost());
                 return Err(abort);
             }
         };
@@ -1089,7 +1005,7 @@ impl LangStore {
             inner.charge_insert(slot(), INCLUSION_ENTRY_BYTES);
         }
         self.settle(inner, StoreOp::Inclusion, hit);
-        report(keys, hit, Some(result), cost);
+        report(hit, Some(result), cost);
         Ok(result)
     }
 
@@ -1099,17 +1015,7 @@ impl LangStore {
     /// ([`CanonicalKey::to_nfa`]) however the key was obtained: computed
     /// by this call, cached on the handle, or lent by the structure table.
     /// No subset construction runs beyond the one a key lookup may count.
-    /// A pass-through store minimizes directly ([`minimize_counted`]).
     pub fn minimized(&self, a: &Lang) -> Lang {
-        if !self.enabled {
-            let (nfa, det) = minimize_counted(a.nfa());
-            let result = Lang::new(nfa);
-            let mut inner = self.lock();
-            record_determinize_cost(&inner.metrics, a, &det);
-            inner.count(Tally::Materialized(result.num_states() as u64));
-            self.settle(inner, StoreOp::Minimize, false);
-            return result;
-        }
         let fingerprint = self.key_of(a);
         let key = MemoKey(fingerprint.clone());
         {
@@ -1180,7 +1086,6 @@ fn record_determinize_cost(metrics: &Metrics, input: &Lang, det: &DeterminizeCos
 impl fmt::Debug for LangStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LangStore")
-            .field("enabled", &self.enabled)
             .field("stats", &self.stats())
             .finish()
     }
@@ -1216,15 +1121,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_returns_one_representative() {
-        let store = LangStore::new();
-        let a = store.intern(Lang::new(ab_star()));
-        let b = store.intern(Lang::new(ab_star().normalize()));
-        assert!(Lang::ptr_eq(&a, &b));
-        assert_eq!(store.stats().interned, 1);
-    }
-
-    #[test]
     fn intersect_is_memoized_and_correct() {
         let store = LangStore::new();
         let a = Lang::new(ab_star());
@@ -1254,13 +1150,16 @@ mod tests {
 
     #[test]
     fn disabled_store_still_computes() {
+        // The flag is ignored: this store memoizes like any other.
         let store = LangStore::interning(false);
         let a = Lang::new(ab_star());
         let b = Lang::new(Nfa::length_between(0, 4));
         let first = store.intersect(&a, &b);
         let again = store.intersect(&a, &b);
-        assert!(!Lang::ptr_eq(&first, &again), "no memo when disabled");
-        assert!(equivalent(first.nfa(), again.nfa()));
+        assert!(
+            Lang::ptr_eq(&first, &again),
+            "the second call is a memo hit"
+        );
         assert!(store.is_subset(&a, &a));
     }
 
@@ -1302,13 +1201,7 @@ mod tests {
             observer.misses.load(Ordering::Relaxed) as u64,
             stats.op_misses + stats.fingerprint_misses
         );
-        assert_eq!(
-            scope.stats(),
-            StoreStats {
-                interned: 0,
-                ..stats
-            }
-        );
+        assert_eq!(scope.stats(), stats);
         // Outside the scope, operations reach neither its counters nor
         // its observer.
         let before =
@@ -1316,13 +1209,7 @@ mod tests {
         store.minimized(&a);
         let after = observer.hits.load(Ordering::Relaxed) + observer.misses.load(Ordering::Relaxed);
         assert_eq!(before, after);
-        assert_eq!(
-            scope.stats(),
-            StoreStats {
-                interned: 0,
-                ..stats
-            }
-        );
+        assert_eq!(scope.stats(), stats);
         assert_ne!(store.stats(), stats);
     }
 
@@ -1514,12 +1401,6 @@ mod tests {
         let again = store.key_of(&Lang::new(machines[0].clone()));
         assert_eq!(store.stats().fingerprint_misses, misses + 1);
         assert_eq!(*again, crate::minimize::canonical_key(&machines[0]));
-        // A pass-through store keeps no table.
-        let plain = LangStore::interning(false);
-        plain.key_of(&Lang::new(machines[0].clone()));
-        plain.key_of(&Lang::new(machines[0].clone()));
-        assert_eq!(plain.stats().fingerprint_misses, 2);
-        assert!(plain.lock().structures.is_empty());
     }
 
     #[test]
@@ -1551,16 +1432,6 @@ mod tests {
         // Commuted operands land on one memo entry: the first touch
         // misses, the second hits.
         assert_eq!(intersects, [false, true]);
-        // A pass-through store misses every operation.
-        let plain = LangStore::interning(false);
-        plain.intersect(&a, &b);
-        let last = *observer
-            .events
-            .lock()
-            .expect("recording")
-            .last()
-            .expect("event recorded");
-        assert_eq!(last, (StoreOp::Intersect, false));
     }
 
     #[test]
@@ -1782,34 +1653,33 @@ mod tests {
     #[test]
     fn one_minimization_records_one_subset_construction() {
         let machine = ops::union(&ab_star(), &Nfa::literal(b"ba"));
-        let (_, cost) = minimize_counted(&machine);
-        for store in [LangStore::new(), LangStore::interning(false)] {
-            let metrics = Metrics::enabled();
-            store.set_metrics(metrics.clone());
-            store.minimized(&Lang::new(machine.clone()));
-            let snap = metrics.snapshot().expect("enabled registry");
-            let histogram = |name: &str| match snap.get(name).expect(name).value {
-                crate::metrics::MetricValue::Histogram { count, sum, .. } => (count, sum),
-                ref other => panic!("{name} is {other:?}"),
-            };
-            assert_eq!(
-                histogram("automata.determinize.states_out"),
-                (1, cost.dfa_states as u64)
-            );
-            assert_eq!(
-                histogram("automata.determinize.states_in"),
-                (1, machine.num_states() as u64)
-            );
-            match snap
-                .get("automata.eps_closure.visited_states")
-                .expect("def")
-                .value
-            {
-                crate::metrics::MetricValue::Counter { value } => {
-                    assert_eq!(value, cost.closure_visited as u64)
-                }
-                ref other => panic!("counter expected, got {other:?}"),
+        let (_, cost) = crate::minimize::minimize_counted(&machine);
+        let store = LangStore::new();
+        let metrics = Metrics::enabled();
+        store.set_metrics(metrics.clone());
+        store.minimized(&Lang::new(machine.clone()));
+        let snap = metrics.snapshot().expect("enabled registry");
+        let histogram = |name: &str| match snap.get(name).expect(name).value {
+            crate::metrics::MetricValue::Histogram { count, sum, .. } => (count, sum),
+            ref other => panic!("{name} is {other:?}"),
+        };
+        assert_eq!(
+            histogram("automata.determinize.states_out"),
+            (1, cost.dfa_states as u64)
+        );
+        assert_eq!(
+            histogram("automata.determinize.states_in"),
+            (1, machine.num_states() as u64)
+        );
+        match snap
+            .get("automata.eps_closure.visited_states")
+            .expect("def")
+            .value
+        {
+            crate::metrics::MetricValue::Counter { value } => {
+                assert_eq!(value, cost.closure_visited as u64)
             }
+            ref other => panic!("counter expected, got {other:?}"),
         }
     }
 
@@ -1845,22 +1715,21 @@ mod tests {
             let stats = store.stats();
             (stats.fingerprint_hits, stats.fingerprint_misses)
         };
-        for store in [LangStore::new(), LangStore::interning(false)] {
-            let lang = Lang::new(machine.clone());
-            // Past the cap: no key, a keyless handle, and one counted miss.
-            assert_eq!(store.try_key_of(&lang, cost.dfa_states - 1), None);
-            assert!(!lang.fingerprint_is_cached());
-            assert_eq!(counts(&store), (0, 1));
-            // At the cap: one counted canonicalization, kept on the handle,
-            // whose key then comes back under any cap.
-            assert_eq!(
-                store.try_key_of(&lang, cost.dfa_states).as_deref(),
-                Some(&key)
-            );
-            assert!(lang.fingerprint_is_cached());
-            assert_eq!(store.try_key_of(&lang, 0).as_deref(), Some(&key));
-            assert_eq!(counts(&store), (1, 2));
-        }
+        let store = LangStore::new();
+        let lang = Lang::new(machine.clone());
+        // Past the cap: no key, a keyless handle, and one counted miss.
+        assert_eq!(store.try_key_of(&lang, cost.dfa_states - 1), None);
+        assert!(!lang.fingerprint_is_cached());
+        assert_eq!(counts(&store), (0, 1));
+        // At the cap: one counted canonicalization, kept on the handle,
+        // whose key then comes back under any cap.
+        assert_eq!(
+            store.try_key_of(&lang, cost.dfa_states).as_deref(),
+            Some(&key)
+        );
+        assert!(lang.fingerprint_is_cached());
+        assert_eq!(store.try_key_of(&lang, 0).as_deref(), Some(&key));
+        assert_eq!(counts(&store), (1, 2));
         // The structure table lends its key under any cap.
         let store = LangStore::new();
         store.key_of(&Lang::new(machine.clone()));

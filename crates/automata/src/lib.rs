@@ -24,8 +24,8 @@
 //!   paper suggests for its Figure 12 `secure` outlier), and canonical
 //!   keys that decode back into the minimal DFA and its complement.
 //! * [`lang`] — cheap-to-clone interned language handles ([`Lang`]) with
-//!   cached canonical fingerprints, and the hash-consing / memoizing
-//!   [`LangStore`] the solver shares across worklist branches.
+//!   cached canonical fingerprints, and the memoizing [`LangStore`] the
+//!   solver shares across worklist branches.
 //! * [`quotient`] — existential and universal left/right quotients, used by
 //!   the solver when concatenation operands are constants.
 //! * [`metrics`] — the sharded, zero-cost-when-disabled metrics registry

@@ -8,10 +8,7 @@
 //! * lazy first-solution vs eager all-solutions (§3.5: "we can generate
 //!   the first solution without having to enumerate the others");
 //! * `strip_constant_operands` — quotient rewriting of constant
-//!   concatenation operands (an extension beyond the paper);
-//! * `interning` — the shared `LangStore` (hash-consed handles, canonical
-//!   fingerprints, memoized intersection/inclusion/minimization) versus
-//!   recomputing every operation directly (DESIGN.md §4).
+//!   concatenation operands (an extension beyond the paper).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dprle_core::{solve, solve_first, GciOptions, SolveOptions};
@@ -131,46 +128,12 @@ fn bench_constant_stripping(criterion: &mut Criterion) {
     group.finish();
 }
 
-fn bench_interning(criterion: &mut Criterion) {
-    let mut group = criterion.benchmark_group("ablation_interning");
-    group.sample_size(10);
-    // Two workloads where languages recur: a branching worklist (shared
-    // partial assignments, repeated leaf intersections) and a real Fig. 12
-    // row (repeated constants across a long constraint chain).
-    let branching = nested_system(3, 4);
-    let row = medium_system();
-    group.bench_function("on_branching", |b| {
-        let options = SolveOptions::default();
-        b.iter(|| std::hint::black_box(solve(&branching, &options)))
-    });
-    group.bench_function("off_branching", |b| {
-        let options = SolveOptions {
-            interning: false,
-            ..Default::default()
-        };
-        b.iter(|| std::hint::black_box(solve(&branching, &options)))
-    });
-    group.bench_function("on_usr_prf", |b| {
-        let options = SolveOptions::default();
-        b.iter(|| std::hint::black_box(solve(&row, &options)))
-    });
-    group.bench_function("off_usr_prf", |b| {
-        let options = SolveOptions {
-            interning: false,
-            ..Default::default()
-        };
-        b.iter(|| std::hint::black_box(solve(&row, &options)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_minimize_intermediate,
     bench_gci_minimize_solutions,
     bench_dedup,
     bench_lazy_vs_eager,
-    bench_constant_stripping,
-    bench_interning
+    bench_constant_stripping
 );
 criterion_main!(benches);

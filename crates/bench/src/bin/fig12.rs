@@ -17,7 +17,7 @@
 //! comparison.
 //!
 //! Always writes the machine-readable results (per-row `|FG|`, `|C|`,
-//! distinct `|C|`, solve time, and interning cache counters) to `BENCH_fig12.json` in the current directory; `--json`
+//! distinct `|C|`, solve time, and store cache counters) to `BENCH_fig12.json` in the current directory; `--json`
 //! additionally prints that JSON to stdout instead of the human-readable
 //! table.
 

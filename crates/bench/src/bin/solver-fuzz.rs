@@ -46,7 +46,9 @@ fn main() {
         let config = &configs[(i % configs.len() as u64) as usize];
         let sys = random_system(seed, config);
 
-        // Mode 1: defaults (verification on — but check externally too).
+        // Mode 1: defaults with verification off, so that the external
+        // `satisfies_system` check below, not the filter, catches an
+        // unsound answer.
         let options = SolveOptions {
             verify: false,
             ..Default::default()

@@ -74,7 +74,7 @@ pub struct Fig12Row {
     /// Product states explored across the row's solves (the §3.5 cost
     /// driver) — promoted out of `stats` as a first-class column.
     pub product_states: u64,
-    /// Peak interning-memo bytes of any single solve in the row.
+    /// Peak store memo bytes of any single solve in the row.
     pub peak_bytes: u64,
     /// Solver counters aggregated over the row's runs (see
     /// `SolveStats::absorb`).
@@ -84,7 +84,7 @@ pub struct Fig12Row {
     pub phases: Vec<PhaseRow>,
     /// Inclusion/product queries recorded by the ledgered pass.
     pub queries: u64,
-    /// How many of those queries were answered from the interning memo.
+    /// How many of those queries were answered from the store's memo.
     pub query_memo_hits: u64,
     /// The ledgered pass's raw cost ledger (JSONL, one record per query)
     /// — concatenated across rows by [`fig12_ledger_jsonl`] into the
@@ -258,7 +258,7 @@ impl<'a> RowInput<'a> {
         let mut stats = SolveStats::default();
         let start = Instant::now();
         for sys in &systems {
-            let store = LangStore::interning(options.interning);
+            let store = LangStore::new();
             let (solution, run_stats) = solve_traced(sys, options, &store, &Tracer::disabled());
             exploitable |= matches!(solution, Solution::Assignments(_));
             stats.absorb(&run_stats);
@@ -294,7 +294,7 @@ fn measure_row(input: &RowInput, options: &SolveOptions, ts: TsRounds) -> Fig12R
     let live_tracer = Tracer::new(sink.clone());
     let start = Instant::now();
     for sys in &traced_systems {
-        let store = LangStore::interning(options.interning);
+        let store = LangStore::new();
         let _ = solve_traced(sys, options, &store, &live_tracer);
     }
     let traced_seconds = start.elapsed().as_secs_f64();
@@ -311,7 +311,7 @@ fn measure_row(input: &RowInput, options: &SolveOptions, ts: TsRounds) -> Fig12R
         ..options.clone()
     };
     for sys in &ledger_systems {
-        let store = LangStore::interning(ledger_options.interning);
+        let store = LangStore::new();
         let _ = solve_traced(sys, &ledger_options, &store, &Tracer::disabled());
     }
     let ledger_records = ledger_sink.take();

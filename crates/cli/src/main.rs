@@ -33,7 +33,6 @@
 //!   --max-product-states N  abort once N product states were explored
 //!   --max-live-states N     abort once N solution-machine states are live
 //!   --deadline-ms N    abort the solve after N milliseconds
-//!   --no-interning     disable language interning/memoization (ablation)
 //!   --store-max-bytes N  LRU byte cap on the language store's memo
 //!                      tables (default unbounded); eviction changes hit
 //!                      rates, never answers
@@ -46,9 +45,8 @@
 //!                      (prints `listening HOST:PORT` on stdout; use
 //!                      `--listen 127.0.0.1:0` for an ephemeral port)
 //!   --store-max-bytes N  shared-store LRU byte cap
-//!   --max-product-states/--max-live-states/--deadline-ms/--no-interning
-//!                      per-request defaults (requests may override all
-//!                      but interning)
+//!   --max-product-states/--max-live-states/--deadline-ms
+//!                      per-request defaults (requests may override each)
 //!   --jobs N           ignored (N must be a positive integer); kept only
 //!                      because perfbench still passes it, which ROADMAP
 //!                      item 1 removes
@@ -99,8 +97,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--store-max-bytes N] FILE
-       dprle serve [--sessions N] [--listen ADDR] [--store-max-bytes N] [--jobs N] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--no-interning] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--admin ADDR] [--trace-out FILE] [--slow-log FILE] [--slow-ms N]
+const USAGE: &str = "usage: dprle [--first] [--witness] [--dot-graph] [--dot-var NAME] [--no-verify] [--trace[=summary]] [--trace-out FILE] [--trace-dot FILE] [--stats] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--store-max-bytes N] FILE
+       dprle serve [--sessions N] [--listen ADDR] [--store-max-bytes N] [--jobs N] [--max-product-states N] [--max-live-states N] [--deadline-ms N] [--metrics-out FILE] [--metrics-format json|prom] [--ledger-out FILE] [--admin ADDR] [--trace-out FILE] [--slow-log FILE] [--slow-ms N]
        dprle watch [--interval-ms N] [--count N] HOST:PORT
        dprle trace-report [--check-schema SCHEMA] TRACE.jsonl
        dprle metrics-report [--check-schema] [--top K] METRICS.jsonl
@@ -133,7 +131,6 @@ struct Args {
     trace_dot: Option<String>,
     core: bool,
     stats: bool,
-    interning: bool,
     metrics_out: Option<String>,
     metrics_format: MetricsFormat,
     ledger_out: Option<String>,
@@ -157,7 +154,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_dot: None,
         core: false,
         stats: false,
-        interning: true,
         metrics_out: None,
         metrics_format: MetricsFormat::Json,
         ledger_out: None,
@@ -239,7 +235,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     format!("--store-max-bytes needs a nonnegative integer, got `{n}`")
                 })?);
             }
-            "--no-interning" => args.interning = false,
             "--dot-var" => {
                 i += 1;
                 let name = argv.get(i).ok_or("--dot-var needs a name")?;
@@ -618,7 +613,6 @@ fn serve_main(argv: &[String]) -> ExitCode {
                 }
                 Err(e) => break Err(e),
             },
-            "--no-interning" => config.interning = false,
             "--metrics-out" => {
                 i += 1;
                 match argv.get(i) {
@@ -826,7 +820,6 @@ fn empty_args() -> Args {
         trace_dot: None,
         core: false,
         stats: false,
-        interning: true,
         metrics_out: None,
         metrics_format: MetricsFormat::Json,
         ledger_out: None,
@@ -892,7 +885,6 @@ fn main() -> ExitCode {
     let options = SolveOptions {
         max_assignments: if args.first { Some(1) } else { None },
         verify: args.verify,
-        interning: args.interning,
         metrics: metrics.clone(),
         budget: Budget {
             max_product_states: args.max_product_states,
@@ -904,7 +896,7 @@ fn main() -> ExitCode {
     };
     // Both input formats solve against this store; the optional LRU byte
     // cap applies to either.
-    let store = dprle_automata::LangStore::interning(options.interning);
+    let store = dprle_automata::LangStore::new();
     store.set_max_bytes(args.store_max_bytes);
     if args.file.ends_with(".smt2") {
         let store = Arc::new(store);

@@ -148,9 +148,6 @@ pub struct ServeConfig {
     /// LRU byte cap installed on the shared store (`--store-max-bytes`).
     /// `None` means unbounded — the seed behavior.
     pub store_max_bytes: Option<u64>,
-    /// Whether the shared store interns/memoizes at all
-    /// (`--no-interning` ablation when false).
-    pub interning: bool,
     /// Ignored: every request runs the one sequential worklist. The field
     /// (and `dprle serve --jobs N`, which sets it) remains only because
     /// the `perfbench` benchmark still names it; ROADMAP item 1 removes
@@ -173,7 +170,6 @@ impl Default for ServeConfig {
         ServeConfig {
             sessions: 4,
             store_max_bytes: None,
-            interning: true,
             jobs: 1,
             max_product_states: None,
             max_live_states: None,
@@ -212,7 +208,7 @@ impl SolverService {
     /// Builds the service: constructs the shared store, installs the
     /// byte cap and the metrics registry on it.
     pub fn new(config: ServeConfig, metrics: Metrics) -> SolverService {
-        let store = LangStore::interning(config.interning);
+        let store = LangStore::new();
         store.set_max_bytes(config.store_max_bytes);
         store.set_metrics(metrics.clone());
         SolverService {
@@ -436,7 +432,6 @@ impl SolverService {
         let ledger_sink =
             (request.ledger || self.config.collect_ledger).then(|| Arc::new(CollectLedger::new()));
         let options = SolveOptions {
-            interning: self.config.interning,
             metrics: self.metrics.clone(),
             budget: Budget {
                 max_product_states: request

@@ -147,19 +147,13 @@ pub fn run_script_with_stats(
     options: &SolveOptions,
     tracer: &Tracer,
 ) -> Result<ScriptRun, SmtError> {
-    run_script_shared(
-        input,
-        options,
-        tracer,
-        Arc::new(LangStore::interning(options.interning)),
-    )
+    run_script_shared(input, options, tracer, Arc::new(LangStore::new()))
 }
 
 /// Like [`run_script_with_stats`], but every `(check-sat)` runs against
 /// the caller-supplied store instead of a script-private one, so
 /// concurrent scripts (the `dprle serve` sessions) reuse each other's
-/// fingerprints and memoized operations. Callers disabling interning
-/// should pass a pass-through store (`LangStore::interning(false)`).
+/// fingerprints and memoized operations.
 ///
 /// # Errors
 ///

@@ -1023,6 +1023,27 @@ fn serve_accepts_and_ignores_jobs_on_its_command_line_only() {
 }
 
 #[test]
+fn no_interning_is_an_unknown_option() {
+    // Every store memoizes; the flag that selected a pass-through store is
+    // rejected by the solver and by serve, not ignored.
+    let file = temp_file("no_interning.dprle", MOTIVATING);
+    let out = dprle(&["--no-interning", file.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option `--no-interning`"),
+        "{stderr}"
+    );
+    let out = dprle(&["serve", "--no-interning"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown serve option `--no-interning`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn the_one_shot_solver_has_no_jobs_option() {
     let file = temp_file("jobs.dprle", MOTIVATING);
     let out = dprle(&["--jobs", "2", file.to_str().expect("utf8 path")]);

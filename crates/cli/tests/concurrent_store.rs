@@ -27,7 +27,7 @@ use std::sync::{Arc, Barrier};
 
 /// A deterministic corpus of distinct programs: sat and unsat, single-
 /// and multi-variable, regex- and literal-heavy — enough shape variety
-/// that the shared store sees interning, intersection, inclusion, and
+/// that the shared store sees fingerprint, intersection, inclusion, and
 /// minimization traffic.
 fn corpus() -> Vec<String> {
     let mut programs = Vec::new();

@@ -60,6 +60,7 @@
 use crate::graph::{CiGroup, ConcatEdgePair, DependencyGraph, NodeId, NodeKind};
 use crate::ledger::{bypass_inclusion_draft, product_draft, Ledger, QueryOutcome, SITE_GCI};
 use crate::metrics::{id, BudgetKind, Metrics};
+use crate::solve::SolveOptions;
 use crate::spec::System;
 use crate::trace::{TraceEventKind, Tracer};
 use dprle_automata::{
@@ -72,7 +73,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Options controlling group solving.
+/// Options controlling group solving. The metrics registry, the ledger,
+/// the per-operation cap and the deadline a group solve observes are the
+/// solve's own ([`SolveOptions`]).
 #[derive(Clone, Debug)]
 pub struct GciOptions {
     /// Remove language-equivalent duplicate solutions (quadratic in the
@@ -90,28 +93,6 @@ pub struct GciOptions {
     /// minimization techniques might improve performance"); disabling this
     /// reproduces the prototype's behavior for the ablation study.
     pub minimize_solutions: bool,
-    /// Metrics registry the group solve records its operation costs into.
-    /// Disabled (no-op) by default.
-    pub metrics: Metrics,
-    /// Per-operation cap on product states explored by one intersection
-    /// (paper §3.5). A build whose intersection would materialize more than
-    /// this many pairs aborts with [`ProductCapHit`] *before* exceeding it.
-    /// The same cap bounds the macrostates of each budgeted inclusion check
-    /// (constant-leaf checks, subsumption pruning) — the inclusion
-    /// search's frontier loop is the other place the paper's exponential
-    /// can hide. Deterministic: the check depends only on the operand
-    /// machines.
-    pub max_product_states: Option<u64>,
-    /// Wall-clock deadline for budgeted inclusion checks, forwarded into
-    /// the inclusion search's frontier loop. Set by the solver's normalization from
-    /// [`crate::metrics::Budget::deadline`]; inherently nondeterministic,
-    /// like the worklist-level deadline check.
-    pub deadline: Option<Instant>,
-    /// Query cost ledger each `intersect_build` product and each
-    /// constant-leaf inclusion query is recorded into (site `gci`).
-    /// Disabled (no-op) by default; set by the solver's normalization from
-    /// [`crate::solve::SolveOptions::ledger`].
-    pub ledger: Ledger,
 }
 
 impl Default for GciOptions {
@@ -120,21 +101,6 @@ impl Default for GciOptions {
             dedup: true,
             max_disjuncts: Some(256),
             minimize_solutions: true,
-            metrics: Metrics::disabled(),
-            max_product_states: None,
-            deadline: None,
-            ledger: Ledger::disabled(),
-        }
-    }
-}
-
-impl GciOptions {
-    /// The limits handed to every budgeted inclusion check this group
-    /// solve performs.
-    fn inclusion_limits(&self) -> InclusionLimits {
-        InclusionLimits {
-            max_macrostates: self.max_product_states,
-            deadline: self.deadline,
         }
     }
 }
@@ -227,15 +193,28 @@ pub type GroupSolution = BTreeMap<NodeId, Lang>;
 /// constant handles, so hashing them would only canonicalize constants in
 /// traced runs).
 ///
-/// Returns `Err` when an intersection hits
-/// [`GciOptions::max_product_states`]; the `CiGroupEnd` event is still
-/// emitted (with zero disjuncts) so traces stay well-bracketed.
+/// The solve's [`SolveOptions`] supply the group options
+/// ([`SolveOptions::gci`]), the metrics registry and the ledger the group
+/// records into, and the per-operation cap
+/// ([`Budget::max_product_states`](crate::metrics::Budget::max_product_states),
+/// paper §3.5): an intersection that would materialize more product
+/// states aborts *before* exceeding it, and it bounds the macrostates of
+/// each budgeted inclusion check (constant-leaf checks, subsumption
+/// pruning) too, the other place the paper's exponential can hide.
+/// Budgeted inclusion checks also stop at `deadline`, the solve's
+/// absolute wall-clock deadline.
+///
+/// Returns `Err` when an intersection or a budgeted inclusion check hits
+/// one of these limits; the `CiGroupEnd` event is still emitted (with
+/// zero disjuncts) so traces stay well-bracketed.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_group(
     graph: &DependencyGraph,
     group: &CiGroup,
     system: &System,
     leaf_machines: &BTreeMap<NodeId, Lang>,
-    options: &GciOptions,
+    options: &SolveOptions,
+    deadline: Option<Instant>,
     store: &LangStore,
     tracer: &Tracer,
 ) -> Result<GroupOutcome, ProductCapHit> {
@@ -244,7 +223,23 @@ pub fn solve_group(
         nodes: group.nodes.iter().map(|n| n.index() as u32).collect(),
         bridges: group.num_bridges(),
     });
-    let result = solve_group_inner(graph, group, system, leaf_machines, options, store, tracer);
+    let limits = InclusionLimits {
+        max_macrostates: options.budget.max_product_states,
+        deadline,
+    };
+    let builder = GroupBuilder {
+        graph,
+        group,
+        system,
+        leaf_machines,
+        metrics: &options.metrics,
+        ledger: &options.ledger,
+        cap: limits
+            .max_macrostates
+            .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX)),
+        product_states: Cell::new(0),
+    };
+    let result = solve_group_inner(&builder, options, &limits, store, tracer);
     let solutions: &[GroupSolution] = match &result {
         Ok(outcome) => &outcome.solutions,
         Err(_) => &[],
@@ -329,27 +324,13 @@ pub fn root_machines(system: &System) -> Vec<Nfa> {
 }
 
 fn solve_group_inner(
-    graph: &DependencyGraph,
-    group: &CiGroup,
-    system: &System,
-    leaf_machines: &BTreeMap<NodeId, Lang>,
-    options: &GciOptions,
+    builder: &GroupBuilder<'_>,
+    options: &SolveOptions,
+    limits: &InclusionLimits,
     store: &LangStore,
     tracer: &Tracer,
 ) -> Result<GroupOutcome, ProductCapHit> {
-    let cap = options
-        .max_product_states
-        .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX));
-    let builder = GroupBuilder {
-        graph,
-        group,
-        system,
-        leaf_machines,
-        metrics: &options.metrics,
-        ledger: &options.ledger,
-        cap,
-        product_states: Cell::new(0),
-    };
+    let (graph, group) = (builder.graph, builder.group);
     let mut cost = GroupCost::default();
     let roots = match builder.build_roots() {
         Ok(Some(roots)) => roots,
@@ -363,7 +344,7 @@ fn solve_group_inner(
         Err(CapHit) => {
             return Err(ProductCapHit {
                 kind: BudgetKind::ProductStates,
-                limit: options.max_product_states.unwrap_or(u64::MAX),
+                limit: limits.max_macrostates.unwrap_or(u64::MAX),
                 cost: cost.add_products(&builder.product_states),
             })
         }
@@ -383,7 +364,7 @@ fn solve_group_inner(
     {
         let _enumerate_span = tracer.span("enumerate", None, Some(group.index));
         for root in &roots {
-            let candidates = enumerate_root(root, options, store)
+            let candidates = enumerate_root(root, options, limits, store)
                 .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
             if candidates.is_empty() {
                 return unsat(cost);
@@ -403,7 +384,11 @@ fn solve_group_inner(
                 if let Some(merged) = merge(partial, candidate, store) {
                     next.push(merged);
                 }
-                if options.max_disjuncts.is_some_and(|cap| next.len() >= cap) {
+                if options
+                    .gci
+                    .max_disjuncts
+                    .is_some_and(|cap| next.len() >= cap)
+                {
                     break 'partials;
                 }
             }
@@ -414,7 +399,7 @@ fn solve_group_inner(
         }
     }
 
-    if options.dedup {
+    if options.gci.dedup {
         // A leaf is *linear* when it occupies exactly one segment across all
         // roots; unioning a linear leaf across two otherwise-equal solutions
         // is sound because every constraint sees it once.
@@ -429,15 +414,8 @@ fn solve_group_inner(
             .filter_map(|(n, c)| (*c == 1).then_some(*n))
             .collect();
         let _minimize_span = tracer.span("minimize", None, Some(group.index));
-        solutions = minimize(
-            solutions,
-            &linear,
-            graph,
-            store,
-            &options.metrics,
-            &options.inclusion_limits(),
-        )
-        .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
+        solutions = minimize(solutions, &linear, graph, store, &options.metrics, limits)
+            .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     }
     cost.states_built = solutions
         .iter()
@@ -897,7 +875,8 @@ fn concat_builds<'a>(left: Build<'a>, right: Build<'a>) -> Build<'a> {
 /// constant leaf's inclusion query hits a budget.
 fn enumerate_root(
     root: &Build<'_>,
-    options: &GciOptions,
+    options: &SolveOptions,
+    limits: &InclusionLimits,
     store: &LangStore,
 ) -> Result<Vec<RootSolution>, InclusionAbort> {
     // Candidate epsilon instances per bridge, identified by core pairs.
@@ -914,6 +893,7 @@ fn enumerate_root(
         root,
         candidates,
         options,
+        limits,
         store,
         decided: HashMap::new(),
         out: Vec::new(),
@@ -928,7 +908,8 @@ struct Enumeration<'a> {
     root: &'a Build<'a>,
     /// Candidate epsilon instances per bridge.
     candidates: Vec<Vec<(StateId, StateId)>>,
-    options: &'a GciOptions,
+    options: &'a SolveOptions,
+    limits: &'a InclusionLimits,
     store: &'a LangStore,
     /// Every segment decided so far, by its `(start, final)` root states:
     /// `None` when it is empty or narrows its constant, else the language
@@ -945,7 +926,7 @@ impl Enumeration<'_> {
         start: StateId,
         partial: &mut RootSolution,
     ) -> Result<(), InclusionAbort> {
-        if let Some(cap) = self.options.max_disjuncts {
+        if let Some(cap) = self.options.gci.max_disjuncts {
             if self.out.len() >= cap {
                 return Ok(());
             }
@@ -1010,13 +991,14 @@ impl Enumeration<'_> {
         };
         let Some(constant) = &self.root.constants[k] else {
             let machine = Lang::new(cut());
-            return Ok(Some(if self.options.minimize_solutions {
+            return Ok(Some(if self.options.gci.minimize_solutions {
                 self.store.minimized(&machine)
             } else {
                 machine
             }));
         };
-        let whole = constant.is_single_word() || covers(constant, &cut(), self.options)?;
+        let whole =
+            constant.is_single_word() || covers(constant, &cut(), self.options, self.limits)?;
         Ok(whole.then(|| constant.clone()))
     }
 }
@@ -1025,9 +1007,14 @@ impl Enumeration<'_> {
 /// bypasses the store, whose memo is keyed by canonical fingerprints that
 /// neither a fresh segment nor a constant otherwise needs, and is recorded
 /// into the ledger at site `gci`.
-fn covers(constant: &Lang, segment: &Nfa, options: &GciOptions) -> Result<bool, InclusionAbort> {
+fn covers(
+    constant: &Lang,
+    segment: &Nfa,
+    options: &SolveOptions,
+    limits: &InclusionLimits,
+) -> Result<bool, InclusionAbort> {
     let started = options.ledger.is_enabled().then(Instant::now);
-    let result = inclusion::try_subset(constant.nfa(), segment, &options.inclusion_limits());
+    let result = inclusion::try_subset(constant.nfa(), segment, limits);
     let (outcome, cost) = match &result {
         Ok((included, cost)) => (Some(*included), *cost),
         Err(abort) => (None, abort.cost()),
@@ -1052,6 +1039,7 @@ pub(crate) mod differential;
 mod tests {
     use super::*;
     use crate::graph::DependencyGraph;
+    use crate::metrics::Budget;
     use crate::spec::{Expr, System};
     use dprle_automata::{equivalent, is_subset, Nfa};
     use dprle_regex::Regex;
@@ -1094,7 +1082,8 @@ mod tests {
             group,
             sys,
             &leaf_machines,
-            &GciOptions::default(),
+            &SolveOptions::default(),
+            None,
             &store,
             &Tracer::disabled(),
         )
@@ -1118,7 +1107,7 @@ mod tests {
 
     fn solve_single_group_with(
         sys: &System,
-        options: &GciOptions,
+        options: &SolveOptions,
     ) -> Result<GroupOutcome, ProductCapHit> {
         let graph = DependencyGraph::from_system(sys);
         let groups = graph.ci_groups();
@@ -1149,6 +1138,7 @@ mod tests {
             sys,
             &leaf_machines,
             options,
+            None,
             &store,
             &Tracer::disabled(),
         )
@@ -1177,10 +1167,13 @@ mod tests {
             abs,
         );
         let solutions = |max_disjuncts| {
-            let options = GciOptions {
-                dedup: false,
-                max_disjuncts,
-                ..GciOptions::default()
+            let options = SolveOptions {
+                gci: GciOptions {
+                    dedup: false,
+                    max_disjuncts,
+                    ..GciOptions::default()
+                },
+                ..SolveOptions::default()
             };
             solve_single_group_with(&sys, &options)
                 .expect("no product-state cap set")
@@ -1189,12 +1182,12 @@ mod tests {
         };
         assert!(solutions(None) > 256, "the cap binds");
         assert_eq!(solutions(Some(256)), 256);
-        let options = crate::solve::SolveOptions {
+        let options = SolveOptions {
             gci: GciOptions {
                 dedup: false,
                 ..GciOptions::default()
             },
-            ..crate::solve::SolveOptions::default()
+            ..SolveOptions::default()
         };
         let solved = crate::solve::solve(&sys, &options);
         assert!(solved.assignments().len() <= 256);
@@ -1203,9 +1196,12 @@ mod tests {
     #[test]
     fn product_cap_aborts_before_exceeding_the_limit() {
         let sys = simple_system();
-        let tight = GciOptions {
-            max_product_states: Some(1),
-            ..GciOptions::default()
+        let tight = SolveOptions {
+            budget: Budget {
+                max_product_states: Some(1),
+                ..Budget::default()
+            },
+            ..SolveOptions::default()
         };
         let hit = solve_single_group_with(&sys, &tight).expect_err("cap of 1 must trip");
         assert_eq!(hit.limit, 1);
@@ -1213,7 +1209,7 @@ mod tests {
         // The same system solves cleanly with the cap lifted, and reports
         // a nonzero deterministic cost.
         let outcome =
-            solve_single_group_with(&sys, &GciOptions::default()).expect("uncapped solves");
+            solve_single_group_with(&sys, &SolveOptions::default()).expect("uncapped solves");
         assert_eq!(outcome.solutions.len(), 2);
         assert!(outcome.cost.product_states > 0);
         assert!(outcome.cost.states_built > 0);
@@ -1223,9 +1219,9 @@ mod tests {
     fn group_solve_records_into_an_installed_registry() {
         let sys = simple_system();
         let metrics = Metrics::enabled();
-        let options = GciOptions {
+        let options = SolveOptions {
             metrics: metrics.clone(),
-            ..GciOptions::default()
+            ..SolveOptions::default()
         };
         let outcome = solve_single_group_with(&sys, &options).expect("solves");
         let snapshot = metrics.snapshot().expect("enabled registry");

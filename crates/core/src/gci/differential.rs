@@ -8,6 +8,7 @@
 //! be the reference list with the narrowing combinations removed.
 
 use super::*;
+use crate::metrics::Budget;
 use crate::spec::{ConstId, Expr, VarId};
 use dprle_regex::Regex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -117,7 +118,7 @@ mod reference {
         graph: &DependencyGraph,
         system: &System,
         store: &LangStore,
-        options: &GciOptions,
+        limits: InclusionLimits,
         cost: GroupCost,
     ) -> Result<Vec<GroupSolution>, ProductCapHit> {
         // Reject combinations that narrow a constant leaf: constants are not
@@ -126,7 +127,6 @@ mod reference {
         // honors the same per-operation cap (and deadline) as the product
         // builds, so a blowup hiding in the subset judgment aborts the group
         // instead of running away.
-        let limits = options.inclusion_limits();
         {
             let mut kept = Vec::with_capacity(solutions.len());
             for sol in solutions {
@@ -160,11 +160,15 @@ fn reference_solve_group(
     group: &CiGroup,
     system: &System,
     leaf_machines: &BTreeMap<NodeId, Lang>,
-    options: &GciOptions,
+    options: &SolveOptions,
     store: &LangStore,
 ) -> Result<GroupOutcome, ProductCapHit> {
-    let cap = options
-        .max_product_states
+    let limits = InclusionLimits {
+        max_macrostates: options.budget.max_product_states,
+        deadline: None,
+    };
+    let cap = limits
+        .max_macrostates
         .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX));
     let builder = GroupBuilder {
         graph,
@@ -189,7 +193,7 @@ fn reference_solve_group(
         Err(CapHit) => {
             return Err(ProductCapHit {
                 kind: BudgetKind::ProductStates,
-                limit: options.max_product_states.unwrap_or(u64::MAX),
+                limit: limits.max_macrostates.unwrap_or(u64::MAX),
                 cost: cost.add_products(&builder.product_states),
             })
         }
@@ -199,8 +203,8 @@ fn reference_solve_group(
     for root in &roots {
         let candidates = reference::enumerate_root(
             root,
-            options.max_disjuncts,
-            options.minimize_solutions,
+            options.gci.max_disjuncts,
+            options.gci.minimize_solutions,
             store,
         );
         if candidates.is_empty() {
@@ -216,7 +220,7 @@ fn reference_solve_group(
                 if let Some(merged) = merge(partial, candidate, store) {
                     next.push(merged);
                 }
-                if let Some(cap) = options.max_disjuncts {
+                if let Some(cap) = options.gci.max_disjuncts {
                     if next.len() >= cap {
                         break;
                     }
@@ -228,8 +232,8 @@ fn reference_solve_group(
             return unsat(cost);
         }
     }
-    solutions = reference::reject_narrowed(solutions, graph, system, store, options, cost)?;
-    if options.dedup {
+    solutions = reference::reject_narrowed(solutions, graph, system, store, limits, cost)?;
+    if options.gci.dedup {
         let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
         for root in &roots {
             for leaf in &root.segments {
@@ -240,15 +244,8 @@ fn reference_solve_group(
             .iter()
             .filter_map(|(n, c)| (*c == 1).then_some(*n))
             .collect();
-        solutions = minimize(
-            solutions,
-            &linear,
-            graph,
-            store,
-            &options.metrics,
-            &options.inclusion_limits(),
-        )
-        .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
+        solutions = minimize(solutions, &linear, graph, store, &options.metrics, &limits)
+            .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     }
     cost.states_built = solutions
         .iter()
@@ -331,7 +328,7 @@ fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage
         coverage.groups += 1;
         let what = format!("{what}, group {}", group.index);
         let narrowed = assert_candidates_match(&graph, &group, system, &leaves, &what, coverage);
-        let run = |options: &GciOptions, reference: bool| {
+        let run = |options: &SolveOptions, reference: bool| {
             let store = LangStore::new();
             let outcome = if reference {
                 reference_solve_group(&graph, &group, system, &leaves, options, &store)
@@ -342,32 +339,39 @@ fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage
                     system,
                     &leaves,
                     options,
+                    None,
                     &store,
                     &Tracer::disabled(),
                 )
             };
             comparable(outcome)
         };
-        let unbounded = GciOptions {
-            max_disjuncts: None,
-            ..GciOptions::default()
+        let unbounded = SolveOptions {
+            gci: GciOptions {
+                max_disjuncts: None,
+                ..GciOptions::default()
+            },
+            ..SolveOptions::default()
         };
         let expected = run(&unbounded, true);
         assert_eq!(run(&unbounded, false), expected, "{what}");
         let (solutions, product_states) = expected.expect("unbudgeted");
         coverage.solutions += solutions.len();
         if narrowed == 0 {
-            let defaults = GciOptions::default();
+            let defaults = SolveOptions::default();
             assert_eq!(
                 run(&defaults, false),
                 run(&defaults, true),
                 "{what}, default cap"
             );
         }
-        let undeduped = GciOptions {
-            dedup: false,
-            minimize_solutions: false,
-            ..unbounded.clone()
+        let undeduped = SolveOptions {
+            gci: GciOptions {
+                dedup: false,
+                minimize_solutions: false,
+                max_disjuncts: None,
+            },
+            ..SolveOptions::default()
         };
         assert_eq!(
             run(&undeduped, false),
@@ -378,8 +382,11 @@ fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage
         // only inclusion queries can still abort.
         let mut limit = 1;
         while limit <= 2 * product_states.max(1) {
-            let capped = GciOptions {
-                max_product_states: Some(limit),
+            let capped = SolveOptions {
+                budget: Budget {
+                    max_product_states: Some(limit),
+                    ..Budget::default()
+                },
                 ..unbounded.clone()
             };
             let expected = run(&capped, true);
@@ -430,16 +437,22 @@ fn assert_candidates_match(
             }
         }
         for cap in [None, Some(2)] {
-            let options = GciOptions {
-                max_disjuncts: cap,
-                ..GciOptions::default()
-            };
             let collected = Arc::new(crate::ledger::CollectLedger::new());
-            let options = GciOptions {
+            let options = SolveOptions {
+                gci: GciOptions {
+                    max_disjuncts: cap,
+                    ..GciOptions::default()
+                },
                 ledger: Ledger::new(collected.clone()),
-                ..options
+                ..SolveOptions::default()
             };
-            let candidates = enumerate_root(root, &options, &LangStore::new()).expect("unbudgeted");
+            let candidates = enumerate_root(
+                root,
+                &options,
+                &InclusionLimits::UNLIMITED,
+                &LangStore::new(),
+            )
+            .expect("unbudgeted");
             let got: Vec<KeyedSolution> = candidates
                 .iter()
                 .map(|c| keys_of(c.iter().map(|(n, l)| (n, l))))
@@ -551,7 +564,7 @@ fn enumeration_matches_reference_on_figure_9_10() {
 fn segments_of(system: &System) -> Vec<Nfa> {
     let graph = DependencyGraph::from_system(system);
     let leaves = leaf_machines(&graph, system);
-    let options = GciOptions::default();
+    let options = SolveOptions::default();
     let store = LangStore::new();
     let mut segments = Vec::new();
     for group in graph.ci_groups() {

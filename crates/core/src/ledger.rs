@@ -92,8 +92,8 @@ pub enum MemoStatus {
     Hit,
     /// The search ran and the result was memoized.
     Miss,
-    /// The query never consulted a memo table (pass-through store, or a
-    /// memo-bypassing site).
+    /// The query never consulted a memo table (a memo-bypassing site:
+    /// `verify`, `const-check` or `gci`).
     Bypass,
 }
 
@@ -496,7 +496,7 @@ impl Fnv {
 }
 
 /// A stable structural digest of a machine, used to fingerprint operands
-/// the store never canonicalized (product builds, pass-through paths).
+/// the store never canonicalized (product builds, memo-bypassing sites).
 /// Structurally identical machines digest identically on every platform;
 /// unlike [`dprle_automata::CanonicalKey::hash64`] this is *not* a
 /// language fingerprint — equal languages with different state graphs
@@ -533,10 +533,10 @@ fn features(record: &mut LedgerRecord, lhs: &Nfa, rhs: &Nfa) {
 
 /// Builds a draft record from a store-reported inclusion query.
 pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerRecord {
-    let memo = match (query.memoized, query.memo_hit) {
-        (true, true) => MemoStatus::Hit,
-        (true, false) => MemoStatus::Miss,
-        (false, _) => MemoStatus::Bypass,
+    let memo = if query.memo_hit {
+        MemoStatus::Hit
+    } else {
+        MemoStatus::Miss
     };
     // A memo hit records zero search cost even when this session lost an
     // insert race and ran the search anyway: the winner's record carries
@@ -562,12 +562,8 @@ pub(crate) fn draft_from_inclusion(query: &InclusionQuery<'_>) -> LedgerRecord {
         rhs_states: 0,
         rhs_transitions: 0,
         classes: 0,
-        lhs_fp: query
-            .lhs_key
-            .map_or_else(|| nfa_hash64(query.lhs), |k| k.hash64()),
-        rhs_fp: query
-            .rhs_key
-            .map_or_else(|| nfa_hash64(query.rhs), |k| k.hash64()),
+        lhs_fp: query.lhs_key.hash64(),
+        rhs_fp: query.rhs_key.hash64(),
         cost_main: cost.macrostates,
         cost_aux: cost.antichain_size,
         cost_prunes: cost.prunes,

@@ -61,7 +61,8 @@ pub struct Budget {
     /// materialize more than this many pairs.
     pub max_product_states: Option<u64>,
     /// Wall-clock limit for the whole solve, checked between worklist
-    /// entries. Nondeterministic by nature.
+    /// entries and inside gci's budgeted inclusion checks, both measured
+    /// from one start instant per solve. Nondeterministic by nature.
     pub deadline: Option<Duration>,
 }
 

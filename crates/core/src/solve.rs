@@ -84,11 +84,10 @@ pub struct SolveOptions {
     /// constants (the induced sub-machine can never equal the whole
     /// constant); quotient stripping is exact for any regular constant.
     pub strip_constant_operands: bool,
-    /// Hash-cons languages in a [`LangStore`] and memoize intersection,
-    /// inclusion, and minimization by canonical fingerprint. Worklist
-    /// branches then share unchanged leaf machines structurally and
-    /// repeated language computations across disjuncts hit the cache.
-    /// Disable (`ablation_interning`) to measure the sharing's effect.
+    /// Ignored: every [`LangStore`] memoizes intersection, inclusion and
+    /// minimization by canonical fingerprint. The field remains only
+    /// because the `perfbench` benchmark still names it; ROADMAP item 1
+    /// removes that reference, and this field goes with it.
     pub interning: bool,
     /// Ignored: every solve runs the one sequential Figure 7 worklist.
     /// The field remains only because the `perfbench` benchmark still
@@ -97,7 +96,7 @@ pub struct SolveOptions {
     pub jobs: usize,
     /// Metrics registry the run records into (see
     /// [`metrics`](crate::metrics)). Disabled — a no-op handle — by
-    /// default. The entry points copy this handle into [`GciOptions`] and
+    /// default. Group solving records into it, and the entry points
     /// install it on the [`LangStore`], so automata-, store-, and
     /// solver-level costs all land in one registry.
     pub metrics: Metrics,
@@ -110,7 +109,7 @@ pub struct SolveOptions {
     /// every store inclusion query, every memo-bypassing `⊆` judgment
     /// (constant pre-check, verification), and every gci product emits
     /// one attributed cost record. Disabled — a no-op handle — by
-    /// default; the entry points copy this handle into [`GciOptions`] and
+    /// default; group solving records into it, and the entry points
     /// install a query-reporting store observer. Records are emitted in
     /// the order the queries are answered. Enabled on the CLI with
     /// `--ledger-out`.
@@ -284,12 +283,11 @@ pub fn solve(system: &System, options: &SolveOptions) -> Solution {
 
 /// Like [`solve`], additionally returning run statistics.
 pub fn solve_with_stats(system: &System, options: &SolveOptions) -> (Solution, SolveStats) {
-    let store = LangStore::interning(options.interning);
-    solve_with_store(system, options, &store)
+    solve_with_store(system, options, &LangStore::new())
 }
 
 /// Like [`solve_with_stats`], but sharing a caller-supplied [`LangStore`]:
-/// interned languages and memoized operations survive across calls, which
+/// canonical keys and memoized operations survive across calls, which
 /// is what makes re-solving related systems (unsat-core shrinking, the
 /// check-sats of one SMT-LIB script, `dprle serve` sessions) cheap. The
 /// returned counters are this call's own work.
@@ -345,22 +343,7 @@ pub fn try_solve_traced(
     // kept ones covers it.
     let normalized = system.normalized();
     let system = &*normalized;
-    // Group solving records into the same registry and inherits the
-    // per-operation product cap from the budget (an explicitly set
-    // `gci.max_product_states` wins). The wall-clock deadline is turned
-    // into an absolute instant here so the inclusion search's frontier
-    // loop measures the same clock as the worklist-level check.
-    let mut options = options.clone();
-    options.gci.metrics = options.metrics.clone();
-    options.gci.ledger = options.ledger.clone();
-    if options.gci.max_product_states.is_none() {
-        options.gci.max_product_states = options.budget.max_product_states;
-    }
-    if options.gci.deadline.is_none() {
-        options.gci.deadline = options.budget.deadline.map(|d| Instant::now() + d);
-    }
     store.set_metrics(options.metrics.clone());
-    let options = &options;
 
     // The run's store scope: every store operation this solve runs is
     // counted in it and reported to its observer. So the returned stats,
@@ -445,7 +428,9 @@ type Breach = (BudgetKind, u64, u64);
 /// Mutable budget-tracking state threaded through the reduce phase and
 /// the worklist.
 struct BudgetTrack {
-    /// Solve start time; `Some` only when a deadline is configured.
+    /// Solve start time; `Some` only when a deadline is configured. The
+    /// worklist's checks and gci's budgeted inclusion checks both measure
+    /// the deadline from it.
     start: Option<Instant>,
     /// Cumulative states *kept* (reduce-phase leaves + group solution
     /// machines), checked against `Budget::max_live_states`.
@@ -462,6 +447,11 @@ impl BudgetTrack {
             live_states: 0,
             states_built: 0,
         }
+    }
+
+    /// The instant [`Budget::deadline`] passes: `start` plus the deadline.
+    fn deadline(&self, budget: &Budget) -> Option<Instant> {
+        Some(self.start? + budget.deadline?)
     }
 }
 
@@ -699,7 +689,8 @@ fn solve_prepared(
                 &groups[gi],
                 system,
                 &leaf,
-                &options.gci,
+                options,
+                track.deadline(&options.budget),
                 store,
                 tracer,
             )
@@ -936,7 +927,7 @@ fn verification_keys(
 
 /// Rewrites every constraint by stripping leading and trailing constant
 /// operands into universal quotients of the right-hand side. Returns the
-/// rewritten system (same variable interning) plus its union-free
+/// rewritten system (same variable ids) plus its union-free
 /// constraints.
 ///
 /// `C·e ⊆ c` holds iff `e ⊆ {w | ∀u ∈ L(C), u·w ∈ L(c)}` (the universal
@@ -1831,7 +1822,7 @@ mod tests {
                 .expect("recorded")
                 .headline()
                 > 0,
-            "interning charged the memo byte account"
+            "the store charged the memo byte account"
         );
         assert_eq!(
             stats.peak_bytes,

@@ -3,8 +3,8 @@
 //! variable's inbound constants in that variable's own order, and the
 //! verification that decided every constraint by the antichain search,
 //! copying each leaf machine. A thread in [reference mode](with_reference)
-//! runs the references inside the real solver, so whole solves compare, on
-//! interning and pass-through stores. Solutions must agree in order, with
+//! runs the references inside the real solver, so whole solves compare.
+//! Solutions must agree in order, with
 //! each variable's canonical key, witness and printed language, and with
 //! `minimize_intermediate` on, machine for machine. With it off, a shared
 //! leaf is the product in the first variable's order, so only the
@@ -217,8 +217,8 @@ struct Coverage {
 }
 
 /// Solves `system` with the new and the reference code under both
-/// settings of `minimize_intermediate`, each on a fresh interning and a
-/// fresh pass-through store, and compares the answers. With
+/// settings of `minimize_intermediate`, each on a fresh store, and
+/// compares the answers. With
 /// `prints_identical_off`, witnesses and printed languages must also match
 /// without intermediate minimization.
 fn assert_matches_reference(
@@ -227,14 +227,14 @@ fn assert_matches_reference(
     prints_identical_off: bool,
     coverage: &mut Coverage,
 ) {
-    for (minimize, interning) in [(true, true), (false, true), (true, false), (false, false)] {
+    for minimize in [true, false] {
         let options = SolveOptions {
             minimize_intermediate: minimize,
             ..SolveOptions::default()
         };
-        let what = format!("{what} (minimize_intermediate {minimize}, interning {interning})");
-        let new = run(system, &options, &LangStore::interning(interning));
-        let old = with_reference(|| run(system, &options, &LangStore::interning(interning)));
+        let what = format!("{what} (minimize_intermediate {minimize})");
+        let new = run(system, &options, &LangStore::new());
+        let old = with_reference(|| run(system, &options, &LangStore::new()));
         let (got, want) = (new.solution.assignments(), old.solution.assignments());
         assert_eq!(got.len(), want.len(), "{what}");
         for (g, w) in got.iter().zip(want) {
@@ -293,11 +293,9 @@ fn assert_matches_reference(
                 .map(|a| distinct_judgments(&normalized, &constraints, a))
                 .sum();
             assert_eq!(new.verify_records, expected, "{what}");
-            if interning {
-                coverage.repeated_judgments += old.verify_records - new.verify_records;
-            }
+            coverage.repeated_judgments += old.verify_records - new.verify_records;
         }
-        if minimize && interning {
+        if minimize {
             coverage.solutions += got.len();
             coverage.shared_leaves += shared_leaves(system);
         }
@@ -466,8 +464,8 @@ fn reduce_and_verify_match_reference_on_random_systems() {
     );
 }
 
-/// The verification filter, with an interning and a pass-through store's
-/// keys and with none, and the public `satisfies` on random assignments,
+/// The verification filter, with a store's keys and with none, and the
+/// public `satisfies` on random assignments,
 /// failing ones included:
 /// the same verdict as the reference, and one verify record per distinct
 /// judgment the filter poses before it stops.
@@ -478,7 +476,7 @@ fn satisfies_matches_reference_on_random_assignments() {
         .iter()
         .map(|p| Lang::new(exact(p)))
         .collect();
-    let stores = [LangStore::new(), LangStore::interning(false)];
+    let store = LangStore::new();
     let (mut held, mut failed) = (0, 0);
     for seed in 0..64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -511,13 +509,11 @@ fn satisfies_matches_reference_on_random_assignments() {
                     expected,
                     "seed {seed}, {what}, the public oracle: {sys}"
                 );
-                // Each store's keys, and none at all (every constant past
+                // The store's keys, and none at all (every constant past
                 // the cap: the antichain search decides).
+                let keyed = verification_keys(&SolveOptions::default(), &store, sys, &constraints);
                 let unkeyed = vec![None; constraints.len()];
-                let keyed = stores.iter().map(|store| {
-                    verification_keys(&SolveOptions::default(), store, sys, &constraints)
-                });
-                for keys in keyed.chain([unkeyed]) {
+                for keys in [keyed, unkeyed] {
                     let collected = Arc::new(CollectLedger::new());
                     let ledger = Ledger::new(collected.clone());
                     let verdict =

@@ -68,7 +68,7 @@ pub fn unsat_core_traced(
     options: &SolveOptions,
     tracer: &Tracer,
 ) -> Option<UnsatCore> {
-    let store = LangStore::interning(options.interning);
+    let store = LangStore::new();
     if solve_traced(system, options, &store, tracer).0.is_sat() {
         return None;
     }

@@ -156,7 +156,7 @@ fn figure_9_10_antichain_journal_matches_committed_golden() {
     };
     let sink = Arc::new(CollectSink::new());
     let tracer = Tracer::new(sink.clone());
-    let store = LangStore::interning(options.interning);
+    let store = LangStore::new();
     let (solution, _) = solve_traced(&figure_9_10_system(), &options, &store, &tracer);
     assert!(solution.is_sat(), "Figure 10's system is satisfiable");
     let journal: String = sink

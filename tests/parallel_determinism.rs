@@ -118,7 +118,7 @@ fn traced_journal(jobs: usize) -> (String, Vec<String>) {
     };
     let sink = Arc::new(CollectSink::new());
     let tracer = Tracer::new(sink.clone());
-    let store = LangStore::interning(options.interning);
+    let store = LangStore::new();
     let (solution, _) = solve_traced(&sys, &options, &store, &tracer);
     assert!(solution.is_sat(), "Figure 10's system is satisfiable");
     let events = sink.take();
