@@ -5,10 +5,8 @@
 //! fig12_ablate
 //! ```
 //!
-//! Columns: default options; no intermediate minimization (the paper
-//! prototype's behavior: intermediate machines grow under repeated
-//! products, so long constraint chains are the slowest rows); quotient
-//! constant-stripping (the extension mode).
+//! Columns: default options; quotient constant-stripping (the extension
+//! mode).
 
 use dprle_bench::run_fig12_row;
 use dprle_core::SolveOptions;
@@ -17,18 +15,11 @@ use dprle_corpus::FIG12_ROWS;
 fn main() {
     println!("Figure 12 rows under ablated solver configurations (seconds)");
     println!(
-        "{:<10} {:>6} {:>12} {:>14} {:>12}",
-        "Vuln", "|C|", "default", "no-minimize", "quotient"
+        "{:<10} {:>6} {:>12} {:>12}",
+        "Vuln", "|C|", "default", "quotient"
     );
     for spec in FIG12_ROWS.iter() {
         let default = run_fig12_row(spec, &SolveOptions::default());
-        let no_minimize = run_fig12_row(
-            spec,
-            &SolveOptions {
-                minimize_intermediate: false,
-                ..Default::default()
-            },
-        );
         let quotient = run_fig12_row(
             spec,
             &SolveOptions {
@@ -36,10 +27,10 @@ fn main() {
                 ..Default::default()
             },
         );
-        assert!(default.exploitable && no_minimize.exploitable && quotient.exploitable);
+        assert!(default.exploitable && quotient.exploitable);
         println!(
-            "{:<10} {:>6} {:>12.3} {:>14.3} {:>12.3}",
-            spec.name, spec.c, default.seconds, no_minimize.seconds, quotient.seconds
+            "{:<10} {:>6} {:>12.3} {:>12.3}",
+            spec.name, spec.c, default.seconds, quotient.seconds
         );
     }
     println!("\nAll configurations found every exploit.");

@@ -25,8 +25,8 @@
 
 use dprle_automata::LangStore;
 use dprle_core::{
-    solve_traced, CollectLedger, CollectSink, Ledger, PhaseRow, Solution, SolveOptions, SolveStats,
-    System, TraceReport, Tracer,
+    json_string, solve_traced, CollectLedger, CollectSink, Ledger, PhaseRow, Solution,
+    SolveOptions, SolveStats, System, TraceReport, Tracer,
 };
 use dprle_corpus::{vulnerable_program, VulnSpec, FIG12_ROWS};
 use dprle_lang::symex::SymexOptions;
@@ -355,25 +355,6 @@ pub fn fig12_ledger_jsonl(rows: &[Fig12Row]) -> String {
 /// Runs all 17 rows.
 pub fn run_fig12(options: &SolveOptions) -> Vec<Fig12Row> {
     run_fig12_rows(&FIG12_ROWS, options)
-}
-
-/// Escapes `s` as a JSON string literal (including the quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders Figure 12 rows as a pretty-printed JSON array. Hand-rolled

@@ -1199,6 +1199,43 @@ fn analyzer_rejects_deep_nesting_and_long_concatenations() {
     }
 }
 
+/// Two constants, `x ⊆ c`: the const-check's antichain search runs for
+/// seconds in a release build.
+const VARIABLE_FREE: &str = "x := /[ab]*a[ab]{20}/; c := /[ab]*a[ab]{20}|zz/; x <= c;";
+
+#[test]
+fn a_variable_free_check_stops_at_the_deadline_in_the_cli_and_in_serve() {
+    // The check once ran its whole search: exit 3 after 2.4 s under
+    // `--deadline-ms 100`, and a serve session blocked as long.
+    let file = temp_file("variable_free.dprle", VARIABLE_FREE);
+    let started = std::time::Instant::now();
+    let out = dprle(&["--deadline-ms", "100", file.to_str().expect("utf8 path")]);
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("deadline limit 100000 us reached"),
+        "{stderr}"
+    );
+    assert!(elapsed.as_secs() < 5, "{elapsed:?}");
+
+    let request =
+        format!("{{\"id\":\"free\",\"input\":\"{VARIABLE_FREE}\",\"deadline_ms\":100}}\n");
+    let stdout = serve_stdin(&[], &[request.as_bytes(), NEXT_REQUEST.as_bytes()]);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    let free = dprle_core::Json::parse(response(&stdout, "free")).expect("a JSON response");
+    let free = free.as_object().expect("an object");
+    let field = |key| dprle_core::lookup(free, key).expect(key);
+    assert_eq!(field("kind").as_str(), Some("resource-exhausted"));
+    assert_eq!(field("budget").as_str(), Some("deadline"));
+    let observed = field("observed").as_u64().expect("microseconds");
+    assert!((100_000..1_000_000).contains(&observed), "{stdout}");
+    assert!(
+        response(&stdout, "next").contains("\"kind\":\"sat\""),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn serve_answers_an_over_cap_stdin_line_once_and_then_the_next() {
     // 1 MiB of one request line, written in pieces, with no newline

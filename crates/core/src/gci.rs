@@ -73,38 +73,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Options controlling group solving. The metrics registry, the ledger,
-/// the per-operation cap and the deadline a group solve observes are the
-/// solve's own ([`SolveOptions`]).
-#[derive(Clone, Debug)]
-pub struct GciOptions {
-    /// Remove language-equivalent duplicate solutions (quadratic in the
-    /// number of solutions, using canonical language fingerprints).
-    pub dedup: bool,
-    /// Upper bound on the number of disjunctive solutions per group; the
-    /// worst case is exponential in the number of bridges (paper §3.5).
-    /// It counts, per root, the candidates that leave every constant leaf
-    /// whole, and then the merged combinations across roots. `None` means
-    /// unbounded.
-    pub max_disjuncts: Option<usize>,
-    /// Minimize every induced segment machine before further processing.
-    /// The paper's prototype did *not* minimize and attributes its
-    /// Figure 12 `secure` outlier partly to that ("applying NFA
-    /// minimization techniques might improve performance"); disabling this
-    /// reproduces the prototype's behavior for the ablation study.
-    pub minimize_solutions: bool,
-}
-
-impl Default for GciOptions {
-    fn default() -> Self {
-        GciOptions {
-            dedup: true,
-            max_disjuncts: Some(256),
-            minimize_solutions: true,
-        }
-    }
-}
-
 /// Deterministic cost totals of one [`solve_group`] call, charged against
 /// the solver's cumulative [`crate::metrics::Budget`] by the driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,7 +120,7 @@ pub struct ProductCapHit {
 
 /// Maps an inclusion-search abort to the group-level error
 /// ([`ProductCapHit`]) the worklist handles.
-fn abort_to_cap_hit(abort: &InclusionAbort, cost: GroupCost) -> ProductCapHit {
+pub(crate) fn abort_to_cap_hit(abort: &InclusionAbort, cost: GroupCost) -> ProductCapHit {
     match abort {
         InclusionAbort::MacrostateCap { limit, .. } => ProductCapHit {
             kind: BudgetKind::ProductStates,
@@ -193,9 +161,9 @@ pub type GroupSolution = BTreeMap<NodeId, Lang>;
 /// constant handles, so hashing them would only canonicalize constants in
 /// traced runs).
 ///
-/// The solve's [`SolveOptions`] supply the group options
-/// ([`SolveOptions::gci`]), the metrics registry and the ledger the group
-/// records into, and the per-operation cap
+/// The solve's [`SolveOptions`] supply the disjunct cap
+/// ([`SolveOptions::max_disjuncts`]), the metrics registry and the ledger
+/// the group records into, and the per-operation cap
 /// ([`Budget::max_product_states`](crate::metrics::Budget::max_product_states),
 /// paper §3.5): an intersection that would materialize more product
 /// states aborts *before* exceeding it, and it bounds the macrostates of
@@ -384,11 +352,7 @@ fn solve_group_inner(
                 if let Some(merged) = merge(partial, candidate, store) {
                     next.push(merged);
                 }
-                if options
-                    .gci
-                    .max_disjuncts
-                    .is_some_and(|cap| next.len() >= cap)
-                {
+                if options.max_disjuncts.is_some_and(|cap| next.len() >= cap) {
                     break 'partials;
                 }
             }
@@ -399,24 +363,22 @@ fn solve_group_inner(
         }
     }
 
-    if options.gci.dedup {
-        // A leaf is *linear* when it occupies exactly one segment across all
-        // roots; unioning a linear leaf across two otherwise-equal solutions
-        // is sound because every constraint sees it once.
-        let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for root in &roots {
-            for leaf in &root.segments {
-                *counts.entry(*leaf).or_insert(0) += 1;
-            }
+    // A leaf is *linear* when it occupies exactly one segment across all
+    // roots; unioning a linear leaf across two otherwise-equal solutions
+    // is sound because every constraint sees it once.
+    let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for root in &roots {
+        for leaf in &root.segments {
+            *counts.entry(*leaf).or_insert(0) += 1;
         }
-        let linear: Vec<NodeId> = counts
-            .iter()
-            .filter_map(|(n, c)| (*c == 1).then_some(*n))
-            .collect();
-        let _minimize_span = tracer.span("minimize", None, Some(group.index));
-        solutions = minimize(solutions, &linear, graph, store, &options.metrics, limits)
-            .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     }
+    let linear: Vec<NodeId> = counts
+        .iter()
+        .filter_map(|(n, c)| (*c == 1).then_some(*n))
+        .collect();
+    let _minimize_span = tracer.span("minimize", None, Some(group.index));
+    let solutions = minimize(solutions, &linear, graph, store, &options.metrics, limits)
+        .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     cost.states_built = solutions
         .iter()
         .flat_map(|sol| sol.values())
@@ -871,7 +833,7 @@ fn concat_builds<'a>(left: Build<'a>, right: Build<'a>) -> Build<'a> {
 /// Enumerates the candidate solutions of one root: every combination of one
 /// epsilon instance per bridge whose segments are all nonempty and leave
 /// each constant leaf its whole language, in depth-first order, until
-/// [`GciOptions::max_disjuncts`] candidates are found. Errs when a
+/// [`SolveOptions::max_disjuncts`] candidates are found. Errs when a
 /// constant leaf's inclusion query hits a budget.
 fn enumerate_root(
     root: &Build<'_>,
@@ -926,7 +888,7 @@ impl Enumeration<'_> {
         start: StateId,
         partial: &mut RootSolution,
     ) -> Result<(), InclusionAbort> {
-        if let Some(cap) = self.options.gci.max_disjuncts {
+        if let Some(cap) = self.options.max_disjuncts {
             if self.out.len() >= cap {
                 return Ok(());
             }
@@ -970,10 +932,10 @@ impl Enumeration<'_> {
     }
 
     /// Cuts segment `k`. An empty segment is `None`. A variable's segment
-    /// is induced and (by default) minimized. A constant's segment is a
-    /// subset of the constant (module docs), so it is kept, as the
-    /// constant's own handle, exactly when it covers the constant: at once
-    /// for a one-word constant, else by one inclusion query.
+    /// is induced and minimized. A constant's segment is a subset of the
+    /// constant (module docs), so it is kept, as the constant's own
+    /// handle, exactly when it covers the constant: at once for a one-word
+    /// constant, else by one inclusion query.
     fn decide(
         &self,
         k: usize,
@@ -990,12 +952,7 @@ impl Enumeration<'_> {
             machine
         };
         let Some(constant) = &self.root.constants[k] else {
-            let machine = Lang::new(cut());
-            return Ok(Some(if self.options.gci.minimize_solutions {
-                self.store.minimized(&machine)
-            } else {
-                machine
-            }));
+            return Ok(Some(self.store.minimized(&Lang::new(cut()))));
         };
         let whole =
             constant.is_single_word() || covers(constant, &cut(), self.options, self.limits)?;
@@ -1144,53 +1101,47 @@ mod tests {
         )
     }
 
-    /// Two roots whose merged candidates pass the default cap of 256: the
-    /// cap bounds the cross-root product, not each partial's share of it.
+    /// Two roots whose merged candidates pass the cap: the cap bounds the
+    /// cross-root product, not each partial's share of it. With
+    /// `v0 ⊆ [ab]+`, the first root has 12 candidates, `[ab]^k` for
+    /// `1 ≤ k ≤ 12`, and the second 13, "`j` a's" for `0 ≤ j ≤ 12`. Every
+    /// merge is "length `k` with `j` a's" (`j ≤ k`), so the 90 merges are
+    /// pairwise disjoint: dedup, widening (`v0` is not linear) and
+    /// subsumption leave them all. The ends are variables bound to one
+    /// word, so both roots stay concatenations of variables even where
+    /// constant ends are quotiented away (ROADMAP item 2).
     #[test]
     fn max_disjuncts_bounds_the_merge_across_roots() {
+        let minimized = |pattern: &str| dprle_automata::minimize(&exact(pattern));
         let mut sys = System::new();
-        let v0 = sys.var("v0");
-        let a = sys.constant("'a'", Nfa::literal(b"a"));
-        let ba = sys.constant("'ba'", Nfa::literal(b"ba"));
-        let empty = sys.constant("''", Nfa::literal(b""));
-        let short = sys.constant("[ab]{0,5}", exact("[ab]{0,5}"));
-        let abs = sys.constant("(ab)*", exact("(ab)*"));
-        sys.require(
-            Expr::Const(a)
-                .concat(Expr::Const(ba))
-                .concat(Expr::Var(v0))
-                .concat(Expr::Const(empty)),
-            short,
-        );
-        sys.require(
-            Expr::Const(abs).concat(Expr::Var(v0)).concat(Expr::Var(v0)),
-            abs,
-        );
+        let [v0, hash, dollar] = ["v0", "v1", "v2"].map(|name| sys.var(name));
+        let bounds = [
+            (v0, "[ab]+", exact("[ab]+")),
+            (hash, "'#'", Nfa::literal(b"#")),
+            (dollar, "'$'", Nfa::literal(b"$")),
+        ];
+        for (v, name, machine) in bounds {
+            let c = sys.constant(name, machine);
+            sys.require(Expr::Var(v), c);
+        }
+        let lengths = sys.constant("[ab]{0,12}#", minimized("[ab]{0,12}#"));
+        let a_counts = sys.constant("(b*a){0,12}b*$", minimized("(b*a){0,12}b*\\$"));
+        sys.require(Expr::Var(v0).concat(Expr::Var(hash)), lengths);
+        sys.require(Expr::Var(v0).concat(Expr::Var(dollar)), a_counts);
+        let with_cap = |max_disjuncts| SolveOptions {
+            max_disjuncts,
+            ..SolveOptions::default()
+        };
         let solutions = |max_disjuncts| {
-            let options = SolveOptions {
-                gci: GciOptions {
-                    dedup: false,
-                    max_disjuncts,
-                    ..GciOptions::default()
-                },
-                ..SolveOptions::default()
-            };
-            solve_single_group_with(&sys, &options)
+            solve_single_group_with(&sys, &with_cap(max_disjuncts))
                 .expect("no product-state cap set")
                 .solutions
                 .len()
         };
-        assert!(solutions(None) > 256, "the cap binds");
-        assert_eq!(solutions(Some(256)), 256);
-        let options = SolveOptions {
-            gci: GciOptions {
-                dedup: false,
-                ..GciOptions::default()
-            },
-            ..SolveOptions::default()
-        };
-        let solved = crate::solve::solve(&sys, &options);
-        assert!(solved.assignments().len() <= 256);
+        assert_eq!(solutions(None), 90, "the cap binds");
+        assert_eq!(solutions(Some(64)), 64);
+        let solved = crate::solve::solve(&sys, &with_cap(Some(64)));
+        assert_eq!(solved.assignments().len(), 64);
     }
 
     #[test]

@@ -201,12 +201,7 @@ fn reference_solve_group(
     cost = cost.add_products(&builder.product_states);
     let mut per_root = Vec::with_capacity(roots.len());
     for root in &roots {
-        let candidates = reference::enumerate_root(
-            root,
-            options.gci.max_disjuncts,
-            options.gci.minimize_solutions,
-            store,
-        );
+        let candidates = reference::enumerate_root(root, options.max_disjuncts, true, store);
         if candidates.is_empty() {
             return unsat(cost);
         }
@@ -220,7 +215,7 @@ fn reference_solve_group(
                 if let Some(merged) = merge(partial, candidate, store) {
                     next.push(merged);
                 }
-                if let Some(cap) = options.gci.max_disjuncts {
+                if let Some(cap) = options.max_disjuncts {
                     if next.len() >= cap {
                         break;
                     }
@@ -233,20 +228,18 @@ fn reference_solve_group(
         }
     }
     solutions = reference::reject_narrowed(solutions, graph, system, store, limits, cost)?;
-    if options.gci.dedup {
-        let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for root in &roots {
-            for leaf in &root.segments {
-                *counts.entry(*leaf).or_insert(0) += 1;
-            }
+    let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for root in &roots {
+        for leaf in &root.segments {
+            *counts.entry(*leaf).or_insert(0) += 1;
         }
-        let linear: Vec<NodeId> = counts
-            .iter()
-            .filter_map(|(n, c)| (*c == 1).then_some(*n))
-            .collect();
-        solutions = minimize(solutions, &linear, graph, store, &options.metrics, &limits)
-            .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     }
+    let linear: Vec<NodeId> = counts
+        .iter()
+        .filter_map(|(n, c)| (*c == 1).then_some(*n))
+        .collect();
+    solutions = minimize(solutions, &linear, graph, store, &options.metrics, &limits)
+        .map_err(|abort| abort_to_cap_hit(&abort, cost))?;
     cost.states_built = solutions
         .iter()
         .flat_map(|sol| sol.values())
@@ -318,7 +311,7 @@ struct Coverage {
 }
 
 /// Runs every check on every CI-group of `system`. The reference counted
-/// narrowing combinations against [`GciOptions::max_disjuncts`], so
+/// narrowing combinations against [`SolveOptions::max_disjuncts`], so
 /// outcomes are compared without that cap, and with the default one only
 /// where no combination narrows a constant.
 fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage) {
@@ -347,10 +340,7 @@ fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage
             comparable(outcome)
         };
         let unbounded = SolveOptions {
-            gci: GciOptions {
-                max_disjuncts: None,
-                ..GciOptions::default()
-            },
+            max_disjuncts: None,
             ..SolveOptions::default()
         };
         let expected = run(&unbounded, true);
@@ -365,19 +355,6 @@ fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage
                 "{what}, default cap"
             );
         }
-        let undeduped = SolveOptions {
-            gci: GciOptions {
-                dedup: false,
-                minimize_solutions: false,
-                max_disjuncts: None,
-            },
-            ..SolveOptions::default()
-        };
-        assert_eq!(
-            run(&undeduped, false),
-            run(&undeduped, true),
-            "{what}, neither deduplicated nor minimized"
-        );
         // Caps growing by half from one to past every product build, where
         // only inclusion queries can still abort.
         let mut limit = 1;
@@ -439,10 +416,7 @@ fn assert_candidates_match(
         for cap in [None, Some(2)] {
             let collected = Arc::new(crate::ledger::CollectLedger::new());
             let options = SolveOptions {
-                gci: GciOptions {
-                    max_disjuncts: cap,
-                    ..GciOptions::default()
-                },
+                max_disjuncts: cap,
                 ledger: Ledger::new(collected.clone()),
                 ..SolveOptions::default()
             };

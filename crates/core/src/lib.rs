@@ -65,7 +65,7 @@ pub use bounded::{solve_bounded, BoundedOptions, BoundedSolution};
 pub use ci::{
     concat_intersect, concat_intersect_full, dedup_solutions, minimal_solutions, CiRun, CiSolution,
 };
-pub use gci::{GciOptions, GroupCost, GroupOutcome, ProductCapHit};
+pub use gci::{GroupCost, GroupOutcome, ProductCapHit};
 pub use graph::{DependencyGraph, NodeId, NodeKind};
 pub use ledger::{
     parse_ledger, render_diff, render_top, render_top_by_request, validate_ledger_jsonl,

@@ -61,7 +61,8 @@ pub struct Budget {
     /// materialize more than this many pairs.
     pub max_product_states: Option<u64>,
     /// Wall-clock limit for the whole solve, checked between worklist
-    /// entries and inside gci's budgeted inclusion checks, both measured
+    /// entries and inside the inclusion searches of gci, of the
+    /// variable-free constraints' check and of verification, all measured
     /// from one start instant per solve. Nondeterministic by nature.
     pub deadline: Option<Duration>,
 }

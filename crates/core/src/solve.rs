@@ -27,7 +27,7 @@
 //! the merge of per-group disjuncts — the same set Figure 7 computes, with
 //! the same branch-on-disjunction behavior.
 
-use crate::gci::{solve_group, GciOptions, GroupCost, ProductCapHit};
+use crate::gci::{abort_to_cap_hit, solve_group, GroupCost, ProductCapHit};
 use crate::graph::{DependencyGraph, NodeId, NodeKind};
 use crate::ledger::{
     bypass_inclusion_draft, draft_from_inclusion, Ledger, SITE_CONST_CHECK, SITE_VERIFY,
@@ -42,6 +42,7 @@ use dprle_automata::{
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,8 +50,12 @@ use std::time::Instant;
 /// Options controlling the solver.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
-    /// Options for the generalized concat-intersect step.
-    pub gci: GciOptions,
+    /// Upper bound on the number of disjunctive solutions per CI-group;
+    /// the worst case is exponential in the number of bridges (paper
+    /// §3.5). It counts, per root, the candidates that leave every
+    /// constant leaf whole, and then the merged combinations across roots.
+    /// `None` means unbounded.
+    pub max_disjuncts: Option<usize>,
     /// Re-verify every produced assignment against the original system and
     /// drop any that fail. The core algorithm's outputs satisfy by
     /// construction for variable leaves; verification additionally guards
@@ -62,19 +67,14 @@ pub struct SolveOptions {
     /// keys are looked up once per solve, when the first branch completes;
     /// a constant that nothing keyed before is canonicalized then, unless
     /// that would build more than 8 192 DFA states, and a constant past
-    /// that cap is verified by the antichain search instead.
+    /// that cap is verified by the antichain search instead. A
+    /// variable-free constraint is not verified: the check that runs
+    /// before reduce decided it, whatever the assignment.
     pub verify: bool,
     /// Stop after this many satisfying assignments (e.g. `Some(1)` for a
     /// "first solution" query — the paper notes the first solution can be
     /// produced without enumerating the rest, §3.5).
     pub max_assignments: Option<usize>,
-    /// Minimize intermediate machines during the reduce phase. Long
-    /// constraint chains otherwise grow multiplicatively under repeated
-    /// products — exactly the behavior behind the paper's `secure` outlier
-    /// ("more efficient use of the intermediate NFAs (e.g., by applying
-    /// NFA minimization techniques) might improve performance", §4).
-    /// Disable to reproduce the prototype's behavior for ablations.
-    pub minimize_intermediate: bool,
     /// Rewrite constraints whose concatenation spine begins or ends with a
     /// *constant* by taking the universal quotient of the right-hand side:
     /// `C·e ⊆ c ⟺ e ⊆ {w | ∀u ∈ C, u·w ∈ c}` (and symmetrically on the
@@ -119,10 +119,9 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            gci: GciOptions::default(),
+            max_disjuncts: Some(256),
             verify: true,
             max_assignments: None,
-            minimize_intermediate: true,
             strip_constant_operands: false,
             interning: true,
             jobs: 1,
@@ -523,6 +522,19 @@ fn cap_hit_breach(hit: &ProductCapHit, options: &SolveOptions, track: &BudgetTra
     }
 }
 
+/// The error of an aborted const-check or verification judgment. These
+/// judgments run without a macrostate cap, so only the deadline stops
+/// them.
+fn judgment_error(
+    abort: &InclusionAbort,
+    options: &SolveOptions,
+    track: &BudgetTrack,
+    stats: &SolveStats,
+) -> Box<ResourceExhausted> {
+    let hit = abort_to_cap_hit(abort, GroupCost::default());
+    budget_error(cap_hit_breach(&hit, options, track), options, stats)
+}
+
 /// Wraps a breach into the full error, attaching the metrics snapshot (when
 /// enabled) and the stats accumulated so far.
 fn budget_error(
@@ -560,8 +572,20 @@ fn solve_prepared(
     });
     let _solve_span = tracer.span("solve", None, None);
     // Verification always runs against the *original* system so a buggy
-    // rewrite cannot vouch for itself.
-    let verify_constraints = original.union_free_constraints();
+    // rewrite cannot vouch for itself. A variable-free constraint's verdict
+    // does not depend on the assignment, and the const-check below decides
+    // it (no rewrite touches one), so verification skips it.
+    let verify_constraints: Vec<Constraint> = original
+        .union_free_constraints()
+        .into_iter()
+        .filter(|c| !c.lhs.variables().is_empty())
+        .collect();
+    // The const-check and verification stop at the solve's deadline. The
+    // product cap bounds gci's operations, not these judgments.
+    let limits = InclusionLimits {
+        max_macrostates: None,
+        deadline: track.deadline(&options.budget),
+    };
 
     // Variable-free constraints are decided directly and kept out of the
     // graph (routing them through gci could only narrow constants, which
@@ -584,7 +608,9 @@ fn solve_prepared(
     stats.groups = groups.len();
 
     for c in &constant_constraints {
-        if !constant_constraint_holds_with(options, system, c) {
+        let holds = constant_constraint_holds_with(options, system, c, &limits)
+            .map_err(|abort| judgment_error(&abort, options, &track, &stats))?;
+        if !holds {
             emit_metrics_snapshot(tracer, options, &stats, &track);
             tracer.emit(|| TraceEventKind::SolveEnd {
                 sat: false,
@@ -648,20 +674,20 @@ fn solve_prepared(
                     .unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
                 assignment.insert(v, machine);
             }
-            let verified = || {
+            let pruned = if assignment.has_empty_language() {
+                Some("empty-language")
+            } else if options.verify {
                 let _verify_span = tracer.span("verify", None, None);
-                satisfies_ledgered(
+                let held = satisfies_ledgered(
                     &options.ledger,
                     verify_keys,
                     original,
                     &verify_constraints,
                     &assignment,
+                    &limits,
                 )
-            };
-            let pruned = if assignment.has_empty_language() {
-                Some("empty-language")
-            } else if options.verify && !verified() {
-                Some("verify-failed")
+                .map_err(|abort| judgment_error(&abort, options, &track, &stats))?;
+                (!held).then_some("verify-failed")
             } else {
                 None
             };
@@ -761,15 +787,16 @@ fn solve_prepared(
 /// intersection of its inbound subset constants. For plain variables this
 /// is their final language; for CI-group members it is their leaf machine.
 ///
-/// Variables whose inbound constants form the same set share one leaf,
-/// computed for the first of them in that variable's inbound order. With
-/// [`SolveOptions::minimize_intermediate`] that leaf is the store's
+/// Every intermediate intersection is minimized (the remedy the paper
+/// proposes for its `secure` outlier, §4). Variables whose inbound
+/// constants form the same set share one leaf, computed for the first of
+/// them in that variable's inbound order. That leaf is the store's
 /// canonical minimal machine for the intersection's language, which any
 /// order of intersecting reaches, so each variable gets the machine it
-/// would get alone; without it, the shared leaf has the same language. A
-/// set of fewer than two constants needs no intersection (its leaf is the
-/// constant's own handle or its memoized minimization), so only larger
-/// sets are remembered, and a system without one adds no allocation.
+/// would get alone. A set of fewer than two constants needs no
+/// intersection (its leaf is the constant's own handle or its memoized
+/// minimization), so only larger sets are remembered, and a system
+/// without one adds no allocation.
 /// Every variable still gets its `ReduceStep` event and is charged its
 /// leaf's states against `max_live_states`.
 fn reduce(
@@ -807,12 +834,8 @@ fn reduce(
                         None => constant.clone(),
                         Some(prev) => store.intersect(&prev, constant),
                     };
-                    m = Some(if options.minimize_intermediate {
-                        let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
-                        store.minimized(&next)
-                    } else {
-                        next
-                    });
+                    let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
+                    m = Some(store.minimized(&next));
                 }
             }
             let m = m.unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
@@ -985,36 +1008,45 @@ fn strip_constant_operands(system: &System) -> (System, Vec<Constraint>) {
 }
 
 /// Checks a variable-free constraint by direct machine evaluation, with
-/// the antichain search; recorded into the ledger under the `const-check`
-/// site.
-fn constant_constraint_holds_with(options: &SolveOptions, system: &System, c: &Constraint) -> bool {
+/// the antichain search under `limits`; recorded into the ledger under
+/// the `const-check` site.
+fn constant_constraint_holds_with(
+    options: &SolveOptions,
+    system: &System,
+    c: &Constraint,
+    limits: &InclusionLimits,
+) -> Result<bool, InclusionAbort> {
     let unassigned = Assignment::new();
     let lhs = eval(system, &c.lhs, &unassigned);
     let rhs = system.const_machine(c.rhs);
-    ledgered_subset(&options.ledger, SITE_CONST_CHECK, &lhs, rhs, |limits| {
+    ledgered_subset(&options.ledger, SITE_CONST_CHECK, &lhs, rhs, || {
         inclusion::try_subset(&lhs, rhs, limits)
     })
 }
 
-/// A `⊆` judgment, decided unlimited by `decide`, recorded into the
-/// ledger as a memo-bypassing query (no memo) with `decide`'s cost and
-/// features of `lhs` and `rhs`. Reads the clock only when the ledger is
+/// A `⊆` judgment decided by `decide`, recorded into the ledger as a
+/// memo-bypassing query (no memo) with `decide`'s cost and features of
+/// `lhs` and `rhs`; an aborted judgment is recorded with no outcome, as
+/// the store records one. Reads the clock only when the ledger is
 /// enabled.
 fn ledgered_subset(
     ledger: &Ledger,
     site: &'static str,
     lhs: &Nfa,
     rhs: &Nfa,
-    decide: impl FnOnce(&InclusionLimits) -> Result<(bool, InclusionCost), InclusionAbort>,
-) -> bool {
+    decide: impl FnOnce() -> Result<(bool, InclusionCost), InclusionAbort>,
+) -> Result<bool, InclusionAbort> {
     let started = ledger.is_enabled().then(Instant::now);
-    let (result, cost) =
-        decide(&InclusionLimits::UNLIMITED).expect("an unlimited inclusion check cannot abort");
+    let result = decide();
     if let Some(started) = started {
         let wall = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        ledger.record(|| bypass_inclusion_draft(site, lhs, rhs, Some(result), cost, wall));
+        let (outcome, cost) = match &result {
+            Ok((included, cost)) => (Some(*included), *cost),
+            Err(abort) => (None, abort.cost()),
+        };
+        ledger.record(|| bypass_inclusion_draft(site, lhs, rhs, outcome, cost, wall));
     }
-    result
+    result.map(|(included, _)| included)
 }
 
 /// Evaluates `[e]_A`: substitutes assigned variable languages and folds
@@ -1050,9 +1082,10 @@ fn eval<'a>(system: &'a System, e: &Expr, assignment: &'a Assignment) -> Cow<'a,
 /// oracle that tests hold the solver to, so it shares no code with
 /// canonicalization.
 pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assignment) -> bool {
-    satisfies_with(system, constraints, assignment, |_, lhs, rhs| {
-        dprle_automata::is_subset(lhs, rhs.nfa())
-    })
+    let Ok(held) = satisfies_with(system, constraints, assignment, |_, lhs, rhs| {
+        Ok::<_, Infallible>(dprle_automata::is_subset(lhs, rhs.nfa()))
+    });
+    held
 }
 
 /// The solver's verification filter: [`satisfies`], deciding each
@@ -1061,36 +1094,35 @@ pub fn satisfies(system: &System, constraints: &[Constraint], assignment: &Assig
 /// under the `verify` site. `keys[i]` is the key of constraint `i`'s
 /// right-hand side ([`verification_keys`]); a judgment whose key is
 /// `None` is decided by the antichain search. Verification reads keys,
-/// never a memoized verdict.
+/// never a memoized verdict. Errs when a judgment hits `limits`.
 fn satisfies_ledgered(
     ledger: &Ledger,
     keys: &[Option<Arc<CanonicalKey>>],
     system: &System,
     constraints: &[Constraint],
     assignment: &Assignment,
-) -> bool {
+    limits: &InclusionLimits,
+) -> Result<bool, InclusionAbort> {
     #[cfg(test)]
     if differential::reference_mode() {
-        return differential::reference::satisfies_ledgered(
+        return Ok(differential::reference::satisfies_ledgered(
             ledger,
             system,
             constraints,
             assignment,
-        );
+        ));
     }
     satisfies_with(system, constraints, assignment, |i, lhs, rhs| {
-        ledgered_subset(ledger, SITE_VERIFY, lhs, rhs.nfa(), |limits| {
-            match &keys[i] {
-                Some(key) => inclusion::try_subset_of_key(lhs, key, limits),
-                None => inclusion::try_subset(lhs, rhs.nfa(), limits),
-            }
+        ledgered_subset(ledger, SITE_VERIFY, lhs, rhs.nfa(), || match &keys[i] {
+            Some(key) => inclusion::try_subset_of_key(lhs, key, limits),
+            None => inclusion::try_subset(lhs, rhs.nfa(), limits),
         })
     })
 }
 
 /// Whether every constraint holds under `assignment`, each distinct
 /// judgment decided once by `holds(i, lhs, rhs)` for the first constraint
-/// `i` that poses it.
+/// `i` that poses it; the first error `holds` returns ends the check.
 ///
 /// Two constraints pose the same judgment when their left-hand sides have
 /// the same shape with the same handle at each leaf (a variable's assigned
@@ -1100,22 +1132,27 @@ fn satisfies_ledgered(
 /// every handle alive for the whole call, so a handle names one machine
 /// throughout. Finding a repeat compares handles with the constraints
 /// before it, which allocates nothing.
-fn satisfies_with(
+fn satisfies_with<E>(
     system: &System,
     constraints: &[Constraint],
     assignment: &Assignment,
-    mut holds: impl FnMut(usize, &Nfa, &Lang) -> bool,
-) -> bool {
-    constraints.iter().enumerate().all(|(i, c)| {
-        constraints[..i]
+    mut holds: impl FnMut(usize, &Nfa, &Lang) -> Result<bool, E>,
+) -> Result<bool, E> {
+    for (i, c) in constraints.iter().enumerate() {
+        let repeated = constraints[..i]
             .iter()
-            .any(|earlier| same_judgment(system, assignment, earlier, c))
-            || holds(
+            .any(|earlier| same_judgment(system, assignment, earlier, c));
+        if !repeated
+            && !holds(
                 i,
                 &eval(system, &c.lhs, assignment),
                 system.const_lang(c.rhs),
-            )
-    })
+            )?
+        {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Whether `a` and `b` pose the same `⊆` judgment under `assignment`: the

@@ -4,11 +4,8 @@
 //! verification that decided every constraint by the antichain search,
 //! copying each leaf machine. A thread in [reference mode](with_reference)
 //! runs the references inside the real solver, so whole solves compare.
-//! Solutions must agree in order, with
-//! each variable's canonical key, witness and printed language, and with
-//! `minimize_intermediate` on, machine for machine. With it off, a shared
-//! leaf is the product in the first variable's order, so only the
-//! languages must agree, and on Figure 12 what prints. The verification
+//! Solutions must agree in order, with each variable's canonical key,
+//! witness and printed language, machine for machine. The verification
 //! filter, which walks each distinct judgment against the right-hand
 //! constant's key (or, for a constant without one, runs the antichain
 //! search), and the public `satisfies` must give the reference's
@@ -73,12 +70,8 @@ pub(super) mod reference {
                         None => constant.clone(),
                         Some(prev) => store.intersect(&prev, constant),
                     };
-                    m = Some(if options.minimize_intermediate {
-                        let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
-                        store.minimized(&next)
-                    } else {
-                        next
-                    });
+                    let _min_span = tracer.span("minimize", Some(node.index() as u32), None);
+                    m = Some(store.minimized(&next));
                 }
             }
             let m = m.unwrap_or_else(|| Lang::new(Nfa::sigma_star()));
@@ -111,9 +104,10 @@ pub(super) mod reference {
         constraints.iter().all(|c| {
             let lhs = eval_expr(system, &c.lhs, assignment);
             let rhs = system.const_machine(c.rhs);
-            ledgered_subset(ledger, SITE_VERIFY, &lhs, rhs, |limits| {
-                inclusion::try_subset(&lhs, rhs, limits)
+            ledgered_subset(ledger, SITE_VERIFY, &lhs, rhs, || {
+                inclusion::try_subset(&lhs, rhs, &InclusionLimits::UNLIMITED)
             })
+            .expect("an unlimited inclusion check cannot abort")
         })
     }
 }
@@ -216,90 +210,51 @@ struct Coverage {
     repeated_judgments: usize,
 }
 
-/// Solves `system` with the new and the reference code under both
-/// settings of `minimize_intermediate`, each on a fresh store, and
-/// compares the answers. With
-/// `prints_identical_off`, witnesses and printed languages must also match
-/// without intermediate minimization.
-fn assert_matches_reference(
-    system: &System,
-    what: &str,
-    prints_identical_off: bool,
-    coverage: &mut Coverage,
-) {
-    for minimize in [true, false] {
-        let options = SolveOptions {
-            minimize_intermediate: minimize,
-            ..SolveOptions::default()
-        };
-        let what = format!("{what} (minimize_intermediate {minimize})");
-        let new = run(system, &options, &LangStore::new());
-        let old = with_reference(|| run(system, &options, &LangStore::new()));
-        let (got, want) = (new.solution.assignments(), old.solution.assignments());
-        assert_eq!(got.len(), want.len(), "{what}");
-        for (g, w) in got.iter().zip(want) {
-            let (g, w) = (observed(g), observed(w));
-            if minimize || prints_identical_off {
-                assert_eq!(g, w, "{what}");
-            } else {
-                let keys = |o: &[Observed]| {
-                    o.iter()
-                        .map(|(v, key, ..)| (*v, key.clone()))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(keys(&g), keys(&w), "{what}");
-            }
-        }
-        if minimize {
-            for (g, w) in got.iter().zip(want) {
-                for v in w.vars() {
-                    let (gm, wm) = (g.get(v).expect("assigned"), w.get(v).expect("assigned"));
-                    assert!(gm.nfa() == wm.nfa(), "{what}: {}", system.var_name(v));
-                }
-            }
-        }
-        // Every variable still gets its event, in order; by default with
-        // the very machine it gets alone.
-        let nodes = |steps: &[(u32, String, usize)]| {
-            steps
-                .iter()
-                .map(|(n, v, _)| (*n, v.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(nodes(&new.reduce_steps), nodes(&old.reduce_steps), "{what}");
-        if minimize {
-            assert_eq!(new.reduce_steps, old.reduce_steps, "{what}");
-            assert_eq!(
-                new.stats.max_leaf_states, old.stats.max_leaf_states,
-                "{what}"
-            );
-        }
-        for counter in ["product-states", "groups", "branches-completed"] {
-            let field = |s: &SolveStats| {
-                s.counter_fields()
-                    .iter()
-                    .find(|(name, _)| *name == counter)
-                    .map(|(_, n)| *n)
-            };
-            assert_eq!(field(&new.stats), field(&old.stats), "{what}: {counter}");
-        }
-        // One verify record per distinct judgment of each completed branch;
-        // all of them held, since no branch was filtered here.
-        if old.stats.branches_filtered == 0 && minimize {
-            let normalized = system.normalized();
-            let constraints = normalized.union_free_constraints();
-            let expected: usize = got
-                .iter()
-                .map(|a| distinct_judgments(&normalized, &constraints, a))
-                .sum();
-            assert_eq!(new.verify_records, expected, "{what}");
-            coverage.repeated_judgments += old.verify_records - new.verify_records;
-        }
-        if minimize {
-            coverage.solutions += got.len();
-            coverage.shared_leaves += shared_leaves(system);
+/// Solves `system` with the new and the reference code, each on a fresh
+/// store, and compares the answers.
+fn assert_matches_reference(system: &System, what: &str, coverage: &mut Coverage) {
+    let options = SolveOptions::default();
+    let new = run(system, &options, &LangStore::new());
+    let old = with_reference(|| run(system, &options, &LangStore::new()));
+    let (got, want) = (new.solution.assignments(), old.solution.assignments());
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(observed(g), observed(w), "{what}");
+        for v in w.vars() {
+            let (gm, wm) = (g.get(v).expect("assigned"), w.get(v).expect("assigned"));
+            assert!(gm.nfa() == wm.nfa(), "{what}: {}", system.var_name(v));
         }
     }
+    // Every variable still gets its event, in order, with the very machine
+    // it gets alone.
+    assert_eq!(new.reduce_steps, old.reduce_steps, "{what}");
+    assert_eq!(
+        new.stats.max_leaf_states, old.stats.max_leaf_states,
+        "{what}"
+    );
+    for counter in ["product-states", "groups", "branches-completed"] {
+        let field = |s: &SolveStats| {
+            s.counter_fields()
+                .iter()
+                .find(|(name, _)| *name == counter)
+                .map(|(_, n)| *n)
+        };
+        assert_eq!(field(&new.stats), field(&old.stats), "{what}: {counter}");
+    }
+    // One verify record per distinct judgment of each completed branch;
+    // all of them held, since no branch was filtered here.
+    if old.stats.branches_filtered == 0 {
+        let normalized = system.normalized();
+        let constraints = normalized.union_free_constraints();
+        let expected: usize = got
+            .iter()
+            .map(|a| distinct_judgments(&normalized, &constraints, a))
+            .sum();
+        assert_eq!(new.verify_records, expected, "{what}");
+        coverage.repeated_judgments += old.verify_records - new.verify_records;
+    }
+    coverage.solutions += got.len();
+    coverage.shared_leaves += shared_leaves(system);
 }
 
 /// The variables whose bound set of two or more constants an earlier
@@ -330,7 +285,7 @@ fn reduce_and_verify_match_reference_on_fig12_systems() {
     let mut coverage = Coverage::default();
     let mut verify_records = 0;
     for (name, system) in &systems {
-        assert_matches_reference(system, name, true, &mut coverage);
+        assert_matches_reference(system, name, &mut coverage);
         verify_records += run(system, &SolveOptions::default(), &LangStore::new()).verify_records;
     }
     assert!(coverage.solutions >= 17, "{coverage:?}");
@@ -360,7 +315,7 @@ fn reduce_and_verify_match_reference_on_figure_9_10() {
     sys.require(Expr::Var(va).concat(Expr::Var(vb)), c1);
     sys.require(Expr::Var(vb).concat(Expr::Var(vc)), c2);
     let mut coverage = Coverage::default();
-    assert_matches_reference(&sys, "Figure 9/10", false, &mut coverage);
+    assert_matches_reference(&sys, "Figure 9/10", &mut coverage);
     assert_eq!(coverage.solutions, 4, "{coverage:?}");
 }
 
@@ -451,12 +406,7 @@ fn reduce_and_verify_match_reference_on_random_systems() {
     for seed in 0..48 {
         let mut rng = StdRng::seed_from_u64(seed);
         let system = random_system(&mut rng);
-        assert_matches_reference(
-            &system,
-            &format!("seed {seed}: {system}"),
-            false,
-            &mut coverage,
-        );
+        assert_matches_reference(&system, &format!("seed {seed}: {system}"), &mut coverage);
     }
     assert!(
         coverage.solutions > 0 && coverage.shared_leaves > 0 && coverage.repeated_judgments > 0,
@@ -516,8 +466,15 @@ fn satisfies_matches_reference_on_random_assignments() {
                 for keys in [keyed, unkeyed] {
                     let collected = Arc::new(CollectLedger::new());
                     let ledger = Ledger::new(collected.clone());
-                    let verdict =
-                        satisfies_ledgered(&ledger, &keys, sys, &constraints, &assignment);
+                    let verdict = satisfies_ledgered(
+                        &ledger,
+                        &keys,
+                        sys,
+                        &constraints,
+                        &assignment,
+                        &InclusionLimits::UNLIMITED,
+                    )
+                    .expect("unlimited");
                     assert_eq!(verdict, expected, "seed {seed}, {what}: {sys}");
                     let records = collected.take();
                     assert!(records.iter().all(|r| r.site == SITE_VERIFY));

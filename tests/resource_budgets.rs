@@ -2,15 +2,19 @@
 //! (position × modulo-counter products, Θ(q²) reachable pairs) a
 //! `max_product_states` budget must abort with a typed
 //! [`ResourceExhausted`] — never a panic or an unbounded blowup — and the
-//! identical system must solve cleanly once the budget is lifted.
+//! identical system must solve cleanly once the budget is lifted. A
+//! variable-free constraint's check stops at the deadline too.
 
 use dprle::automata::generate::{random_nfa, RandomNfaConfig};
 use dprle::automata::LangStore;
 use dprle::core::{
-    try_solve_traced, Budget, BudgetKind, Expr, Metrics, SolveOptions, System, Tracer,
+    try_solve_traced, Budget, BudgetKind, CollectLedger, Expr, Ledger, Metrics, SolveOptions,
+    System, Tracer,
 };
 use dprle::corpus::scaling::ci_instance_modular;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// `v₁·v₂ ⊆ c₃` with `v₁ ⊆ c₁`, `v₂ ⊆ c₂` over the modular family — the
 /// concat-intersect inside the solver attains the quadratic product bound.
@@ -196,4 +200,71 @@ fn exhaustion_snapshot_carries_partial_inclusion_work() {
     )
     .expect("lifted budget");
     assert!(solution.is_sat());
+}
+
+/// `x ⊆ c` between two constants, `x = [ab]*a[ab]{n}` and `c = x|zz`: no
+/// variable, so the const-check decides it, by an antichain search whose
+/// macrostates double with each step of `n`.
+fn variable_free_system(n: usize) -> System {
+    let mut sys = System::new();
+    let x = sys
+        .constant_regex_exact("x", &format!("[ab]*a[ab]{{{n}}}"))
+        .expect("x");
+    let c = sys
+        .constant_regex_exact("c", &format!("[ab]*a[ab]{{{n}}}|zz"))
+        .expect("c");
+    sys.require(Expr::Const(x), c);
+    sys
+}
+
+/// The const-check stops at the solve's deadline. Unbudgeted, this
+/// search takes about half a second in a release build and seconds in a
+/// debug build.
+#[test]
+fn a_variable_free_check_stops_at_the_deadline() {
+    let options = SolveOptions {
+        budget: Budget {
+            deadline: Some(Duration::from_millis(100)),
+            ..Budget::default()
+        },
+        ..SolveOptions::default()
+    };
+    let started = Instant::now();
+    let err = try_solve_traced(
+        &variable_free_system(18),
+        &options,
+        &LangStore::new(),
+        &Tracer::disabled(),
+    )
+    .expect_err("the deadline passes during the search");
+    let elapsed = started.elapsed();
+    assert_eq!(err.kind, BudgetKind::Deadline);
+    assert_eq!(err.limit, 100_000);
+    assert!(
+        (100_000..1_000_000).contains(&err.observed),
+        "observed {} us",
+        err.observed
+    );
+    assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+}
+
+/// A variable-free constraint is decided once, by the const-check:
+/// verification, whose verdict could not differ, skips it.
+#[test]
+fn a_variable_free_constraint_is_not_verified_again() {
+    let collected = Arc::new(CollectLedger::new());
+    let options = SolveOptions {
+        ledger: Ledger::new(collected.clone()),
+        ..SolveOptions::default()
+    };
+    let (solution, _) = try_solve_traced(
+        &variable_free_system(8),
+        &options,
+        &LangStore::new(),
+        &Tracer::disabled(),
+    )
+    .expect("no budget set");
+    assert!(solution.is_sat());
+    let sites: Vec<&str> = collected.take().iter().map(|r| r.site).collect();
+    assert_eq!(sites, ["const-check"]);
 }

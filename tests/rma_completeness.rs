@@ -49,10 +49,11 @@ fn machine(seed: u64) -> Nfa {
 /// Solver options with disjunct caps lifted (completeness needs every
 /// combination).
 fn uncapped() -> SolveOptions {
-    let mut options = SolveOptions::default();
-    options.gci.max_disjuncts = None;
-    options.max_assignments = None;
-    options
+    SolveOptions {
+        max_disjuncts: None,
+        max_assignments: None,
+        ..SolveOptions::default()
+    }
 }
 
 proptest! {
